@@ -102,10 +102,15 @@ def project_samples(t_grid, samples, spec: BasisSpec, normalized: bool = False) 
     tol = 1e-9 * spec.support_length
     if t[0] > tol or t[-1] < spec.support_length - tol:
         raise InsufficientResolutionError("t_grid must cover [0, support_length]")
-    phi = design_matrix(spec, t)
-    coeff = (2.0 / spec.support_length) * np.trapezoid(f[..., None, :] * phi, t, axis=-1)
-    if normalized:
-        coeff = coeff * np.sqrt(spec.support_length / 2.0)
+    # trapezoid rule as a weight vector: the projection is one matmul against
+    # the weighted orthonormal basis rows
+    dt = np.diff(t)
+    w = np.zeros(t.size)
+    w[:-1] += 0.5 * dt
+    w[1:] += 0.5 * dt
+    coeff = f @ (design_matrix(spec, t, normalized=True) * w).T
+    if not normalized:
+        coeff = coeff * np.sqrt(2.0 / spec.support_length)
     return coeff
 
 

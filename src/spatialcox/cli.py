@@ -80,8 +80,8 @@ def _apply_config(args_ns, config_values, argv):
         if not hasattr(args_ns, key):
             raise SystemExit(f"config key {key!r} does not match any flag")
         flag_forms = {f"--{key.replace('_', '-')}", f"--{key}"}
-        if any(str(a) in flag_forms for a in argv):
-            continue  # explicit flag wins
+        if any(str(a).split("=", 1)[0] in flag_forms for a in argv):
+            continue  # explicit flag (--flag value or --flag=value) wins
         current = getattr(args_ns, key)
         if key in _CONFIG_PARSERS:
             value = _CONFIG_PARSERS[key](raw)

@@ -57,6 +57,10 @@ class AmbiguousInterpolationError(SpatialCoxError, ValueError):
     """Target node coincides with several sources carrying distinct values."""
 
 
+class FileFormatError(SpatialCoxError, ValueError):
+    """Stored file is truncated, has an inconsistent header, or misses or repeats rows."""
+
+
 class RankDeficiencyError(SpatialCoxError, ValueError):
     """Least-squares design matrix is rank deficient."""
 

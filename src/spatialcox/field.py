@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .basis import BasisSpec, design_matrix
-from .errors import ParameterDomainError
+from .errors import FileFormatError, ParameterDomainError
 
 _HEADER_DTYPE = np.dtype([("n1", "<i8"), ("n2", "<i8"), ("m", "<i8"), ("support", "<f8")])
 
@@ -111,15 +112,33 @@ def save_field_binary(field: CoeffField, path) -> None:
         field.data.astype("<f8").tofile(fh)
 
 
+def _read_binary(fh, header_dtype, dtype, per_site):
+    """Read one header record, then the payload of ``dtype`` values it implies.
+
+    The payload holds ``n1 * n2 * per_site(header)`` values.  Non-positive
+    header dims, or a file too short for its header or payload, raise
+    :class:`FileFormatError`.
+    """
+    raw = np.fromfile(fh, dtype=header_dtype, count=1)
+    if raw.size != 1:
+        raise FileFormatError("file is shorter than its header")
+    header = raw[0]
+    n1, n2, m = (int(header[f]) for f in ("n1", "n2", "m"))
+    if min(n1, n2, m) < 1:
+        raise FileFormatError(f"header dims ({n1}, {n2}, {m}) must be positive")
+    count = n1 * n2 * per_site(header)
+    available = (os.fstat(fh.fileno()).st_size - fh.tell()) // np.dtype(dtype).itemsize
+    if available < count:
+        raise FileFormatError(
+            f"truncated file: header implies {count} values, found {available}")
+    return (n1, n2, m), header, np.fromfile(fh, dtype=dtype, count=count)
+
+
 def load_field_binary(path) -> CoeffField:
     with open(path, "rb") as fh:
-        header = np.fromfile(fh, dtype=_HEADER_DTYPE, count=1)[0]
-        n1, n2, m = int(header["n1"]), int(header["n2"]), int(header["m"])
-        data = np.fromfile(fh, dtype="<f8", count=n1 * n2 * m)
-    if data.size != n1 * n2 * m:
-        raise ValueError("truncated field file")
-    spec = BasisSpec(support_length=float(header["support"]), n_modes=m)
-    return CoeffField(data.reshape(n1, n2, m), spec)
+        dims, header, data = _read_binary(fh, _HEADER_DTYPE, "<f8", lambda h: int(h["m"]))
+    spec = BasisSpec(support_length=float(header["support"]), n_modes=dims[2])
+    return CoeffField(data.reshape(dims), spec)
 
 
 def save_field_csv(field: CoeffField, path) -> None:
@@ -134,11 +153,22 @@ def save_field_csv(field: CoeffField, path) -> None:
 
 
 def load_field_csv(path, support_length: float) -> CoeffField:
+    """Read the ``i,j,k,value`` CSV; every (i, j, k) of the grid must appear exactly once."""
     rows = np.loadtxt(path, delimiter=",", skiprows=1)
     rows = np.atleast_2d(rows)
     n1 = int(rows[:, 0].max()) + 1
     n2 = int(rows[:, 1].max()) + 1
     m = int(rows[:, 2].max())
+    idx = rows[:, :3].astype(int)
+    idx[:, 2] -= 1
+    if idx.min() < 0:
+        raise FileFormatError("negative site index or mode index below 1")
+    seen = np.zeros((n1, n2, m), dtype=int)
+    np.add.at(seen, tuple(idx.T), 1)
+    if np.any(seen != 1):
+        missing, repeated = int(np.sum(seen == 0)), int(np.sum(seen > 1))
+        raise FileFormatError(
+            f"{n1}x{n2}x{m} grid has {missing} missing and {repeated} repeated (i, j, k) rows")
     data = np.zeros((n1, n2, m))
-    data[rows[:, 0].astype(int), rows[:, 1].astype(int), rows[:, 2].astype(int) - 1] = rows[:, 3]
+    data[tuple(idx.T)] = rows[:, 3]
     return CoeffField(data, BasisSpec(support_length=support_length, n_modes=m))

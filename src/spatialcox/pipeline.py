@@ -97,7 +97,9 @@ def idw_interpolate(series: GridSeries, target_dims, power: float = 2.0) -> Grid
     Lattice nodes span the bounding box of the source sites; a node
     coinciding with a source reproduces that source exactly, and coinciding
     with several sources carrying different series raises
-    :class:`AmbiguousInterpolationError`.
+    :class:`AmbiguousInterpolationError`.  The remaining nodes take one
+    row-normalised weight-matrix product, so the cost is one (nodes x sites)
+    @ (sites x times) product and O(nodes x sites) memory for the weights.
     """
     if power <= 0:
         raise ParameterDomainError("IDW power must be positive")
@@ -107,18 +109,28 @@ def idw_interpolate(series: GridSeries, target_dims, power: float = 2.0) -> Grid
     nodes = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
     d = np.linalg.norm(nodes[:, None, :] - series.sites[None, :, :], axis=2)
     scale = max(d.max(), 1.0)
+    hits = d < 1e-9 * scale
+    is_hit = hits.any(axis=1)
     out = np.empty((nodes.shape[0], series.times.size))
-    for i in range(nodes.shape[0]):
-        hit = np.nonzero(d[i] < 1e-9 * scale)[0]
-        if hit.size:
-            first = series.values[hit[0]]
-            if any(not np.allclose(series.values[h], first) for h in hit[1:]):
-                raise AmbiguousInterpolationError(
-                    f"node {nodes[i]} coincides with sources holding distinct values")
-            out[i] = first
-        else:
-            w = d[i] ** (-power)
-            out[i] = (w @ series.values) / w.sum()
+
+    # a hit node copies its first coincident source; later coincident
+    # sources must carry the same series
+    first = hits.argmax(axis=1)
+    node_idx, src_idx = np.nonzero(hits)
+    extra = src_idx != first[node_idx]
+    if extra.any():
+        node_idx, src_idx = node_idx[extra], src_idx[extra]
+        same = np.isclose(series.values[src_idx], series.values[first[node_idx]]).all(axis=1)
+        if not same.all():
+            bad = node_idx[~same][0]
+            raise AmbiguousInterpolationError(
+                f"node {nodes[bad]} coincides with sources holding distinct values")
+    out[is_hit] = series.values[first[is_hit]]
+
+    miss = ~is_hit
+    if miss.any():
+        w = d[miss] ** (-power)
+        out[miss] = (w @ series.values) / w.sum(axis=1)[:, None]
     return GridSeries(nodes, series.times, out, lattice_dims=(n1, n2))
 
 

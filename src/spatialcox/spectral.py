@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterDomainError, ResolutionError, SingularSpectrumError
-from .field import CoeffField, FrequencyGrid
+from .field import CoeffField, FrequencyGrid, _read_binary
 
 _HEADER = np.dtype([("n1", "<i8"), ("n2", "<i8"), ("m", "<i8"), ("full", "<i8")])
 
@@ -228,10 +228,9 @@ def save_periodogram_binary(pgram: Periodogram, path) -> None:
 
 def load_periodogram_binary(path) -> Periodogram:
     with open(path, "rb") as fh:
-        header = np.fromfile(fh, dtype=_HEADER, count=1)[0]
-        n1, n2, m, full = (int(header[f]) for f in ("n1", "n2", "m", "full"))
-        count = n1 * n2 * m * (m if full else 1)
-        payload = np.fromfile(fh, dtype="<c16", count=count)
+        (n1, n2, m), header, payload = _read_binary(
+            fh, _HEADER, "<c16", lambda h: int(h["m"]) ** (2 if h["full"] else 1))
+    full = int(header["full"])
     grid = FrequencyGrid((n1, n2))
     if full:
         cross = payload.reshape(n1, n2, m, m)

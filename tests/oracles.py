@@ -88,3 +88,31 @@ def rational_density(triple, sigma2, w1, w2):
     d = (1.0 - l1 * np.exp(1j * w1) - l2 * np.exp(1j * w2)
          - l3 * np.exp(1j * (w1 + w2)))
     return sigma2 / np.abs(d) ** 2
+
+
+def brute_force_idw(sites, values, nodes, power):
+    """Per-node inverse-distance weighting: a node within 1e-9 * scale of a
+    source copies that source's row (the first, when several coincide);
+    every other node takes the weighted row average with weights d^-power."""
+    sites = np.asarray(sites, dtype=float)
+    values = np.asarray(values, dtype=float)
+    d = np.linalg.norm(nodes[:, None, :] - sites[None, :, :], axis=2)
+    scale = max(d.max(), 1.0)
+    out = np.empty((nodes.shape[0], values.shape[1]))
+    for i in range(nodes.shape[0]):
+        hit = np.nonzero(d[i] < 1e-9 * scale)[0]
+        if hit.size:
+            out[i] = values[hit[0]]
+        else:
+            w = d[i] ** (-power)
+            out[i] = (w @ values) / w.sum()
+    return out
+
+
+def trapezoid_projection(t, samples, support_length, n_modes):
+    """Raw-sine coefficients c_p = (2/L) * trapezoid integral of f * sin(pi p t / L),
+    formed as the full (..., M, T) product before integrating."""
+    t = np.asarray(t, dtype=float)
+    f = np.asarray(samples, dtype=float)
+    phi = np.sin(np.pi * np.outer(np.arange(1, n_modes + 1), t) / support_length)
+    return (2.0 / support_length) * np.trapezoid(f[..., None, :] * phi, t, axis=-1)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import trapezoid_projection
 
 from spatialcox import BasisSpec, project_samples, sine_basis_eval, synthesize
 from spatialcox.errors import InsufficientResolutionError, ParameterDomainError
@@ -91,3 +92,19 @@ def test_batched_projection():
     c = project_samples(t, batch, spec)
     assert c.shape == (2, 2)
     assert np.allclose(c, [[1, 0], [0, 4]], atol=1e-4)
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+def test_projection_matches_trapezoid_oracle_batched(normalized):
+    spec = BasisSpec(support_length=1725.0, n_modes=10)
+    rng = np.random.default_rng(8)
+    t = np.r_[0.0, np.sort(rng.uniform(0.0, 1725.0, size=298)), 1725.0]
+    f = rng.normal(size=(4, 5, t.size))
+    got = project_samples(t, f, spec, normalized=normalized)
+    expect = trapezoid_projection(t, f, spec.support_length, spec.n_modes)
+    if normalized:
+        expect = expect * np.sqrt(spec.support_length / 2.0)
+    assert got.shape == (4, 5, 10)
+    np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-12 * np.abs(expect).max())
+    np.testing.assert_allclose(project_samples(t, f[2, 3], spec, normalized=normalized),
+                               got[2, 3], rtol=1e-12, atol=1e-12 * np.abs(expect).max())

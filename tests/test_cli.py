@@ -92,6 +92,15 @@ def test_config_file_merging(tmp_path):
     assert load_field_binary(field).n_modes == 3
 
 
+def test_config_loses_to_explicit_flag_with_equals_sign(tmp_path):
+    field = tmp_path / "eq_field.bin"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dims = 6x6\nmodes = 2\nburn-in = 5\n")
+    run(["--config", cfg, "simulate", "--dims=4x4", "--burn-in=3", "--out", field])
+    fld = load_field_binary(field)
+    assert fld.dims == (4, 4) and fld.n_modes == 2
+
+
 def test_data_roundtrip_through_cli(tmp_path):
     series, _ = make_synthetic_counts(lattice_dims=(6, 6), n_months=100,
                                       support_length=400.0, seed=9)

@@ -4,6 +4,7 @@ import pytest
 from spatialcox import (BasisSpec, CoeffField, FrequencyGrid, evaluate_field,
                         load_field_binary, load_field_csv, save_field_binary,
                         save_field_csv)
+from spatialcox.errors import FileFormatError
 
 
 @pytest.fixture
@@ -64,6 +65,53 @@ def test_csv_roundtrip(tmp_path, small_field):
     save_field_csv(small_field, path)
     back = load_field_csv(path, support_length=1.0)
     np.testing.assert_allclose(back.data, small_field.data, rtol=0, atol=0)
+
+
+def test_csv_missing_rows_rejected(tmp_path, small_field):
+    path = tmp_path / "f.csv"
+    save_field_csv(small_field, path)
+    lines = path.read_text().splitlines()
+    # drop three interior rows: the grid extent stays 4x5x3
+    path.write_text("\n".join(lines[:10] + lines[13:]) + "\n")
+    with pytest.raises(FileFormatError, match="3 missing"):
+        load_field_csv(path, support_length=1.0)
+
+
+def test_csv_duplicate_rows_rejected(tmp_path, small_field):
+    path = tmp_path / "f.csv"
+    save_field_csv(small_field, path)
+    lines = path.read_text().splitlines()
+    i, j, k, _ = lines[5].split(",")
+    path.write_text("\n".join(lines + [f"{i},{j},{k},0.0"]) + "\n")
+    with pytest.raises(FileFormatError, match="1 repeated"):
+        load_field_csv(path, support_length=1.0)
+
+
+def test_binary_truncated_payload_rejected(tmp_path, small_field):
+    path = tmp_path / "f.bin"
+    save_field_binary(small_field, path)
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(FileFormatError, match="truncated"):
+        load_field_binary(path)
+    assert issubclass(FileFormatError, ValueError)
+
+
+@pytest.mark.parametrize("dims", [(0, 5, 3), (4, -5, 3), (4, 5, 0)])
+def test_binary_nonpositive_header_dims_rejected(tmp_path, small_field, dims):
+    path = tmp_path / "f.bin"
+    save_field_binary(small_field, path)
+    raw = bytearray(path.read_bytes())
+    raw[:24] = np.array(dims, dtype="<i8").tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FileFormatError, match="must be positive"):
+        load_field_binary(path)
+
+
+def test_binary_short_header_rejected(tmp_path):
+    path = tmp_path / "f.bin"
+    path.write_bytes(b"\x01" * 20)
+    with pytest.raises(FileFormatError, match="header"):
+        load_field_binary(path)
 
 
 @pytest.mark.parametrize("dims", [(4, 4), (5, 5), (4, 7), (1, 6)])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import brute_force_idw
 
 from spatialcox import (GridSeries, PipelineConfig, cvfare, idw_interpolate,
                         load_series_csv, make_synthetic_counts, polyfit_trend,
@@ -90,6 +91,50 @@ def test_idw_power_domain():
     series = GridSeries([[0.0, 0.0]], [0.0], [[1.0]])
     with pytest.raises(ParameterDomainError):
         idw_interpolate(series, (2, 2), power=0.0)
+
+
+def _mixed_sites(rng, dims):
+    """Lattice sites with every other interior site jittered off its node."""
+    n1, n2 = dims
+    grid = np.stack(np.meshgrid(np.arange(n1, dtype=float), np.arange(n2, dtype=float),
+                                indexing="ij"), axis=-1).reshape(-1, 2)
+    interior = ((grid > 0) & (grid < np.array([n1 - 1, n2 - 1]))).all(axis=1)
+    moved = interior & (np.arange(grid.shape[0]) % 2 == 1)
+    grid[moved] += rng.uniform(-0.25, 0.25, size=(moved.sum(), 2))
+    return grid, moved
+
+
+@pytest.mark.parametrize("power", [1.5, 2.0])
+def test_idw_matches_per_node_oracle(power):
+    rng = np.random.default_rng(21)
+    sites, moved = _mixed_sites(rng, (9, 11))
+    values = rng.uniform(0.0, 50.0, size=(sites.shape[0], 37))
+    out = idw_interpolate(GridSeries(sites, np.arange(37.0), values), (9, 11), power=power)
+    expect = brute_force_idw(sites, values, out.sites, power)
+    np.testing.assert_allclose(out.values, expect, rtol=1e-12, atol=0)
+    # nodes holding an unmoved site copy it bit for bit; moved ones interpolate
+    hit = ~moved
+    assert 0 < hit.sum() < hit.size
+    np.testing.assert_array_equal(out.values[hit], values[hit])
+    np.testing.assert_array_equal(out.values[hit], expect[hit])
+    assert not np.any(out.values[moved] == values[moved])
+
+
+def test_idw_duplicate_sites_with_equal_series_copy_first():
+    sites = [[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]]
+    values = np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 4.0]])
+    out = idw_interpolate(GridSeries(sites, [0.0, 1.0], values), (2, 2))
+    np.testing.assert_array_equal(out.values[0], values[0])
+    np.testing.assert_array_equal(out.values[3], values[2])
+    np.testing.assert_allclose(out.values, brute_force_idw(sites, values, out.sites, 2.0),
+                               rtol=1e-12, atol=0)
+
+
+def test_idw_ambiguity_names_first_offending_node():
+    sites = [[0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [0.0, 0.0]]
+    series = GridSeries(sites, [0.0], [[1.0], [2.0], [3.0], [4.0]])
+    with pytest.raises(AmbiguousInterpolationError, match=r"node \[0\. 0\.\]"):
+        idw_interpolate(series, (2, 2))
 
 
 # --- spline smoothing -------------------------------------------------------

@@ -6,7 +6,7 @@ from spatialcox import (BasisSpec, CoeffField, Sarh1Params, SpectralModel,
                         cov_from_spectrum, empirical_cov, fejer_smoothed_inverse,
                         functional_dft, periodogram, save_empirical_cov_csv,
                         save_periodogram_csv, simulate_sarh1)
-from spatialcox.errors import ParameterDomainError, ResolutionError
+from spatialcox.errors import FileFormatError, ParameterDomainError, ResolutionError
 from spatialcox.spectral import load_periodogram_binary, save_periodogram_binary
 
 
@@ -241,3 +241,25 @@ def test_periodogram_serialization_roundtrip(tmp_path):
     save_empirical_cov_csv(cov, tmp_path / "cov.csv")
     rows = np.loadtxt(tmp_path / "cov.csv", delimiter=",", skiprows=1)
     assert rows.shape[0] == 3 * 3 * 2 * 2
+
+
+@pytest.mark.parametrize("full", [False, True])
+def test_periodogram_binary_truncated_payload_rejected(tmp_path, full):
+    pg = periodogram(random_field((4, 3), 2, seed=6), full=full)
+    path = tmp_path / "pg.bin"
+    save_periodogram_binary(pg, path)
+    path.write_bytes(path.read_bytes()[:-16])
+    with pytest.raises(FileFormatError, match="truncated"):
+        load_periodogram_binary(path)
+
+
+@pytest.mark.parametrize("dims", [(0, 3, 2), (4, 3, -2)])
+def test_periodogram_binary_nonpositive_header_dims_rejected(tmp_path, dims):
+    pg = periodogram(random_field((4, 3), 2, seed=6))
+    path = tmp_path / "pg.bin"
+    save_periodogram_binary(pg, path)
+    raw = bytearray(path.read_bytes())
+    raw[:24] = np.array(dims, dtype="<i8").tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FileFormatError, match="must be positive"):
+        load_periodogram_binary(path)
