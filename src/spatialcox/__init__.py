@@ -20,9 +20,8 @@ from .pipeline import (GridSeries, PipelineConfig, PipelineResult, cvfare,
                        idw_interpolate, load_series_csv, make_synthetic_counts,
                        polyfit_trend, run_cross_validation, run_pipeline,
                        save_series_csv, spline_smooth)
-from .sarh import (Sarh1Params, c2_innovation_sd, check_stationarity,
-                   eigenvalues_example1, eigenvalues_example2, simulate_sarh1,
-                   torus_min_abs_denominator)
+from .sarh import (Sarh1Params, c2_innovation_sd, c2_innovation_var, family_triples,
+                   is_causal, simulate_sarh1)
 from .spectral import (EmpiricalCov, Periodogram, cov_from_spectrum, empirical_cov,
                        fejer_smoothed_inverse, functional_dft, periodogram,
                        save_empirical_cov_csv, save_periodogram_binary,

@@ -9,6 +9,7 @@ long flag names with dashes or underscores); explicit flags win.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -105,14 +106,16 @@ def _out_path(args, name):
 
 
 def build_parser():
-    p = argparse.ArgumentParser(prog="spatialcox",
+    # abbreviated long flags are refused: --config precedence matches full names only
+    p = argparse.ArgumentParser(prog="spatialcox", allow_abbrev=False,
                                 description="Spatial Cox / SARH(1) spectral toolbox")
     p.add_argument("--version", action="version", version=__version__)
     p.add_argument("--config", default=None, help="key = value file mirroring the flags")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out-dir", default="", help="directory for output artifacts")
-    sub = p.add_subparsers(dest="command", required=True)
+    sub = p.add_subparsers(dest="command", required=True, parser_class=functools.partial(
+        argparse.ArgumentParser, allow_abbrev=False))
 
     s = sub.add_parser("simulate", help="generate a SARH(1) coefficient field")
     s.add_argument("--family", default="example1",

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import ParameterDomainError
+from .errors import ParameterDomainError, SpatialCoxError
 from .sarh import Sarh1Params, simulate_sarh1
 from .spectral import periodogram
 from .whittle import EstimateOptions, SpectralModel, estimate
@@ -56,7 +56,7 @@ def _replicate(args):
 def _replicate_safe(args):
     try:
         return "ok", _replicate(args)
-    except Exception as exc:  # recorded, not fatal
+    except SpatialCoxError as exc:  # recorded, not fatal; other errors are bugs
         return "err", repr(exc)
 
 
@@ -84,16 +84,19 @@ class ExperimentTable:
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentTable:
     """Simulate/estimate over all grid sizes and replicates; aggregate the table.
 
-    Replicate failures are recorded in the ``n_failed`` column rather than
-    aborting the run.  Mean and SD (ddof=1) are reported with the empirical
-    mean square error (1/R) sum (theta_hat - theta_0)^2 per component.
+    Replicates failing with a package error (:class:`SpatialCoxError`) are
+    counted in the ``n_failed`` column rather than aborting the run; any
+    other exception propagates.  If every replicate of a size fails, the
+    RuntimeError quotes the first failure.  Mean and SD (ddof=1) are
+    reported with the empirical mean square error (1/R) sum
+    (theta_hat - theta_0)^2 per component.
     """
     root = np.random.SeedSequence(cfg.seed)
     rows = []
     for side, child in zip(cfg.grid_sizes, root.spawn(len(cfg.grid_sizes))):
         seeds = [int(s.generate_state(1)[0]) for s in child.spawn(cfg.replicates)]
         jobs = [(cfg, side, s) for s in seeds]
-        estimates, failures = [], 0
+        estimates, failures = [], []
         if threads > 1:
             with ProcessPoolExecutor(max_workers=threads) as pool:
                 outcomes = list(pool.map(_replicate_safe, jobs))
@@ -103,9 +106,10 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentTable:
             if status == "ok":
                 estimates.append(out)
             else:
-                failures += 1
+                failures.append(out)
         if not estimates:
-            raise RuntimeError(f"all replicates failed at side={side}")
+            raise RuntimeError(f"all {len(failures)} replicates failed at side={side}; "
+                               f"first failure: {failures[0]}")
         arr = np.array(estimates)
         n_val = side * side
         for c in range(arr.shape[1]):
@@ -116,6 +120,6 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentTable:
                 "mean": float(arr[:, c].mean()),
                 "sd": float(arr[:, c].std(ddof=1)) if arr.shape[0] > 1 else 0.0,
                 "mse": float(np.mean(diffs**2)),
-                "n_failed": failures,
+                "n_failed": len(failures),
             })
     return ExperimentTable(rows)

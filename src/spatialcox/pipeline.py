@@ -24,10 +24,10 @@ from .errors import (AmbiguousInterpolationError, DivisionGuardError,
                      InsufficientResolutionError, ParameterDomainError,
                      PipelineStageError, RankDeficiencyError)
 from .field import CoeffField
-from .sarh import Sarh1Params, simulate_sarh1
+from .sarh import Sarh1Params, family_triples, simulate_sarh1
 from .spectral import Periodogram, periodogram
 from .whittle import (DEFAULT_PMF_GROUPS, EstimateOptions, SpectralModel,
-                      estimate, estimate_pmf_groups, pmf_triple)
+                      estimate, estimate_pmf_groups)
 
 
 @dataclass(frozen=True, eq=False)
@@ -405,7 +405,7 @@ def make_synthetic_counts(lattice_dims=(40, 40), n_modes: int = 10, n_months: in
     """
     n1, n2 = lattice_dims
     theta_true = np.asarray(theta_true, dtype=float)
-    lam_true = np.array([pmf_triple(theta_true, p, groups) for p in range(1, n_modes + 1)])
+    lam_true = family_triples("realdata_pmf", theta_true, n_modes, groups)
     params = Sarh1Params("custom", lam_true.ravel(), n_modes,
                          noise_sd=np.ones(n_modes))
     basis = BasisSpec(support_length=support_length, n_modes=n_modes)

@@ -1,17 +1,23 @@
-"""SARH(1) lattice simulation.
+"""SARH(1) eigenvalue families, causality, C2 normalization and lattice simulation.
 
 Per mode k the coefficient field follows the quarter-plane autoregression
 
     X_k(i, j) = l1 X_k(i-1, j) + l2 X_k(i, j-1) + l3 X_k(i-1, j-1) + eps_k(i, j)
 
-with Gaussian white innovations, independent across modes and sites.  The
-row recursion is solved with a first-order linear filter along columns,
+with Gaussian white innovations, independent across modes and sites.  A
+parameter family maps theta to the per-mode triples (l1, l2, l3).  The AR
+polynomial D(z1, z2) = 1 - l1 z1 - l2 z2 - l3 z1 z2 is classified in closed
+form through c = 1 + l1^2 - l2^2 - l3^2 and d = l1 + l2 l3, because on the
+unit circle
+
+    |1 - l1 e^{iw}|^2 - |l2 + l3 e^{iw}|^2 = c - 2 d cos w.
+
+The row recursion is solved with a first-order linear filter along columns,
 which is exact and keeps the sweep in compiled code.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,55 +29,134 @@ from .field import CoeffField
 
 THETA_BOX_EXAMPLE1 = np.array([[0.7, 4.0]])
 THETA_BOX_EXAMPLE2 = np.array([[0.7, 1.3], [1.3, 1.9], [1.2, 1.8], [0.9, 1.5]])
+TRIPLE_BOX = np.array([[-0.95, 0.95], [-0.95, 0.95], [-0.9, 0.9]])
+DEFAULT_PMF_GROUPS = ((1, 3, 5), (7, 9))
+FAMILIES = ("example1", "example2", "realdata_pmf", "triple", "custom")
+
+# e^{iw} on the 2048-node rectangle rule over [-pi, pi) of the C2 band quadrature
+_C2_NODES = np.exp(1j * (-np.pi + 2.0 * np.pi * np.arange(2048) / 2048))
 
 
-def eigenvalues_example1(theta: float, k: int) -> tuple[float, float, float]:
-    """One-parameter family: l1 = th^2/(pi^2 k^1.1), l2 = th^2/(pi^2 k^1.2), l3 = -l1*l2."""
-    if not THETA_BOX_EXAMPLE1[0, 0] <= theta <= THETA_BOX_EXAMPLE1[0, 1]:
-        raise ParameterDomainError(f"theta={theta} outside [0.7, 4]")
-    if k < 1:
-        raise ParameterDomainError("mode index k must be >= 1")
-    l1 = theta**2 / (np.pi**2 * k**1.1)
-    l2 = theta**2 / (np.pi**2 * k**1.2)
-    return l1, l2, -l1 * l2
+def _theta_size(family: str, n_modes: int, groups) -> int:
+    sizes = {"example1": 1, "example2": 4, "triple": 3, "custom": 3 * n_modes,
+             "realdata_pmf": 3 * (1 + len(groups))}
+    if family not in sizes:
+        raise ParameterDomainError(f"unknown family {family!r}")
+    return sizes[family]
 
 
-def eigenvalues_example2(theta, k: int) -> tuple[float, float, float]:
-    """Two-operator scale/location family: l_q = th_{q,1}/(k + th_{q,2}), l3 = -l1*l2.
+def default_box(family: str, n_modes: int, groups=DEFAULT_PMF_GROUPS) -> np.ndarray:
+    """Default theta box of a family, one closed interval per coordinate."""
+    if family == "example1":
+        return THETA_BOX_EXAMPLE1.copy()
+    if family == "example2":
+        return THETA_BOX_EXAMPLE2.copy()
+    if family == "triple":
+        return TRIPLE_BOX.copy()
+    bound = 0.9 if family == "realdata_pmf" else 0.95
+    return np.tile([-bound, bound], (_theta_size(family, n_modes, groups), 1))
 
-    ``theta`` is the vector (th_{1,1}, th_{1,2}, th_{2,1}, th_{2,2}).
+
+def family_triples(family: str, theta, n_modes: int, groups=DEFAULT_PMF_GROUPS) -> np.ndarray:
+    """Eigenvalue triples (l1, l2, l3) of the modes k = 1..M, shape (M, 3).
+
+    example1 : l1 = th^2/(pi^2 k^1.1), l2 = th^2/(pi^2 k^1.2), l3 = -l1*l2,
+        with th in [0.7, 4].
+    example2 : l_q = th_{q,1}/(k + th_{q,2}), l3 = -l1*l2, with theta =
+        (th_{1,1}, th_{1,2}, th_{2,1}, th_{2,2}) in ``THETA_BOX_EXAMPLE2``.
+    triple : one triple theta shared by every mode.
+    custom : per-mode triples, theta of length 3*M.
+    realdata_pmf : point-spectra model l_{k,i} = theta_{i,1} +
+        |sin(k pi/2)| theta_{i,2}(group(k)).  For each operator i = 1..3,
+        theta holds the base theta_{i,1} followed by one theta_{i,2} per
+        group (operator-major).  Even k, and odd k outside every group,
+        reduce to the base values; the first group holding k wins.
     """
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (4,):
-        raise ParameterDomainError("example2 theta must have length 4")
-    if np.any(theta < THETA_BOX_EXAMPLE2[:, 0]) or np.any(theta > THETA_BOX_EXAMPLE2[:, 1]):
-        raise ParameterDomainError(f"theta={theta} outside the example2 box")
-    if k < 1:
-        raise ParameterDomainError("mode index k must be >= 1")
-    l1 = theta[0] / (k + theta[1])
-    l2 = theta[2] / (k + theta[3])
-    return l1, l2, -l1 * l2
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    size = _theta_size(family, n_modes, groups)
+    if theta.size != size:
+        raise ParameterDomainError(f"{family} theta must have length {size}")
+    ks = np.arange(1, n_modes + 1, dtype=float)
+    if family in ("example1", "example2"):
+        box = THETA_BOX_EXAMPLE1 if family == "example1" else THETA_BOX_EXAMPLE2
+        if not all(lo <= v <= hi for v, (lo, hi) in zip(theta.tolist(), box.tolist())):
+            raise ParameterDomainError(f"theta={theta} outside the {family} box")
+        if family == "example1":
+            l1 = theta[0] ** 2 / (np.pi**2 * ks**1.1)
+            l2 = theta[0] ** 2 / (np.pi**2 * ks**1.2)
+        else:
+            l1 = theta[0] / (ks + theta[1])
+            l2 = theta[2] / (ks + theta[3])
+        return np.stack([l1, l2, -l1 * l2], axis=1)
+    if family == "triple":
+        return np.tile(theta, (n_modes, 1))
+    if family == "custom":
+        return theta.reshape(n_modes, 3)
+    base_delta = theta.reshape(3, 1 + len(groups))
+    delta = np.zeros((n_modes, 3))
+    for g in reversed(range(len(groups))):
+        delta[np.isin(ks, groups[g])] = base_delta[:, 1 + g]
+    return base_delta[:, 0] + np.abs(np.sin(ks * np.pi / 2.0))[:, None] * delta
 
 
-def _log_denominator_mean(l1: float, l2: float, l3: float, n: int = 4096) -> float:
-    # (1/(2pi)^2) * integral of log|1 - l1 e^{iw1} - l2 e^{iw2} - l3 e^{i(w1+w2)}|^2,
-    # reduced to 1-D: the inner w2 average of log|A - B z2|^2 is 2 log max(|A|,|B|).
-    w = -np.pi + 2.0 * np.pi * np.arange(n) / n
-    a = np.abs(1.0 - l1 * np.exp(1j * w))
-    b = np.abs(l2 + l3 * np.exp(1j * w))
-    return float(np.mean(2.0 * np.log(np.maximum(np.maximum(a, b), 1e-300))))
+def _torus_cd(triples):
+    # the triples as rows, and c, d of |1 - l1 e^{iw}|^2 - |l2 + l3 e^{iw}|^2 = c - 2 d cos w
+    t = np.atleast_2d(np.asarray(triples, dtype=float))
+    l1, l2, l3 = t[:, 0], t[:, 1], t[:, 2]
+    return t, 1.0 + l1**2 - l2**2 - l3**2, l1 + l2 * l3
+
+
+def _has_torus_zero(triples) -> np.ndarray:
+    """Per row: D vanishes somewhere on the unit torus, i.e. |c| <= 2|d|."""
+    _, c, d = _torus_cd(triples)
+    return np.abs(c) <= 2.0 * np.abs(d)
+
+
+def is_causal(triples) -> np.ndarray:
+    """Per row: D has no zero on the closed unit bidisk (Basu & Reinsel, 1993).
+
+    For |z1| <= 1 the zero of D in z2 is (1 - l1 z1) / (l2 + l3 z1).  It lies
+    outside the closed unit disk for every such z1 iff |l1| < 1, so that the
+    ratio has no pole there, and |1 - l1 z1| > |l2 + l3 z1| on |z1| = 1, by
+    the maximum principle; the latter reads c > 2|d|.
+    """
+    t, c, d = _torus_cd(triples)
+    return (np.abs(t[:, 0]) < 1.0) & (c > 2.0 * np.abs(d))
+
+
+def c2_innovation_var(triples) -> np.ndarray:
+    """Per-row (2 pi)^2 sigma2 that C2-normalizes the rational spectral density.
+
+    sigma2 = (2 pi)^-2 exp(mean log|D|^2) over the torus.  With A = 1 - l1 e^{iw1}
+    and B = l2 + l3 e^{iw1}, the inner w2 mean of log|A - B e^{iw2}|^2 is
+    2 log max(|A|, |B|), and |A|^2 - |B|^2 = c - 2 d cos w1.  Where c >= 2|d|
+    the maximum is |A| for every w1 and Jensen's formula gives max(1, |l1|)^2;
+    where c <= -2|d| it is |B| and gives max(|l2|, |l3|)^2.  Causal and
+    separable (l3 = -l1*l2) triples are all of this kind, causal ones giving 1.
+    Only inside the band |c| < 2|d|, where D vanishes on the torus, is the w1
+    mean a 2048-node rectangle rule.
+    """
+    t, c, d = _torus_cd(triples)
+    d2 = 2.0 * np.abs(d)
+    out = np.maximum(1.0, np.abs(t[:, 0])) ** 2
+    rest = c < d2
+    if rest.any():
+        out[rest] = np.maximum(np.abs(t[rest, 1]), np.abs(t[rest, 2])) ** 2
+        band = rest & (c > -d2)
+        if band.any():
+            a = np.abs(1.0 - t[band, :1] * _C2_NODES)
+            b = np.abs(t[band, 1:2] + t[band, 2:] * _C2_NODES)
+            out[band] = np.exp(np.mean(2.0 * np.log(np.maximum(np.maximum(a, b), 1e-300)),
+                                       axis=1))
+    return out
 
 
 def c2_innovation_sd(triples) -> np.ndarray:
     """Innovation standard deviations making the field's spectral family C2-normalized.
 
-    The spectral prefactor solving the C2 log-integral equation is
-    sigma2_k = (2*pi)^-2 * exp(mean log|D_k|^2); the matching innovation
-    variance of the state equation is (2*pi)^2 * sigma2_k.  For the example
-    families (l3 = -l1*l2 with |l1|,|l2| < 1) this equals 1 exactly.
+    The square root of :func:`c2_innovation_var`; 1 for every causal triple.
     """
-    triples = np.atleast_2d(np.asarray(triples, dtype=float))
-    return np.array([np.sqrt(np.exp(_log_denominator_mean(*t))) for t in triples])
+    return np.sqrt(c2_innovation_var(triples))
 
 
 @dataclass(frozen=True)
@@ -104,49 +189,12 @@ class Sarh1Params:
 
     def eig_triples(self) -> np.ndarray:
         """Eigenvalue triples (l1, l2, l3) per mode, shape (M, 3)."""
-        if self.family == "example1":
-            return np.array([eigenvalues_example1(float(self.theta[0]), k)
-                             for k in range(1, self.n_modes + 1)])
-        if self.family == "example2":
-            return np.array([eigenvalues_example2(self.theta, k)
-                             for k in range(1, self.n_modes + 1)])
-        return self.theta.reshape(self.n_modes, 3)
+        return family_triples(self.family, self.theta, self.n_modes)
 
     def innovation_sd(self) -> np.ndarray:
         if self.noise_sd is not None:
             return self.noise_sd
         return c2_innovation_sd(self.eig_triples())
-
-
-def torus_min_abs_denominator(triple, n: int = 256) -> float:
-    """min over the 256^2 torus grid |z1|=|z2|=1 of |1 - l1 z1 - l2 z2 - l3 z1 z2|."""
-    l1, l2, l3 = triple
-    w = 2.0 * np.pi * np.arange(n) / n
-    z = np.exp(1j * w)
-    a = 1.0 - l1 * z[:, None] - l2 * z[None, :] - l3 * z[:, None] * z[None, :]
-    return float(np.min(np.abs(a)))
-
-
-def has_torus_zero(triple, n: int = 256) -> bool:
-    """Numeric zero check on the torus grid, thresholded by the grid spacing.
-
-    A simple off-grid zero leaves a grid minimum of order |gradient| * h, so
-    the cutoff scales with pi * (|l1| + |l2| + 2 |l3|) / n rather than a
-    fixed epsilon.
-    """
-    l1, l2, l3 = triple
-    tol = max(1e-9, np.pi * (abs(l1) + abs(l2) + 2.0 * abs(l3)) / n)
-    return torus_min_abs_denominator(triple, n) < tol
-
-
-def check_stationarity(params: Sarh1Params) -> tuple[bool, np.ndarray]:
-    """Sufficient stationarity bound sum_q |l_{k,q}| < 1, applied mode-wise.
-
-    Returns (all modes pass, per-mode margins 1 - sum_q |l_{k,q}|).
-    """
-    triples = params.eig_triples()
-    margins = 1.0 - np.abs(triples).sum(axis=1)
-    return bool(np.all(margins > 0)), margins
 
 
 def simulate_sarh1(params: Sarh1Params, dims, burn_in: int = 100,
@@ -155,13 +203,10 @@ def simulate_sarh1(params: Sarh1Params, dims, burn_in: int = 100,
 
     A margin of ``burn_in`` rows and columns is generated with zero boundary
     initialization and discarded, leaving the requested ``dims`` block.  The
-    output is bit-identical for fixed (params, dims, burn_in, seed).
-
-    When the crude bound of :func:`check_stationarity` fails for a mode but
-    the AR polynomial has no zeros on the torus grid, a warning is emitted
-    and simulation proceeds (the example-2 true parameters are of this
-    kind); a near-zero on the torus raises :class:`StationarityError` with
-    the offending mode index.
+    output is bit-identical for fixed (params, dims, burn_in, seed).  A mode
+    whose triple is not causal (:func:`is_causal`) would make the recursion
+    diverge, so it raises :class:`StationarityError` with the first such
+    mode index.
     """
     n1, n2 = int(dims[0]), int(dims[1])
     if n1 < 2 or n2 < 2:
@@ -169,16 +214,12 @@ def simulate_sarh1(params: Sarh1Params, dims, burn_in: int = 100,
     if burn_in < 0:
         raise ParameterDomainError("burn_in must be >= 0")
     triples = params.eig_triples()
-    ok, margins = check_stationarity(params)
-    if not ok:
-        for k in np.nonzero(margins <= 0)[0]:
-            if has_torus_zero(triples[k]):
-                raise StationarityError(
-                    f"mode {k + 1}: AR polynomial vanishes on the unit torus", mode=k + 1)
-        warnings.warn(
-            "eigenvalue sum bound exceeded for modes "
-            f"{[int(k) + 1 for k in np.nonzero(margins <= 0)[0]]}; "
-            "torus grid check found no zeros, proceeding", RuntimeWarning)
+    bad = np.flatnonzero(~is_causal(triples))
+    if bad.size:
+        k = int(bad[0])
+        raise StationarityError(
+            f"mode {k + 1}: AR polynomial of {tuple(triples[k].tolist())} vanishes on "
+            "the closed unit bidisk", mode=k + 1)
 
     sds = params.innovation_sd()
     rng = np.random.default_rng(seed)

@@ -49,13 +49,24 @@ class Periodogram:
         return self.values.shape[2]
 
     def diag_real(self, tol: float = 1e-10) -> np.ndarray:
-        """Real diagonal entries; asserts the imaginary residue is negligible."""
-        scale = max(np.abs(self.values.real).max(), 1e-300)
+        """Real diagonal entries, |x_w|^2 >= 0 up to rounding.
+
+        Raises :class:`SingularSpectrumError` when the imaginary residue
+        exceeds ``tol`` or a real value lies below ``-tol``, both relative to
+        the largest real magnitude; values within tolerance are returned as
+        their absolute values.
+        """
+        real = self.values.real
+        scale = max(np.abs(real).max(), 1e-300)
         resid = np.abs(self.values.imag).max() / scale
         if resid > tol:
             raise SingularSpectrumError(
                 f"periodogram diagonal has imaginary residue {resid:.2e} > {tol:.0e}")
-        return np.abs(self.values.real)
+        low = real.min() / scale
+        if low < -tol:
+            raise SingularSpectrumError(
+                f"periodogram diagonal has negative real value {low:.2e} < -{tol:.0e}")
+        return np.abs(real)
 
 
 def periodogram(field: CoeffField, full: bool = False) -> Periodogram:

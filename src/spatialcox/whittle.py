@@ -20,25 +20,11 @@ from scipy.optimize import minimize
 from scipy.stats import qmc
 
 from .errors import ParameterDomainError, SingularSpectrumError
-from .sarh import (THETA_BOX_EXAMPLE1, THETA_BOX_EXAMPLE2, eigenvalues_example1,
-                   eigenvalues_example2, has_torus_zero)
+from .sarh import (DEFAULT_PMF_GROUPS, FAMILIES, TRIPLE_BOX, _has_torus_zero,
+                   c2_innovation_var, default_box, family_triples)
 from .spectral import Periodogram
 
 TWO_PI_SQ = (2.0 * np.pi) ** 2
-DEFAULT_PMF_GROUPS = ((1, 3, 5), (7, 9))
-TRIPLE_BOX = np.array([[-0.95, 0.95], [-0.95, 0.95], [-0.9, 0.9]])
-
-
-def _default_box(family: str, n_modes: int, groups) -> np.ndarray:
-    if family == "example1":
-        return THETA_BOX_EXAMPLE1.copy()
-    if family == "example2":
-        return THETA_BOX_EXAMPLE2.copy()
-    if family == "triple":
-        return TRIPLE_BOX.copy()
-    if family == "realdata_pmf":
-        return np.tile([-0.9, 0.9], (3 * (1 + len(groups)), 1))
-    return np.tile([-0.95, 0.95], (3 * n_modes, 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,11 +49,11 @@ class SpectralModel:
     groups: tuple = DEFAULT_PMF_GROUPS
 
     def __post_init__(self):
-        if self.family not in ("example1", "example2", "realdata_pmf", "triple", "custom"):
+        if self.family not in FAMILIES:
             raise ParameterDomainError(f"unknown family {self.family!r}")
         box = self.theta_box
         if box is None:
-            box = _default_box(self.family, self.n_modes, self.groups)
+            box = default_box(self.family, self.n_modes, self.groups)
         box = np.atleast_2d(np.asarray(box, dtype=float))
         object.__setattr__(self, "theta_box", box)
         if self.noise_sd is not None:
@@ -84,39 +70,15 @@ class SpectralModel:
 
     def eig_triples(self, theta) -> np.ndarray:
         """Eigenvalue triples (l1, l2, l3) for every mode, shape (M, 3)."""
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        ks = np.arange(1, self.n_modes + 1, dtype=float)
-        if self.family == "example1":
-            eigenvalues_example1(float(theta[0]), 1)  # domain check
-            l1 = theta[0] ** 2 / (np.pi**2 * ks**1.1)
-            l2 = theta[0] ** 2 / (np.pi**2 * ks**1.2)
-            return np.stack([l1, l2, -l1 * l2], axis=1)
-        if self.family == "example2":
-            eigenvalues_example2(theta, 1)  # domain check
-            l1 = theta[0] / (ks + theta[1])
-            l2 = theta[2] / (ks + theta[3])
-            return np.stack([l1, l2, -l1 * l2], axis=1)
-        if self.family == "triple":
-            return np.tile(theta, (self.n_modes, 1))
-        if self.family == "custom":
-            return theta.reshape(self.n_modes, 3)
-        return np.array([pmf_triple(theta, k, self.groups) for k in range(1, self.n_modes + 1)])
+        return family_triples(self.family, theta, self.n_modes, self.groups)
 
     def sigma2(self, theta) -> np.ndarray:
         """Per-mode spectral prefactors sigma^2_{eps(phi_k)} (C2-normalized unless fixed)."""
         if self.noise_sd is not None:
             return self.noise_sd**2
         if self.family == "triple":  # one triple shared by every mode
-            theta = np.atleast_1d(np.asarray(theta, dtype=float))
-            return np.full(self.n_modes, _sigma2_c2(*theta))
-        triples = self.eig_triples(theta)
-        sep = np.abs(triples[:, 2] + triples[:, 0] * triples[:, 1]) < 1e-12
-        out = np.empty(self.n_modes)
-        out[sep] = (np.maximum(1.0, np.abs(triples[sep, 0])) ** 2
-                    * np.maximum(1.0, np.abs(triples[sep, 1])) ** 2 / TWO_PI_SQ)
-        for k in np.nonzero(~sep)[0]:
-            out[k] = _sigma2_c2(*triples[k])
-        return out
+            return np.full(self.n_modes, c2_innovation_var(theta)[0] / TWO_PI_SQ)
+        return c2_innovation_var(self.eig_triples(theta)) / TWO_PI_SQ
 
     def density(self, theta, omega1, omega2, unit_sigma: bool = False) -> np.ndarray:
         """Spectral density values, shape broadcast(omega) + (M,)."""
@@ -138,38 +100,12 @@ def _denom_sq(triple, omega1, omega2):
     return np.abs(d) ** 2
 
 
-def _sigma2_c2(l1: float, l2: float, l3: float) -> float:
-    # separable triples have a closed-form C2 log integral; general triples
-    # reduce to a 1-D quadrature of 2 log max(|1 - l1 e^{iw}|, |l2 + l3 e^{iw}|)
-    if abs(l3 + l1 * l2) < 1e-12:
-        return max(1.0, abs(l1)) ** 2 * max(1.0, abs(l2)) ** 2 / TWO_PI_SQ
-    n = 2048
-    w = -np.pi + 2.0 * np.pi * np.arange(n) / n
-    a = np.abs(1.0 - l1 * np.exp(1j * w))
-    b = np.abs(l2 + l3 * np.exp(1j * w))
-    mean_log = np.mean(2.0 * np.log(np.maximum(np.maximum(a, b), 1e-300)))
-    return float(np.exp(mean_log)) / TWO_PI_SQ
-
-
 def pmf_triple(theta, p: int, groups=DEFAULT_PMF_GROUPS) -> tuple[float, float, float]:
-    """Point-spectra model triple: l_{p,i} = theta_{i,1} + |sin(p pi/2)| theta_{i,2}(group(p)).
+    """Point-spectra model triple of mode p: row p of the "realdata_pmf" family.
 
-    theta layout: for each operator i = 1..3 the base theta_{i,1} followed by
-    one theta_{i,2} per group, flattened operator-major.  Even p (and odd p
-    outside every group) reduce to the base values.
+    See :func:`spatialcox.sarh.family_triples` for the formula and the theta layout.
     """
-    theta = np.asarray(theta, dtype=float)
-    ng = len(groups)
-    if theta.size != 3 * (1 + ng):
-        raise ParameterDomainError(f"pmf theta must have length {3 * (1 + ng)}")
-    sin_fac = abs(np.sin(p * np.pi / 2.0))
-    gidx = next((g for g, members in enumerate(groups) if p in members), None)
-    out = []
-    for i in range(3):
-        base = theta[i * (1 + ng)]
-        delta = theta[i * (1 + ng) + 1 + gidx] if gidx is not None else 0.0
-        out.append(base + sin_fac * delta)
-    return tuple(out)
+    return tuple(family_triples("realdata_pmf", theta, p, groups)[p - 1].tolist())
 
 
 def sarh1_spectral_density(model: SpectralModel, theta, k: int, omega1, omega2):
@@ -192,13 +128,13 @@ def sarh1_spectral_density(model: SpectralModel, theta, k: int, omega1, omega2):
 def realdata_pmf_spectrum(theta, k: int, omega1, omega2, groups=DEFAULT_PMF_GROUPS):
     """Point-spectra model density with L3 free of the composition constraint.
 
-    The resulting triple must pass the numeric torus stationarity check;
+    The resulting triple must not vanish on the unit torus (exact test);
     the C2-normalizing prefactor is applied.
     """
     triple = pmf_triple(theta, k, groups)
-    if has_torus_zero(triple):
+    if _has_torus_zero(triple)[0]:
         raise SingularSpectrumError(f"mode {k}: pmf triple {triple} is not stationary")
-    s2 = _sigma2_c2(*triple)
+    s2 = c2_innovation_var(triple)[0] / TWO_PI_SQ
     out = s2 / _denom_sq(triple, np.asarray(omega1, float), np.asarray(omega2, float))
     return float(out) if np.ndim(out) == 0 else out
 
@@ -446,5 +382,5 @@ def estimate_pmf_groups(pgram: Periodogram, groups=DEFAULT_PMF_GROUPS,
             tri = triples.get(f"group{gi}", base)
             theta_flat.append(tri[i] - base[i])
     theta_flat = np.array(theta_flat)
-    lam = np.array([pmf_triple(theta_flat, p, groups) for p in range(1, m + 1)])
+    lam = family_triples("realdata_pmf", theta_flat, m, groups)
     return theta_flat, lam, fits

@@ -2,9 +2,10 @@
 
 Everything here is deliberately slow and direct: double sums for the DFT,
 nested loops for covariances, a naive site-by-site sweep for the SARH(1)
-recursion, and the closed-form covariance of the separable (l3 = -l1*l2)
-autoregression.  Implementations under test must agree with these, never
-share code with them.
+recursion, the closed-form covariance of the separable (l3 = -l1*l2)
+autoregression, and the scalar and grid forms of the eigenvalue families,
+the stationarity checks and the C2 quadrature.  Implementations under test
+must agree with these, never share code with them.
 """
 
 import numpy as np
@@ -116,3 +117,92 @@ def trapezoid_projection(t, samples, support_length, n_modes):
     f = np.asarray(samples, dtype=float)
     phi = np.sin(np.pi * np.outer(np.arange(1, n_modes + 1), t) / support_length)
     return (2.0 / support_length) * np.trapezoid(f[..., None, :] * phi, t, axis=-1)
+
+
+# --- eigenvalue families, stationarity and C2 normalisation: the scalar and
+# grid forms the package replaced by vectorised and closed-form code
+
+
+def eigenvalues_example1(theta, k):
+    """Example-1 triple of mode k: l1 = th^2/(pi^2 k^1.1), l2 = th^2/(pi^2 k^1.2), l3 = -l1*l2."""
+    l1 = theta**2 / (np.pi**2 * k**1.1)
+    l2 = theta**2 / (np.pi**2 * k**1.2)
+    return l1, l2, -l1 * l2
+
+
+def eigenvalues_example2(theta, k):
+    """Example-2 triple of mode k: l_q = th_{q,1}/(k + th_{q,2}), l3 = -l1*l2."""
+    l1 = theta[0] / (k + theta[1])
+    l2 = theta[2] / (k + theta[3])
+    return l1, l2, -l1 * l2
+
+
+def pmf_triple_scalar(theta, p, groups=((1, 3, 5), (7, 9))):
+    """Point-spectra triple of mode p, one operator at a time."""
+    ng = len(groups)
+    sin_fac = abs(np.sin(p * np.pi / 2.0))
+    gidx = next((g for g, members in enumerate(groups) if p in members), None)
+    out = []
+    for i in range(3):
+        base = theta[i * (1 + ng)]
+        delta = theta[i * (1 + ng) + 1 + gidx] if gidx is not None else 0.0
+        out.append(base + sin_fac * delta)
+    return tuple(out)
+
+
+def crude_sum_margins(triples):
+    """Sufficient stationarity bound per mode: 1 - (|l1| + |l2| + |l3|) > 0."""
+    return 1.0 - np.abs(np.asarray(triples, dtype=float)).sum(axis=1)
+
+
+def torus_min_abs_denominator(triple, n=256):
+    """min over the n^2 torus grid |z1| = |z2| = 1 of |1 - l1 z1 - l2 z2 - l3 z1 z2|."""
+    l1, l2, l3 = triple
+    z = np.exp(2j * np.pi * np.arange(n) / n)
+    a = 1.0 - l1 * z[:, None] - l2 * z[None, :] - l3 * z[:, None] * z[None, :]
+    return float(np.min(np.abs(a)))
+
+
+def grid_has_torus_zero(triple, n=256):
+    """Torus-grid zero check thresholded by the grid spacing pi (|l1| + |l2| + 2|l3|) / n."""
+    l1, l2, l3 = triple
+    tol = max(1e-9, np.pi * (abs(l1) + abs(l2) + 2.0 * abs(l3)) / n)
+    return torus_min_abs_denominator(triple, n) < tol
+
+
+def bidisk_min_gap(triple, n_radii=101, n_angles=512):
+    """min of |1 - l1 z1| - |l2 + l3 z1| over a polar grid of the closed unit disk.
+
+    For each z1 the zero of 1 - l1 z1 - l2 z2 - l3 z1 z2 in z2 is
+    (1 - l1 z1) / (l2 + l3 z1); it lies outside the closed unit disk iff the
+    gap is positive.  The gap is 4-Lipschitz in z1 for |l1|, |l3| <= 2 and no
+    grid point is farther than 0.008 from a disk point, so a grid minimum
+    beyond +-0.05 decides the sign of the true minimum.
+    """
+    l1, l2, l3 = triple
+    z1 = (np.linspace(0.0, 1.0, n_radii)[:, None]
+          * np.exp(2j * np.pi * np.arange(n_angles) / n_angles)[None, :])
+    return float(np.min(np.abs(1.0 - l1 * z1) - np.abs(l2 + l3 * z1)))
+
+
+def quadrature_sigma2_c2(l1, l2, l3, n=2048):
+    """C2 prefactor sigma^2 = (2 pi)^-2 exp(mean log|D|^2) by an n-node rectangle rule.
+
+    Separable triples (l3 = -l1*l2) take max(1,|l1|)^2 max(1,|l2|)^2 / (2 pi)^2;
+    others average 2 log max(|1 - l1 e^{iw}|, |l2 + l3 e^{iw}|) over w.
+    """
+    if abs(l3 + l1 * l2) < 1e-12:
+        return max(1.0, abs(l1)) ** 2 * max(1.0, abs(l2)) ** 2 / (2.0 * np.pi) ** 2
+    w = -np.pi + 2.0 * np.pi * np.arange(n) / n
+    a = np.abs(1.0 - l1 * np.exp(1j * w))
+    b = np.abs(l2 + l3 * np.exp(1j * w))
+    mean_log = np.mean(2.0 * np.log(np.maximum(np.maximum(a, b), 1e-300)))
+    return float(np.exp(mean_log)) / (2.0 * np.pi) ** 2
+
+
+def log_denominator_mean(l1, l2, l3, n=4096):
+    """(2 pi)^-2 times the torus integral of log|D|^2, by an n-node rectangle rule in w1."""
+    w = -np.pi + 2.0 * np.pi * np.arange(n) / n
+    a = np.abs(1.0 - l1 * np.exp(1j * w))
+    b = np.abs(l2 + l3 * np.exp(1j * w))
+    return float(np.mean(2.0 * np.log(np.maximum(np.maximum(a, b), 1e-300))))

@@ -118,3 +118,18 @@ def test_parse_box_multicoordinate():
     assert box.shape == (4, 2)
     np.testing.assert_allclose(box[1], [1.3, 1.9])
     np.testing.assert_allclose(_parse_box("0.7:4"), [[0.7, 4.0]])
+
+
+def test_abbreviated_flag_refused(tmp_path, capsys):
+    # argparse would expand --dim to --dims, which the config merge does not
+    # see as explicit, so dims = 6x6 from the file would win
+    field = tmp_path / "abbrev_field.bin"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dims = 6x6\nmodes = 2\nburn-in = 5\n")
+    with pytest.raises(SystemExit) as err:
+        run(["--config", cfg, "simulate", "--dim", "4x4", "--out", field])
+    assert err.value.code == 2
+    assert "--dim" in capsys.readouterr().err
+    assert not field.exists()
+    with pytest.raises(SystemExit):
+        run(["--conf", cfg, "simulate", "--out", field])

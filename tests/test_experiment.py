@@ -66,3 +66,20 @@ def test_config_validation():
         ExperimentConfig("example1", [1.0], replicates=0)
     with pytest.raises(ParameterDomainError):
         ExperimentConfig("example1", [1.0], grid_sizes=(64, 32))
+
+
+def test_programming_error_in_replicate_propagates(monkeypatch):
+    import spatialcox.experiment as ex
+
+    def broken(*args, **kwargs):
+        raise TypeError("injected")
+
+    monkeypatch.setattr(ex, "estimate", broken)
+    with pytest.raises(TypeError, match="injected"):
+        run_experiment(small_cfg(grid_sizes=(24,), replicates=2))
+
+
+def test_all_failed_reports_first_failure():
+    # theta = 3.5 gives l1 = 3.5^2 / pi^2 > 1 on mode 1: not causal
+    with pytest.raises(RuntimeError, match=r"all 2 replicates failed.*StationarityError.*mode 1"):
+        run_experiment(small_cfg(theta_true=[3.5], grid_sizes=(24,), replicates=2))

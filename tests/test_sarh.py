@@ -1,28 +1,34 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from oracles import naive_sarh, rational_density, separable_cov
-from spatialcox import (Sarh1Params, c2_innovation_sd, check_stationarity,
-                        cov_from_spectrum, eigenvalues_example1, eigenvalues_example2,
-                        empirical_cov, periodogram, simulate_sarh1, SpectralModel)
+from oracles import (bidisk_min_gap, crude_sum_margins, eigenvalues_example1,
+                     eigenvalues_example2, grid_has_torus_zero, log_denominator_mean,
+                     naive_sarh, pmf_triple_scalar, quadrature_sigma2_c2, rational_density,
+                     separable_cov, torus_min_abs_denominator)
+from spatialcox import (Sarh1Params, c2_innovation_sd, c2_innovation_var, cov_from_spectrum,
+                        empirical_cov, family_triples, is_causal, periodogram,
+                        simulate_sarh1, SpectralModel)
 from spatialcox.errors import ParameterDomainError, StationarityError
 
 
 def test_example1_eigenvalues_at_truth():
-    l1, l2, l3 = eigenvalues_example1(1.0, 1)
+    l1, l2, l3 = family_triples("example1", [1.0], 1)[0]
     assert l1 == pytest.approx(0.1013211836, abs=1e-9)
     assert l2 == pytest.approx(0.1013211836, abs=1e-9)
     assert l3 == pytest.approx(-0.0102659813, abs=1e-9)
 
 
 def test_example1_decay_in_k():
-    vals = np.array([eigenvalues_example1(1.0, k) for k in (1, 10, 100, 1000)])
+    vals = family_triples("example1", [1.0], 1000)[[0, 9, 99, 999]]
     assert np.all(np.diff(np.abs(vals), axis=0) <= 0)
     assert np.all(np.abs(vals[-1]) < 2e-4)
 
 
 def test_example1_closed_form_oracle():
-    l1, l2, l3 = eigenvalues_example1(2.0, 2)
+    l1, l2, l3 = family_triples("example1", [2.0], 2)[1]
     assert l1 == pytest.approx(4.0 / (np.pi**2 * 2**1.1), rel=1e-12)
     assert l2 == pytest.approx(4.0 / (np.pi**2 * 2**1.2), rel=1e-12)
     assert l3 == pytest.approx(-l1 * l2, rel=1e-12)
@@ -30,13 +36,13 @@ def test_example1_closed_form_oracle():
 
 def test_example1_domain():
     with pytest.raises(ParameterDomainError):
-        eigenvalues_example1(0.5, 1)
+        family_triples("example1", [0.5], 1)
     with pytest.raises(ParameterDomainError):
-        eigenvalues_example1(4.5, 1)
+        family_triples("example1", [4.5], 1)
 
 
 def test_example2_eigenvalues_at_truth():
-    l1, l2, l3 = eigenvalues_example2([1.0, 1.6, 1.5, 1.2], 1)
+    l1, l2, l3 = family_triples("example2", [1.0, 1.6, 1.5, 1.2], 1)[0]
     assert l1 == pytest.approx(0.384615384615, abs=1e-9)
     assert l2 == pytest.approx(0.681818181818, abs=1e-9)
     assert l3 == pytest.approx(-0.262237762238, abs=1e-9)
@@ -46,38 +52,43 @@ def test_example2_composition_identity_and_k10():
     rng = np.random.default_rng(0)
     for _ in range(5):
         th = np.array([0.7, 1.3, 1.2, 0.9]) + rng.random(4) * np.array([0.6, 0.6, 0.6, 0.6])
+        lam = family_triples("example2", th, 10)
         for k in (1, 3, 10):
-            l1, l2, l3 = eigenvalues_example2(th, k)
+            l1, l2, l3 = lam[k - 1]
             assert l3 == pytest.approx(-l1 * l2, rel=1e-14)
-    l1, l2, l3 = eigenvalues_example2([1.0, 1.6, 1.5, 1.2], 10)
+    l1, l2, l3 = family_triples("example2", [1.0, 1.6, 1.5, 1.2], 10)[9]
     assert l1 == pytest.approx(1.0 / 11.6, rel=1e-12)
     assert l2 == pytest.approx(1.5 / 11.2, rel=1e-12)
 
 
 def test_example2_domain():
     with pytest.raises(ParameterDomainError):
-        eigenvalues_example2([0.5, 1.6, 1.5, 1.2], 1)
+        family_triples("example2", [0.5, 1.6, 1.5, 1.2], 1)
 
 
 def test_stationarity_example1():
-    ok, margins = check_stationarity(Sarh1Params("example1", [1.0], 10))
-    assert ok
+    triples = Sarh1Params("example1", [1.0], 10).eig_triples()
+    assert np.all(is_causal(triples))
+    margins = crude_sum_margins(triples)
     assert margins[0] == pytest.approx(1.0 - 0.2129083495, abs=1e-9)
     assert np.all(np.diff(margins) > 0)
 
 
 def test_stationarity_custom_violation():
-    ok, margins = check_stationarity(
-        Sarh1Params("custom", [0.6, 0.5, 0.0], 1, noise_sd=[1.0]))
-    assert not ok and margins[0] <= 0
+    # (0.6, 0.5, 0): c = 1.11 <= 2|d| = 1.2, so D vanishes on the unit torus
+    triples = Sarh1Params("custom", [0.6, 0.5, 0.0], 1, noise_sd=[1.0]).eig_triples()
+    assert not is_causal(triples)[0]
+    assert grid_has_torus_zero(triples[0])
+    assert crude_sum_margins(triples)[0] <= 0
 
 
 def test_stationarity_example2_true_values_fails_crude_bound():
-    ok, margins = check_stationarity(
-        Sarh1Params("example2", [1.0, 1.6, 1.5, 1.2], 10))
-    assert not ok
+    # the sum bound rejects mode 1, yet every mode is causal
+    triples = Sarh1Params("example2", [1.0, 1.6, 1.5, 1.2], 10).eig_triples()
+    margins = crude_sum_margins(triples)
     assert margins[0] == pytest.approx(1.0 - 1.3286713286713288, abs=1e-9)
     assert np.all(margins[1:] > 0)
+    assert np.all(is_causal(triples))
 
 
 def test_simulate_zero_noise():
@@ -96,7 +107,7 @@ def test_simulate_degenerate_ar_is_iid():
 
 
 def test_simulate_matches_naive_recursion():
-    triples = [eigenvalues_example1(1.0, k) for k in (1, 2, 3)]
+    triples = family_triples("example1", [1.0], 3)
     params = Sarh1Params("example1", [1.0], 3, noise_sd=[1.0, 1.0, 1.0])
     fast = simulate_sarh1(params, (12, 9), burn_in=6, seed=7)
     slow = naive_sarh(triples, [1.0, 1.0, 1.0], (12, 9), 6, 7)
@@ -146,9 +157,10 @@ def test_simulate_zero_mean_and_mode_independence():
             assert abs(cross) < 3 * se
 
 
-def test_example2_true_values_warn_but_simulate():
+def test_example2_true_values_simulate_without_warning():
     params = Sarh1Params("example2", [1.0, 1.6, 1.5, 1.2], 2)
-    with pytest.warns(RuntimeWarning, match="eigenvalue sum bound exceeded"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         fld = simulate_sarh1(params, (16, 16), burn_in=10, seed=1)
     assert np.all(np.isfinite(fld.data))
 
@@ -158,6 +170,26 @@ def test_unit_root_rejected_with_mode_index():
                          noise_sd=[1.0, 1.0])
     with pytest.raises(StationarityError) as err:
         simulate_sarh1(params, (8, 8), burn_in=4, seed=0)
+    assert err.value.mode == 1
+
+
+@pytest.mark.parametrize("theta", [[0.1, 1.2, 0.0], [0.0, 0.0, 0.0, 0.1, 1.2, 0.0]])
+def test_non_causal_triple_off_the_torus_rejected(theta):
+    # (0.1, 1.2, 0) has no zero on the torus (c = -0.43 < -2|d| = -0.2) but
+    # one inside the bidisk; the recursion would grow like 1.2^j
+    m = len(theta) // 3
+    params = Sarh1Params("custom", theta, m, noise_sd=np.ones(m))
+    assert torus_min_abs_denominator(params.eig_triples()[-1]) > 0.05
+    with pytest.raises(StationarityError) as err:
+        simulate_sarh1(params, (8, 8), burn_in=4, seed=0)
+    assert err.value.mode == m
+
+
+def test_example1_beyond_pi_rejected():
+    # l1 = theta^2 / pi^2 > 1 on mode 1 once theta > pi; at 3.8 the torus
+    # grid check found no zero, so the field used to grow without bound
+    with pytest.raises(StationarityError) as err:
+        simulate_sarh1(Sarh1Params("example1", [3.8], 3), (8, 8), burn_in=4, seed=0)
     assert err.value.mode == 1
 
 
@@ -206,3 +238,106 @@ def test_simulated_variance_matches_separable_closed_form():
     target = separable_cov(l1, l2, 0, 0, innovation_var=1.0)
     sample = fld.data.var()
     assert abs(sample - target) / target < 0.05
+
+
+# --- the eigenvalue-family layer against its scalar, grid and quadrature oracles
+
+TWO_PI_SQ = (2 * np.pi) ** 2
+triples_in_cube = st.tuples(*[st.floats(-2.0, 2.0)] * 3)
+
+
+@settings(deadline=None)
+@given(triples_in_cube)
+@example((0.1, 1.2, 0.0))
+@example((0.6, 0.5, 0.0))
+@example((0.4, 0.3, -0.05))
+@example((0.9, 0.0, 0.0))
+def test_is_causal_matches_bidisk_root_oracle(triple):
+    gap = bidisk_min_gap(triple)
+    assume(abs(gap) > 0.05)
+    assert is_causal(np.array([triple]))[0] == (gap > 0)
+
+
+def _region(triple):
+    l1, l2, l3 = triple
+    c, d = 1 + l1**2 - l2**2 - l3**2, l1 + l2 * l3
+    return "A" if c >= 2 * abs(d) else ("B" if c <= -2 * abs(d) else "band")
+
+
+@settings(deadline=None)
+@given(triples_in_cube)
+@example((0.4, 0.3, -0.05))
+@example((1.2, 0.0, 0.0))
+@example((0.1, 1.2, 0.0))
+@example((0.6, 0.5, 0.0))
+def test_c2_innovation_var_matches_quadrature_oracle(triple):
+    l1, l2, l3 = triple
+    got = c2_innovation_var([triple])[0] / TWO_PI_SQ
+    want = quadrature_sigma2_c2(l1, l2, l3)
+    region = _region(triple)
+    if region == "band":  # same rectangle rule, bit for bit
+        assume(abs(l3 + l1 * l2) >= 1e-12)
+        assert got == want
+        return
+    # off the band the rectangle rule converges geometrically at the rate
+    # below, so the closed form must match it to rounding
+    if region == "A":
+        rate = min(abs(l1), 1 / abs(l1)) if l1 else 0.0
+    else:
+        rate = min(abs(l2), abs(l3)) / max(abs(l2), abs(l3))
+    assume(rate < 0.98)
+    assert got == pytest.approx(want, rel=1e-13)
+    sd = np.sqrt(np.exp(log_denominator_mean(*triple)))
+    assert c2_innovation_sd([triple])[0] == pytest.approx(sd, rel=1e-13)
+
+
+@pytest.mark.parametrize("triple, region, var", [
+    ((0.4, 0.3, -0.05), "A", 1.0),      # causal
+    ((1.2, 0.0, 0.0), "A", 1.44),       # |l1| > 1
+    ((1.5, 1.2, -1.8), "B", 3.24),      # separable with |l1|, |l2| > 1
+    ((0.1, 1.2, 0.0), "B", 1.44),       # non-causal, no torus zero
+    ((0.6, 0.5, 0.0), "band", None),    # torus zero
+])
+def test_c2_closed_form_in_each_region(triple, region, var):
+    assert _region(triple) == region
+    got = c2_innovation_var([triple])[0]
+    if var is None:
+        assert got == quadrature_sigma2_c2(*triple) * TWO_PI_SQ
+    else:
+        assert got == pytest.approx(var, rel=1e-15)
+        assert got == pytest.approx(quadrature_sigma2_c2(*triple) * TWO_PI_SQ, rel=1e-13)
+
+
+@settings(deadline=None)
+@given(st.floats(0.7, 4.0), st.integers(1, 40))
+def test_example1_family_matches_scalar_oracle(theta, m):
+    want = np.array([eigenvalues_example1(theta, k) for k in range(1, m + 1)])
+    np.testing.assert_allclose(family_triples("example1", [theta], m), want, rtol=1e-15, atol=0)
+    np.testing.assert_array_equal(Sarh1Params("example1", [theta], m).eig_triples(),
+                                  SpectralModel("example1", m).eig_triples([theta]))
+
+
+@settings(deadline=None)
+@given(st.tuples(*[st.floats(lo, hi) for lo, hi in
+                   [(0.7, 1.3), (1.3, 1.9), (1.2, 1.8), (0.9, 1.5)]]), st.integers(1, 40))
+def test_example2_family_matches_scalar_oracle(theta, m):
+    want = np.array([eigenvalues_example2(theta, k) for k in range(1, m + 1)])
+    np.testing.assert_allclose(family_triples("example2", theta, m), want, rtol=1e-15, atol=0)
+
+
+@settings(deadline=None)
+@given(st.lists(st.floats(-0.9, 0.9), min_size=9, max_size=9), st.integers(1, 12))
+def test_pmf_family_matches_scalar_oracle(theta, m):
+    want = np.array([pmf_triple_scalar(theta, p) for p in range(1, m + 1)])
+    np.testing.assert_array_equal(family_triples("realdata_pmf", theta, m), want)
+    np.testing.assert_array_equal(SpectralModel("realdata_pmf", m).eig_triples(theta), want)
+
+
+def test_family_theta_length_checked():
+    for family, theta in [("example1", [1.0, 2.0]), ("example2", [1.0, 1.6, 1.5]),
+                          ("triple", [0.1, 0.2]), ("custom", [0.1] * 5),
+                          ("realdata_pmf", [0.1] * 8)]:
+        with pytest.raises(ParameterDomainError):
+            family_triples(family, theta, 2)
+    with pytest.raises(ParameterDomainError):
+        family_triples("nope", [1.0], 2)

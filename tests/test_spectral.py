@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from oracles import brute_force_cov, brute_force_cov_pair, brute_force_dft, separable_cov
-from spatialcox import (BasisSpec, CoeffField, Sarh1Params, SpectralModel,
+from spatialcox import (BasisSpec, CoeffField, Periodogram, Sarh1Params, SpectralModel,
                         cov_from_spectrum, empirical_cov, fejer_smoothed_inverse,
                         functional_dft, periodogram, save_empirical_cov_csv,
                         save_periodogram_csv, simulate_sarh1)
-from spatialcox.errors import FileFormatError, ParameterDomainError, ResolutionError
+from spatialcox.errors import (FileFormatError, ParameterDomainError, ResolutionError,
+                              SingularSpectrumError)
 from spatialcox.spectral import load_periodogram_binary, save_periodogram_binary
 
 
@@ -142,13 +143,13 @@ def test_cov_from_spectrum_constant():
 
 
 def test_cov_from_spectrum_example1_matches_closed_form():
-    from spatialcox import eigenvalues_example1
+    from spatialcox import family_triples
     model = SpectralModel("example1", n_modes=2)
     lags = [(0, 0), (1, 0), (0, 1), (2, 3), (-4, 1)]
     vals, residue = cov_from_spectrum(model, [1.0], lags)
     assert residue < 1e-10
     for k in (1, 2):
-        l1, l2, _ = eigenvalues_example1(1.0, k)
+        l1, l2, _ = family_triples("example1", [1.0], 2)[k - 1]
         for i, (z1, z2) in enumerate(lags):
             assert vals[i, k - 1] == pytest.approx(separable_cov(l1, l2, z1, z2), abs=1e-10)
     r0 = vals[0]
@@ -203,13 +204,13 @@ def test_fejer_converges_to_inverse_spectrum():
 def test_ergodicity_statistic_decreases_with_n():
     # Hilbert-Schmidt distance sum_{k,l} |C(z,k,l) - R_z(k,l)|^2 over a few
     # lags, averaged over seeds, decreases along N in {64^2, 128^2, 256^2}
-    from spatialcox import eigenvalues_example1
+    from spatialcox import family_triples
     modes = 3
     params = Sarh1Params("example1", [1.0], modes)
     lags = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 3)]
     target = np.zeros((len(lags), modes, modes))
     for k in range(modes):
-        l1, l2, _ = eigenvalues_example1(1.0, k + 1)
+        l1, l2, _ = family_triples("example1", [1.0], modes)[k]
         for i, (z1, z2) in enumerate(lags):
             target[i, k, k] = separable_cov(l1, l2, z1, z2)
     dist = []
@@ -263,3 +264,21 @@ def test_periodogram_binary_nonpositive_header_dims_rejected(tmp_path, dims):
     path.write_bytes(bytes(raw))
     with pytest.raises(FileFormatError, match="must be positive"):
         load_periodogram_binary(path)
+
+
+def test_periodogram_binary_negative_diagonal_rejected(tmp_path):
+    pg = periodogram(random_field((4, 3), 2, seed=6))
+    path = tmp_path / "pg.bin"
+    save_periodogram_binary(pg, path)
+    raw = bytearray(path.read_bytes())
+    # first payload value (after the 32-byte header): real part of values[0, 0, 0]
+    raw[32:40] = np.array([-0.5 * np.abs(pg.values.real).max()], dtype="<f8").tobytes()
+    path.write_bytes(bytes(raw))
+    back = load_periodogram_binary(path)
+    with pytest.raises(SingularSpectrumError, match="negative"):
+        back.diag_real()
+    # rounding-level negatives stay within tolerance and come back as |value|
+    vals = pg.values.copy()
+    vals[0, 0, 0] = -1e-12 * np.abs(vals.real).max()
+    out = Periodogram(pg.grid, vals).diag_real()
+    np.testing.assert_array_equal(out, np.abs(vals.real))

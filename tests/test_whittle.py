@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from oracles import rational_density
+from oracles import grid_has_torus_zero, rational_density
 from spatialcox import (EstimateOptions, FrequencyGrid, Periodogram, Sarh1Params,
-                        SpectralModel, estimate, estimate_pmf_groups, normalize_c2,
+                        SpectralModel, estimate, estimate_pmf_groups, is_causal, normalize_c2,
                         periodogram, pmf_triple, realdata_pmf_spectrum,
                         sarh1_spectral_density, simulate_sarh1, trig_moments,
                         whittle_loss)
 from spatialcox.errors import ParameterDomainError, SingularSpectrumError
+from spatialcox.sarh import _has_torus_zero
 from spatialcox.whittle import _mode_losses_dense, _mode_losses_fast
 
 TWO_PI_SQ = (2 * np.pi) ** 2
@@ -290,10 +291,15 @@ def test_reported_spectra_fixture_values():
     assert REPORTED_SPECTRA[1, 2] == pytest.approx(-0.0102)
     assert REPORTED_SPECTRA[0, 0] == pytest.approx(0.6578)
     assert abs(pmf_triple(REFERENCE_FIT_THETA, 1)[0] - REPORTED_SPECTRA[0, 0]) < 0.02
-    # every reported triple is stationary by the torus criterion
-    from spatialcox import torus_min_abs_denominator
+    # by the exact torus criterion |c| <= 2|d| the reported rows of the even
+    # modes are causal, while those of the odd modes vanish on the torus
+    # (c - 2|d| = -0.41 at p = 1).  The grid minimum of |D| stays above 1e-3
+    # on a 256^2 grid, but the grid check with its spacing threshold agrees.
+    odd, even = REPORTED_SPECTRA[0::2], REPORTED_SPECTRA[1::2]
+    assert np.all(is_causal(even)) and not np.any(_has_torus_zero(even))
+    assert np.all(_has_torus_zero(odd)) and not np.any(is_causal(odd))
     for row in REPORTED_SPECTRA:
-        assert torus_min_abs_denominator(tuple(row)) > 1e-3
+        assert grid_has_torus_zero(tuple(row)) == _has_torus_zero(row)[0]
 
 
 def test_realdata_pmf_spectrum_values_and_errors():
