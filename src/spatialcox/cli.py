@@ -140,7 +140,9 @@ def build_parser():
     s.add_argument("--field", required=True)
     s.add_argument("--modes", type=int, default=10)
     s.add_argument("--theta-box", type=_parse_box, default=None)
-    s.add_argument("--starts", type=int, default=5)
+    s.add_argument("--starts", type=int, default=5,
+                   help="multistart search starts; example1/example2 only (the affine "
+                        "families take one convex solve)")
     s.add_argument("--max-evals", type=int, default=2000)
     s.add_argument("--loss-tol", type=float, default=1e-10)
     s.add_argument("--out", default="est.json")
@@ -235,7 +237,7 @@ def cmd_cox_moments(args):
         "conditional_mean": ls_count_predictor(fld, rect, phi),
     }
     payload["sampled_count"] = sample_counts(fld, rect, phi, args.seed)
-    if args.family and args.theta is not None:
+    if args.family:
         model = SpectralModel(args.family, n_modes=fld.n_modes)
         cmap = cov_map(model, args.theta, phi, (args.max_lag, args.max_lag))
         mean, var = count_moments(rect, cmap)
@@ -335,6 +337,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.config:
         args = _apply_config(args, _read_config(args.config), argv)
+    if args.command == "cox-moments" and (args.family is None) != (args.theta is None):
+        parser.error("cox-moments: --family and --theta go together")
     return _COMMANDS[args.command](args)
 
 

@@ -17,10 +17,11 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 from scipy.interpolate import make_lsq_spline
+from scipy.spatial.distance import cdist
 
 from .basis import BasisSpec, design_matrix, project_samples
 from .cox import predict_field
-from .errors import (AmbiguousInterpolationError, DivisionGuardError,
+from .errors import (AmbiguousInterpolationError, DivisionGuardError, FileFormatError,
                      InsufficientResolutionError, ParameterDomainError,
                      PipelineStageError, RankDeficiencyError)
 from .field import CoeffField
@@ -70,18 +71,27 @@ def save_series_csv(series: GridSeries, path) -> None:
 
 
 def load_series_csv(path) -> GridSeries:
-    raw = np.loadtxt(path, delimiter=",", skiprows=1)
-    raw = np.atleast_2d(raw)
+    """Read the CSV written by :func:`save_series_csv`.
+
+    The file needs at least one row of five columns, site ids must be
+    non-negative integers, a site keeps one coordinate pair and a (site,
+    time) pair appears once; otherwise :class:`FileFormatError`.
+    """
+    raw = np.atleast_2d(np.loadtxt(path, delimiter=",", skiprows=1))
+    if raw.shape[1] != 5:
+        raise FileFormatError("expected rows of site_id, lon, lat, time, value")
+    if np.any(raw[:, 0] < 0) or np.any(raw[:, 0] % 1 != 0):
+        raise FileFormatError("site ids must be non-negative integers")
     ids = raw[:, 0].astype(int)
-    n_sites = ids.max() + 1
-    times = np.unique(raw[:, 3])
-    sites = np.zeros((n_sites, 2))
-    values = np.full((n_sites, times.size), np.nan)
-    t_index = {t: i for i, t in enumerate(times)}
-    for row in raw:
-        s = int(row[0])
-        sites[s] = row[1], row[2]
-        values[s, t_index[row[3]]] = row[4]
+    times, t_idx = np.unique(raw[:, 3], return_inverse=True)
+    if np.unique(ids * times.size + t_idx).size != ids.size:
+        raise FileFormatError("a (site, time) pair appears in more than one row")
+    sites = np.zeros((ids.max() + 1, 2))
+    sites[ids] = raw[:, 1:3]
+    if np.any(sites[ids] != raw[:, 1:3]):
+        raise FileFormatError("a site is given more than one coordinate pair")
+    values = np.full((sites.shape[0], times.size), np.nan)
+    values[ids, t_idx] = raw[:, 4]
     if np.any(np.isnan(values)):
         raise ParameterDomainError("every site needs a value at every time stamp")
     return GridSeries(sites, times, values)
@@ -107,7 +117,7 @@ def idw_interpolate(series: GridSeries, target_dims, power: float = 2.0) -> Grid
     xs = np.linspace(series.sites[:, 0].min(), series.sites[:, 0].max(), n1)
     ys = np.linspace(series.sites[:, 1].min(), series.sites[:, 1].max(), n2)
     nodes = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
-    d = np.linalg.norm(nodes[:, None, :] - series.sites[None, :, :], axis=2)
+    d = cdist(nodes, series.sites)
     scale = max(d.max(), 1.0)
     hits = d < 1e-9 * scale
     is_hit = hits.any(axis=1)

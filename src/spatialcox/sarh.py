@@ -32,6 +32,16 @@ THETA_BOX_EXAMPLE2 = np.array([[0.7, 1.3], [1.3, 1.9], [1.2, 1.8], [0.9, 1.5]])
 TRIPLE_BOX = np.array([[-0.95, 0.95], [-0.95, 0.95], [-0.9, 0.9]])
 DEFAULT_PMF_GROUPS = ((1, 3, 5), (7, 9))
 FAMILIES = ("example1", "example2", "realdata_pmf", "triple", "custom")
+# the families whose theta -> triples map is affine
+AFFINE_FAMILIES = ("triple", "custom", "realdata_pmf")
+
+# Stationarity: a triple t is causal iff CAUSAL_FACES @ t < 1 row by row, the
+# open tetrahedron with vertices (1,1,-1), (1,-1,1), (-1,1,1) and (-1,-1,-1).
+# With c and d of the module docstring, c - 2d = (1 - l1)^2 - (l2 + l3)^2 and
+# c + 2d = (1 + l1)^2 - (l2 - l3)^2, so |l1| < 1 and c > 2|d| read
+# 1 - l1 > |l2 + l3| and 1 + l1 > |l2 - l3|: four faces, which imply |l1| < 1.
+CAUSAL_FACES = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0],
+                         [-1.0, -1.0, 1.0]])
 
 # e^{iw} on the 2048-node rectangle rule over [-pi, pi) of the C2 band quadrature
 _C2_NODES = np.exp(1j * (-np.pi + 2.0 * np.pi * np.arange(2048) / 2048))
@@ -118,10 +128,11 @@ def is_causal(triples) -> np.ndarray:
     For |z1| <= 1 the zero of D in z2 is (1 - l1 z1) / (l2 + l3 z1).  It lies
     outside the closed unit disk for every such z1 iff |l1| < 1, so that the
     ratio has no pole there, and |1 - l1 z1| > |l2 + l3 z1| on |z1| = 1, by
-    the maximum principle; the latter reads c > 2|d|.
+    the maximum principle; the latter reads c > 2|d|.  Together they are the
+    open tetrahedron ``CAUSAL_FACES @ t < 1``.
     """
-    t, c, d = _torus_cd(triples)
-    return (np.abs(t[:, 0]) < 1.0) & (c > 2.0 * np.abs(d))
+    t = np.atleast_2d(np.asarray(triples, dtype=float))
+    return np.all(t @ CAUSAL_FACES.T < 1.0, axis=1)
 
 
 def c2_innovation_var(triples) -> np.ndarray:

@@ -4,8 +4,11 @@ The loss is the truncated sup over modes of the frequency-averaged ratio
 periodogram / model density, evaluated on the Fourier grid of the sample.
 For the rational SARH(1) densities implemented here the frequency average
 reduces exactly to a 5-term cosine-moment contraction of the periodogram,
-which makes a single loss evaluation O(M); ``estimate`` uses that fast path
-and the dense grid evaluation is kept as the reference implementation.
+which makes a single loss evaluation O(M); ``estimate`` uses that form and
+the dense grid evaluation of ``whittle_loss`` is the reference.  In the
+eigenvalue triple each mode's loss is a PSD quadratic form, so the families
+whose triples are affine in theta are fitted by one convex solve over the
+causal tetrahedron (``CAUSAL_FACES``).
 """
 
 from __future__ import annotations
@@ -16,12 +19,12 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import linprog, minimize
 from scipy.stats import qmc
 
 from .errors import ParameterDomainError, SingularSpectrumError
-from .sarh import (DEFAULT_PMF_GROUPS, FAMILIES, TRIPLE_BOX, _has_torus_zero,
-                   c2_innovation_var, default_box, family_triples)
+from .sarh import (AFFINE_FAMILIES, CAUSAL_FACES, DEFAULT_PMF_GROUPS, FAMILIES, TRIPLE_BOX,
+                   _has_torus_zero, c2_innovation_var, default_box, family_triples)
 from .spectral import Periodogram
 
 TWO_PI_SQ = (2.0 * np.pi) ** 2
@@ -190,15 +193,20 @@ def trig_moments(pgram: Periodogram) -> np.ndarray:
     return moments
 
 
-def _mode_losses_fast(model: SpectralModel, theta, moments: np.ndarray) -> np.ndarray:
-    triples = model.eig_triples(theta)
+def _unit_losses(triples: np.ndarray, moments: np.ndarray) -> np.ndarray:
+    # per mode, the loss times sigma2: the moments contracted with the
+    # coefficients of |1 - l1 e^{iw1} - l2 e^{iw2} - l3 e^{i(w1+w2)}|^2
     l1, l2, l3 = triples[:, 0], triples[:, 1], triples[:, 2]
     coeff = np.stack([1.0 + l1**2 + l2**2 + l3**2,
                       -2.0 * l1 + 2.0 * l2 * l3,
                       -2.0 * l2 + 2.0 * l1 * l3,
                       -2.0 * l3,
                       2.0 * l1 * l2], axis=1)
-    return np.einsum("kc,kc->k", moments, coeff) / model.sigma2(theta)
+    return np.einsum("kc,kc->k", moments, coeff)
+
+
+def _mode_losses_fast(model: SpectralModel, theta, moments: np.ndarray) -> np.ndarray:
+    return _unit_losses(model.eig_triples(theta), moments) / model.sigma2(theta)
 
 
 def whittle_loss(model: SpectralModel, theta, pgram: Periodogram) -> float:
@@ -216,22 +224,24 @@ def whittle_loss(model: SpectralModel, theta, pgram: Periodogram) -> float:
 
 @dataclass(frozen=True)
 class EstimateOptions:
-    """Multistart simplex-search controls.
+    """Search controls of :func:`estimate`.
 
-    ``tie_break_weight`` adds a small mean-over-modes term to the search
-    objective; it selects, among numerically tied minimizers of the sup
-    loss, the point where the remaining modes agree best.  The reported loss
-    is always the pure sup loss.
+    ``loss_tol`` and ``max_evals`` bound every fit (as SLSQP's ``ftol`` and
+    ``maxiter`` for the affine families); ``n_starts``, ``x_tol`` and
+    ``seed`` shape the multistart Nelder-Mead search of example1/example2.
     """
 
     n_starts: int = 5
     loss_tol: float = 1e-6
     x_tol: float = 1e-6
     max_evals: int = 500
-    tie_break_weight: float = 1e-3
-    include_center_start: bool = True
     seed: int = 0
-    use_fast_path: bool = True
+
+
+# weight of the mean-over-modes term added to the sup loss in the searches:
+# among minimizers of the sup loss it picks the one where the remaining modes
+# fit best, and it makes the affine-family program strictly convex
+TIE_BREAK = 1e-3
 
 
 @dataclass
@@ -266,24 +276,92 @@ class ThetaEstimate:
 
 def _starts(model: SpectralModel, opts: EstimateOptions) -> list[np.ndarray]:
     box = model.theta_box
-    pts = []
-    if opts.include_center_start:
-        pts.append(box.mean(axis=1))
     sampler = qmc.LatinHypercube(d=box.shape[0], seed=opts.seed)
     u = sampler.random(opts.n_starts)
-    pts.extend(box[:, 0] + u * (box[:, 1] - box[:, 0]))
-    return pts
+    return [box.mean(axis=1), *(box[:, 0] + u * (box[:, 1] - box[:, 0]))]
+
+
+def _fit_multistart(model, moments, opts):
+    # example1/example2: nonlinear theta -> triples, Nelder-Mead from each start
+    box = model.theta_box
+    n_evals = 0
+
+    def mode_losses(theta):
+        nonlocal n_evals
+        n_evals += 1
+        return _mode_losses_fast(model, theta, moments)
+
+    def objective(theta):
+        v = mode_losses(theta)
+        return v.max() + TIE_BREAK * v.mean()
+
+    nm_options = {"fatol": opts.loss_tol, "xatol": opts.x_tol, "maxfev": opts.max_evals}
+    table, results = [], []
+    for x0 in _starts(model, opts):
+        res = minimize(objective, x0, method="Nelder-Mead", bounds=box, options=nm_options)
+        theta_end = np.clip(res.x, box[:, 0], box[:, 1])
+        pure = float(mode_losses(theta_end).max())
+        table.append((np.asarray(x0, float), theta_end, pure))
+        results.append((pure, float(res.fun), theta_end, bool(res.success)))
+
+    # among endpoints whose sup losses tie, the smallest search objective wins
+    best_pure = min(r[0] for r in results)
+    tol = max(1e-10, 1e-10 * abs(best_pure))
+    pure, _, theta_hat, success = min((r for r in results if r[0] <= best_pure + tol),
+                                      key=lambda r: r[1])
+    return theta_hat, pure, n_evals, success, table
+
+
+def _fit_affine(model, moments, opts):
+    # triples = base + theta . lin and loss_k = a' G_k a / sigma2, with
+    # a = (1, -triple_k) and G_k the PSD 4x4 form of the five moments.  The
+    # search divides by the sigma2 of the closed causal tetrahedron, the
+    # model's own there and never above it elsewhere (Jensen), so
+    # min t + eta mean_k loss_k s.t. loss_k <= t, CAUSAL_FACES @ triple_k <= 1
+    # and the box is a convex program
+    box = model.theta_box
+    q = model.n_params
+    base = model.eig_triples(np.zeros(q))
+    lin = np.stack([model.eig_triples(e) for e in np.eye(q)]) - base
+    a_ub = (lin @ CAUSAL_FACES.T).reshape(q, -1).T
+    b_ub = 1.0 - (base @ CAUSAL_FACES.T).ravel()
+    if linprog(np.zeros(q), A_ub=a_ub, b_ub=b_ub, bounds=box).status == 2:
+        raise ParameterDomainError("the theta box holds no causal parameter")
+    a_ub = np.hstack([a_ub, np.zeros((b_ub.size, 1))])  # x = (theta, t)
+    s2 = 1.0 / TWO_PI_SQ if model.noise_sd is None else model.noise_sd**2
+    n_evals = 0
+
+    def mode_losses(x):
+        nonlocal n_evals
+        n_evals += 1
+        return _unit_losses(base + np.tensordot(x[:q], lin, 1), moments) / s2
+
+    x0 = np.append(box.mean(axis=1), 0.0)
+    x0[q] = mode_losses(x0).max()
+    res = minimize(lambda x: x[q] + TIE_BREAK * mode_losses(x).mean(), x0,
+                   method="SLSQP", bounds=[*box, (None, None)],
+                   constraints=[{"type": "ineq", "fun": lambda x: x[q] - mode_losses(x)},
+                                {"type": "ineq", "fun": lambda x: b_ub - a_ub @ x,
+                                 "jac": lambda x: -a_ub}],
+                   options={"ftol": opts.loss_tol, "maxiter": opts.max_evals})
+    theta_hat = np.clip(res.x[:q], box[:, 0], box[:, 1])
+    pure = float(_mode_losses_fast(model, theta_hat, moments).max())
+    return theta_hat, pure, n_evals + 1, bool(res.success), [(x0[:q], theta_hat, pure)]
 
 
 def estimate(model: SpectralModel, pgram: Periodogram,
              opts: EstimateOptions | None = None) -> ThetaEstimate:
-    """Minimize the Whittle loss over the parameter box.
+    """Minimize the Whittle sup loss over the parameter box and the causal set.
 
-    Multistart Nelder-Mead with box constraints; starts are the box center
-    plus a seeded Latin hypercube.  Among endpoints whose sup losses tie
-    within 1e-10 the one with the smallest tie-broken objective wins, so the
-    returned ``loss_at_min`` never exceeds any endpoint loss by more than
-    the tie tolerance.
+    The affine families (``AFFINE_FAMILIES``: triple, custom, realdata_pmf)
+    take one convex SLSQP solve from the box centre, constrained to the
+    closed causal tetrahedron of every mode; a box holding no causal point
+    raises :class:`ParameterDomainError`.  example1/example2 take a
+    multistart Nelder-Mead search from the box centre plus a seeded Latin
+    hypercube; among endpoints whose sup losses tie within 1e-10 the one
+    with the smallest search objective wins.  Both searches add
+    ``TIE_BREAK`` times the mean-over-modes loss to the sup loss; the
+    reported ``loss_at_min`` is always the pure sup loss.
     """
     if opts is None:
         opts = EstimateOptions()
@@ -293,46 +371,8 @@ def estimate(model: SpectralModel, pgram: Periodogram,
     if np.any(box[:, 1] <= box[:, 0]):
         raise ParameterDomainError("theta box is degenerate")
     t0 = time.perf_counter()
-    moments = trig_moments(pgram) if opts.use_fast_path else None
-    eta = opts.tie_break_weight
-
-    def mode_losses(theta):
-        if moments is not None:
-            return _mode_losses_fast(model, theta, moments)
-        return _mode_losses_dense(model, theta, pgram)
-
-    def objective(theta):
-        v = mode_losses(theta)
-        return v.max() + eta * v.mean()
-
-    nm_options = {"fatol": opts.loss_tol, "xatol": opts.x_tol,
-                  "maxfev": opts.max_evals}
-    table = []
-    n_evals = 0
-    results = []
-    for x0 in _starts(model, opts):
-        res = minimize(objective, x0, method="Nelder-Mead", bounds=box,
-                       options=nm_options)
-        n_evals += res.nfev
-        theta_end = np.clip(res.x, box[:, 0], box[:, 1])
-        pure = float(mode_losses(theta_end).max())
-        table.append((np.asarray(x0, float), theta_end, pure))
-        results.append((pure, float(res.fun), theta_end, bool(res.success)))
-
-    best_pure = min(r[0] for r in results)
-    tol = max(1e-10, 1e-10 * abs(best_pure))
-    tied = [r for r in results if r[0] <= best_pure + tol]
-    pure, fun, theta_hat, success = min(tied, key=lambda r: r[1])
-
-    # one restart from the winner: a fresh simplex recovers precision lost
-    # to degenerate shrinkage along flat ridges
-    res = minimize(objective, theta_hat, method="Nelder-Mead", bounds=box,
-                   options=nm_options)
-    n_evals += res.nfev
-    if res.fun <= fun:
-        theta_hat = np.clip(res.x, box[:, 0], box[:, 1])
-        pure = float(mode_losses(theta_hat).max())
-        success = success or bool(res.success)
+    fit = _fit_affine if model.family in AFFINE_FAMILIES else _fit_multistart
+    theta_hat, pure, n_evals, success, table = fit(model, trig_moments(pgram), opts)
     return ThetaEstimate(theta_hat=theta_hat, loss_at_min=pure, n_loss_evals=n_evals,
                          converged=success, multistart_table=table, family=model.family,
                          runtime_s=time.perf_counter() - t0)

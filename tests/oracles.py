@@ -206,3 +206,29 @@ def log_denominator_mean(l1, l2, l3, n=4096):
     a = np.abs(1.0 - l1 * np.exp(1j * w))
     b = np.abs(l2 + l3 * np.exp(1j * w))
     return float(np.mean(2.0 * np.log(np.maximum(np.maximum(a, b), 1e-300))))
+
+
+def grid_min_triple_loss(i_diag, w1, w2, box, n=31, sigma2=1.0 / (2.0 * np.pi) ** 2):
+    """Smallest sup-over-modes Whittle loss of one triple shared by every mode,
+    over an n^3 grid of the box cut to the closed causal set.
+
+    The closed set is |l1| <= 1 and c >= 2|d| with c = 1 + l1^2 - l2^2 - l3^2
+    and d = l1 + l2 l3; sigma2 is its constant C2 prefactor.  Each loss is the
+    Fourier-grid mean of I_k |1 - l1 e^{iw1} - l2 e^{iw2} - l3 e^{i(w1+w2)}|^2
+    / sigma2, evaluated densely.
+    """
+    axes = [np.linspace(lo, hi, n) for lo, hi in np.asarray(box, dtype=float)]
+    t = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    l1, l2, l3 = t.T
+    c = 1.0 + l1**2 - l2**2 - l3**2
+    d = l1 + l2 * l3
+    t = t[(np.abs(l1) <= 1.0) & (c >= 2.0 * np.abs(d))]
+    e1, e2 = np.exp(1j * w1).ravel(), np.exp(1j * w2).ravel()
+    i_flat = i_diag.reshape(-1, i_diag.shape[-1])
+    best = np.inf
+    for chunk in np.array_split(t, max(1, t.shape[0] // 2000)):
+        den = np.abs(1.0 - chunk[:, :1] * e1 - chunk[:, 1:2] * e2
+                     - chunk[:, 2:] * e1 * e2) ** 2
+        losses = den @ i_flat / (e1.size * sigma2)
+        best = min(best, float(losses.max(axis=1).min()))
+    return best

@@ -55,6 +55,20 @@ def test_cox_moments_command(tmp_path):
     assert payload["model_variance"] > 0
 
 
+@pytest.mark.parametrize("model_flags", [["--family", "example1"], ["--theta", "1.0"]])
+def test_cox_moments_family_needs_theta(tmp_path, model_flags):
+    field = tmp_path / "field.bin"
+    run(["simulate", "--dims", "8x8", "--modes", "2", "--burn-in", 5, "--out", field])
+    phi = tmp_path / "phi.csv"
+    phi.write_text("1.0\n0.0\n")
+    out = tmp_path / "moments.json"
+    with pytest.raises(SystemExit) as err:
+        run(["cox-moments", "--field", field, "--phi", phi, "--rect", "1:3x1:3",
+             *model_flags, "--out", out])
+    assert err.value.code == 2
+    assert not out.exists()
+
+
 def test_pipeline_and_cross_validate_synthetic(tmp_path):
     out = tmp_path / "pipe.json"
     run(["--seed", 5, "pipeline", "--lattice", "10x10", "--time-nodes", 300,

@@ -6,7 +6,7 @@ from spatialcox import (GridSeries, PipelineConfig, cvfare, idw_interpolate,
                         load_series_csv, make_synthetic_counts, polyfit_trend,
                         run_cross_validation, run_pipeline, save_series_csv,
                         spline_smooth)
-from spatialcox.errors import (AmbiguousInterpolationError, DivisionGuardError,
+from spatialcox.errors import (AmbiguousInterpolationError, DivisionGuardError, FileFormatError,
                                InsufficientResolutionError, ParameterDomainError,
                                PipelineStageError)
 from spatialcox.whittle import EstimateOptions
@@ -43,6 +43,24 @@ def test_series_csv_roundtrip(tmp_path):
     back = load_series_csv(path)
     np.testing.assert_allclose(back.values, series.values)
     np.testing.assert_allclose(back.sites, series.sites)
+
+
+SERIES_ROWS = ["0,0.0,0.0,1.0,5.0", "0,0.0,0.0,2.0,6.0",
+               "1,1.0,0.0,1.0,7.0", "1,1.0,0.0,2.0,8.0"]
+
+
+@pytest.mark.parametrize("rows", [
+    SERIES_ROWS + ["1,1.0,0.0,2.0,9.0"],                       # (site 1, time 2) repeats
+    SERIES_ROWS + ["-1,5.0,5.0,1.0,9.0"],                      # negative site id
+    SERIES_ROWS[:3] + ["1,2.0,3.0,2.0,8.0"],                   # site 1 at two places
+    SERIES_ROWS[:3] + ["1.7,1.0,0.0,2.0,8.0"],                 # fractional site id
+    [],                                                        # header only
+], ids=["repeated_row", "negative_id", "two_coordinates", "fractional_id", "no_rows"])
+def test_series_csv_bad_rows_rejected(tmp_path, rows):
+    path = tmp_path / "series.csv"
+    path.write_text("\n".join(["site_id,lon,lat,time,value", *rows]) + "\n")
+    with pytest.raises(FileFormatError):
+        load_series_csv(path)
 
 
 # --- IDW --------------------------------------------------------------------

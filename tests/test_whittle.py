@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from oracles import grid_has_torus_zero, rational_density
+from oracles import grid_has_torus_zero, grid_min_triple_loss, rational_density
 from spatialcox import (EstimateOptions, FrequencyGrid, Periodogram, Sarh1Params,
-                        SpectralModel, estimate, estimate_pmf_groups, is_causal, normalize_c2,
+                        SpectralModel, estimate, estimate_pmf_groups, family_triples,
+                        is_causal, normalize_c2,
                         periodogram, pmf_triple, realdata_pmf_spectrum,
                         sarh1_spectral_density, simulate_sarh1, trig_moments,
                         whittle_loss)
 from spatialcox.errors import ParameterDomainError, SingularSpectrumError
-from spatialcox.sarh import _has_torus_zero
+from spatialcox.pipeline import DEFAULT_TRUE_PMF
+from spatialcox.sarh import CAUSAL_FACES, TRIPLE_BOX, _has_torus_zero
 from spatialcox.whittle import _mode_losses_dense, _mode_losses_fast
 
 TWO_PI_SQ = (2 * np.pi) ** 2
@@ -212,6 +214,56 @@ def test_estimate_json_roundtrip(tmp_path):
     assert back["family"] == "example1"
     assert back["theta_hat"][0] == pytest.approx(fit.theta_hat[0])
     assert len(back["multistart_table"]) == 6
+
+
+# --- affine families: one convex solve over the causal tetrahedron ----------
+
+BAND_TRIPLE = [0.6, 0.5, 0.0]  # l1 + l2 + l3 = 1.1: D vanishes on the torus
+AFFINE_OPTS = EstimateOptions(loss_tol=1e-10, max_evals=3000)
+
+
+def test_triple_fit_of_band_periodogram_is_causal():
+    wide = SpectralModel("triple", n_modes=3, theta_box=[[-2, 2]] * 3)
+    pg = model_periodogram(wide, BAND_TRIPLE, (32, 32))
+    fit = estimate(SpectralModel("triple", n_modes=3), pg, AFFINE_OPTS)
+    assert fit.converged
+    assert np.max(CAUSAL_FACES @ fit.theta_hat) <= 1 + 1e-9
+
+
+@pytest.mark.parametrize("family", ["custom", "realdata_pmf"])
+def test_affine_family_fit_recovers_pmf_triples(family):
+    lam = family_triples("realdata_pmf", DEFAULT_TRUE_PMF, 10)
+    fld = simulate_sarh1(Sarh1Params("custom", lam.ravel(), 10), (64, 64), burn_in=60,
+                         seed=3)
+    model = SpectralModel(family, n_modes=10)
+    fit = estimate(model, periodogram(fld), AFFINE_OPTS)
+    lam_hat = model.eig_triples(fit.theta_hat)
+    rel = np.linalg.norm(lam_hat - lam, axis=1) / np.linalg.norm(lam, axis=1)
+    assert fit.converged
+    assert np.median(rel) <= 0.15, rel
+    assert np.all(lam_hat @ CAUSAL_FACES.T <= 1 + 1e-9)
+    assert len(fit.multistart_table) == 1
+
+
+def test_box_without_causal_point_rejected():
+    model = SpectralModel("triple", n_modes=2, theta_box=[[0.9, 0.95]] * 3)
+    pg = model_periodogram(SpectralModel("example1", n_modes=2), [1.0], (8, 8))
+    with pytest.raises(ParameterDomainError):
+        estimate(model, pg)
+
+
+@pytest.mark.parametrize("seed", [21, 22, None])
+def test_triple_fit_not_above_dense_grid_oracle(seed):
+    # seeded fields of two causal modes, and (None) the band triple's spectrum
+    if seed is None:
+        wide = SpectralModel("triple", n_modes=2, theta_box=[[-2, 2]] * 3)
+        pg = model_periodogram(wide, BAND_TRIPLE, (12, 12))
+    else:
+        params = Sarh1Params("custom", [0.5, 0.3, -0.1, 0.2, 0.6, 0.1], 2)
+        pg = periodogram(simulate_sarh1(params, (12, 12), burn_in=30, seed=seed))
+    fit = estimate(SpectralModel("triple", n_modes=2), pg, AFFINE_OPTS)
+    w1, w2 = pg.grid.meshes()
+    assert fit.loss_at_min <= grid_min_triple_loss(pg.diag_real(), w1, w2, TRIPLE_BOX) + 1e-9
 
 
 def test_loss_lower_bound_on_theta_grid():
