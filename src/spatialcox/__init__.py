@@ -27,8 +27,7 @@ from .spectral import (EmpiricalCov, Periodogram, cov_from_spectrum, empirical_c
                        save_empirical_cov_csv, save_periodogram_binary,
                        save_periodogram_csv)
 from .whittle import (EstimateOptions, SpectralModel, ThetaEstimate, estimate,
-                      estimate_pmf_groups, normalize_c2, pmf_triple,
-                      realdata_pmf_spectrum, sarh1_spectral_density, trig_moments,
-                      whittle_loss)
+                      normalize_c2, pmf_triple, realdata_pmf_spectrum,
+                      sarh1_spectral_density, trig_moments, whittle_loss)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -27,8 +27,7 @@ from .errors import (AmbiguousInterpolationError, DivisionGuardError, FileFormat
 from .field import CoeffField
 from .sarh import Sarh1Params, family_triples, simulate_sarh1
 from .spectral import Periodogram, periodogram
-from .whittle import (DEFAULT_PMF_GROUPS, EstimateOptions, SpectralModel,
-                      estimate, estimate_pmf_groups)
+from .whittle import DEFAULT_PMF_GROUPS, EstimateOptions, SpectralModel, estimate
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,13 +72,15 @@ def save_series_csv(series: GridSeries, path) -> None:
 def load_series_csv(path) -> GridSeries:
     """Read the CSV written by :func:`save_series_csv`.
 
-    The file needs at least one row of five columns, site ids must be
-    non-negative integers, a site keeps one coordinate pair and a (site,
-    time) pair appears once; otherwise :class:`FileFormatError`.
+    The file needs at least one row of five finite numbers, site ids must
+    be non-negative integers, a site keeps one coordinate pair and every
+    (site, time) pair appears exactly once; otherwise :class:`FileFormatError`.
     """
     raw = np.atleast_2d(np.loadtxt(path, delimiter=",", skiprows=1))
     if raw.shape[1] != 5:
         raise FileFormatError("expected rows of site_id, lon, lat, time, value")
+    if not np.all(np.isfinite(raw)):
+        raise FileFormatError("every entry must be a finite number")
     if np.any(raw[:, 0] < 0) or np.any(raw[:, 0] % 1 != 0):
         raise FileFormatError("site ids must be non-negative integers")
     ids = raw[:, 0].astype(int)
@@ -93,7 +94,7 @@ def load_series_csv(path) -> GridSeries:
     values = np.full((sites.shape[0], times.size), np.nan)
     values[ids, t_idx] = raw[:, 4]
     if np.any(np.isnan(values)):
-        raise ParameterDomainError("every site needs a value at every time stamp")
+        raise FileFormatError("every site needs a value at every time stamp")
     return GridSeries(sites, times, values)
 
 
@@ -168,9 +169,9 @@ def spline_smooth(times, values, n_knots: int, out_grid) -> np.ndarray:
     return fitted.T.reshape(v.shape[:-1] + (out.size,))
 
 
-def _legendre_design(times, degree: int) -> np.ndarray:
-    t = np.asarray(times, dtype=float)
-    u = 2.0 * (t - t[0]) / (t[-1] - t[0]) - 1.0
+def _legendre_design_on(fit_times, eval_times, degree):
+    t0, t1 = fit_times[0], fit_times[-1]
+    u = 2.0 * (np.asarray(eval_times, dtype=float) - t0) / (t1 - t0) - 1.0
     return np.polynomial.legendre.legvander(u, degree)
 
 
@@ -185,7 +186,7 @@ def polyfit_trend(values, times, degree: int = 10):
     if t.size < degree + 1:
         raise InsufficientResolutionError(
             f"need >= degree + 1 = {degree + 1} time points, got {t.size}")
-    design = _legendre_design(t, degree)
+    design = _legendre_design_on(t, t, degree)
     coef, _, rank, _ = np.linalg.lstsq(design, v.reshape(-1, t.size).T, rcond=None)
     if rank < degree + 1:
         raise RankDeficiencyError(
@@ -269,12 +270,6 @@ class PipelineResult:
         return out
 
 
-def _legendre_design_on(fit_times, eval_times, degree):
-    t0, t1 = fit_times[0], fit_times[-1]
-    u = 2.0 * (np.asarray(eval_times, dtype=float) - t0) / (t1 - t0) - 1.0
-    return np.polynomial.legendre.legvander(u, degree)
-
-
 def run_pipeline(raw: GridSeries, cfg: PipelineConfig | None = None) -> PipelineResult:
     """Run the full estimation pipeline on raw site series.
 
@@ -314,7 +309,7 @@ def run_pipeline(raw: GridSeries, cfg: PipelineConfig | None = None) -> Pipeline
     log_curves = stage("log", lambda: np.log(np.maximum(cube, cfg.log_floor)))
 
     def _trend():
-        design = _legendre_design(out_times, cfg.trend_degree)
+        design = _legendre_design_on(out_times, out_times, cfg.trend_degree)
         coef, _, rank, _ = np.linalg.lstsq(design, log_curves.reshape(-1, out_times.size).T,
                                            rcond=None)
         if rank < cfg.trend_degree + 1:
@@ -348,10 +343,6 @@ def run_pipeline(raw: GridSeries, cfg: PipelineConfig | None = None) -> Pipeline
     pgram = stage("periodogram", lambda: periodogram(normalized_field))
 
     def _estimate():
-        if cfg.family == "realdata_pmf":
-            theta, lam, fits = estimate_pmf_groups(pgram, groups=cfg.groups,
-                                                   opts=cfg.estimate_opts)
-            return theta, lam, fits
         model = SpectralModel(cfg.family, n_modes=cfg.n_modes, groups=cfg.groups)
         fit = estimate(model, pgram, cfg.estimate_opts)
         return fit.theta_hat, model.eig_triples(fit.theta_hat), {"fit": fit}

@@ -205,24 +205,29 @@ def fejer_smoothed_inverse(model, theta, k: int, m_smooth, omega,
 
 
 def save_periodogram_csv(pgram: Periodogram, path) -> None:
-    """CSV columns w1, w2, k, l, re, im (diagonal rows have k == l)."""
+    """CSV columns w1, w2, k, l, re, im (diagonal rows have k == l).
+
+    Rows run over the Fourier grid, then over the mode pairs (k, l): the
+    diagonal pairs only, or every pair when the cross block is present.
+    """
+    m = pgram.n_modes
+    if pgram.cross is None:
+        k = l = np.arange(1, m + 1)
+        vals = pgram.values
+    else:
+        pairs = np.arange(m * m)
+        k, l = pairs // m + 1, pairs % m + 1
+        vals = pgram.cross
+    n1, n2 = pgram.grid.dims
     w1m, w2m = pgram.grid.meshes()
+    cols = [c.reshape(n1, -1) for c in (
+        np.repeat(w1m, k.size, axis=1), np.repeat(w2m, k.size, axis=1),
+        np.tile(k, (n1, n2)), np.tile(l, (n1, n2)), vals.real, vals.imag)]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["w1", "w2", "k", "l", "re", "im"])
-        src = pgram.cross
-        n1, n2 = pgram.grid.dims
-        for i in range(n1):
-            for j in range(n2):
-                if src is None:
-                    for k in range(pgram.n_modes):
-                        v = pgram.values[i, j, k]
-                        w.writerow([w1m[i, j], w2m[i, j], k + 1, k + 1, v.real, v.imag])
-                else:
-                    for k in range(pgram.n_modes):
-                        for l in range(pgram.n_modes):
-                            v = src[i, j, k, l]
-                            w.writerow([w1m[i, j], w2m[i, j], k + 1, l + 1, v.real, v.imag])
+        for i in range(n1):  # one block per w1 row bounds the Python floats held at once
+            w.writerows(zip(*(c[i].tolist() for c in cols)))
 
 
 def save_periodogram_binary(pgram: Periodogram, path) -> None:

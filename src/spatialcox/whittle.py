@@ -3,19 +3,18 @@
 The loss is the truncated sup over modes of the frequency-averaged ratio
 periodogram / model density, evaluated on the Fourier grid of the sample.
 For the rational SARH(1) densities implemented here the frequency average
-reduces exactly to a 5-term cosine-moment contraction of the periodogram,
-which makes a single loss evaluation O(M); ``estimate`` uses that form and
-the dense grid evaluation of ``whittle_loss`` is the reference.  In the
-eigenvalue triple each mode's loss is a PSD quadratic form, so the families
-whose triples are affine in theta are fitted by one convex solve over the
-causal tetrahedron (``CAUSAL_FACES``).
+reduces exactly to a 5-term cosine-moment contraction of the periodogram
+(``trig_moments``), which makes a single loss evaluation O(M); both
+``whittle_loss`` and ``estimate`` use that one form.  In the eigenvalue
+triple each mode's loss is a PSD quadratic form, so the families whose
+triples are affine in theta, the point-spectra model included, are fitted by
+one convex solve over the causal tetrahedron (``CAUSAL_FACES``).
 """
 
 from __future__ import annotations
 
 import json
 import time
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,7 @@ from scipy.optimize import linprog, minimize
 from scipy.stats import qmc
 
 from .errors import ParameterDomainError, SingularSpectrumError
-from .sarh import (AFFINE_FAMILIES, CAUSAL_FACES, DEFAULT_PMF_GROUPS, FAMILIES, TRIPLE_BOX,
+from .sarh import (AFFINE_FAMILIES, CAUSAL_FACES, DEFAULT_PMF_GROUPS, FAMILIES,
                    _has_torus_zero, c2_innovation_var, default_box, family_triples)
 from .spectral import Periodogram
 
@@ -163,34 +162,17 @@ def normalize_c2(model: SpectralModel, theta, grid_size: int = 512) -> np.ndarra
 # loss
 
 
-def _mode_losses_dense(model: SpectralModel, theta, pgram: Periodogram) -> np.ndarray:
-    i_diag = pgram.diag_real()
-    w1, w2 = pgram.grid.meshes()
-    dens = model.density(theta, w1, w2)
-    if np.any(dens <= 0) or not np.all(np.isfinite(dens)):
-        raise SingularSpectrumError("model density non-positive on the Fourier grid")
-    return (i_diag / dens).mean(axis=(0, 1))
-
-
-_MOMENT_CACHE: "weakref.WeakKeyDictionary[Periodogram, np.ndarray]" = weakref.WeakKeyDictionary()
-
-
 def trig_moments(pgram: Periodogram) -> np.ndarray:
     """Periodogram contractions against (1, cos w1, cos w2, cos(w1+w2), cos(w1-w2)).
 
     Row k holds the five frequency averages for mode k; together they carry
     everything a rational-denominator loss evaluation needs.
     """
-    cached = _MOMENT_CACHE.get(pgram)
-    if cached is not None:
-        return cached
     i_diag = pgram.diag_real()
     w1, w2 = pgram.grid.meshes()
     basis = np.stack([np.ones_like(w1), np.cos(w1), np.cos(w2),
                       np.cos(w1 + w2), np.cos(w1 - w2)])
-    moments = np.einsum("ijk,cij->kc", i_diag, basis) / pgram.grid.size
-    _MOMENT_CACHE[pgram] = moments
-    return moments
+    return np.einsum("ijk,cij->kc", i_diag, basis) / pgram.grid.size
 
 
 def _unit_losses(triples: np.ndarray, moments: np.ndarray) -> np.ndarray:
@@ -215,7 +197,7 @@ def whittle_loss(model: SpectralModel, theta, pgram: Periodogram) -> float:
         raise ParameterDomainError("model and periodogram mode counts differ")
     if not model.contains(theta):
         raise ParameterDomainError("theta outside the parameter box")
-    return float(_mode_losses_dense(model, theta, pgram).max())
+    return float(_mode_losses_fast(model, theta, trig_moments(pgram)).max())
 
 
 # ---------------------------------------------------------------------------
@@ -377,50 +359,3 @@ def estimate(model: SpectralModel, pgram: Periodogram,
                          converged=success, multistart_table=table, family=model.family,
                          runtime_s=time.perf_counter() - t0)
 
-
-def _restrict_pgram(pgram: Periodogram, mode_idx) -> Periodogram:
-    return Periodogram(pgram.grid, pgram.values[:, :, list(mode_idx)])
-
-
-def estimate_pmf_groups(pgram: Periodogram, groups=DEFAULT_PMF_GROUPS,
-                        triple_box: np.ndarray | None = None,
-                        opts: EstimateOptions | None = None):
-    """Fit the point-spectra model by independent per-group triple searches.
-
-    Modes with |sin(p pi/2)| = 0 (and odd modes outside every group) share
-    the base triple; each group fits base + delta as a free triple over its
-    member modes.  Because the sup loss over disjoint mode sets decouples,
-    the joint minimizer is the collection of the per-group minimizers.
-
-    Returns (theta_flat, lambda_hat, fits) with ``theta_flat`` in the layout
-    of :func:`pmf_triple`, ``lambda_hat`` of shape (M, 3), and ``fits`` a
-    dict of per-group :class:`ThetaEstimate`.
-    """
-    m = pgram.n_modes
-    box = TRIPLE_BOX if triple_box is None else np.asarray(triple_box, float)
-    odd_in_groups = set(p for g in groups for p in g)
-    base_modes = [p for p in range(1, m + 1) if p % 2 == 0 or p not in odd_in_groups]
-    blocks = {"base": base_modes}
-    for gi, g in enumerate(groups):
-        members = [p for p in g if p <= m]
-        if members:
-            blocks[f"group{gi}"] = members
-
-    fits = {}
-    triples = {}
-    for name, members in blocks.items():
-        sub = _restrict_pgram(pgram, [p - 1 for p in members])
-        model = SpectralModel("triple", n_modes=len(members), theta_box=box)
-        fits[name] = estimate(model, sub, opts)
-        triples[name] = fits[name].theta_hat
-
-    base = triples["base"]
-    theta_flat = []
-    for i in range(3):
-        theta_flat.append(base[i])
-        for gi in range(len(groups)):
-            tri = triples.get(f"group{gi}", base)
-            theta_flat.append(tri[i] - base[i])
-    theta_flat = np.array(theta_flat)
-    lam = family_triples("realdata_pmf", theta_flat, m, groups)
-    return theta_flat, lam, fits

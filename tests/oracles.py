@@ -3,10 +3,13 @@
 Everything here is deliberately slow and direct: double sums for the DFT,
 nested loops for covariances, a naive site-by-site sweep for the SARH(1)
 recursion, the closed-form covariance of the separable (l3 = -l1*l2)
-autoregression, and the scalar and grid forms of the eigenvalue families,
-the stationarity checks and the C2 quadrature.  Implementations under test
-must agree with these, never share code with them.
+autoregression, the dense Fourier-grid Whittle loss, a row-by-row CSV
+writer, and the scalar and grid forms of the eigenvalue families, the
+stationarity checks and the C2 quadrature.  Implementations under test must
+agree with these, never share code with them.
 """
+
+import csv
 
 import numpy as np
 
@@ -89,6 +92,39 @@ def rational_density(triple, sigma2, w1, w2):
     d = (1.0 - l1 * np.exp(1j * w1) - l2 * np.exp(1j * w2)
          - l3 * np.exp(1j * (w1 + w2)))
     return sigma2 / np.abs(d) ** 2
+
+
+def dense_mode_losses(model, theta, pgram):
+    """Per-mode Whittle losses evaluated densely: the Fourier-grid mean of
+    I_k / F_k, with F_k the rational density of mode k at every frequency."""
+    i_diag = pgram.diag_real()
+    w1, w2 = pgram.grid.meshes()
+    triples, sigma2 = model.eig_triples(theta), model.sigma2(theta)
+    with np.errstate(divide="ignore"):  # a torus zero makes F infinite and I / F zero
+        dens = np.stack([rational_density(t, s, w1, w2) for t, s in zip(triples, sigma2)],
+                        axis=-1)
+    return (i_diag / dens).mean(axis=(0, 1))
+
+
+def periodogram_csv_loop(pgram, path):
+    """Periodogram CSV written row by row from nested grid and mode loops."""
+    w1m, w2m = pgram.grid.meshes()
+    n1, n2 = pgram.grid.dims
+    m = pgram.n_modes
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["w1", "w2", "k", "l", "re", "im"])
+        for i in range(n1):
+            for j in range(n2):
+                if pgram.cross is None:
+                    for k in range(m):
+                        v = pgram.values[i, j, k]
+                        w.writerow([w1m[i, j], w2m[i, j], k + 1, k + 1, v.real, v.imag])
+                else:
+                    for k in range(m):
+                        for l in range(m):
+                            v = pgram.cross[i, j, k, l]
+                            w.writerow([w1m[i, j], w2m[i, j], k + 1, l + 1, v.real, v.imag])
 
 
 def brute_force_idw(sites, values, nodes, power):

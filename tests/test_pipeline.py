@@ -55,7 +55,10 @@ SERIES_ROWS = ["0,0.0,0.0,1.0,5.0", "0,0.0,0.0,2.0,6.0",
     SERIES_ROWS[:3] + ["1,2.0,3.0,2.0,8.0"],                   # site 1 at two places
     SERIES_ROWS[:3] + ["1.7,1.0,0.0,2.0,8.0"],                 # fractional site id
     [],                                                        # header only
-], ids=["repeated_row", "negative_id", "two_coordinates", "fractional_id", "no_rows"])
+    SERIES_ROWS[:3],                                           # (site 1, time 2) missing
+    SERIES_ROWS[:3] + ["1,1.0,0.0,2.0,nan"],                   # nan value
+], ids=["repeated_row", "negative_id", "two_coordinates", "fractional_id", "no_rows",
+        "missing_row", "nan_value"])
 def test_series_csv_bad_rows_rejected(tmp_path, rows):
     path = tmp_path / "series.csv"
     path.write_text("\n".join(["site_id,lon,lat,time,value", *rows]) + "\n")
@@ -336,7 +339,7 @@ def test_pipeline_resumable_from_projected_checkpoint(tmp_path):
     # run bit-identically when resumed from the saved residual field
     from spatialcox import load_field_binary, periodogram, save_field_binary
     from spatialcox.field import CoeffField
-    from spatialcox.whittle import estimate_pmf_groups
+    from spatialcox.whittle import SpectralModel, estimate
 
     series, _ = tiny_series(seed=17)
     cfg = tiny_cfg()
@@ -352,6 +355,7 @@ def test_pipeline_resumable_from_projected_checkpoint(tmp_path):
     scale = np.sqrt(s2)
     np.testing.assert_array_equal(scale, res.mode_scale)
     pg = periodogram(CoeffField(resumed.data / scale, resumed.basis))
-    theta, lam, _ = estimate_pmf_groups(pg, groups=cfg.groups, opts=cfg.estimate_opts)
-    np.testing.assert_array_equal(lam, res.lambda_hat)
+    model = SpectralModel(cfg.family, n_modes=cfg.n_modes, groups=cfg.groups)
+    theta = estimate(model, pg, cfg.estimate_opts).theta_hat
+    np.testing.assert_array_equal(model.eig_triples(theta), res.lambda_hat)
     np.testing.assert_array_equal(theta, res.theta_hat)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import brute_force_cov, brute_force_cov_pair, brute_force_dft, separable_cov
+from oracles import (brute_force_cov, brute_force_cov_pair, brute_force_dft, periodogram_csv_loop,
+                     separable_cov)
 from spatialcox import (BasisSpec, CoeffField, Periodogram, Sarh1Params, SpectralModel,
                         cov_from_spectrum, empirical_cov, fejer_smoothed_inverse,
                         functional_dft, periodogram, save_empirical_cov_csv,
@@ -242,6 +243,19 @@ def test_periodogram_serialization_roundtrip(tmp_path):
     save_empirical_cov_csv(cov, tmp_path / "cov.csv")
     rows = np.loadtxt(tmp_path / "cov.csv", delimiter=",", skiprows=1)
     assert rows.shape[0] == 3 * 3 * 2 * 2
+
+
+@pytest.mark.parametrize("full", [False, True])
+def test_periodogram_csv_matches_row_loop_oracle(tmp_path, full):
+    # magnitudes from 1e-20 to 1e20 and exact zeros exercise the float repr
+    fld = random_field((5, 4), 3, seed=8)
+    pg = periodogram(fld, full=full)
+    scale = 10.0 ** np.random.default_rng(9).integers(-20, 21, size=pg.values.shape)
+    cross = None if pg.cross is None else pg.cross * scale[..., None]
+    pg = Periodogram(pg.grid, pg.values * scale, cross)
+    save_periodogram_csv(pg, tmp_path / "one_pass.csv")
+    periodogram_csv_loop(pg, tmp_path / "loop.csv")
+    assert (tmp_path / "one_pass.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
 
 
 @pytest.mark.parametrize("full", [False, True])

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from oracles import grid_has_torus_zero, grid_min_triple_loss, rational_density
+from oracles import dense_mode_losses, grid_has_torus_zero, grid_min_triple_loss, rational_density
 from spatialcox import (EstimateOptions, FrequencyGrid, Periodogram, Sarh1Params,
-                        SpectralModel, estimate, estimate_pmf_groups, family_triples,
+                        SpectralModel, estimate, family_triples,
                         is_causal, normalize_c2,
                         periodogram, pmf_triple, realdata_pmf_spectrum,
                         sarh1_spectral_density, simulate_sarh1, trig_moments,
@@ -11,7 +12,7 @@ from spatialcox import (EstimateOptions, FrequencyGrid, Periodogram, Sarh1Params
 from spatialcox.errors import ParameterDomainError, SingularSpectrumError
 from spatialcox.pipeline import DEFAULT_TRUE_PMF
 from spatialcox.sarh import CAUSAL_FACES, TRIPLE_BOX, _has_torus_zero
-from spatialcox.whittle import _mode_losses_dense, _mode_losses_fast
+from spatialcox.whittle import _mode_losses_fast
 
 TWO_PI_SQ = (2 * np.pi) ** 2
 
@@ -137,9 +138,27 @@ def test_fast_path_equals_dense():
                           ("example1", [2.2]),
                           ("triple", [0.3, 0.2, -0.05])):
         model = SpectralModel(family, n_modes=5)
-        dense = _mode_losses_dense(model, theta, pg)
+        dense = dense_mode_losses(model, theta, pg)
         fast = _mode_losses_fast(model, theta, moments)
         np.testing.assert_allclose(fast, dense, rtol=1e-11)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_whittle_loss_matches_dense_oracle(data):
+    # random non-negative periodograms on small grids; example1 spans its
+    # whole box (from theta = pi on, mode 1 is not causal), triple is causal
+    family = data.draw(st.sampled_from(["example1", "example2", "triple"]))
+    n_modes = data.draw(st.integers(1, 4))
+    dims = data.draw(st.tuples(st.integers(2, 9), st.integers(2, 9)))
+    model = SpectralModel(family, n_modes=n_modes)
+    theta = np.array([data.draw(st.floats(lo, hi)) for lo, hi in model.theta_box])
+    if family == "triple":
+        assume(np.all(CAUSAL_FACES @ theta < 1.0))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    pg = Periodogram(FrequencyGrid(dims), rng.exponential(size=dims + (n_modes,)).astype(complex))
+    dense = dense_mode_losses(model, theta, pg).max()
+    assert whittle_loss(model, theta, pg) == pytest.approx(dense, rel=1e-9)
 
 
 def test_loss_monte_carlo_near_one_and_locally_minimal():
@@ -365,21 +384,21 @@ def test_realdata_pmf_spectrum_values_and_errors():
         realdata_pmf_spectrum(np.array([1.2, 0, 0, 0.3, 0, 0, 0.0, 0, 0]), 2, 0.0, 0.0)
 
 
-def test_estimate_pmf_groups_recovers_triples():
+def test_estimate_realdata_pmf_recovers_triples():
     theta_true = np.array([0.30, 0.10, 0.05, 0.22, 0.06, -0.04, -0.08, -0.03, 0.03])
     lam_true = np.array([pmf_triple(theta_true, p) for p in range(1, 11)])
     params = Sarh1Params("custom", lam_true.ravel(), 10, noise_sd=np.ones(10))
     fld = simulate_sarh1(params, (96, 96), burn_in=60, seed=404)
     pg = periodogram(fld)
-    theta_hat, lam_hat, fits = estimate_pmf_groups(
-        pg, opts=EstimateOptions(loss_tol=1e-10, x_tol=1e-6, max_evals=3000))
+    model = SpectralModel("realdata_pmf", n_modes=10)
+    fit = estimate(model, pg, EstimateOptions(loss_tol=1e-10, x_tol=1e-6, max_evals=3000))
+    lam_hat = model.eig_triples(fit.theta_hat)
     assert lam_hat.shape == (10, 3)
     rel = np.linalg.norm(lam_hat - lam_true, axis=1) / np.linalg.norm(lam_true, axis=1)
     assert np.median(rel) < 0.25
-    for name, fit in fits.items():
-        assert fit.loss_at_min > 0
-    # reconstruction consistency: theta_flat reproduces lam_hat through the model
-    lam_back = np.array([pmf_triple(theta_hat, p) for p in range(1, 11)])
+    assert fit.loss_at_min > 0
+    # reconstruction consistency: theta_hat reproduces lam_hat through the model
+    lam_back = np.array([pmf_triple(fit.theta_hat, p) for p in range(1, 11)])
     np.testing.assert_allclose(lam_back, lam_hat, atol=1e-12)
 
 
