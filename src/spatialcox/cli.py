@@ -19,8 +19,9 @@ import numpy as np
 from . import __version__
 from .basis import BasisSpec
 from .cox import BorelRect, TestFunction, cov_map, count_moments, ls_count_predictor, sample_counts
+from .errors import ParameterDomainError
 from .experiment import ExperimentConfig, run_experiment
-from .field import load_field_binary, save_field_binary, save_field_csv
+from .field import _read_numeric_csv, load_field_binary, save_field_binary, save_field_csv
 from .pipeline import (PipelineConfig, load_series_csv, make_synthetic_counts,
                        run_cross_validation, run_pipeline)
 from .sarh import Sarh1Params, simulate_sarh1
@@ -140,9 +141,6 @@ def build_parser():
     s.add_argument("--field", required=True)
     s.add_argument("--modes", type=int, default=10)
     s.add_argument("--theta-box", type=_parse_box, default=None)
-    s.add_argument("--starts", type=int, default=5,
-                   help="multistart search starts; example1/example2 only (the affine "
-                        "families take one convex solve)")
     s.add_argument("--max-evals", type=int, default=2000)
     s.add_argument("--loss-tol", type=float, default=1e-10)
     s.add_argument("--out", default="est.json")
@@ -219,8 +217,7 @@ def cmd_estimate(args):
     fld = load_field_binary(args.field)
     pg = periodogram(fld)
     model = SpectralModel(args.family, n_modes=args.modes, theta_box=args.theta_box)
-    opts = EstimateOptions(n_starts=args.starts, loss_tol=args.loss_tol,
-                           max_evals=args.max_evals, seed=args.seed)
+    opts = EstimateOptions(loss_tol=args.loss_tol, max_evals=args.max_evals)
     fit = estimate(model, pg, opts)
     out = _out_path(args, args.out)
     fit.to_json(out)
@@ -229,7 +226,10 @@ def cmd_estimate(args):
 
 def cmd_cox_moments(args):
     fld = load_field_binary(args.field)
-    phi = TestFunction(np.loadtxt(args.phi, delimiter=",", ndmin=1))
+    phi = TestFunction(_read_numeric_csv(args.phi, ndmin=1).ravel())
+    if phi.coefficients.size != fld.n_modes:  # checked before any moment is computed
+        raise ParameterDomainError(f"--phi holds {phi.coefficients.size} coefficients "
+                                   f"for a field of {fld.n_modes} modes")
     rect = args.rect
     payload = {
         "rect": [rect.a1, rect.b1, rect.a2, rect.b2],

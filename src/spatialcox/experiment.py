@@ -13,7 +13,7 @@ from .sarh import Sarh1Params, simulate_sarh1
 from .spectral import periodogram
 from .whittle import EstimateOptions, SpectralModel, estimate
 
-TABLE_OPTS = EstimateOptions(loss_tol=1e-10, x_tol=1e-6, max_evals=2000)
+TABLE_OPTS = EstimateOptions(loss_tol=1e-10, max_evals=2000)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import os
 from dataclasses import dataclass, field as dc_field
 
@@ -152,10 +153,24 @@ def save_field_csv(field: CoeffField, path) -> None:
                     w.writerow([i, j, k + 1, repr(float(field.data[i, j, k]))])
 
 
+def _read_numeric_csv(path, skiprows: int = 0, ndmin: int = 2) -> np.ndarray:
+    """``np.loadtxt`` of a CSV after ``skiprows`` header lines; no data row (checked
+    before numpy parses, or warns) or a non-number raises :class:`FileFormatError`."""
+    with open(path) as fh:
+        body = itertools.islice(fh, skiprows, None)
+        if not any(line.split("#", 1)[0].strip() for line in body):
+            raise FileFormatError(f"{path} holds no data rows")
+    try:
+        return np.loadtxt(path, delimiter=",", skiprows=skiprows, ndmin=ndmin)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
+
+
 def load_field_csv(path, support_length: float) -> CoeffField:
     """Read the ``i,j,k,value`` CSV; every (i, j, k) of the grid must appear exactly once."""
-    rows = np.loadtxt(path, delimiter=",", skiprows=1)
-    rows = np.atleast_2d(rows)
+    rows = _read_numeric_csv(path, skiprows=1)
+    if rows.shape[1] != 4:
+        raise FileFormatError("expected rows of i, j, k, value")
     n1 = int(rows[:, 0].max()) + 1
     n2 = int(rows[:, 1].max()) + 1
     m = int(rows[:, 2].max())

@@ -24,7 +24,7 @@ from .cox import predict_field
 from .errors import (AmbiguousInterpolationError, DivisionGuardError, FileFormatError,
                      InsufficientResolutionError, ParameterDomainError,
                      PipelineStageError, RankDeficiencyError)
-from .field import CoeffField
+from .field import CoeffField, _read_numeric_csv
 from .sarh import Sarh1Params, family_triples, simulate_sarh1
 from .spectral import Periodogram, periodogram
 from .whittle import DEFAULT_PMF_GROUPS, EstimateOptions, SpectralModel, estimate
@@ -76,7 +76,7 @@ def load_series_csv(path) -> GridSeries:
     be non-negative integers, a site keeps one coordinate pair and every
     (site, time) pair appears exactly once; otherwise :class:`FileFormatError`.
     """
-    raw = np.atleast_2d(np.loadtxt(path, delimiter=",", skiprows=1))
+    raw = _read_numeric_csv(path, skiprows=1)
     if raw.shape[1] != 5:
         raise FileFormatError("expected rows of site_id, lon, lat, time, value")
     if not np.all(np.isfinite(raw)):
@@ -232,7 +232,7 @@ class PipelineConfig:
     cumulate: bool = True
     support_length: float | None = None
     estimate_opts: EstimateOptions = dc_field(
-        default_factory=lambda: EstimateOptions(loss_tol=1e-10, x_tol=1e-6, max_evals=3000))
+        default_factory=lambda: EstimateOptions(loss_tol=1e-10, max_evals=3000))
     residual_rms_floor: float = 1e-8
 
 

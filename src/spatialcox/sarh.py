@@ -109,6 +109,23 @@ def family_triples(family: str, theta, n_modes: int, groups=DEFAULT_PMF_GROUPS) 
     return base_delta[:, 0] + np.abs(np.sin(ks * np.pi / 2.0))[:, None] * delta
 
 
+def family_jacobian(family: str, theta, n_modes: int, groups=DEFAULT_PMF_GROUPS) -> np.ndarray:
+    """d triple_k / d theta, shape (M, 3, q), of example2 and the affine families
+    (constant for these: the triples at the unit vectors less those at 0)."""
+    if family in AFFINE_FAMILIES:
+        eye = np.eye(_theta_size(family, n_modes, groups))
+        return np.stack([family_triples(family, e, n_modes, groups)
+                         - family_triples(family, 0 * e, n_modes, groups) for e in eye], axis=-1)
+    if family != "example2":
+        raise ParameterDomainError(f"no Jacobian for family {family!r}")
+    # l_q = th_{q,1} r_q with r_q = 1/(k + th_{q,2}), and l3 = -l1 l2
+    l1, l2, _ = family_triples(family, theta, n_modes, groups).T
+    r1, r2 = 1.0 / (np.arange(1.0, n_modes + 1) + np.asarray(theta, dtype=float)[[1, 3], None])
+    d1, d2 = np.zeros((2, n_modes, 4))
+    d1[:, 0], d1[:, 1], d2[:, 2], d2[:, 3] = r1, -l1 * r1, r2, -l2 * r2
+    return np.stack([d1, d2, -(d1 * l2[:, None] + l1[:, None] * d2)], axis=1)
+
+
 def _torus_cd(triples):
     # the triples as rows, and c, d of |1 - l1 e^{iw}|^2 - |l2 + l3 e^{iw}|^2 = c - 2 d cos w
     t = np.atleast_2d(np.asarray(triples, dtype=float))

@@ -6,24 +6,26 @@ For the rational SARH(1) densities implemented here the frequency average
 reduces exactly to a 5-term cosine-moment contraction of the periodogram
 (``trig_moments``), which makes a single loss evaluation O(M); both
 ``whittle_loss`` and ``estimate`` use that one form.  In the eigenvalue
-triple each mode's loss is a PSD quadratic form, so the families whose
-triples are affine in theta, the point-spectra model included, are fitted by
-one convex solve over the causal tetrahedron (``CAUSAL_FACES``).
+triple each mode's loss is a PSD quadratic form, so its gradient is exact
+and cheap: every family with two or more parameters is fitted by one SLSQP
+solve with exact gradients, convex for the families whose triples are
+affine in theta (constrained to the causal tetrahedron ``CAUSAL_FACES``),
+and the one-parameter example1 by a grid bracket and bounded Brent.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import linprog, minimize
-from scipy.stats import qmc
+from scipy.optimize import linprog, minimize, minimize_scalar
 
 from .errors import ParameterDomainError, SingularSpectrumError
 from .sarh import (AFFINE_FAMILIES, CAUSAL_FACES, DEFAULT_PMF_GROUPS, FAMILIES,
-                   _has_torus_zero, c2_innovation_var, default_box, family_triples)
+                   _has_torus_zero, c2_innovation_var, default_box, family_jacobian,
+                   family_triples)
 from .spectral import Periodogram
 
 TWO_PI_SQ = (2.0 * np.pi) ** 2
@@ -103,10 +105,7 @@ def _denom_sq(triple, omega1, omega2):
 
 
 def pmf_triple(theta, p: int, groups=DEFAULT_PMF_GROUPS) -> tuple[float, float, float]:
-    """Point-spectra model triple of mode p: row p of the "realdata_pmf" family.
-
-    See :func:`spatialcox.sarh.family_triples` for the formula and the theta layout.
-    """
+    """Row p of the "realdata_pmf" family (:func:`spatialcox.sarh.family_triples`)."""
     return tuple(family_triples("realdata_pmf", theta, p, groups)[p - 1].tolist())
 
 
@@ -118,12 +117,9 @@ def sarh1_spectral_density(model: SpectralModel, theta, k: int, omega1, omega2):
     d2 = _denom_sq(triple, np.asarray(omega1, float), np.asarray(omega2, float))
     bad = d2 < 1e-14
     if np.any(bad):
-        loc = np.argwhere(bad)[0]
-        raise SingularSpectrumError("spectral density denominator vanishes",
-                                    omega=(omega1, omega2) if np.ndim(omega1) == 0
-                                    else tuple(loc))
-    s2 = model.sigma2(theta)[k - 1]
-    out = s2 / d2
+        omega = (omega1, omega2) if np.ndim(omega1) == 0 else tuple(np.argwhere(bad)[0])
+        raise SingularSpectrumError("spectral density denominator vanishes", omega=omega)
+    out = model.sigma2(theta)[k - 1] / d2
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -175,20 +171,20 @@ def trig_moments(pgram: Periodogram) -> np.ndarray:
     return np.einsum("ijk,cij->kc", i_diag, basis) / pgram.grid.size
 
 
-def _unit_losses(triples: np.ndarray, moments: np.ndarray) -> np.ndarray:
-    # per mode, the loss times sigma2: the moments contracted with the
-    # coefficients of |1 - l1 e^{iw1} - l2 e^{iw2} - l3 e^{i(w1+w2)}|^2
-    l1, l2, l3 = triples[:, 0], triples[:, 1], triples[:, 2]
-    coeff = np.stack([1.0 + l1**2 + l2**2 + l3**2,
-                      -2.0 * l1 + 2.0 * l2 * l3,
-                      -2.0 * l2 + 2.0 * l1 * l3,
-                      -2.0 * l3,
-                      2.0 * l1 * l2], axis=1)
-    return np.einsum("kc,kc->k", moments, coeff)
+# moments[:, _GRAM] is G_k, the PSD 4x4 form of mode k's moments (m0, c1, c2,
+# c+, c-) over the AR stencil: the loss times sigma2 is a' G_k a, with
+# a = (1, -l1, -l2, -l3), and its gradient in the triple is -2 (G_k a)[1:]
+_GRAM = np.array([[0, 1, 2, 3], [1, 0, 4, 2], [2, 4, 0, 1], [3, 2, 1, 0]])
+
+
+def _unit_losses(triples: np.ndarray, moments: np.ndarray):
+    a = np.hstack([np.ones((triples.shape[0], 1)), -triples])
+    ga = np.einsum("kij,kj->ki", moments[:, _GRAM], a)
+    return np.einsum("ki,ki->k", a, ga), -2.0 * ga[:, 1:]
 
 
 def _mode_losses_fast(model: SpectralModel, theta, moments: np.ndarray) -> np.ndarray:
-    return _unit_losses(model.eig_triples(theta), moments) / model.sigma2(theta)
+    return _unit_losses(model.eig_triples(theta), moments)[0] / model.sigma2(theta)
 
 
 def whittle_loss(model: SpectralModel, theta, pgram: Periodogram) -> float:
@@ -206,18 +202,11 @@ def whittle_loss(model: SpectralModel, theta, pgram: Periodogram) -> float:
 
 @dataclass(frozen=True)
 class EstimateOptions:
-    """Search controls of :func:`estimate`.
+    """Stopping rules of :func:`estimate`: SLSQP's ``ftol`` and ``maxiter``,
+    the latter also capping the Brent iterations of example1."""
 
-    ``loss_tol`` and ``max_evals`` bound every fit (as SLSQP's ``ftol`` and
-    ``maxiter`` for the affine families); ``n_starts``, ``x_tol`` and
-    ``seed`` shape the multistart Nelder-Mead search of example1/example2.
-    """
-
-    n_starts: int = 5
     loss_tol: float = 1e-6
-    x_tol: float = 1e-6
     max_evals: int = 500
-    seed: int = 0
 
 
 # weight of the mean-over-modes term added to the sup loss in the searches:
@@ -232,130 +221,106 @@ class ThetaEstimate:
     loss_at_min: float
     n_loss_evals: int
     converged: bool
-    multistart_table: list
     family: str = ""
     runtime_s: float = 0.0
 
     def to_json(self, path=None) -> str:
-        payload = {
-            "family": self.family,
-            "theta_hat": np.asarray(self.theta_hat).tolist(),
-            "loss_at_min": self.loss_at_min,
-            "n_loss_evals": self.n_loss_evals,
-            "converged": self.converged,
-            "runtime_s": self.runtime_s,
-            "multistart_table": [
-                {"start": np.asarray(s).tolist(), "end": np.asarray(e).tolist(), "loss": v}
-                for s, e, v in self.multistart_table
-            ],
-        }
-        text = json.dumps(payload, indent=2)
+        text = json.dumps({**asdict(self), "theta_hat": np.asarray(self.theta_hat).tolist()},
+                          indent=2)
         if path is not None:
             with open(path, "w") as fh:
                 fh.write(text)
         return text
 
 
-def _starts(model: SpectralModel, opts: EstimateOptions) -> list[np.ndarray]:
-    box = model.theta_box
-    sampler = qmc.LatinHypercube(d=box.shape[0], seed=opts.seed)
-    u = sampler.random(opts.n_starts)
-    return [box.mean(axis=1), *(box[:, 0] + u * (box[:, 1] - box[:, 0]))]
-
-
-def _fit_multistart(model, moments, opts):
-    # example1/example2: nonlinear theta -> triples, Nelder-Mead from each start
-    box = model.theta_box
-    n_evals = 0
-
-    def mode_losses(theta):
-        nonlocal n_evals
-        n_evals += 1
-        return _mode_losses_fast(model, theta, moments)
-
+def _fit_scalar(model, moments, opts):
+    # example1's sigma2 = max(1, |l1|)^2 has a kink at theta = pi, where mode 1
+    # leaves the causal set: bracket on a 64-node grid, then bounded Brent
     def objective(theta):
-        v = mode_losses(theta)
+        v = _mode_losses_fast(model, theta, moments)
         return v.max() + TIE_BREAK * v.mean()
 
-    nm_options = {"fatol": opts.loss_tol, "xatol": opts.x_tol, "maxfev": opts.max_evals}
-    table, results = [], []
-    for x0 in _starts(model, opts):
-        res = minimize(objective, x0, method="Nelder-Mead", bounds=box, options=nm_options)
-        theta_end = np.clip(res.x, box[:, 0], box[:, 1])
-        pure = float(mode_losses(theta_end).max())
-        table.append((np.asarray(x0, float), theta_end, pure))
-        results.append((pure, float(res.fun), theta_end, bool(res.success)))
-
-    # among endpoints whose sup losses tie, the smallest search objective wins
-    best_pure = min(r[0] for r in results)
-    tol = max(1e-10, 1e-10 * abs(best_pure))
-    pure, _, theta_hat, success = min((r for r in results if r[0] <= best_pure + tol),
-                                      key=lambda r: r[1])
-    return theta_hat, pure, n_evals, success, table
+    grid = np.linspace(*model.theta_box[0], 64)
+    values = [objective(t) for t in grid]
+    i = int(np.argmin(values))
+    res = minimize_scalar(objective, bounds=(grid[max(i - 1, 0)], grid[min(i + 1, 63)]),
+                          options={"xatol": 1e-10, "maxiter": opts.max_evals})
+    theta = res.x if res.fun <= values[i] else grid[i]
+    return np.array([theta]), grid.size + res.nfev, res.success
 
 
-def _fit_affine(model, moments, opts):
-    # triples = base + theta . lin and loss_k = a' G_k a / sigma2, with
-    # a = (1, -triple_k) and G_k the PSD 4x4 form of the five moments.  The
-    # search divides by the sigma2 of the closed causal tetrahedron, the
-    # model's own there and never above it elsewhere (Jensen), so
-    # min t + eta mean_k loss_k s.t. loss_k <= t, CAUSAL_FACES @ triple_k <= 1
-    # and the box is a convex program
-    box = model.theta_box
-    q = model.n_params
-    base = model.eig_triples(np.zeros(q))
-    lin = np.stack([model.eig_triples(e) for e in np.eye(q)]) - base
-    a_ub = (lin @ CAUSAL_FACES.T).reshape(q, -1).T
-    b_ub = 1.0 - (base @ CAUSAL_FACES.T).ravel()
-    if linprog(np.zeros(q), A_ub=a_ub, b_ub=b_ub, bounds=box).status == 2:
-        raise ParameterDomainError("the theta box holds no causal parameter")
-    a_ub = np.hstack([a_ub, np.zeros((b_ub.size, 1))])  # x = (theta, t)
-    s2 = 1.0 / TWO_PI_SQ if model.noise_sd is None else model.noise_sd**2
-    n_evals = 0
+def _mode_losses_with_grad(model: SpectralModel, theta, moments: np.ndarray, jac=None):
+    """Per-mode losses at the causal sigma2 ((2 pi)^-2, or ``noise_sd``^2) and
+    their theta-Jacobian (M, q), J_k' (-2 (G_k a)[1:]) / sigma2 with
+    J = :func:`family_jacobian`, passed in when constant."""
+    if jac is None:
+        jac = family_jacobian(model.family, theta, model.n_modes, model.groups)
+    s2 = np.reshape(1.0 / TWO_PI_SQ if model.noise_sd is None else model.noise_sd**2, (-1, 1))
+    u, du = _unit_losses(model.eig_triples(theta), moments)
+    return u / s2[:, 0], np.einsum("kiq,ki->kq", jac, du) / s2
 
-    def mode_losses(x):
-        nonlocal n_evals
-        n_evals += 1
-        return _unit_losses(base + np.tensordot(x[:q], lin, 1), moments) / s2
 
+def _fit_epigraph(model, moments, opts):
+    # min t + eta mean_k loss_k s.t. loss_k <= t over the box, from its centre.
+    # The causal sigma2 is the model's on example2's box, which is causal; for
+    # the affine families, held in the closed tetrahedron, it is the model's
+    # there and never above it elsewhere (Jensen), and the program is convex
+    box, q = model.theta_box, model.n_params
+    constraints, jac = [], None
+    if model.family in AFFINE_FAMILIES:
+        jac = family_jacobian(model.family, None, model.n_modes, model.groups)
+        a_ub = np.einsum("fi,kiq->kfq", CAUSAL_FACES, jac).reshape(-1, q)
+        b_ub = 1.0 - (model.eig_triples(np.zeros(q)) @ CAUSAL_FACES.T).ravel()
+        if linprog(np.zeros(q), A_ub=a_ub, b_ub=b_ub, bounds=box).status == 2:
+            raise ParameterDomainError("the theta box holds no causal parameter")
+        a_ub = np.hstack([a_ub, np.zeros((b_ub.size, 1))])  # x = (theta, t)
+        constraints.append({"type": "ineq", "fun": lambda x: b_ub - a_ub @ x,
+                            "jac": lambda x: -a_ub})
+    n_evals, last = 0, (None, None, None)
+
+    def losses(x):  # losses and gradients together, evaluated once per theta
+        nonlocal n_evals, last
+        theta = np.clip(x[:q], box[:, 0], box[:, 1])
+        if not np.array_equal(theta, last[0]):
+            n_evals += 1
+            last = (theta, *_mode_losses_with_grad(model, theta, moments, jac))
+        return last[1:]
+
+    ones = np.ones((model.n_modes, 1))
+    constraints.append({"type": "ineq", "fun": lambda x: x[q] - losses(x)[0],
+                        "jac": lambda x: np.hstack([-losses(x)[1], ones])})
     x0 = np.append(box.mean(axis=1), 0.0)
-    x0[q] = mode_losses(x0).max()
-    res = minimize(lambda x: x[q] + TIE_BREAK * mode_losses(x).mean(), x0,
-                   method="SLSQP", bounds=[*box, (None, None)],
-                   constraints=[{"type": "ineq", "fun": lambda x: x[q] - mode_losses(x)},
-                                {"type": "ineq", "fun": lambda x: b_ub - a_ub @ x,
-                                 "jac": lambda x: -a_ub}],
+    x0[q] = losses(x0)[0].max()
+    res = minimize(lambda x: x[q] + TIE_BREAK * losses(x)[0].mean(), x0, method="SLSQP",
+                   jac=lambda x: np.append(TIE_BREAK * losses(x)[1].mean(axis=0), 1.0),
+                   bounds=[*box, (None, None)], constraints=constraints,
                    options={"ftol": opts.loss_tol, "maxiter": opts.max_evals})
-    theta_hat = np.clip(res.x[:q], box[:, 0], box[:, 1])
-    pure = float(_mode_losses_fast(model, theta_hat, moments).max())
-    return theta_hat, pure, n_evals + 1, bool(res.success), [(x0[:q], theta_hat, pure)]
+    return np.clip(res.x[:q], box[:, 0], box[:, 1]), n_evals, res.success
 
 
 def estimate(model: SpectralModel, pgram: Periodogram,
              opts: EstimateOptions | None = None) -> ThetaEstimate:
     """Minimize the Whittle sup loss over the parameter box and the causal set.
 
-    The affine families (``AFFINE_FAMILIES``: triple, custom, realdata_pmf)
-    take one convex SLSQP solve from the box centre, constrained to the
-    closed causal tetrahedron of every mode; a box holding no causal point
-    raises :class:`ParameterDomainError`.  example1/example2 take a
-    multistart Nelder-Mead search from the box centre plus a seeded Latin
-    hypercube; among endpoints whose sup losses tie within 1e-10 the one
-    with the smallest search objective wins.  Both searches add
-    ``TIE_BREAK`` times the mean-over-modes loss to the sup loss; the
-    reported ``loss_at_min`` is always the pure sup loss.
+    Families with two or more parameters (example2 and ``AFFINE_FAMILIES``)
+    take one SLSQP epigraph solve from the box centre with exact loss
+    gradients, the affine ones constrained to the closed causal tetrahedron
+    of every mode (a box without a causal point raises
+    :class:`ParameterDomainError`).  example1 takes the best node of a
+    64-point grid over its box, refined by bounded Brent between the node's
+    neighbours.  Both add ``TIE_BREAK`` times the mean-over-modes loss to the
+    sup loss; the reported ``loss_at_min`` is the pure sup loss.
     """
-    if opts is None:
-        opts = EstimateOptions()
+    opts = opts or EstimateOptions()
     if model.n_modes != pgram.n_modes:
         raise ParameterDomainError("model and periodogram mode counts differ")
-    box = model.theta_box
-    if np.any(box[:, 1] <= box[:, 0]):
+    if np.any(model.theta_box[:, 1] <= model.theta_box[:, 0]):
         raise ParameterDomainError("theta box is degenerate")
     t0 = time.perf_counter()
-    fit = _fit_affine if model.family in AFFINE_FAMILIES else _fit_multistart
-    theta_hat, pure, n_evals, success, table = fit(model, trig_moments(pgram), opts)
-    return ThetaEstimate(theta_hat=theta_hat, loss_at_min=pure, n_loss_evals=n_evals,
-                         converged=success, multistart_table=table, family=model.family,
+    moments = trig_moments(pgram)
+    fit = _fit_scalar if model.n_params == 1 else _fit_epigraph
+    theta_hat, n_evals, success = fit(model, moments, opts)
+    pure = float(_mode_losses_fast(model, theta_hat, moments).max())
+    return ThetaEstimate(theta_hat=theta_hat, loss_at_min=pure, n_loss_evals=n_evals + 1,
+                         converged=bool(success), family=model.family,
                          runtime_s=time.perf_counter() - t0)
-

@@ -20,7 +20,7 @@ from spatialcox.pipeline import PipelineConfig
 from spatialcox.whittle import DEFAULT_PMF_GROUPS
 
 TWO_PI_SQ = (2 * np.pi) ** 2
-TABLE_OPTS = EstimateOptions(loss_tol=1e-10, x_tol=1e-6, max_evals=2000)
+TABLE_OPTS = EstimateOptions(loss_tol=1e-10, max_evals=2000)
 
 
 def report(k, message):
@@ -143,7 +143,7 @@ def _noise_free_periodogram(model, theta, dims):
 
 def test_criterion_7_whittle_identifiability():
     rng = np.random.default_rng(77)
-    opts = EstimateOptions(loss_tol=1e-14, x_tol=1e-7, max_evals=8000)
+    opts = EstimateOptions(loss_tol=1e-14, max_evals=8000)
     worst_theta, worst_loss = 0.0, 0.0
     for family, box in (("example1", np.array([[0.7, 4.0]])),
                         ("example2", np.array([[0.7, 1.3], [1.3, 1.9],

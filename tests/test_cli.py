@@ -1,10 +1,12 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from spatialcox import load_field_binary, make_synthetic_counts, save_series_csv
 from spatialcox.cli import main
+from spatialcox.errors import FileFormatError, ParameterDomainError
 
 
 def run(argv):
@@ -25,7 +27,7 @@ def test_simulate_periodogram_estimate_predict_chain(tmp_path):
 
     est = tmp_path / "est.json"
     run(["estimate", "--family", "example1", "--field", field, "--modes", "4",
-         "--theta-box", "0.7:4", "--starts", 3, "--out", est])
+         "--theta-box", "0.7:4", "--out", est])
     payload = json.loads(est.read_text())
     assert payload["family"] == "example1"
     assert 0.7 <= payload["theta_hat"][0] <= 4.0
@@ -66,6 +68,31 @@ def test_cox_moments_family_needs_theta(tmp_path, model_flags):
         run(["cox-moments", "--field", field, "--phi", phi, "--rect", "1:3x1:3",
              *model_flags, "--out", out])
     assert err.value.code == 2
+    assert not out.exists()
+
+
+def test_estimate_starts_flag_gone(tmp_path):
+    with pytest.raises(SystemExit) as err:
+        run(["estimate", "--field", tmp_path / "field.bin", "--starts", 3])
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize("text, error", [
+    ("", FileFormatError),
+    ("1.0\nabc\n", FileFormatError),
+    ("1.0\n0.0\n0.0\n", ParameterDomainError),  # three coefficients, two modes
+], ids=["empty", "non_numeric", "wrong_count"])
+def test_cox_moments_bad_phi_rejected(tmp_path, text, error):
+    field = tmp_path / "field.bin"
+    run(["simulate", "--dims", "8x8", "--modes", "2", "--burn-in", 5, "--out", field])
+    phi = tmp_path / "phi.csv"
+    phi.write_text(text)
+    out = tmp_path / "moments.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            run(["cox-moments", "--field", field, "--phi", phi, "--rect", "1:3x1:3",
+                 "--out", out])
     assert not out.exists()
 
 

@@ -5,7 +5,7 @@ from spatialcox import ExperimentConfig, run_experiment
 from spatialcox.errors import ParameterDomainError
 from spatialcox.whittle import EstimateOptions
 
-SMALL_OPTS = EstimateOptions(n_starts=3, loss_tol=1e-8, x_tol=1e-5, max_evals=800)
+SMALL_OPTS = EstimateOptions(loss_tol=1e-8, max_evals=800)
 
 
 def small_cfg(**kw):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,15 @@ def test_csv_duplicate_rows_rejected(tmp_path, small_field):
     path.write_text("\n".join(lines + [f"{i},{j},{k},0.0"]) + "\n")
     with pytest.raises(FileFormatError, match="1 repeated"):
         load_field_csv(path, support_length=1.0)
+
+
+def test_csv_header_only_rejected(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text("i,j,k,value\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the typed error comes before any numpy warning
+        with pytest.raises(FileFormatError, match="no data rows"):
+            load_field_csv(path, support_length=1.0)
 
 
 def test_binary_truncated_payload_rejected(tmp_path, small_field):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from oracles import brute_force_idw
@@ -11,7 +13,7 @@ from spatialcox.errors import (AmbiguousInterpolationError, DivisionGuardError, 
                                PipelineStageError)
 from spatialcox.whittle import EstimateOptions
 
-FAST_OPTS = EstimateOptions(n_starts=3, loss_tol=1e-8, x_tol=1e-5, max_evals=1500)
+FAST_OPTS = EstimateOptions(loss_tol=1e-8, max_evals=1500)
 
 
 def tiny_cfg(**kw):
@@ -62,8 +64,10 @@ SERIES_ROWS = ["0,0.0,0.0,1.0,5.0", "0,0.0,0.0,2.0,6.0",
 def test_series_csv_bad_rows_rejected(tmp_path, rows):
     path = tmp_path / "series.csv"
     path.write_text("\n".join(["site_id,lon,lat,time,value", *rows]) + "\n")
-    with pytest.raises(FileFormatError):
-        load_series_csv(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the typed error comes before any numpy warning
+        with pytest.raises(FileFormatError):
+            load_series_csv(path)
 
 
 # --- IDW --------------------------------------------------------------------

@@ -12,7 +12,7 @@ from spatialcox import (EstimateOptions, FrequencyGrid, Periodogram, Sarh1Params
 from spatialcox.errors import ParameterDomainError, SingularSpectrumError
 from spatialcox.pipeline import DEFAULT_TRUE_PMF
 from spatialcox.sarh import CAUSAL_FACES, TRIPLE_BOX, _has_torus_zero
-from spatialcox.whittle import _mode_losses_fast
+from spatialcox.whittle import _mode_losses_fast, _mode_losses_with_grad
 
 TWO_PI_SQ = (2 * np.pi) ** 2
 
@@ -194,21 +194,21 @@ def test_loss_domain_errors():
 def test_estimate_noise_free_recovers_theta():
     model = SpectralModel("example1", n_modes=6)
     pg = model_periodogram(model, [1.7], (32, 32))
-    fit = estimate(model, pg, EstimateOptions(loss_tol=1e-12, x_tol=1e-7,
-                                              max_evals=2000))
+    fit = estimate(model, pg, EstimateOptions(loss_tol=1e-12, max_evals=2000))
     assert abs(fit.theta_hat[0] - 1.7) < 1e-4
     assert abs(fit.loss_at_min - 1.0) < 1e-3
     assert fit.converged
 
 
-def test_estimate_respects_box_and_multistart_invariant():
+def test_estimate_respects_box_and_beats_bracketing_grid():
     model = SpectralModel("example1", n_modes=3)
     params = Sarh1Params("example1", [1.0], 3)
     pg = periodogram(simulate_sarh1(params, (32, 32), burn_in=20, seed=8))
     fit = estimate(model, pg)
     assert model.contains(fit.theta_hat)
-    endpoint_losses = [v for _, _, v in fit.multistart_table]
-    assert fit.loss_at_min <= min(endpoint_losses) + 1e-9
+    assert fit.loss_at_min == whittle_loss(model, fit.theta_hat, pg)
+    grid_losses = [whittle_loss(model, [t], pg) for t in np.linspace(0.7, 4.0, 64)]
+    assert fit.loss_at_min <= min(grid_losses) + 1e-9
     assert fit.n_loss_evals > 0
 
 
@@ -232,7 +232,8 @@ def test_estimate_json_roundtrip(tmp_path):
     back = json.loads(path.read_text())
     assert back["family"] == "example1"
     assert back["theta_hat"][0] == pytest.approx(fit.theta_hat[0])
-    assert len(back["multistart_table"]) == 6
+    assert set(back) == {"family", "theta_hat", "loss_at_min", "n_loss_evals", "converged",
+                         "runtime_s"}
 
 
 # --- affine families: one convex solve over the causal tetrahedron ----------
@@ -261,7 +262,8 @@ def test_affine_family_fit_recovers_pmf_triples(family):
     assert fit.converged
     assert np.median(rel) <= 0.15, rel
     assert np.all(lam_hat @ CAUSAL_FACES.T <= 1 + 1e-9)
-    assert len(fit.multistart_table) == 1
+    # exact gradients: one loss evaluation per SLSQP step, not one per coordinate
+    assert fit.n_loss_evals <= 100, fit.n_loss_evals
 
 
 def test_box_without_causal_point_rejected():
@@ -391,7 +393,7 @@ def test_estimate_realdata_pmf_recovers_triples():
     fld = simulate_sarh1(params, (96, 96), burn_in=60, seed=404)
     pg = periodogram(fld)
     model = SpectralModel("realdata_pmf", n_modes=10)
-    fit = estimate(model, pg, EstimateOptions(loss_tol=1e-10, x_tol=1e-6, max_evals=3000))
+    fit = estimate(model, pg, EstimateOptions(loss_tol=1e-10, max_evals=3000))
     lam_hat = model.eig_triples(fit.theta_hat)
     assert lam_hat.shape == (10, 3)
     rel = np.linalg.norm(lam_hat - lam_true, axis=1) / np.linalg.norm(lam_true, axis=1)
@@ -408,3 +410,30 @@ def test_density_singularity_reports_location():
     with pytest.raises(SingularSpectrumError) as err:
         sarh1_spectral_density(model, np.array([1.0, 0.0, 0.0]), 1, w, np.zeros_like(w))
     assert err.value.omega is not None
+
+
+# --- exact gradients of the per-mode losses ---------------------------------
+
+
+@pytest.mark.parametrize("family", ["example2", "triple", "custom", "realdata_pmf"])
+def test_mode_loss_jacobian_matches_central_differences(family):
+    # interior theta in the causal set, where sigma2 is the model's own
+    rng = np.random.default_rng(61)
+    n_modes = 4
+    fld = simulate_sarh1(Sarh1Params("example2", [1.0, 1.6, 1.5, 1.2], n_modes), (20, 24),
+                         burn_in=20, seed=62)
+    moments = trig_moments(periodogram(fld))
+    model = SpectralModel(family, n_modes=n_modes)
+    box = model.theta_box
+    centre, half = box.mean(axis=1), (box[:, 1] - box[:, 0]) / 2
+    scale = 0.9 if family == "example2" else 0.15  # affine: |l1| + |l2| + |l3| < 1
+    for _ in range(3):
+        theta = centre + scale * half * rng.uniform(-1, 1, size=centre.size)
+        assert np.all(is_causal(model.eig_triples(theta)))
+        losses, jac = _mode_losses_with_grad(model, theta, moments)
+        np.testing.assert_allclose(losses, _mode_losses_fast(model, theta, moments), rtol=1e-12)
+        h = 1e-5 * np.maximum(1.0, np.abs(theta))
+        fd = np.stack([(_mode_losses_fast(model, theta + h[j] * e, moments)
+                        - _mode_losses_fast(model, theta - h[j] * e, moments)) / (2 * h[j])
+                       for j, e in enumerate(np.eye(theta.size))], axis=1)
+        np.testing.assert_allclose(jac, fd, rtol=1e-6, atol=1e-9 * np.abs(fd).max())
