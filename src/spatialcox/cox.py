@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BoundaryError, InvalidCovarianceError, LagUnavailableError,
-                     OverflowGuardError)
+                     OverflowGuardError, ParameterDomainError)
 from .field import CoeffField
 from .spectral import cov_from_spectrum
 
@@ -33,7 +33,7 @@ class TestFunction:
     def __post_init__(self):
         arr = np.asarray(self.coefficients, dtype=float)
         if arr.ndim != 1 or not np.all(np.isfinite(arr)):
-            raise ValueError("coefficients must be a finite 1-D vector")
+            raise ParameterDomainError("coefficients must be a finite 1-D vector")
         arr.setflags(write=False)
         object.__setattr__(self, "coefficients", arr)
 
@@ -121,19 +121,19 @@ def count_moments(rect: BorelRect, cov) -> tuple[float, float]:
     mean = rho_phi * |B|;
     var  = exp(R_0) * sum_{z,y in B} exp((R_{z-y} + R_{y-z}) / 2)
            + |B| rho_phi (1 - |B| rho_phi),
-    with integrals replaced by unit-cell sums.  ``cov`` must contain every
-    lag in B - B.
+    with integrals replaced by unit-cell sums.  The double sum runs over
+    the distinct lags h in B - B, each weighted by its (n1 - |h1|)(n2 - |h2|)
+    site pairs of the n1 x n2 rectangle.  ``cov`` must contain every lag in
+    B - B.
     """
     r0 = _lag_lookup(cov, (0, 0))
     rho = cox_intensity(r0)
-    sites = list(rect.sites())
-    acc = 0.0
-    for za in sites:
-        for zb in sites:
-            lag = (za[0] - zb[0], za[1] - zb[1])
-            rz = _lag_lookup(cov, lag)
-            rzr = _lag_lookup(cov, (-lag[0], -lag[1]))
-            acc += np.exp(0.5 * (rz + rzr))
+    n1, n2 = rect.b1 - rect.a1 + 1, rect.b2 - rect.a2 + 1
+    h1, h2 = np.arange(1 - n1, n1), np.arange(1 - n2, n2)
+    r = np.array([_lag_lookup(cov, (z1, z2)) for z1 in h1.tolist() for z2 in h2.tolist()])
+    # the lags run over a centred rectangle, so reversing them maps h to -h
+    pairs = np.outer(n1 - np.abs(h1), n2 - np.abs(h2)).ravel()
+    acc = pairs @ np.exp(0.5 * (r + r[::-1]))
     area = rect.area
     var = np.exp(r0) * acc + area * rho * (1.0 - area * rho)
     return float(rho * area), float(var)

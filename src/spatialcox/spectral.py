@@ -9,6 +9,7 @@ import numpy as np
 
 from .errors import ParameterDomainError, ResolutionError, SingularSpectrumError
 from .field import CoeffField, FrequencyGrid, _read_binary
+from .sarh import CAUSAL_FACES, _has_torus_zero
 
 _HEADER = np.dtype([("n1", "<i8"), ("n2", "<i8"), ("m", "<i8"), ("full", "<i8")])
 
@@ -99,7 +100,12 @@ class EmpiricalCov:
 
 
 def empirical_cov(field: CoeffField, max_lag) -> EmpiricalCov:
-    """Empirical covariances over the lag rectangle |z1| <= L1, |z2| <= L2."""
+    """Empirical covariances over the lag rectangle |z1| <= L1, |z2| <= L2.
+
+    One BLAS product per lag of the half rectangle z1 > 0, or z1 == 0 and
+    z2 >= 0; each mirror lag is filled as the exact transpose, since
+    C(-z) = C(z)^T, and C(0) is made exactly symmetric the same way.
+    """
     l1max, l2max = int(max_lag[0]), int(max_lag[1])
     n1, n2, m = field.data.shape
     if l1max >= n1 or l2max >= n2:
@@ -109,18 +115,21 @@ def empirical_cov(field: CoeffField, max_lag) -> EmpiricalCov:
     lags2 = np.arange(-l2max, l2max + 1)
     out = np.empty((lags1.size, lags2.size, m, m))
     norm = 1.0 / (n1 * n2)
-    for i1, z1 in enumerate(lags1):
-        a1, b1 = max(0, -z1), min(n1, n1 - z1)
-        for i2, z2 in enumerate(lags2):
+    for z1 in range(l1max + 1):
+        for z2 in range(-l2max if z1 else 0, l2max + 1):
             a2, b2 = max(0, -z2), min(n2, n2 - z2)
-            base = x[a1:b1, a2:b2]
-            shifted = x[a1 + z1:b1 + z1, a2 + z2:b2 + z2]
-            out[i1, i2] = norm * np.einsum("ijk,ijl->kl", base, shifted)
+            base = x[:n1 - z1, a2:b2].reshape(-1, m)
+            shifted = x[z1:, a2 + z2:b2 + z2].reshape(-1, m)
+            c = norm * (base.T @ shifted)
+            if z1 == z2 == 0:
+                c = np.triu(c) + np.triu(c, 1).T
+            out[l1max + z1, l2max + z2] = c
+            out[l1max - z1, l2max - z2] = c.T
     return EmpiricalCov(lags1, lags2, out)
 
 
 # ---------------------------------------------------------------------------
-# model-based operations (duck-typed model: .density(theta, W1, W2) -> (..., M))
+# model-based operations
 
 
 def _rect_grid(n: int) -> np.ndarray:
@@ -129,41 +138,102 @@ def _rect_grid(n: int) -> np.ndarray:
     return -np.pi + 2.0 * np.pi * np.arange(n) / n
 
 
+# cap on one mode's w1 quadrature, n nodes x (distinct |z2| + 4) complex
+# values (32 MiB), and its convergence tolerance relative to R_0
+_MAX_QUAD_CELLS = 2**21
+_QUAD_RTOL = 1e-13
+
+
+def _w1_transform(triple, k2, n):
+    # (2 pi)^2 / n sum_j e^{i z1 w_j} r_j^{k2} / |c - 2 d cos w_j| over w_j = 2 pi j / n,
+    # for every z1 mod n (axis 1) and every |z2| in k2 (axis 0): the w2
+    # integral of the unit-sigma density in closed form, then one inverse FFT.
+    # c - 2d cos w = (c - 2d) cos^2(w/2) + (c + 2d) sin^2(w/2), and c -+ 2d are
+    # products of face margins, so nothing cancels near the band edge
+    l1, l2, l3 = triple
+    f = 1.0 - CAUSAL_FACES @ triple
+    lo, hi = f[0] * f[1], f[2] * f[3]
+    half = np.pi * np.arange(n) / n
+    e = np.exp(2j * half)
+    a, b = 1.0 - l1 * e, l2 + l3 * e
+    r = np.conj(b / a) if lo > 0 else a / b  # evaluate only this mode's branch
+    g = np.power(r, k2[:, None]) / np.abs(lo * np.cos(half) ** 2 + hi * np.sin(half) ** 2)
+    return np.fft.ifft(g, axis=1) * (2.0 * np.pi) ** 2
+
+
 def cov_from_spectrum(model, theta, lags, grid_size: int = 512):
-    """Invert a spectral model to covariances R_z = integral e^{i<z,w>} F_w dw.
+    """Invert a SARH(1) spectral model to covariances R_z = integral e^{i<z,w>} F_w dw.
+
+    Per mode, with A = 1 - l1 e^{iw1}, B = l2 + l3 e^{iw1} and
+    |A|^2 - |B|^2 = c - 2 d cos w1 (see :mod:`spatialcox.sarh`), the w2
+    integral is closed form by residues (Brockwell & Davis, section 3.3):
+
+        integral e^{i z2 w2} |A - B e^{iw2}|^-2 dw2 = 2 pi r^{z2} / |c - 2 d cos w1|
+
+    for z2 >= 0, and conj(r)^{|z2|} for z2 < 0, with r = conj(B/A) where
+    c > 0 (|A| > |B|) and r = A/B where c < 0 (|B| > |A|).  This covers
+    every triple whose AR polynomial has no zero on the unit torus, causal
+    or not.  The w1 integrand is smooth and periodic, so a rectangle rule
+    converges geometrically; one inverse FFT over its nodes gives every z1.
 
     Parameters
     ----------
-    model : object with ``density(theta, W1, W2) -> (n, n, M)``
+    model : object with ``eig_triples(theta) -> (M, 3)`` and
+        ``sigma2(theta) -> (M,)``, e.g. :class:`spatialcox.SpectralModel`
     theta : parameter vector
     lags : sequence of integer lag pairs (z1, z2)
-    grid_size : quadrature grid per axis (trapezoidal on [-pi, pi]^2)
+    grid_size : starting w1 node count; each mode doubles it until the
+        largest change of its covariances is <= 1e-13 of its variance R_0
 
     Returns
     -------
     values : array, shape (len(lags), M), real
-    residue : float, largest relative imaginary residue removed
+    residue : float, largest imaginary residue removed, relative to R_0
+
+    Raises
+    ------
+    ResolutionError
+        a lag with |z1| or |z2| >= grid_size / 2, or a mode whose quadrature
+        would need more than 2^21 complex values (nodes x (distinct |z2| + 4))
+        to converge, which happens only very near the torus-zero band.
+    SingularSpectrumError
+        a mode whose AR polynomial vanishes on the unit torus (|c| <= 2|d|):
+        the density is not integrable there and no covariance exists.
     """
-    lags = [(int(z1), int(z2)) for z1, z2 in lags]
+    lags = np.array([(int(z1), int(z2)) for z1, z2 in lags], dtype=np.int64).reshape(-1, 2)
     half = grid_size // 2
-    if any(abs(z1) >= half or abs(z2) >= half for z1, z2 in lags):
+    if np.any(np.abs(lags) >= half):
         raise ResolutionError(
-            f"requested lag exceeds Nyquist range of the {grid_size}^2 quadrature grid")
-    w = _rect_grid(grid_size)
-    w1, w2 = np.meshgrid(w, w, indexing="ij")
-    dens = np.asarray(model.density(theta, w1, w2))
-    if not np.all(np.isfinite(dens)):
-        raise SingularSpectrumError("spectral density not finite on the quadrature grid")
-    # R_z = (2*pi/n)^2 sum F(w) e^{i z.w}; on this grid that is (2*pi)^2 ifft2
-    # up to the (-1)^{z1+z2} phase from the -pi offset
-    rhat = np.fft.ifft2(dens, axes=(0, 1)) * (2.0 * np.pi) ** 2
-    vals = np.empty((len(lags), dens.shape[2]))
+            f"requested lag exceeds Nyquist range of the {grid_size}-node quadrature")
+    triples = np.atleast_2d(np.asarray(model.eig_triples(theta), dtype=float))
+    bad = np.flatnonzero(_has_torus_zero(triples) | ~np.all(np.isfinite(triples), axis=1))
+    if bad.size:
+        k = int(bad[0])
+        raise SingularSpectrumError(
+            f"mode {k + 1}: AR polynomial of {tuple(triples[k].tolist())} vanishes on the "
+            "unit torus, so the spectral density is not integrable")
+    sigma2 = np.asarray(model.sigma2(theta), dtype=float)
+    # R(z1, z2) = R(-z1, -z2): a lag with z2 < 0 reads row |z2| at -z1
+    flip = np.where(lags[:, 1] < 0, -1, 1)
+    k2, row = np.unique(np.append(np.abs(lags[:, 1]), 0), return_inverse=True)
+    row, z1 = row[:-1], flip * lags[:, 0]
+    vals = np.empty((lags.shape[0], triples.shape[0]))
     residue = 0.0
-    scale = max(np.abs(rhat).max(), 1e-300)
-    for i, (z1, z2) in enumerate(lags):
-        v = rhat[z1 % grid_size, z2 % grid_size] * (-1.0) ** (z1 + z2)
-        residue = max(residue, float(np.abs(v.imag).max() / scale))
-        vals[i] = v.real
+    for k, triple in enumerate(triples):
+        n = grid_size
+        prev = _w1_transform(triple, k2, n)[row, z1 % n]
+        while True:
+            if 2 * n * (k2.size + 4) > _MAX_QUAD_CELLS:
+                raise ResolutionError(
+                    f"mode {k + 1}: covariance quadrature not converged at {n} w1 nodes")
+            n *= 2
+            h = _w1_transform(triple, k2, n)
+            cur, r0 = h[row, z1 % n], h[0, 0].real
+            if np.abs(cur - prev).max(initial=0.0) <= _QUAD_RTOL * r0:
+                break
+            prev = cur
+        residue = max(residue, float(np.abs(cur.imag).max(initial=0.0) / r0))
+        vals[:, k] = sigma2[k] * cur.real
     return vals, residue
 
 

@@ -249,14 +249,18 @@ def _fit_scalar(model, moments, opts):
     return np.array([theta]), grid.size + res.nfev, res.success
 
 
-def _mode_losses_with_grad(model: SpectralModel, theta, moments: np.ndarray, jac=None):
+def _mode_losses_with_grad(model: SpectralModel, theta, moments: np.ndarray, jac=None,
+                           base=None):
     """Per-mode losses at the causal sigma2 ((2 pi)^-2, or ``noise_sd``^2) and
     their theta-Jacobian (M, q), J_k' (-2 (G_k a)[1:]) / sigma2 with
-    J = :func:`family_jacobian`, passed in when constant."""
+    J = :func:`family_jacobian`, passed in when constant.  For an affine
+    family, ``base`` (the triples at theta = 0) passed with ``jac`` gives the
+    triples as base + J theta."""
     if jac is None:
         jac = family_jacobian(model.family, theta, model.n_modes, model.groups)
+    triples = model.eig_triples(theta) if base is None else base + jac @ theta
     s2 = np.reshape(1.0 / TWO_PI_SQ if model.noise_sd is None else model.noise_sd**2, (-1, 1))
-    u, du = _unit_losses(model.eig_triples(theta), moments)
+    u, du = _unit_losses(triples, moments)
     return u / s2[:, 0], np.einsum("kiq,ki->kq", jac, du) / s2
 
 
@@ -266,11 +270,12 @@ def _fit_epigraph(model, moments, opts):
     # the affine families, held in the closed tetrahedron, it is the model's
     # there and never above it elsewhere (Jensen), and the program is convex
     box, q = model.theta_box, model.n_params
-    constraints, jac = [], None
+    constraints, jac, base = [], None, None
     if model.family in AFFINE_FAMILIES:
         jac = family_jacobian(model.family, None, model.n_modes, model.groups)
+        base = model.eig_triples(np.zeros(q))
         a_ub = np.einsum("fi,kiq->kfq", CAUSAL_FACES, jac).reshape(-1, q)
-        b_ub = 1.0 - (model.eig_triples(np.zeros(q)) @ CAUSAL_FACES.T).ravel()
+        b_ub = 1.0 - (base @ CAUSAL_FACES.T).ravel()
         if linprog(np.zeros(q), A_ub=a_ub, b_ub=b_ub, bounds=box).status == 2:
             raise ParameterDomainError("the theta box holds no causal parameter")
         a_ub = np.hstack([a_ub, np.zeros((b_ub.size, 1))])  # x = (theta, t)
@@ -283,7 +288,7 @@ def _fit_epigraph(model, moments, opts):
         theta = np.clip(x[:q], box[:, 0], box[:, 1])
         if not np.array_equal(theta, last[0]):
             n_evals += 1
-            last = (theta, *_mode_losses_with_grad(model, theta, moments, jac))
+            last = (theta, *_mode_losses_with_grad(model, theta, moments, jac, base))
         return last[1:]
 
     ones = np.ones((model.n_modes, 1))

@@ -3,10 +3,11 @@
 Everything here is deliberately slow and direct: double sums for the DFT,
 nested loops for covariances, a naive site-by-site sweep for the SARH(1)
 recursion, the closed-form covariance of the separable (l3 = -l1*l2)
-autoregression, the dense Fourier-grid Whittle loss, a row-by-row CSV
-writer, and the scalar and grid forms of the eigenvalue families, the
-stationarity checks and the C2 quadrature.  Implementations under test must
-agree with these, never share code with them.
+autoregression, the 2-D grid inversion of a spectrum to covariances, the
+site-pair double sum of the count variance, the dense Fourier-grid Whittle
+loss, a row-by-row CSV writer, and the scalar and grid forms of the
+eigenvalue families, the stationarity checks and the C2 quadrature.
+Implementations under test must agree with these, never share code with them.
 """
 
 import csv
@@ -92,6 +93,36 @@ def rational_density(triple, sigma2, w1, w2):
     d = (1.0 - l1 * np.exp(1j * w1) - l2 * np.exp(1j * w2)
          - l3 * np.exp(1j * (w1 + w2)))
     return sigma2 / np.abs(d) ** 2
+
+
+def grid_cov_from_spectrum(model, theta, lags, grid_size):
+    """Covariances R_z = (2 pi / n)^2 sum_w F_w e^{i<z,w>} by the 2-D rectangle
+    rule on the n^2 grid over [-pi, pi)^2, n = grid_size: one ifft2 of each
+    mode's rational density, whose value at z carries the (-1)^{z1+z2} phase
+    of the -pi offset.  Returns the real parts, shape (len(lags), M)."""
+    w = -np.pi + 2.0 * np.pi * np.arange(grid_size) / grid_size
+    out = np.empty((len(lags), model.n_modes))
+    for k, (triple, s2) in enumerate(zip(model.eig_triples(theta), model.sigma2(theta))):
+        dens = rational_density(triple, s2, w[:, None], w[None, :])
+        rhat = np.fft.ifft2(dens) * (2.0 * np.pi) ** 2
+        for i, (z1, z2) in enumerate(lags):
+            out[i, k] = (rhat[z1 % grid_size, z2 % grid_size] * (-1.0) ** (z1 + z2)).real
+    return out
+
+
+def double_sum_count_moments(rect, cov):
+    """Count mean and variance of a lattice rectangle by the site-pair double sum
+    exp(R_0) sum_{z,y in B} exp((R_{z-y} + R_{y-z}) / 2) + |B| rho (1 - |B| rho),
+    rho = exp(R_0 / 2); a lag missing from ``cov`` raises KeyError."""
+    rho = float(np.exp(0.5 * cov[(0, 0)]))
+    sites = list(rect.sites())
+    acc = 0.0
+    for za in sites:
+        for zb in sites:
+            h1, h2 = za[0] - zb[0], za[1] - zb[1]
+            acc += np.exp(0.5 * (cov[(h1, h2)] + cov[(-h1, -h2)]))
+    area = len(sites)
+    return rho * area, float(np.exp(cov[(0, 0)]) * acc + area * rho * (1.0 - area * rho))
 
 
 def dense_mode_losses(model, theta, pgram):

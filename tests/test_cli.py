@@ -81,7 +81,8 @@ def test_estimate_starts_flag_gone(tmp_path):
     ("", FileFormatError),
     ("1.0\nabc\n", FileFormatError),
     ("1.0\n0.0\n0.0\n", ParameterDomainError),  # three coefficients, two modes
-], ids=["empty", "non_numeric", "wrong_count"])
+    ("nan\n0\n", ParameterDomainError),
+], ids=["empty", "non_numeric", "wrong_count", "nan"])
 def test_cox_moments_bad_phi_rejected(tmp_path, text, error):
     field = tmp_path / "field.bin"
     run(["simulate", "--dims", "8x8", "--modes", "2", "--burn-in", 5, "--out", field])

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import double_sum_count_moments
 from spatialcox import (BasisSpec, BorelRect, CoeffField, Sarh1Params, SpectralModel,
                         TestFunction, cov_map, count_moments, cox_intensity,
                         log_intensity_at, ls_count_predictor, pair_correlation,
@@ -82,6 +84,28 @@ def test_count_moments_degenerate_poisson():
     cov1 = {(0, 0): 0.4}
     mean1, _ = count_moments(single, cov1)
     assert mean1 == pytest.approx(cox_intensity(0.4))
+
+
+@settings(deadline=None)
+@given(st.integers(0, 3), st.integers(1, 7), st.integers(0, 3), st.integers(1, 7),
+       st.integers(0, 2**32 - 1), st.booleans())
+def test_count_moments_matches_double_sum_oracle(a1, n1, a2, n2, seed, drop_lag):
+    rect = BorelRect(a1, a1 + n1 - 1, a2, a2 + n2 - 1)
+    rng = np.random.default_rng(seed)
+    lags = [(z1, z2) for z1 in range(1 - n1, n1) for z2 in range(1 - n2, n2)]
+    cov = dict(zip(lags, rng.uniform(-1.0, 1.0, len(lags)).tolist()))
+    cov[(0, 0)] = float(rng.uniform(0.0, 2.0))
+    if drop_lag:
+        del cov[lags[int(rng.integers(len(lags)))]]
+        with pytest.raises(KeyError):
+            double_sum_count_moments(rect, cov)
+        with pytest.raises(LagUnavailableError):
+            count_moments(rect, cov)
+        return
+    mean, var = count_moments(rect, cov)
+    want_mean, want_var = double_sum_count_moments(rect, cov)
+    assert mean == want_mean
+    assert var == pytest.approx(want_var, rel=1e-10)
 
 
 def test_ls_predictor_values(field3):

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import (brute_force_cov, brute_force_cov_pair, brute_force_dft, periodogram_csv_loop,
-                     separable_cov)
+from oracles import (brute_force_cov, brute_force_cov_pair, brute_force_dft,
+                     grid_cov_from_spectrum, periodogram_csv_loop, separable_cov)
 from spatialcox import (BasisSpec, CoeffField, Periodogram, Sarh1Params, SpectralModel,
-                        cov_from_spectrum, empirical_cov, fejer_smoothed_inverse,
-                        functional_dft, periodogram, save_empirical_cov_csv,
-                        save_periodogram_csv, simulate_sarh1)
+                        TestFunction, cov_from_spectrum, cov_map, empirical_cov,
+                        fejer_smoothed_inverse, functional_dft, periodogram,
+                        save_empirical_cov_csv, save_periodogram_csv, simulate_sarh1)
 from spatialcox.errors import (FileFormatError, ParameterDomainError, ResolutionError,
                               SingularSpectrumError)
 from spatialcox.spectral import load_periodogram_binary, save_periodogram_binary
@@ -117,14 +118,17 @@ def test_empirical_cov_symmetry_exact():
 
 
 def test_empirical_cov_brute_force_oracle():
-    fld = random_field((5, 5), 2, seed=4)
-    cov = empirical_cov(fld, (2, 2))
-    for z1 in range(-2, 3):
-        for z2 in range(-2, 3):
+    fld = random_field((5, 4), 3, seed=4)
+    cov = empirical_cov(fld, (4, 3))
+    for z1 in range(-4, 5):
+        for z2 in range(-3, 4):
             got = cov.at(z1, z2)
-            a, b = fld.data[:, :, 0], fld.data[:, :, 1]
-            assert got[0, 0] == pytest.approx(brute_force_cov(a, z1, z2), abs=1e-12)
-            assert got[0, 1] == pytest.approx(brute_force_cov_pair(a, b, z1, z2), abs=1e-12)
+            for k in range(3):
+                a = fld.data[:, :, k]
+                assert got[k, k] == pytest.approx(brute_force_cov(a, z1, z2), abs=1e-12)
+                for l in range(3):
+                    want = brute_force_cov_pair(a, fld.data[:, :, l], z1, z2)
+                    assert got[k, l] == pytest.approx(want, abs=1e-12)
 
 
 def test_empirical_cov_lag_domain_error():
@@ -176,6 +180,59 @@ def test_cov_from_spectrum_nyquist_guard():
     model = SpectralModel("example1", n_modes=1)
     with pytest.raises(ResolutionError):
         cov_from_spectrum(model, [1.0], [(300, 0)], grid_size=512)
+
+
+@pytest.mark.parametrize("triple", [(0.5, 0.6, 0.0), (0.6, 0.5, 0.0)])
+def test_cov_from_spectrum_torus_zero_raises(triple):
+    # inside the band |c| <= 2|d| the density is not integrable, so no
+    # covariance exists; a quadrature grid that misses the zero curve returns
+    # finite numbers instead
+    model = SpectralModel("triple", n_modes=1)
+    with pytest.raises(SingularSpectrumError, match="mode 1"):
+        cov_from_spectrum(model, np.array(triple), [(0, 0), (1, 0)])
+    with pytest.raises(SingularSpectrumError):
+        cov_map(model, np.array(triple), TestFunction([1.0]), (1, 1))
+
+
+# barycentric weights of the causal tetrahedron's vertices, shrunk by 0.95:
+# every face margin 1 - CAUSAL_FACES @ t is then at least 0.05
+TETRA_VERTICES = np.array([[1.0, 1.0, -1.0], [1.0, -1.0, 1.0], [-1.0, 1.0, 1.0],
+                           [-1.0, -1.0, -1.0]])
+causal_triples = (st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4)
+                  .filter(lambda w: sum(w) > 0)
+                  .map(lambda w: tuple(0.95 * np.asarray(w) / sum(w) @ TETRA_VERTICES)))
+ORACLE_LAGS = ([(z1, z2) for z1 in range(-5, 6) for z2 in range(-5, 6)]
+               + [(20, -13), (0, 40), (-31, 5)])
+
+
+@settings(deadline=None, max_examples=8)
+@given(causal_triples)
+@example((0.0, 1.5, 0.0))     # non-causal, no torus zero: |B| > |A| on the torus
+@example((0.1, 1.6, 0.2))
+@example((0.1, -0.2, 1.7))
+@example((1.5, 0.1, 0.0))     # non-causal with |A| > |B|
+@example((0.967, 0.005, 0.005))  # c - 2|d| < 1e-3 from the band edge
+def test_cov_from_spectrum_matches_2d_grid_oracle(triple):
+    model = SpectralModel("triple", n_modes=1)
+    got, residue = cov_from_spectrum(model, np.array(triple), ORACLE_LAGS)
+    want = grid_cov_from_spectrum(model, np.array(triple), ORACLE_LAGS, 2048)
+    r0 = want[ORACLE_LAGS.index((0, 0)), 0]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * r0)
+    assert residue < 1e-12
+
+
+def test_cov_from_spectrum_refines_nodes_near_band_edge():
+    # c - 2|d| = 1e-3: 512 w1 nodes leave an error near 1e-9, so the node
+    # count must double until the covariances settle
+    model = SpectralModel("triple", n_modes=1)
+    theta = np.array([0.5, 0.499, 0.0])
+    lags = [(0, 0), (1, 0), (0, 1), (7, -3), (-40, 25)]
+    got, _ = cov_from_spectrum(model, theta, lags)
+    fine, _ = cov_from_spectrum(model, theta, lags, grid_size=8192)
+    np.testing.assert_allclose(got, fine, rtol=0, atol=1e-13 * fine[0, 0])
+    # 1e-10 from the band edge needs millions of nodes: refuse, do not guess
+    with pytest.raises(ResolutionError, match="not converged"):
+        cov_from_spectrum(model, np.array([0.5, 0.4999999999, 0.0]), [(0, 0)])
 
 
 def test_fejer_constant_spectrum():
