@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import itertools
 import os
 from dataclasses import dataclass, field as dc_field
@@ -142,15 +141,33 @@ def load_field_binary(path) -> CoeffField:
     return CoeffField(data.reshape(dims), spec)
 
 
-def save_field_csv(field: CoeffField, path) -> None:
-    n1, n2 = field.dims
+def _write_csv(path, header, inner, blocks) -> None:
+    """Write ``header`` and each block's rows byte for byte as csv.writer would:
+    str for ints, repr for floats (exact round trip, -0.0 kept), CRLF line ends.
+
+    A block is ``(lead, values)``: Python scalars that open each of its rows,
+    then equal-length value columns.  The ``inner`` columns (grid indices,
+    mode labels, times) sit between the two and repeat in every block, so
+    they are formatted once; value text is held one block at a time.
+    """
+    def text(col):
+        return map(str, np.asarray(col).tolist())
+
+    inner_text = list(map(",".join, zip(*map(text, inner))))
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["i", "j", "k", "value"])
-        for i in range(n1):
-            for j in range(n2):
-                for k in range(field.n_modes):
-                    w.writerow([i, j, k + 1, repr(float(field.data[i, j, k]))])
+        fh.write(",".join(header) + "\r\n")
+        for lead, values in blocks:
+            head = "".join(f"{v}," for v in lead)
+            rows = zip([head + r for r in inner_text], *map(text, values))
+            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
+
+
+def save_field_csv(field: CoeffField, path) -> None:
+    """CSV columns i, j, k, value; rows run over i, then j, then the mode k."""
+    n2, m = field.data.shape[1:]
+    _write_csv(path, ["i", "j", "k", "value"],
+               (np.repeat(np.arange(n2), m), np.tile(np.arange(1, m + 1), n2)),
+               (((i,), (row.reshape(-1),)) for i, row in enumerate(field.data)))
 
 
 def _read_numeric_csv(path, skiprows: int = 0, ndmin: int = 2) -> np.ndarray:
@@ -171,6 +188,8 @@ def load_field_csv(path, support_length: float) -> CoeffField:
     rows = _read_numeric_csv(path, skiprows=1)
     if rows.shape[1] != 4:
         raise FileFormatError("expected rows of i, j, k, value")
+    if not np.all(np.isfinite(rows)) or np.any(rows[:, :3] % 1 != 0):
+        raise FileFormatError("entries must be finite numbers, with integer i, j and k")
     n1 = int(rows[:, 0].max()) + 1
     n2 = int(rows[:, 1].max()) + 1
     m = int(rows[:, 2].max())

@@ -11,7 +11,6 @@ closed-loop validation and the CLI demos.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass, field as dc_field
 
@@ -24,7 +23,7 @@ from .cox import predict_field
 from .errors import (AmbiguousInterpolationError, DivisionGuardError, FileFormatError,
                      InsufficientResolutionError, ParameterDomainError,
                      PipelineStageError, RankDeficiencyError)
-from .field import CoeffField, _read_numeric_csv
+from .field import CoeffField, _read_numeric_csv, _write_csv
 from .sarh import Sarh1Params, family_triples, simulate_sarh1
 from .spectral import Periodogram, periodogram
 from .whittle import DEFAULT_PMF_GROUPS, EstimateOptions, SpectralModel, estimate
@@ -59,14 +58,10 @@ class GridSeries:
 
 
 def save_series_csv(series: GridSeries, path) -> None:
-    """CSV columns site_id, lon, lat, time, value."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["site_id", "lon", "lat", "time", "value"])
-        for s in range(series.sites.shape[0]):
-            lon, lat = series.sites[s]
-            for t_idx, t in enumerate(series.times):
-                w.writerow([s, float(lon), float(lat), float(t), repr(float(series.values[s, t_idx]))])
+    """CSV columns site_id, lon, lat, time, value; rows run over sites, then times."""
+    _write_csv(path, ["site_id", "lon", "lat", "time", "value"], (series.times,),
+               (((s, *site), (v,)) for s, (site, v) in
+                enumerate(zip(series.sites.tolist(), series.values))))
 
 
 def load_series_csv(path) -> GridSeries:

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterDomainError, ResolutionError, SingularSpectrumError
-from .field import CoeffField, FrequencyGrid, _read_binary
+from .errors import (LagUnavailableError, ParameterDomainError, ResolutionError,
+                     SingularSpectrumError)
+from .field import CoeffField, FrequencyGrid, _read_binary, _write_csv
 from .sarh import CAUSAL_FACES, _has_torus_zero
 
 _HEADER = np.dtype([("n1", "<i8"), ("n2", "<i8"), ("m", "<i8"), ("full", "<i8")])
@@ -76,8 +76,8 @@ def periodogram(field: CoeffField, full: bool = False) -> Periodogram:
     xr = _reflect(xt)
     values = xt * xr
     cross = None
-    if full:
-        cross = np.einsum("ijk,ijl->ijkl", xt, xr)
+    if full:  # the same elementwise product, so the diagonal of cross is values bit for bit
+        cross = xt[..., :, None] * xr[..., None, :]
     return Periodogram(FrequencyGrid(field.dims), values, cross)
 
 
@@ -94,9 +94,9 @@ class EmpiricalCov:
     values: np.ndarray
 
     def at(self, z1: int, z2: int) -> np.ndarray:
-        i1 = int(np.where(self.lags1 == z1)[0][0])
-        i2 = int(np.where(self.lags2 == z2)[0][0])
-        return self.values[i1, i2]
+        if z1 not in self.lags1 or z2 not in self.lags2:
+            raise LagUnavailableError(f"lag ({z1}, {z2}) outside the stored lag rectangle")
+        return self.values[np.argmax(self.lags1 == z1), np.argmax(self.lags2 == z2)]
 
 
 def empirical_cov(field: CoeffField, max_lag) -> EmpiricalCov:
@@ -280,24 +280,13 @@ def save_periodogram_csv(pgram: Periodogram, path) -> None:
     Rows run over the Fourier grid, then over the mode pairs (k, l): the
     diagonal pairs only, or every pair when the cross block is present.
     """
-    m = pgram.n_modes
-    if pgram.cross is None:
-        k = l = np.arange(1, m + 1)
-        vals = pgram.values
-    else:
-        pairs = np.arange(m * m)
-        k, l = pairs // m + 1, pairs % m + 1
-        vals = pgram.cross
-    n1, n2 = pgram.grid.dims
-    w1m, w2m = pgram.grid.meshes()
-    cols = [c.reshape(n1, -1) for c in (
-        np.repeat(w1m, k.size, axis=1), np.repeat(w2m, k.size, axis=1),
-        np.tile(k, (n1, n2)), np.tile(l, (n1, n2)), vals.real, vals.imag)]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["w1", "w2", "k", "l", "re", "im"])
-        for i in range(n1):  # one block per w1 row bounds the Python floats held at once
-            w.writerows(zip(*(c[i].tolist() for c in cols)))
+    m, n2 = pgram.n_modes, pgram.grid.dims[1]
+    full = pgram.cross is not None
+    k, l = np.divmod(np.arange(m * m), m) if full else (np.arange(m),) * 2
+    vals = (pgram.cross if full else pgram.values).reshape(pgram.grid.dims[0], -1)
+    _write_csv(path, ["w1", "w2", "k", "l", "re", "im"],
+               (np.repeat(pgram.grid.omega2, k.size), np.tile(k + 1, n2), np.tile(l + 1, n2)),
+               (((w1,), (v.real, v.imag)) for w1, v in zip(pgram.grid.omega1.tolist(), vals)))
 
 
 def save_periodogram_binary(pgram: Periodogram, path) -> None:
@@ -327,12 +316,9 @@ def load_periodogram_binary(path) -> Periodogram:
 
 def save_empirical_cov_csv(cov: EmpiricalCov, path) -> None:
     """CSV columns z1, z2, k, l, re, im (covariances are real; im is 0)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["z1", "z2", "k", "l", "re", "im"])
-        m = cov.values.shape[2]
-        for i1, z1 in enumerate(cov.lags1):
-            for i2, z2 in enumerate(cov.lags2):
-                for k in range(m):
-                    for l in range(m):
-                        w.writerow([z1, z2, k + 1, l + 1, repr(float(cov.values[i1, i2, k, l])), 0.0])
+    m, n2 = cov.values.shape[2], cov.lags2.size
+    k, l = np.divmod(np.arange(m * m), m)
+    vals = cov.values.reshape(cov.lags1.size, -1)
+    _write_csv(path, ["z1", "z2", "k", "l", "re", "im"],
+               (np.repeat(cov.lags2, m * m), np.tile(k + 1, n2), np.tile(l + 1, n2)),
+               (((z1,), (v, np.zeros(v.size))) for z1, v in zip(cov.lags1.tolist(), vals)))

@@ -5,7 +5,7 @@ nested loops for covariances, a naive site-by-site sweep for the SARH(1)
 recursion, the closed-form covariance of the separable (l3 = -l1*l2)
 autoregression, the 2-D grid inversion of a spectrum to covariances, the
 site-pair double sum of the count variance, the dense Fourier-grid Whittle
-loss, a row-by-row CSV writer, and the scalar and grid forms of the
+loss, row-by-row CSV writers, and the scalar and grid forms of the
 eigenvalue families, the stationarity checks and the C2 quadrature.
 Implementations under test must agree with these, never share code with them.
 """
@@ -156,6 +156,42 @@ def periodogram_csv_loop(pgram, path):
                         for l in range(m):
                             v = pgram.cross[i, j, k, l]
                             w.writerow([w1m[i, j], w2m[i, j], k + 1, l + 1, v.real, v.imag])
+
+
+def field_csv_loop(field, path):
+    """Field CSV written row by row from nested site and mode loops."""
+    n1, n2 = field.dims
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["i", "j", "k", "value"])
+        for i in range(n1):
+            for j in range(n2):
+                for k in range(field.n_modes):
+                    w.writerow([i, j, k + 1, repr(float(field.data[i, j, k]))])
+
+
+def empirical_cov_csv_loop(cov, path):
+    """Empirical-covariance CSV written row by row from nested lag and mode loops."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["z1", "z2", "k", "l", "re", "im"])
+        m = cov.values.shape[2]
+        for i1, z1 in enumerate(cov.lags1):
+            for i2, z2 in enumerate(cov.lags2):
+                for k in range(m):
+                    for l in range(m):
+                        w.writerow([z1, z2, k + 1, l + 1, repr(float(cov.values[i1, i2, k, l])), 0.0])
+
+
+def series_csv_loop(series, path):
+    """Series CSV written row by row from nested site and time loops."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["site_id", "lon", "lat", "time", "value"])
+        for s in range(series.sites.shape[0]):
+            lon, lat = series.sites[s]
+            for t_idx, t in enumerate(series.times):
+                w.writerow([s, float(lon), float(lat), float(t), repr(float(series.values[s, t_idx]))])
 
 
 def brute_force_idw(sites, values, nodes, power):

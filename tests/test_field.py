@@ -135,3 +135,18 @@ def test_frequency_grid_ranges(dims):
         w = 2 * np.pi * z / n
         assert np.all(w > -np.pi) and np.all(w <= np.pi)
         assert len(set(z.tolist())) == n
+
+
+@pytest.mark.parametrize("rows", [
+    ["0,0,1,1.0", "0.5,1,1,2.0", "1,0,1,3.0", "1,1.9,1,4.0"],   # truncate to a full 2x2 grid
+    ["0,0,1,1.0", "0,1,1,2.0", "1,0,1,3.0", "1,1,1.5,4.0"],
+    ["0,0,1,1.0", "0,1,1,2.0", "1,0,1,3.0", "1,1,1,nan"],
+    ["0,0,1,1.0", "0,1,1,2.0", "1,0,1,3.0", "inf,1,1,4.0"],
+], ids=["fractional_sites", "fractional_mode", "nan_value", "infinite_index"])
+def test_csv_non_integer_index_or_non_finite_entry_rejected(tmp_path, rows):
+    path = tmp_path / "f.csv"
+    path.write_text("\n".join(["i,j,k,value", *rows]) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the typed error comes before any numpy warning
+        with pytest.raises(FileFormatError):
+            load_field_csv(path, support_length=1.0)

@@ -8,8 +8,8 @@ from spatialcox import (BasisSpec, CoeffField, Periodogram, Sarh1Params, Spectra
                         TestFunction, cov_from_spectrum, cov_map, empirical_cov,
                         fejer_smoothed_inverse, functional_dft, periodogram,
                         save_empirical_cov_csv, save_periodogram_csv, simulate_sarh1)
-from spatialcox.errors import (FileFormatError, ParameterDomainError, ResolutionError,
-                              SingularSpectrumError)
+from spatialcox.errors import (FileFormatError, LagUnavailableError, ParameterDomainError,
+                              ResolutionError, SingularSpectrumError)
 from spatialcox.spectral import load_periodogram_binary, save_periodogram_binary
 
 
@@ -353,3 +353,10 @@ def test_periodogram_binary_negative_diagonal_rejected(tmp_path):
     vals[0, 0, 0] = -1e-12 * np.abs(vals.real).max()
     out = Periodogram(pg.grid, vals).diag_real()
     np.testing.assert_array_equal(out, np.abs(vals.real))
+
+
+@pytest.mark.parametrize("lag", [(3, 0), (0, -3), (9, 9)])
+def test_empirical_cov_at_outside_rectangle_raises(lag):
+    cov = empirical_cov(random_field((6, 6), 1, seed=2), (2, 2))
+    with pytest.raises(LagUnavailableError):
+        cov.at(*lag)
