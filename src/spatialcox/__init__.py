@@ -10,8 +10,7 @@ __version__ = "0.1.0"
 
 from .basis import BasisSpec, design_matrix, project_samples, sine_basis_eval, synthesize
 from .cox import (BorelRect, TestFunction, cov_map, count_moments, cox_intensity,
-                  log_intensity_at, ls_count_predictor, pair_correlation,
-                  plug_in_predict, predict_at_site, predict_field, product_density_n,
+                  ls_count_predictor, pair_correlation, predict_field, product_density_n,
                   sample_counts)
 from .experiment import ExperimentConfig, ExperimentTable, run_experiment
 from .field import (CoeffField, FrequencyGrid, evaluate_field, load_field_binary,
@@ -20,14 +19,11 @@ from .pipeline import (GridSeries, PipelineConfig, PipelineResult, cvfare,
                        idw_interpolate, load_series_csv, make_synthetic_counts,
                        polyfit_trend, run_cross_validation, run_pipeline,
                        save_series_csv, spline_smooth)
-from .sarh import (Sarh1Params, c2_innovation_sd, c2_innovation_var, family_triples,
-                   is_causal, simulate_sarh1)
+from .sarh import (Sarh1Params, SpectralModel, c2_innovation_var, family_triples, is_causal,
+                   simulate_sarh1)
 from .spectral import (EmpiricalCov, Periodogram, cov_from_spectrum, empirical_cov,
                        fejer_smoothed_inverse, functional_dft, periodogram,
-                       save_empirical_cov_csv, save_periodogram_binary,
-                       save_periodogram_csv)
-from .whittle import (EstimateOptions, SpectralModel, ThetaEstimate, estimate,
-                      normalize_c2, pmf_triple, realdata_pmf_spectrum,
-                      sarh1_spectral_density, trig_moments, whittle_loss)
+                       save_periodogram_binary, save_periodogram_csv)
+from .whittle import EstimateOptions, ThetaEstimate, estimate, trig_moments, whittle_loss
 
 __all__ = [name for name in dir() if not name.startswith("_")]

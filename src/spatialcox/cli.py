@@ -18,16 +18,16 @@ import numpy as np
 
 from . import __version__
 from .basis import BasisSpec
-from .cox import BorelRect, TestFunction, cov_map, count_moments, ls_count_predictor, sample_counts
-from .errors import ParameterDomainError
+from .cox import (BorelRect, TestFunction, cov_map, count_moments, ls_count_predictor,
+                  predict_field, sample_counts)
+from .errors import FileFormatError
 from .experiment import ExperimentConfig, run_experiment
 from .field import _read_numeric_csv, load_field_binary, save_field_binary, save_field_csv
 from .pipeline import (PipelineConfig, load_series_csv, make_synthetic_counts,
                        run_cross_validation, run_pipeline)
-from .sarh import Sarh1Params, simulate_sarh1
+from .sarh import FAMILIES, Sarh1Params, SpectralModel, simulate_sarh1
 from .spectral import periodogram, save_periodogram_binary, save_periodogram_csv
-from .whittle import EstimateOptions, SpectralModel, estimate
-from .cox import predict_field
+from .whittle import EstimateOptions, estimate
 
 
 def _parse_dims(text):
@@ -119,8 +119,7 @@ def build_parser():
         argparse.ArgumentParser, allow_abbrev=False))
 
     s = sub.add_parser("simulate", help="generate a SARH(1) coefficient field")
-    s.add_argument("--family", default="example1",
-                   choices=["example1", "example2", "custom"])
+    s.add_argument("--family", default="example1", choices=FAMILIES)
     s.add_argument("--theta", type=_theta_vector, default=np.array([1.0]))
     s.add_argument("--dims", type=_parse_dims, default=(200, 200))
     s.add_argument("--modes", type=int, default=10)
@@ -136,8 +135,7 @@ def build_parser():
     s.add_argument("--csv", action="store_true")
 
     s = sub.add_parser("estimate", help="Whittle estimation from a stored field")
-    s.add_argument("--family", default="example1",
-                   choices=["example1", "example2", "realdata_pmf", "custom"])
+    s.add_argument("--family", default="example1", choices=FAMILIES)
     s.add_argument("--field", required=True)
     s.add_argument("--modes", type=int, default=10)
     s.add_argument("--theta-box", type=_parse_box, default=None)
@@ -227,9 +225,6 @@ def cmd_estimate(args):
 def cmd_cox_moments(args):
     fld = load_field_binary(args.field)
     phi = TestFunction(_read_numeric_csv(args.phi, ndmin=1).ravel())
-    if phi.coefficients.size != fld.n_modes:  # checked before any moment is computed
-        raise ParameterDomainError(f"--phi holds {phi.coefficients.size} coefficients "
-                                   f"for a field of {fld.n_modes} modes")
     rect = args.rect
     payload = {
         "rect": [rect.a1, rect.b1, rect.a2, rect.b2],
@@ -248,12 +243,20 @@ def cmd_cox_moments(args):
     print(f"wrote {out}")
 
 
+def _read_estimate(path):
+    # (family, theta_hat) of an estimate JSON written by the estimate command
+    try:
+        with open(path) as fh:
+            est = json.load(fh)
+        return est["family"], np.array(est["theta_hat"], dtype=float)
+    except (ValueError, KeyError, TypeError) as exc:  # ValueError covers JSONDecodeError
+        raise FileFormatError(f"{path}: not an estimate JSON ({exc!r})") from None
+
+
 def cmd_predict(args):
     fld = load_field_binary(args.field)
-    with open(args.theta) as fh:
-        est = json.load(fh)
-    model = SpectralModel(est["family"], n_modes=fld.n_modes)
-    pred = predict_field(fld, model, np.array(est["theta_hat"]))
+    family, theta_hat = _read_estimate(args.theta)
+    pred = predict_field(fld, SpectralModel(family, n_modes=fld.n_modes), theta_hat)
     out = _out_path(args, args.out)
     save_field_binary(pred, out)
     print(f"wrote {out}")

@@ -49,7 +49,7 @@ class BorelRect:
 
     def __post_init__(self):
         if self.b1 < self.a1 or self.b2 < self.a2:
-            raise ValueError("rectangle must be non-empty")
+            raise ParameterDomainError("rectangle must be non-empty")
 
     @property
     def area(self) -> int:
@@ -62,18 +62,7 @@ class BorelRect:
 
     def check_within(self, dims) -> None:
         if self.a1 < 0 or self.a2 < 0 or self.b1 >= dims[0] or self.b2 >= dims[1]:
-            raise IndexError(f"rectangle {self} outside lattice {dims}")
-
-
-def log_intensity_at(field: CoeffField, site, phi: TestFunction) -> float:
-    """ln(lambda_z)(phi) = <X_z, phi>: dot product of coefficient vectors."""
-    i, j = site
-    if phi.coefficients.size != field.n_modes:
-        raise ValueError("test function length must match field modes")
-    n1, n2 = field.dims
-    if not (0 <= i < n1 and 0 <= j < n2):
-        raise IndexError(f"site {site} outside lattice {field.dims}")
-    return float(field.data[i, j] @ phi.coefficients)
+            raise BoundaryError(f"rectangle {self} outside lattice {dims}")
 
 
 def cox_intensity(cov0: float) -> float:
@@ -146,6 +135,9 @@ def ls_count_predictor(field: CoeffField, rect: BorelRect, phi: TestFunction) ->
     raise :class:`OverflowGuardError` with the offending maximum.
     """
     rect.check_within(field.dims)
+    if phi.coefficients.size != field.n_modes:
+        raise ParameterDomainError(f"phi holds {phi.coefficients.size} coefficients "
+                                   f"for a field of {field.n_modes} modes")
     expo = field.data[rect.a1:rect.b1 + 1, rect.a2:rect.b2 + 1] @ phi.coefficients
     mx = float(expo.max())
     if mx > EXP_GUARD:
@@ -160,25 +152,13 @@ def sample_counts(field: CoeffField, rect: BorelRect, phi: TestFunction, seed: i
     return int(np.random.default_rng(seed).poisson(mean))
 
 
-def plug_in_predict(model, theta_hat, x_left, x_up, x_diag) -> np.ndarray:
-    """One-step quarter-plane prediction from the three causal neighbors.
-
-    Per mode k: l_{k,1} x_left[k] + l_{k,2} x_up[k] + l_{k,3} x_diag[k],
-    with the eigenvalue triples of ``model`` at ``theta_hat``.  ``x_left``
-    is the coefficient vector at (i-1, j), ``x_up`` at (i, j-1), and
-    ``x_diag`` at (i-1, j-1).
-    """
-    triples = model.eig_triples(theta_hat)
-    x_left = np.asarray(x_left, float)
-    x_up = np.asarray(x_up, float)
-    x_diag = np.asarray(x_diag, float)
-    if x_left.shape != (triples.shape[0],):
-        raise ValueError("neighbor vectors must have length M")
-    return triples[:, 0] * x_left + triples[:, 1] * x_up + triples[:, 2] * x_diag
-
-
 def predict_field(field: CoeffField, model, theta_hat) -> CoeffField:
-    """Plug-in prediction at every interior site; boundary rows/columns are zero."""
+    """One-step quarter-plane plug-in prediction at every interior site.
+
+    Per mode k and site (i, j): l_{k,1} X(i-1, j) + l_{k,2} X(i, j-1) +
+    l_{k,3} X(i-1, j-1), with the triples of ``model`` at ``theta_hat``; the
+    first row and column, which lack these neighbours, are zero.
+    """
     triples = model.eig_triples(theta_hat)
     x = field.data
     pred = np.zeros_like(x)
@@ -186,19 +166,6 @@ def predict_field(field: CoeffField, model, theta_hat) -> CoeffField:
                     + triples[:, 1] * x[1:, :-1]
                     + triples[:, 2] * x[:-1, :-1])
     return CoeffField(pred, field.basis)
-
-
-def predict_at_site(field: CoeffField, site, model, theta_hat) -> np.ndarray:
-    """Plug-in prediction at one site; raises for sites missing a neighbor."""
-    i, j = site
-    if i < 1 or j < 1:
-        raise BoundaryError(f"site {site} lacks quarter-plane neighbors")
-    n1, n2 = field.dims
-    if i >= n1 or j >= n2:
-        raise IndexError(f"site {site} outside lattice {field.dims}")
-    return plug_in_predict(model, theta_hat,
-                           field.data[i - 1, j], field.data[i, j - 1],
-                           field.data[i - 1, j - 1])
 
 
 def cov_map(model, theta, phi: TestFunction, max_lag, grid_size: int = 512) -> dict:

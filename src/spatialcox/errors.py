@@ -42,7 +42,7 @@ class LagUnavailableError(SpatialCoxError, KeyError):
 
 
 class BoundaryError(SpatialCoxError, IndexError):
-    """Site lacks the neighbors required by the quarter-plane predictor."""
+    """Lattice rectangle reaches outside the lattice of the field."""
 
 
 class OverflowGuardError(SpatialCoxError, OverflowError):

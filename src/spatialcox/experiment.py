@@ -11,7 +11,7 @@ import numpy as np
 from .errors import ParameterDomainError, SpatialCoxError
 from .sarh import Sarh1Params, simulate_sarh1
 from .spectral import periodogram
-from .whittle import EstimateOptions, SpectralModel, estimate
+from .whittle import EstimateOptions, estimate
 
 TABLE_OPTS = EstimateOptions(loss_tol=1e-10, max_evals=2000)
 
@@ -47,9 +47,7 @@ def _replicate(args):
     cfg, side, rep_seed = args
     params = Sarh1Params(cfg.family, cfg.theta_true, cfg.n_modes)
     fld = simulate_sarh1(params, (side, side), burn_in=cfg.burn_in, seed=rep_seed)
-    pgram = periodogram(fld)
-    model = SpectralModel(cfg.family, n_modes=cfg.n_modes)
-    fit = estimate(model, pgram, cfg.opts)
+    fit = estimate(params.model, periodogram(fld), cfg.opts)
     return np.asarray(fit.theta_hat)
 
 

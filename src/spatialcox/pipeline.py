@@ -24,9 +24,9 @@ from .errors import (AmbiguousInterpolationError, DivisionGuardError, FileFormat
                      InsufficientResolutionError, ParameterDomainError,
                      PipelineStageError, RankDeficiencyError)
 from .field import CoeffField, _read_numeric_csv, _write_csv
-from .sarh import Sarh1Params, family_triples, simulate_sarh1
+from .sarh import DEFAULT_PMF_GROUPS, Sarh1Params, SpectralModel, family_triples, simulate_sarh1
 from .spectral import Periodogram, periodogram
-from .whittle import DEFAULT_PMF_GROUPS, EstimateOptions, SpectralModel, estimate
+from .whittle import EstimateOptions, estimate
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,21 +339,15 @@ def run_pipeline(raw: GridSeries, cfg: PipelineConfig | None = None) -> Pipeline
 
     def _estimate():
         model = SpectralModel(cfg.family, n_modes=cfg.n_modes, groups=cfg.groups)
-        fit = estimate(model, pgram, cfg.estimate_opts)
-        return fit.theta_hat, model.eig_triples(fit.theta_hat), {"fit": fit}
+        return model, estimate(model, pgram, cfg.estimate_opts)
 
-    theta_hat, lambda_hat, fits = stage("estimate", _estimate)
-
-    def _predict():
-        model = SpectralModel("custom", n_modes=cfg.n_modes,
-                              theta_box=np.tile([-1.0, 1.0], (3 * cfg.n_modes, 1)))
-        pred_norm = predict_field(normalized_field, model, lambda_hat.ravel())
-        return CoeffField(pred_norm.data * mode_scale, basis)
-
-    predicted_field = stage("predict", _predict)
+    model, fit = stage("estimate", _estimate)
+    predicted_field = stage("predict", lambda: CoeffField(
+        predict_field(normalized_field, model, fit.theta_hat).data * mode_scale, basis))
 
     return PipelineResult(cfg, out_times, basis, trend_coef, residual_field, mode_scale,
-                          normalized_field, pgram, theta_hat, lambda_hat, fits,
+                          normalized_field, pgram, fit.theta_hat,
+                          model.eig_triples(fit.theta_hat), {"fit": fit},
                           predicted_field, False, diagnostics)
 
 
@@ -402,8 +396,7 @@ def make_synthetic_counts(lattice_dims=(40, 40), n_modes: int = 10, n_months: in
     n1, n2 = lattice_dims
     theta_true = np.asarray(theta_true, dtype=float)
     lam_true = family_triples("realdata_pmf", theta_true, n_modes, groups)
-    params = Sarh1Params("custom", lam_true.ravel(), n_modes,
-                         noise_sd=np.ones(n_modes))
+    params = Sarh1Params("custom", lam_true.ravel(), n_modes)
     basis = BasisSpec(support_length=support_length, n_modes=n_modes)
     fld = simulate_sarh1(params, (n1, n2), burn_in=burn_in, seed=seed, basis=basis)
     amp = amplitude / np.arange(1, n_modes + 1) ** amp_decay

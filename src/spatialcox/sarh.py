@@ -1,4 +1,4 @@
-"""SARH(1) eigenvalue families, causality, C2 normalization and lattice simulation.
+"""SARH(1) parameter families, causality, C2 normalization and lattice simulation.
 
 Per mode k the coefficient field follows the quarter-plane autoregression
 
@@ -13,12 +13,14 @@ unit circle
     |1 - l1 e^{iw}|^2 - |l2 + l3 e^{iw}|^2 = c - 2 d cos w.
 
 The row recursion is solved with a first-order linear filter along columns,
-which is exact and keeps the sweep in compiled code.
+which is exact and keeps the sweep in compiled code.  :class:`SpectralModel`
+is the one model type of the package: simulation, estimation, covariances
+and prediction all read families, boxes and innovation variances from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.signal import lfilter
@@ -27,6 +29,7 @@ from .basis import BasisSpec
 from .errors import ParameterDomainError, StationarityError
 from .field import CoeffField
 
+TWO_PI_SQ = (2.0 * np.pi) ** 2
 THETA_BOX_EXAMPLE1 = np.array([[0.7, 4.0]])
 THETA_BOX_EXAMPLE2 = np.array([[0.7, 1.3], [1.3, 1.9], [1.2, 1.8], [0.9, 1.5]])
 TRIPLE_BOX = np.array([[-0.95, 0.95], [-0.95, 0.95], [-0.9, 0.9]])
@@ -50,7 +53,7 @@ _C2_NODES = np.exp(1j * (-np.pi + 2.0 * np.pi * np.arange(2048) / 2048))
 def _theta_size(family: str, n_modes: int, groups) -> int:
     sizes = {"example1": 1, "example2": 4, "triple": 3, "custom": 3 * n_modes,
              "realdata_pmf": 3 * (1 + len(groups))}
-    if family not in sizes:
+    if family not in FAMILIES:  # a tuple test, so an unhashable family is unknown too
         raise ParameterDomainError(f"unknown family {family!r}")
     return sizes[family]
 
@@ -179,69 +182,127 @@ def c2_innovation_var(triples) -> np.ndarray:
     return out
 
 
-def c2_innovation_sd(triples) -> np.ndarray:
-    """Innovation standard deviations making the field's spectral family C2-normalized.
+@dataclass(frozen=True, eq=False)
+class SpectralModel:
+    """A SARH(1) parameter family: the one place that knows families, theta
+    sizes and boxes, innovation variances and spectral densities.
 
-    The square root of :func:`c2_innovation_var`; 1 for every causal triple.
+    family : one of ``FAMILIES``; "triple" applies one eigenvalue triple
+        theta = (l1, l2, l3) to every mode, "custom" takes theta of length 3*M
+        (per-mode triples), see :func:`family_triples`.
+    n_modes : truncation M
+    theta_box : per-coordinate closed intervals lo < hi, shape (q, 2);
+        None selects :func:`default_box`.
+    noise_sd : per-mode innovation standard deviations of the recursion,
+        shape (M,), finite and >= 0; None selects the C2-normalizing values of
+        :func:`c2_innovation_var` at each theta (1 on the causal set).
+    groups : tuple of tuples of odd mode indices sharing theta_{i,2} in the
+        point-spectra model.
+
+    Mode k has the spectral density sigma2_k / |D_k(e^{iw1}, e^{iw2})|^2 with
+    sigma2 = innovation variance / (2 pi)^2, so that a white-noise mode has
+    variance R_0 = noise_sd^2.  Bad fields raise :class:`ParameterDomainError`
+    at construction.
     """
-    return np.sqrt(c2_innovation_var(triples))
+
+    family: str
+    n_modes: int
+    theta_box: np.ndarray = None
+    noise_sd: np.ndarray | None = None
+    groups: tuple = DEFAULT_PMF_GROUPS
+
+    def __post_init__(self):
+        q = _theta_size(self.family, self.n_modes, self.groups)
+        box = self.theta_box
+        if box is None:
+            box = default_box(self.family, self.n_modes, self.groups)
+        box = np.atleast_2d(np.asarray(box, dtype=float))
+        if box.shape != (q, 2) or not np.all(box[:, 0] < box[:, 1]):
+            raise ParameterDomainError(f"{self.family} theta box must be {q} intervals lo < hi")
+        object.__setattr__(self, "theta_box", box)
+        if self.noise_sd is not None:
+            sd = np.asarray(self.noise_sd, dtype=float)
+            if sd.shape != (self.n_modes,) or not np.all(np.isfinite(sd) & (sd >= 0)):
+                raise ParameterDomainError(f"noise_sd must be {self.n_modes} finite values >= 0")
+            object.__setattr__(self, "noise_sd", sd)
+
+    @property
+    def n_params(self) -> int:
+        return self.theta_box.shape[0]
+
+    def contains(self, theta) -> bool:
+        theta = np.atleast_1d(theta)
+        return bool(np.all(theta >= self.theta_box[:, 0] - 1e-12)
+                    and np.all(theta <= self.theta_box[:, 1] + 1e-12))
+
+    def eig_triples(self, theta) -> np.ndarray:
+        """Eigenvalue triples (l1, l2, l3) for every mode, shape (M, 3)."""
+        return family_triples(self.family, theta, self.n_modes, self.groups)
+
+    def innovation_var(self, theta) -> np.ndarray:
+        """Per-mode innovation variances: ``noise_sd``^2, or the C2-normalizing ones."""
+        if self.noise_sd is not None:
+            return self.noise_sd**2
+        return c2_innovation_var(self.eig_triples(theta))
+
+    def sigma2(self, theta) -> np.ndarray:
+        """Per-mode spectral prefactors sigma^2_{eps(phi_k)} = innovation variance / (2 pi)^2."""
+        return self.innovation_var(theta) / TWO_PI_SQ
+
+    def density(self, theta, omega1, omega2, unit_sigma: bool = False) -> np.ndarray:
+        """Spectral density values, shape broadcast(omega) + (M,)."""
+        l1, l2, l3 = self.eig_triples(theta).T
+        w1 = np.asarray(omega1, dtype=float)[..., None]
+        w2 = np.asarray(omega2, dtype=float)[..., None]
+        d2 = np.abs(1.0 - l1 * np.exp(1j * w1) - l2 * np.exp(1j * w2)
+                    - l3 * np.exp(1j * (w1 + w2))) ** 2
+        s2 = 1.0 if unit_sigma else self.sigma2(theta)
+        with np.errstate(divide="ignore"):  # zeros surface as inf, callers guard
+            return s2 / d2
 
 
 @dataclass(frozen=True)
 class Sarh1Params:
-    """Parameters of the per-mode SARH(1) recursions.
+    """A point (model, theta) of a SARH(1) family, as :func:`simulate_sarh1` takes it.
 
-    family : {"example1", "example2", "custom"}
-    theta : parameter vector (length 1, 4, or 3*M for "custom" per-mode triples)
-    n_modes : M
-    noise_sd : per-mode innovation standard deviations, or None for the
-        C2-normalizing defaults from :func:`c2_innovation_sd`.
+    ``model`` is the :class:`SpectralModel` of (family, n_modes, noise_sd),
+    built and checked at construction; theta is its parameter vector.
     """
 
     family: str
     theta: np.ndarray
     n_modes: int
     noise_sd: np.ndarray | None = None
+    model: SpectralModel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        model = SpectralModel(self.family, self.n_modes, noise_sd=self.noise_sd)
         object.__setattr__(self, "theta", np.atleast_1d(np.asarray(self.theta, dtype=float)))
-        if self.family not in ("example1", "example2", "custom"):
-            raise ParameterDomainError(f"unknown family {self.family!r}")
-        if self.family == "custom" and self.theta.size != 3 * self.n_modes:
-            raise ParameterDomainError("custom family needs 3*M theta entries")
-        if self.noise_sd is not None:
-            sd = np.asarray(self.noise_sd, dtype=float)
-            if sd.shape != (self.n_modes,) or np.any(sd < 0):
-                raise ParameterDomainError("noise_sd must be M nonnegative values")
-            object.__setattr__(self, "noise_sd", sd)
-
-    def eig_triples(self) -> np.ndarray:
-        """Eigenvalue triples (l1, l2, l3) per mode, shape (M, 3)."""
-        return family_triples(self.family, self.theta, self.n_modes)
-
-    def innovation_sd(self) -> np.ndarray:
-        if self.noise_sd is not None:
-            return self.noise_sd
-        return c2_innovation_sd(self.eig_triples())
+        object.__setattr__(self, "noise_sd", model.noise_sd)
+        object.__setattr__(self, "model", model)
 
 
 def simulate_sarh1(params: Sarh1Params, dims, burn_in: int = 100,
                    seed: int = 0, basis: BasisSpec | None = None) -> CoeffField:
     """Generate a stationary zero-mean Gaussian SARH(1) coefficient field.
 
-    A margin of ``burn_in`` rows and columns is generated with zero boundary
-    initialization and discarded, leaving the requested ``dims`` block.  The
-    output is bit-identical for fixed (params, dims, burn_in, seed).  A mode
-    whose triple is not causal (:func:`is_causal`) would make the recursion
-    diverge, so it raises :class:`StationarityError` with the first such
-    mode index.
+    Mode k follows the recursion of the module docstring with the triple of
+    ``params.model`` at ``params.theta`` and innovations of standard
+    deviation sqrt(``params.model.innovation_var(theta)``): ``noise_sd``, or
+    exactly 1 on the causal set by default.  A margin of ``burn_in`` rows and
+    columns is generated with zero boundary initialization and discarded,
+    leaving the requested ``dims`` block.  The output is bit-identical for
+    fixed (params, dims, burn_in, seed).  A mode whose triple is not causal
+    (:func:`is_causal`) would make the recursion diverge, so it raises
+    :class:`StationarityError` with the first such mode index.
     """
     n1, n2 = int(dims[0]), int(dims[1])
     if n1 < 2 or n2 < 2:
         raise ParameterDomainError("dims must be at least (2, 2)")
     if burn_in < 0:
         raise ParameterDomainError("burn_in must be >= 0")
-    triples = params.eig_triples()
+    model = params.model
+    triples = model.eig_triples(params.theta)
     bad = np.flatnonzero(~is_causal(triples))
     if bad.size:
         k = int(bad[0])
@@ -249,7 +310,7 @@ def simulate_sarh1(params: Sarh1Params, dims, burn_in: int = 100,
             f"mode {k + 1}: AR polynomial of {tuple(triples[k].tolist())} vanishes on "
             "the closed unit bidisk", mode=k + 1)
 
-    sds = params.innovation_sd()
+    sds = np.sqrt(model.innovation_var(params.theta))
     rng = np.random.default_rng(seed)
     r1, r2 = n1 + burn_in, n2 + burn_in
     out = np.empty((n1, n2, params.n_modes))

@@ -178,8 +178,8 @@ def cov_from_spectrum(model, theta, lags, grid_size: int = 512):
 
     Parameters
     ----------
-    model : object with ``eig_triples(theta) -> (M, 3)`` and
-        ``sigma2(theta) -> (M,)``, e.g. :class:`spatialcox.SpectralModel`
+    model : :class:`spatialcox.sarh.SpectralModel`, or any object with
+        ``eig_triples(theta) -> (M, 3)`` and ``sigma2(theta) -> (M,)``
     theta : parameter vector
     lags : sequence of integer lag pairs (z1, z2)
     grid_size : starting w1 node count; each mode doubles it until the
@@ -313,12 +313,3 @@ def load_periodogram_binary(path) -> Periodogram:
         return Periodogram(grid, diag.copy(), cross)
     return Periodogram(grid, payload.reshape(n1, n2, m))
 
-
-def save_empirical_cov_csv(cov: EmpiricalCov, path) -> None:
-    """CSV columns z1, z2, k, l, re, im (covariances are real; im is 0)."""
-    m, n2 = cov.values.shape[2], cov.lags2.size
-    k, l = np.divmod(np.arange(m * m), m)
-    vals = cov.values.reshape(cov.lags1.size, -1)
-    _write_csv(path, ["z1", "z2", "k", "l", "re", "im"],
-               (np.repeat(cov.lags2, m * m), np.tile(k + 1, n2), np.tile(l + 1, n2)),
-               (((z1,), (v, np.zeros(v.size))) for z1, v in zip(cov.lags1.tolist(), vals)))

@@ -1,4 +1,4 @@
-"""Parametric spectral families, C2 normalization, and Whittle-type estimation.
+"""Whittle-type estimation of the SARH(1) families of :class:`spatialcox.sarh.SpectralModel`.
 
 The loss is the truncated sup over modes of the frequency-averaged ratio
 periodogram / model density, evaluated on the Fourier grid of the sample.
@@ -23,136 +23,8 @@ import numpy as np
 from scipy.optimize import linprog, minimize, minimize_scalar
 
 from .errors import ParameterDomainError, SingularSpectrumError
-from .sarh import (AFFINE_FAMILIES, CAUSAL_FACES, DEFAULT_PMF_GROUPS, FAMILIES,
-                   _has_torus_zero, c2_innovation_var, default_box, family_jacobian,
-                   family_triples)
+from .sarh import AFFINE_FAMILIES, CAUSAL_FACES, TWO_PI_SQ, SpectralModel, family_jacobian
 from .spectral import Periodogram
-
-TWO_PI_SQ = (2.0 * np.pi) ** 2
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralModel:
-    """Parametric family of diagonal spectral density operators.
-
-    family : {"example1", "example2", "realdata_pmf", "triple", "custom"}
-        "triple" applies one eigenvalue triple theta=(l1,l2,l3) to every
-        mode; "custom" expects theta of length 3*M (per-mode triples).
-    n_modes : truncation M
-    theta_box : per-coordinate closed intervals, shape (q, 2)
-    noise_sd : optional fixed per-mode sigma_{eps(phi_k)}; None selects the
-        C2-normalizing values (recomputed per theta).
-    groups : tuple of tuples of odd mode indices sharing theta_{i,2} in the
-        point-spectra model.
-    """
-
-    family: str
-    n_modes: int
-    theta_box: np.ndarray = None
-    noise_sd: np.ndarray | None = None
-    groups: tuple = DEFAULT_PMF_GROUPS
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ParameterDomainError(f"unknown family {self.family!r}")
-        box = self.theta_box
-        if box is None:
-            box = default_box(self.family, self.n_modes, self.groups)
-        box = np.atleast_2d(np.asarray(box, dtype=float))
-        object.__setattr__(self, "theta_box", box)
-        if self.noise_sd is not None:
-            object.__setattr__(self, "noise_sd", np.asarray(self.noise_sd, dtype=float))
-
-    @property
-    def n_params(self) -> int:
-        return self.theta_box.shape[0]
-
-    def contains(self, theta) -> bool:
-        theta = np.atleast_1d(theta)
-        return bool(np.all(theta >= self.theta_box[:, 0] - 1e-12)
-                    and np.all(theta <= self.theta_box[:, 1] + 1e-12))
-
-    def eig_triples(self, theta) -> np.ndarray:
-        """Eigenvalue triples (l1, l2, l3) for every mode, shape (M, 3)."""
-        return family_triples(self.family, theta, self.n_modes, self.groups)
-
-    def sigma2(self, theta) -> np.ndarray:
-        """Per-mode spectral prefactors sigma^2_{eps(phi_k)} (C2-normalized unless fixed)."""
-        if self.noise_sd is not None:
-            return self.noise_sd**2
-        if self.family == "triple":  # one triple shared by every mode
-            return np.full(self.n_modes, c2_innovation_var(theta)[0] / TWO_PI_SQ)
-        return c2_innovation_var(self.eig_triples(theta)) / TWO_PI_SQ
-
-    def density(self, theta, omega1, omega2, unit_sigma: bool = False) -> np.ndarray:
-        """Spectral density values, shape broadcast(omega) + (M,)."""
-        triples = self.eig_triples(theta)
-        s2 = np.ones(self.n_modes) if unit_sigma else self.sigma2(theta)
-        w1 = np.asarray(omega1, dtype=float)
-        w2 = np.asarray(omega2, dtype=float)
-        out = np.empty(np.broadcast(w1, w2).shape + (self.n_modes,))
-        with np.errstate(divide="ignore"):  # zeros surface as inf, callers guard
-            for k in range(self.n_modes):
-                out[..., k] = s2[k] / _denom_sq(triples[k], w1, w2)
-        return out
-
-
-def _denom_sq(triple, omega1, omega2):
-    l1, l2, l3 = triple
-    d = (1.0 - l1 * np.exp(1j * omega1) - l2 * np.exp(1j * omega2)
-         - l3 * np.exp(1j * (omega1 + omega2)))
-    return np.abs(d) ** 2
-
-
-def pmf_triple(theta, p: int, groups=DEFAULT_PMF_GROUPS) -> tuple[float, float, float]:
-    """Row p of the "realdata_pmf" family (:func:`spatialcox.sarh.family_triples`)."""
-    return tuple(family_triples("realdata_pmf", theta, p, groups)[p - 1].tolist())
-
-
-def sarh1_spectral_density(model: SpectralModel, theta, k: int, omega1, omega2):
-    """Rational SARH(1) spectral density F(phi_k)(phi_k) at the given frequencies."""
-    if not model.contains(theta):
-        raise ParameterDomainError("theta outside the parameter box")
-    triple = model.eig_triples(theta)[k - 1]
-    d2 = _denom_sq(triple, np.asarray(omega1, float), np.asarray(omega2, float))
-    bad = d2 < 1e-14
-    if np.any(bad):
-        omega = (omega1, omega2) if np.ndim(omega1) == 0 else tuple(np.argwhere(bad)[0])
-        raise SingularSpectrumError("spectral density denominator vanishes", omega=omega)
-    out = model.sigma2(theta)[k - 1] / d2
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def realdata_pmf_spectrum(theta, k: int, omega1, omega2, groups=DEFAULT_PMF_GROUPS):
-    """Point-spectra model density with L3 free of the composition constraint.
-
-    The resulting triple must not vanish on the unit torus (exact test);
-    the C2-normalizing prefactor is applied.
-    """
-    triple = pmf_triple(theta, k, groups)
-    if _has_torus_zero(triple)[0]:
-        raise SingularSpectrumError(f"mode {k}: pmf triple {triple} is not stationary")
-    s2 = c2_innovation_var(triple)[0] / TWO_PI_SQ
-    out = s2 / _denom_sq(triple, np.asarray(omega1, float), np.asarray(omega2, float))
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def normalize_c2(model: SpectralModel, theta, grid_size: int = 512) -> np.ndarray:
-    """Per-mode sigma^2 solving the C2 normalization on a 512^2 trapezoid grid.
-
-    Returns sigma2 such that the quadrature of log((2*pi)^2 F) over
-    [-pi, pi]^2 vanishes; the trapezoidal rule coincides with the rectangle
-    rule by 2*pi-periodicity of the integrand.
-    """
-    w = -np.pi + 2.0 * np.pi * np.arange(grid_size) / grid_size
-    w1, w2 = np.meshgrid(w, w, indexing="ij")
-    dens = model.density(theta, w1, w2, unit_sigma=True)
-    if not np.all(np.isfinite(dens)) or np.any(dens <= 0):
-        raise SingularSpectrumError("log of the spectral density is not integrable "
-                                    "on the quadrature grid")
-    mean_log = np.log(dens).mean(axis=(0, 1))
-    return np.exp(-mean_log) / TWO_PI_SQ
-
 
 # ---------------------------------------------------------------------------
 # loss
@@ -187,10 +59,17 @@ def _mode_losses_fast(model: SpectralModel, theta, moments: np.ndarray) -> np.nd
     return _unit_losses(model.eig_triples(theta), moments)[0] / model.sigma2(theta)
 
 
-def whittle_loss(model: SpectralModel, theta, pgram: Periodogram) -> float:
-    """max over modes k <= M of the Fourier-grid average of I_w(phi_k)/F_{w,theta}(phi_k)."""
+def _check_fit_inputs(model: SpectralModel, pgram: Periodogram) -> None:
     if model.n_modes != pgram.n_modes:
         raise ParameterDomainError("model and periodogram mode counts differ")
+    if model.noise_sd is not None and not np.all(model.noise_sd > 0):
+        raise SingularSpectrumError("a zero noise_sd makes that mode's density vanish, "
+                                    "so the Whittle ratio I / F is undefined")
+
+
+def whittle_loss(model: SpectralModel, theta, pgram: Periodogram) -> float:
+    """max over modes k <= M of the Fourier-grid average of I_w(phi_k)/F_{w,theta}(phi_k)."""
+    _check_fit_inputs(model, pgram)
     if not model.contains(theta):
         raise ParameterDomainError("theta outside the parameter box")
     return float(_mode_losses_fast(model, theta, trig_moments(pgram)).max())
@@ -251,7 +130,7 @@ def _fit_scalar(model, moments, opts):
 
 def _mode_losses_with_grad(model: SpectralModel, theta, moments: np.ndarray, jac=None,
                            base=None):
-    """Per-mode losses at the causal sigma2 ((2 pi)^-2, or ``noise_sd``^2) and
+    """Per-mode losses at the causal sigma2 ((2 pi)^-2, or ``noise_sd``^2 (2 pi)^-2) and
     their theta-Jacobian (M, q), J_k' (-2 (G_k a)[1:]) / sigma2 with
     J = :func:`family_jacobian`, passed in when constant.  For an affine
     family, ``base`` (the triples at theta = 0) passed with ``jac`` gives the
@@ -259,7 +138,7 @@ def _mode_losses_with_grad(model: SpectralModel, theta, moments: np.ndarray, jac
     if jac is None:
         jac = family_jacobian(model.family, theta, model.n_modes, model.groups)
     triples = model.eig_triples(theta) if base is None else base + jac @ theta
-    s2 = np.reshape(1.0 / TWO_PI_SQ if model.noise_sd is None else model.noise_sd**2, (-1, 1))
+    s2 = np.reshape((1.0 if model.noise_sd is None else model.noise_sd**2) / TWO_PI_SQ, (-1, 1))
     u, du = _unit_losses(triples, moments)
     return u / s2[:, 0], np.einsum("kiq,ki->kq", jac, du) / s2
 
@@ -314,13 +193,11 @@ def estimate(model: SpectralModel, pgram: Periodogram,
     :class:`ParameterDomainError`).  example1 takes the best node of a
     64-point grid over its box, refined by bounded Brent between the node's
     neighbours.  Both add ``TIE_BREAK`` times the mean-over-modes loss to the
-    sup loss; the reported ``loss_at_min`` is the pure sup loss.
+    sup loss; the reported ``loss_at_min`` is the pure sup loss.  A model
+    with a zero ``noise_sd`` raises :class:`SingularSpectrumError`.
     """
     opts = opts or EstimateOptions()
-    if model.n_modes != pgram.n_modes:
-        raise ParameterDomainError("model and periodogram mode counts differ")
-    if np.any(model.theta_box[:, 1] <= model.theta_box[:, 0]):
-        raise ParameterDomainError("theta box is degenerate")
+    _check_fit_inputs(model, pgram)
     t0 = time.perf_counter()
     moments = trig_moments(pgram)
     fit = _fit_scalar if model.n_params == 1 else _fit_epigraph

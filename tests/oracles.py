@@ -6,13 +6,15 @@ recursion, the closed-form covariance of the separable (l3 = -l1*l2)
 autoregression, the 2-D grid inversion of a spectrum to covariances, the
 site-pair double sum of the count variance, the dense Fourier-grid Whittle
 loss, row-by-row CSV writers, and the scalar and grid forms of the
-eigenvalue families, the stationarity checks and the C2 quadrature.
+eigenvalue families, the stationarity checks and the C2 normalization.
 Implementations under test must agree with these, never share code with them.
 """
 
 import csv
 
 import numpy as np
+
+from spatialcox.errors import SingularSpectrumError
 
 
 def brute_force_dft(data, z1_list, z2_list):
@@ -170,19 +172,6 @@ def field_csv_loop(field, path):
                     w.writerow([i, j, k + 1, repr(float(field.data[i, j, k]))])
 
 
-def empirical_cov_csv_loop(cov, path):
-    """Empirical-covariance CSV written row by row from nested lag and mode loops."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["z1", "z2", "k", "l", "re", "im"])
-        m = cov.values.shape[2]
-        for i1, z1 in enumerate(cov.lags1):
-            for i2, z2 in enumerate(cov.lags2):
-                for k in range(m):
-                    for l in range(m):
-                        w.writerow([z1, z2, k + 1, l + 1, repr(float(cov.values[i1, i2, k, l])), 0.0])
-
-
 def series_csv_loop(series, path):
     """Series CSV written row by row from nested site and time loops."""
     with open(path, "w", newline="") as fh:
@@ -301,6 +290,24 @@ def quadrature_sigma2_c2(l1, l2, l3, n=2048):
     b = np.abs(l2 + l3 * np.exp(1j * w))
     mean_log = np.mean(2.0 * np.log(np.maximum(np.maximum(a, b), 1e-300)))
     return float(np.exp(mean_log)) / (2.0 * np.pi) ** 2
+
+
+def normalize_c2(model, theta, grid_size=512):
+    """Per-mode C2 prefactor sigma^2 on the grid_size^2 rectangle grid over [-pi, pi)^2.
+
+    sigma^2 makes the grid mean of log((2 pi)^2 F) vanish, F = sigma^2 / |D|^2
+    the rational density of each mode; by 2 pi-periodicity the rectangle rule
+    is the trapezoid rule.  A zero of D on the grid raises SingularSpectrumError.
+    """
+    w = -np.pi + 2.0 * np.pi * np.arange(grid_size) / grid_size
+    w1, w2 = np.meshgrid(w, w, indexing="ij")
+    with np.errstate(divide="ignore"):
+        dens = np.stack([rational_density(t, 1.0, w1, w2) for t in model.eig_triples(theta)],
+                        axis=-1)
+    if not np.all(np.isfinite(dens)) or np.any(dens <= 0):
+        raise SingularSpectrumError("log of the spectral density is not integrable "
+                                    "on the quadrature grid")
+    return np.exp(-np.log(dens).mean(axis=(0, 1))) / (2.0 * np.pi) ** 2
 
 
 def log_denominator_mean(l1, l2, l3, n=4096):

@@ -8,16 +8,16 @@ stated criteria, never from the observed values.
 import numpy as np
 import pytest
 
-from oracles import brute_force_cov, brute_force_dft
+from oracles import brute_force_cov, brute_force_dft, normalize_c2
 from spatialcox import (BasisSpec, BorelRect, CoeffField, EstimateOptions,
                         ExperimentConfig, FrequencyGrid, Periodogram, Sarh1Params,
                         SpectralModel, TestFunction, count_moments, cov_from_spectrum,
-                        cvfare, empirical_cov, estimate, functional_dft,
-                        make_synthetic_counts, normalize_c2, periodogram, pmf_triple,
-                        run_experiment, run_pipeline, simulate_sarh1)
+                        cvfare, empirical_cov, estimate, family_triples, functional_dft,
+                        make_synthetic_counts, periodogram, run_experiment, run_pipeline,
+                        simulate_sarh1)
 from spatialcox.cox import cox_intensity, pair_correlation, product_density_n
 from spatialcox.pipeline import PipelineConfig
-from spatialcox.whittle import DEFAULT_PMF_GROUPS
+from spatialcox.sarh import DEFAULT_PMF_GROUPS
 
 TWO_PI_SQ = (2 * np.pi) ** 2
 TABLE_OPTS = EstimateOptions(loss_tol=1e-10, max_evals=2000)
@@ -273,7 +273,7 @@ def test_criterion_11_real_data_fixtures():
     ])
     theta_fit = np.array([0.56, 0.08, 0.189, 0.28, 0.0, 0.0785,
                           0.0033, 0.4444, 0.1230])
-    lam_model = np.array([pmf_triple(theta_fit, p) for p in range(1, 11)])
+    lam_model = family_triples("realdata_pmf", theta_fit, 10)
     # even rows collapse to the base triple exactly
     for p in (2, 4, 6, 8, 10):
         assert tuple(lam_model[p - 1]) == (0.56, 0.28, 0.0033)

@@ -6,7 +6,7 @@ import pytest
 
 from spatialcox import load_field_binary, make_synthetic_counts, save_series_csv
 from spatialcox.cli import main
-from spatialcox.errors import FileFormatError, ParameterDomainError
+from spatialcox.errors import BoundaryError, FileFormatError, ParameterDomainError
 
 
 def run(argv):
@@ -175,3 +175,45 @@ def test_abbreviated_flag_refused(tmp_path, capsys):
     assert not field.exists()
     with pytest.raises(SystemExit):
         run(["--conf", cfg, "simulate", "--out", field])
+
+
+@pytest.mark.parametrize("text, error", [
+    ("{not json", FileFormatError),
+    ('{"theta_hat": [1.0]}', FileFormatError),
+    ('[{"family": "example1"}]', FileFormatError),
+    ('{"family": "example1", "theta_hat": "abc"}', FileFormatError),
+    ('{"family": ["example1"], "theta_hat": [1.0]}', ParameterDomainError),
+], ids=["not_json", "no_family", "list", "text_theta", "list_family"])
+def test_predict_bad_estimate_json_rejected(tmp_path, text, error):
+    field = tmp_path / "field.bin"
+    run(["simulate", "--dims", "8x8", "--modes", "2", "--burn-in", 5, "--out", field])
+    est = tmp_path / "est.json"
+    est.write_text(text)
+    pred = tmp_path / "pred.bin"
+    with pytest.raises(error):
+        run(["predict", "--field", field, "--theta", est, "--out", pred])
+    assert not pred.exists()
+
+
+def test_cox_moments_rect_outside_lattice_rejected(tmp_path):
+    field = tmp_path / "field.bin"
+    run(["simulate", "--dims", "8x8", "--modes", "2", "--burn-in", 5, "--out", field])
+    phi = tmp_path / "phi.csv"
+    phi.write_text("1.0\n0.0\n")
+    out = tmp_path / "moments.json"
+    with pytest.raises(BoundaryError):
+        run(["cox-moments", "--field", field, "--phi", phi, "--rect", "0:20x0:3",
+             "--out", out])
+    assert not out.exists()
+
+
+def test_triple_family_simulate_and_estimate(tmp_path):
+    # every family of sarh.FAMILIES is a choice of both commands
+    field = tmp_path / "field.bin"
+    assert run(["simulate", "--family", "triple", "--theta", "0.1,0.1,0", "--dims", "16x16",
+                "--modes", "2", "--burn-in", 10, "--out", field]) is None
+    est = tmp_path / "est.json"
+    assert run(["estimate", "--family", "triple", "--field", field, "--modes", "2",
+                "--out", est]) is None
+    payload = json.loads(est.read_text())
+    assert payload["family"] == "triple" and len(payload["theta_hat"]) == 3

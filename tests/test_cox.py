@@ -5,11 +5,10 @@ from hypothesis import given, settings, strategies as st
 from oracles import double_sum_count_moments
 from spatialcox import (BasisSpec, BorelRect, CoeffField, Sarh1Params, SpectralModel,
                         TestFunction, cov_map, count_moments, cox_intensity,
-                        log_intensity_at, ls_count_predictor, pair_correlation,
-                        plug_in_predict, predict_at_site, predict_field,
+                        ls_count_predictor, pair_correlation, predict_field,
                         product_density_n, sample_counts, simulate_sarh1)
-from spatialcox.errors import (BoundaryError, InvalidCovarianceError,
-                               LagUnavailableError, OverflowGuardError)
+from spatialcox.errors import (BoundaryError, InvalidCovarianceError, LagUnavailableError,
+                               OverflowGuardError, ParameterDomainError)
 
 
 @pytest.fixture
@@ -18,22 +17,27 @@ def field3():
     return CoeffField(rng.normal(size=(6, 6, 3)), BasisSpec(1.0, 3))
 
 
+def log_intensity(field, site, phi):
+    # ln(lambda_z)(phi) = <X_z, phi>: the log of the count predictor over z's unit cell
+    return np.log(ls_count_predictor(field, BorelRect(site[0], site[0], site[1], site[1]), phi))
+
+
 def test_log_intensity_basis_vector(field3):
     phi = TestFunction([0.0, 1.0, 0.0])
-    assert log_intensity_at(field3, (2, 4), phi) == field3.data[2, 4, 1]
-    assert log_intensity_at(field3, (2, 4), TestFunction([0, 0, 0])) == 0.0
+    assert log_intensity(field3, (2, 4), phi) == pytest.approx(field3.data[2, 4, 1], rel=1e-15)
+    assert log_intensity(field3, (2, 4), TestFunction([0, 0, 0])) == 0.0
 
 
 def test_log_intensity_matches_dot(field3):
     rng = np.random.default_rng(1)
     phi = TestFunction(rng.normal(size=3))
-    got = log_intensity_at(field3, (5, 0), phi)
+    got = log_intensity(field3, (5, 0), phi)
     assert got == pytest.approx(float(np.dot(field3.data[5, 0], phi.coefficients)))
 
 
 def test_log_intensity_dimension_mismatch(field3):
-    with pytest.raises(ValueError):
-        log_intensity_at(field3, (0, 0), TestFunction([1.0, 2.0]))
+    with pytest.raises(ParameterDomainError):
+        log_intensity(field3, (0, 0), TestFunction([1.0, 2.0]))
 
 
 def test_cox_intensity_values():
@@ -121,7 +125,7 @@ def test_ls_predictor_values(field3):
     # arbitrary rectangle matches the per-cell sum
     phi3 = TestFunction([0.3, -0.2, 0.9])
     rect3 = BorelRect(1, 4, 2, 5)
-    direct = sum(np.exp(log_intensity_at(field3, s, phi3)) for s in rect3.sites())
+    direct = sum(np.exp(log_intensity(field3, s, phi3)) for s in rect3.sites())
     assert ls_count_predictor(field3, rect3, phi3) == pytest.approx(direct, rel=1e-12)
 
 
@@ -153,28 +157,41 @@ def test_conditional_mean_equals_variance(field3):
     assert 0.97 < ratio < 1.03
 
 
+def _field(data):
+    data = np.asarray(data, dtype=float)
+    return CoeffField(data, BasisSpec(1.0, data.shape[2]))
+
+
 def test_plug_in_predict_identities():
     model = SpectralModel("custom", n_modes=2, theta_box=[[-1, 1]] * 6)
-    zero_theta = np.zeros(6)
-    out = plug_in_predict(model, zero_theta, [1.0, 2.0], [3.0, 4.0], [5.0, 6.0])
-    np.testing.assert_array_equal(out, 0.0)
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(3, 4, 2))
+    np.testing.assert_array_equal(predict_field(_field(x), model, np.zeros(6)).data, 0.0)
     theta = np.array([0.2, 0.3, -0.1, 0.2, 0.3, -0.1])
-    v = np.array([1.5, -2.0])
-    out = plug_in_predict(model, theta, v, v, v)
-    np.testing.assert_allclose(out, (0.2 + 0.3 - 0.1) * v, rtol=1e-14)
-    # linearity in each neighbor
-    a = plug_in_predict(model, theta, 2.0 * v, v, v)
-    b = plug_in_predict(model, theta, v, v, v)
-    np.testing.assert_allclose(a - b, 0.2 * v, rtol=1e-12)
+    v = np.broadcast_to([1.5, -2.0], (3, 4, 2))
+    out = predict_field(_field(v), model, theta).data
+    np.testing.assert_allclose(out[1:, 1:], (0.2 + 0.3 - 0.1) * v[1:, 1:], rtol=1e-14)
+    # linearity in the field
+    y = rng.normal(size=x.shape)
+    pred = [predict_field(_field(f), model, theta).data for f in (x, y, x + 2.0 * y)]
+    np.testing.assert_allclose(pred[2], pred[0] + 2.0 * pred[1], rtol=1e-12, atol=1e-15)
 
 
 def test_predict_boundary_error(field3):
+    # the first row and column lack quarter-plane neighbours and stay zero;
+    # an interior site is l1 X(i-1, j) + l2 X(i, j-1) + l3 X(i-1, j-1)
     model = SpectralModel("example1", n_modes=3)
+    full = predict_field(field3, model, [1.0]).data
+    assert np.all(full[0] == 0.0) and np.all(full[:, 0] == 0.0)
+    l1, l2, l3 = model.eig_triples([1.0]).T
+    x = field3.data
+    np.testing.assert_allclose(full[2, 2], l1 * x[1, 2] + l2 * x[2, 1] + l3 * x[1, 1],
+                               atol=1e-15)
+    # a count rectangle reaching past the lattice is a typed boundary error
     with pytest.raises(BoundaryError):
-        predict_at_site(field3, (0, 3), model, [1.0])
-    got = predict_at_site(field3, (2, 2), model, [1.0])
-    full = predict_field(field3, model, [1.0])
-    np.testing.assert_allclose(got, full.data[2, 2], atol=1e-15)
+        ls_count_predictor(field3, BorelRect(4, 6, 0, 1), TestFunction([1.0, 0.0, 0.0]))
+    with pytest.raises(ParameterDomainError):
+        BorelRect(2, 1, 0, 0)
 
 
 def test_plug_in_prediction_beats_zero_predictor():

@@ -9,14 +9,13 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import (empirical_cov_csv_loop, field_csv_loop, periodogram_csv_loop,
-                     series_csv_loop)
+from oracles import field_csv_loop, periodogram_csv_loop, series_csv_loop
 from spatialcox import (BasisSpec, CoeffField, GridSeries, Periodogram, empirical_cov,
                         load_field_binary, load_field_csv, load_series_csv, periodogram,
-                        save_empirical_cov_csv, save_field_binary, save_field_csv,
-                        save_periodogram_csv, save_series_csv)
+                        save_field_binary, save_field_csv, save_periodogram_csv,
+                        save_series_csv)
 from spatialcox.field import _write_csv
-from spatialcox.spectral import EmpiricalCov, load_periodogram_binary, save_periodogram_binary
+from spatialcox.spectral import load_periodogram_binary, save_periodogram_binary
 
 # signed zeros, subnormals, 1e-300..1e300 and whole numbers, beside arbitrary finite floats
 SPECIAL = [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e-300, -1e300,
@@ -90,18 +89,6 @@ def test_periodogram_csv_matches_row_loop_oracle_any_values(tmp_path_factory, sh
           else Periodogram(grid, vals))
     assert same_bytes(tmp_path_factory.mktemp("p"), save_periodogram_csv,
                       periodogram_csv_loop, pg)
-
-
-@SETTINGS
-@given(st.integers(0, 2), st.integers(0, 2), st.integers(1, 3), st.data())
-@example(1, 2, 2, None)
-def test_empirical_cov_csv_matches_row_loop_oracle(tmp_path_factory, l1, l2, m, data):
-    shape = (2 * l1 + 1, 2 * l2 + 1, m, m)
-    values = (signed_zero_column(shape) if data is None
-              else data.draw(arrays(np.float64, shape, elements=finite)))
-    cov = EmpiricalCov(np.arange(-l1, l1 + 1), np.arange(-l2, l2 + 1), values)
-    assert same_bytes(tmp_path_factory.mktemp("c"), save_empirical_cov_csv,
-                      empirical_cov_csv_loop, cov)
 
 
 def series_from(sites, times, values):

@@ -8,9 +8,8 @@ from oracles import (bidisk_min_gap, crude_sum_margins, eigenvalues_example1,
                      eigenvalues_example2, grid_has_torus_zero, log_denominator_mean,
                      naive_sarh, pmf_triple_scalar, quadrature_sigma2_c2, rational_density,
                      separable_cov, torus_min_abs_denominator)
-from spatialcox import (Sarh1Params, c2_innovation_sd, c2_innovation_var, cov_from_spectrum,
-                        empirical_cov, family_triples, is_causal, periodogram,
-                        simulate_sarh1, SpectralModel)
+from spatialcox import (Sarh1Params, c2_innovation_var, cov_from_spectrum, empirical_cov,
+                        family_triples, is_causal, periodogram, simulate_sarh1, SpectralModel)
 from spatialcox.errors import ParameterDomainError, StationarityError
 
 
@@ -67,7 +66,7 @@ def test_example2_domain():
 
 
 def test_stationarity_example1():
-    triples = Sarh1Params("example1", [1.0], 10).eig_triples()
+    triples = family_triples("example1", [1.0], 10)
     assert np.all(is_causal(triples))
     margins = crude_sum_margins(triples)
     assert margins[0] == pytest.approx(1.0 - 0.2129083495, abs=1e-9)
@@ -76,7 +75,7 @@ def test_stationarity_example1():
 
 def test_stationarity_custom_violation():
     # (0.6, 0.5, 0): c = 1.11 <= 2|d| = 1.2, so D vanishes on the unit torus
-    triples = Sarh1Params("custom", [0.6, 0.5, 0.0], 1, noise_sd=[1.0]).eig_triples()
+    triples = family_triples("custom", [0.6, 0.5, 0.0], 1)
     assert not is_causal(triples)[0]
     assert grid_has_torus_zero(triples[0])
     assert crude_sum_margins(triples)[0] <= 0
@@ -84,7 +83,7 @@ def test_stationarity_custom_violation():
 
 def test_stationarity_example2_true_values_fails_crude_bound():
     # the sum bound rejects mode 1, yet every mode is causal
-    triples = Sarh1Params("example2", [1.0, 1.6, 1.5, 1.2], 10).eig_triples()
+    triples = family_triples("example2", [1.0, 1.6, 1.5, 1.2], 10)
     margins = crude_sum_margins(triples)
     assert margins[0] == pytest.approx(1.0 - 1.3286713286713288, abs=1e-9)
     assert np.all(margins[1:] > 0)
@@ -179,7 +178,7 @@ def test_non_causal_triple_off_the_torus_rejected(theta):
     # one inside the bidisk; the recursion would grow like 1.2^j
     m = len(theta) // 3
     params = Sarh1Params("custom", theta, m, noise_sd=np.ones(m))
-    assert torus_min_abs_denominator(params.eig_triples()[-1]) > 0.05
+    assert torus_min_abs_denominator(family_triples("custom", theta, m)[-1]) > 0.05
     with pytest.raises(StationarityError) as err:
         simulate_sarh1(params, (8, 8), burn_in=4, seed=0)
     assert err.value.mode == m
@@ -195,16 +194,14 @@ def test_example1_beyond_pi_rejected():
 
 def test_c2_innovation_sd_is_one_for_example_families():
     p1 = Sarh1Params("example1", [1.0], 5)
-    np.testing.assert_allclose(p1.innovation_sd(), 1.0, atol=1e-12)
+    np.testing.assert_array_equal(p1.model.innovation_var(p1.theta), 1.0)
     p2 = Sarh1Params("example2", [1.0, 1.6, 1.5, 1.2], 5)
-    np.testing.assert_allclose(p2.innovation_sd(), 1.0, atol=1e-12)
+    np.testing.assert_array_equal(p2.model.innovation_var(p2.theta), 1.0)
     # any causal-stationary triple is innovation-normalized already: the
     # bidisk-zero-free polynomial has vanishing log integral, so sd = 1
-    sd = c2_innovation_sd([[0.4, 0.3, -0.05]])
-    assert sd[0] == pytest.approx(1.0, abs=1e-10)
+    assert c2_innovation_var([[0.4, 0.3, -0.05]])[0] == 1.0
     # a non-causal factor lifts it: |l1| > 1 gives sd = |l1|
-    sd = c2_innovation_sd([[1.2, 0.0, 0.0]])
-    assert sd[0] == pytest.approx(1.2, abs=1e-9)
+    assert np.sqrt(c2_innovation_var([[1.2, 0.0, 0.0]]))[0] == pytest.approx(1.2, abs=1e-9)
 
 
 def test_spectral_consistency_of_simulator():
@@ -291,7 +288,7 @@ def test_c2_innovation_var_matches_quadrature_oracle(triple):
     assume(rate < 0.98)
     assert got == pytest.approx(want, rel=1e-13)
     sd = np.sqrt(np.exp(log_denominator_mean(*triple)))
-    assert c2_innovation_sd([triple])[0] == pytest.approx(sd, rel=1e-13)
+    assert np.sqrt(c2_innovation_var([triple]))[0] == pytest.approx(sd, rel=1e-13)
 
 
 @pytest.mark.parametrize("triple, region, var", [
@@ -316,8 +313,6 @@ def test_c2_closed_form_in_each_region(triple, region, var):
 def test_example1_family_matches_scalar_oracle(theta, m):
     want = np.array([eigenvalues_example1(theta, k) for k in range(1, m + 1)])
     np.testing.assert_allclose(family_triples("example1", [theta], m), want, rtol=1e-15, atol=0)
-    np.testing.assert_array_equal(Sarh1Params("example1", [theta], m).eig_triples(),
-                                  SpectralModel("example1", m).eig_triples([theta]))
 
 
 @settings(deadline=None)
@@ -344,3 +339,48 @@ def test_family_theta_length_checked():
             family_triples(family, theta, 2)
     with pytest.raises(ParameterDomainError):
         family_triples("nope", [1.0], 2)
+
+
+# --- one model type: SpectralModel checks noise_sd once, in one unit
+
+
+@pytest.mark.parametrize("noise_sd", [[1.0, 1.0, 1.0], [1.0], [1.0, np.nan],
+                                      [1.0, -0.5], [np.inf, 1.0]],
+                         ids=["too_long", "too_short", "nan", "negative", "inf"])
+def test_bad_noise_sd_rejected_at_construction(noise_sd):
+    with pytest.raises(ParameterDomainError):
+        SpectralModel("example1", 2, noise_sd=noise_sd)
+    with pytest.raises(ParameterDomainError):
+        Sarh1Params("example1", [1.0], 2, noise_sd=noise_sd)
+
+
+@pytest.mark.parametrize("box", [[[0.7, 4.0], [0.7, 4.0]], [[2.0, 2.0]], [[3.0, 1.0]]],
+                         ids=["wrong_size", "degenerate", "reversed"])
+def test_bad_theta_box_rejected_at_construction(box):
+    with pytest.raises(ParameterDomainError):
+        SpectralModel("example1", 2, theta_box=box)
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0, 3.0])
+def test_white_noise_has_one_variance_in_simulation_and_model(s):
+    # noise_sd is the innovation sd of the recursion: a white-noise mode
+    # simulates with variance s^2, and its model covariance R_0 is s^2
+    model = SpectralModel("custom", 1, noise_sd=[s])
+    (r0,), _ = cov_from_spectrum(model, np.zeros(3), [(0, 0)])
+    assert r0[0] == pytest.approx(s**2, rel=1e-12)
+    params = Sarh1Params("custom", np.zeros(3), 1, noise_sd=[s])
+    x = simulate_sarh1(params, (200, 200), burn_in=0, seed=11).data
+    assert x.var() == pytest.approx(s**2, rel=0.03)  # 4e4 draws: sd of var/s^2 ~ 0.007
+
+
+@pytest.mark.parametrize("family, theta", [
+    ("example1", [1.0]), ("example2", [1.0, 1.6, 1.5, 1.2]), ("triple", [0.3, 0.2, -0.1]),
+    ("custom", [0.3, 0.2, -0.1] * 3), ("realdata_pmf", [0.32, 0.08, 0.04, 0.26, 0.04, -0.04,
+                                                          -0.1, -0.02, 0.04])])
+def test_simulate_accepts_every_family(family, theta):
+    params = Sarh1Params(family, theta, 3)
+    fld = simulate_sarh1(params, (6, 5), burn_in=4, seed=1)
+    assert fld.data.shape == (6, 5, 3)
+    # the field is that of the family's triples, drawn with unit innovations
+    want = naive_sarh(family_triples(family, theta, 3), np.ones(3), (6, 5), 4, 1)
+    np.testing.assert_allclose(fld.data, want, atol=1e-12)

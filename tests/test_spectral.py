@@ -7,7 +7,7 @@ from oracles import (brute_force_cov, brute_force_cov_pair, brute_force_dft,
 from spatialcox import (BasisSpec, CoeffField, Periodogram, Sarh1Params, SpectralModel,
                         TestFunction, cov_from_spectrum, cov_map, empirical_cov,
                         fejer_smoothed_inverse, functional_dft, periodogram,
-                        save_empirical_cov_csv, save_periodogram_csv, simulate_sarh1)
+                        save_periodogram_csv, simulate_sarh1)
 from spatialcox.errors import (FileFormatError, LagUnavailableError, ParameterDomainError,
                               ResolutionError, SingularSpectrumError)
 from spatialcox.spectral import load_periodogram_binary, save_periodogram_binary
@@ -138,11 +138,11 @@ def test_empirical_cov_lag_domain_error():
 
 
 def test_cov_from_spectrum_constant():
-    # white-noise model with fixed sigma: F == sigma^2, so R_0 = sigma^2 (2 pi)^2
+    # white noise of innovation sd 0.5: F == 0.25 / (2 pi)^2, so R_0 = 0.25
     model = SpectralModel("custom", n_modes=1, theta_box=[[-1, 1]] * 3,
                           noise_sd=np.array([0.5]))
     vals, residue = cov_from_spectrum(model, np.zeros(3), [(0, 0), (1, 0), (3, 2)])
-    assert vals[0, 0] == pytest.approx(0.25 * (2 * np.pi) ** 2, rel=1e-12)
+    assert vals[0, 0] == pytest.approx(0.25, rel=1e-12)
     assert np.max(np.abs(vals[1:])) < 1e-12
     assert residue < 1e-10
 
@@ -240,7 +240,7 @@ def test_fejer_constant_spectrum():
                           noise_sd=np.array([2.0]))
     for m in ((1, 1), (4, 4), (8, 3)):
         q = fejer_smoothed_inverse(model, np.zeros(3), 1, m, (0.3, -1.1))
-        assert q == pytest.approx(1.0 / 4.0, rel=1e-12)
+        assert q == pytest.approx((2 * np.pi) ** 2 / 4.0, rel=1e-12)  # 1/F, F = 4 / (2 pi)^2
 
 
 def test_fejer_converges_to_inverse_spectrum():
@@ -296,10 +296,6 @@ def test_periodogram_serialization_roundtrip(tmp_path):
         if full:
             np.testing.assert_allclose(back.cross, pg.cross, atol=0)
         save_periodogram_csv(pg, tmp_path / f"pg_{full}.csv")
-    cov = empirical_cov(fld, (1, 1))
-    save_empirical_cov_csv(cov, tmp_path / "cov.csv")
-    rows = np.loadtxt(tmp_path / "cov.csv", delimiter=",", skiprows=1)
-    assert rows.shape[0] == 3 * 3 * 2 * 2
 
 
 @pytest.mark.parametrize("full", [False, True])

@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import dense_mode_losses, grid_has_torus_zero, grid_min_triple_loss, rational_density
+from oracles import (dense_mode_losses, grid_has_torus_zero, grid_min_triple_loss,
+                     normalize_c2, rational_density)
 from spatialcox import (EstimateOptions, FrequencyGrid, Periodogram, Sarh1Params,
-                        SpectralModel, estimate, family_triples,
-                        is_causal, normalize_c2,
-                        periodogram, pmf_triple, realdata_pmf_spectrum,
-                        sarh1_spectral_density, simulate_sarh1, trig_moments,
-                        whittle_loss)
+                        SpectralModel, cov_from_spectrum, estimate, family_triples, is_causal,
+                        periodogram, simulate_sarh1, trig_moments, whittle_loss)
 from spatialcox.errors import ParameterDomainError, SingularSpectrumError
 from spatialcox.pipeline import DEFAULT_TRUE_PMF
 from spatialcox.sarh import CAUSAL_FACES, TRIPLE_BOX, _has_torus_zero
@@ -28,18 +26,19 @@ def model_periodogram(model, theta, dims):
 
 
 def test_density_white_noise_is_flat():
+    # innovation sd 1: F = 1 / (2 pi)^2, whose integral over the torus is 1
     model = SpectralModel("custom", n_modes=1, theta_box=[[-1, 1]] * 3,
                           noise_sd=np.array([1.0]))
     w = np.linspace(-np.pi, np.pi, 9)
-    vals = sarh1_spectral_density(model, np.zeros(3), 1, w, w)
-    np.testing.assert_allclose(vals, 1.0, atol=1e-14)
+    vals = model.density(np.zeros(3), w, w)[:, 0]
+    np.testing.assert_allclose(vals, 1.0 / TWO_PI_SQ, rtol=1e-14)
 
 
 def test_density_example1_origin_closed_form():
     model = SpectralModel("example1", n_modes=2)
     s2 = 1.0 / TWO_PI_SQ
     expected = s2 / (1 - 2 / np.pi**2 + 1 / np.pi**4) ** 2
-    got = sarh1_spectral_density(model, [1.0], 1, 0.0, 0.0)
+    got = model.density([1.0], 0.0, 0.0)[0]
     assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -49,9 +48,9 @@ def test_density_even_in_omega():
     rng = np.random.default_rng(2)
     for _ in range(10):
         w1, w2 = rng.uniform(-np.pi, np.pi, 2)
-        a = sarh1_spectral_density(model, th, 2, w1, w2)
-        b = sarh1_spectral_density(model, th, 2, -w1, -w2)
-        assert a == pytest.approx(b, rel=1e-13)
+        a = model.density(th, w1, w2)
+        b = model.density(th, -w1, -w2)
+        np.testing.assert_allclose(a, b, rtol=1e-13)
 
 
 def test_density_matches_oracle():
@@ -236,6 +235,29 @@ def test_estimate_json_roundtrip(tmp_path):
                          "runtime_s"}
 
 
+@pytest.mark.parametrize("family, theta", [("example1", [1.2]), ("triple", [0.3, 0.2, 0.0])])
+def test_zero_noise_sd_rejected_by_fit(family, theta):
+    # a zero innovation sd makes the mode's density vanish, so I / F is undefined
+    model = SpectralModel(family, n_modes=2, noise_sd=[1.0, 0.0])
+    pg = model_periodogram(SpectralModel(family, n_modes=2), theta, (8, 8))
+    with pytest.raises(SingularSpectrumError):
+        estimate(model, pg)
+    with pytest.raises(SingularSpectrumError):
+        whittle_loss(model, theta, pg)
+
+
+def test_fit_with_fixed_noise_sd_recovers_theta():
+    # noise_sd is the innovation sd: a periodogram of innovation sd 2 fitted
+    # with noise_sd = 2 gives the true theta at loss 1
+    model = SpectralModel("example1", n_modes=3, noise_sd=[2.0, 2.0, 2.0])
+    pg = model_periodogram(model, [1.7], (32, 32))
+    scaled = model_periodogram(SpectralModel("example1", n_modes=3), [1.7], (32, 32))
+    np.testing.assert_allclose(pg.values, 4.0 * scaled.values, rtol=1e-14)
+    fit = estimate(model, pg, EstimateOptions(loss_tol=1e-12, max_evals=2000))
+    assert abs(fit.theta_hat[0] - 1.7) < 1e-4
+    assert fit.loss_at_min == pytest.approx(1.0, abs=1e-3)
+
+
 # --- affine families: one convex solve over the causal tetrahedron ----------
 
 BAND_TRIPLE = [0.6, 0.5, 0.0]  # l1 + l2 + l3 = 1.1: D vanishes on the torus
@@ -340,21 +362,23 @@ REPORTED_SPECTRA = np.array([
 ])
 
 
+REFERENCE_TRIPLES = family_triples("realdata_pmf", REFERENCE_FIT_THETA, 10)
+
+
 def test_pmf_triple_layout():
-    lam = pmf_triple(REFERENCE_FIT_THETA, 1)
+    lam = REFERENCE_TRIPLES[0]
     assert lam[0] == pytest.approx(0.56 + 0.08)   # 0.64, vs 0.6578 reported
     assert lam[1] == pytest.approx(0.28)
-    lam2 = pmf_triple(REFERENCE_FIT_THETA, 2)
+    lam2 = REFERENCE_TRIPLES[1]
     assert lam2[0] == pytest.approx(0.56)         # even p: base value only
-    lam7 = pmf_triple(REFERENCE_FIT_THETA, 7)
+    lam7 = REFERENCE_TRIPLES[6]
     assert lam7[0] == pytest.approx(0.56 + 0.189)
     assert lam7[2] == pytest.approx(0.0033 + 0.1230)
 
 
 def test_pmf_even_modes_reduce_to_base():
     for p in (2, 4, 6, 8, 10):
-        lam = pmf_triple(REFERENCE_FIT_THETA, p)
-        assert lam == (0.56, 0.28, 0.0033)
+        assert tuple(REFERENCE_TRIPLES[p - 1]) == (0.56, 0.28, 0.0033)
 
 
 def test_reported_spectra_fixture_values():
@@ -363,7 +387,7 @@ def test_reported_spectra_fixture_values():
     # truth for spectra built from reported values
     assert REPORTED_SPECTRA[1, 2] == pytest.approx(-0.0102)
     assert REPORTED_SPECTRA[0, 0] == pytest.approx(0.6578)
-    assert abs(pmf_triple(REFERENCE_FIT_THETA, 1)[0] - REPORTED_SPECTRA[0, 0]) < 0.02
+    assert abs(REFERENCE_TRIPLES[0, 0] - REPORTED_SPECTRA[0, 0]) < 0.02
     # by the exact torus criterion |c| <= 2|d| the reported rows of the even
     # modes are causal, while those of the odd modes vanish on the torus
     # (c - 2|d| = -0.41 at p = 1).  The grid minimum of |D| stays above 1e-3
@@ -376,19 +400,21 @@ def test_reported_spectra_fixture_values():
 
 
 def test_realdata_pmf_spectrum_values_and_errors():
-    val = realdata_pmf_spectrum(REFERENCE_FIT_THETA, 2, 0.0, 0.0)
-    triple = pmf_triple(REFERENCE_FIT_THETA, 2)
+    # the odd reference triples lie in the torus-zero band, where the
+    # C2 prefactor is a quadrature, so read the even mode 2 (causal)
+    model = SpectralModel("realdata_pmf", n_modes=2)
+    val = model.density(REFERENCE_FIT_THETA, 0.0, 0.0)[1]
+    triple = REFERENCE_TRIPLES[1]
     d = abs(1 - triple[0] - triple[1] - triple[2]) ** 2
     assert val == pytest.approx((1 / TWO_PI_SQ) / d, rel=1e-10)
-    bad = REFERENCE_FIT_THETA.copy()
-    bad[0] = 0.9  # base l1 close to sum 1 with l2: torus zero appears
+    # base triple (1.2, 0.3, 0): |c| <= 2|d|, no covariance exists
     with pytest.raises(SingularSpectrumError):
-        realdata_pmf_spectrum(np.array([1.2, 0, 0, 0.3, 0, 0, 0.0, 0, 0]), 2, 0.0, 0.0)
+        cov_from_spectrum(model, np.array([1.2, 0, 0, 0.3, 0, 0, 0.0, 0, 0]), [(0, 0)])
 
 
 def test_estimate_realdata_pmf_recovers_triples():
     theta_true = np.array([0.30, 0.10, 0.05, 0.22, 0.06, -0.04, -0.08, -0.03, 0.03])
-    lam_true = np.array([pmf_triple(theta_true, p) for p in range(1, 11)])
+    lam_true = family_triples("realdata_pmf", theta_true, 10)
     params = Sarh1Params("custom", lam_true.ravel(), 10, noise_sd=np.ones(10))
     fld = simulate_sarh1(params, (96, 96), burn_in=60, seed=404)
     pg = periodogram(fld)
@@ -400,16 +426,8 @@ def test_estimate_realdata_pmf_recovers_triples():
     assert np.median(rel) < 0.25
     assert fit.loss_at_min > 0
     # reconstruction consistency: theta_hat reproduces lam_hat through the model
-    lam_back = np.array([pmf_triple(fit.theta_hat, p) for p in range(1, 11)])
+    lam_back = family_triples("realdata_pmf", fit.theta_hat, 10)
     np.testing.assert_allclose(lam_back, lam_hat, atol=1e-12)
-
-
-def test_density_singularity_reports_location():
-    model = SpectralModel("custom", n_modes=1, theta_box=[[-2, 2]] * 3)
-    w = np.linspace(-np.pi, np.pi, 33)
-    with pytest.raises(SingularSpectrumError) as err:
-        sarh1_spectral_density(model, np.array([1.0, 0.0, 0.0]), 1, w, np.zeros_like(w))
-    assert err.value.omega is not None
 
 
 # --- exact gradients of the per-mode losses ---------------------------------
