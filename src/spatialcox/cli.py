@@ -3,7 +3,8 @@
 Subcommands: simulate, periodogram, estimate, cox-moments, predict,
 pipeline, cross-validate, experiment.  Every flag can also be supplied
 through ``--config FILE`` holding ``key = value`` lines (keys match the
-long flag names with dashes or underscores); explicit flags win.
+long flag names with dashes or underscores); they become parser defaults,
+so each value goes through its flag's type and explicit flags win.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import argparse
 import functools
 import json
 import os
-import sys
 
 import numpy as np
 
@@ -67,36 +67,20 @@ def _read_config(path):
     return values
 
 
-_CONFIG_PARSERS = {
-    "dims": _parse_dims,
-    "lattice": _parse_dims,
-    "theta": _theta_vector,
-    "theta_box": _parse_box,
-    "rect": _parse_rect,
-}
+# the flags of the top-level parser; every other config key is a subcommand flag
+_TOP_LEVEL_KEYS = ("seed", "threads", "out_dir")
 
 
-def _apply_config(args_ns, config_values, argv):
-    argv = argv if argv is not None else sys.argv[1:]
+def _set_config_defaults(parser, args, config_values):
+    # config values become parser defaults: argparse converts a string default
+    # with the flag's own type, and an explicit flag overrides its default
+    sub = next(a for a in parser._actions if a.dest == "command").choices[args.command]
     for key, raw in config_values.items():
-        if not hasattr(args_ns, key):
+        if not hasattr(args, key):
             raise SystemExit(f"config key {key!r} does not match any flag")
-        flag_forms = {f"--{key.replace('_', '-')}", f"--{key}"}
-        if any(str(a).split("=", 1)[0] in flag_forms for a in argv):
-            continue  # explicit flag (--flag value or --flag=value) wins
-        current = getattr(args_ns, key)
-        if key in _CONFIG_PARSERS:
-            value = _CONFIG_PARSERS[key](raw)
-        elif isinstance(current, bool):
-            value = raw.lower() in ("1", "true", "yes")
-        elif isinstance(current, int):
-            value = int(raw)
-        elif isinstance(current, float):
-            value = float(raw)
-        else:
-            value = raw
-        setattr(args_ns, key, value)
-    return args_ns
+        if isinstance(getattr(args, key), bool):  # a store-true flag
+            raw = raw.lower() in ("1", "true", "yes")
+        (parser if key in _TOP_LEVEL_KEYS else sub).set_defaults(**{key: raw})
 
 
 def _out_path(args, name):
@@ -107,7 +91,8 @@ def _out_path(args, name):
 
 
 def build_parser():
-    # abbreviated long flags are refused: --config precedence matches full names only
+    # abbreviated long flags are refused, so a flag is spelled one way: its full
+    # name, the same on the command line as in a --config file
     p = argparse.ArgumentParser(prog="spatialcox", allow_abbrev=False,
                                 description="Spatial Cox / SARH(1) spectral toolbox")
     p.add_argument("--version", action="version", version=__version__)
@@ -180,7 +165,7 @@ def build_parser():
     s.add_argument("--out", default="cvfare.json")
 
     s = sub.add_parser("experiment", help="Monte Carlo consistency table")
-    s.add_argument("--family", default="example1", choices=["example1", "example2"])
+    s.add_argument("--family", default="example1", choices=FAMILIES)
     s.add_argument("--theta", type=_theta_vector, default=np.array([1.0]))
     s.add_argument("--grid-sizes", default="100,150,200")
     s.add_argument("--replicates", type=int, default=30)
@@ -339,7 +324,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.config:
-        args = _apply_config(args, _read_config(args.config), argv)
+        _set_config_defaults(parser, args, _read_config(args.config))
+        args = parser.parse_args(argv)
     if args.command == "cox-moments" and (args.family is None) != (args.theta is None):
         parser.error("cox-moments: --family and --theta go together")
     return _COMMANDS[args.command](args)

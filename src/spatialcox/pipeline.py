@@ -429,8 +429,9 @@ def run_cross_validation(raw: GridSeries, cfg: PipelineConfig | None = None,
     For each held-out site (a seeded subsample of at most ``max_folds``),
     the pipeline runs on the remaining sites (the IDW stage fills the gap),
     and the predicted intensity curve at the nearest lattice node is scored
-    against the held-out site's own smoothed cumulative curve.  ``radius``
-    extends the held-out set to all sites within that distance.
+    by :func:`cvfare` against the held-out site's own smoothed cumulative
+    curve.  ``radius`` extends the held-out set to all sites within that
+    distance.
 
     Returns a dict with the pointwise CVFARE curve (on the strided time
     grid), its normalized L1 value, and the per-fold values.
@@ -449,8 +450,7 @@ def run_cross_validation(raw: GridSeries, cfg: PipelineConfig | None = None,
     smoothed = spline_smooth(raw.times, values, cfg.n_knots, t_eval)
     observed = np.maximum(smoothed, cfg.log_floor)
 
-    errs = []
-    fold_l1 = []
+    preds = []
     for s in folds:
         dist = np.linalg.norm(raw.sites - raw.sites[s], axis=1)
         keep = dist > radius if radius > 0 else np.arange(n_sites) != s
@@ -462,10 +462,8 @@ def run_cross_validation(raw: GridSeries, cfg: PipelineConfig | None = None,
         ys = np.linspace(sub.sites[:, 1].min(), sub.sites[:, 1].max(), n2)
         i = int(np.argmin(np.abs(xs - raw.sites[s, 0])))
         j = int(np.argmin(np.abs(ys - raw.sites[s, 1])))
-        rel = np.abs((observed[s] - pred[i, j]) / observed[s])
-        errs.append(rel)
-        fold_l1.append(float(np.trapezoid(rel, t_eval) / (t_eval[-1] - t_eval[0])))
-    curve = np.mean(errs, axis=0)
-    l1 = float(np.trapezoid(curve, t_eval) / (t_eval[-1] - t_eval[0]))
+        preds.append(pred[i, j])
+    curve, l1 = cvfare(observed[folds], preds, t_eval)
+    fold_l1 = [cvfare(observed[s], p, t_eval)[1] for s, p in zip(folds, preds)]
     return {"t": t_eval, "cvfare": curve, "l1": l1,
             "folds": folds.tolist(), "fold_l1": fold_l1}

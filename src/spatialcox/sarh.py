@@ -129,6 +129,31 @@ def family_jacobian(family: str, theta, n_modes: int, groups=DEFAULT_PMF_GROUPS)
     return np.stack([d1, d2, -(d1 * l2[:, None] + l1[:, None] * d2)], axis=1)
 
 
+def _cosines(w1, w2) -> np.ndarray:
+    """The five cosines (1, cos w1, cos w2, cos(w1+w2), cos(w1-w2)) stacked on axis 0."""
+    return np.stack([np.ones_like(w1), np.cos(w1), np.cos(w2), np.cos(w1 + w2), np.cos(w1 - w2)])
+
+
+# mu[:, _GRAM] is G_k, the 4x4 form of a linear functional mu_k on the five
+# cosines over the AR stencil: with a = (1, -l1, -l2, -l3) and e = (1, e^{iw1},
+# e^{iw2}, e^{i(w1+w2)}), |D_k|^2 = |a.e|^2 = sum_ij a_i a_j cos(arg e_i - arg e_j),
+# so mu_k(|D_k|^2) = a' G_k a
+_GRAM = np.array([[0, 1, 2, 3], [1, 0, 4, 2], [2, 4, 0, 1], [3, 2, 1, 0]])
+
+
+def _gram_form(triples: np.ndarray, mu: np.ndarray):
+    """Per row k, mu_k(|D_k|^2) = a' G_k a and its triple gradient -2 (G_k a)[1:].
+
+    ``mu`` (K, 5) holds the values of mu_k on the cosines of :func:`_cosines`.
+    1/F_k = |D_k|^2 / sigma2_k is a trigonometric polynomial of degree one in
+    each frequency, so this one form gives the Whittle loss (mu = periodogram
+    averages) and any Fourier functional of the inverse spectrum.
+    """
+    a = np.hstack([np.ones((triples.shape[0], 1)), -triples])
+    ga = np.einsum("kij,kj->ki", mu[:, _GRAM], a)
+    return np.einsum("ki,ki->k", a, ga), -2.0 * ga[:, 1:]
+
+
 def _torus_cd(triples):
     # the triples as rows, and c, d of |1 - l1 e^{iw}|^2 - |l2 + l3 e^{iw}|^2 = c - 2 d cos w
     t = np.atleast_2d(np.asarray(triples, dtype=float))

@@ -9,7 +9,7 @@ import numpy as np
 from .errors import (LagUnavailableError, ParameterDomainError, ResolutionError,
                      SingularSpectrumError)
 from .field import CoeffField, FrequencyGrid, _read_binary, _write_csv
-from .sarh import CAUSAL_FACES, _has_torus_zero
+from .sarh import CAUSAL_FACES, _cosines, _gram_form, _has_torus_zero
 
 _HEADER = np.dtype([("n1", "<i8"), ("n2", "<i8"), ("m", "<i8"), ("full", "<i8")])
 
@@ -132,12 +132,6 @@ def empirical_cov(field: CoeffField, max_lag) -> EmpiricalCov:
 # model-based operations
 
 
-def _rect_grid(n: int) -> np.ndarray:
-    # periodic trapezoidal rule on [-pi, pi]: endpoints coincide, so the
-    # n-point rectangle rule is exact the same quadrature
-    return -np.pi + 2.0 * np.pi * np.arange(n) / n
-
-
 # cap on one mode's w1 quadrature, n nodes x (distinct |z2| + 4) complex
 # values (32 MiB), and its convergence tolerance relative to R_0
 _MAX_QUAD_CELLS = 2**21
@@ -237,37 +231,29 @@ def cov_from_spectrum(model, theta, lags, grid_size: int = 512):
     return vals, residue
 
 
-def fejer_smoothed_inverse(model, theta, k: int, m_smooth, omega,
-                           quad_size: int = 256) -> float:
-    """Cesaro (Fejer-weighted) partial Fourier sum of 1/F at a frequency.
+def fejer_smoothed_inverse(model, theta, k: int, m_smooth, omega) -> float:
+    """Cesaro (Fejer-weighted) partial Fourier sum of 1/F of mode k at a frequency.
 
-    Fourier coefficients g(z) of the inverse spectrum are computed by
-    quadrature on a ``quad_size``^2 grid, then summed over |z_j| <= M_j - 1
-    with triangular weights prod_j (1 - |z_j|/M_j).
+    The Fourier coefficients of 1/F_k = |D_k|^2 / sigma2_k vanish beyond lag 1
+    in each direction (Whittle, 1954), so the sum over |z_j| <= M_j - 1 with
+    triangular weights prod_j (1 - |z_j|/M_j) is exact and has at most nine
+    terms: the cosines of 1/F_k at omega weighted by 1, a1, a2, a1 a2, a1 a2
+    with a_j = 1 - 1/M_j.  A mode index outside 1..M or an order below 1
+    raises :class:`ParameterDomainError`, a zero innovation variance
+    :class:`SingularSpectrumError`.
     """
     m1, m2 = int(m_smooth[0]), int(m_smooth[1])
     if m1 < 1 or m2 < 1:
         raise ParameterDomainError("smoothing orders must be >= 1")
-    if m1 > quad_size // 2 or m2 > quad_size // 2:
-        raise ResolutionError("smoothing order exceeds quadrature resolution")
-    w = _rect_grid(quad_size)
-    w1, w2 = np.meshgrid(w, w, indexing="ij")
-    dens = np.asarray(model.density(theta, w1, w2))[:, :, k - 1]
-    if np.any(dens <= 0) or not np.all(np.isfinite(dens)):
-        raise SingularSpectrumError("model not invertible on the quadrature grid")
-    # g(z) = (1/(2pi)^2) integral e^{i z.w} / F = ifft2(1/F) up to the phase
-    ghat = np.fft.ifft2(1.0 / dens)
-    z1 = np.arange(-(m1 - 1), m1)
-    z2 = np.arange(-(m2 - 1), m2)
-    phase = (-1.0) ** (np.add.outer(z1, z2))
-    g = ghat[np.ix_(z1 % quad_size, z2 % quad_size)] * phase
-    wgt = np.outer(1.0 - np.abs(z1) / m1, 1.0 - np.abs(z2) / m2)
-    om1, om2 = float(omega[0]), float(omega[1])
-    expo = np.exp(-1j * (np.add.outer(z1 * om1, z2 * om2)))
-    q = np.sum(wgt * g * expo)
-    if abs(q.imag) > 1e-8 * max(abs(q.real), 1e-300):
-        raise SingularSpectrumError("Fejer sum has non-negligible imaginary part")
-    return float(q.real)
+    triples = model.eig_triples(theta)
+    if not 1 <= k <= triples.shape[0]:
+        raise ParameterDomainError(f"mode index {k} outside 1..{triples.shape[0]}")
+    sigma2 = model.sigma2(theta)[k - 1]
+    if not sigma2 > 0:
+        raise SingularSpectrumError(f"mode {k}: zero innovation variance, 1/F is undefined")
+    a1, a2 = 1.0 - 1.0 / m1, 1.0 - 1.0 / m2
+    mu = _cosines(float(omega[0]), float(omega[1])) * [1.0, a1, a2, a1 * a2, a1 * a2]
+    return float(_gram_form(triples[k - 1:k], mu[None, :])[0][0] / sigma2)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ import numpy as np
 from scipy.optimize import linprog, minimize, minimize_scalar
 
 from .errors import ParameterDomainError, SingularSpectrumError
-from .sarh import AFFINE_FAMILIES, CAUSAL_FACES, TWO_PI_SQ, SpectralModel, family_jacobian
+from .sarh import (AFFINE_FAMILIES, CAUSAL_FACES, TWO_PI_SQ, SpectralModel, _cosines,
+                   _gram_form, family_jacobian)
 from .spectral import Periodogram
 
 # ---------------------------------------------------------------------------
@@ -38,25 +39,14 @@ def trig_moments(pgram: Periodogram) -> np.ndarray:
     """
     i_diag = pgram.diag_real()
     w1, w2 = pgram.grid.meshes()
-    basis = np.stack([np.ones_like(w1), np.cos(w1), np.cos(w2),
-                      np.cos(w1 + w2), np.cos(w1 - w2)])
-    return np.einsum("ijk,cij->kc", i_diag, basis) / pgram.grid.size
+    return np.einsum("ijk,cij->kc", i_diag, _cosines(w1, w2)) / pgram.grid.size
 
 
-# moments[:, _GRAM] is G_k, the PSD 4x4 form of mode k's moments (m0, c1, c2,
-# c+, c-) over the AR stencil: the loss times sigma2 is a' G_k a, with
-# a = (1, -l1, -l2, -l3), and its gradient in the triple is -2 (G_k a)[1:]
-_GRAM = np.array([[0, 1, 2, 3], [1, 0, 4, 2], [2, 4, 0, 1], [3, 2, 1, 0]])
-
-
-def _unit_losses(triples: np.ndarray, moments: np.ndarray):
-    a = np.hstack([np.ones((triples.shape[0], 1)), -triples])
-    ga = np.einsum("kij,kj->ki", moments[:, _GRAM], a)
-    return np.einsum("ki,ki->k", a, ga), -2.0 * ga[:, 1:]
-
-
+# the loss of mode k times sigma2_k is the periodogram average of |D_k|^2,
+# i.e. sarh._gram_form at mu = trig_moments: a PSD form a' G_k a in
+# a = (1, -l1, -l2, -l3), with gradient -2 (G_k a)[1:] in the triple
 def _mode_losses_fast(model: SpectralModel, theta, moments: np.ndarray) -> np.ndarray:
-    return _unit_losses(model.eig_triples(theta), moments)[0] / model.sigma2(theta)
+    return _gram_form(model.eig_triples(theta), moments)[0] / model.sigma2(theta)
 
 
 def _check_fit_inputs(model: SpectralModel, pgram: Periodogram) -> None:
@@ -139,7 +129,7 @@ def _mode_losses_with_grad(model: SpectralModel, theta, moments: np.ndarray, jac
         jac = family_jacobian(model.family, theta, model.n_modes, model.groups)
     triples = model.eig_triples(theta) if base is None else base + jac @ theta
     s2 = np.reshape((1.0 if model.noise_sd is None else model.noise_sd**2) / TWO_PI_SQ, (-1, 1))
-    u, du = _unit_losses(triples, moments)
+    u, du = _gram_form(triples, moments)
     return u / s2[:, 0], np.einsum("kiq,ki->kq", jac, du) / s2
 
 

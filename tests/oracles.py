@@ -4,9 +4,10 @@ Everything here is deliberately slow and direct: double sums for the DFT,
 nested loops for covariances, a naive site-by-site sweep for the SARH(1)
 recursion, the closed-form covariance of the separable (l3 = -l1*l2)
 autoregression, the 2-D grid inversion of a spectrum to covariances, the
-site-pair double sum of the count variance, the dense Fourier-grid Whittle
-loss, row-by-row CSV writers, and the scalar and grid forms of the
-eigenvalue families, the stationarity checks and the C2 normalization.
+256^2 quadrature of the Fejer-smoothed inverse spectrum, the site-pair
+double sum of the count variance, the dense Fourier-grid Whittle loss,
+row-by-row CSV writers, and the scalar and grid forms of the eigenvalue
+families, the stationarity checks and the C2 normalization.
 Implementations under test must agree with these, never share code with them.
 """
 
@@ -14,7 +15,7 @@ import csv
 
 import numpy as np
 
-from spatialcox.errors import SingularSpectrumError
+from spatialcox.errors import ParameterDomainError, ResolutionError, SingularSpectrumError
 
 
 def brute_force_dft(data, z1_list, z2_list):
@@ -110,6 +111,40 @@ def grid_cov_from_spectrum(model, theta, lags, grid_size):
         for i, (z1, z2) in enumerate(lags):
             out[i, k] = (rhat[z1 % grid_size, z2 % grid_size] * (-1.0) ** (z1 + z2)).real
     return out
+
+
+def quadrature_fejer_inverse(model, theta, k, m_smooth, omega, quad_size=256):
+    """Cesaro (Fejer-weighted) partial Fourier sum of 1/F at a frequency.
+
+    Fourier coefficients g(z) of the inverse spectrum are computed by
+    quadrature on a ``quad_size``^2 grid, then summed over |z_j| <= M_j - 1
+    with triangular weights prod_j (1 - |z_j|/M_j).
+    """
+    m1, m2 = int(m_smooth[0]), int(m_smooth[1])
+    if m1 < 1 or m2 < 1:
+        raise ParameterDomainError("smoothing orders must be >= 1")
+    if m1 > quad_size // 2 or m2 > quad_size // 2:
+        raise ResolutionError("smoothing order exceeds quadrature resolution")
+    # periodic trapezoidal rule on [-pi, pi]: endpoints coincide, so the
+    # n-point rectangle rule is exact the same quadrature
+    w = -np.pi + 2.0 * np.pi * np.arange(quad_size) / quad_size
+    w1, w2 = np.meshgrid(w, w, indexing="ij")
+    dens = np.asarray(model.density(theta, w1, w2))[:, :, k - 1]
+    if np.any(dens <= 0) or not np.all(np.isfinite(dens)):
+        raise SingularSpectrumError("model not invertible on the quadrature grid")
+    # g(z) = (1/(2pi)^2) integral e^{i z.w} / F = ifft2(1/F) up to the phase
+    ghat = np.fft.ifft2(1.0 / dens)
+    z1 = np.arange(-(m1 - 1), m1)
+    z2 = np.arange(-(m2 - 1), m2)
+    phase = (-1.0) ** (np.add.outer(z1, z2))
+    g = ghat[np.ix_(z1 % quad_size, z2 % quad_size)] * phase
+    wgt = np.outer(1.0 - np.abs(z1) / m1, 1.0 - np.abs(z2) / m2)
+    om1, om2 = float(omega[0]), float(omega[1])
+    expo = np.exp(-1j * (np.add.outer(z1 * om1, z2 * om2)))
+    q = np.sum(wgt * g * expo)
+    if abs(q.imag) > 1e-8 * max(abs(q.real), 1e-300):
+        raise SingularSpectrumError("Fejer sum has non-negligible imaginary part")
+    return float(q.real)
 
 
 def double_sum_count_moments(rect, cov):

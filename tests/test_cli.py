@@ -122,6 +122,14 @@ def test_experiment_command(tmp_path):
     assert rows.shape[0] == 1 and rows[0, 0] == 576
 
 
+def test_experiment_command_any_family(tmp_path):
+    out = tmp_path / "triple.csv"
+    run(["experiment", "--family", "triple", "--theta", "0.1,0.1,0", "--grid-sizes", "12",
+         "--replicates", 2, "--modes", 2, "--out", out])
+    rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+    assert rows.shape[0] == 3 and np.all(rows[:, 0] == 144)
+
+
 def test_config_file_merging(tmp_path):
     field = tmp_path / "cfg_field.bin"
     cfg = tmp_path / "run.cfg"
@@ -141,6 +149,40 @@ def test_config_loses_to_explicit_flag_with_equals_sign(tmp_path):
     run(["--config", cfg, "simulate", "--dims=4x4", "--burn-in=3", "--out", field])
     fld = load_field_binary(field)
     assert fld.dims == (4, 4) and fld.n_modes == 2
+
+
+def test_config_bad_value_is_usage_error(tmp_path, capsys):
+    field = tmp_path / "bad_field.bin"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dims = abc\n")
+    with pytest.raises(SystemExit) as err:
+        run(["--config", cfg, "simulate", "--out", field])
+    assert err.value.code == 2
+    assert "--dims" in capsys.readouterr().err
+    assert not field.exists()
+
+
+def test_config_unknown_key_rejected(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("folds = 3\n")
+    with pytest.raises(SystemExit, match="config key 'folds' does not match any flag"):
+        run(["--config", cfg, "simulate", "--out", tmp_path / "f.bin"])
+
+
+def test_config_store_true_and_top_level_keys(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("csv = yes\nout-dir = {}\nseed = 4\ndims = 6x6\nmodes = 2\n"
+                   "burn-in = 3\n".format(tmp_path / "out"))
+    run(["--config", cfg, "simulate", "--out", "f.bin"])
+    assert (tmp_path / "out" / "f.bin.csv").exists()
+    first = load_field_binary(tmp_path / "out" / "f.bin").data
+    run(["--config", cfg, "--seed", 4, "simulate", "--out", "g.bin"])
+    np.testing.assert_array_equal(load_field_binary(tmp_path / "out" / "g.bin").data, first)
+    run(["--config", cfg, "--seed", 5, "simulate", "--out", "h.bin"])
+    assert not np.array_equal(load_field_binary(tmp_path / "out" / "h.bin").data, first)
+    cfg.write_text(cfg.read_text().replace("csv = yes", "csv = no"))
+    run(["--config", cfg, "simulate", "--out", "k.bin"])
+    assert not (tmp_path / "out" / "k.bin.csv").exists()
 
 
 def test_data_roundtrip_through_cli(tmp_path):
@@ -163,8 +205,8 @@ def test_parse_box_multicoordinate():
 
 
 def test_abbreviated_flag_refused(tmp_path, capsys):
-    # argparse would expand --dim to --dims, which the config merge does not
-    # see as explicit, so dims = 6x6 from the file would win
+    # a flag has one spelling, its full name, on the command line as in a
+    # config file: argparse would otherwise expand --dim to --dims
     field = tmp_path / "abbrev_field.bin"
     cfg = tmp_path / "run.cfg"
     cfg.write_text("dims = 6x6\nmodes = 2\nburn-in = 5\n")

@@ -3,13 +3,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import (brute_force_cov, brute_force_cov_pair, brute_force_dft,
-                     grid_cov_from_spectrum, periodogram_csv_loop, separable_cov)
+                     grid_cov_from_spectrum, periodogram_csv_loop, quadrature_fejer_inverse,
+                     separable_cov)
 from spatialcox import (BasisSpec, CoeffField, Periodogram, Sarh1Params, SpectralModel,
                         TestFunction, cov_from_spectrum, cov_map, empirical_cov,
                         fejer_smoothed_inverse, functional_dft, periodogram,
                         save_periodogram_csv, simulate_sarh1)
 from spatialcox.errors import (FileFormatError, LagUnavailableError, ParameterDomainError,
                               ResolutionError, SingularSpectrumError)
+from spatialcox.sarh import _gram_form
 from spatialcox.spectral import load_periodogram_binary, save_periodogram_binary
 
 
@@ -257,6 +259,78 @@ def test_fejer_converges_to_inverse_spectrum():
     assert all(np.diff(sups) < 0), sups
     # Cesaro averaging converges O(1/M); check the decay rate, not magic numbers
     assert sups[-1] < sups[0] / 5
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.tuples(st.floats(-0.95, 0.95), st.floats(-0.95, 0.95), st.floats(-0.9, 0.9)),
+       st.tuples(st.integers(1, 128), st.integers(1, 128)),
+       st.tuples(st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi)))
+def test_fejer_closed_form_matches_quadrature_oracle(triple, m, omega):
+    # the triple box holds causal, non-causal and torus-zero triples alike
+    model = SpectralModel("triple", n_modes=1)
+    got = fejer_smoothed_inverse(model, np.array(triple), 1, m, omega)
+    want = quadrature_fejer_inverse(model, np.array(triple), 1, m, omega)
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_fejer_picks_mode_k():
+    model = SpectralModel("example2", n_modes=4)
+    theta = [1.0, 1.5, 1.5, 1.2]
+    for k in range(1, 5):
+        got = fejer_smoothed_inverse(model, theta, k, (7, 3), (0.3, -1.0))
+        want = quadrature_fejer_inverse(model, theta, k, (7, 3), (0.3, -1.0))
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [0, -2, 4])
+def test_fejer_mode_index_outside_range_rejected(k):
+    # k = 0 and k = -2 used to wrap around to modes 3 and 1, k = 4 hit IndexError
+    model = SpectralModel("example1", n_modes=3)
+    with pytest.raises(ParameterDomainError, match="mode index"):
+        fejer_smoothed_inverse(model, [1.0], k, (4, 4), (0.0, 0.0))
+
+
+def test_fejer_torus_zero_is_exact():
+    # D of (0.5, 0.5, 0) vanishes at omega = 0, a node of any quadrature grid;
+    # the Fejer sum of |D|^2 = 1.5 - cos w1 - cos w2 + 0.5 cos(w1 - w2) there
+    # is 1.5 - 2a + 0.5 a^2 with a = 1 - 1/M
+    model = SpectralModel("triple", n_modes=1)
+    theta = np.array([0.5, 0.5, 0.0])
+    with pytest.raises(SingularSpectrumError):
+        quadrature_fejer_inverse(model, theta, 1, (8, 8), (0.0, 0.0))
+    a = 1.0 - 1.0 / 8
+    got = fejer_smoothed_inverse(model, theta, 1, (8, 8), (0.0, 0.0))
+    assert got == pytest.approx((1.5 - 2 * a + 0.5 * a**2) / model.sigma2(theta)[0], rel=1e-14)
+
+
+def test_fejer_zero_innovation_variance_raises():
+    model = SpectralModel("custom", n_modes=2, theta_box=[[-1, 1]] * 6,
+                          noise_sd=np.array([1.0, 0.0]))
+    assert np.isfinite(fejer_smoothed_inverse(model, np.zeros(6), 1, (2, 2), (0.1, 0.2)))
+    with pytest.raises(SingularSpectrumError):
+        fejer_smoothed_inverse(model, np.zeros(6), 2, (2, 2), (0.1, 0.2))
+
+
+@settings(deadline=None, max_examples=10)
+@given(causal_triples)
+def test_gram_stencil_inverts_covariances(triple):
+    # the Fourier coefficients Q(u) of |D|^2 read off the Gram form at the five
+    # unit functionals: Q(0) = b_0 and Q(u) = b_c / 2 at the two lags +-u of
+    # cosine c; then sum_u Q(u) R_{z-u} = innovation variance * delta_{z,0}
+    b = _gram_form(np.tile(triple, (5, 1)), np.eye(5))[0]
+    stencil = {(0, 0): b[0]}
+    for c, u in enumerate([(1, 0), (0, 1), (1, 1), (1, -1)], start=1):
+        stencil[u] = stencil[(-u[0], -u[1])] = b[c] / 2
+    model = SpectralModel("triple", n_modes=1)
+    zs = [(z1, z2) for z1 in range(-3, 4) for z2 in range(-3, 4)]
+    lags = sorted({(z1 - u1, z2 - u2) for z1, z2 in zs for u1, u2 in stencil})
+    cov, _ = cov_from_spectrum(model, np.array(triple), lags)
+    r = dict(zip(lags, cov[:, 0]))
+    innovation_var = model.innovation_var(np.array(triple))[0]
+    for z1, z2 in zs:
+        got = sum(q * r[(z1 - u1, z2 - u2)] for (u1, u2), q in stencil.items())
+        want = innovation_var if (z1, z2) == (0, 0) else 0.0
+        assert abs(got - want) <= 1e-12 * r[(0, 0)]
 
 
 def test_ergodicity_statistic_decreases_with_n():
