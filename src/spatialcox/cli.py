@@ -71,16 +71,17 @@ def _read_config(path):
 _TOP_LEVEL_KEYS = ("seed", "threads", "out_dir")
 
 
-def _set_config_defaults(parser, args, config_values):
-    # config values become parser defaults: argparse converts a string default
-    # with the flag's own type, and an explicit flag overrides its default
-    sub = next(a for a in parser._actions if a.dest == "command").choices[args.command]
+def _set_config_defaults(parser, config_values):
+    # config values become defaults, converted by the flag's type and beaten by an
+    # explicit flag, of every subcommand owning the flag; they satisfy required=True
+    subs = next(a for a in parser._actions if a.dest == "command").choices.values()
     for key, raw in config_values.items():
-        if not hasattr(args, key):
-            raise SystemExit(f"config key {key!r} does not match any flag")
-        if isinstance(getattr(args, key), bool):  # a store-true flag
-            raw = raw.lower() in ("1", "true", "yes")
-        (parser if key in _TOP_LEVEL_KEYS else sub).set_defaults(**{key: raw})
+        owners = [parser] if key in _TOP_LEVEL_KEYS else subs
+        for action in (a for p in owners for a in p._actions
+                       if a.dest == key and a.default is not argparse.SUPPRESS):
+            store_true = isinstance(action.default, bool)  # takes a truth word
+            action.default = raw.lower() in ("1", "true", "yes") if store_true else raw
+            action.required = False
 
 
 def _out_path(args, name):
@@ -322,10 +323,16 @@ _COMMANDS = {
 
 def main(argv=None):
     parser = build_parser()
+    # --config is read before the full parse, so that it can supply required flags
+    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    config = pre.parse_known_args(argv)[0].config
+    config_values = _read_config(config) if config else {}
+    _set_config_defaults(parser, config_values)
     args = parser.parse_args(argv)
-    if args.config:
-        _set_config_defaults(parser, args, _read_config(args.config))
-        args = parser.parse_args(argv)
+    for key in config_values:
+        if not hasattr(args, key):
+            raise SystemExit(f"config key {key!r} does not match any flag")
     if args.command == "cox-moments" and (args.family is None) != (args.theta is None):
         parser.error("cox-moments: --family and --theta go together")
     return _COMMANDS[args.command](args)

@@ -94,17 +94,13 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentTable:
     for side, child in zip(cfg.grid_sizes, root.spawn(len(cfg.grid_sizes))):
         seeds = [int(s.generate_state(1)[0]) for s in child.spawn(cfg.replicates)]
         jobs = [(cfg, side, s) for s in seeds]
-        estimates, failures = [], []
         if threads > 1:
             with ProcessPoolExecutor(max_workers=threads) as pool:
                 outcomes = list(pool.map(_replicate_safe, jobs))
         else:
             outcomes = [_replicate_safe(job) for job in jobs]
-        for status, out in outcomes:
-            if status == "ok":
-                estimates.append(out)
-            else:
-                failures.append(out)
+        estimates = [out for status, out in outcomes if status == "ok"]
+        failures = [out for status, out in outcomes if status != "ok"]
         if not estimates:
             raise RuntimeError(f"all {len(failures)} replicates failed at side={side}; "
                                f"first failure: {failures[0]}")

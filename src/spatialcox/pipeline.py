@@ -170,12 +170,8 @@ def _legendre_design_on(fit_times, eval_times, degree):
     return np.polynomial.legendre.legvander(u, degree)
 
 
-def polyfit_trend(values, times, degree: int = 10):
-    """Per-site least-squares polynomial trend in time (orthogonal Legendre basis).
-
-    Returns (trend, residual) with residual = values - trend; the residual
-    is orthogonal to the polynomial span up to float tolerance.
-    """
+def _fit_trend(values, times, degree):
+    # per-site Legendre least squares along the last axis: coef (degree + 1, sites), trend
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
     if t.size < degree + 1:
@@ -187,8 +183,17 @@ def polyfit_trend(values, times, degree: int = 10):
         raise RankDeficiencyError(
             "trend design rank deficient even in the orthogonal Legendre basis; "
             "reduce the degree or refine the time grid")
-    trend = (design @ coef).T.reshape(v.shape)
-    return trend, v - trend
+    return coef, (design @ coef).T.reshape(v.shape)
+
+
+def polyfit_trend(values, times, degree: int = 10):
+    """Per-site least-squares polynomial trend in time (orthogonal Legendre basis).
+
+    Returns (trend, residual) with residual = values - trend; the residual
+    is orthogonal to the polynomial span up to float tolerance.
+    """
+    _, trend = _fit_trend(values, times, degree)
+    return trend, np.asarray(values, dtype=float) - trend
 
 
 def cvfare(true_curves, predicted_curves, t_grid):
@@ -303,16 +308,9 @@ def run_pipeline(raw: GridSeries, cfg: PipelineConfig | None = None) -> Pipeline
 
     log_curves = stage("log", lambda: np.log(np.maximum(cube, cfg.log_floor)))
 
-    def _trend():
-        design = _legendre_design_on(out_times, out_times, cfg.trend_degree)
-        coef, _, rank, _ = np.linalg.lstsq(design, log_curves.reshape(-1, out_times.size).T,
-                                           rcond=None)
-        if rank < cfg.trend_degree + 1:
-            raise RankDeficiencyError("trend design rank deficient")
-        resid = log_curves - (design @ coef).T.reshape(log_curves.shape)
-        return coef, resid
-
-    trend_coef, residual = stage("trend", _trend)
+    trend_coef, trend = stage("trend", lambda: _fit_trend(log_curves, out_times,
+                                                          cfg.trend_degree))
+    residual = log_curves - trend
 
     basis = BasisSpec(support_length=support, n_modes=cfg.n_modes)
     coeff = stage("project", lambda: project_samples(out_times, residual, basis, normalized=True))

@@ -12,8 +12,8 @@ unit circle
 
     |1 - l1 e^{iw}|^2 - |l2 + l3 e^{iw}|^2 = c - 2 d cos w.
 
-The row recursion is solved with a first-order linear filter along columns,
-which is exact and keeps the sweep in compiled code.  :class:`SpectralModel`
+X(i, j) needs only the anti-diagonals i + j - 1 and i + j - 2, so the field is
+swept one anti-diagonal at a time, over all modes at once.  :class:`SpectralModel`
 is the one model type of the package: simulation, estimation, covariances
 and prediction all read families, boxes and innovation variances from it.
 """
@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .basis import BasisSpec
 from .errors import ParameterDomainError, StationarityError
@@ -326,8 +325,7 @@ def simulate_sarh1(params: Sarh1Params, dims, burn_in: int = 100,
         raise ParameterDomainError("dims must be at least (2, 2)")
     if burn_in < 0:
         raise ParameterDomainError("burn_in must be >= 0")
-    model = params.model
-    triples = model.eig_triples(params.theta)
+    triples = params.model.eig_triples(params.theta)
     bad = np.flatnonzero(~is_causal(triples))
     if bad.size:
         k = int(bad[0])
@@ -335,23 +333,24 @@ def simulate_sarh1(params: Sarh1Params, dims, burn_in: int = 100,
             f"mode {k + 1}: AR polynomial of {tuple(triples[k].tolist())} vanishes on "
             "the closed unit bidisk", mode=k + 1)
 
-    sds = np.sqrt(model.innovation_var(params.theta))
+    sds = np.sqrt(params.model.innovation_var(params.theta))
     rng = np.random.default_rng(seed)
     r1, r2 = n1 + burn_in, n2 + burn_in
-    out = np.empty((n1, n2, params.n_modes))
+    # innovations of the burn-in block, behind a zero row 0 and column 0
+    buf = np.zeros((r1 + 1, r2 + 1, params.n_modes))
     for k in range(params.n_modes):
-        l1, l2, l3 = triples[k]
-        eps = rng.normal(0.0, sds[k], size=(r1, r2))
-        x = np.zeros((r1, r2))
-        prev = np.zeros(r2)
-        for i in range(r1):
-            b = eps[i]
-            b += l1 * prev
-            b[1:] += l3 * prev[:-1]
-            # X(i, j) = l2 X(i, j-1) + b(j): first-order recursion along the row
-            x[i] = lfilter([1.0], [1.0, -l2], b)
-            prev = x[i]
-        out[:, :, k] = x[burn_in:, burn_in:]
+        buf[1:, 1:, k] = rng.normal(0.0, sds[k], size=(r1, r2))
+    # cell (i, s - i) of anti-diagonal s is row s + i*r2 of flat: a diagonal is one
+    # strided slice, and its up, up-left and left neighbours are that slice shifted
+    # back; ((eps + l1 up) + l3 up-left) + l2 left is the order of the row recursion
+    flat = buf.reshape(-1, params.n_modes)
+    neighbours = ((r2 + 1, triples[:, 0]), (r2 + 2, triples[:, 2]), (1, triples[:, 1]))
+    for s in range(2, r1 + r2 + 1):
+        a, b = s + max(1, s - r2) * r2, s + min(s - 1, r1) * r2 + 1
+        x = flat[a:b:r2]
+        for back, lam in neighbours:
+            x += lam * flat[a - back:b - back:r2]
     if basis is None:
         basis = BasisSpec(support_length=1.0, n_modes=params.n_modes)
-    return CoeffField(out, basis)
+    # a copy, so that the field does not keep the burn-in margin alive
+    return CoeffField(buf[1 + burn_in:, 1 + burn_in:].copy(), basis)

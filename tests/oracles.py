@@ -60,7 +60,11 @@ def brute_force_cov_pair(a, b, z1, z2):
 
 
 def naive_sarh(triples, sds, dims, burn, seed):
-    """Site-by-site SARH(1) sweep with the same innovation stream layout."""
+    """Site-by-site SARH(1) sweep with the same innovation stream layout.
+
+    Each site adds ((eps + l1 up) + l3 up-left) + l2 left, the order of the
+    package's kernel, so the two agree bit for bit.
+    """
     n1, n2 = dims
     m = len(triples)
     rng = np.random.default_rng(seed)
@@ -75,10 +79,10 @@ def naive_sarh(triples, sds, dims, burn, seed):
                 v = eps[i, j]
                 if i > 0:
                     v += l1 * x[i - 1, j]
-                if j > 0:
-                    v += l2 * x[i, j - 1]
                 if i > 0 and j > 0:
                     v += l3 * x[i - 1, j - 1]
+                if j > 0:
+                    v += l2 * x[i, j - 1]
                 x[i, j] = v
         out[:, :, k] = x[burn:, burn:]
     return out

@@ -169,6 +169,30 @@ def test_config_unknown_key_rejected(tmp_path):
         run(["--config", cfg, "simulate", "--out", tmp_path / "f.bin"])
 
 
+def test_config_supplies_required_flags(tmp_path):
+    field = tmp_path / "f.bin"
+    run(["simulate", "--dims", "8x8", "--modes", "2", "--burn-in", 5, "--out", field])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"field = {field}\n")
+    run(["--config", cfg, "periodogram", "--out", tmp_path / "pg.bin"])
+    assert (tmp_path / "pg.bin").exists()
+    phi = tmp_path / "phi.csv"
+    phi.write_text("1.0\n0.0\n")
+    cfg.write_text(f"field = {field}\nphi = {phi}\nrect = 1:3x1:3\n")
+    out = tmp_path / "moments.json"
+    run(["--config", cfg, "cox-moments", "--out", out])
+    assert json.loads(out.read_text())["area"] == 9
+
+
+def test_required_flag_missing_from_config_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"field = {tmp_path / 'f.bin'}\n")
+    with pytest.raises(SystemExit) as err:
+        run(["--config", cfg, "cox-moments", "--rect", "1:3x1:3"])
+    assert err.value.code == 2
+    assert "--phi" in capsys.readouterr().err
+
+
 def test_config_store_true_and_top_level_keys(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("csv = yes\nout-dir = {}\nseed = 4\ndims = 6x6\nmodes = 2\n"

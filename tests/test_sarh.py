@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -105,12 +108,24 @@ def test_simulate_degenerate_ar_is_iid():
     assert abs(var[1] - 4.0) < 0.2
 
 
-def test_simulate_matches_naive_recursion():
-    triples = family_triples("example1", [1.0], 3)
-    params = Sarh1Params("example1", [1.0], 3, noise_sd=[1.0, 1.0, 1.0])
-    fast = simulate_sarh1(params, (12, 9), burn_in=6, seed=7)
-    slow = naive_sarh(triples, [1.0, 1.0, 1.0], (12, 9), 6, 7)
-    np.testing.assert_allclose(fast.data, slow, atol=1e-12)
+# the anti-diagonal bounds of the kernel bind differently on each shape
+@pytest.mark.parametrize("dims, burn_in", [((12, 9), 6), ((9, 12), 6), ((2, 2), 0),
+                                           ((2, 7), 0), ((31, 3), 5)],
+                         ids=["12x9", "9x12", "2x2", "2x7", "31x3"])
+def test_simulate_matches_naive_recursion(dims, burn_in):
+    theta = [0.5, 0.3, -0.2, -0.4, 0.2, 0.1, 0.3, -0.6, 0.05]
+    sds = [1.0, 0.5, 2.0]
+    params = Sarh1Params("custom", theta, 3, noise_sd=sds)
+    fast = simulate_sarh1(params, dims, burn_in=burn_in, seed=7)
+    slow = naive_sarh(family_triples("custom", theta, 3), sds, dims, burn_in, 7)
+    np.testing.assert_array_equal(fast.data, slow)
+
+
+def test_import_leaves_out_scipy_signal():
+    code = "import sys, spatialcox; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "False"
 
 
 def test_simulate_reproducible():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import (brute_force_cov, brute_force_cov_pair, brute_force_dft,
                      grid_cov_from_spectrum, periodogram_csv_loop, quadrature_fejer_inverse,
@@ -269,7 +269,12 @@ def test_fejer_closed_form_matches_quadrature_oracle(triple, m, omega):
     # the triple box holds causal, non-causal and torus-zero triples alike
     model = SpectralModel("triple", n_modes=1)
     got = fejer_smoothed_inverse(model, np.array(triple), 1, m, omega)
-    want = quadrature_fejer_inverse(model, np.array(triple), 1, m, omega)
+    try:
+        want = quadrature_fejer_inverse(model, np.array(triple), 1, m, omega)
+    except SingularSpectrumError:
+        # D vanishes on a node of the oracle's grid, e.g. (0, 0.5, 0.5) at w = 0,
+        # where the oracle is undefined; test_fejer_torus_zero_is_exact covers it
+        assume(False)
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
