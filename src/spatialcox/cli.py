@@ -143,27 +143,22 @@ def build_parser():
     s.add_argument("--theta", required=True, help="estimate JSON from the estimate command")
     s.add_argument("--out", default="pred.bin")
 
-    s = sub.add_parser("pipeline", help="run the estimation pipeline on site series")
-    s.add_argument("--data", default=None, help="CSV site_id,lon,lat,time,value; "
-                                                "omit to run on synthetic data")
-    s.add_argument("--lattice", type=_parse_dims, default=(20, 20))
-    s.add_argument("--time-nodes", type=int, default=1725)
-    s.add_argument("--knots", type=int, default=40)
-    s.add_argument("--trend-degree", type=int, default=10)
-    s.add_argument("--modes", type=int, default=10)
-    s.add_argument("--no-cumulate", action="store_true")
-    s.add_argument("--out", default="pipeline.json")
-
-    s = sub.add_parser("cross-validate", help="leave-site-out CVFARE")
-    s.add_argument("--data", default=None)
-    s.add_argument("--lattice", type=_parse_dims, default=(20, 20))
-    s.add_argument("--time-nodes", type=int, default=1725)
-    s.add_argument("--knots", type=int, default=40)
-    s.add_argument("--trend-degree", type=int, default=10)
-    s.add_argument("--modes", type=int, default=10)
-    s.add_argument("--folds", type=int, default=12)
-    s.add_argument("--radius", type=float, default=0.0)
-    s.add_argument("--out", default="cvfare.json")
+    pipe = sub.add_parser("pipeline", help="run the estimation pipeline on site series")
+    cv = sub.add_parser("cross-validate", help="leave-site-out CVFARE")
+    cfg = PipelineConfig()
+    for s in (pipe, cv):
+        s.add_argument("--data", default=None, help="CSV site_id,lon,lat,time,value; "
+                                                    "omit to run on synthetic data")
+        s.add_argument("--lattice", type=_parse_dims, default=cfg.lattice_dims)
+        s.add_argument("--time-nodes", type=int, default=cfg.n_time_nodes)
+        s.add_argument("--knots", type=int, default=cfg.n_knots)
+        s.add_argument("--trend-degree", type=int, default=cfg.trend_degree)
+        s.add_argument("--modes", type=int, default=cfg.n_modes)
+    pipe.add_argument("--no-cumulate", action="store_true")
+    pipe.add_argument("--out", default="pipeline.json")
+    cv.add_argument("--folds", type=int, default=12)
+    cv.add_argument("--radius", type=float, default=0.0)
+    cv.add_argument("--out", default="cvfare.json")
 
     s = sub.add_parser("experiment", help="Monte Carlo consistency table")
     s.add_argument("--family", default="example1", choices=FAMILIES)
@@ -251,22 +246,18 @@ def cmd_predict(args):
 def _pipeline_config(args):
     return PipelineConfig(lattice_dims=args.lattice, n_time_nodes=args.time_nodes,
                           n_knots=args.knots, trend_degree=args.trend_degree,
-                          n_modes=args.modes,
-                          cumulate=not getattr(args, "no_cumulate", False))
+                          n_modes=args.modes, cumulate=not getattr(args, "no_cumulate", False))
 
 
 def _load_or_make_series(args):
     if args.data:
         return load_series_csv(args.data), None
-    series, truth = make_synthetic_counts(lattice_dims=args.lattice, n_modes=args.modes,
-                                          seed=args.seed)
-    return series, truth
+    return make_synthetic_counts(lattice_dims=args.lattice, n_modes=args.modes, seed=args.seed)
 
 
 def cmd_pipeline(args):
     series, truth = _load_or_make_series(args)
-    cfg = _pipeline_config(args)
-    res = run_pipeline(series, cfg)
+    res = run_pipeline(series, _pipeline_config(args))
     out = _out_path(args, args.out)
     payload = {
         "estimation_skipped": res.estimation_skipped,
@@ -284,8 +275,7 @@ def cmd_pipeline(args):
 
 def cmd_cross_validate(args):
     series, _ = _load_or_make_series(args)
-    cfg = _pipeline_config(args)
-    result = run_cross_validation(series, cfg, max_folds=args.folds,
+    result = run_cross_validation(series, _pipeline_config(args), max_folds=args.folds,
                                   radius=args.radius, seed=args.seed)
     out = _out_path(args, args.out)
     with open(out, "w") as fh:

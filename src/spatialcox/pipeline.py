@@ -1,12 +1,14 @@
 """Space-time count ingestion and the estimation pipeline.
 
-Stages (in order): cumulate raw records, least-squares cubic B-spline
-smoothing onto a dense time grid, inverse-distance-weighted interpolation
-to a regular lattice, log transform, per-site polynomial trend removal,
-projection onto the sine basis, per-mode normalization, 2-D FFT
-periodogram, point-spectra model fit, and plug-in prediction.  A synthetic
-generator producing count data from a known field + trend supports
-closed-loop validation and the CLI demos.
+Stages (in order): cumulate raw records, least-squares cubic B-spline fit
+per site, inverse-distance-weighted interpolation of the spline
+coefficients to a regular lattice, evaluation on a dense time grid, log
+transform, per-node polynomial trend fit, projection of the detrended
+curves onto the sine basis as P(log) - (P Q)(Q^T log) (Q orthonormal on
+the trend span, so the residual cube is never formed), per-mode
+normalization, 2-D FFT periodogram, point-spectra model fit, and plug-in
+prediction.  A synthetic generator producing count data from a known
+field + trend supports closed-loop validation and the CLI demos.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import time
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.interpolate import make_lsq_spline
+from scipy.interpolate import BSpline
+from scipy.linalg import solve_triangular
 from scipy.spatial.distance import cdist
 
 from .basis import BasisSpec, design_matrix, project_samples
@@ -102,10 +105,10 @@ def idw_interpolate(series: GridSeries, target_dims, power: float = 2.0) -> Grid
 
     Lattice nodes span the bounding box of the source sites; a node
     coinciding with a source reproduces that source exactly, and coinciding
-    with several sources carrying different series raises
+    with several sources whose rows are not ``np.isclose`` raises
     :class:`AmbiguousInterpolationError`.  The remaining nodes take one
     row-normalised weight-matrix product, so the cost is one (nodes x sites)
-    @ (sites x times) product and O(nodes x sites) memory for the weights.
+    @ (sites x columns) product and O(nodes x sites) memory for the weights.
     """
     if power <= 0:
         raise ParameterDomainError("IDW power must be positive")
@@ -113,39 +116,45 @@ def idw_interpolate(series: GridSeries, target_dims, power: float = 2.0) -> Grid
     xs = np.linspace(series.sites[:, 0].min(), series.sites[:, 0].max(), n1)
     ys = np.linspace(series.sites[:, 1].min(), series.sites[:, 1].max(), n2)
     nodes = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
-    d = cdist(nodes, series.sites)
-    scale = max(d.max(), 1.0)
-    hits = d < 1e-9 * scale
+    d2 = cdist(nodes, series.sites, "sqeuclidean")
+    hits = d2 < (1e-9 * max(np.sqrt(d2.max()), 1.0)) ** 2
     is_hit = hits.any(axis=1)
     out = np.empty((nodes.shape[0], series.times.size))
 
-    # a hit node copies its first coincident source; later coincident
-    # sources must carry the same series
+    # a hit node copies its first coincident source; every coincident
+    # source must carry the same series
+    hits = hits[is_hit]
     first = hits.argmax(axis=1)
     node_idx, src_idx = np.nonzero(hits)
-    extra = src_idx != first[node_idx]
-    if extra.any():
-        node_idx, src_idx = node_idx[extra], src_idx[extra]
-        same = np.isclose(series.values[src_idx], series.values[first[node_idx]]).all(axis=1)
-        if not same.all():
-            bad = node_idx[~same][0]
-            raise AmbiguousInterpolationError(
-                f"node {nodes[bad]} coincides with sources holding distinct values")
-    out[is_hit] = series.values[first[is_hit]]
+    same = np.isclose(series.values[src_idx], series.values[first[node_idx]],
+                      equal_nan=True).all(axis=1)
+    if not same.all():
+        raise AmbiguousInterpolationError(f"node {nodes[is_hit][node_idx[~same][0]]} "
+                                          "coincides with sources holding distinct values")
+    out[is_hit] = series.values[first]
 
     miss = ~is_hit
     if miss.any():
-        w = d[miss] ** (-power)
+        w = d2[miss] if is_hit.any() else d2
+        w **= -0.5 * power  # in place: d2 is not read again
         out[miss] = (w @ series.values) / w.sum(axis=1)[:, None]
     return GridSeries(nodes, series.times, out, lattice_dims=(n1, n2))
 
 
-def spline_smooth(times, values, n_knots: int, out_grid) -> np.ndarray:
+def _qr_of_design(design, what):
+    # thin QR of a least-squares design, after the rank test lstsq applies
+    if np.linalg.matrix_rank(design) < design.shape[1]:
+        raise RankDeficiencyError(f"{what} design is rank deficient: fewer terms or more times")
+    return np.linalg.qr(design)
+
+
+def spline_smooth(times, values, n_knots: int) -> BSpline:
     """Least-squares cubic B-spline fit with uniform interior knots.
 
-    values : (..., T) curves sampled at ``times``; fitted jointly (shared
-    design matrix) and evaluated on ``out_grid`` (clamped to the data range,
-    so no extrapolation happens).
+    values : (..., T) curves sampled at ``times``, fitted jointly by one QR of
+    the shared (T, n_knots + 4) design.  Returns the fitted ``BSpline``: called
+    on a grid in the data range it gives the (..., len(grid)) curves, and its
+    ``c`` holds the (n_knots + 4, ...) coefficients.
     """
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -154,14 +163,9 @@ def spline_smooth(times, values, n_knots: int, out_grid) -> np.ndarray:
             f"need >= n_knots + 4 = {n_knots + 4} observations, got {t.size}")
     interior = np.linspace(t[0], t[-1], n_knots + 2)[1:-1]
     knots = np.r_[[t[0]] * 4, interior, [t[-1]] * 4]
-    flat = v.reshape(-1, t.size).T
-    try:
-        spl = make_lsq_spline(t, flat, knots, k=3)
-    except Exception as exc:
-        raise RankDeficiencyError(f"spline design is rank deficient: {exc}") from exc
-    out = np.asarray(out_grid, dtype=float)
-    fitted = spl(np.clip(out, t[0], t[-1]))
-    return fitted.T.reshape(v.shape[:-1] + (out.size,))
+    q, r = _qr_of_design(BSpline.design_matrix(t, knots, 3).toarray(), "spline")
+    coef = solve_triangular(r, q.T @ v.reshape(-1, t.size).T)
+    return BSpline(knots, coef.T.reshape(v.shape[:-1] + (knots.size - 4,)), 3, axis=-1)
 
 
 def _legendre_design_on(fit_times, eval_times, degree):
@@ -171,19 +175,16 @@ def _legendre_design_on(fit_times, eval_times, degree):
 
 
 def _fit_trend(values, times, degree):
-    # per-site Legendre least squares along the last axis: coef (degree + 1, sites), trend
+    # per-site Legendre least squares along the last axis by one QR of the design:
+    # coef (degree + 1, sites), Q (T, degree + 1) and the coordinates Q^T v (sites, degree + 1)
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
     if t.size < degree + 1:
         raise InsufficientResolutionError(
             f"need >= degree + 1 = {degree + 1} time points, got {t.size}")
-    design = _legendre_design_on(t, t, degree)
-    coef, _, rank, _ = np.linalg.lstsq(design, v.reshape(-1, t.size).T, rcond=None)
-    if rank < degree + 1:
-        raise RankDeficiencyError(
-            "trend design rank deficient even in the orthogonal Legendre basis; "
-            "reduce the degree or refine the time grid")
-    return coef, (design @ coef).T.reshape(v.shape)
+    q, r = _qr_of_design(_legendre_design_on(t, t, degree), "trend")
+    qtv = v.reshape(-1, t.size) @ q
+    return solve_triangular(r, qtv.T), q, qtv
 
 
 def polyfit_trend(values, times, degree: int = 10):
@@ -192,8 +193,9 @@ def polyfit_trend(values, times, degree: int = 10):
     Returns (trend, residual) with residual = values - trend; the residual
     is orthogonal to the polynomial span up to float tolerance.
     """
-    _, trend = _fit_trend(values, times, degree)
-    return trend, np.asarray(values, dtype=float) - trend
+    _, q, qtv = _fit_trend(values, times, degree)
+    trend = (qtv @ q.T).reshape(np.shape(values))
+    return trend, np.subtract(values, trend)
 
 
 def cvfare(true_curves, predicted_curves, t_grid):
@@ -225,7 +227,7 @@ class PipelineConfig:
     n_time_nodes: int = 1725
     n_knots: int = 40
     log_floor: float = 1.0
-    trend_degree: int = 10
+    trend_degree: int = 3
     n_modes: int = 10
     family: str = "realdata_pmf"
     groups: tuple = DEFAULT_PMF_GROUPS
@@ -299,40 +301,50 @@ def run_pipeline(raw: GridSeries, cfg: PipelineConfig | None = None) -> Pipeline
 
     support = cfg.support_length if cfg.support_length is not None else float(raw.times[-1])
     out_times = np.linspace(0.0, support, cfg.n_time_nodes)
-    smoothed = stage("smooth", lambda: spline_smooth(raw.times, values, cfg.n_knots, out_times))
+    spline = stage("smooth", lambda: spline_smooth(raw.times, values, cfg.n_knots))
 
+    # IDW acts on sites and the spline on time, so IDW of the control polygons (the
+    # coefficients, at the Greville abscissae) gives those of the interpolated curves
+    knots = spline.t
+    greville = (knots[1:-3] + knots[2:-2] + knots[3:-1]) / 3.0
     lattice = stage("idw", lambda: idw_interpolate(
-        GridSeries(raw.sites, out_times, smoothed), cfg.lattice_dims, cfg.idw_power))
-    n1, n2 = lattice.lattice_dims
-    cube = lattice.values.reshape(n1, n2, out_times.size)
+        GridSeries(raw.sites, greville, spline.c.T), cfg.lattice_dims, cfg.idw_power))
+    # every lattice curve by one design-matrix product, constant outside the data range
+    curves = stage("evaluate", lambda: lattice.values @ BSpline.design_matrix(
+        np.clip(out_times, knots[0], knots[-1]), knots, 3).toarray().T)
+    log_curves = stage("log", lambda: np.log(np.maximum(curves, cfg.log_floor, out=curves),
+                                             out=curves))
 
-    log_curves = stage("log", lambda: np.log(np.maximum(cube, cfg.log_floor)))
+    trend_coef, q, qtv = stage("trend", lambda: _fit_trend(log_curves, out_times,
+                                                           cfg.trend_degree))
 
-    trend_coef, trend = stage("trend", lambda: _fit_trend(log_curves, out_times,
-                                                          cfg.trend_degree))
-    residual = log_curves - trend
-
+    # the projection of log - Q Q^T log, without forming the residual
     basis = BasisSpec(support_length=support, n_modes=cfg.n_modes)
-    coeff = stage("project", lambda: project_samples(out_times, residual, basis, normalized=True))
-    residual_field = CoeffField(coeff, basis)
+    coeff = stage("project", lambda: project_samples(out_times, log_curves, basis, normalized=True)
+                  - qtv @ project_samples(out_times, q.T, basis, normalized=True))
+    residual_field = CoeffField(coeff.reshape(lattice.lattice_dims + (-1,)), basis)
 
     rms = float(np.sqrt(np.mean(coeff**2)))
-    log_scale = max(1.0, float(np.sqrt(np.mean(log_curves**2))))
+    log_scale = max(1.0, float(np.sqrt(np.vdot(log_curves, log_curves) / log_curves.size)))
     if rms < cfg.residual_rms_floor * log_scale:
-        diagnostics["note"] = (
-            f"residual RMS {rms:.3e} below floor; estimation skipped")
+        diagnostics["note"] = f"residual RMS {rms:.3e} below floor; estimation skipped"
         return PipelineResult(cfg, out_times, basis, trend_coef, residual_field,
                               np.ones(cfg.n_modes), residual_field, None, None, None,
                               {}, None, True, diagnostics)
 
     def _normalize():
-        pg0 = periodogram(residual_field)
-        i0 = pg0.diag_real()
-        s2 = np.exp(np.mean(np.log(np.maximum((2.0 * np.pi) ** 2 * i0, 1e-300)), axis=(0, 1)))
-        return np.sqrt(s2)
+        i0 = periodogram(residual_field).diag_real()
+        scale = np.sqrt(np.exp(np.mean(np.log(np.maximum((2.0 * np.pi) ** 2 * i0, 1e-300)),
+                                       axis=(0, 1))))
+        low = np.flatnonzero(scale < cfg.residual_rms_floor * log_scale)
+        if low.size:  # a mode inside the trend's span holds rounding noise only
+            raise InsufficientResolutionError(
+                f"mode {low[0] + 1} has scale {scale[low[0]]:.3e}, below the residual floor: "
+                f"the degree-{cfg.trend_degree} trend absorbs it; lower trend_degree")
+        return scale
 
     mode_scale = stage("normalize", _normalize)
-    normalized_field = CoeffField(coeff / mode_scale, basis)
+    normalized_field = CoeffField(residual_field.data / mode_scale, basis)
     pgram = stage("periodogram", lambda: periodogram(normalized_field))
 
     def _estimate():
@@ -444,9 +456,9 @@ def run_cross_validation(raw: GridSeries, cfg: PipelineConfig | None = None,
     out_times = np.linspace(0.0, support, cfg.n_time_nodes)
     t_eval = out_times[::eval_stride]
 
-    values = np.cumsum(raw.values, axis=1) if cfg.cumulate else raw.values
-    smoothed = spline_smooth(raw.times, values, cfg.n_knots, t_eval)
-    observed = np.maximum(smoothed, cfg.log_floor)
+    values = np.cumsum(raw.values[folds], axis=1) if cfg.cumulate else raw.values[folds]
+    smoothed = spline_smooth(raw.times, values, cfg.n_knots)
+    observed = np.maximum(smoothed(np.clip(t_eval, raw.times[0], raw.times[-1])), cfg.log_floor)
 
     preds = []
     for s in folds:
@@ -455,13 +467,11 @@ def run_cross_validation(raw: GridSeries, cfg: PipelineConfig | None = None,
         sub = GridSeries(raw.sites[keep], raw.times, raw.values[keep])
         res = run_pipeline(sub, cfg)
         pred = np.exp(res.log_intensity_prediction(t_eval))
-        n1, n2 = res.residual_field.dims
-        xs = np.linspace(sub.sites[:, 0].min(), sub.sites[:, 0].max(), n1)
-        ys = np.linspace(sub.sites[:, 1].min(), sub.sites[:, 1].max(), n2)
-        i = int(np.argmin(np.abs(xs - raw.sites[s, 0])))
-        j = int(np.argmin(np.abs(ys - raw.sites[s, 1])))
+        lo, hi = sub.sites.min(axis=0), sub.sites.max(axis=0)
+        i, j = (int(np.argmin(np.abs(np.linspace(lo[a], hi[a], n) - raw.sites[s, a])))
+                for a, n in enumerate(res.residual_field.dims))
         preds.append(pred[i, j])
-    curve, l1 = cvfare(observed[folds], preds, t_eval)
-    fold_l1 = [cvfare(observed[s], p, t_eval)[1] for s, p in zip(folds, preds)]
+    curve, l1 = cvfare(observed, preds, t_eval)
+    fold_l1 = [cvfare(o, p, t_eval)[1] for o, p in zip(observed, preds)]
     return {"t": t_eval, "cvfare": curve, "l1": l1,
             "folds": folds.tolist(), "fold_l1": fold_l1}

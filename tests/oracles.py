@@ -6,14 +6,16 @@ recursion, the closed-form covariance of the separable (l3 = -l1*l2)
 autoregression, the 2-D grid inversion of a spectrum to covariances, the
 256^2 quadrature of the Fejer-smoothed inverse spectrum, the site-pair
 double sum of the count variance, the dense Fourier-grid Whittle loss,
-row-by-row CSV writers, and the scalar and grid forms of the eigenvalue
-families, the stationarity checks and the C2 normalization.
+row-by-row CSV writers, the curve-space pipeline (smooth, interpolate and
+detrend every curve on the dense time grid), and the scalar and grid forms
+of the eigenvalue families, the stationarity checks and the C2 normalization.
 Implementations under test must agree with these, never share code with them.
 """
 
 import csv
 
 import numpy as np
+from scipy.interpolate import make_lsq_spline
 
 from spatialcox.errors import ParameterDomainError, ResolutionError, SingularSpectrumError
 
@@ -248,6 +250,33 @@ def trapezoid_projection(t, samples, support_length, n_modes):
     f = np.asarray(samples, dtype=float)
     phi = np.sin(np.pi * np.outer(np.arange(1, n_modes + 1), t) / support_length)
     return (2.0 / support_length) * np.trapezoid(f[..., None, :] * phi, t, axis=-1)
+
+
+def curve_space_residual(raw, cfg):
+    """Residual coefficients (N1, N2, M), orthonormal basis, of the pipeline run in
+    curve space: cumulate, smooth every site onto the dense time grid with
+    ``make_lsq_spline``, IDW the smoothed curves node by node, log, fit the
+    Legendre trend by ``lstsq``, subtract it and project the residual cube.
+    Also returns the largest coefficient of the projected log curves, the
+    scale at which both this path and the pipeline round."""
+    values = np.cumsum(raw.values, axis=1) if cfg.cumulate else raw.values
+    t = raw.times
+    support = cfg.support_length if cfg.support_length is not None else float(t[-1])
+    out_times = np.linspace(0.0, support, cfg.n_time_nodes)
+    knots = np.r_[[t[0]] * 4, np.linspace(t[0], t[-1], cfg.n_knots + 2)[1:-1], [t[-1]] * 4]
+    smoothed = make_lsq_spline(t, values.T, knots, k=3)(np.clip(out_times, t[0], t[-1])).T
+    n1, n2 = cfg.lattice_dims
+    xs = np.linspace(raw.sites[:, 0].min(), raw.sites[:, 0].max(), n1)
+    ys = np.linspace(raw.sites[:, 1].min(), raw.sites[:, 1].max(), n2)
+    nodes = np.array([[x, y] for x in xs for y in ys])
+    log = np.log(np.maximum(brute_force_idw(raw.sites, smoothed, nodes, cfg.idw_power),
+                            cfg.log_floor))
+    design = np.polynomial.legendre.legvander(2.0 * out_times / support - 1.0, cfg.trend_degree)
+    residual = log - (design @ np.linalg.lstsq(design, log.T, rcond=None)[0]).T
+    raw_sine = trapezoid_projection(out_times, residual, support, cfg.n_modes)
+    log_scale = np.abs(trapezoid_projection(out_times, log, support, cfg.n_modes)).max()
+    return (np.sqrt(support / 2.0) * raw_sine).reshape(n1, n2, cfg.n_modes), \
+        np.sqrt(support / 2.0) * log_scale
 
 
 # --- eigenvalue families, stationarity and C2 normalisation: the scalar and

@@ -113,6 +113,14 @@ def test_pipeline_and_cross_validate_synthetic(tmp_path):
     assert stats["l1"] >= 0 and len(stats["fold_l1"]) == 2
 
 
+def test_pipeline_defaults_come_from_config(tmp_path):
+    # every flag but --lattice at its PipelineConfig default, trend degree 3 included
+    run(["--out-dir", tmp_path, "pipeline", "--lattice", "8x8"])
+    payload = json.loads((tmp_path / "pipeline.json").read_text())
+    assert payload["estimation_skipped"] is False
+    assert len(payload["lambda_hat"]) == 10
+
+
 def test_experiment_command(tmp_path):
     out = tmp_path / "table.csv"
     run(["experiment", "--family", "example1", "--theta", "1.0",

@@ -2,7 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import brute_force_idw
+from hypothesis import given, settings, strategies as st
+from oracles import brute_force_idw, curve_space_residual
 
 from spatialcox import (GridSeries, PipelineConfig, cvfare, idw_interpolate,
                         load_series_csv, make_synthetic_counts, polyfit_trend,
@@ -169,14 +170,14 @@ def test_spline_reproduces_cubic():
     t = np.linspace(0, 10, 80)
     f = 1.0 - 0.5 * t + 0.03 * t**2 + 0.004 * t**3
     out_grid = np.linspace(0, 10, 300)
-    got = spline_smooth(t, f, n_knots=8, out_grid=out_grid)
+    got = spline_smooth(t, f, n_knots=8)(out_grid)
     expect = 1.0 - 0.5 * out_grid + 0.03 * out_grid**2 + 0.004 * out_grid**3
     np.testing.assert_allclose(got, expect, atol=1e-8)
 
 
 def test_spline_constant_and_batch():
     t = np.linspace(0, 1, 50)
-    got = spline_smooth(t, np.full((3, 50), 2.5), n_knots=5, out_grid=np.linspace(0, 1, 77))
+    got = spline_smooth(t, np.full((3, 50), 2.5), n_knots=5)(np.linspace(0, 1, 77))
     np.testing.assert_allclose(got, 2.5, atol=1e-10)
     assert got.shape == (3, 77)
 
@@ -186,15 +187,14 @@ def test_spline_denoises_sine():
     t = np.linspace(0, 1, 432)
     signal = np.sin(2 * np.pi * t)
     noisy = signal + rng.normal(0, 0.3, size=t.size)
-    got = spline_smooth(t, noisy, n_knots=20, out_grid=t)
+    got = spline_smooth(t, noisy, n_knots=20)(t)
     resid_rms = np.sqrt(np.mean((got - signal) ** 2))
     assert resid_rms < 0.3
 
 
 def test_spline_needs_enough_points():
     with pytest.raises(InsufficientResolutionError):
-        spline_smooth(np.linspace(0, 1, 10), np.zeros(10), n_knots=8,
-                      out_grid=np.linspace(0, 1, 20))
+        spline_smooth(np.linspace(0, 1, 10), np.zeros(10), n_knots=8)
 
 
 # --- polynomial trend -------------------------------------------------------
@@ -310,6 +310,68 @@ def test_pipeline_zero_noise_skips_estimation():
     assert res.estimation_skipped
     assert res.lambda_hat is None
     assert "note" in res.diagnostics
+
+
+@st.composite
+def scattered_runs(draw):
+    """Synthetic counts on an n1 x n2 grid of sites, some interior sites jittered
+    off their node, some sites repeated with their series, and a config whose
+    lattice either matches the sites (unmoved sites hit nodes) or not."""
+    n1, n2, months = draw(st.integers(3, 7)), draw(st.integers(3, 7)), draw(st.integers(30, 90))
+    series, _ = make_synthetic_counts(lattice_dims=(n1, n2), n_months=months,
+                                      support_length=4.0 * months,
+                                      seed=draw(st.integers(0, 2**16)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    sites = np.array(series.sites)
+    interior = ((sites > 0) & (sites < [n1 - 1, n2 - 1])).all(axis=1)
+    moved = interior & (rng.random(sites.shape[0]) < draw(st.floats(0.0, 1.0)))
+    sites[moved] += rng.uniform(-0.3, 0.3, size=(int(moved.sum()), 2))
+    dup = rng.choice(sites.shape[0], size=draw(st.integers(0, 3)), replace=False)
+    raw = GridSeries(np.vstack([sites, sites[dup]]), series.times,
+                     np.vstack([series.values, series.values[dup]]))
+    lattice = draw(st.one_of(st.just((n1, n2)),
+                             st.tuples(st.integers(2, 8), st.integers(2, 8))))
+    # every residual falls below this floor, so each run ends after the projection
+    cfg = tiny_cfg(lattice_dims=lattice, n_time_nodes=draw(st.integers(60, 400)),
+                   n_knots=draw(st.integers(2, 20)), trend_degree=draw(st.integers(0, 6)),
+                   n_modes=draw(st.integers(1, 10)), residual_rms_floor=1e300)
+    return raw, cfg
+
+
+@settings(deadline=None, max_examples=40)
+@given(scattered_runs())
+def test_coefficient_space_pipeline_matches_curve_space_oracle(run):
+    # spline coefficients interpolated and evaluated once, the trend by one QR and
+    # the projection as P(log) - (P Q)(Q^T log) reproduce the curve-space path.
+    # Both paths subtract the trend from curves of the log's size, so they agree
+    # relative to the log's coefficients; a mode the trend nearly absorbs leaves
+    # a residual far below that scale, and neither path resolves it further.
+    raw, cfg = run
+    res = run_pipeline(raw, cfg)
+    assert res.estimation_skipped
+    want, log_scale = curve_space_residual(raw, cfg)
+    assert np.max(np.abs(res.residual_field.data - want)) <= 1e-12 * log_scale
+
+
+def test_pipeline_refuses_mode_absorbed_by_trend():
+    # a degree-10 trend spans sin(pi t / L) to about 1e-10, so mode 1 keeps only
+    # rounding noise, which normalization would scale to unit variance and fit
+    series, _ = make_synthetic_counts((40, 40), seed=1006)
+    with pytest.raises(PipelineStageError, match=r"mode 1 .*degree-10 trend") as err:
+        run_pipeline(series, PipelineConfig(trend_degree=10))
+    assert err.value.stage == "normalize"
+    assert isinstance(err.value.__cause__, InsufficientResolutionError)
+
+
+def test_pipeline_ambiguous_sources_tagged_idw():
+    # two sources on the corner node, with distinct series
+    series, _ = tiny_series(seed=4, dims=(4, 4), months=60)
+    sites = np.vstack([series.sites, series.sites[:1]])
+    values = np.vstack([series.values, series.values[:1] + 5.0])
+    with pytest.raises(PipelineStageError) as err:
+        run_pipeline(GridSeries(sites, series.times, values), tiny_cfg(lattice_dims=(4, 4)))
+    assert err.value.stage == "idw"
+    assert isinstance(err.value.__cause__, AmbiguousInterpolationError)
 
 
 def test_pipeline_stage_error_tagged():
