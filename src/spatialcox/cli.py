@@ -55,6 +55,10 @@ def _theta_vector(text):
     return np.array([float(v) for v in text.split(",")])
 
 
+def _int_list(text):
+    return tuple(int(v) for v in text.split(","))
+
+
 def _read_config(path):
     values = {}
     with open(path) as fh:
@@ -163,7 +167,7 @@ def build_parser():
     s = sub.add_parser("experiment", help="Monte Carlo consistency table")
     s.add_argument("--family", default="example1", choices=FAMILIES)
     s.add_argument("--theta", type=_theta_vector, default=np.array([1.0]))
-    s.add_argument("--grid-sizes", default="100,150,200")
+    s.add_argument("--grid-sizes", type=_int_list, default="100,150,200")
     s.add_argument("--replicates", type=int, default=30)
     s.add_argument("--modes", type=int, default=10)
     s.add_argument("--burn-in", type=int, default=100)
@@ -194,10 +198,9 @@ def cmd_periodogram(args):
 
 def cmd_estimate(args):
     fld = load_field_binary(args.field)
-    pg = periodogram(fld)
     model = SpectralModel(args.family, n_modes=args.modes, theta_box=args.theta_box)
     opts = EstimateOptions(loss_tol=args.loss_tol, max_evals=args.max_evals)
-    fit = estimate(model, pg, opts)
+    fit = estimate(model, fld, opts)
     out = _out_path(args, args.out)
     fit.to_json(out)
     print(f"theta_hat = {np.asarray(fit.theta_hat)} loss = {fit.loss_at_min:.6f} -> {out}")
@@ -286,10 +289,9 @@ def cmd_cross_validate(args):
 
 
 def cmd_experiment(args):
-    sizes = tuple(int(s) for s in args.grid_sizes.split(","))
-    cfg = ExperimentConfig(family=args.family, theta_true=args.theta, grid_sizes=sizes,
-                           replicates=args.replicates, n_modes=args.modes,
-                           burn_in=args.burn_in, seed=args.seed)
+    cfg = ExperimentConfig(family=args.family, theta_true=args.theta,
+                           grid_sizes=args.grid_sizes, replicates=args.replicates,
+                           n_modes=args.modes, burn_in=args.burn_in, seed=args.seed)
     table = run_experiment(cfg, threads=args.threads)
     out = _out_path(args, args.out)
     table.to_csv(out)

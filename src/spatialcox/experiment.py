@@ -10,7 +10,6 @@ import numpy as np
 
 from .errors import ParameterDomainError, SpatialCoxError
 from .sarh import Sarh1Params, simulate_sarh1
-from .spectral import periodogram
 from .whittle import EstimateOptions, estimate
 
 TABLE_OPTS = EstimateOptions(loss_tol=1e-10, max_evals=2000)
@@ -41,13 +40,19 @@ class ExperimentConfig:
             raise ParameterDomainError("replicates must be >= 1")
         if list(self.grid_sizes) != sorted(self.grid_sizes):
             raise ParameterDomainError("grid_sizes must be ascending")
+        if any(side < 2 for side in self.grid_sizes):
+            raise ParameterDomainError("every grid side must be >= 2")
+        if self.burn_in < 0:
+            raise ParameterDomainError("burn_in must be >= 0")
+        if self.n_modes < 1:
+            raise ParameterDomainError("n_modes must be >= 1")
 
 
 def _replicate(args):
     cfg, side, rep_seed = args
     params = Sarh1Params(cfg.family, cfg.theta_true, cfg.n_modes)
     fld = simulate_sarh1(params, (side, side), burn_in=cfg.burn_in, seed=rep_seed)
-    fit = estimate(params.model, periodogram(fld), cfg.opts)
+    fit = estimate(params.model, fld, cfg.opts)
     return np.asarray(fit.theta_hat)
 
 
@@ -87,8 +92,11 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentTable:
     other exception propagates.  If every replicate of a size fails, the
     RuntimeError quotes the first failure.  Mean and SD (ddof=1) are
     reported with the empirical mean square error (1/R) sum
-    (theta_hat - theta_0)^2 per component.
+    (theta_hat - theta_0)^2 per component.  ``threads`` below 1 raises
+    :class:`ParameterDomainError`.
     """
+    if threads < 1:
+        raise ParameterDomainError("threads must be >= 1")
     root = np.random.SeedSequence(cfg.seed)
     rows = []
     for side, child in zip(cfg.grid_sizes, root.spawn(len(cfg.grid_sizes))):

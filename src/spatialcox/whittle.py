@@ -3,14 +3,20 @@
 The loss is the truncated sup over modes of the frequency-averaged ratio
 periodogram / model density, evaluated on the Fourier grid of the sample.
 For the rational SARH(1) densities implemented here the frequency average
-reduces exactly to a 5-term cosine-moment contraction of the periodogram
+reduces exactly to five cosine moments of the periodogram per mode
 (``trig_moments``), which makes a single loss evaluation O(M); both
-``whittle_loss`` and ``estimate`` use that one form.  In the eigenvalue
-triple each mode's loss is a PSD quadratic form, so its gradient is exact
-and cheap: every family with two or more parameters is fitted by one SLSQP
-solve with exact gradients, convex for the families whose triples are
-affine in theta (constrained to the causal tetrahedron ``CAUSAL_FACES``),
-and the one-parameter example1 by a grid bracket and bounded Brent.
+``whittle_loss`` and ``estimate`` use that one form.  By Parseval the five
+moments are the circular lag covariances of the field at (0,0), (1,0),
+(0,1), (1,1) and (1,-1) over (2 pi)^2 (Whittle, 1954), so a sample given
+as a :class:`~spatialcox.field.CoeffField` is read by five O(NM) lag
+products without an FFT; a :class:`~spatialcox.spectral.Periodogram` with
+no field behind it (a model spectrum, a stored file) takes the cosine
+contraction.  In the eigenvalue triple each mode's loss is a PSD quadratic
+form, so its gradient is exact and cheap: every family with two or more
+parameters is fitted by one SLSQP solve with exact gradients, convex for
+the families whose triples are affine in theta (constrained to the causal
+tetrahedron ``CAUSAL_FACES``), and the one-parameter example1 by a grid
+bracket and bounded Brent.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import numpy as np
 from scipy.optimize import linprog, minimize, minimize_scalar
 
 from .errors import ParameterDomainError, SingularSpectrumError
+from .field import CoeffField
 from .sarh import (AFFINE_FAMILIES, CAUSAL_FACES, TWO_PI_SQ, SpectralModel, _cosines,
                    _gram_form, family_jacobian)
 from .spectral import Periodogram
@@ -31,15 +38,30 @@ from .spectral import Periodogram
 # loss
 
 
-def trig_moments(pgram: Periodogram) -> np.ndarray:
-    """Periodogram contractions against (1, cos w1, cos w2, cos(w1+w2), cos(w1-w2)).
+# the lags h of the five cosines of sarh._cosines: cos<h, w> in that order
+_LAGS = ((0, 0), (1, 0), (0, 1), (1, 1), (1, -1))
+
+
+def trig_moments(sample: CoeffField | Periodogram) -> np.ndarray:
+    """Periodogram averages against (1, cos w1, cos w2, cos(w1+w2), cos(w1-w2)).
 
     Row k holds the five frequency averages for mode k; together they carry
-    everything a rational-denominator loss evaluation needs.
+    everything a rational-denominator loss evaluation needs.  The average
+    against cos<h, w> is the circular lag sum sum_y X_y(phi_k) X_{y+h}(phi_k)
+    over N (2 pi)^2, so a field is read directly: one wrap-padded copy and
+    five lag products, no FFT.  A periodogram is contracted against the
+    cosines on its grid.
     """
-    i_diag = pgram.diag_real()
-    w1, w2 = pgram.grid.meshes()
-    return np.einsum("ijk,cij->kc", i_diag, _cosines(w1, w2)) / pgram.grid.size
+    if isinstance(sample, Periodogram):
+        w1, w2 = sample.grid.meshes()
+        return (np.einsum("ijk,cij->kc", sample.diag_real(), _cosines(w1, w2))
+                / sample.grid.size)
+    x = sample.data
+    n1, n2, _ = x.shape
+    padded = np.pad(x, ((0, 1), (1, 1), (0, 0)), mode="wrap")  # x_y at padded[y1, y2 + 1]
+    sums = [np.einsum("ijk,ijk->k", x, padded[h1:h1 + n1, 1 + h2:1 + h2 + n2])
+            for h1, h2 in _LAGS]
+    return np.stack(sums, axis=1) / (n1 * n2 * TWO_PI_SQ)
 
 
 # the loss of mode k times sigma2_k is the periodogram average of |D_k|^2,
@@ -49,20 +71,20 @@ def _mode_losses_fast(model: SpectralModel, theta, moments: np.ndarray) -> np.nd
     return _gram_form(model.eig_triples(theta), moments)[0] / model.sigma2(theta)
 
 
-def _check_fit_inputs(model: SpectralModel, pgram: Periodogram) -> None:
-    if model.n_modes != pgram.n_modes:
-        raise ParameterDomainError("model and periodogram mode counts differ")
+def _check_fit_inputs(model: SpectralModel, sample: CoeffField | Periodogram) -> None:
+    if model.n_modes != sample.n_modes:
+        raise ParameterDomainError("model and sample mode counts differ")
     if model.noise_sd is not None and not np.all(model.noise_sd > 0):
         raise SingularSpectrumError("a zero noise_sd makes that mode's density vanish, "
                                     "so the Whittle ratio I / F is undefined")
 
 
-def whittle_loss(model: SpectralModel, theta, pgram: Periodogram) -> float:
+def whittle_loss(model: SpectralModel, theta, sample: CoeffField | Periodogram) -> float:
     """max over modes k <= M of the Fourier-grid average of I_w(phi_k)/F_{w,theta}(phi_k)."""
-    _check_fit_inputs(model, pgram)
+    _check_fit_inputs(model, sample)
     if not model.contains(theta):
         raise ParameterDomainError("theta outside the parameter box")
-    return float(_mode_losses_fast(model, theta, trig_moments(pgram)).max())
+    return float(_mode_losses_fast(model, theta, trig_moments(sample)).max())
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +194,11 @@ def _fit_epigraph(model, moments, opts):
     return np.clip(res.x[:q], box[:, 0], box[:, 1]), n_evals, res.success
 
 
-def estimate(model: SpectralModel, pgram: Periodogram,
+def estimate(model: SpectralModel, sample: CoeffField | Periodogram,
              opts: EstimateOptions | None = None) -> ThetaEstimate:
     """Minimize the Whittle sup loss over the parameter box and the causal set.
 
+    ``sample`` is a field or its periodogram, read by :func:`trig_moments`.
     Families with two or more parameters (example2 and ``AFFINE_FAMILIES``)
     take one SLSQP epigraph solve from the box centre with exact loss
     gradients, the affine ones constrained to the closed causal tetrahedron
@@ -187,9 +210,9 @@ def estimate(model: SpectralModel, pgram: Periodogram,
     with a zero ``noise_sd`` raises :class:`SingularSpectrumError`.
     """
     opts = opts or EstimateOptions()
-    _check_fit_inputs(model, pgram)
+    _check_fit_inputs(model, sample)
     t0 = time.perf_counter()
-    moments = trig_moments(pgram)
+    moments = trig_moments(sample)
     fit = _fit_scalar if model.n_params == 1 else _fit_epigraph
     theta_hat, n_evals, success = fit(model, moments, opts)
     pure = float(_mode_losses_fast(model, theta_hat, moments).max())

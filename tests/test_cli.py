@@ -138,6 +138,22 @@ def test_experiment_command_any_family(tmp_path):
     assert rows.shape[0] == 3 and np.all(rows[:, 0] == 144)
 
 
+@pytest.mark.parametrize("via_config", [False, True])
+def test_experiment_bad_grid_sizes_is_usage_error(tmp_path, capsys, via_config):
+    out = tmp_path / "table.csv"
+    if via_config:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("grid-sizes = 12,abc\n")
+        argv = ["--config", cfg, "experiment", "--out", out]
+    else:
+        argv = ["experiment", "--grid-sizes", "12,abc", "--out", out]
+    with pytest.raises(SystemExit) as err:
+        run(argv)
+    assert err.value.code == 2
+    assert "--grid-sizes" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_merging(tmp_path):
     field = tmp_path / "cfg_field.bin"
     cfg = tmp_path / "run.cfg"

@@ -68,6 +68,20 @@ def test_config_validation():
         ExperimentConfig("example1", [1.0], grid_sizes=(64, 32))
 
 
+@pytest.mark.parametrize("bad", [{"grid_sizes": (1, 24)}, {"grid_sizes": (0,)},
+                                 {"burn_in": -1}, {"n_modes": 0}])
+def test_config_rejects_degenerate_sizes(bad):
+    # each used to reach the replicates, fail in all of them and end in RuntimeError
+    with pytest.raises(ParameterDomainError):
+        small_cfg(**bad)
+
+
+@pytest.mark.parametrize("threads", [0, -2])
+def test_threads_below_one_rejected(threads):
+    with pytest.raises(ParameterDomainError, match="threads"):
+        run_experiment(small_cfg(grid_sizes=(24,), replicates=1), threads=threads)
+
+
 def test_programming_error_in_replicate_propagates(monkeypatch):
     import spatialcox.experiment as ex
 

@@ -4,9 +4,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from oracles import (dense_mode_losses, grid_has_torus_zero, grid_min_triple_loss,
                      normalize_c2, rational_density)
-from spatialcox import (EstimateOptions, FrequencyGrid, Periodogram, Sarh1Params,
-                        SpectralModel, cov_from_spectrum, estimate, family_triples, is_causal,
-                        periodogram, simulate_sarh1, trig_moments, whittle_loss)
+from spatialcox import (BasisSpec, CoeffField, EstimateOptions, FrequencyGrid, Periodogram,
+                        Sarh1Params, SpectralModel, cov_from_spectrum, estimate,
+                        family_triples, is_causal, periodogram, simulate_sarh1, trig_moments,
+                        whittle_loss)
 from spatialcox.errors import ParameterDomainError, SingularSpectrumError
 from spatialcox.pipeline import DEFAULT_TRUE_PMF
 from spatialcox.sarh import CAUSAL_FACES, TRIPLE_BOX, _has_torus_zero
@@ -142,6 +143,21 @@ def test_fast_path_equals_dense():
         np.testing.assert_allclose(fast, dense, rtol=1e-11)
 
 
+@settings(deadline=None, max_examples=80)
+@given(dims=st.tuples(st.integers(1, 9), st.integers(1, 9)), n_modes=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_field_moments_match_periodogram_moments(dims, n_modes, seed):
+    # Parseval: the periodogram's cosine averages are the field's circular lag
+    # sums over N (2 pi)^2; on a side of 1 or 2 a lag wraps onto itself
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-3, 3, n_modes)
+    fld = CoeffField(rng.normal(size=dims + (n_modes,)) * scale, BasisSpec(1.0, n_modes))
+    direct = trig_moments(fld)
+    ref = trig_moments(periodogram(fld))
+    assert direct.shape == ref.shape == (n_modes, 5)
+    assert np.all(np.abs(direct - ref) <= 1e-12 * ref[:, :1])
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.data())
 def test_whittle_loss_matches_dense_oracle(data):
@@ -219,6 +235,19 @@ def test_estimate_is_pure_function_of_periodogram():
     b = estimate(model, pg)
     np.testing.assert_array_equal(a.theta_hat, b.theta_hat)
     assert a.loss_at_min == b.loss_at_min
+
+
+@pytest.mark.parametrize("family, theta", [("example1", [1.0]),
+                                           ("example2", [1.0, 1.6, 1.5, 1.2]),
+                                           ("triple", [0.4, 0.3, -0.1])])
+def test_estimate_from_field_matches_periodogram(family, theta):
+    fld = simulate_sarh1(Sarh1Params(family, theta, 5), (48, 40), burn_in=30, seed=17)
+    model = SpectralModel(family, n_modes=5)
+    opts = EstimateOptions(loss_tol=1e-10, max_evals=2000)
+    from_field = estimate(model, fld, opts)
+    from_pgram = estimate(model, periodogram(fld), opts)
+    np.testing.assert_allclose(from_field.theta_hat, from_pgram.theta_hat, rtol=0, atol=1e-6)
+    assert from_field.loss_at_min == pytest.approx(from_pgram.loss_at_min, rel=1e-10)
 
 
 def test_estimate_json_roundtrip(tmp_path):
