@@ -1,10 +1,10 @@
-"""Sine basis on [0, L]: evaluation, design matrices, and quadrature projection.
+"""Sine basis on [0, L]: design matrices and quadrature projection.
 
 The working basis is phi_p(t) = sin(pi * p * t / L), p = 1..M, which is
 pairwise L2-orthogonal on [0, L] with squared norm L/2.  Internally the
 package treats mode coefficients as coordinates with respect to the
-orthonormalized basis sqrt(2/L) * phi_p; every evaluation/projection API
-exposes both conventions through a ``normalized`` flag.
+orthonormalized basis sqrt(2/L) * phi_p; the design matrix and the
+projection expose both conventions through a ``normalized`` flag.
 """
 
 from __future__ import annotations
@@ -26,39 +26,16 @@ class BasisSpec:
         Length L of the support interval [0, L] of the basis functions.
     n_modes : int
         Number of modes M retained.
-    kind : str
-        Basis family; only ``"sine"`` is implemented.
     """
 
     support_length: float
     n_modes: int
-    kind: str = "sine"
 
     def __post_init__(self):
-        if self.kind != "sine":
-            raise ParameterDomainError(f"unsupported basis kind {self.kind!r}")
         if not self.support_length > 0:
             raise ParameterDomainError("support_length must be positive")
         if self.n_modes < 1:
             raise ParameterDomainError("n_modes must be >= 1")
-
-
-def sine_basis_eval(spec: BasisSpec, p: int, t, normalized: bool = False):
-    """Evaluate the p-th sine basis function at t.
-
-    Returns sin(pi*p*t/L); with ``normalized=True`` the function is scaled
-    by sqrt(2/L) to unit L2 norm.  Raises for p outside 1..M or t outside
-    [0, L].
-    """
-    if not 1 <= p <= spec.n_modes:
-        raise ParameterDomainError(f"mode index {p} outside 1..{spec.n_modes}")
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0) or np.any(t > spec.support_length):
-        raise ParameterDomainError("t outside the basis support [0, L]")
-    val = np.sin(np.pi * p * t / spec.support_length)
-    if normalized:
-        val = val * np.sqrt(2.0 / spec.support_length)
-    return val if val.ndim else float(val)
 
 
 def design_matrix(spec: BasisSpec, t_grid, normalized: bool = False) -> np.ndarray:
@@ -112,9 +89,3 @@ def project_samples(t_grid, samples, spec: BasisSpec, normalized: bool = False) 
     if not normalized:
         coeff = coeff * np.sqrt(2.0 / spec.support_length)
     return coeff
-
-
-def synthesize(coeffs, t_grid, spec: BasisSpec, normalized: bool = False) -> np.ndarray:
-    """Inverse of :func:`project_samples`: sum_p coeffs[..., p-1] * phi_p(t)."""
-    phi = design_matrix(spec, t_grid, normalized=normalized)
-    return np.asarray(coeffs, dtype=float) @ phi

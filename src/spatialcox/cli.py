@@ -158,7 +158,7 @@ def build_parser():
         s.add_argument("--knots", type=int, default=cfg.n_knots)
         s.add_argument("--trend-degree", type=int, default=cfg.trend_degree)
         s.add_argument("--modes", type=int, default=cfg.n_modes)
-    pipe.add_argument("--no-cumulate", action="store_true")
+        s.add_argument("--no-cumulate", action="store_true")
     pipe.add_argument("--out", default="pipeline.json")
     cv.add_argument("--folds", type=int, default=12)
     cv.add_argument("--radius", type=float, default=0.0)
@@ -249,7 +249,7 @@ def cmd_predict(args):
 def _pipeline_config(args):
     return PipelineConfig(lattice_dims=args.lattice, n_time_nodes=args.time_nodes,
                           n_knots=args.knots, trend_degree=args.trend_degree,
-                          n_modes=args.modes, cumulate=not getattr(args, "no_cumulate", False))
+                          n_modes=args.modes, cumulate=not args.no_cumulate)
 
 
 def _load_or_make_series(args):
@@ -259,8 +259,9 @@ def _load_or_make_series(args):
 
 
 def cmd_pipeline(args):
+    cfg = _pipeline_config(args)
     series, truth = _load_or_make_series(args)
-    res = run_pipeline(series, _pipeline_config(args))
+    res = run_pipeline(series, cfg)
     out = _out_path(args, args.out)
     payload = {
         "estimation_skipped": res.estimation_skipped,
@@ -277,8 +278,9 @@ def cmd_pipeline(args):
 
 
 def cmd_cross_validate(args):
+    cfg = _pipeline_config(args)
     series, _ = _load_or_make_series(args)
-    result = run_cross_validation(series, _pipeline_config(args), max_folds=args.folds,
+    result = run_cross_validation(series, cfg, max_folds=args.folds,
                                   radius=args.radius, seed=args.seed)
     out = _out_path(args, args.out)
     with open(out, "w") as fh:

@@ -20,10 +20,6 @@ class ResolutionError(SpatialCoxError, ValueError):
 class SingularSpectrumError(SpatialCoxError, ArithmeticError):
     """Spectral density vanishes (or its log is non-integrable) on the grid."""
 
-    def __init__(self, message, omega=None):
-        super().__init__(message)
-        self.omega = omega
-
 
 class StationarityError(SpatialCoxError, ValueError):
     """Autoregressive parameters admit no stationary causal solution."""

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .basis import BasisSpec, design_matrix
+from .basis import BasisSpec
 from .errors import FileFormatError, ParameterDomainError
 
 _HEADER_DTYPE = np.dtype([("n1", "<i8"), ("n2", "<i8"), ("m", "<i8"), ("support", "<f8")])
@@ -20,8 +20,8 @@ class CoeffField:
 
     ``data[i, j, k]`` is the coefficient of mode k+1 at site (i, j).  The
     stack treats these as coordinates of the field value with respect to the
-    orthonormalized basis; :func:`evaluate_field` exposes the raw-sine
-    reading through its ``normalized`` flag.  Instances are immutable.
+    orthonormalized basis, so ``data @ design_matrix(basis, t, normalized=True)``
+    gives the curves at times t.  Instances are immutable.
     """
 
     data: np.ndarray
@@ -45,17 +45,6 @@ class CoeffField:
     @property
     def n_modes(self) -> int:
         return self.data.shape[2]
-
-
-def evaluate_field(field: CoeffField, site, t, normalized: bool = False):
-    """Synthesize the curve value at a lattice site: sum_k data[i,j,k] phi_k(t)."""
-    i, j = site
-    n1, n2 = field.dims
-    if not (0 <= i < n1 and 0 <= j < n2):
-        raise IndexError(f"site {site} outside lattice {field.dims}")
-    phi = design_matrix(field.basis, np.atleast_1d(t), normalized=normalized)
-    out = field.data[i, j] @ phi
-    return float(out[0]) if np.isscalar(t) or np.ndim(t) == 0 else out
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,9 +6,10 @@ coefficients to a regular lattice, evaluation on a dense time grid, log
 transform, per-node polynomial trend fit, projection of the detrended
 curves onto the sine basis as P(log) - (P Q)(Q^T log) (Q orthonormal on
 the trend span, so the residual cube is never formed), per-mode
-normalization, 2-D FFT periodogram, point-spectra model fit, and plug-in
-prediction.  A synthetic generator producing count data from a known
-field + trend supports closed-loop validation and the CLI demos.
+normalization by the log-mean of the periodogram diagonal (the one 2-D FFT
+of a run), point-spectra model fit from the normalized field's circular lag
+sums, and plug-in prediction.  A synthetic generator producing count data
+from a known field + trend supports closed-loop validation and the CLI demos.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from .errors import (AmbiguousInterpolationError, DivisionGuardError, FileFormat
                      PipelineStageError, RankDeficiencyError)
 from .field import CoeffField, _read_numeric_csv, _write_csv
 from .sarh import DEFAULT_PMF_GROUPS, Sarh1Params, SpectralModel, family_triples, simulate_sarh1
-from .spectral import Periodogram, periodogram
-from .whittle import EstimateOptions, estimate
+from .spectral import periodogram
+from .whittle import EstimateOptions, ThetaEstimate, estimate
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,17 +188,6 @@ def _fit_trend(values, times, degree):
     return solve_triangular(r, qtv.T), q, qtv
 
 
-def polyfit_trend(values, times, degree: int = 10):
-    """Per-site least-squares polynomial trend in time (orthogonal Legendre basis).
-
-    Returns (trend, residual) with residual = values - trend; the residual
-    is orthogonal to the polynomial span up to float tolerance.
-    """
-    _, q, qtv = _fit_trend(values, times, degree)
-    trend = (qtv @ q.T).reshape(np.shape(values))
-    return trend, np.subtract(values, trend)
-
-
 def cvfare(true_curves, predicted_curves, t_grid):
     """Pointwise mean absolute relative error and its normalized L1 value.
 
@@ -237,21 +227,25 @@ class PipelineConfig:
         default_factory=lambda: EstimateOptions(loss_tol=1e-10, max_evals=3000))
     residual_rms_floor: float = 1e-8
 
+    def __post_init__(self):
+        if min(self.lattice_dims) < 2:
+            raise ParameterDomainError("every lattice side must be >= 2")
+        if self.n_knots < 0:
+            raise ParameterDomainError("n_knots must be >= 0")
+        if self.trend_degree < 0:
+            raise ParameterDomainError("trend_degree must be >= 0")
+
 
 @dataclass
 class PipelineResult:
-    config: PipelineConfig
     out_times: np.ndarray
-    basis: BasisSpec
     trend_coef: np.ndarray            # Legendre coefficients, (degree+1, N1*N2)
     residual_field: CoeffField        # projected residual coefficients (orthonormal basis)
     mode_scale: np.ndarray            # per-mode normalization factors s_k
-    normalized_field: CoeffField
-    pgram: Periodogram | None
     theta_hat: np.ndarray | None
     lambda_hat: np.ndarray | None     # (M, 3) per-mode triples implied by theta_hat
-    fits: dict
-    predicted_field: CoeffField | None   # de-normalized plug-in predictions
+    fit: ThetaEstimate | None         # the fit to the residual field divided by mode_scale
+    predicted_field: CoeffField | None   # plug-in predictions of the residual field
     estimation_skipped: bool
     diagnostics: dict
 
@@ -267,7 +261,7 @@ class PipelineResult:
         t = self.out_times if t is None else np.asarray(t, dtype=float)
         out = self.trend_curves(t)
         if include_field and self.predicted_field is not None:
-            phi = design_matrix(self.basis, t, normalized=True)
+            phi = design_matrix(self.residual_field.basis, t, normalized=True)
             out = out + self.predicted_field.data @ phi
         return out
 
@@ -292,6 +286,9 @@ def run_pipeline(raw: GridSeries, cfg: PipelineConfig | None = None) -> Pipeline
         return out
 
     def _ingest():
+        for name, arr in (("counts", raw.values), ("site coordinates", raw.sites)):
+            if not np.all(np.isfinite(arr)):
+                raise ParameterDomainError(f"{name} must be finite")
         if np.any(raw.values < 0):
             raise ParameterDomainError("count inputs must be nonnegative")
         return raw.values
@@ -328,9 +325,8 @@ def run_pipeline(raw: GridSeries, cfg: PipelineConfig | None = None) -> Pipeline
     log_scale = max(1.0, float(np.sqrt(np.vdot(log_curves, log_curves) / log_curves.size)))
     if rms < cfg.residual_rms_floor * log_scale:
         diagnostics["note"] = f"residual RMS {rms:.3e} below floor; estimation skipped"
-        return PipelineResult(cfg, out_times, basis, trend_coef, residual_field,
-                              np.ones(cfg.n_modes), residual_field, None, None, None,
-                              {}, None, True, diagnostics)
+        return PipelineResult(out_times, trend_coef, residual_field, np.ones(cfg.n_modes),
+                              None, None, None, None, True, diagnostics)
 
     def _normalize():
         i0 = periodogram(residual_field).diag_real()
@@ -344,21 +340,20 @@ def run_pipeline(raw: GridSeries, cfg: PipelineConfig | None = None) -> Pipeline
         return scale
 
     mode_scale = stage("normalize", _normalize)
-    normalized_field = CoeffField(residual_field.data / mode_scale, basis)
-    pgram = stage("periodogram", lambda: periodogram(normalized_field))
 
     def _estimate():
         model = SpectralModel(cfg.family, n_modes=cfg.n_modes, groups=cfg.groups)
-        return model, estimate(model, pgram, cfg.estimate_opts)
+        normalized_field = CoeffField(residual_field.data / mode_scale, basis)
+        return model, estimate(model, normalized_field, cfg.estimate_opts)
 
     model, fit = stage("estimate", _estimate)
-    predicted_field = stage("predict", lambda: CoeffField(
-        predict_field(normalized_field, model, fit.theta_hat).data * mode_scale, basis))
+    # the predictor is linear per mode, so it acts on the residual field unscaled
+    predicted_field = stage("predict", lambda: predict_field(residual_field, model,
+                                                             fit.theta_hat))
 
-    return PipelineResult(cfg, out_times, basis, trend_coef, residual_field, mode_scale,
-                          normalized_field, pgram, fit.theta_hat,
-                          model.eig_triples(fit.theta_hat), {"fit": fit},
-                          predicted_field, False, diagnostics)
+    return PipelineResult(out_times, trend_coef, residual_field, mode_scale, fit.theta_hat,
+                          model.eig_triples(fit.theta_hat), fit, predicted_field, False,
+                          diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -447,10 +442,18 @@ def run_cross_validation(raw: GridSeries, cfg: PipelineConfig | None = None,
     grid), its normalized L1 value, and the per-fold values.
     """
     cfg = cfg or PipelineConfig()
+    if max_folds < 1 or eval_stride < 1:
+        raise ParameterDomainError("max_folds and eval_stride must be >= 1")
+    if radius < 0:
+        raise ParameterDomainError("radius must be >= 0")
     n_sites = raw.sites.shape[0]
     rng = np.random.default_rng(seed)
     folds = np.arange(n_sites) if n_sites <= max_folds else np.sort(
         rng.choice(n_sites, size=max_folds, replace=False))
+    keeps = [np.linalg.norm(raw.sites - raw.sites[s], axis=1) > radius if radius > 0
+             else np.arange(n_sites) != s for s in folds]
+    if not all(keep.any() for keep in keeps):
+        raise ParameterDomainError(f"radius {radius} holds out every site of a fold")
 
     support = cfg.support_length if cfg.support_length is not None else float(raw.times[-1])
     out_times = np.linspace(0.0, support, cfg.n_time_nodes)
@@ -461,9 +464,7 @@ def run_cross_validation(raw: GridSeries, cfg: PipelineConfig | None = None,
     observed = np.maximum(smoothed(np.clip(t_eval, raw.times[0], raw.times[-1])), cfg.log_floor)
 
     preds = []
-    for s in folds:
-        dist = np.linalg.norm(raw.sites - raw.sites[s], axis=1)
-        keep = dist > radius if radius > 0 else np.arange(n_sites) != s
+    for s, keep in zip(folds, keeps):
         sub = GridSeries(raw.sites[keep], raw.times, raw.values[keep])
         res = run_pipeline(sub, cfg)
         pred = np.exp(res.log_intensity_prediction(t_eval))

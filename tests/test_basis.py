@@ -2,35 +2,36 @@ import numpy as np
 import pytest
 from oracles import trapezoid_projection
 
-from spatialcox import BasisSpec, project_samples, sine_basis_eval, synthesize
+from spatialcox import BasisSpec, design_matrix, project_samples
 from spatialcox.errors import InsufficientResolutionError, ParameterDomainError
 
 
 def test_sine_eval_known_values():
     spec = BasisSpec(support_length=1.0, n_modes=4)
-    assert sine_basis_eval(spec, 1, 0.5) == pytest.approx(1.0)
-    assert sine_basis_eval(spec, 2, 0.5) == pytest.approx(0.0, abs=1e-15)
+    phi = design_matrix(spec, [0.5])
+    assert phi.shape == (4, 1)
+    assert phi[0, 0] == pytest.approx(1.0)
+    assert phi[1, 0] == pytest.approx(0.0, abs=1e-15)
     spec2 = BasisSpec(support_length=2.0, n_modes=4)
     # sin(pi*3*0.4/2) = sin(0.6*pi), frozen from direct evaluation
-    assert sine_basis_eval(spec2, 3, 0.4) == pytest.approx(0.9510565162951535, abs=1e-12)
+    assert design_matrix(spec2, [0.4])[2, 0] == pytest.approx(0.9510565162951535, abs=1e-12)
 
 
 def test_sine_eval_domain_errors():
-    spec = BasisSpec(support_length=1.0, n_modes=2)
-    with pytest.raises(ParameterDomainError):
-        sine_basis_eval(spec, 0, 0.5)
-    with pytest.raises(ParameterDomainError):
-        sine_basis_eval(spec, 3, 0.5)
-    with pytest.raises(ParameterDomainError):
-        sine_basis_eval(spec, 1, 1.5)
     with pytest.raises(ParameterDomainError):
         BasisSpec(support_length=-1.0, n_modes=2)
+    with pytest.raises(ParameterDomainError):
+        BasisSpec(support_length=1.0, n_modes=0)
 
 
 def test_sine_eval_normalized_flag():
+    # sqrt(2/L) is 1 at L = 2 and 2 at L = 1/2
     spec = BasisSpec(support_length=2.0, n_modes=1)
-    raw = sine_basis_eval(spec, 1, 0.7)
-    assert sine_basis_eval(spec, 1, 0.7, normalized=True) == pytest.approx(raw * 1.0)
+    raw = design_matrix(spec, [0.7])
+    assert design_matrix(spec, [0.7], normalized=True) == pytest.approx(raw * 1.0)
+    half = BasisSpec(support_length=0.5, n_modes=3)
+    np.testing.assert_allclose(design_matrix(half, [0.1, 0.3], normalized=True),
+                               2.0 * design_matrix(half, [0.1, 0.3]), rtol=1e-15)
 
 
 def test_projection_recovers_single_mode():
@@ -62,14 +63,13 @@ def test_project_synthesize_roundtrip_on_span():
     t = np.linspace(0, 3.0, 3000)
     rng = np.random.default_rng(5)
     coeffs = rng.normal(size=6)
-    f = synthesize(coeffs, t, spec)
+    f = coeffs @ design_matrix(spec, t)
     assert np.allclose(project_samples(t, f, spec), coeffs, atol=1e-8)
 
 
 def test_discrete_orthogonality_2000_points():
     spec = BasisSpec(support_length=2.5, n_modes=6)
     t = np.linspace(0, 2.5, 2000)
-    from spatialcox import design_matrix
     phi = design_matrix(spec, t)
     gram = np.trapezoid(phi[:, None, :] * phi[None, :, :], t, axis=-1)
     expect = np.eye(6) * spec.support_length / 2.0

@@ -113,6 +113,17 @@ def test_pipeline_and_cross_validate_synthetic(tmp_path):
     assert stats["l1"] >= 0 and len(stats["fold_l1"]) == 2
 
 
+def test_cross_validate_no_cumulate(tmp_path):
+    # both pipeline subcommands take --no-cumulate, and cross-validation honours it
+    flags = ["--lattice", "6x6", "--time-nodes", 200, "--knots", 10, "--folds", 2]
+    l1 = {}
+    for extra in ([], ["--no-cumulate"]):
+        out = tmp_path / f"cv{len(extra)}.json"
+        run(["--seed", 3, "cross-validate", *flags, *extra, "--out", out])
+        l1[bool(extra)] = json.loads(out.read_text())["l1"]
+    assert np.isfinite(l1[True]) and l1[True] != l1[False]
+
+
 def test_pipeline_defaults_come_from_config(tmp_path):
     # every flag but --lattice at its PipelineConfig default, trend degree 3 included
     run(["--out-dir", tmp_path, "pipeline", "--lattice", "8x8"])

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import brute_force_idw, curve_space_residual
 
+import spatialcox.pipeline
 from spatialcox import (GridSeries, PipelineConfig, cvfare, idw_interpolate,
-                        load_series_csv, make_synthetic_counts, polyfit_trend,
-                        run_cross_validation, run_pipeline, save_series_csv,
-                        spline_smooth)
+                        load_series_csv, make_synthetic_counts, run_cross_validation,
+                        run_pipeline, save_series_csv, spline_smooth)
 from spatialcox.errors import (AmbiguousInterpolationError, DivisionGuardError, FileFormatError,
                                InsufficientResolutionError, ParameterDomainError,
                                PipelineStageError)
+from spatialcox.pipeline import _fit_trend
 from spatialcox.whittle import EstimateOptions
 
 FAST_OPTS = EstimateOptions(loss_tol=1e-8, max_evals=1500)
@@ -200,19 +201,30 @@ def test_spline_needs_enough_points():
 # --- polynomial trend -------------------------------------------------------
 
 
+def trend_and_residual(values, times, degree):
+    # the fitted trend is Q (Q^T v), Q orthonormal on the Legendre span
+    _, q, qtv = _fit_trend(values, times, degree)
+    trend = (qtv @ q.T).reshape(np.shape(values))
+    return trend, values - trend
+
+
 def test_trend_exact_degree10():
     t = np.linspace(0, 1, 500)
     rng = np.random.default_rng(12)
     coefs = rng.normal(size=11)
     f = sum(c * t**p for p, c in enumerate(coefs))
-    trend, resid = polyfit_trend(f, t, degree=10)
+    trend, resid = trend_and_residual(f, t, degree=10)
     assert np.max(np.abs(resid)) < 1e-6
     np.testing.assert_allclose(trend + resid, f, atol=1e-9)
+    # the Legendre coefficients give the same trend
+    coef, _, _ = _fit_trend(f, t, 10)
+    legendre = np.polynomial.legendre.legvander(2 * t - 1, 10) @ coef
+    np.testing.assert_allclose(legendre[:, 0], trend, atol=1e-9)
 
 
 def test_trend_constant():
     t = np.linspace(0, 2, 64)
-    trend, resid = polyfit_trend(np.full((2, 64), 3.0), t, degree=4)
+    trend, resid = trend_and_residual(np.full((2, 64), 3.0), t, degree=4)
     np.testing.assert_allclose(trend, 3.0, atol=1e-10)
     np.testing.assert_allclose(resid, 0.0, atol=1e-10)
 
@@ -227,7 +239,7 @@ def test_trend_constructed_decomposition_oracle():
     mode = np.sin(9 * np.pi * t)
     f = poly + mode
     degree = 3
-    trend, resid = polyfit_trend(f, t, degree=degree)
+    trend, resid = trend_and_residual(f, t, degree=degree)
     design = np.vander(2 * t - 1, degree + 1, increasing=True)
     proj = design @ np.linalg.lstsq(design, f, rcond=None)[0]
     np.testing.assert_allclose(trend, proj, atol=1e-4)
@@ -238,7 +250,7 @@ def test_trend_constructed_decomposition_oracle():
 
 def test_trend_needs_enough_points():
     with pytest.raises(InsufficientResolutionError):
-        polyfit_trend(np.zeros(8), np.linspace(0, 1, 8), degree=10)
+        _fit_trend(np.zeros(8), np.linspace(0, 1, 8), degree=10)
 
 
 # --- CVFARE -----------------------------------------------------------------
@@ -284,7 +296,7 @@ def test_pipeline_end_to_end_deterministic():
     assert res.residual_field.dims == (12, 12)
     assert np.all(res.mode_scale > 0)
     for name in ("ingest", "cumulate", "smooth", "idw", "log", "trend",
-                 "project", "normalize", "periodogram", "estimate", "predict"):
+                 "project", "normalize", "estimate", "predict"):
         assert name in res.diagnostics
     res2 = run_pipeline(series, cfg)
     np.testing.assert_array_equal(res.lambda_hat, res2.lambda_hat)
@@ -403,7 +415,7 @@ def test_cross_validation_smoke():
 def test_pipeline_resumable_from_projected_checkpoint(tmp_path):
     # stage outputs serialize and the downstream stages reproduce the full
     # run bit-identically when resumed from the saved residual field
-    from spatialcox import load_field_binary, periodogram, save_field_binary
+    from spatialcox import load_field_binary, periodogram, predict_field, save_field_binary
     from spatialcox.field import CoeffField
     from spatialcox.whittle import SpectralModel, estimate
 
@@ -420,8 +432,67 @@ def test_pipeline_resumable_from_projected_checkpoint(tmp_path):
     s2 = np.exp(np.mean(np.log(np.maximum((2 * np.pi) ** 2 * i0, 1e-300)), axis=(0, 1)))
     scale = np.sqrt(s2)
     np.testing.assert_array_equal(scale, res.mode_scale)
-    pg = periodogram(CoeffField(resumed.data / scale, resumed.basis))
     model = SpectralModel(cfg.family, n_modes=cfg.n_modes, groups=cfg.groups)
-    theta = estimate(model, pg, cfg.estimate_opts).theta_hat
+    normalized = CoeffField(resumed.data / scale, resumed.basis)
+    theta = estimate(model, normalized, cfg.estimate_opts).theta_hat
     np.testing.assert_array_equal(model.eig_triples(theta), res.lambda_hat)
     np.testing.assert_array_equal(theta, res.theta_hat)
+    np.testing.assert_array_equal(predict_field(resumed, model, theta).data,
+                                  res.predicted_field.data)
+
+
+def test_pipeline_takes_one_periodogram(monkeypatch):
+    # the mode scale needs the one FFT; the fit reads the normalized field's lag sums
+    calls = []
+    real = spatialcox.pipeline.periodogram
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spatialcox.pipeline, "periodogram", counted)
+    series, _ = tiny_series(seed=11)
+    res = run_pipeline(series, tiny_cfg())
+    assert not res.estimation_skipped
+    assert len(calls) == 1
+
+
+# --- input checks at the boundary ---------------------------------------------
+
+
+@pytest.mark.parametrize("where", ["count", "site"])
+def test_pipeline_non_finite_input_tagged_ingest(where):
+    series, _ = tiny_series(seed=4, dims=(4, 4), months=60)
+    sites, values = np.array(series.sites), np.array(series.values)
+    if where == "count":
+        values[5, 7] = np.nan
+    else:
+        sites[5, 1] = np.nan
+    with pytest.raises(PipelineStageError) as err:
+        run_pipeline(GridSeries(sites, series.times, values), tiny_cfg(lattice_dims=(4, 4)))
+    assert err.value.stage == "ingest"
+    assert isinstance(err.value.__cause__, ParameterDomainError)
+
+
+@pytest.mark.parametrize("bad", [dict(lattice_dims=(0, 5)), dict(lattice_dims=(1, 1)),
+                                 dict(n_knots=-2), dict(trend_degree=-1)],
+                         ids=["lattice_0x5", "lattice_1x1", "negative_knots",
+                              "negative_trend_degree"])
+def test_pipeline_config_rejects_out_of_domain(bad):
+    with pytest.raises(ParameterDomainError):
+        tiny_cfg(**bad)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(max_folds=0), "max_folds"), (dict(max_folds=-1), "max_folds"),
+    (dict(eval_stride=0), "eval_stride"), (dict(radius=-1.0), "radius must"),
+    (dict(radius=100.0), "holds out every site"),
+], ids=["no_folds", "negative_folds", "zero_stride", "negative_radius",
+        "radius_holds_out_all"])
+def test_cross_validation_rejects_bad_arguments(kwargs, message, monkeypatch):
+    # rejected before any fold runs the pipeline
+    monkeypatch.setattr(spatialcox.pipeline, "run_pipeline",
+                        lambda *a: pytest.fail("a fold ran"))
+    series, _ = tiny_series(seed=31, dims=(4, 4), months=60)
+    with pytest.raises(ParameterDomainError, match=message):
+        run_cross_validation(series, tiny_cfg(lattice_dims=(4, 4)), **kwargs)
