@@ -23,6 +23,6 @@ from .sarh import (Sarh1Params, SpectralModel, c2_innovation_var, family_triples
 from .spectral import (EmpiricalCov, Periodogram, cov_from_spectrum, empirical_cov,
                        fejer_smoothed_inverse, functional_dft, periodogram,
                        save_periodogram_binary, save_periodogram_csv)
-from .whittle import EstimateOptions, ThetaEstimate, estimate, trig_moments, whittle_loss
+from .whittle import ThetaEstimate, estimate, trig_moments, whittle_loss
 
 __all__ = [name for name in dir() if not name.startswith("_")]

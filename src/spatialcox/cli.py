@@ -27,7 +27,7 @@ from .pipeline import (PipelineConfig, load_series_csv, make_synthetic_counts,
                        run_cross_validation, run_pipeline)
 from .sarh import FAMILIES, Sarh1Params, SpectralModel, simulate_sarh1
 from .spectral import periodogram, save_periodogram_binary, save_periodogram_csv
-from .whittle import EstimateOptions, estimate
+from .whittle import estimate
 
 
 def _parse_dims(text):
@@ -129,8 +129,6 @@ def build_parser():
     s.add_argument("--field", required=True)
     s.add_argument("--modes", type=int, default=10)
     s.add_argument("--theta-box", type=_parse_box, default=None)
-    s.add_argument("--max-evals", type=int, default=2000)
-    s.add_argument("--loss-tol", type=float, default=1e-10)
     s.add_argument("--out", default="est.json")
 
     s = sub.add_parser("cox-moments", help="count moments over a lattice rectangle")
@@ -139,7 +137,6 @@ def build_parser():
     s.add_argument("--rect", type=_parse_rect, required=True, help="a1:b1xa2:b2")
     s.add_argument("--family", default=None, help="model family for unconditional moments")
     s.add_argument("--theta", type=_theta_vector, default=None)
-    s.add_argument("--max-lag", type=int, default=12)
     s.add_argument("--out", default="moments.json")
 
     s = sub.add_parser("predict", help="plug-in one-step field prediction")
@@ -199,8 +196,7 @@ def cmd_periodogram(args):
 def cmd_estimate(args):
     fld = load_field_binary(args.field)
     model = SpectralModel(args.family, n_modes=args.modes, theta_box=args.theta_box)
-    opts = EstimateOptions(loss_tol=args.loss_tol, max_evals=args.max_evals)
-    fit = estimate(model, fld, opts)
+    fit = estimate(model, fld)
     out = _out_path(args, args.out)
     fit.to_json(out)
     print(f"theta_hat = {np.asarray(fit.theta_hat)} loss = {fit.loss_at_min:.6f} -> {out}")
@@ -217,8 +213,9 @@ def cmd_cox_moments(args):
     }
     payload["sampled_count"] = sample_counts(fld, rect, phi, args.seed)
     if args.family:
+        # the moments read exactly the lags B - B
         model = SpectralModel(args.family, n_modes=fld.n_modes)
-        cmap = cov_map(model, args.theta, phi, (args.max_lag, args.max_lag))
+        cmap = cov_map(model, args.theta, phi, (rect.b1 - rect.a1, rect.b2 - rect.a2))
         mean, var = count_moments(rect, cmap)
         payload["model_mean"], payload["model_variance"] = mean, var
     out = _out_path(args, args.out)

@@ -84,23 +84,18 @@ def _lag_lookup(cov, z):
         raise LagUnavailableError(f"covariance lag {z} not supplied") from None
 
 
-def product_density_n(points, cov, include_diagonal: bool = False) -> float:
+def product_density_n(points, cov) -> float:
     """n-th order product density rho^n * exp(0.5 * sum_{i != j} R_{z_i - z_j}).
 
     ``cov`` maps integer lags (z1, z2) to R_z(phi)(phi) and must contain
-    every pairwise lag (plus (0, 0)).  The default excludes the i == j terms
-    of the double sum, which makes the n = 1 case reduce to the intensity
-    and the n = 2 case to the pair-correlation identity;
-    ``include_diagonal=True`` selects the literal double-sum reading.
+    every pairwise lag (plus (0, 0)).  The i == j terms of the double sum are
+    excluded, which makes the n = 1 case reduce to the intensity and the
+    n = 2 case to the pair-correlation identity.
     """
     pts = [tuple(int(c) for c in p) for p in points]
     rho = cox_intensity(_lag_lookup(cov, (0, 0)))
-    acc = 0.0
-    for a, pa in enumerate(pts):
-        for b, pb in enumerate(pts):
-            if a == b and not include_diagonal:
-                continue
-            acc += _lag_lookup(cov, (pa[0] - pb[0], pa[1] - pb[1]))
+    acc = sum(_lag_lookup(cov, (pa[0] - pb[0], pa[1] - pb[1]))
+              for a, pa in enumerate(pts) for b, pb in enumerate(pts) if a != b)
     return float(rho ** len(pts) * np.exp(0.5 * acc))
 
 

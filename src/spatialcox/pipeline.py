@@ -1,21 +1,23 @@
 """Space-time count ingestion and the estimation pipeline.
 
 Stages (in order): cumulate raw records, least-squares cubic B-spline fit
-per site, inverse-distance-weighted interpolation of the spline
-coefficients to a regular lattice, evaluation on a dense time grid, log
-transform, per-node polynomial trend fit, projection of the detrended
-curves onto the sine basis as P(log) - (P Q)(Q^T log) (Q orthonormal on
-the trend span, so the residual cube is never formed), per-mode
-normalization by the log-mean of the periodogram diagonal (the one 2-D FFT
-of a run), point-spectra model fit from the normalized field's circular lag
-sums, and plug-in prediction.  A synthetic generator producing count data
-from a known field + trend supports closed-loop validation and the CLI demos.
+per site, inverse-distance-weighted (1 / d^2) interpolation of the spline
+coefficients to a regular lattice, evaluation on a dense time grid from 0
+to the last time stamp, log transform of the curves floored at 1, per-node
+polynomial trend fit, projection of the detrended curves onto the sine
+basis as P(log) - (P Q)(Q^T log) (Q orthonormal on the trend span, so the
+residual cube is never formed), per-mode normalization by the log-mean of
+the periodogram diagonal (the one 2-D FFT of a run), a fit of the
+point-spectra family ``realdata_pmf`` from the normalized field's circular
+lag sums at :func:`~spatialcox.whittle.estimate`'s defaults, and plug-in
+prediction.  A synthetic generator producing count data from a known field +
+trend supports closed-loop validation and the CLI demos.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import BSpline
@@ -30,7 +32,7 @@ from .errors import (AmbiguousInterpolationError, DivisionGuardError, FileFormat
 from .field import CoeffField, _read_numeric_csv, _write_csv
 from .sarh import DEFAULT_PMF_GROUPS, Sarh1Params, SpectralModel, family_triples, simulate_sarh1
 from .spectral import periodogram
-from .whittle import EstimateOptions, ThetaEstimate, estimate
+from .whittle import ThetaEstimate, estimate
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,7 +40,7 @@ class GridSeries:
     """Raw space-time observations: one series per site.
 
     sites : array (S, 2) of (lon, lat) or lattice coordinates
-    times : strictly increasing time stamps (T,)
+    times : finite, strictly increasing time stamps (T,)
     values : array (S, T)
     lattice_dims : set when the sites enumerate a regular lattice row-major
     """
@@ -52,8 +54,8 @@ class GridSeries:
         sites = np.atleast_2d(np.asarray(self.sites, dtype=float))
         times = np.asarray(self.times, dtype=float)
         values = np.atleast_2d(np.asarray(self.values, dtype=float))
-        if np.any(np.diff(times) <= 0):
-            raise ParameterDomainError("times must be strictly increasing")
+        if not (np.all(np.isfinite(times)) and np.all(np.diff(times) > 0)):
+            raise ParameterDomainError("times must be finite and strictly increasing")
         if values.shape != (sites.shape[0], times.size):
             raise ParameterDomainError("values must have shape (n_sites, n_times)")
         for name, arr in (("sites", sites), ("times", times), ("values", values)):
@@ -101,8 +103,8 @@ def load_series_csv(path) -> GridSeries:
 # stages
 
 
-def idw_interpolate(series: GridSeries, target_dims, power: float = 2.0) -> GridSeries:
-    """Inverse-distance-weighted interpolation onto a regular lattice.
+def idw_interpolate(series: GridSeries, target_dims) -> GridSeries:
+    """Inverse-distance-weighted interpolation onto a regular lattice, weights 1 / d^2.
 
     Lattice nodes span the bounding box of the source sites; a node
     coinciding with a source reproduces that source exactly, and coinciding
@@ -111,8 +113,6 @@ def idw_interpolate(series: GridSeries, target_dims, power: float = 2.0) -> Grid
     row-normalised weight-matrix product, so the cost is one (nodes x sites)
     @ (sites x columns) product and O(nodes x sites) memory for the weights.
     """
-    if power <= 0:
-        raise ParameterDomainError("IDW power must be positive")
     n1, n2 = int(target_dims[0]), int(target_dims[1])
     xs = np.linspace(series.sites[:, 0].min(), series.sites[:, 0].max(), n1)
     ys = np.linspace(series.sites[:, 1].min(), series.sites[:, 1].max(), n2)
@@ -137,7 +137,7 @@ def idw_interpolate(series: GridSeries, target_dims, power: float = 2.0) -> Grid
     miss = ~is_hit
     if miss.any():
         w = d2[miss] if is_hit.any() else d2
-        w **= -0.5 * power  # in place: d2 is not read again
+        w **= -1.0  # 1 / d^2 in place: d2 is not read again
         out[miss] = (w @ series.values) / w.sum(axis=1)[:, None]
     return GridSeries(nodes, series.times, out, lattice_dims=(n1, n2))
 
@@ -210,21 +210,21 @@ def cvfare(true_curves, predicted_curves, t_grid):
 # pipeline
 
 
+# curves are floored at one count before the log, so an empty site logs to 0
+LOG_FLOOR = 1.0
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
+    """Settings of :func:`run_pipeline`.  ``residual_rms_floor`` is relative to
+    max(1, RMS of the log curves): a projected residual below it skips estimation."""
+
     lattice_dims: tuple = (20, 20)
-    idw_power: float = 2.0
     n_time_nodes: int = 1725
     n_knots: int = 40
-    log_floor: float = 1.0
     trend_degree: int = 3
     n_modes: int = 10
-    family: str = "realdata_pmf"
-    groups: tuple = DEFAULT_PMF_GROUPS
     cumulate: bool = True
-    support_length: float | None = None
-    estimate_opts: EstimateOptions = dc_field(
-        default_factory=lambda: EstimateOptions(loss_tol=1e-10, max_evals=3000))
     residual_rms_floor: float = 1e-8
 
     def __post_init__(self):
@@ -234,6 +234,12 @@ class PipelineConfig:
             raise ParameterDomainError("n_knots must be >= 0")
         if self.trend_degree < 0:
             raise ParameterDomainError("trend_degree must be >= 0")
+        if self.n_modes < 1:
+            raise ParameterDomainError("n_modes must be >= 1")
+        need = max(2 * self.n_modes + 1, self.trend_degree + 1)
+        if self.n_time_nodes < need:
+            raise ParameterDomainError(f"n_time_nodes must be >= max(2 n_modes + 1, "
+                                       f"trend_degree + 1) = {need}")
 
 
 @dataclass
@@ -296,7 +302,7 @@ def run_pipeline(raw: GridSeries, cfg: PipelineConfig | None = None) -> Pipeline
     values = stage("ingest", _ingest)
     values = stage("cumulate", lambda: np.cumsum(values, axis=1) if cfg.cumulate else values)
 
-    support = cfg.support_length if cfg.support_length is not None else float(raw.times[-1])
+    support = float(raw.times[-1])
     out_times = np.linspace(0.0, support, cfg.n_time_nodes)
     spline = stage("smooth", lambda: spline_smooth(raw.times, values, cfg.n_knots))
 
@@ -305,11 +311,11 @@ def run_pipeline(raw: GridSeries, cfg: PipelineConfig | None = None) -> Pipeline
     knots = spline.t
     greville = (knots[1:-3] + knots[2:-2] + knots[3:-1]) / 3.0
     lattice = stage("idw", lambda: idw_interpolate(
-        GridSeries(raw.sites, greville, spline.c.T), cfg.lattice_dims, cfg.idw_power))
+        GridSeries(raw.sites, greville, spline.c.T), cfg.lattice_dims))
     # every lattice curve by one design-matrix product, constant outside the data range
     curves = stage("evaluate", lambda: lattice.values @ BSpline.design_matrix(
         np.clip(out_times, knots[0], knots[-1]), knots, 3).toarray().T)
-    log_curves = stage("log", lambda: np.log(np.maximum(curves, cfg.log_floor, out=curves),
+    log_curves = stage("log", lambda: np.log(np.maximum(curves, LOG_FLOOR, out=curves),
                                              out=curves))
 
     trend_coef, q, qtv = stage("trend", lambda: _fit_trend(log_curves, out_times,
@@ -342,9 +348,9 @@ def run_pipeline(raw: GridSeries, cfg: PipelineConfig | None = None) -> Pipeline
     mode_scale = stage("normalize", _normalize)
 
     def _estimate():
-        model = SpectralModel(cfg.family, n_modes=cfg.n_modes, groups=cfg.groups)
+        model = SpectralModel("realdata_pmf", n_modes=cfg.n_modes)
         normalized_field = CoeffField(residual_field.data / mode_scale, basis)
-        return model, estimate(model, normalized_field, cfg.estimate_opts)
+        return model, estimate(model, normalized_field)
 
     model, fit = stage("estimate", _estimate)
     # the predictor is linear per mode, so it acts on the residual field unscaled
@@ -427,8 +433,7 @@ def make_synthetic_counts(lattice_dims=(40, 40), n_modes: int = 10, n_months: in
 
 
 def run_cross_validation(raw: GridSeries, cfg: PipelineConfig | None = None,
-                         max_folds: int = 12, radius: float = 0.0, seed: int = 0,
-                         eval_stride: int = 8):
+                         max_folds: int = 12, radius: float = 0.0, seed: int = 0):
     """Leave-site-out cross-validation of the plug-in intensity prediction.
 
     For each held-out site (a seeded subsample of at most ``max_folds``),
@@ -438,12 +443,12 @@ def run_cross_validation(raw: GridSeries, cfg: PipelineConfig | None = None,
     curve.  ``radius`` extends the held-out set to all sites within that
     distance.
 
-    Returns a dict with the pointwise CVFARE curve (on the strided time
-    grid), its normalized L1 value, and the per-fold values.
+    Returns a dict with the pointwise CVFARE curve (on every 8th node of the
+    pipeline time grid), its normalized L1 value, and the per-fold values.
     """
     cfg = cfg or PipelineConfig()
-    if max_folds < 1 or eval_stride < 1:
-        raise ParameterDomainError("max_folds and eval_stride must be >= 1")
+    if max_folds < 1:
+        raise ParameterDomainError("max_folds must be >= 1")
     if radius < 0:
         raise ParameterDomainError("radius must be >= 0")
     n_sites = raw.sites.shape[0]
@@ -455,13 +460,11 @@ def run_cross_validation(raw: GridSeries, cfg: PipelineConfig | None = None,
     if not all(keep.any() for keep in keeps):
         raise ParameterDomainError(f"radius {radius} holds out every site of a fold")
 
-    support = cfg.support_length if cfg.support_length is not None else float(raw.times[-1])
-    out_times = np.linspace(0.0, support, cfg.n_time_nodes)
-    t_eval = out_times[::eval_stride]
+    t_eval = np.linspace(0.0, float(raw.times[-1]), cfg.n_time_nodes)[::8]
 
     values = np.cumsum(raw.values[folds], axis=1) if cfg.cumulate else raw.values[folds]
     smoothed = spline_smooth(raw.times, values, cfg.n_knots)
-    observed = np.maximum(smoothed(np.clip(t_eval, raw.times[0], raw.times[-1])), cfg.log_floor)
+    observed = np.maximum(smoothed(np.clip(t_eval, raw.times[0], raw.times[-1])), LOG_FLOOR)
 
     preds = []
     for s, keep in zip(folds, keeps):

@@ -273,16 +273,15 @@ class SpectralModel:
         """Per-mode spectral prefactors sigma^2_{eps(phi_k)} = innovation variance / (2 pi)^2."""
         return self.innovation_var(theta) / TWO_PI_SQ
 
-    def density(self, theta, omega1, omega2, unit_sigma: bool = False) -> np.ndarray:
+    def density(self, theta, omega1, omega2) -> np.ndarray:
         """Spectral density values, shape broadcast(omega) + (M,)."""
         l1, l2, l3 = self.eig_triples(theta).T
         w1 = np.asarray(omega1, dtype=float)[..., None]
         w2 = np.asarray(omega2, dtype=float)[..., None]
         d2 = np.abs(1.0 - l1 * np.exp(1j * w1) - l2 * np.exp(1j * w2)
                     - l3 * np.exp(1j * (w1 + w2))) ** 2
-        s2 = 1.0 if unit_sigma else self.sigma2(theta)
         with np.errstate(divide="ignore"):  # zeros surface as inf, callers guard
-            return s2 / d2
+            return self.sigma2(theta) / d2
 
 
 @dataclass(frozen=True)

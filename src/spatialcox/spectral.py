@@ -49,14 +49,15 @@ class Periodogram:
     def n_modes(self) -> int:
         return self.values.shape[2]
 
-    def diag_real(self, tol: float = 1e-10) -> np.ndarray:
+    def diag_real(self) -> np.ndarray:
         """Real diagonal entries, |x_w|^2 >= 0 up to rounding.
 
         Raises :class:`SingularSpectrumError` when the imaginary residue
-        exceeds ``tol`` or a real value lies below ``-tol``, both relative to
-        the largest real magnitude; values within tolerance are returned as
-        their absolute values.
+        exceeds 1e-10 or a real value lies below -1e-10, both relative to
+        the largest real magnitude; values within that tolerance are returned
+        as their absolute values.
         """
+        tol = 1e-10
         real = self.values.real
         scale = max(np.abs(real).max(), 1e-300)
         resid = np.abs(self.values.imag).max() / scale

@@ -16,7 +16,9 @@ form, so its gradient is exact and cheap: every family with two or more
 parameters is fitted by one SLSQP solve with exact gradients, convex for
 the families whose triples are affine in theta (constrained to the causal
 tetrahedron ``CAUSAL_FACES``), and the one-parameter example1 by a grid
-bracket and bounded Brent.
+bracket and bounded Brent.  The one stopping setting is ``estimate``'s
+``loss_tol``, SLSQP's ``ftol``; every production caller keeps its default
+1e-10, and the iteration cap ``MAX_ITER`` is a constant the fits never reach.
 """
 
 from __future__ import annotations
@@ -91,14 +93,9 @@ def whittle_loss(model: SpectralModel, theta, sample: CoeffField | Periodogram) 
 # estimation
 
 
-@dataclass(frozen=True)
-class EstimateOptions:
-    """Stopping rules of :func:`estimate`: SLSQP's ``ftol`` and ``maxiter``,
-    the latter also capping the Brent iterations of example1."""
-
-    loss_tol: float = 1e-6
-    max_evals: int = 500
-
+# iteration cap of SLSQP and of example1's Brent refinement; the fits stop on
+# their tolerances long before it (below 200 loss evaluations)
+MAX_ITER = 2000
 
 # weight of the mean-over-modes term added to the sup loss in the searches:
 # among minimizers of the sup loss it picks the one where the remaining modes
@@ -124,7 +121,7 @@ class ThetaEstimate:
         return text
 
 
-def _fit_scalar(model, moments, opts):
+def _fit_scalar(model, moments):
     # example1's sigma2 = max(1, |l1|)^2 has a kink at theta = pi, where mode 1
     # leaves the causal set: bracket on a 64-node grid, then bounded Brent
     def objective(theta):
@@ -135,7 +132,7 @@ def _fit_scalar(model, moments, opts):
     values = [objective(t) for t in grid]
     i = int(np.argmin(values))
     res = minimize_scalar(objective, bounds=(grid[max(i - 1, 0)], grid[min(i + 1, 63)]),
-                          options={"xatol": 1e-10, "maxiter": opts.max_evals})
+                          options={"xatol": 1e-10, "maxiter": MAX_ITER})
     theta = res.x if res.fun <= values[i] else grid[i]
     return np.array([theta]), grid.size + res.nfev, res.success
 
@@ -155,7 +152,7 @@ def _mode_losses_with_grad(model: SpectralModel, theta, moments: np.ndarray, jac
     return u / s2[:, 0], np.einsum("kiq,ki->kq", jac, du) / s2
 
 
-def _fit_epigraph(model, moments, opts):
+def _fit_epigraph(model, moments, loss_tol):
     # min t + eta mean_k loss_k s.t. loss_k <= t over the box, from its centre.
     # The causal sigma2 is the model's on example2's box, which is causal; for
     # the affine families, held in the closed tetrahedron, it is the model's
@@ -190,12 +187,12 @@ def _fit_epigraph(model, moments, opts):
     res = minimize(lambda x: x[q] + TIE_BREAK * losses(x)[0].mean(), x0, method="SLSQP",
                    jac=lambda x: np.append(TIE_BREAK * losses(x)[1].mean(axis=0), 1.0),
                    bounds=[*box, (None, None)], constraints=constraints,
-                   options={"ftol": opts.loss_tol, "maxiter": opts.max_evals})
+                   options={"ftol": loss_tol, "maxiter": MAX_ITER})
     return np.clip(res.x[:q], box[:, 0], box[:, 1]), n_evals, res.success
 
 
 def estimate(model: SpectralModel, sample: CoeffField | Periodogram,
-             opts: EstimateOptions | None = None) -> ThetaEstimate:
+             loss_tol: float = 1e-10) -> ThetaEstimate:
     """Minimize the Whittle sup loss over the parameter box and the causal set.
 
     ``sample`` is a field or its periodogram, read by :func:`trig_moments`.
@@ -203,18 +200,17 @@ def estimate(model: SpectralModel, sample: CoeffField | Periodogram,
     take one SLSQP epigraph solve from the box centre with exact loss
     gradients, the affine ones constrained to the closed causal tetrahedron
     of every mode (a box without a causal point raises
-    :class:`ParameterDomainError`).  example1 takes the best node of a
-    64-point grid over its box, refined by bounded Brent between the node's
-    neighbours.  Both add ``TIE_BREAK`` times the mean-over-modes loss to the
+    :class:`ParameterDomainError`); ``loss_tol`` is that solve's ``ftol``.
+    example1 takes the best node of a 64-point grid over its box, refined by
+    bounded Brent to 1e-10 in theta between the node's neighbours.  Both add ``TIE_BREAK`` times the mean-over-modes loss to the
     sup loss; the reported ``loss_at_min`` is the pure sup loss.  A model
     with a zero ``noise_sd`` raises :class:`SingularSpectrumError`.
     """
-    opts = opts or EstimateOptions()
     _check_fit_inputs(model, sample)
     t0 = time.perf_counter()
     moments = trig_moments(sample)
-    fit = _fit_scalar if model.n_params == 1 else _fit_epigraph
-    theta_hat, n_evals, success = fit(model, moments, opts)
+    theta_hat, n_evals, success = (_fit_scalar(model, moments) if model.n_params == 1
+                                   else _fit_epigraph(model, moments, loss_tol))
     pure = float(_mode_losses_fast(model, theta_hat, moments).max())
     return ThetaEstimate(theta_hat=theta_hat, loss_at_min=pure, n_loss_evals=n_evals + 1,
                          converged=bool(success), family=model.family,

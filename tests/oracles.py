@@ -261,7 +261,7 @@ def curve_space_residual(raw, cfg):
     scale at which both this path and the pipeline round."""
     values = np.cumsum(raw.values, axis=1) if cfg.cumulate else raw.values
     t = raw.times
-    support = cfg.support_length if cfg.support_length is not None else float(t[-1])
+    support = float(t[-1])
     out_times = np.linspace(0.0, support, cfg.n_time_nodes)
     knots = np.r_[[t[0]] * 4, np.linspace(t[0], t[-1], cfg.n_knots + 2)[1:-1], [t[-1]] * 4]
     smoothed = make_lsq_spline(t, values.T, knots, k=3)(np.clip(out_times, t[0], t[-1])).T
@@ -269,8 +269,7 @@ def curve_space_residual(raw, cfg):
     xs = np.linspace(raw.sites[:, 0].min(), raw.sites[:, 0].max(), n1)
     ys = np.linspace(raw.sites[:, 1].min(), raw.sites[:, 1].max(), n2)
     nodes = np.array([[x, y] for x in xs for y in ys])
-    log = np.log(np.maximum(brute_force_idw(raw.sites, smoothed, nodes, cfg.idw_power),
-                            cfg.log_floor))
+    log = np.log(np.maximum(brute_force_idw(raw.sites, smoothed, nodes, 2.0), 1.0))
     design = np.polynomial.legendre.legvander(2.0 * out_times / support - 1.0, cfg.trend_degree)
     residual = log - (design @ np.linalg.lstsq(design, log.T, rcond=None)[0]).T
     raw_sine = trapezoid_projection(out_times, residual, support, cfg.n_modes)

@@ -8,19 +8,17 @@ stated criteria, never from the observed values.
 import numpy as np
 import pytest
 
-from oracles import brute_force_cov, brute_force_dft, normalize_c2
-from spatialcox import (BasisSpec, BorelRect, CoeffField, EstimateOptions,
-                        ExperimentConfig, FrequencyGrid, Periodogram, Sarh1Params,
-                        SpectralModel, TestFunction, count_moments, cov_from_spectrum,
-                        cvfare, empirical_cov, estimate, family_triples, functional_dft,
-                        make_synthetic_counts, periodogram, run_experiment, run_pipeline,
-                        simulate_sarh1)
+from oracles import brute_force_cov, brute_force_dft, normalize_c2, rational_density
+from spatialcox import (BasisSpec, BorelRect, CoeffField, ExperimentConfig, FrequencyGrid,
+                        Periodogram, Sarh1Params, SpectralModel, TestFunction, count_moments,
+                        cov_from_spectrum, cvfare, empirical_cov, estimate, family_triples,
+                        functional_dft, make_synthetic_counts, periodogram, run_experiment,
+                        run_pipeline, simulate_sarh1)
 from spatialcox.cox import cox_intensity, pair_correlation, product_density_n
 from spatialcox.pipeline import PipelineConfig
 from spatialcox.sarh import DEFAULT_PMF_GROUPS
 
 TWO_PI_SQ = (2 * np.pi) ** 2
-TABLE_OPTS = EstimateOptions(loss_tol=1e-10, max_evals=2000)
 
 
 def report(k, message):
@@ -31,7 +29,7 @@ def report(k, message):
 def table1_runs():
     cfg = ExperimentConfig(family="example1", theta_true=[1.0],
                            grid_sizes=(100, 150, 200), replicates=30,
-                           n_modes=10, burn_in=100, seed=101, opts=TABLE_OPTS)
+                           n_modes=10, burn_in=100, seed=101)
     return run_experiment(cfg)
 
 
@@ -61,8 +59,7 @@ def test_consistency_invariant_full_monotonicity(table1_runs):
 def test_criterion_3_table2_spot_check():
     truth = np.array([1.0, 1.6, 1.5, 1.2])
     cfg = ExperimentConfig(family="example2", theta_true=truth, grid_sizes=(200,),
-                           replicates=20, n_modes=10, burn_in=100, seed=303,
-                           opts=TABLE_OPTS)
+                           replicates=20, n_modes=10, burn_in=100, seed=303)
     table = run_experiment(cfg)
     means = np.array([table.select(40000, component=c)["mean"] for c in range(1, 5)])
     devs = np.abs(means - truth)
@@ -127,7 +124,8 @@ def test_criterion_6_c2_normalization_grid():
             if family == "example1" and abs(theta[0] - np.pi) < 2e-2:
                 continue  # the lone removable singularity of the box
             s2 = normalize_c2(model, theta)
-            dens = model.density(theta, w1, w2, unit_sigma=True) * s2
+            dens = np.stack([rational_density(triple, s, w1, w2) for triple, s in
+                             zip(model.eig_triples(theta), s2)], axis=-1)
             integral = np.log(TWO_PI_SQ * dens).mean(axis=(0, 1)) * TWO_PI_SQ
             worst = max(worst, float(np.max(np.abs(integral))))
     assert worst < 1e-6
@@ -143,7 +141,6 @@ def _noise_free_periodogram(model, theta, dims):
 
 def test_criterion_7_whittle_identifiability():
     rng = np.random.default_rng(77)
-    opts = EstimateOptions(loss_tol=1e-14, max_evals=8000)
     worst_theta, worst_loss = 0.0, 0.0
     for family, box in (("example1", np.array([[0.7, 4.0]])),
                         ("example2", np.array([[0.7, 1.3], [1.3, 1.9],
@@ -152,7 +149,7 @@ def test_criterion_7_whittle_identifiability():
         for _ in range(10):
             theta_star = box[:, 0] + rng.random(box.shape[0]) * (box[:, 1] - box[:, 0])
             pg = _noise_free_periodogram(model, theta_star, (64, 64))
-            fit = estimate(model, pg, opts)
+            fit = estimate(model, pg, loss_tol=1e-14)
             worst_theta = max(worst_theta, float(np.max(np.abs(fit.theta_hat - theta_star))))
             worst_loss = max(worst_loss, abs(fit.loss_at_min - 1.0))
     assert worst_theta <= 1e-4, worst_theta

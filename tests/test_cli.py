@@ -45,7 +45,7 @@ def test_cox_moments_command(tmp_path):
     phi.write_text("1.0\n0.0\n0.0\n")
     out = tmp_path / "moments.json"
     run(["cox-moments", "--field", field, "--phi", phi, "--rect", "3:7x3:7",
-         "--family", "example1", "--theta", "1.0", "--max-lag", "6", "--out", out])
+         "--family", "example1", "--theta", "1.0", "--out", out])
     payload = json.loads(out.read_text())
     assert payload["area"] == 25
     assert payload["conditional_mean"] > 0
@@ -55,6 +55,36 @@ def test_cox_moments_command(tmp_path):
     r0 = 1.0 / ((1 - l1**2) * (1 - l2**2))
     assert payload["model_mean"] == pytest.approx(25 * np.exp(r0 / 2), rel=1e-8)
     assert payload["model_variance"] > 0
+
+
+def test_cox_moments_wide_rect_reads_its_own_lags(tmp_path):
+    # the model moments take the lags B - B, here up to 20 on each axis
+    field = tmp_path / "field.bin"
+    run(["simulate", "--dims", "32x32", "--modes", "2", "--burn-in", 10, "--out", field])
+    phi = tmp_path / "phi.csv"
+    phi.write_text("1.0\n0.0\n")
+    out = tmp_path / "moments.json"
+    run(["cox-moments", "--field", field, "--phi", phi, "--rect", "0:20x0:20",
+         "--family", "example1", "--theta", "1.0", "--out", out])
+    payload = json.loads(out.read_text())
+    assert payload["area"] == 441
+    l1 = l2 = 1.0 / np.pi**2
+    r0 = 1.0 / ((1 - l1**2) * (1 - l2**2))
+    assert payload["model_mean"] == pytest.approx(441 * np.exp(r0 / 2), rel=1e-8)
+    assert payload["model_variance"] > payload["model_mean"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--field", "field.bin", "--loss-tol", "1e-8"],
+    ["estimate", "--field", "field.bin", "--max-evals", "100"],
+    ["cox-moments", "--field", "field.bin", "--phi", "phi.csv", "--rect", "1:3x1:3",
+     "--max-lag", "6"],
+], ids=["loss_tol", "max_evals", "max_lag"])
+def test_removed_tuning_flags_refused(argv):
+    # refused by the parser, before any file is read
+    with pytest.raises(SystemExit) as err:
+        run(argv)
+    assert err.value.code == 2
 
 
 @pytest.mark.parametrize("model_flags", [["--family", "example1"], ["--theta", "1.0"]])

@@ -61,11 +61,8 @@ def test_pair_correlation_identities():
 def test_product_density_small_n():
     cov = {(0, 0): 0.5}
     rho = cox_intensity(0.5)
-    # default (i != j) makes the n=1 case the intensity itself
+    # the sum over i != j makes the n=1 case the intensity itself
     assert product_density_n([(3, 3)], cov) == pytest.approx(rho)
-    # the literal double-sum reading keeps the diagonal term
-    literal = product_density_n([(3, 3)], cov, include_diagonal=True)
-    assert literal == pytest.approx(rho * np.exp(0.25), rel=1e-12)
     # independence: all covariances zero -> rho^n
     cov0 = {(z1, z2): (0.7 if (z1, z2) == (0, 0) else 0.0)
             for z1 in range(-2, 3) for z2 in range(-2, 3)}

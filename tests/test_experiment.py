@@ -3,14 +3,11 @@ import pytest
 
 from spatialcox import ExperimentConfig, run_experiment
 from spatialcox.errors import ParameterDomainError
-from spatialcox.whittle import EstimateOptions
-
-SMALL_OPTS = EstimateOptions(loss_tol=1e-8, max_evals=800)
 
 
 def small_cfg(**kw):
     base = dict(family="example1", theta_true=[1.0], grid_sizes=(24, 32),
-                replicates=4, n_modes=3, burn_in=20, seed=7, opts=SMALL_OPTS)
+                replicates=4, n_modes=3, burn_in=20, seed=7)
     base.update(kw)
     return ExperimentConfig(**base)
 

@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from oracles import (dense_mode_losses, grid_has_torus_zero, grid_min_triple_loss,
                      normalize_c2, rational_density)
-from spatialcox import (BasisSpec, CoeffField, EstimateOptions, FrequencyGrid, Periodogram,
+from spatialcox import (BasisSpec, CoeffField, FrequencyGrid, Periodogram,
                         Sarh1Params, SpectralModel, cov_from_spectrum, estimate,
                         family_triples, is_causal, periodogram, simulate_sarh1, trig_moments,
                         whittle_loss)
@@ -87,7 +87,8 @@ def test_c2_defining_property():
         n = 512
         w = -np.pi + 2 * np.pi * np.arange(n) / n
         w1, w2 = np.meshgrid(w, w, indexing="ij")
-        dens = model.density([theta], w1, w2, unit_sigma=True) * s2
+        dens = np.stack([rational_density(triple, s, w1, w2) for triple, s in
+                         zip(model.eig_triples([theta]), s2)], axis=-1)
         integral = np.log(TWO_PI_SQ * dens).mean(axis=(0, 1)) * TWO_PI_SQ
         assert np.all(np.abs(integral) < 1e-6)
 
@@ -209,7 +210,7 @@ def test_loss_domain_errors():
 def test_estimate_noise_free_recovers_theta():
     model = SpectralModel("example1", n_modes=6)
     pg = model_periodogram(model, [1.7], (32, 32))
-    fit = estimate(model, pg, EstimateOptions(loss_tol=1e-12, max_evals=2000))
+    fit = estimate(model, pg)
     assert abs(fit.theta_hat[0] - 1.7) < 1e-4
     assert abs(fit.loss_at_min - 1.0) < 1e-3
     assert fit.converged
@@ -243,9 +244,8 @@ def test_estimate_is_pure_function_of_periodogram():
 def test_estimate_from_field_matches_periodogram(family, theta):
     fld = simulate_sarh1(Sarh1Params(family, theta, 5), (48, 40), burn_in=30, seed=17)
     model = SpectralModel(family, n_modes=5)
-    opts = EstimateOptions(loss_tol=1e-10, max_evals=2000)
-    from_field = estimate(model, fld, opts)
-    from_pgram = estimate(model, periodogram(fld), opts)
+    from_field = estimate(model, fld)
+    from_pgram = estimate(model, periodogram(fld))
     np.testing.assert_allclose(from_field.theta_hat, from_pgram.theta_hat, rtol=0, atol=1e-6)
     assert from_field.loss_at_min == pytest.approx(from_pgram.loss_at_min, rel=1e-10)
 
@@ -282,7 +282,7 @@ def test_fit_with_fixed_noise_sd_recovers_theta():
     pg = model_periodogram(model, [1.7], (32, 32))
     scaled = model_periodogram(SpectralModel("example1", n_modes=3), [1.7], (32, 32))
     np.testing.assert_allclose(pg.values, 4.0 * scaled.values, rtol=1e-14)
-    fit = estimate(model, pg, EstimateOptions(loss_tol=1e-12, max_evals=2000))
+    fit = estimate(model, pg)
     assert abs(fit.theta_hat[0] - 1.7) < 1e-4
     assert fit.loss_at_min == pytest.approx(1.0, abs=1e-3)
 
@@ -290,13 +290,12 @@ def test_fit_with_fixed_noise_sd_recovers_theta():
 # --- affine families: one convex solve over the causal tetrahedron ----------
 
 BAND_TRIPLE = [0.6, 0.5, 0.0]  # l1 + l2 + l3 = 1.1: D vanishes on the torus
-AFFINE_OPTS = EstimateOptions(loss_tol=1e-10, max_evals=3000)
 
 
 def test_triple_fit_of_band_periodogram_is_causal():
     wide = SpectralModel("triple", n_modes=3, theta_box=[[-2, 2]] * 3)
     pg = model_periodogram(wide, BAND_TRIPLE, (32, 32))
-    fit = estimate(SpectralModel("triple", n_modes=3), pg, AFFINE_OPTS)
+    fit = estimate(SpectralModel("triple", n_modes=3), pg)
     assert fit.converged
     assert np.max(CAUSAL_FACES @ fit.theta_hat) <= 1 + 1e-9
 
@@ -307,7 +306,7 @@ def test_affine_family_fit_recovers_pmf_triples(family):
     fld = simulate_sarh1(Sarh1Params("custom", lam.ravel(), 10), (64, 64), burn_in=60,
                          seed=3)
     model = SpectralModel(family, n_modes=10)
-    fit = estimate(model, periodogram(fld), AFFINE_OPTS)
+    fit = estimate(model, periodogram(fld))
     lam_hat = model.eig_triples(fit.theta_hat)
     rel = np.linalg.norm(lam_hat - lam, axis=1) / np.linalg.norm(lam, axis=1)
     assert fit.converged
@@ -333,7 +332,7 @@ def test_triple_fit_not_above_dense_grid_oracle(seed):
     else:
         params = Sarh1Params("custom", [0.5, 0.3, -0.1, 0.2, 0.6, 0.1], 2)
         pg = periodogram(simulate_sarh1(params, (12, 12), burn_in=30, seed=seed))
-    fit = estimate(SpectralModel("triple", n_modes=2), pg, AFFINE_OPTS)
+    fit = estimate(SpectralModel("triple", n_modes=2), pg)
     w1, w2 = pg.grid.meshes()
     assert fit.loss_at_min <= grid_min_triple_loss(pg.diag_real(), w1, w2, TRIPLE_BOX) + 1e-9
 
@@ -448,7 +447,7 @@ def test_estimate_realdata_pmf_recovers_triples():
     fld = simulate_sarh1(params, (96, 96), burn_in=60, seed=404)
     pg = periodogram(fld)
     model = SpectralModel("realdata_pmf", n_modes=10)
-    fit = estimate(model, pg, EstimateOptions(loss_tol=1e-10, max_evals=3000))
+    fit = estimate(model, pg)
     lam_hat = model.eig_triples(fit.theta_hat)
     assert lam_hat.shape == (10, 3)
     rel = np.linalg.norm(lam_hat - lam_true, axis=1) / np.linalg.norm(lam_true, axis=1)
