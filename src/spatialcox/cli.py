@@ -265,6 +265,7 @@ def cmd_pipeline(args):
         "theta_hat": None if res.theta_hat is None else np.asarray(res.theta_hat).tolist(),
         "lambda_hat": None if res.lambda_hat is None else res.lambda_hat.tolist(),
         "mode_scale": res.mode_scale.tolist(),
+        "loss_at_min": None if res.fit is None else res.fit.loss_at_min,
         "stage_seconds": {k: v for k, v in res.diagnostics.items() if isinstance(v, float)},
     }
     if truth is not None:

@@ -23,7 +23,9 @@ class ExperimentConfig:
 
     grid_sizes are side lengths; each contributes N = side^2 samples.
     Per-replicate seeds are spawned deterministically from ``seed``, so
-    results do not depend on scheduling order.
+    results do not depend on scheduling order.  The family and theta_true
+    are checked as :class:`~spatialcox.sarh.Sarh1Params` checks them, so a
+    bad one raises :class:`ParameterDomainError` here, not in every replicate.
     """
 
     family: str
@@ -47,6 +49,7 @@ class ExperimentConfig:
             raise ParameterDomainError("burn_in must be >= 0")
         if self.n_modes < 1:
             raise ParameterDomainError("n_modes must be >= 1")
+        Sarh1Params(self.family, self.theta_true, self.n_modes)
 
 
 def _replicate(args):

@@ -6,11 +6,11 @@ coefficients to a regular lattice, evaluation on a dense time grid from 0
 to the last time stamp, log transform of the curves floored at 1, per-node
 polynomial trend fit, projection of the detrended curves onto the sine
 basis as P(log) - (P Q)(Q^T log) (Q orthonormal on the trend span, so the
-residual cube is never formed), per-mode normalization by the log-mean of
-the periodogram diagonal (the one 2-D FFT of a run), a fit of the
-point-spectra family ``realdata_pmf`` from the normalized field's circular
-lag sums at :func:`~spatialcox.whittle.estimate`'s defaults, and plug-in
-prediction.  A synthetic generator producing count data from a known field +
+residual cube is never formed), per-mode normalization by the innovation sd
+that the field's five circular lag moments give (no FFT), a fit of the
+point-spectra family ``realdata_pmf`` from the normalized field's moments
+at :func:`~spatialcox.whittle.estimate`'s defaults, and plug-in prediction.
+A synthetic generator producing count data from a known field +
 trend supports closed-loop validation and the CLI demos.
 """
 
@@ -30,9 +30,9 @@ from .errors import (AmbiguousInterpolationError, DivisionGuardError, FileFormat
                      InsufficientResolutionError, ParameterDomainError,
                      PipelineStageError, RankDeficiencyError)
 from .field import CoeffField, _read_numeric_csv, _write_csv
-from .sarh import DEFAULT_PMF_GROUPS, Sarh1Params, SpectralModel, family_triples, simulate_sarh1
-from .spectral import periodogram
-from .whittle import ThetaEstimate, estimate
+from .sarh import (DEFAULT_PMF_GROUPS, TWO_PI_SQ, Sarh1Params, SpectralModel, _gram_min,
+                   family_triples, simulate_sarh1)
+from .whittle import ThetaEstimate, estimate, trig_moments
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,7 +247,7 @@ class PipelineResult:
     out_times: np.ndarray
     trend_coef: np.ndarray            # Legendre coefficients, (degree+1, N1*N2)
     residual_field: CoeffField        # projected residual coefficients (orthonormal basis)
-    mode_scale: np.ndarray            # per-mode normalization factors s_k
+    mode_scale: np.ndarray            # per-mode innovation sd s_k from the lag moments
     theta_hat: np.ndarray | None
     lambda_hat: np.ndarray | None     # (M, 3) per-mode triples implied by theta_hat
     fit: ThetaEstimate | None         # the fit to the residual field divided by mode_scale
@@ -335,9 +335,7 @@ def run_pipeline(raw: GridSeries, cfg: PipelineConfig | None = None) -> Pipeline
                               None, None, None, None, True, diagnostics)
 
     def _normalize():
-        i0 = periodogram(residual_field).diag_real()
-        scale = np.sqrt(np.exp(np.mean(np.log(np.maximum((2.0 * np.pi) ** 2 * i0, 1e-300)),
-                                       axis=(0, 1))))
+        scale = np.sqrt(TWO_PI_SQ * _gram_min(trig_moments(residual_field)))
         low = np.flatnonzero(scale < cfg.residual_rms_floor * log_scale)
         if low.size:  # a mode inside the trend's span holds rounding noise only
             raise InsufficientResolutionError(

@@ -153,6 +153,17 @@ def _gram_form(triples: np.ndarray, mu: np.ndarray):
     return np.einsum("ki,ki->k", a, ga), -2.0 * ga[:, 1:]
 
 
+def _gram_min(mu: np.ndarray) -> np.ndarray:
+    """Per row k, min over all triples of a' G_k a = G_k[0, 0] - g' H^+ g, clamped at 0,
+    with g = G_k[1:, 0] and H = G_k[1:, 1:]: the Yule-Walker prediction error of the
+    stencil.  G_k is PSD for periodogram averages, so g lies in range(H) and the
+    pseudo-inverse is exact for a singular H too; (2 pi)^2 times the minimum
+    estimates mode k's innovation variance (Szego-Kolmogorov; Whittle, 1954)."""
+    g = mu[:, _GRAM]
+    v, h_pinv = g[:, 1:, 0], np.linalg.pinv(g[:, 1:, 1:], hermitian=True)
+    return np.maximum(g[:, 0, 0] - np.einsum("ki,kij,kj->k", v, h_pinv, v), 0.0)
+
+
 def _torus_cd(triples):
     # the triples as rows, and c, d of |1 - l1 e^{iw}|^2 - |l2 + l3 e^{iw}|^2 = c - 2 d cos w
     t = np.atleast_2d(np.asarray(triples, dtype=float))
@@ -289,7 +300,8 @@ class Sarh1Params:
     """A point (model, theta) of a SARH(1) family, as :func:`simulate_sarh1` takes it.
 
     ``model`` is the :class:`SpectralModel` of (family, n_modes, noise_sd),
-    built and checked at construction; theta is its parameter vector.
+    built and checked at construction; theta is its parameter vector, whose
+    length (and, for example1 and example2, box) is checked there too.
     """
 
     family: str
@@ -301,6 +313,7 @@ class Sarh1Params:
     def __post_init__(self):
         model = SpectralModel(self.family, self.n_modes, noise_sd=self.noise_sd)
         object.__setattr__(self, "theta", np.atleast_1d(np.asarray(self.theta, dtype=float)))
+        model.eig_triples(self.theta)
         object.__setattr__(self, "noise_sd", model.noise_sd)
         object.__setattr__(self, "model", model)
 

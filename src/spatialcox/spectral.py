@@ -176,9 +176,12 @@ def cov_from_spectrum(model, theta, lags, grid_size: int = 512):
     model : :class:`spatialcox.sarh.SpectralModel`, or any object with
         ``eig_triples(theta) -> (M, 3)`` and ``sigma2(theta) -> (M,)``
     theta : parameter vector
-    lags : sequence of integer lag pairs (z1, z2)
-    grid_size : starting w1 node count; each mode doubles it until the
-        largest change of its covariances is <= 1e-13 of its variance R_0
+    lags : sequence of integer lag pairs (z1, z2); z2 is exact at any size,
+        being closed form, and z1 sets the quadrature's starting grid
+    grid_size : least starting w1 node count; the start is raised to the
+        smallest power of two above 2 max|z1| + 1, so that every z1 lies
+        below its Nyquist limit, and each mode doubles it until the largest
+        change of its covariances is <= 1e-13 of its variance R_0
 
     Returns
     -------
@@ -188,18 +191,15 @@ def cov_from_spectrum(model, theta, lags, grid_size: int = 512):
     Raises
     ------
     ResolutionError
-        a lag with |z1| or |z2| >= grid_size / 2, or a mode whose quadrature
-        would need more than 2^21 complex values (nodes x (distinct |z2| + 4))
-        to converge, which happens only very near the torus-zero band.
+        a quadrature that would need more than 2^21 complex values (nodes x
+        (distinct |z2| + 4)): lags too wide for it, or a mode that converges
+        only past it, which happens only very near the torus-zero band.
     SingularSpectrumError
         a mode whose AR polynomial vanishes on the unit torus (|c| <= 2|d|):
         the density is not integrable there and no covariance exists.
     """
     lags = np.array([(int(z1), int(z2)) for z1, z2 in lags], dtype=np.int64).reshape(-1, 2)
-    half = grid_size // 2
-    if np.any(np.abs(lags) >= half):
-        raise ResolutionError(
-            f"requested lag exceeds Nyquist range of the {grid_size}-node quadrature")
+    start = max(grid_size, 1 << int(2 * np.abs(lags[:, 0]).max(initial=0) + 1).bit_length())
     triples = np.atleast_2d(np.asarray(model.eig_triples(theta), dtype=float))
     bad = np.flatnonzero(_has_torus_zero(triples) | ~np.all(np.isfinite(triples), axis=1))
     if bad.size:
@@ -215,18 +215,16 @@ def cov_from_spectrum(model, theta, lags, grid_size: int = 512):
     vals = np.empty((lags.shape[0], triples.shape[0]))
     residue = 0.0
     for k, triple in enumerate(triples):
-        n = grid_size
-        prev = _w1_transform(triple, k2, n)[row, z1 % n]
-        while True:
-            if 2 * n * (k2.size + 4) > _MAX_QUAD_CELLS:
+        n, prev = start, None
+        while True:  # each grid is checked against the cap before it is built
+            if n * (k2.size + 4) > _MAX_QUAD_CELLS:
                 raise ResolutionError(
-                    f"mode {k + 1}: covariance quadrature not converged at {n} w1 nodes")
-            n *= 2
+                    f"mode {k + 1}: covariance quadrature not converged below {n} w1 nodes")
             h = _w1_transform(triple, k2, n)
             cur, r0 = h[row, z1 % n], h[0, 0].real
-            if np.abs(cur - prev).max(initial=0.0) <= _QUAD_RTOL * r0:
+            if prev is not None and np.abs(cur - prev).max(initial=0.0) <= _QUAD_RTOL * r0:
                 break
-            prev = cur
+            prev, n = cur, 2 * n
         residue = max(residue, float(np.abs(cur.imag).max(initial=0.0) / r0))
         vals[:, k] = sigma2[k] * cur.real
     return vals, residue

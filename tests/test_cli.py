@@ -74,6 +74,23 @@ def test_cox_moments_wide_rect_reads_its_own_lags(tmp_path):
     assert payload["model_variance"] > payload["model_mean"]
 
 
+def test_cox_moments_rect_wider_than_half_the_quadrature(tmp_path):
+    # lags up to 259 on the first axis, past the 512-node quadrature's Nyquist limit
+    field = tmp_path / "field.bin"
+    run(["simulate", "--dims", "262x12", "--modes", "4", "--burn-in", 10, "--out", field])
+    phi = tmp_path / "phi.csv"
+    phi.write_text("1.0\n0.0\n0.0\n0.0\n")
+    out = tmp_path / "moments.json"
+    run(["cox-moments", "--field", field, "--phi", phi, "--rect", "0:259x0:9",
+         "--family", "example1", "--theta", "1.0", "--out", out])
+    payload = json.loads(out.read_text())
+    assert payload["area"] == 2600
+    l1 = l2 = 1.0 / np.pi**2
+    r0 = 1.0 / ((1 - l1**2) * (1 - l2**2))
+    assert payload["model_mean"] == pytest.approx(2600 * np.exp(r0 / 2), rel=1e-8)
+    assert payload["model_variance"] > payload["model_mean"]
+
+
 @pytest.mark.parametrize("argv", [
     ["estimate", "--field", "field.bin", "--loss-tol", "1e-8"],
     ["estimate", "--field", "field.bin", "--max-evals", "100"],
@@ -135,6 +152,8 @@ def test_pipeline_and_cross_validate_synthetic(tmp_path):
     assert not payload["estimation_skipped"]
     assert len(payload["lambda_hat"]) == 10
     assert len(payload["lambda_true"]) == 10
+    # each normalized mode's least loss over all triples is 1
+    assert payload["loss_at_min"] >= 1 - 1e-9
 
     cv = tmp_path / "cv.json"
     run(["--seed", 5, "cross-validate", "--lattice", "8x8", "--time-nodes", 250,

@@ -178,10 +178,20 @@ def test_cov_from_spectrum_roundtrip():
     assert np.abs(acc - dens).sum() / dens.sum() < 1e-4
 
 
-def test_cov_from_spectrum_nyquist_guard():
-    model = SpectralModel("example1", n_modes=1)
-    with pytest.raises(ResolutionError):
-        cov_from_spectrum(model, [1.0], [(300, 0)], grid_size=512)
+def test_cov_from_spectrum_wide_lags_match_separable_closed_form():
+    # z2 is closed form at any size, and the w1 quadrature starts above twice
+    # the widest |z1|, so lags past grid_size / 2 are exact too; at theta = 3.1
+    # (l1 ~ 0.97 on mode 1) they are far from zero
+    from spatialcox import family_triples
+
+    model = SpectralModel("example1", n_modes=2)
+    lags = [(300, 0), (0, 300), (10, -400)]
+    for theta in (1.0, 3.1):
+        vals, _ = cov_from_spectrum(model, [theta], lags, grid_size=512)
+        for k, (l1, l2, _) in enumerate(family_triples("example1", [theta], 2)):
+            r0 = separable_cov(l1, l2, 0, 0)
+            want = [separable_cov(l1, l2, z1, z2) for z1, z2 in lags]
+            assert np.max(np.abs(vals[:, k] - want)) <= 1e-12 * r0, (theta, k)
 
 
 @pytest.mark.parametrize("triple", [(0.5, 0.6, 0.0), (0.6, 0.5, 0.0)])
