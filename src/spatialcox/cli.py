@@ -194,9 +194,8 @@ def cmd_periodogram(args):
 
 
 def cmd_estimate(args):
-    fld = load_field_binary(args.field)
     model = SpectralModel(args.family, n_modes=args.modes, theta_box=args.theta_box)
-    fit = estimate(model, fld)
+    fit = estimate(model, load_field_binary(args.field))
     out = _out_path(args, args.out)
     fit.to_json(out)
     print(f"theta_hat = {np.asarray(fit.theta_hat)} loss = {fit.loss_at_min:.6f} -> {out}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterDomainError, SpatialCoxError
-from .sarh import Sarh1Params, simulate_sarh1
+from .sarh import Sarh1Params, is_causal, simulate_sarh1
 from .whittle import estimate
 
 
@@ -23,9 +23,9 @@ class ExperimentConfig:
 
     grid_sizes are side lengths; each contributes N = side^2 samples.
     Per-replicate seeds are spawned deterministically from ``seed``, so
-    results do not depend on scheduling order.  The family and theta_true
-    are checked as :class:`~spatialcox.sarh.Sarh1Params` checks them, so a
-    bad one raises :class:`ParameterDomainError` here, not in every replicate.
+    results do not depend on scheduling order.  A bad family or theta_true
+    (as :class:`~spatialcox.sarh.Sarh1Params` checks them, or not causal on
+    every mode) raises :class:`ParameterDomainError` here, not in every replicate.
     """
 
     family: str
@@ -49,7 +49,10 @@ class ExperimentConfig:
             raise ParameterDomainError("burn_in must be >= 0")
         if self.n_modes < 1:
             raise ParameterDomainError("n_modes must be >= 1")
-        Sarh1Params(self.family, self.theta_true, self.n_modes)
+        params = Sarh1Params(self.family, self.theta_true, self.n_modes)
+        bad = np.flatnonzero(~is_causal(params.model.eig_triples(params.theta)))
+        if bad.size:
+            raise ParameterDomainError(f"theta_true is not causal on mode {bad[0] + 1}")
 
 
 def _replicate(args):

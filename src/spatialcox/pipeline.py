@@ -30,8 +30,8 @@ from .errors import (AmbiguousInterpolationError, DivisionGuardError, FileFormat
                      InsufficientResolutionError, ParameterDomainError,
                      PipelineStageError, RankDeficiencyError)
 from .field import CoeffField, _read_numeric_csv, _write_csv
-from .sarh import (DEFAULT_PMF_GROUPS, TWO_PI_SQ, Sarh1Params, SpectralModel, _gram_min,
-                   family_triples, simulate_sarh1)
+from .sarh import (TWO_PI_SQ, Sarh1Params, SpectralModel, _gram_min, family_triples,
+                   simulate_sarh1)
 from .whittle import ThetaEstimate, estimate, trig_moments
 
 
@@ -367,6 +367,10 @@ def run_pipeline(raw: GridSeries, cfg: PipelineConfig | None = None) -> Pipeline
 DEFAULT_TRUE_PMF = np.array([0.32, 0.08, 0.04,     # theta_{1,1}, deltas for groups
                              0.26, 0.04, -0.04,    # theta_{2,1}, deltas
                              -0.10, -0.02, 0.04])  # theta_{3,1}, deltas
+SYNTHETIC_TREND = (4.5, 4.0, 0.4, -0.2)
+SYNTHETIC_AMPLITUDE = 0.16
+SYNTHETIC_AMP_DECAY = 0.7
+SYNTHETIC_BURN_IN = 80
 
 
 @dataclass(frozen=True, eq=False)
@@ -374,28 +378,24 @@ class SyntheticTruth:
     theta_flat: np.ndarray
     lambda_true: np.ndarray
     coeff_raw: np.ndarray          # raw-sine coefficients including amplitudes
-    trend_poly: np.ndarray         # coefficients in u = t / support
-    support_length: float
     basis: BasisSpec
 
     def log_intensity(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        u = t / self.support_length
-        trend = sum(c * u**p for p, c in enumerate(self.trend_poly))
+        u = t / self.basis.support_length
+        trend = sum(c * u**p for p, c in enumerate(SYNTHETIC_TREND))
         phi = design_matrix(self.basis, t)
         return trend[None, None, :] + self.coeff_raw @ phi
 
 
 def make_synthetic_counts(lattice_dims=(40, 40), n_modes: int = 10, n_months: int = 432,
-                          support_length: float = 1725.0,
-                          trend_poly=(4.5, 4.0, 0.4, -0.2),
-                          amplitude: float = 0.16, amp_decay: float = 0.7,
-                          theta_true=DEFAULT_TRUE_PMF, groups=DEFAULT_PMF_GROUPS,
-                          burn_in: int = 80, seed: int = 0):
+                          support_length: float = 1725.0, seed: int = 0):
     """Monthly count series from a known SARH(1) log-intensity plus cubic trend.
 
-    The cumulative intensity curve at each lattice site is
-    exp(trend(t/L) + sum_p amp_p c_p(z) phi_p(t)); monthly counts are
+    The field is ``realdata_pmf`` at ``DEFAULT_TRUE_PMF``.  The cumulative
+    intensity curve at each lattice site is exp(trend(t/L) + sum_p amp_p
+    c_p(z) phi_p(t)), with the cubic ``SYNTHETIC_TREND`` and amp_p =
+    ``SYNTHETIC_AMPLITUDE`` / p^``SYNTHETIC_AMP_DECAY``; monthly counts are
     independent Poisson draws of the increments, so the cumulative counts
     track the curve with relative noise ~ Lambda^{-1/2}.  Sites coincide
     with the lattice nodes, making the IDW stage exact.
@@ -403,17 +403,15 @@ def make_synthetic_counts(lattice_dims=(40, 40), n_modes: int = 10, n_months: in
     Returns (GridSeries, SyntheticTruth).
     """
     n1, n2 = lattice_dims
-    theta_true = np.asarray(theta_true, dtype=float)
-    lam_true = family_triples("realdata_pmf", theta_true, n_modes, groups)
+    lam_true = family_triples("realdata_pmf", DEFAULT_TRUE_PMF, n_modes)
     params = Sarh1Params("custom", lam_true.ravel(), n_modes)
     basis = BasisSpec(support_length=support_length, n_modes=n_modes)
-    fld = simulate_sarh1(params, (n1, n2), burn_in=burn_in, seed=seed, basis=basis)
-    amp = amplitude / np.arange(1, n_modes + 1) ** amp_decay
+    fld = simulate_sarh1(params, (n1, n2), burn_in=SYNTHETIC_BURN_IN, seed=seed, basis=basis)
+    amp = SYNTHETIC_AMPLITUDE / np.arange(1, n_modes + 1) ** SYNTHETIC_AMP_DECAY
     coeff_raw = fld.data * amp
 
     t_m = np.linspace(0.0, support_length, n_months + 1)[1:]
-    truth = SyntheticTruth(theta_true, lam_true, coeff_raw, np.asarray(trend_poly, float),
-                           support_length, basis)
+    truth = SyntheticTruth(DEFAULT_TRUE_PMF.copy(), lam_true, coeff_raw, basis)
     lam_curve = np.exp(truth.log_intensity(t_m))
     inc = np.diff(lam_curve, axis=2, prepend=0.0)
     rng = np.random.default_rng(seed + 1)

@@ -49,15 +49,15 @@ CAUSAL_FACES = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0],
 _C2_NODES = np.exp(1j * (-np.pi + 2.0 * np.pi * np.arange(2048) / 2048))
 
 
-def _theta_size(family: str, n_modes: int, groups) -> int:
+def _theta_size(family: str, n_modes: int) -> int:
     sizes = {"example1": 1, "example2": 4, "triple": 3, "custom": 3 * n_modes,
-             "realdata_pmf": 3 * (1 + len(groups))}
+             "realdata_pmf": 3 * (1 + len(DEFAULT_PMF_GROUPS))}
     if family not in FAMILIES:  # a tuple test, so an unhashable family is unknown too
         raise ParameterDomainError(f"unknown family {family!r}")
     return sizes[family]
 
 
-def default_box(family: str, n_modes: int, groups=DEFAULT_PMF_GROUPS) -> np.ndarray:
+def default_box(family: str, n_modes: int) -> np.ndarray:
     """Default theta box of a family, one closed interval per coordinate."""
     if family == "example1":
         return THETA_BOX_EXAMPLE1.copy()
@@ -66,10 +66,10 @@ def default_box(family: str, n_modes: int, groups=DEFAULT_PMF_GROUPS) -> np.ndar
     if family == "triple":
         return TRIPLE_BOX.copy()
     bound = 0.9 if family == "realdata_pmf" else 0.95
-    return np.tile([-bound, bound], (_theta_size(family, n_modes, groups), 1))
+    return np.tile([-bound, bound], (_theta_size(family, n_modes), 1))
 
 
-def family_triples(family: str, theta, n_modes: int, groups=DEFAULT_PMF_GROUPS) -> np.ndarray:
+def family_triples(family: str, theta, n_modes: int) -> np.ndarray:
     """Eigenvalue triples (l1, l2, l3) of the modes k = 1..M, shape (M, 3).
 
     example1 : l1 = th^2/(pi^2 k^1.1), l2 = th^2/(pi^2 k^1.2), l3 = -l1*l2,
@@ -81,11 +81,12 @@ def family_triples(family: str, theta, n_modes: int, groups=DEFAULT_PMF_GROUPS) 
     realdata_pmf : point-spectra model l_{k,i} = theta_{i,1} +
         |sin(k pi/2)| theta_{i,2}(group(k)).  For each operator i = 1..3,
         theta holds the base theta_{i,1} followed by one theta_{i,2} per
-        group (operator-major).  Even k, and odd k outside every group,
-        reduce to the base values; the first group holding k wins.
+        group of ``DEFAULT_PMF_GROUPS`` (operator-major).  Even k, and odd k
+        outside every group, reduce to the base values; the first group
+        holding k wins.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    size = _theta_size(family, n_modes, groups)
+    size = _theta_size(family, n_modes)
     if theta.size != size:
         raise ParameterDomainError(f"{family} theta must have length {size}")
     ks = np.arange(1, n_modes + 1, dtype=float)
@@ -104,24 +105,24 @@ def family_triples(family: str, theta, n_modes: int, groups=DEFAULT_PMF_GROUPS) 
         return np.tile(theta, (n_modes, 1))
     if family == "custom":
         return theta.reshape(n_modes, 3)
-    base_delta = theta.reshape(3, 1 + len(groups))
+    base_delta = theta.reshape(3, 1 + len(DEFAULT_PMF_GROUPS))
     delta = np.zeros((n_modes, 3))
-    for g in reversed(range(len(groups))):
-        delta[np.isin(ks, groups[g])] = base_delta[:, 1 + g]
+    for g in reversed(range(len(DEFAULT_PMF_GROUPS))):
+        delta[np.isin(ks, DEFAULT_PMF_GROUPS[g])] = base_delta[:, 1 + g]
     return base_delta[:, 0] + np.abs(np.sin(ks * np.pi / 2.0))[:, None] * delta
 
 
-def family_jacobian(family: str, theta, n_modes: int, groups=DEFAULT_PMF_GROUPS) -> np.ndarray:
+def family_jacobian(family: str, theta, n_modes: int) -> np.ndarray:
     """d triple_k / d theta, shape (M, 3, q), of example2 and the affine families
-    (constant for these: the triples at the unit vectors less those at 0)."""
+    (constant for these, and their triples are J @ theta: each maps theta = 0
+    to the zero triple, so J holds the triples at the unit vectors)."""
     if family in AFFINE_FAMILIES:
-        eye = np.eye(_theta_size(family, n_modes, groups))
-        return np.stack([family_triples(family, e, n_modes, groups)
-                         - family_triples(family, 0 * e, n_modes, groups) for e in eye], axis=-1)
+        eye = np.eye(_theta_size(family, n_modes))
+        return np.stack([family_triples(family, e, n_modes) for e in eye], axis=-1)
     if family != "example2":
         raise ParameterDomainError(f"no Jacobian for family {family!r}")
     # l_q = th_{q,1} r_q with r_q = 1/(k + th_{q,2}), and l3 = -l1 l2
-    l1, l2, _ = family_triples(family, theta, n_modes, groups).T
+    l1, l2, _ = family_triples(family, theta, n_modes).T
     r1, r2 = 1.0 / (np.arange(1.0, n_modes + 1) + np.asarray(theta, dtype=float)[[1, 3], None])
     d1, d2 = np.zeros((2, n_modes, 4))
     d1[:, 0], d1[:, 1], d2[:, 2], d2[:, 3] = r1, -l1 * r1, r2, -l2 * r2
@@ -227,39 +228,32 @@ class SpectralModel:
         (per-mode triples), see :func:`family_triples`.
     n_modes : truncation M
     theta_box : per-coordinate closed intervals lo < hi, shape (q, 2);
-        None selects :func:`default_box`.
-    noise_sd : per-mode innovation standard deviations of the recursion,
-        shape (M,), finite and >= 0; None selects the C2-normalizing values of
-        :func:`c2_innovation_var` at each theta (1 on the causal set).
-    groups : tuple of tuples of odd mode indices sharing theta_{i,2} in the
-        point-spectra model.
+        None selects :func:`default_box`, which example1 and example2 boxes
+        must lie inside.
 
     Mode k has the spectral density sigma2_k / |D_k(e^{iw1}, e^{iw2})|^2 with
-    sigma2 = innovation variance / (2 pi)^2, so that a white-noise mode has
-    variance R_0 = noise_sd^2.  Bad fields raise :class:`ParameterDomainError`
-    at construction.
+    sigma2 = innovation variance / (2 pi)^2, the variance being the
+    C2-normalizing one of :func:`c2_innovation_var` (1 on the causal set).
+    Another innovation sd s_k is a factor on the data: that field is the unit
+    one times s_k, its covariances are the unit ones times s_k^2, and it is
+    fitted as the data divided by s_k, as the pipeline does.  Bad fields
+    raise :class:`ParameterDomainError` at construction.
     """
 
     family: str
     n_modes: int
     theta_box: np.ndarray = None
-    noise_sd: np.ndarray | None = None
-    groups: tuple = DEFAULT_PMF_GROUPS
 
     def __post_init__(self):
-        q = _theta_size(self.family, self.n_modes, self.groups)
-        box = self.theta_box
-        if box is None:
-            box = default_box(self.family, self.n_modes, self.groups)
-        box = np.atleast_2d(np.asarray(box, dtype=float))
+        q, default = _theta_size(self.family, self.n_modes), default_box(self.family, self.n_modes)
+        box = np.atleast_2d(np.asarray(default if self.theta_box is None else self.theta_box,
+                                       dtype=float))
         if box.shape != (q, 2) or not np.all(box[:, 0] < box[:, 1]):
             raise ParameterDomainError(f"{self.family} theta box must be {q} intervals lo < hi")
+        if self.family in ("example1", "example2") and not (
+                np.all(box[:, 0] >= default[:, 0]) and np.all(box[:, 1] <= default[:, 1])):
+            raise ParameterDomainError(f"{self.family} theta box leaves {default.tolist()}")
         object.__setattr__(self, "theta_box", box)
-        if self.noise_sd is not None:
-            sd = np.asarray(self.noise_sd, dtype=float)
-            if sd.shape != (self.n_modes,) or not np.all(np.isfinite(sd) & (sd >= 0)):
-                raise ParameterDomainError(f"noise_sd must be {self.n_modes} finite values >= 0")
-            object.__setattr__(self, "noise_sd", sd)
 
     @property
     def n_params(self) -> int:
@@ -272,17 +266,12 @@ class SpectralModel:
 
     def eig_triples(self, theta) -> np.ndarray:
         """Eigenvalue triples (l1, l2, l3) for every mode, shape (M, 3)."""
-        return family_triples(self.family, theta, self.n_modes, self.groups)
-
-    def innovation_var(self, theta) -> np.ndarray:
-        """Per-mode innovation variances: ``noise_sd``^2, or the C2-normalizing ones."""
-        if self.noise_sd is not None:
-            return self.noise_sd**2
-        return c2_innovation_var(self.eig_triples(theta))
+        return family_triples(self.family, theta, self.n_modes)
 
     def sigma2(self, theta) -> np.ndarray:
-        """Per-mode spectral prefactors sigma^2_{eps(phi_k)} = innovation variance / (2 pi)^2."""
-        return self.innovation_var(theta) / TWO_PI_SQ
+        """Per-mode spectral prefactors sigma^2_{eps(phi_k)}: the C2-normalizing
+        innovation variances over (2 pi)^2."""
+        return c2_innovation_var(self.eig_triples(theta)) / TWO_PI_SQ
 
     def density(self, theta, omega1, omega2) -> np.ndarray:
         """Spectral density values, shape broadcast(omega) + (M,)."""
@@ -299,23 +288,20 @@ class SpectralModel:
 class Sarh1Params:
     """A point (model, theta) of a SARH(1) family, as :func:`simulate_sarh1` takes it.
 
-    ``model`` is the :class:`SpectralModel` of (family, n_modes, noise_sd),
-    built and checked at construction; theta is its parameter vector, whose
+    ``model`` is the :class:`SpectralModel` of (family, n_modes), built and
+    checked at construction; theta is its parameter vector, whose
     length (and, for example1 and example2, box) is checked there too.
     """
 
     family: str
     theta: np.ndarray
     n_modes: int
-    noise_sd: np.ndarray | None = None
     model: SpectralModel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        model = SpectralModel(self.family, self.n_modes, noise_sd=self.noise_sd)
+        object.__setattr__(self, "model", SpectralModel(self.family, self.n_modes))
         object.__setattr__(self, "theta", np.atleast_1d(np.asarray(self.theta, dtype=float)))
-        model.eig_triples(self.theta)
-        object.__setattr__(self, "noise_sd", model.noise_sd)
-        object.__setattr__(self, "model", model)
+        self.model.eig_triples(self.theta)  # checks theta's length and box
 
 
 def simulate_sarh1(params: Sarh1Params, dims, burn_in: int = 100,
@@ -323,14 +309,14 @@ def simulate_sarh1(params: Sarh1Params, dims, burn_in: int = 100,
     """Generate a stationary zero-mean Gaussian SARH(1) coefficient field.
 
     Mode k follows the recursion of the module docstring with the triple of
-    ``params.model`` at ``params.theta`` and innovations of standard
-    deviation sqrt(``params.model.innovation_var(theta)``): ``noise_sd``, or
-    exactly 1 on the causal set by default.  A margin of ``burn_in`` rows and
-    columns is generated with zero boundary initialization and discarded,
-    leaving the requested ``dims`` block.  The output is bit-identical for
-    fixed (params, dims, burn_in, seed).  A mode whose triple is not causal
-    (:func:`is_causal`) would make the recursion diverge, so it raises
-    :class:`StationarityError` with the first such mode index.
+    ``params.model`` at ``params.theta`` and unit-variance innovations, the
+    C2 ones on the causal set; a field of innovation sd s_k is this one times
+    s_k.  A margin of ``burn_in`` rows and columns is generated with zero
+    boundary initialization and discarded, leaving the requested ``dims``
+    block.  The output is bit-identical for fixed (params, dims, burn_in,
+    seed).  A mode whose triple is not causal (:func:`is_causal`) would make
+    the recursion diverge, so it raises :class:`StationarityError` with the
+    first such mode index.
     """
     n1, n2 = int(dims[0]), int(dims[1])
     if n1 < 2 or n2 < 2:
@@ -345,13 +331,12 @@ def simulate_sarh1(params: Sarh1Params, dims, burn_in: int = 100,
             f"mode {k + 1}: AR polynomial of {tuple(triples[k].tolist())} vanishes on "
             "the closed unit bidisk", mode=k + 1)
 
-    sds = np.sqrt(params.model.innovation_var(params.theta))
     rng = np.random.default_rng(seed)
     r1, r2 = n1 + burn_in, n2 + burn_in
     # innovations of the burn-in block, behind a zero row 0 and column 0
     buf = np.zeros((r1 + 1, r2 + 1, params.n_modes))
-    for k in range(params.n_modes):
-        buf[1:, 1:, k] = rng.normal(0.0, sds[k], size=(r1, r2))
+    for k in range(params.n_modes):  # one mode at a time: no second full-size array
+        buf[1:, 1:, k] = rng.standard_normal((r1, r2))
     # cell (i, s - i) of anti-diagonal s is row s + i*r2 of flat: a diagonal is one
     # strided slice, and its up, up-left and left neighbours are that slice shifted
     # back; ((eps + l1 up) + l3 up-left) + l2 left is the order of the row recursion

@@ -238,8 +238,8 @@ def fejer_smoothed_inverse(model, theta, k: int, m_smooth, omega) -> float:
     triangular weights prod_j (1 - |z_j|/M_j) is exact and has at most nine
     terms: the cosines of 1/F_k at omega weighted by 1, a1, a2, a1 a2, a1 a2
     with a_j = 1 - 1/M_j.  A mode index outside 1..M or an order below 1
-    raises :class:`ParameterDomainError`, a zero innovation variance
-    :class:`SingularSpectrumError`.
+    raises :class:`ParameterDomainError`.  sigma2_k is the C2 one, which is
+    positive for every triple, so 1/F_k is defined everywhere.
     """
     m1, m2 = int(m_smooth[0]), int(m_smooth[1])
     if m1 < 1 or m2 < 1:
@@ -247,12 +247,9 @@ def fejer_smoothed_inverse(model, theta, k: int, m_smooth, omega) -> float:
     triples = model.eig_triples(theta)
     if not 1 <= k <= triples.shape[0]:
         raise ParameterDomainError(f"mode index {k} outside 1..{triples.shape[0]}")
-    sigma2 = model.sigma2(theta)[k - 1]
-    if not sigma2 > 0:
-        raise SingularSpectrumError(f"mode {k}: zero innovation variance, 1/F is undefined")
     a1, a2 = 1.0 - 1.0 / m1, 1.0 - 1.0 / m2
     mu = _cosines(float(omega[0]), float(omega[1])) * [1.0, a1, a2, a1 * a2, a1 * a2]
-    return float(_gram_form(triples[k - 1:k], mu[None, :])[0][0] / sigma2)
+    return float(_gram_form(triples[k - 1:k], mu[None, :])[0][0] / model.sigma2(theta)[k - 1])
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.optimize import linprog, minimize, minimize_scalar
 
-from .errors import ParameterDomainError, SingularSpectrumError
+from .errors import ParameterDomainError
 from .field import CoeffField
 from .sarh import (AFFINE_FAMILIES, CAUSAL_FACES, TWO_PI_SQ, SpectralModel, _cosines,
                    _gram_form, family_jacobian)
@@ -76,9 +76,6 @@ def _mode_losses_fast(model: SpectralModel, theta, moments: np.ndarray) -> np.nd
 def _check_fit_inputs(model: SpectralModel, sample: CoeffField | Periodogram) -> None:
     if model.n_modes != sample.n_modes:
         raise ParameterDomainError("model and sample mode counts differ")
-    if model.noise_sd is not None and not np.all(model.noise_sd > 0):
-        raise SingularSpectrumError("a zero noise_sd makes that mode's density vanish, "
-                                    "so the Whittle ratio I / F is undefined")
 
 
 def whittle_loss(model: SpectralModel, theta, sample: CoeffField | Periodogram) -> float:
@@ -137,19 +134,18 @@ def _fit_scalar(model, moments):
     return np.array([theta]), grid.size + res.nfev, res.success
 
 
-def _mode_losses_with_grad(model: SpectralModel, theta, moments: np.ndarray, jac=None,
-                           base=None):
-    """Per-mode losses at the causal sigma2 ((2 pi)^-2, or ``noise_sd``^2 (2 pi)^-2) and
-    their theta-Jacobian (M, q), J_k' (-2 (G_k a)[1:]) / sigma2 with
-    J = :func:`family_jacobian`, passed in when constant.  For an affine
-    family, ``base`` (the triples at theta = 0) passed with ``jac`` gives the
-    triples as base + J theta."""
+_CAUSAL_SIGMA2 = 1.0 / TWO_PI_SQ  # sigma2 of every causal mode
+
+
+def _mode_losses_with_grad(model: SpectralModel, theta, moments: np.ndarray, jac=None):
+    """Per-mode losses at the causal sigma2 and their theta-Jacobian (M, q),
+    J_k' (-2 (G_k a)[1:]) / sigma2 with J = :func:`family_jacobian`.  An
+    affine family passes its constant J, and its triples are J theta."""
+    triples = model.eig_triples(theta) if jac is None else jac @ theta
     if jac is None:
-        jac = family_jacobian(model.family, theta, model.n_modes, model.groups)
-    triples = model.eig_triples(theta) if base is None else base + jac @ theta
-    s2 = np.reshape((1.0 if model.noise_sd is None else model.noise_sd**2) / TWO_PI_SQ, (-1, 1))
+        jac = family_jacobian(model.family, theta, model.n_modes)
     u, du = _gram_form(triples, moments)
-    return u / s2[:, 0], np.einsum("kiq,ki->kq", jac, du) / s2
+    return u / _CAUSAL_SIGMA2, np.einsum("kiq,ki->kq", jac, du) / _CAUSAL_SIGMA2
 
 
 def _fit_epigraph(model, moments, loss_tol):
@@ -158,16 +154,14 @@ def _fit_epigraph(model, moments, loss_tol):
     # the affine families, held in the closed tetrahedron, it is the model's
     # there and never above it elsewhere (Jensen), and the program is convex
     box, q = model.theta_box, model.n_params
-    constraints, jac, base = [], None, None
+    constraints, jac = [], None
     if model.family in AFFINE_FAMILIES:
-        jac = family_jacobian(model.family, None, model.n_modes, model.groups)
-        base = model.eig_triples(np.zeros(q))
+        jac = family_jacobian(model.family, None, model.n_modes)
         a_ub = np.einsum("fi,kiq->kfq", CAUSAL_FACES, jac).reshape(-1, q)
-        b_ub = 1.0 - (base @ CAUSAL_FACES.T).ravel()
-        if linprog(np.zeros(q), A_ub=a_ub, b_ub=b_ub, bounds=box).status == 2:
+        if linprog(np.zeros(q), A_ub=a_ub, b_ub=np.ones(len(a_ub)), bounds=box).status == 2:
             raise ParameterDomainError("the theta box holds no causal parameter")
-        a_ub = np.hstack([a_ub, np.zeros((b_ub.size, 1))])  # x = (theta, t)
-        constraints.append({"type": "ineq", "fun": lambda x: b_ub - a_ub @ x,
+        a_ub = np.hstack([a_ub, np.zeros((len(a_ub), 1))])  # x = (theta, t)
+        constraints.append({"type": "ineq", "fun": lambda x: 1.0 - a_ub @ x,
                             "jac": lambda x: -a_ub})
     n_evals, last = 0, (None, None, None)
 
@@ -176,7 +170,7 @@ def _fit_epigraph(model, moments, loss_tol):
         theta = np.clip(x[:q], box[:, 0], box[:, 1])
         if not np.array_equal(theta, last[0]):
             n_evals += 1
-            last = (theta, *_mode_losses_with_grad(model, theta, moments, jac, base))
+            last = (theta, *_mode_losses_with_grad(model, theta, moments, jac))
         return last[1:]
 
     ones = np.ones((model.n_modes, 1))
@@ -202,9 +196,11 @@ def estimate(model: SpectralModel, sample: CoeffField | Periodogram,
     of every mode (a box without a causal point raises
     :class:`ParameterDomainError`); ``loss_tol`` is that solve's ``ftol``.
     example1 takes the best node of a 64-point grid over its box, refined by
-    bounded Brent to 1e-10 in theta between the node's neighbours.  Both add ``TIE_BREAK`` times the mean-over-modes loss to the
-    sup loss; the reported ``loss_at_min`` is the pure sup loss.  A model
-    with a zero ``noise_sd`` raises :class:`SingularSpectrumError`.
+    bounded Brent to 1e-10 in theta between the node's neighbours.  Both
+    add ``TIE_BREAK`` times the mean-over-modes loss to the sup loss; the
+    reported ``loss_at_min`` is the pure sup loss.  The model's innovation
+    variances are the C2 ones, so a field whose innovation sd is a known s_k
+    is fitted as ``sample`` divided by s_k (a periodogram by s_k^2).
     """
     _check_fit_inputs(model, sample)
     t0 = time.perf_counter()

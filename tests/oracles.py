@@ -61,8 +61,8 @@ def brute_force_cov_pair(a, b, z1, z2):
     return acc / (n1 * n2)
 
 
-def naive_sarh(triples, sds, dims, burn, seed):
-    """Site-by-site SARH(1) sweep with the same innovation stream layout.
+def naive_sarh(triples, dims, burn, seed):
+    """Site-by-site SARH(1) sweep with the same unit-innovation stream layout.
 
     Each site adds ((eps + l1 up) + l3 up-left) + l2 left, the order of the
     package's kernel, so the two agree bit for bit.
@@ -74,7 +74,7 @@ def naive_sarh(triples, sds, dims, burn, seed):
     out = np.empty((n1, n2, m))
     for k in range(m):
         l1, l2, l3 = triples[k]
-        eps = rng.normal(0.0, sds[k], size=(r1, r2))
+        eps = rng.normal(0.0, 1.0, size=(r1, r2))
         x = np.zeros((r1, r2))
         for i in range(r1):
             for j in range(r2):

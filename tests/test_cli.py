@@ -37,6 +37,19 @@ def test_simulate_periodogram_estimate_predict_chain(tmp_path):
     assert load_field_binary(pred).dims == (48, 48)
 
 
+def test_estimate_refuses_a_box_wider_than_the_family_box(tmp_path):
+    # example1's triples are defined on [0.7, 4] only: the box is refused when
+    # the model is built, before the field is read, not inside the fit
+    field, est = tmp_path / "field.bin", tmp_path / "est.json"
+    run(["simulate", "--dims", "16x16", "--modes", "4", "--burn-in", 10, "--out", field])
+    with pytest.raises(ParameterDomainError, match="example1 theta box leaves"):
+        run(["estimate", "--field", field, "--modes", "4", "--theta-box", "0.5:4.5",
+             "--out", est])
+    assert not est.exists()
+    run(["estimate", "--field", field, "--modes", "4", "--theta-box", "0.8:1.5", "--out", est])
+    assert 0.8 <= json.loads(est.read_text())["theta_hat"][0] <= 1.5
+
+
 def test_cox_moments_command(tmp_path):
     field = tmp_path / "field.bin"
     run(["--seed", 3, "simulate", "--dims", "16x16", "--modes", "3",

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spatialcox import ExperimentConfig, run_experiment
-from spatialcox.errors import ParameterDomainError
+from spatialcox.errors import ParameterDomainError, SingularSpectrumError
 
 
 def small_cfg(**kw):
@@ -92,7 +92,19 @@ def test_programming_error_in_replicate_propagates(monkeypatch):
         run_experiment(small_cfg(grid_sizes=(24,), replicates=2))
 
 
-def test_all_failed_reports_first_failure():
-    # theta = 3.5 gives l1 = 3.5^2 / pi^2 > 1 on mode 1: not causal
-    with pytest.raises(RuntimeError, match=r"all 2 replicates failed.*StationarityError.*mode 1"):
-        run_experiment(small_cfg(theta_true=[3.5], grid_sizes=(24,), replicates=2))
+def test_all_failed_reports_first_failure(monkeypatch):
+    import spatialcox.experiment as ex
+
+    def singular(*args, **kwargs):
+        raise SingularSpectrumError("injected")
+
+    monkeypatch.setattr(ex, "estimate", singular)
+    with pytest.raises(RuntimeError, match=r"all 2 replicates failed.*SingularSpectrumError"):
+        run_experiment(small_cfg(grid_sizes=(24,), replicates=2))
+
+
+def test_non_causal_theta_rejected_at_construction():
+    # theta = 3.5 is in the example1 box, but l1 = 3.5^2 / pi^2 > 1 on mode 1:
+    # every replicate used to fail and the run ended in RuntimeError
+    with pytest.raises(ParameterDomainError, match="not causal on mode 1"):
+        small_cfg(theta_true=[3.5])

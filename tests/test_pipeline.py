@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import brute_force_idw, curve_space_residual
 
 import spatialcox.pipeline
-from spatialcox import (GridSeries, PipelineConfig, cvfare, idw_interpolate,
+from spatialcox import (CoeffField, GridSeries, PipelineConfig, cvfare, idw_interpolate,
                         load_series_csv, make_synthetic_counts, run_cross_validation,
                         run_pipeline, save_series_csv, spline_smooth)
 from spatialcox.errors import (AmbiguousInterpolationError, DivisionGuardError, FileFormatError,
@@ -316,8 +316,7 @@ def test_pipeline_zero_noise_skips_estimation():
     # trend-only intensity, no Poisson scatter: the projected residual is
     # numerically tiny, so estimation is skipped with a diagnostic
     series, _ = make_synthetic_counts(lattice_dims=(8, 8), n_months=120,
-                                      support_length=480.0, amplitude=0.0,
-                                      seed=2)
+                                      support_length=480.0, seed=2)
     times = np.linspace(0.0, 480.0, 121)  # include t=0: no clamped segment
     u = times / 480.0
     trend = 4.5 + 4.0 * u + 0.4 * u**2 - 0.2 * u**3
@@ -413,7 +412,6 @@ def test_pipeline_resumable_from_projected_checkpoint(tmp_path):
     # stage outputs serialize and the downstream stages reproduce the full
     # run bit-identically when resumed from the saved residual field
     from spatialcox import load_field_binary, predict_field, save_field_binary
-    from spatialcox.field import CoeffField
     from spatialcox.whittle import SpectralModel, estimate
 
     series, _ = tiny_series(seed=17)
@@ -452,11 +450,12 @@ def test_mode_scale_reads_the_innovation_sd():
     # the Yule-Walker prediction error of the five lag moments estimates each
     # mode's innovation variance.  The circular lag sums bias it up by about 0.5%
     # at 100^2 for these triples, more nearer the causal faces (1.4% at (0.6, 0.2, 0.1)).
+    # A field of innovation sds (0.5, 1, 2) is the unit field times the sds.
     sds = np.array([0.5, 1.0, 2.0])
     theta = [0.4, 0.3, -0.1, 0.3, 0.2, 0.1, -0.3, 0.5, 0.2]
-    params = Sarh1Params("custom", theta, 3, noise_sd=sds)
-    ratios = [innovation_sd(simulate_sarh1(params, (100, 100), seed=s)) / sds
-              for s in range(20)]
+    params = Sarh1Params("custom", theta, 3)
+    fields = (simulate_sarh1(params, (100, 100), seed=s) for s in range(20))
+    ratios = [innovation_sd(CoeffField(f.data * sds, f.basis)) / sds for f in fields]
     np.testing.assert_allclose(np.mean(ratios, axis=0), 1.0, atol=0.02)
 
 

@@ -93,17 +93,11 @@ def test_stationarity_example2_true_values_fails_crude_bound():
     assert np.all(is_causal(triples))
 
 
-def test_simulate_zero_noise():
-    params = Sarh1Params("example1", [1.0], 2, noise_sd=[0.0, 0.0])
-    fld = simulate_sarh1(params, (8, 8), burn_in=10, seed=3)
-    assert np.all(fld.data == 0.0)
-
-
 def test_simulate_degenerate_ar_is_iid():
-    params = Sarh1Params("custom", [0.0, 0.0, 0.0, 0.0, 0.0, 0.0], 2,
-                         noise_sd=[1.0, 2.0])
+    # innovation sds (1, 2): the unit field times the sds
+    params = Sarh1Params("custom", [0.0, 0.0, 0.0, 0.0, 0.0, 0.0], 2)
     fld = simulate_sarh1(params, (200, 200), burn_in=5, seed=42)
-    var = fld.data.var(axis=(0, 1))
+    var = (fld.data * [1.0, 2.0]).var(axis=(0, 1))
     assert abs(var[0] - 1.0) < 0.05
     assert abs(var[1] - 4.0) < 0.2
 
@@ -114,10 +108,8 @@ def test_simulate_degenerate_ar_is_iid():
                          ids=["12x9", "9x12", "2x2", "2x7", "31x3"])
 def test_simulate_matches_naive_recursion(dims, burn_in):
     theta = [0.5, 0.3, -0.2, -0.4, 0.2, 0.1, 0.3, -0.6, 0.05]
-    sds = [1.0, 0.5, 2.0]
-    params = Sarh1Params("custom", theta, 3, noise_sd=sds)
-    fast = simulate_sarh1(params, dims, burn_in=burn_in, seed=7)
-    slow = naive_sarh(family_triples("custom", theta, 3), sds, dims, burn_in, 7)
+    fast = simulate_sarh1(Sarh1Params("custom", theta, 3), dims, burn_in=burn_in, seed=7)
+    slow = naive_sarh(family_triples("custom", theta, 3), dims, burn_in, 7)
     np.testing.assert_array_equal(fast.data, slow)
 
 
@@ -180,8 +172,7 @@ def test_example2_true_values_simulate_without_warning():
 
 
 def test_unit_root_rejected_with_mode_index():
-    params = Sarh1Params("custom", [1.0, 0.0, 0.0, 0.1, 0.1, 0.0], 2,
-                         noise_sd=[1.0, 1.0])
+    params = Sarh1Params("custom", [1.0, 0.0, 0.0, 0.1, 0.1, 0.0], 2)
     with pytest.raises(StationarityError) as err:
         simulate_sarh1(params, (8, 8), burn_in=4, seed=0)
     assert err.value.mode == 1
@@ -192,7 +183,7 @@ def test_non_causal_triple_off_the_torus_rejected(theta):
     # (0.1, 1.2, 0) has no zero on the torus (c = -0.43 < -2|d| = -0.2) but
     # one inside the bidisk; the recursion would grow like 1.2^j
     m = len(theta) // 3
-    params = Sarh1Params("custom", theta, m, noise_sd=np.ones(m))
+    params = Sarh1Params("custom", theta, m)
     assert torus_min_abs_denominator(family_triples("custom", theta, m)[-1]) > 0.05
     with pytest.raises(StationarityError) as err:
         simulate_sarh1(params, (8, 8), burn_in=4, seed=0)
@@ -209,9 +200,9 @@ def test_example1_beyond_pi_rejected():
 
 def test_c2_innovation_sd_is_one_for_example_families():
     p1 = Sarh1Params("example1", [1.0], 5)
-    np.testing.assert_array_equal(p1.model.innovation_var(p1.theta), 1.0)
+    np.testing.assert_array_equal(c2_innovation_var(p1.model.eig_triples(p1.theta)), 1.0)
     p2 = Sarh1Params("example2", [1.0, 1.6, 1.5, 1.2], 5)
-    np.testing.assert_array_equal(p2.model.innovation_var(p2.theta), 1.0)
+    np.testing.assert_array_equal(c2_innovation_var(p2.model.eig_triples(p2.theta)), 1.0)
     # any causal-stationary triple is innovation-normalized already: the
     # bidisk-zero-free polynomial has vanishing log integral, so sd = 1
     assert c2_innovation_var([[0.4, 0.3, -0.05]])[0] == 1.0
@@ -356,17 +347,7 @@ def test_family_theta_length_checked():
         family_triples("nope", [1.0], 2)
 
 
-# --- one model type: SpectralModel checks noise_sd once, in one unit
-
-
-@pytest.mark.parametrize("noise_sd", [[1.0, 1.0, 1.0], [1.0], [1.0, np.nan],
-                                      [1.0, -0.5], [np.inf, 1.0]],
-                         ids=["too_long", "too_short", "nan", "negative", "inf"])
-def test_bad_noise_sd_rejected_at_construction(noise_sd):
-    with pytest.raises(ParameterDomainError):
-        SpectralModel("example1", 2, noise_sd=noise_sd)
-    with pytest.raises(ParameterDomainError):
-        Sarh1Params("example1", [1.0], 2, noise_sd=noise_sd)
+# --- one model type: SpectralModel checks its box once
 
 
 @pytest.mark.parametrize("box", [[[0.7, 4.0], [0.7, 4.0]], [[2.0, 2.0]], [[3.0, 1.0]]],
@@ -376,15 +357,32 @@ def test_bad_theta_box_rejected_at_construction(box):
         SpectralModel("example1", 2, theta_box=box)
 
 
+@pytest.mark.parametrize("family, box", [
+    ("example1", [[0.5, 4.5]]), ("example1", [[0.6, 2.0]]), ("example1", [[1.0, 4.1]]),
+    ("example2", [[0.7, 1.3], [1.3, 1.9], [1.2, 1.8], [0.9, 1.6]]),
+    ("example2", [[0.6, 1.3], [1.3, 1.9], [1.2, 1.8], [0.9, 1.5]])],
+    ids=["example1_both", "example1_low", "example1_high", "example2_high", "example2_low"])
+def test_box_outside_the_family_box_rejected_at_construction(family, box):
+    # the triples of example1 and example2 are defined on THETA_BOX_EXAMPLE1/2
+    # only, so a wider box used to construct and then fail inside the fit
+    with pytest.raises(ParameterDomainError, match=f"{family} theta box leaves"):
+        SpectralModel(family, 3, theta_box=box)
+
+
+def test_box_inside_the_family_box_accepted():
+    for family, box in (("example1", [[0.8, 1.5]]), ("example1", [[0.7, 4.0]]),
+                        ("example2", [[0.8, 1.2], [1.4, 1.8], [1.3, 1.7], [1.0, 1.4]])):
+        np.testing.assert_array_equal(SpectralModel(family, 3, theta_box=box).theta_box, box)
+
+
 @pytest.mark.parametrize("s", [0.5, 1.0, 3.0])
 def test_white_noise_has_one_variance_in_simulation_and_model(s):
-    # noise_sd is the innovation sd of the recursion: a white-noise mode
-    # simulates with variance s^2, and its model covariance R_0 is s^2
-    model = SpectralModel("custom", 1, noise_sd=[s])
-    (r0,), _ = cov_from_spectrum(model, np.zeros(3), [(0, 0)])
-    assert r0[0] == pytest.approx(s**2, rel=1e-12)
-    params = Sarh1Params("custom", np.zeros(3), 1, noise_sd=[s])
-    x = simulate_sarh1(params, (200, 200), burn_in=0, seed=11).data
+    # a white-noise mode of innovation sd s is the unit one times s: it
+    # simulates with variance s^2, and its model covariance R_0 is s^2 times 1
+    (r0,), _ = cov_from_spectrum(SpectralModel("custom", 1), np.zeros(3), [(0, 0)])
+    assert s**2 * r0[0] == pytest.approx(s**2, rel=1e-12)
+    params = Sarh1Params("custom", np.zeros(3), 1)
+    x = s * simulate_sarh1(params, (200, 200), burn_in=0, seed=11).data
     assert x.var() == pytest.approx(s**2, rel=0.03)  # 4e4 draws: sd of var/s^2 ~ 0.007
 
 
@@ -397,5 +395,5 @@ def test_simulate_accepts_every_family(family, theta):
     fld = simulate_sarh1(params, (6, 5), burn_in=4, seed=1)
     assert fld.data.shape == (6, 5, 3)
     # the field is that of the family's triples, drawn with unit innovations
-    want = naive_sarh(family_triples(family, theta, 3), np.ones(3), (6, 5), 4, 1)
+    want = naive_sarh(family_triples(family, theta, 3), (6, 5), 4, 1)
     np.testing.assert_allclose(fld.data, want, atol=1e-12)

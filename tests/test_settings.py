@@ -5,8 +5,10 @@ import inspect
 
 import pytest
 
-from spatialcox import (ExperimentConfig, Periodogram, PipelineConfig, SpectralModel, estimate,
-                        idw_interpolate, product_density_n, run_cross_validation)
+from spatialcox import (ExperimentConfig, Periodogram, PipelineConfig, Sarh1Params,
+                        SpectralModel, estimate, idw_interpolate, make_synthetic_counts,
+                        product_density_n, run_cross_validation)
+from spatialcox.sarh import default_box, family_jacobian, family_triples
 
 
 def test_estimate_takes_one_setting():
@@ -29,3 +31,23 @@ def test_config_fields():
 ], ids=["idw_power", "eval_stride", "diag_real_tol", "unit_sigma", "include_diagonal"])
 def test_single_value_keywords_gone(fn, keyword):
     assert keyword not in inspect.signature(fn).parameters
+
+
+def test_model_fields():
+    # the innovation scale is a factor on the data and the pmf groups are
+    # DEFAULT_PMF_GROUPS, so neither is a model setting
+    assert [f.name for f in dataclasses.fields(SpectralModel)] == [
+        "family", "n_modes", "theta_box"]
+    assert [f.name for f in dataclasses.fields(Sarh1Params) if f.init] == [
+        "family", "theta", "n_modes"]
+    assert not hasattr(SpectralModel, "innovation_var")
+
+
+@pytest.mark.parametrize("fn, names", [
+    (default_box, ["family", "n_modes"]),
+    (family_triples, ["family", "theta", "n_modes"]),
+    (family_jacobian, ["family", "theta", "n_modes"]),
+    (make_synthetic_counts, ["lattice_dims", "n_modes", "n_months", "support_length", "seed"]),
+], ids=["default_box", "family_triples", "family_jacobian", "make_synthetic_counts"])
+def test_helper_signatures(fn, names):
+    assert list(inspect.signature(fn).parameters) == names

@@ -6,7 +6,7 @@ from oracles import (brute_force_cov, brute_force_cov_pair, brute_force_dft,
                      grid_cov_from_spectrum, periodogram_csv_loop, quadrature_fejer_inverse,
                      separable_cov)
 from spatialcox import (BasisSpec, CoeffField, Periodogram, Sarh1Params, SpectralModel,
-                        TestFunction, cov_from_spectrum, cov_map, empirical_cov,
+                        TestFunction, c2_innovation_var, cov_from_spectrum, cov_map, empirical_cov,
                         fejer_smoothed_inverse, functional_dft, periodogram,
                         save_periodogram_csv, simulate_sarh1)
 from spatialcox.errors import (FileFormatError, LagUnavailableError, ParameterDomainError,
@@ -140,12 +140,12 @@ def test_empirical_cov_lag_domain_error():
 
 
 def test_cov_from_spectrum_constant():
-    # white noise of innovation sd 0.5: F == 0.25 / (2 pi)^2, so R_0 = 0.25
-    model = SpectralModel("custom", n_modes=1, theta_box=[[-1, 1]] * 3,
-                          noise_sd=np.array([0.5]))
+    # white noise of innovation sd 0.5 is the unit one times 0.5: F == 0.25 /
+    # (2 pi)^2, so R_0 = 0.25 times the unit R_0
+    model = SpectralModel("custom", n_modes=1, theta_box=[[-1, 1]] * 3)
     vals, residue = cov_from_spectrum(model, np.zeros(3), [(0, 0), (1, 0), (3, 2)])
-    assert vals[0, 0] == pytest.approx(0.25, rel=1e-12)
-    assert np.max(np.abs(vals[1:])) < 1e-12
+    assert 0.25 * vals[0, 0] == pytest.approx(0.25, rel=1e-12)
+    assert np.max(np.abs(0.25 * vals[1:])) < 1e-12
     assert residue < 1e-10
 
 
@@ -248,10 +248,10 @@ def test_cov_from_spectrum_refines_nodes_near_band_edge():
 
 
 def test_fejer_constant_spectrum():
-    model = SpectralModel("custom", n_modes=1, theta_box=[[-1, 1]] * 3,
-                          noise_sd=np.array([2.0]))
+    # innovation sd 2 is the unit spectrum times 4, so 1/F is the unit 1/F over 4
+    model = SpectralModel("custom", n_modes=1, theta_box=[[-1, 1]] * 3)
     for m in ((1, 1), (4, 4), (8, 3)):
-        q = fejer_smoothed_inverse(model, np.zeros(3), 1, m, (0.3, -1.1))
+        q = fejer_smoothed_inverse(model, np.zeros(3), 1, m, (0.3, -1.1)) / 4.0
         assert q == pytest.approx((2 * np.pi) ** 2 / 4.0, rel=1e-12)  # 1/F, F = 4 / (2 pi)^2
 
 
@@ -318,14 +318,6 @@ def test_fejer_torus_zero_is_exact():
     assert got == pytest.approx((1.5 - 2 * a + 0.5 * a**2) / model.sigma2(theta)[0], rel=1e-14)
 
 
-def test_fejer_zero_innovation_variance_raises():
-    model = SpectralModel("custom", n_modes=2, theta_box=[[-1, 1]] * 6,
-                          noise_sd=np.array([1.0, 0.0]))
-    assert np.isfinite(fejer_smoothed_inverse(model, np.zeros(6), 1, (2, 2), (0.1, 0.2)))
-    with pytest.raises(SingularSpectrumError):
-        fejer_smoothed_inverse(model, np.zeros(6), 2, (2, 2), (0.1, 0.2))
-
-
 @settings(deadline=None, max_examples=10)
 @given(causal_triples)
 def test_gram_stencil_inverts_covariances(triple):
@@ -341,7 +333,7 @@ def test_gram_stencil_inverts_covariances(triple):
     lags = sorted({(z1 - u1, z2 - u2) for z1, z2 in zs for u1, u2 in stencil})
     cov, _ = cov_from_spectrum(model, np.array(triple), lags)
     r = dict(zip(lags, cov[:, 0]))
-    innovation_var = model.innovation_var(np.array(triple))[0]
+    innovation_var = c2_innovation_var([triple])[0]
     for z1, z2 in zs:
         got = sum(q * r[(z1 - u1, z2 - u2)] for (u1, u2), q in stencil.items())
         want = innovation_var if (z1, z2) == (0, 0) else 0.0

@@ -28,8 +28,7 @@ def model_periodogram(model, theta, dims):
 
 def test_density_white_noise_is_flat():
     # innovation sd 1: F = 1 / (2 pi)^2, whose integral over the torus is 1
-    model = SpectralModel("custom", n_modes=1, theta_box=[[-1, 1]] * 3,
-                          noise_sd=np.array([1.0]))
+    model = SpectralModel("custom", n_modes=1, theta_box=[[-1, 1]] * 3)
     w = np.linspace(-np.pi, np.pi, 9)
     vals = model.density(np.zeros(3), w, w)[:, 0]
     np.testing.assert_allclose(vals, 1.0 / TWO_PI_SQ, rtol=1e-14)
@@ -105,8 +104,7 @@ def test_c2_closed_form_agrees_with_quadrature():
 
 
 def test_c2_singularity_error():
-    model = SpectralModel("custom", n_modes=1, theta_box=[[-2, 2]] * 3,
-                          noise_sd=None)
+    model = SpectralModel("custom", n_modes=1, theta_box=[[-2, 2]] * 3)
     with pytest.raises(SingularSpectrumError):
         normalize_c2(model, np.array([1.0, 0.0, 0.0]))  # unit root at omega_1 = 0
 
@@ -264,25 +262,15 @@ def test_estimate_json_roundtrip(tmp_path):
                          "runtime_s"}
 
 
-@pytest.mark.parametrize("family, theta", [("example1", [1.2]), ("triple", [0.3, 0.2, 0.0])])
-def test_zero_noise_sd_rejected_by_fit(family, theta):
-    # a zero innovation sd makes the mode's density vanish, so I / F is undefined
-    model = SpectralModel(family, n_modes=2, noise_sd=[1.0, 0.0])
-    pg = model_periodogram(SpectralModel(family, n_modes=2), theta, (8, 8))
-    with pytest.raises(SingularSpectrumError):
-        estimate(model, pg)
-    with pytest.raises(SingularSpectrumError):
-        whittle_loss(model, theta, pg)
-
-
 def test_fit_with_fixed_noise_sd_recovers_theta():
-    # noise_sd is the innovation sd: a periodogram of innovation sd 2 fitted
-    # with noise_sd = 2 gives the true theta at loss 1
-    model = SpectralModel("example1", n_modes=3, noise_sd=[2.0, 2.0, 2.0])
-    pg = model_periodogram(model, [1.7], (32, 32))
-    scaled = model_periodogram(SpectralModel("example1", n_modes=3), [1.7], (32, 32))
-    np.testing.assert_allclose(pg.values, 4.0 * scaled.values, rtol=1e-14)
-    fit = estimate(model, pg)
+    # a known innovation sd is a factor on the data: the density of innovation
+    # sd 2, read from the oracle, divided by 2^2 fits the true theta at loss 1
+    model = SpectralModel("example1", n_modes=3)
+    grid = FrequencyGrid((32, 32))
+    w1, w2 = grid.meshes()
+    values = np.stack([rational_density(t, 4.0 / TWO_PI_SQ, w1, w2)
+                       for t in family_triples("example1", [1.7], 3)], axis=-1)
+    fit = estimate(model, Periodogram(grid, (values / 4.0).astype(complex)))
     assert abs(fit.theta_hat[0] - 1.7) < 1e-4
     assert fit.loss_at_min == pytest.approx(1.0, abs=1e-3)
 
@@ -443,7 +431,7 @@ def test_realdata_pmf_spectrum_values_and_errors():
 def test_estimate_realdata_pmf_recovers_triples():
     theta_true = np.array([0.30, 0.10, 0.05, 0.22, 0.06, -0.04, -0.08, -0.03, 0.03])
     lam_true = family_triples("realdata_pmf", theta_true, 10)
-    params = Sarh1Params("custom", lam_true.ravel(), 10, noise_sd=np.ones(10))
+    params = Sarh1Params("custom", lam_true.ravel(), 10)
     fld = simulate_sarh1(params, (96, 96), burn_in=60, seed=404)
     pg = periodogram(fld)
     model = SpectralModel("realdata_pmf", n_modes=10)
