@@ -55,11 +55,6 @@ class BorelRect:
     def area(self) -> int:
         return (self.b1 - self.a1 + 1) * (self.b2 - self.a2 + 1)
 
-    def sites(self):
-        for i in range(self.a1, self.b1 + 1):
-            for j in range(self.a2, self.b2 + 1):
-                yield i, j
-
     def check_within(self, dims) -> None:
         if self.a1 < 0 or self.a2 < 0 or self.b1 >= dims[0] or self.b2 >= dims[1]:
             raise BoundaryError(f"rectangle {self} outside lattice {dims}")

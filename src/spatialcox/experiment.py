@@ -23,9 +23,10 @@ class ExperimentConfig:
 
     grid_sizes are side lengths; each contributes N = side^2 samples.
     Per-replicate seeds are spawned deterministically from ``seed``, so
-    results do not depend on scheduling order.  A bad family or theta_true
-    (as :class:`~spatialcox.sarh.Sarh1Params` checks them, or not causal on
-    every mode) raises :class:`ParameterDomainError` here, not in every replicate.
+    results do not depend on scheduling order.  A bad family, n_modes or
+    theta_true (as :class:`~spatialcox.sarh.Sarh1Params` checks them, or a
+    theta_true not causal on every mode) raises :class:`ParameterDomainError`
+    here, not in every replicate.
     """
 
     family: str
@@ -47,8 +48,6 @@ class ExperimentConfig:
             raise ParameterDomainError("every grid side must be >= 2")
         if self.burn_in < 0:
             raise ParameterDomainError("burn_in must be >= 0")
-        if self.n_modes < 1:
-            raise ParameterDomainError("n_modes must be >= 1")
         params = Sarh1Params(self.family, self.theta_true, self.n_modes)
         bad = np.flatnonzero(~is_causal(params.model.eig_triples(params.theta)))
         if bad.size:

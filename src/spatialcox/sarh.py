@@ -226,7 +226,7 @@ class SpectralModel:
     family : one of ``FAMILIES``; "triple" applies one eigenvalue triple
         theta = (l1, l2, l3) to every mode, "custom" takes theta of length 3*M
         (per-mode triples), see :func:`family_triples`.
-    n_modes : truncation M
+    n_modes : truncation M >= 1
     theta_box : per-coordinate closed intervals lo < hi, shape (q, 2);
         None selects :func:`default_box`, which example1 and example2 boxes
         must lie inside.
@@ -245,6 +245,8 @@ class SpectralModel:
     theta_box: np.ndarray = None
 
     def __post_init__(self):
+        if self.n_modes < 1:
+            raise ParameterDomainError("n_modes must be >= 1")
         q, default = _theta_size(self.family, self.n_modes), default_box(self.family, self.n_modes)
         box = np.atleast_2d(np.asarray(default if self.theta_box is None else self.theta_box,
                                        dtype=float))

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (LagUnavailableError, ParameterDomainError, ResolutionError,
-                     SingularSpectrumError)
+from .errors import (FileFormatError, LagUnavailableError, ParameterDomainError,
+                     ResolutionError, SingularSpectrumError)
 from .field import CoeffField, FrequencyGrid, _read_binary, _write_csv
 from .sarh import CAUSAL_FACES, _cosines, _gram_form, _has_torus_zero
 
@@ -48,27 +48,6 @@ class Periodogram:
     @property
     def n_modes(self) -> int:
         return self.values.shape[2]
-
-    def diag_real(self) -> np.ndarray:
-        """Real diagonal entries, |x_w|^2 >= 0 up to rounding.
-
-        Raises :class:`SingularSpectrumError` when the imaginary residue
-        exceeds 1e-10 or a real value lies below -1e-10, both relative to
-        the largest real magnitude; values within that tolerance are returned
-        as their absolute values.
-        """
-        tol = 1e-10
-        real = self.values.real
-        scale = max(np.abs(real).max(), 1e-300)
-        resid = np.abs(self.values.imag).max() / scale
-        if resid > tol:
-            raise SingularSpectrumError(
-                f"periodogram diagonal has imaginary residue {resid:.2e} > {tol:.0e}")
-        low = real.min() / scale
-        if low < -tol:
-            raise SingularSpectrumError(
-                f"periodogram diagonal has negative real value {low:.2e} < -{tol:.0e}")
-        return np.abs(real)
 
 
 def periodogram(field: CoeffField, full: bool = False) -> Periodogram:
@@ -284,14 +263,21 @@ def save_periodogram_binary(pgram: Periodogram, path) -> None:
 
 
 def load_periodogram_binary(path) -> Periodogram:
+    """Read a file of :func:`save_periodogram_binary`.
+
+    Its diagonal entries are |Xdft_w(phi_k)|^2: an imaginary residue, or a
+    negative real value, above 1e-10 of the largest real magnitude raises
+    :class:`FileFormatError`, as does a header the payload does not match.
+    """
     with open(path, "rb") as fh:
         (n1, n2, m), header, payload = _read_binary(
             fh, _HEADER, "<c16", lambda h: int(h["m"]) ** (2 if h["full"] else 1))
-    full = int(header["full"])
-    grid = FrequencyGrid((n1, n2))
-    if full:
-        cross = payload.reshape(n1, n2, m, m)
-        diag = np.einsum("ijkk->ijk", cross)
-        return Periodogram(grid, diag.copy(), cross)
-    return Periodogram(grid, payload.reshape(n1, n2, m))
-
+    cross = payload.reshape(n1, n2, m, m) if header["full"] else None
+    values = payload.reshape(n1, n2, m) if cross is None else np.einsum("ijkk->ijk", cross).copy()
+    scale = max(np.abs(values.real).max(), 1e-300)
+    for what, dev in (("imaginary residue", np.abs(values.imag).max()),
+                      ("negative real value", -values.real.min())):
+        if dev > 1e-10 * scale:
+            raise FileFormatError(f"{path}: periodogram diagonal has {what} "
+                                  f"{dev / scale:.2e} of its largest value, above 1e-10")
+    return Periodogram(FrequencyGrid((n1, n2)), values, cross)

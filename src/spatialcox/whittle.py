@@ -7,18 +7,17 @@ reduces exactly to five cosine moments of the periodogram per mode
 (``trig_moments``), which makes a single loss evaluation O(M); both
 ``whittle_loss`` and ``estimate`` use that one form.  By Parseval the five
 moments are the circular lag covariances of the field at (0,0), (1,0),
-(0,1), (1,1) and (1,-1) over (2 pi)^2 (Whittle, 1954), so a sample given
-as a :class:`~spatialcox.field.CoeffField` is read by five O(NM) lag
-products without an FFT; a :class:`~spatialcox.spectral.Periodogram` with
-no field behind it (a model spectrum, a stored file) takes the cosine
-contraction.  In the eigenvalue triple each mode's loss is a PSD quadratic
-form, so its gradient is exact and cheap: every family with two or more
-parameters is fitted by one SLSQP solve with exact gradients, convex for
-the families whose triples are affine in theta (constrained to the causal
-tetrahedron ``CAUSAL_FACES``), and the one-parameter example1 by a grid
-bracket and bounded Brent.  The one stopping setting is ``estimate``'s
-``loss_tol``, SLSQP's ``ftol``; every production caller keeps its default
-1e-10, and the iteration cap ``MAX_ITER`` is a constant the fits never reach.
+(0,1), (1,1) and (1,-1) over (2 pi)^2 (Whittle, 1954), so the sample is the
+:class:`~spatialcox.field.CoeffField` itself, read by five O(NM) lag
+products without forming its periodogram.  In the eigenvalue triple each
+mode's loss is a PSD quadratic form, so its gradient is exact and cheap:
+every family with two or more parameters is fitted by one SLSQP solve with
+exact gradients, convex for the families whose triples are affine in theta
+(constrained to the causal tetrahedron ``CAUSAL_FACES``), and the
+one-parameter example1 by a grid bracket and bounded Brent.  The one
+stopping setting is ``estimate``'s ``loss_tol``, SLSQP's ``ftol``; every
+production caller keeps its default 1e-10, and the iteration cap
+``MAX_ITER`` is a constant the fits never reach.
 """
 
 from __future__ import annotations
@@ -32,9 +31,8 @@ from scipy.optimize import linprog, minimize, minimize_scalar
 
 from .errors import ParameterDomainError
 from .field import CoeffField
-from .sarh import (AFFINE_FAMILIES, CAUSAL_FACES, TWO_PI_SQ, SpectralModel, _cosines,
-                   _gram_form, family_jacobian)
-from .spectral import Periodogram
+from .sarh import (AFFINE_FAMILIES, CAUSAL_FACES, TWO_PI_SQ, SpectralModel, _gram_form,
+                   family_jacobian)
 
 # ---------------------------------------------------------------------------
 # loss
@@ -44,20 +42,18 @@ from .spectral import Periodogram
 _LAGS = ((0, 0), (1, 0), (0, 1), (1, 1), (1, -1))
 
 
-def trig_moments(sample: CoeffField | Periodogram) -> np.ndarray:
+def trig_moments(sample: CoeffField) -> np.ndarray:
     """Periodogram averages against (1, cos w1, cos w2, cos(w1+w2), cos(w1-w2)).
 
-    Row k holds the five frequency averages for mode k; together they carry
-    everything a rational-denominator loss evaluation needs.  The average
-    against cos<h, w> is the circular lag sum sum_y X_y(phi_k) X_{y+h}(phi_k)
-    over N (2 pi)^2, so a field is read directly: one wrap-padded copy and
-    five lag products, no FFT.  A periodogram is contracted against the
-    cosines on its grid.
+    Row k holds the five Fourier-grid averages for mode k of the field's
+    periodogram; together they carry everything a rational-denominator loss
+    evaluation needs.  The average against cos<h, w> is the circular lag sum
+    sum_y X_y(phi_k) X_{y+h}(phi_k) over N (2 pi)^2 (Parseval), so the field
+    is read directly: one wrap-padded copy and five lag products, no FFT.
+    Anything but a :class:`~spatialcox.field.CoeffField` raises ``TypeError``.
     """
-    if isinstance(sample, Periodogram):
-        w1, w2 = sample.grid.meshes()
-        return (np.einsum("ijk,cij->kc", sample.diag_real(), _cosines(w1, w2))
-                / sample.grid.size)
+    if not isinstance(sample, CoeffField):
+        raise TypeError(f"the Whittle sample must be a CoeffField, not {type(sample).__name__}")
     x = sample.data
     n1, n2, _ = x.shape
     padded = np.pad(x, ((0, 1), (1, 1), (0, 0)), mode="wrap")  # x_y at padded[y1, y2 + 1]
@@ -73,17 +69,21 @@ def _mode_losses_fast(model: SpectralModel, theta, moments: np.ndarray) -> np.nd
     return _gram_form(model.eig_triples(theta), moments)[0] / model.sigma2(theta)
 
 
-def _check_fit_inputs(model: SpectralModel, sample: CoeffField | Periodogram) -> None:
-    if model.n_modes != sample.n_modes:
+def _sample_moments(model: SpectralModel, sample: CoeffField) -> np.ndarray:
+    moments = trig_moments(sample)
+    if model.n_modes != moments.shape[0]:
         raise ParameterDomainError("model and sample mode counts differ")
+    return moments
 
 
-def whittle_loss(model: SpectralModel, theta, sample: CoeffField | Periodogram) -> float:
-    """max over modes k <= M of the Fourier-grid average of I_w(phi_k)/F_{w,theta}(phi_k)."""
-    _check_fit_inputs(model, sample)
+def whittle_loss(model: SpectralModel, theta, sample: CoeffField) -> float:
+    """max over modes k <= M of the Fourier-grid average of I_w(phi_k)/F_{w,theta}(phi_k),
+    with I the periodogram of the field ``sample``, read through :func:`trig_moments`."""
+    moments = _sample_moments(model, sample)
+    model.eig_triples(theta)  # checks theta's length before the box
     if not model.contains(theta):
         raise ParameterDomainError("theta outside the parameter box")
-    return float(_mode_losses_fast(model, theta, trig_moments(sample)).max())
+    return float(_mode_losses_fast(model, theta, moments).max())
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +185,11 @@ def _fit_epigraph(model, moments, loss_tol):
     return np.clip(res.x[:q], box[:, 0], box[:, 1]), n_evals, res.success
 
 
-def estimate(model: SpectralModel, sample: CoeffField | Periodogram,
+def estimate(model: SpectralModel, sample: CoeffField,
              loss_tol: float = 1e-10) -> ThetaEstimate:
     """Minimize the Whittle sup loss over the parameter box and the causal set.
 
-    ``sample`` is a field or its periodogram, read by :func:`trig_moments`.
+    ``sample`` is the field, read by :func:`trig_moments`.
     Families with two or more parameters (example2 and ``AFFINE_FAMILIES``)
     take one SLSQP epigraph solve from the box centre with exact loss
     gradients, the affine ones constrained to the closed causal tetrahedron
@@ -200,11 +200,10 @@ def estimate(model: SpectralModel, sample: CoeffField | Periodogram,
     add ``TIE_BREAK`` times the mean-over-modes loss to the sup loss; the
     reported ``loss_at_min`` is the pure sup loss.  The model's innovation
     variances are the C2 ones, so a field whose innovation sd is a known s_k
-    is fitted as ``sample`` divided by s_k (a periodogram by s_k^2).
+    is fitted as ``sample`` divided by s_k.
     """
-    _check_fit_inputs(model, sample)
     t0 = time.perf_counter()
-    moments = trig_moments(sample)
+    moments = _sample_moments(model, sample)
     theta_hat, n_evals, success = (_fit_scalar(model, moments) if model.n_params == 1
                                    else _fit_epigraph(model, moments, loss_tol))
     pure = float(_mode_losses_fast(model, theta_hat, moments).max())

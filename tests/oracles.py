@@ -5,7 +5,8 @@ nested loops for covariances, a naive site-by-site sweep for the SARH(1)
 recursion, the closed-form covariance of the separable (l3 = -l1*l2)
 autoregression, the 2-D grid inversion of a spectrum to covariances, the
 256^2 quadrature of the Fejer-smoothed inverse spectrum, the site-pair
-double sum of the count variance, the dense Fourier-grid Whittle loss,
+double sum of the count variance, the dense Fourier-grid Whittle loss, the
+cosine contraction of a periodogram and the field that has a given one,
 row-by-row CSV writers, the curve-space pipeline (smooth, interpolate and
 detrend every curve on the dense time grid), and the scalar and grid forms
 of the eigenvalue families, the stationarity checks and the C2 normalization.
@@ -17,6 +18,7 @@ import csv
 import numpy as np
 from scipy.interpolate import make_lsq_spline
 
+from spatialcox import BasisSpec, CoeffField
 from spatialcox.errors import ParameterDomainError, ResolutionError, SingularSpectrumError
 
 
@@ -153,12 +155,17 @@ def quadrature_fejer_inverse(model, theta, k, m_smooth, omega, quad_size=256):
     return float(q.real)
 
 
+def rect_sites(rect):
+    """The lattice sites (i, j) of an inclusive ``BorelRect``, row by row."""
+    return [(i, j) for i in range(rect.a1, rect.b1 + 1) for j in range(rect.a2, rect.b2 + 1)]
+
+
 def double_sum_count_moments(rect, cov):
     """Count mean and variance of a lattice rectangle by the site-pair double sum
     exp(R_0) sum_{z,y in B} exp((R_{z-y} + R_{y-z}) / 2) + |B| rho (1 - |B| rho),
     rho = exp(R_0 / 2); a lag missing from ``cov`` raises KeyError."""
     rho = float(np.exp(0.5 * cov[(0, 0)]))
-    sites = list(rect.sites())
+    sites = rect_sites(rect)
     acc = 0.0
     for za in sites:
         for zb in sites:
@@ -168,10 +175,33 @@ def double_sum_count_moments(rect, cov):
     return rho * area, float(np.exp(cov[(0, 0)]) * acc + area * rho * (1.0 - area * rho))
 
 
+def periodogram_moments(pgram):
+    """Fourier-grid means of the periodogram diagonal against (1, cos w1, cos w2,
+    cos(w1 + w2), cos(w1 - w2)), shape (M, 5): the cosine contraction that
+    ``trig_moments`` replaces by five lag sums of the field (Parseval)."""
+    w1, w2 = pgram.grid.meshes()
+    cosines = np.stack([np.ones_like(w1), np.cos(w1), np.cos(w2), np.cos(w1 + w2),
+                        np.cos(w1 - w2)])
+    return np.einsum("ijk,cij->kc", pgram.values.real, cosines) / pgram.grid.size
+
+
+def field_with_periodogram(pgram):
+    """A real field whose periodogram is the even part (w <-> -w) of the real
+    diagonal of ``pgram``, which must be non-negative: ifft2 of
+    sqrt(N (2 pi)^2 E), the square root being real and even.  A model
+    spectrum enters the fit as this field."""
+    values = pgram.values.real
+    n1, n2, m = values.shape
+    even = 0.5 * (values + values[(-np.arange(n1)) % n1][:, (-np.arange(n2)) % n2])
+    data = np.fft.ifft2(np.sqrt(n1 * n2 * (2.0 * np.pi) ** 2 * even), axes=(0, 1))
+    assert np.abs(data.imag).max() <= 1e-12 * max(np.abs(data.real).max(), 1e-300)
+    return CoeffField(data.real.copy(), BasisSpec(1.0, m))
+
+
 def dense_mode_losses(model, theta, pgram):
     """Per-mode Whittle losses evaluated densely: the Fourier-grid mean of
     I_k / F_k, with F_k the rational density of mode k at every frequency."""
-    i_diag = pgram.diag_real()
+    i_diag = pgram.values.real
     w1, w2 = pgram.grid.meshes()
     triples, sigma2 = model.eig_triples(theta), model.sigma2(theta)
     with np.errstate(divide="ignore"):  # a torus zero makes F infinite and I / F zero

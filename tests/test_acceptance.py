@@ -8,7 +8,8 @@ stated criteria, never from the observed values.
 import numpy as np
 import pytest
 
-from oracles import brute_force_cov, brute_force_dft, normalize_c2, rational_density
+from oracles import (brute_force_cov, brute_force_dft, field_with_periodogram, normalize_c2,
+                     rational_density)
 from spatialcox import (BasisSpec, BorelRect, CoeffField, ExperimentConfig, FrequencyGrid,
                         Periodogram, Sarh1Params, SpectralModel, TestFunction, count_moments,
                         cov_from_spectrum, cvfare, empirical_cov, estimate, family_triples,
@@ -101,7 +102,7 @@ def test_criterion_5_parseval_suite():
         m = int(rng.integers(1, 5))
         fld = CoeffField(rng.normal(size=(n1, n2, m)), BasisSpec(1.0, m))
         pg = periodogram(fld)
-        lhs = TWO_PI_SQ / pg.grid.size * pg.diag_real().sum(axis=(0, 1))
+        lhs = TWO_PI_SQ / pg.grid.size * pg.values.real.sum(axis=(0, 1))
         rhs = (fld.data**2).sum(axis=(0, 1)) / pg.grid.size
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     assert worst < 1e-10
@@ -148,8 +149,8 @@ def test_criterion_7_whittle_identifiability():
         model = SpectralModel(family, n_modes=10)
         for _ in range(10):
             theta_star = box[:, 0] + rng.random(box.shape[0]) * (box[:, 1] - box[:, 0])
-            pg = _noise_free_periodogram(model, theta_star, (64, 64))
-            fit = estimate(model, pg, loss_tol=1e-14)
+            fld = field_with_periodogram(_noise_free_periodogram(model, theta_star, (64, 64)))
+            fit = estimate(model, fld, loss_tol=1e-14)
             worst_theta = max(worst_theta, float(np.max(np.abs(fit.theta_hat - theta_star))))
             worst_loss = max(worst_loss, abs(fit.loss_at_min - 1.0))
     assert worst_theta <= 1e-4, worst_theta

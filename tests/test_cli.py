@@ -7,6 +7,7 @@ import pytest
 from spatialcox import load_field_binary, make_synthetic_counts, save_series_csv
 from spatialcox.cli import main
 from spatialcox.errors import BoundaryError, FileFormatError, ParameterDomainError
+from spatialcox.spectral import load_periodogram_binary
 
 
 def run(argv):
@@ -35,6 +36,33 @@ def test_simulate_periodogram_estimate_predict_chain(tmp_path):
     pred = tmp_path / "pred.bin"
     run(["predict", "--field", field, "--theta", est, "--out", pred])
     assert load_field_binary(pred).dims == (48, 48)
+
+
+def test_periodogram_full_writes_the_cross_block(tmp_path):
+    field, plain, full = tmp_path / "field.bin", tmp_path / "pg.bin", tmp_path / "pgram.bin"
+    run(["simulate", "--dims", "6x5", "--modes", "3", "--burn-in", 10, "--out", field])
+    run(["periodogram", "--field", field, "--out", plain])
+    run(["periodogram", "--field", field, "--full", "--csv", "--out", full])
+    back = load_periodogram_binary(full)
+    assert back.cross.shape == (6, 5, 3, 3)
+    assert back.values.tobytes() == load_periodogram_binary(plain).values.tobytes()
+    assert len((tmp_path / "pgram.bin.csv").read_text().splitlines()) == 1 + 6 * 5 * 3 * 3
+    # the loader checks the diagonal, |x_w|^2: the first payload value, after
+    # the 32-byte header, is the real part of cross[0, 0, 0, 0]
+    raw = bytearray(full.read_bytes())
+    top = np.abs(back.values.real).max()
+    for first, fails in ((-1e-12 * top, False), (-0.5 * top, True)):
+        raw[32:40] = np.array([first], dtype="<f8").tobytes()
+        full.write_bytes(bytes(raw))
+        if fails:
+            with pytest.raises(FileFormatError, match="negative real value"):
+                load_periodogram_binary(full)
+        else:
+            assert load_periodogram_binary(full).values[0, 0, 0] == first
+    raw[32:48] = np.array([top, 1e-6 * top], dtype="<f8").tobytes()
+    full.write_bytes(bytes(raw))
+    with pytest.raises(FileFormatError, match="imaginary residue"):
+        load_periodogram_binary(full)
 
 
 def test_estimate_refuses_a_box_wider_than_the_family_box(tmp_path):

@@ -221,7 +221,7 @@ def test_spectral_consistency_of_simulator():
     reps = 100
     for rep in range(reps):
         fld = simulate_sarh1(params, (128, 128), burn_in=60, seed=31_000 + rep)
-        i_diag = periodogram(fld).diag_real()[:, :, 0]
+        i_diag = periodogram(fld).values.real[:, :, 0]
         acc = i_diag if acc is None else acc + i_diag
     avg = acc / reps
     grid = periodogram(simulate_sarh1(params, (128, 128), burn_in=1, seed=0)).grid
@@ -348,6 +348,14 @@ def test_family_theta_length_checked():
 
 
 # --- one model type: SpectralModel checks its box once
+
+
+@pytest.mark.parametrize("family, n_modes", [("example1", 0), ("example1", -1), ("custom", 0)])
+def test_model_without_modes_rejected_at_construction(family, n_modes):
+    with pytest.raises(ParameterDomainError, match="n_modes must be >= 1"):
+        SpectralModel(family, n_modes)
+    with pytest.raises(ParameterDomainError, match="n_modes must be >= 1"):
+        Sarh1Params(family, [1.0] if family == "example1" else [], n_modes)
 
 
 @pytest.mark.parametrize("box", [[[0.7, 4.0], [0.7, 4.0]], [[2.0, 2.0]], [[3.0, 1.0]]],

@@ -5,7 +5,7 @@ import inspect
 
 import pytest
 
-from spatialcox import (ExperimentConfig, Periodogram, PipelineConfig, Sarh1Params,
+from spatialcox import (ExperimentConfig, PipelineConfig, Sarh1Params,
                         SpectralModel, estimate, idw_interpolate, make_synthetic_counts,
                         product_density_n, run_cross_validation)
 from spatialcox.sarh import default_box, family_jacobian, family_triples
@@ -26,9 +26,8 @@ def test_config_fields():
 
 @pytest.mark.parametrize("fn, keyword", [
     (idw_interpolate, "power"), (run_cross_validation, "eval_stride"),
-    (Periodogram.diag_real, "tol"), (SpectralModel.density, "unit_sigma"),
-    (product_density_n, "include_diagonal"),
-], ids=["idw_power", "eval_stride", "diag_real_tol", "unit_sigma", "include_diagonal"])
+    (SpectralModel.density, "unit_sigma"), (product_density_n, "include_diagonal"),
+], ids=["idw_power", "eval_stride", "unit_sigma", "include_diagonal"])
 def test_single_value_keywords_gone(fn, keyword):
     assert keyword not in inspect.signature(fn).parameters
 

@@ -63,7 +63,7 @@ def test_periodogram_zero_and_diag():
     pg = periodogram(fld)
     xt = functional_dft(fld)
     assert np.max(np.abs(pg.values - np.abs(xt) ** 2)) < 1e-12
-    assert np.all(pg.diag_real() >= 0)
+    assert np.all(pg.values.real >= 0)
 
 
 def test_periodogram_parseval():
@@ -71,7 +71,7 @@ def test_periodogram_parseval():
     for seed in range(5):
         fld = random_field((7, 5), 3, seed=seed)
         pg = periodogram(fld)
-        lhs = (2 * np.pi) ** 2 / pg.grid.size * pg.diag_real().sum(axis=(0, 1))
+        lhs = (2 * np.pi) ** 2 / pg.grid.size * pg.values.real.sum(axis=(0, 1))
         rhs = (fld.data**2).mean(axis=(0, 1)) * 1.0
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
@@ -412,24 +412,6 @@ def test_periodogram_binary_nonpositive_header_dims_rejected(tmp_path, dims):
     path.write_bytes(bytes(raw))
     with pytest.raises(FileFormatError, match="must be positive"):
         load_periodogram_binary(path)
-
-
-def test_periodogram_binary_negative_diagonal_rejected(tmp_path):
-    pg = periodogram(random_field((4, 3), 2, seed=6))
-    path = tmp_path / "pg.bin"
-    save_periodogram_binary(pg, path)
-    raw = bytearray(path.read_bytes())
-    # first payload value (after the 32-byte header): real part of values[0, 0, 0]
-    raw[32:40] = np.array([-0.5 * np.abs(pg.values.real).max()], dtype="<f8").tobytes()
-    path.write_bytes(bytes(raw))
-    back = load_periodogram_binary(path)
-    with pytest.raises(SingularSpectrumError, match="negative"):
-        back.diag_real()
-    # rounding-level negatives stay within tolerance and come back as |value|
-    vals = pg.values.copy()
-    vals[0, 0, 0] = -1e-12 * np.abs(vals.real).max()
-    out = Periodogram(pg.grid, vals).diag_real()
-    np.testing.assert_array_equal(out, np.abs(vals.real))
 
 
 @pytest.mark.parametrize("lag", [(3, 0), (0, -3), (9, 9)])

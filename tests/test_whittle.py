@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import (dense_mode_losses, grid_has_torus_zero, grid_min_triple_loss,
-                     normalize_c2, rational_density)
+from oracles import (dense_mode_losses, field_with_periodogram, grid_has_torus_zero,
+                     grid_min_triple_loss, normalize_c2, periodogram_moments, rational_density)
 from spatialcox import (BasisSpec, CoeffField, FrequencyGrid, Periodogram,
                         Sarh1Params, SpectralModel, cov_from_spectrum, estimate,
                         family_triples, is_causal, periodogram, simulate_sarh1, trig_moments,
@@ -14,6 +14,7 @@ from spatialcox.sarh import CAUSAL_FACES, TRIPLE_BOX, _has_torus_zero
 from spatialcox.whittle import _mode_losses_fast, _mode_losses_with_grad
 
 TWO_PI_SQ = (2 * np.pi) ** 2
+EXAMPLE1_M2 = SpectralModel("example1", n_modes=2)
 
 
 def model_periodogram(model, theta, dims):
@@ -21,6 +22,11 @@ def model_periodogram(model, theta, dims):
     grid = FrequencyGrid(dims)
     w1, w2 = grid.meshes()
     return Periodogram(grid, model.density(theta, w1, w2).astype(complex))
+
+
+def model_field(model, theta, dims):
+    """The field whose periodogram is the noise-free one, as the fit takes it."""
+    return field_with_periodogram(model_periodogram(model, theta, dims))
 
 
 # --- spectral density -------------------------------------------------------
@@ -114,17 +120,16 @@ def test_c2_singularity_error():
 
 def test_loss_at_matching_spectrum_is_one():
     model = SpectralModel("example1", n_modes=4)
-    pg = model_periodogram(model, [1.2], (16, 12))
-    assert whittle_loss(model, [1.2], pg) == pytest.approx(1.0, abs=1e-14)
+    fld = model_field(model, [1.2], (16, 12))
+    assert whittle_loss(model, [1.2], fld) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_loss_scales_linearly():
     model = SpectralModel("example1", n_modes=2)
     params = Sarh1Params("example1", [1.0], 2)
     fld = simulate_sarh1(params, (24, 24), burn_in=20, seed=5)
-    pg = periodogram(fld)
-    base = whittle_loss(model, [1.0], pg)
-    scaled = Periodogram(pg.grid, 3.0 * pg.values)
+    base = whittle_loss(model, [1.0], fld)
+    scaled = CoeffField(np.sqrt(3.0) * fld.data, fld.basis)  # a periodogram 3 times fld's
     assert whittle_loss(model, [1.0], scaled) == pytest.approx(3.0 * base, rel=1e-12)
 
 
@@ -132,7 +137,7 @@ def test_fast_path_equals_dense():
     params = Sarh1Params("example2", [1.0, 1.6, 1.5, 1.2], 5)
     fld = simulate_sarh1(params, (20, 28), burn_in=20, seed=6)
     pg = periodogram(fld)
-    moments = trig_moments(pg)
+    moments = trig_moments(fld)
     for family, theta in (("example2", [0.9, 1.5, 1.4, 1.1]),
                           ("example1", [2.2]),
                           ("triple", [0.3, 0.2, -0.05])):
@@ -152,7 +157,7 @@ def test_field_moments_match_periodogram_moments(dims, n_modes, seed):
     scale = 10.0 ** rng.uniform(-3, 3, n_modes)
     fld = CoeffField(rng.normal(size=dims + (n_modes,)) * scale, BasisSpec(1.0, n_modes))
     direct = trig_moments(fld)
-    ref = trig_moments(periodogram(fld))
+    ref = periodogram_moments(periodogram(fld))
     assert direct.shape == ref.shape == (n_modes, 5)
     assert np.all(np.abs(direct - ref) <= 1e-12 * ref[:, :1])
 
@@ -172,7 +177,8 @@ def test_whittle_loss_matches_dense_oracle(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     pg = Periodogram(FrequencyGrid(dims), rng.exponential(size=dims + (n_modes,)).astype(complex))
     dense = dense_mode_losses(model, theta, pg).max()
-    assert whittle_loss(model, theta, pg) == pytest.approx(dense, rel=1e-9)
+    fld = field_with_periodogram(pg)
+    assert whittle_loss(model, theta, fld) == pytest.approx(dense, rel=1e-9)
 
 
 def test_loss_monte_carlo_near_one_and_locally_minimal():
@@ -181,8 +187,7 @@ def test_loss_monte_carlo_near_one_and_locally_minimal():
     at_true, wins = [], 0
     for seed in range(20):
         fld = simulate_sarh1(params, (256, 256), burn_in=100, seed=42_000 + seed)
-        pg = periodogram(fld)
-        m = trig_moments(pg)
+        m = trig_moments(fld)
         l0 = _mode_losses_fast(model, [1.0], m).max()
         lm = _mode_losses_fast(model, [0.7], m).max()
         lp = _mode_losses_fast(model, [1.3], m).max()
@@ -194,12 +199,31 @@ def test_loss_monte_carlo_near_one_and_locally_minimal():
 
 def test_loss_domain_errors():
     model = SpectralModel("example1", n_modes=2)
-    pg = model_periodogram(model, [1.0], (8, 8))
+    fld = model_field(model, [1.0], (8, 8))
     with pytest.raises(ParameterDomainError):
-        whittle_loss(model, [5.0], pg)
+        whittle_loss(model, [5.0], fld)
     other = SpectralModel("example1", n_modes=3)
     with pytest.raises(ParameterDomainError):
-        whittle_loss(other, [1.0], pg)
+        whittle_loss(other, [1.0], fld)
+
+
+@pytest.mark.parametrize("theta", [[1.0], [1.0, 1.6]])
+def test_loss_theta_of_wrong_length_rejected(theta):
+    # checked before the box, which reads theta elementwise
+    model = SpectralModel("example2", n_modes=2)
+    fld = model_field(model, [1.0, 1.6, 1.5, 1.2], (8, 8))
+    with pytest.raises(ParameterDomainError, match="length"):
+        whittle_loss(model, theta, fld)
+
+
+@pytest.mark.parametrize("call", [trig_moments, lambda pg: whittle_loss(EXAMPLE1_M2, [1.0], pg),
+                                  lambda pg: estimate(EXAMPLE1_M2, pg)],
+                         ids=["trig_moments", "whittle_loss", "estimate"])
+def test_periodogram_sample_rejected(call):
+    # the sample is the field; a periodogram enters the fit as a field
+    # (field_with_periodogram), never as itself
+    with pytest.raises(TypeError, match="CoeffField"):
+        call(model_periodogram(EXAMPLE1_M2, [1.0], (8, 8)))
 
 
 # --- estimation -------------------------------------------------------------
@@ -207,8 +231,7 @@ def test_loss_domain_errors():
 
 def test_estimate_noise_free_recovers_theta():
     model = SpectralModel("example1", n_modes=6)
-    pg = model_periodogram(model, [1.7], (32, 32))
-    fit = estimate(model, pg)
+    fit = estimate(model, model_field(model, [1.7], (32, 32)))
     assert abs(fit.theta_hat[0] - 1.7) < 1e-4
     assert abs(fit.loss_at_min - 1.0) < 1e-3
     assert fit.converged
@@ -217,11 +240,11 @@ def test_estimate_noise_free_recovers_theta():
 def test_estimate_respects_box_and_beats_bracketing_grid():
     model = SpectralModel("example1", n_modes=3)
     params = Sarh1Params("example1", [1.0], 3)
-    pg = periodogram(simulate_sarh1(params, (32, 32), burn_in=20, seed=8))
-    fit = estimate(model, pg)
+    fld = simulate_sarh1(params, (32, 32), burn_in=20, seed=8)
+    fit = estimate(model, fld)
     assert model.contains(fit.theta_hat)
-    assert fit.loss_at_min == whittle_loss(model, fit.theta_hat, pg)
-    grid_losses = [whittle_loss(model, [t], pg) for t in np.linspace(0.7, 4.0, 64)]
+    assert fit.loss_at_min == whittle_loss(model, fit.theta_hat, fld)
+    grid_losses = [whittle_loss(model, [t], fld) for t in np.linspace(0.7, 4.0, 64)]
     assert fit.loss_at_min <= min(grid_losses) + 1e-9
     assert fit.n_loss_evals > 0
 
@@ -229,9 +252,9 @@ def test_estimate_respects_box_and_beats_bracketing_grid():
 def test_estimate_is_pure_function_of_periodogram():
     model = SpectralModel("example1", n_modes=3)
     params = Sarh1Params("example1", [1.0], 3)
-    pg = periodogram(simulate_sarh1(params, (32, 32), burn_in=20, seed=9))
-    a = estimate(model, pg)
-    b = estimate(model, pg)
+    fld = simulate_sarh1(params, (32, 32), burn_in=20, seed=9)
+    a = estimate(model, fld)
+    b = estimate(model, fld)
     np.testing.assert_array_equal(a.theta_hat, b.theta_hat)
     assert a.loss_at_min == b.loss_at_min
 
@@ -240,18 +263,19 @@ def test_estimate_is_pure_function_of_periodogram():
                                            ("example2", [1.0, 1.6, 1.5, 1.2]),
                                            ("triple", [0.4, 0.3, -0.1])])
 def test_estimate_from_field_matches_periodogram(family, theta):
+    # the fit reads the field only through its periodogram: another field with
+    # the same periodogram gives the same fit
     fld = simulate_sarh1(Sarh1Params(family, theta, 5), (48, 40), burn_in=30, seed=17)
     model = SpectralModel(family, n_modes=5)
     from_field = estimate(model, fld)
-    from_pgram = estimate(model, periodogram(fld))
+    from_pgram = estimate(model, field_with_periodogram(periodogram(fld)))
     np.testing.assert_allclose(from_field.theta_hat, from_pgram.theta_hat, rtol=0, atol=1e-6)
     assert from_field.loss_at_min == pytest.approx(from_pgram.loss_at_min, rel=1e-10)
 
 
 def test_estimate_json_roundtrip(tmp_path):
     model = SpectralModel("example1", n_modes=2)
-    pg = model_periodogram(model, [1.1], (8, 8))
-    fit = estimate(model, pg)
+    fit = estimate(model, model_field(model, [1.1], (8, 8)))
     path = tmp_path / "est.json"
     fit.to_json(path)
     import json
@@ -263,14 +287,16 @@ def test_estimate_json_roundtrip(tmp_path):
 
 
 def test_fit_with_fixed_noise_sd_recovers_theta():
-    # a known innovation sd is a factor on the data: the density of innovation
-    # sd 2, read from the oracle, divided by 2^2 fits the true theta at loss 1
+    # a known innovation sd is a factor on the data: the field of the density
+    # of innovation sd 2, read from the oracle, divided by 2 fits the true
+    # theta at loss 1
     model = SpectralModel("example1", n_modes=3)
     grid = FrequencyGrid((32, 32))
     w1, w2 = grid.meshes()
     values = np.stack([rational_density(t, 4.0 / TWO_PI_SQ, w1, w2)
                        for t in family_triples("example1", [1.7], 3)], axis=-1)
-    fit = estimate(model, Periodogram(grid, (values / 4.0).astype(complex)))
+    fld = field_with_periodogram(Periodogram(grid, values.astype(complex)))
+    fit = estimate(model, CoeffField(fld.data / 2.0, fld.basis))
     assert abs(fit.theta_hat[0] - 1.7) < 1e-4
     assert fit.loss_at_min == pytest.approx(1.0, abs=1e-3)
 
@@ -282,8 +308,7 @@ BAND_TRIPLE = [0.6, 0.5, 0.0]  # l1 + l2 + l3 = 1.1: D vanishes on the torus
 
 def test_triple_fit_of_band_periodogram_is_causal():
     wide = SpectralModel("triple", n_modes=3, theta_box=[[-2, 2]] * 3)
-    pg = model_periodogram(wide, BAND_TRIPLE, (32, 32))
-    fit = estimate(SpectralModel("triple", n_modes=3), pg)
+    fit = estimate(SpectralModel("triple", n_modes=3), model_field(wide, BAND_TRIPLE, (32, 32)))
     assert fit.converged
     assert np.max(CAUSAL_FACES @ fit.theta_hat) <= 1 + 1e-9
 
@@ -294,7 +319,7 @@ def test_affine_family_fit_recovers_pmf_triples(family):
     fld = simulate_sarh1(Sarh1Params("custom", lam.ravel(), 10), (64, 64), burn_in=60,
                          seed=3)
     model = SpectralModel(family, n_modes=10)
-    fit = estimate(model, periodogram(fld))
+    fit = estimate(model, fld)
     lam_hat = model.eig_triples(fit.theta_hat)
     rel = np.linalg.norm(lam_hat - lam, axis=1) / np.linalg.norm(lam, axis=1)
     assert fit.converged
@@ -306,9 +331,9 @@ def test_affine_family_fit_recovers_pmf_triples(family):
 
 def test_box_without_causal_point_rejected():
     model = SpectralModel("triple", n_modes=2, theta_box=[[0.9, 0.95]] * 3)
-    pg = model_periodogram(SpectralModel("example1", n_modes=2), [1.0], (8, 8))
+    fld = model_field(SpectralModel("example1", n_modes=2), [1.0], (8, 8))
     with pytest.raises(ParameterDomainError):
-        estimate(model, pg)
+        estimate(model, fld)
 
 
 @pytest.mark.parametrize("seed", [21, 22, None])
@@ -317,20 +342,22 @@ def test_triple_fit_not_above_dense_grid_oracle(seed):
     if seed is None:
         wide = SpectralModel("triple", n_modes=2, theta_box=[[-2, 2]] * 3)
         pg = model_periodogram(wide, BAND_TRIPLE, (12, 12))
+        fld = field_with_periodogram(pg)
     else:
         params = Sarh1Params("custom", [0.5, 0.3, -0.1, 0.2, 0.6, 0.1], 2)
-        pg = periodogram(simulate_sarh1(params, (12, 12), burn_in=30, seed=seed))
-    fit = estimate(SpectralModel("triple", n_modes=2), pg)
+        fld = simulate_sarh1(params, (12, 12), burn_in=30, seed=seed)
+        pg = periodogram(fld)
+    fit = estimate(SpectralModel("triple", n_modes=2), fld)
     w1, w2 = pg.grid.meshes()
-    assert fit.loss_at_min <= grid_min_triple_loss(pg.diag_real(), w1, w2, TRIPLE_BOX) + 1e-9
+    assert fit.loss_at_min <= grid_min_triple_loss(pg.values.real, w1, w2, TRIPLE_BOX) + 1e-9
 
 
 def test_loss_lower_bound_on_theta_grid():
     # with I := F_{theta0}, the grid-minimal loss sits at theta0 and equals 1
     model = SpectralModel("example1", n_modes=4)
-    pg = model_periodogram(model, [2.0], (24, 24))
+    fld = model_field(model, [2.0], (24, 24))
     grid = np.linspace(0.7, 4.0, 34)
-    losses = [whittle_loss(model, [t], pg) for t in grid]
+    losses = [whittle_loss(model, [t], fld) for t in grid]
     k = int(np.argmin(losses))
     assert abs(grid[k] - 2.0) < 0.11
     assert losses[k] >= 1.0 - 1e-12
@@ -433,9 +460,8 @@ def test_estimate_realdata_pmf_recovers_triples():
     lam_true = family_triples("realdata_pmf", theta_true, 10)
     params = Sarh1Params("custom", lam_true.ravel(), 10)
     fld = simulate_sarh1(params, (96, 96), burn_in=60, seed=404)
-    pg = periodogram(fld)
     model = SpectralModel("realdata_pmf", n_modes=10)
-    fit = estimate(model, pg)
+    fit = estimate(model, fld)
     lam_hat = model.eig_triples(fit.theta_hat)
     assert lam_hat.shape == (10, 3)
     rel = np.linalg.norm(lam_hat - lam_true, axis=1) / np.linalg.norm(lam_true, axis=1)
@@ -456,7 +482,7 @@ def test_mode_loss_jacobian_matches_central_differences(family):
     n_modes = 4
     fld = simulate_sarh1(Sarh1Params("example2", [1.0, 1.6, 1.5, 1.2], n_modes), (20, 24),
                          burn_in=20, seed=62)
-    moments = trig_moments(periodogram(fld))
+    moments = trig_moments(fld)
     model = SpectralModel(family, n_modes=n_modes)
     box = model.theta_box
     centre, half = box.mean(axis=1), (box[:, 1] - box[:, 0]) / 2
