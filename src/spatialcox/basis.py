@@ -1,10 +1,10 @@
 """Sine basis on [0, L]: design matrices and quadrature projection.
 
 The working basis is phi_p(t) = sin(pi * p * t / L), p = 1..M, which is
-pairwise L2-orthogonal on [0, L] with squared norm L/2.  Internally the
-package treats mode coefficients as coordinates with respect to the
-orthonormalized basis sqrt(2/L) * phi_p; the design matrix and the
-projection expose both conventions through a ``normalized`` flag.
+pairwise L2-orthogonal on [0, L] with squared norm L/2.  The package has
+one coordinate convention: mode coefficients are coordinates with respect
+to the orthonormalized basis sqrt(2/L) * phi_p, which the design matrix
+holds and the projection returns.
 """
 
 from __future__ import annotations
@@ -38,17 +38,16 @@ class BasisSpec:
             raise ParameterDomainError("n_modes must be >= 1")
 
 
-def design_matrix(spec: BasisSpec, t_grid, normalized: bool = False) -> np.ndarray:
-    """Matrix Phi with Phi[p-1, i] = phi_p(t_i), shape (M, len(t_grid))."""
+def design_matrix(spec: BasisSpec, t_grid) -> np.ndarray:
+    """Matrix Phi with Phi[p-1, i] = sqrt(2/L) phi_p(t_i), shape (M, len(t_grid))."""
     t = np.asarray(t_grid, dtype=float)
     modes = np.arange(1, spec.n_modes + 1)
     phi = np.sin(np.pi * np.outer(modes, t) / spec.support_length)
-    if normalized:
-        phi *= np.sqrt(2.0 / spec.support_length)
+    phi *= np.sqrt(2.0 / spec.support_length)
     return phi
 
 
-def project_samples(t_grid, samples, spec: BasisSpec, normalized: bool = False) -> np.ndarray:
+def project_samples(t_grid, samples, spec: BasisSpec) -> np.ndarray:
     """Project sampled curves onto the sine basis by trapezoidal quadrature.
 
     Parameters
@@ -58,15 +57,12 @@ def project_samples(t_grid, samples, spec: BasisSpec, normalized: bool = False) 
     samples : array, shape (..., T)
         Curve values on ``t_grid``; leading axes are batch axes.
     spec : BasisSpec
-    normalized : bool
-        False (default) returns coefficients c_p with f ~ sum_p c_p phi_p
-        (raw sines), i.e. c_p = (2/L) * integral of f * phi_p.  True returns
-        coordinates with respect to the orthonormalized basis,
-        a_p = sqrt(L/2) * c_p.
 
     Returns
     -------
     array, shape (..., M)
+        Coordinates a_p = sqrt(2/L) * integral of f * phi_p with respect to
+        the orthonormalized basis, so f ~ a @ design_matrix(spec, t).
     """
     t = np.asarray(t_grid, dtype=float)
     f = np.asarray(samples, dtype=float)
@@ -85,7 +81,4 @@ def project_samples(t_grid, samples, spec: BasisSpec, normalized: bool = False) 
     w = np.zeros(t.size)
     w[:-1] += 0.5 * dt
     w[1:] += 0.5 * dt
-    coeff = f @ (design_matrix(spec, t, normalized=True) * w).T
-    if not normalized:
-        coeff = coeff * np.sqrt(2.0 / spec.support_length)
-    return coeff
+    return f @ (design_matrix(spec, t) * w).T

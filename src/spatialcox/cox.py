@@ -118,6 +118,12 @@ def count_moments(rect: BorelRect, cov) -> tuple[float, float]:
     return float(rho * area), float(var)
 
 
+def _check_phi(phi: TestFunction, n_modes: int, owner: str) -> None:
+    if phi.coefficients.size != n_modes:
+        raise ParameterDomainError(f"phi holds {phi.coefficients.size} coefficients "
+                                   f"for a {owner} of {n_modes} modes")
+
+
 def ls_count_predictor(field: CoeffField, rect: BorelRect, phi: TestFunction) -> float:
     """Least-squares predictor of N(B) given the field: sum_{z in B} exp(X_z(phi)).
 
@@ -125,9 +131,7 @@ def ls_count_predictor(field: CoeffField, rect: BorelRect, phi: TestFunction) ->
     raise :class:`OverflowGuardError` with the offending maximum.
     """
     rect.check_within(field.dims)
-    if phi.coefficients.size != field.n_modes:
-        raise ParameterDomainError(f"phi holds {phi.coefficients.size} coefficients "
-                                   f"for a field of {field.n_modes} modes")
+    _check_phi(phi, field.n_modes, "field")
     expo = field.data[rect.a1:rect.b1 + 1, rect.a2:rect.b2 + 1] @ phi.coefficients
     mx = float(expo.max())
     if mx > EXP_GUARD:
@@ -165,6 +169,9 @@ def cov_map(model, theta, phi: TestFunction, max_lag, grid_size: int = 512) -> d
     per-mode covariances come from :func:`spatialcox.spectral.cov_from_spectrum`.
     """
     l1, l2 = int(max_lag[0]), int(max_lag[1])
+    if l1 < 0 or l2 < 0:
+        raise ParameterDomainError("max_lag must be >= 0")
+    _check_phi(phi, model.n_modes, "model")
     lags = [(z1, z2) for z1 in range(-l1, l1 + 1) for z2 in range(-l2, l2 + 1)]
     values, _ = cov_from_spectrum(model, theta, lags, grid_size=grid_size)
     w = phi.coefficients**2

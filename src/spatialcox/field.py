@@ -20,8 +20,8 @@ class CoeffField:
 
     ``data[i, j, k]`` is the coefficient of mode k+1 at site (i, j).  The
     stack treats these as coordinates of the field value with respect to the
-    orthonormalized basis, so ``data @ design_matrix(basis, t, normalized=True)``
-    gives the curves at times t.  Instances are immutable.
+    orthonormalized basis, so ``data @ design_matrix(basis, t)`` gives the
+    curves at times t.  Instances are immutable.
     """
 
     data: np.ndarray

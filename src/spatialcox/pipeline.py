@@ -213,11 +213,14 @@ def cvfare(true_curves, predicted_curves, t_grid):
 # curves are floored at one count before the log, so an empty site logs to 0
 LOG_FLOOR = 1.0
 
+# relative to max(1, RMS of the log curves): a projected residual below it skips
+# estimation, and a mode scale below it means the trend absorbs that mode
+RESIDUAL_RMS_FLOOR = 1e-8
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Settings of :func:`run_pipeline`.  ``residual_rms_floor`` is relative to
-    max(1, RMS of the log curves): a projected residual below it skips estimation."""
+    """Settings of :func:`run_pipeline`."""
 
     lattice_dims: tuple = (20, 20)
     n_time_nodes: int = 1725
@@ -225,7 +228,6 @@ class PipelineConfig:
     trend_degree: int = 3
     n_modes: int = 10
     cumulate: bool = True
-    residual_rms_floor: float = 1e-8
 
     def __post_init__(self):
         if min(self.lattice_dims) < 2:
@@ -262,13 +264,12 @@ class PipelineResult:
         n1, n2 = self.residual_field.dims
         return (design @ self.trend_coef).T.reshape(n1, n2, t.size)
 
-    def log_intensity_prediction(self, t=None, include_field: bool = True) -> np.ndarray:
-        """Trend plus (optionally) the plug-in predicted residual curves."""
+    def log_intensity_prediction(self, t=None) -> np.ndarray:
+        """Trend plus the plug-in predicted residual curves, when estimation ran."""
         t = self.out_times if t is None else np.asarray(t, dtype=float)
         out = self.trend_curves(t)
-        if include_field and self.predicted_field is not None:
-            phi = design_matrix(self.residual_field.basis, t, normalized=True)
-            out = out + self.predicted_field.data @ phi
+        if self.predicted_field is not None:
+            out = out + self.predicted_field.data @ design_matrix(self.residual_field.basis, t)
         return out
 
 
@@ -323,20 +324,20 @@ def run_pipeline(raw: GridSeries, cfg: PipelineConfig | None = None) -> Pipeline
 
     # the projection of log - Q Q^T log, without forming the residual
     basis = BasisSpec(support_length=support, n_modes=cfg.n_modes)
-    coeff = stage("project", lambda: project_samples(out_times, log_curves, basis, normalized=True)
-                  - qtv @ project_samples(out_times, q.T, basis, normalized=True))
+    coeff = stage("project", lambda: project_samples(out_times, log_curves, basis)
+                  - qtv @ project_samples(out_times, q.T, basis))
     residual_field = CoeffField(coeff.reshape(lattice.lattice_dims + (-1,)), basis)
 
     rms = float(np.sqrt(np.mean(coeff**2)))
     log_scale = max(1.0, float(np.sqrt(np.vdot(log_curves, log_curves) / log_curves.size)))
-    if rms < cfg.residual_rms_floor * log_scale:
+    if rms < RESIDUAL_RMS_FLOOR * log_scale:
         diagnostics["note"] = f"residual RMS {rms:.3e} below floor; estimation skipped"
         return PipelineResult(out_times, trend_coef, residual_field, np.ones(cfg.n_modes),
                               None, None, None, None, True, diagnostics)
 
     def _normalize():
         scale = np.sqrt(TWO_PI_SQ * _gram_min(trig_moments(residual_field)))
-        low = np.flatnonzero(scale < cfg.residual_rms_floor * log_scale)
+        low = np.flatnonzero(scale < RESIDUAL_RMS_FLOOR * log_scale)
         if low.size:  # a mode inside the trend's span holds rounding noise only
             raise InsufficientResolutionError(
                 f"mode {low[0] + 1} has scale {scale[low[0]]:.3e}, below the residual floor: "
@@ -377,15 +378,14 @@ SYNTHETIC_BURN_IN = 80
 class SyntheticTruth:
     theta_flat: np.ndarray
     lambda_true: np.ndarray
-    coeff_raw: np.ndarray          # raw-sine coefficients including amplitudes
+    coeff: np.ndarray              # orthonormal-basis coordinates including amplitudes
     basis: BasisSpec
 
     def log_intensity(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         u = t / self.basis.support_length
         trend = sum(c * u**p for p, c in enumerate(SYNTHETIC_TREND))
-        phi = design_matrix(self.basis, t)
-        return trend[None, None, :] + self.coeff_raw @ phi
+        return trend[None, None, :] + self.coeff @ design_matrix(self.basis, t)
 
 
 def make_synthetic_counts(lattice_dims=(40, 40), n_modes: int = 10, n_months: int = 432,
@@ -408,10 +408,11 @@ def make_synthetic_counts(lattice_dims=(40, 40), n_modes: int = 10, n_months: in
     basis = BasisSpec(support_length=support_length, n_modes=n_modes)
     fld = simulate_sarh1(params, (n1, n2), burn_in=SYNTHETIC_BURN_IN, seed=seed, basis=basis)
     amp = SYNTHETIC_AMPLITUDE / np.arange(1, n_modes + 1) ** SYNTHETIC_AMP_DECAY
-    coeff_raw = fld.data * amp
+    # amp_p times the raw sine is amp_p sqrt(L/2) times the orthonormal one
+    coeff = fld.data * (amp * np.sqrt(support_length / 2.0))
 
     t_m = np.linspace(0.0, support_length, n_months + 1)[1:]
-    truth = SyntheticTruth(DEFAULT_TRUE_PMF.copy(), lam_true, coeff_raw, basis)
+    truth = SyntheticTruth(DEFAULT_TRUE_PMF.copy(), lam_true, coeff, basis)
     lam_curve = np.exp(truth.log_intensity(t_m))
     inc = np.diff(lam_curve, axis=2, prepend=0.0)
     rng = np.random.default_rng(seed + 1)

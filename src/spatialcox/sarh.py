@@ -8,9 +8,8 @@ with Gaussian white innovations, independent across modes and sites.  A
 parameter family maps theta to the per-mode triples (l1, l2, l3).  The AR
 polynomial D(z1, z2) = 1 - l1 z1 - l2 z2 - l3 z1 z2 is classified in closed
 form through c = 1 + l1^2 - l2^2 - l3^2 and d = l1 + l2 l3, because on the
-unit circle
-
-    |1 - l1 e^{iw}|^2 - |l2 + l3 e^{iw}|^2 = c - 2 d cos w.
+unit circle |1 - l1 e^{iw}|^2 - |l2 + l3 e^{iw}|^2 = c - 2 d cos w; the code
+reads c -+ 2d only as products of the face margins of ``CAUSAL_FACES``.
 
 X(i, j) needs only the anti-diagonals i + j - 1 and i + j - 2, so the field is
 swept one anti-diagonal at a time, over all modes at once.  :class:`SpectralModel`
@@ -37,10 +36,10 @@ FAMILIES = ("example1", "example2", "realdata_pmf", "triple", "custom")
 # the families whose theta -> triples map is affine
 AFFINE_FAMILIES = ("triple", "custom", "realdata_pmf")
 
-# Stationarity: a triple t is causal iff CAUSAL_FACES @ t < 1 row by row, the
-# open tetrahedron with vertices (1,1,-1), (1,-1,1), (-1,1,1) and (-1,-1,-1).
-# With c and d of the module docstring, c - 2d = (1 - l1)^2 - (l2 + l3)^2 and
-# c + 2d = (1 + l1)^2 - (l2 - l3)^2, so |l1| < 1 and c > 2|d| read
+# Stationarity: a triple t is causal iff its face margins m = 1 - CAUSAL_FACES @ t
+# are all positive, the open tetrahedron with vertices (1,1,-1), (1,-1,1),
+# (-1,1,1) and (-1,-1,-1): c - 2d = (1 - l1)^2 - (l2 + l3)^2 = m0 m1 and
+# c + 2d = (1 + l1)^2 - (l2 - l3)^2 = m2 m3, so |l1| < 1 and c > 2|d| read
 # 1 - l1 > |l2 + l3| and 1 + l1 > |l2 - l3|: four faces, which imply |l1| < 1.
 CAUSAL_FACES = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0],
                          [-1.0, -1.0, 1.0]])
@@ -129,9 +128,13 @@ def family_jacobian(family: str, theta, n_modes: int) -> np.ndarray:
     return np.stack([d1, d2, -(d1 * l2[:, None] + l1[:, None] * d2)], axis=1)
 
 
+# the lags h of the stencil's five cosines cos<h, w>, the order of _GRAM and trig_moments
+_LAGS = ((0, 0), (1, 0), (0, 1), (1, 1), (1, -1))
+
+
 def _cosines(w1, w2) -> np.ndarray:
     """The five cosines (1, cos w1, cos w2, cos(w1+w2), cos(w1-w2)) stacked on axis 0."""
-    return np.stack([np.ones_like(w1), np.cos(w1), np.cos(w2), np.cos(w1 + w2), np.cos(w1 - w2)])
+    return np.stack([np.cos(h1 * w1 + h2 * w2) for h1, h2 in _LAGS])
 
 
 # mu[:, _GRAM] is G_k, the 4x4 form of a linear functional mu_k on the five
@@ -165,17 +168,18 @@ def _gram_min(mu: np.ndarray) -> np.ndarray:
     return np.maximum(g[:, 0, 0] - np.einsum("ki,kij,kj->k", v, h_pinv, v), 0.0)
 
 
-def _torus_cd(triples):
-    # the triples as rows, and c, d of |1 - l1 e^{iw}|^2 - |l2 + l3 e^{iw}|^2 = c - 2 d cos w
+def _face_margins(triples):
+    # the triples as rows and their face margins m, the one form of every torus
+    # question: a causal row (all m > 0) has c -+ 2d > 0, so no torus zero and C2 variance 1
     t = np.atleast_2d(np.asarray(triples, dtype=float))
-    l1, l2, l3 = t[:, 0], t[:, 1], t[:, 2]
-    return t, 1.0 + l1**2 - l2**2 - l3**2, l1 + l2 * l3
+    return t, 1.0 - t @ CAUSAL_FACES.T
 
 
 def _has_torus_zero(triples) -> np.ndarray:
-    """Per row: D vanishes somewhere on the unit torus, i.e. |c| <= 2|d|."""
-    _, c, d = _torus_cd(triples)
-    return np.abs(c) <= 2.0 * np.abs(d)
+    """Per row: D vanishes on the unit torus, |c| <= 2|d|: c -+ 2d not of one strict sign."""
+    _, m = _face_margins(triples)
+    lo, hi = m[:, 0] * m[:, 1], m[:, 2] * m[:, 3]
+    return ~(((lo > 0) & (hi > 0)) | ((lo < 0) & (hi < 0)))
 
 
 def is_causal(triples) -> np.ndarray:
@@ -185,10 +189,9 @@ def is_causal(triples) -> np.ndarray:
     outside the closed unit disk for every such z1 iff |l1| < 1, so that the
     ratio has no pole there, and |1 - l1 z1| > |l2 + l3 z1| on |z1| = 1, by
     the maximum principle; the latter reads c > 2|d|.  Together they are the
-    open tetrahedron ``CAUSAL_FACES @ t < 1``.
+    open tetrahedron where all four face margins are positive.
     """
-    t = np.atleast_2d(np.asarray(triples, dtype=float))
-    return np.all(t @ CAUSAL_FACES.T < 1.0, axis=1)
+    return np.all(_face_margins(triples)[1] > 0.0, axis=1)
 
 
 def c2_innovation_var(triples) -> np.ndarray:
@@ -196,20 +199,20 @@ def c2_innovation_var(triples) -> np.ndarray:
 
     sigma2 = (2 pi)^-2 exp(mean log|D|^2) over the torus.  With A = 1 - l1 e^{iw1}
     and B = l2 + l3 e^{iw1}, the inner w2 mean of log|A - B e^{iw2}|^2 is
-    2 log max(|A|, |B|), and |A|^2 - |B|^2 = c - 2 d cos w1.  Where c >= 2|d|
+    2 log max(|A|, |B|), and |A|^2 - |B|^2 = c - 2 d cos w1.  Where c -+ 2d >= 0
     the maximum is |A| for every w1 and Jensen's formula gives max(1, |l1|)^2;
-    where c <= -2|d| it is |B| and gives max(|l2|, |l3|)^2.  Causal and
+    where c -+ 2d <= 0 it is |B| and gives max(|l2|, |l3|)^2.  Causal and
     separable (l3 = -l1*l2) triples are all of this kind, causal ones giving 1.
     Only inside the band |c| < 2|d|, where D vanishes on the torus, is the w1
     mean a 2048-node rectangle rule.
     """
-    t, c, d = _torus_cd(triples)
-    d2 = 2.0 * np.abs(d)
+    t, m = _face_margins(triples)
+    lo, hi = m[:, 0] * m[:, 1], m[:, 2] * m[:, 3]
     out = np.maximum(1.0, np.abs(t[:, 0])) ** 2
-    rest = c < d2
+    rest = (lo < 0) | (hi < 0)
     if rest.any():
         out[rest] = np.maximum(np.abs(t[rest, 1]), np.abs(t[rest, 2])) ** 2
-        band = rest & (c > -d2)
+        band = rest & ((lo > 0) | (hi > 0))
         if band.any():
             a = np.abs(1.0 - t[band, :1] * _C2_NODES)
             b = np.abs(t[band, 1:2] + t[band, 2:] * _C2_NODES)

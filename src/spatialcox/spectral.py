@@ -9,7 +9,7 @@ import numpy as np
 from .errors import (FileFormatError, LagUnavailableError, ParameterDomainError,
                      ResolutionError, SingularSpectrumError)
 from .field import CoeffField, FrequencyGrid, _read_binary, _write_csv
-from .sarh import CAUSAL_FACES, _cosines, _gram_form, _has_torus_zero
+from .sarh import _cosines, _face_margins, _gram_form, _has_torus_zero
 
 _HEADER = np.dtype([("n1", "<i8"), ("n2", "<i8"), ("m", "<i8"), ("full", "<i8")])
 
@@ -88,8 +88,8 @@ def empirical_cov(field: CoeffField, max_lag) -> EmpiricalCov:
     """
     l1max, l2max = int(max_lag[0]), int(max_lag[1])
     n1, n2, m = field.data.shape
-    if l1max >= n1 or l2max >= n2:
-        raise ParameterDomainError("max_lag must be smaller than the field dims")
+    if not (0 <= l1max < n1 and 0 <= l2max < n2):
+        raise ParameterDomainError("max_lag must be >= 0 and smaller than the field dims")
     x = field.data
     lags1 = np.arange(-l1max, l1max + 1)
     lags2 = np.arange(-l2max, l2max + 1)
@@ -118,15 +118,14 @@ _MAX_QUAD_CELLS = 2**21
 _QUAD_RTOL = 1e-13
 
 
-def _w1_transform(triple, k2, n):
+def _w1_transform(triple, margins, k2, n):
     # (2 pi)^2 / n sum_j e^{i z1 w_j} r_j^{k2} / |c - 2 d cos w_j| over w_j = 2 pi j / n,
     # for every z1 mod n (axis 1) and every |z2| in k2 (axis 0): the w2
     # integral of the unit-sigma density in closed form, then one inverse FFT.
     # c - 2d cos w = (c - 2d) cos^2(w/2) + (c + 2d) sin^2(w/2), and c -+ 2d are
-    # products of face margins, so nothing cancels near the band edge
+    # the products of the triple's face margins, so nothing cancels near the band edge
     l1, l2, l3 = triple
-    f = 1.0 - CAUSAL_FACES @ triple
-    lo, hi = f[0] * f[1], f[2] * f[3]
+    lo, hi = margins[0] * margins[1], margins[2] * margins[3]
     half = np.pi * np.arange(n) / n
     e = np.exp(2j * half)
     a, b = 1.0 - l1 * e, l2 + l3 * e
@@ -144,8 +143,8 @@ def cov_from_spectrum(model, theta, lags, grid_size: int = 512):
 
         integral e^{i z2 w2} |A - B e^{iw2}|^-2 dw2 = 2 pi r^{z2} / |c - 2 d cos w1|
 
-    for z2 >= 0, and conj(r)^{|z2|} for z2 < 0, with r = conj(B/A) where
-    c > 0 (|A| > |B|) and r = A/B where c < 0 (|B| > |A|).  This covers
+    for z2 >= 0, and conj(r)^{|z2|} for z2 < 0, with r = conj(B/A) where the
+    margin product c - 2d is > 0 (|A| > |B|) and r = A/B where it is < 0.  This covers
     every triple whose AR polynomial has no zero on the unit torus, causal
     or not.  The w1 integrand is smooth and periodic, so a rectangle rule
     converges geometrically; one inverse FFT over its nodes gives every z1.
@@ -179,7 +178,7 @@ def cov_from_spectrum(model, theta, lags, grid_size: int = 512):
     """
     lags = np.array([(int(z1), int(z2)) for z1, z2 in lags], dtype=np.int64).reshape(-1, 2)
     start = max(grid_size, 1 << int(2 * np.abs(lags[:, 0]).max(initial=0) + 1).bit_length())
-    triples = np.atleast_2d(np.asarray(model.eig_triples(theta), dtype=float))
+    triples, margins = _face_margins(model.eig_triples(theta))
     bad = np.flatnonzero(_has_torus_zero(triples) | ~np.all(np.isfinite(triples), axis=1))
     if bad.size:
         k = int(bad[0])
@@ -193,13 +192,13 @@ def cov_from_spectrum(model, theta, lags, grid_size: int = 512):
     row, z1 = row[:-1], flip * lags[:, 0]
     vals = np.empty((lags.shape[0], triples.shape[0]))
     residue = 0.0
-    for k, triple in enumerate(triples):
+    for k, (triple, m) in enumerate(zip(triples, margins)):
         n, prev = start, None
         while True:  # each grid is checked against the cap before it is built
             if n * (k2.size + 4) > _MAX_QUAD_CELLS:
                 raise ResolutionError(
                     f"mode {k + 1}: covariance quadrature not converged below {n} w1 nodes")
-            h = _w1_transform(triple, k2, n)
+            h = _w1_transform(triple, m, k2, n)
             cur, r0 = h[row, z1 % n], h[0, 0].real
             if prev is not None and np.abs(cur - prev).max(initial=0.0) <= _QUAD_RTOL * r0:
                 break

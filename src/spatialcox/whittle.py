@@ -31,15 +31,11 @@ from scipy.optimize import linprog, minimize, minimize_scalar
 
 from .errors import ParameterDomainError
 from .field import CoeffField
-from .sarh import (AFFINE_FAMILIES, CAUSAL_FACES, TWO_PI_SQ, SpectralModel, _gram_form,
+from .sarh import (_LAGS, AFFINE_FAMILIES, CAUSAL_FACES, TWO_PI_SQ, SpectralModel, _gram_form,
                    family_jacobian)
 
 # ---------------------------------------------------------------------------
 # loss
-
-
-# the lags h of the five cosines of sarh._cosines: cos<h, w> in that order
-_LAGS = ((0, 0), (1, 0), (0, 1), (1, 1), (1, -1))
 
 
 def trig_moments(sample: CoeffField) -> np.ndarray:

@@ -243,7 +243,7 @@ def test_criterion_10_closed_loop_pipeline():
         t_eval = res.out_times[::8]
         lam_truth = np.exp(truth.log_intensity(t_eval))[1:, 1:]
         plug = np.exp(res.log_intensity_prediction(t_eval))[1:, 1:]
-        trend_only = np.exp(res.log_intensity_prediction(t_eval, include_field=False))[1:, 1:]
+        trend_only = np.exp(res.trend_curves(t_eval))[1:, 1:]
         _, l1_plug = cvfare(lam_truth.reshape(-1, t_eval.size),
                             plug.reshape(-1, t_eval.size), t_eval)
         _, l1_trend = cvfare(lam_truth.reshape(-1, t_eval.size),

@@ -7,13 +7,14 @@ from spatialcox.errors import InsufficientResolutionError, ParameterDomainError
 
 
 def test_sine_eval_known_values():
+    # the orthonormal basis sqrt(2/L) sin(pi p t / L)
     spec = BasisSpec(support_length=1.0, n_modes=4)
     phi = design_matrix(spec, [0.5])
     assert phi.shape == (4, 1)
-    assert phi[0, 0] == pytest.approx(1.0)
+    assert phi[0, 0] == pytest.approx(np.sqrt(2.0))
     assert phi[1, 0] == pytest.approx(0.0, abs=1e-15)
     spec2 = BasisSpec(support_length=2.0, n_modes=4)
-    # sin(pi*3*0.4/2) = sin(0.6*pi), frozen from direct evaluation
+    # sqrt(2/2) sin(pi*3*0.4/2) = sin(0.6*pi), frozen from direct evaluation
     assert design_matrix(spec2, [0.4])[2, 0] == pytest.approx(0.9510565162951535, abs=1e-12)
 
 
@@ -25,21 +26,21 @@ def test_sine_eval_domain_errors():
 
 
 def test_sine_eval_normalized_flag():
-    # sqrt(2/L) is 1 at L = 2 and 2 at L = 1/2
+    # the one convention is the normalized one: sqrt(2/L) is 1 at L = 2 and 2 at L = 1/2
     spec = BasisSpec(support_length=2.0, n_modes=1)
-    raw = design_matrix(spec, [0.7])
-    assert design_matrix(spec, [0.7], normalized=True) == pytest.approx(raw * 1.0)
+    assert design_matrix(spec, [0.7])[0, 0] == pytest.approx(np.sin(0.35 * np.pi), rel=1e-15)
     half = BasisSpec(support_length=0.5, n_modes=3)
-    np.testing.assert_allclose(design_matrix(half, [0.1, 0.3], normalized=True),
-                               2.0 * design_matrix(half, [0.1, 0.3]), rtol=1e-15)
+    t = np.array([0.1, 0.3])
+    raw = np.sin(np.pi * np.outer([1, 2, 3], t) / 0.5)
+    np.testing.assert_allclose(design_matrix(half, t), 2.0 * raw, rtol=1e-15)
 
 
 def test_projection_recovers_single_mode():
     spec = BasisSpec(support_length=1.0, n_modes=3)
     t = np.linspace(0, 1, 200)
-    f = np.sin(np.pi * t)
+    f = np.sin(np.pi * t)  # sqrt(1/2) times the first orthonormal mode
     c = project_samples(t, f, spec)
-    assert np.allclose(c, [1.0, 0.0, 0.0], atol=1e-6)
+    assert np.allclose(c, [np.sqrt(0.5), 0.0, 0.0], atol=1e-6)
 
 
 def test_projection_zero_and_linear_combination():
@@ -47,7 +48,8 @@ def test_projection_zero_and_linear_combination():
     t = np.linspace(0, 1, 400)
     assert np.allclose(project_samples(t, np.zeros_like(t), spec), 0.0)
     f = 2.0 * np.sin(np.pi * t) - 3.0 * np.sin(2 * np.pi * t)
-    assert np.allclose(project_samples(t, f, spec), [2.0, -3.0, 0.0], atol=1e-6)
+    assert np.allclose(project_samples(t, f, spec), np.sqrt(0.5) * np.array([2.0, -3.0, 0.0]),
+                       atol=1e-6)
 
 
 def test_projection_resolution_errors():
@@ -72,17 +74,15 @@ def test_discrete_orthogonality_2000_points():
     t = np.linspace(0, 2.5, 2000)
     phi = design_matrix(spec, t)
     gram = np.trapezoid(phi[:, None, :] * phi[None, :, :], t, axis=-1)
-    expect = np.eye(6) * spec.support_length / 2.0
-    assert np.max(np.abs(gram - expect)) < 1e-6
+    assert np.max(np.abs(gram - np.eye(6))) < 1e-6
 
 
 def test_normalized_coefficients_scale():
-    spec = BasisSpec(support_length=2.0, n_modes=3)
-    t = np.linspace(0, 2.0, 500)
-    f = np.sin(np.pi * t / 2.0)
-    raw = project_samples(t, f, spec)
-    normed = project_samples(t, f, spec, normalized=True)
-    assert np.allclose(normed, raw * np.sqrt(spec.support_length / 2.0), atol=1e-12)
+    # the raw sine sin(pi t / L) is sqrt(L/2) times the orthonormal first mode
+    spec = BasisSpec(support_length=8.0, n_modes=3)
+    t = np.linspace(0, 8.0, 500)
+    f = np.sin(np.pi * t / 8.0)
+    assert np.allclose(project_samples(t, f, spec), [2.0, 0.0, 0.0], atol=1e-4)
 
 
 def test_batched_projection():
@@ -91,20 +91,19 @@ def test_batched_projection():
     batch = np.stack([np.sin(np.pi * t), 4 * np.sin(2 * np.pi * t)])
     c = project_samples(t, batch, spec)
     assert c.shape == (2, 2)
-    assert np.allclose(c, [[1, 0], [0, 4]], atol=1e-4)
+    assert np.allclose(c, np.sqrt(0.5) * np.array([[1, 0], [0, 4]]), atol=1e-4)
 
 
-@pytest.mark.parametrize("normalized", [False, True])
-def test_projection_matches_trapezoid_oracle_batched(normalized):
+def test_projection_matches_trapezoid_oracle_batched():
     spec = BasisSpec(support_length=1725.0, n_modes=10)
     rng = np.random.default_rng(8)
     t = np.r_[0.0, np.sort(rng.uniform(0.0, 1725.0, size=298)), 1725.0]
     f = rng.normal(size=(4, 5, t.size))
-    got = project_samples(t, f, spec, normalized=normalized)
+    got = project_samples(t, f, spec)
+    # the oracle returns raw-sine coefficients c_p; the coordinates are sqrt(L/2) c_p
     expect = trapezoid_projection(t, f, spec.support_length, spec.n_modes)
-    if normalized:
-        expect = expect * np.sqrt(spec.support_length / 2.0)
+    expect = expect * np.sqrt(spec.support_length / 2.0)
     assert got.shape == (4, 5, 10)
     np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-12 * np.abs(expect).max())
-    np.testing.assert_allclose(project_samples(t, f[2, 3], spec, normalized=normalized),
+    np.testing.assert_allclose(project_samples(t, f[2, 3], spec),
                                got[2, 3], rtol=1e-12, atol=1e-12 * np.abs(expect).max())

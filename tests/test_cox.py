@@ -212,6 +212,15 @@ def test_pair_correlation_decays_to_one_at_long_range():
     assert pair_correlation(cmap[(0, 0)]) > 1.0
 
 
+def test_cov_map_rejects_negative_lags_and_mismatched_phi():
+    # typed errors, not an empty map or numpy's matmul ValueError
+    model = SpectralModel("example1", n_modes=2)
+    with pytest.raises(ParameterDomainError, match=">= 0"):
+        cov_map(model, [1.0], TestFunction([1.0, 0.5]), (-1, 2))
+    with pytest.raises(ParameterDomainError, match="phi holds 3 coefficients for a model of 2"):
+        cov_map(model, [1.0], TestFunction([1.0, 0.5, 0.2]), (1, 1))
+
+
 def test_cov_map_combines_modes():
     model = SpectralModel("example1", n_modes=2)
     phi = TestFunction([0.5, 2.0])

@@ -10,7 +10,7 @@ from spatialcox.errors import FileFormatError
 
 
 def curve_at(fld, site, t):
-    # the raw-sine reading of the field's curve at one lattice site
+    # the field's curve at one lattice site: coordinates on the orthonormal basis
     return float(fld.data[site] @ design_matrix(fld.basis, [t])[:, 0])
 
 
@@ -32,12 +32,12 @@ def test_evaluate_unit_mode():
     data = np.zeros((2, 2, 3))
     data[0, 1, 0] = 1.0
     fld = CoeffField(data, spec)
-    assert curve_at(fld, (0, 1), 0.5) == pytest.approx(1.0)
+    assert curve_at(fld, (0, 1), 0.5) == pytest.approx(np.sqrt(2.0))  # sqrt(2/L) at L = 1
 
 
 def test_evaluate_matches_direct_sum(small_field):
     t = 0.37
-    direct = sum(small_field.data[2, 3, k - 1] * np.sin(np.pi * k * t)
+    direct = sum(small_field.data[2, 3, k - 1] * np.sqrt(2.0) * np.sin(np.pi * k * t)
                  for k in (1, 2, 3))
     assert curve_at(small_field, (2, 3), t) == pytest.approx(direct, abs=1e-12)
 

@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -322,8 +323,9 @@ def test_pipeline_zero_noise_skips_estimation():
     trend = 4.5 + 4.0 * u + 0.4 * u**2 - 0.2 * u**3
     exact = np.exp(trend)[None, :].repeat(64, axis=0)
     clean = GridSeries(series.sites, times, exact)
-    cfg = tiny_cfg(lattice_dims=(8, 8), cumulate=False, residual_rms_floor=1e-5)
-    res = run_pipeline(clean, cfg)
+    cfg = tiny_cfg(lattice_dims=(8, 8), cumulate=False)
+    with mock.patch.object(spatialcox.pipeline, "RESIDUAL_RMS_FLOOR", 1e-5):
+        res = run_pipeline(clean, cfg)
     assert res.estimation_skipped
     assert res.lambda_hat is None
     assert "note" in res.diagnostics
@@ -348,10 +350,9 @@ def scattered_runs(draw):
                      np.vstack([series.values, series.values[dup]]))
     lattice = draw(st.one_of(st.just((n1, n2)),
                              st.tuples(st.integers(2, 8), st.integers(2, 8))))
-    # every residual falls below this floor, so each run ends after the projection
     cfg = tiny_cfg(lattice_dims=lattice, n_time_nodes=draw(st.integers(60, 400)),
                    n_knots=draw(st.integers(2, 20)), trend_degree=draw(st.integers(0, 6)),
-                   n_modes=draw(st.integers(1, 10)), residual_rms_floor=1e300)
+                   n_modes=draw(st.integers(1, 10)))
     return raw, cfg
 
 
@@ -364,7 +365,9 @@ def test_coefficient_space_pipeline_matches_curve_space_oracle(run):
     # relative to the log's coefficients; a mode the trend nearly absorbs leaves
     # a residual far below that scale, and neither path resolves it further.
     raw, cfg = run
-    res = run_pipeline(raw, cfg)
+    # every residual falls below this floor, so each run ends after the projection
+    with mock.patch.object(spatialcox.pipeline, "RESIDUAL_RMS_FLOOR", 1e300):
+        res = run_pipeline(raw, cfg)
     assert res.estimation_skipped
     want, log_scale = curve_space_residual(raw, cfg)
     assert np.max(np.abs(res.residual_field.data - want)) <= 1e-12 * log_scale

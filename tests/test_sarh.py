@@ -13,7 +13,8 @@ from oracles import (bidisk_min_gap, crude_sum_margins, eigenvalues_example1,
                      separable_cov, torus_min_abs_denominator)
 from spatialcox import (Sarh1Params, c2_innovation_var, cov_from_spectrum, empirical_cov,
                         family_triples, is_causal, periodogram, simulate_sarh1, SpectralModel)
-from spatialcox.errors import ParameterDomainError, StationarityError
+from spatialcox.errors import ParameterDomainError, ResolutionError, StationarityError
+from spatialcox.sarh import CAUSAL_FACES, _face_margins, _has_torus_zero
 
 
 def test_example1_eigenvalues_at_truth():
@@ -265,9 +266,12 @@ def test_is_causal_matches_bidisk_root_oracle(triple):
 
 
 def _region(triple):
-    l1, l2, l3 = triple
-    c, d = 1 + l1**2 - l2**2 - l3**2, l1 + l2 * l3
-    return "A" if c >= 2 * abs(d) else ("B" if c <= -2 * abs(d) else "band")
+    # the branch c2_innovation_var takes: c -+ 2d are the face-margin products
+    # m0 m1 and m2 m3, read from the same margins, so a triple on a face that
+    # rounds into the band is classified as the code classifies it
+    m = _face_margins([triple])[1][0]
+    lo, hi = m[0] * m[1], m[2] * m[3]
+    return "A" if lo >= 0 and hi >= 0 else ("B" if lo <= 0 and hi <= 0 else "band")
 
 
 @settings(deadline=None)
@@ -312,6 +316,44 @@ def test_c2_closed_form_in_each_region(triple, region, var):
     else:
         assert got == pytest.approx(var, rel=1e-15)
         assert got == pytest.approx(quadrature_sigma2_c2(*triple) * TWO_PI_SQ, rel=1e-13)
+
+
+def _near_face_triples(n, seed):
+    # uniform draws in the cube projected onto a random face of the causal
+    # tetrahedron, then 1 to 8 ulps inward on every coordinate
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(-1.0, 1.0, (n, 3))
+    face = CAUSAL_FACES[rng.integers(0, 4, n)]
+    t += ((1.0 - np.einsum("ki,ki->k", t, face)) / 3.0)[:, None] * face
+    steps = rng.integers(1, 9, n)[:, None]
+    for j in range(8):
+        t = np.where(steps > j, np.nextafter(t, -face * np.inf), t)
+    return t
+
+
+def test_causal_triples_near_a_face_are_regular():
+    # every torus question reads the same face margins, so a triple is_causal
+    # accepts has no torus zero, a C2 variance of exactly 1 and covariances
+    # (no SingularSpectrumError), however close it lies to a face
+    quoted = [(0.9534693105267749, -0.37276420641605035, 0.41929489588927504),
+              (-0.9802709739304512, 0.3947756295642039, 0.41450465563375266)]
+    batch = _near_face_triples(20_000, seed=19)
+    triples = np.vstack([quoted, batch[is_causal(batch)]])
+    assert triples.shape[0] > 10_000 and np.all(is_causal(triples))
+    assert not np.any(_has_torus_zero(triples))
+    np.testing.assert_array_equal(c2_innovation_var(triples), 1.0)
+    # the singular check covers every mode before the first quadrature; so
+    # close to a face the quadrature may not converge below its cap
+    model = SpectralModel("custom", n_modes=triples.shape[0])
+    try:
+        cov_from_spectrum(model, triples.ravel(), [(0, 0), (1, 0)])
+    except ResolutionError:
+        pass
+    for triple in quoted:
+        try:
+            cov_from_spectrum(SpectralModel("triple", n_modes=1), np.array(triple), [(0, 0)])
+        except ResolutionError:
+            pass
 
 
 @settings(deadline=None)

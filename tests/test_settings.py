@@ -5,9 +5,11 @@ import inspect
 
 import pytest
 
-from spatialcox import (ExperimentConfig, PipelineConfig, Sarh1Params,
-                        SpectralModel, estimate, idw_interpolate, make_synthetic_counts,
-                        product_density_n, run_cross_validation)
+from spatialcox import (ExperimentConfig, PipelineConfig, PipelineResult, Sarh1Params,
+                        SpectralModel, design_matrix, estimate, idw_interpolate,
+                        make_synthetic_counts, product_density_n, project_samples,
+                        run_cross_validation, sarh, spectral)
+from spatialcox.pipeline import SyntheticTruth
 from spatialcox.sarh import default_box, family_jacobian, family_triples
 
 
@@ -19,17 +21,28 @@ def test_estimate_takes_one_setting():
 
 def test_config_fields():
     assert [f.name for f in dataclasses.fields(PipelineConfig)] == [
-        "lattice_dims", "n_time_nodes", "n_knots", "trend_degree", "n_modes", "cumulate",
-        "residual_rms_floor"]
+        "lattice_dims", "n_time_nodes", "n_knots", "trend_degree", "n_modes", "cumulate"]
     assert "opts" not in {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
 @pytest.mark.parametrize("fn, keyword", [
     (idw_interpolate, "power"), (run_cross_validation, "eval_stride"),
     (SpectralModel.density, "unit_sigma"), (product_density_n, "include_diagonal"),
-], ids=["idw_power", "eval_stride", "unit_sigma", "include_diagonal"])
+    (design_matrix, "normalized"), (project_samples, "normalized"),
+    (PipelineResult.log_intensity_prediction, "include_field"),
+], ids=["idw_power", "eval_stride", "unit_sigma", "include_diagonal", "design_normalized",
+        "project_normalized", "include_field"])
 def test_single_value_keywords_gone(fn, keyword):
     assert keyword not in inspect.signature(fn).parameters
+
+
+def test_one_form_per_convention():
+    # the torus geometry is the face margins of sarh alone, and the sine basis
+    # has one coordinate convention
+    assert not hasattr(sarh, "_torus_cd")
+    assert not hasattr(spectral, "CAUSAL_FACES")
+    assert [f.name for f in dataclasses.fields(SyntheticTruth)] == [
+        "theta_flat", "lambda_true", "coeff", "basis"]
 
 
 def test_model_fields():

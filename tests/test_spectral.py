@@ -7,7 +7,7 @@ from oracles import (brute_force_cov, brute_force_cov_pair, brute_force_dft,
                      separable_cov)
 from spatialcox import (BasisSpec, CoeffField, Periodogram, Sarh1Params, SpectralModel,
                         TestFunction, c2_innovation_var, cov_from_spectrum, cov_map, empirical_cov,
-                        fejer_smoothed_inverse, functional_dft, periodogram,
+                        fejer_smoothed_inverse, functional_dft, is_causal, periodogram,
                         save_periodogram_csv, simulate_sarh1)
 from spatialcox.errors import (FileFormatError, LagUnavailableError, ParameterDomainError,
                               ResolutionError, SingularSpectrumError)
@@ -137,6 +137,10 @@ def test_empirical_cov_lag_domain_error():
     fld = random_field((5, 5), 1, seed=1)
     with pytest.raises(ParameterDomainError):
         empirical_cov(fld, (5, 1))
+    # a negative lag bound is an error, not an empty (0, 1, M, M) array
+    for lag in [(-1, 0), (0, -1)]:
+        with pytest.raises(ParameterDomainError, match=">= 0"):
+            empirical_cov(fld, lag)
 
 
 def test_cov_from_spectrum_constant():
@@ -207,12 +211,31 @@ def test_cov_from_spectrum_torus_zero_raises(triple):
 
 
 # barycentric weights of the causal tetrahedron's vertices, shrunk by 0.95:
-# every face margin 1 - CAUSAL_FACES @ t is then at least 0.05
+# every face margin 1 - CAUSAL_FACES @ t is then at least 0.05.  The weights
+# are normalised before the shrink, since 0.95 * 5e-324 rounds back to 5e-324
 TETRA_VERTICES = np.array([[1.0, 1.0, -1.0], [1.0, -1.0, 1.0], [-1.0, 1.0, 1.0],
                            [-1.0, -1.0, -1.0]])
+
+
+def _shrunk_barycentre(w):
+    t = tuple(0.95 * (np.asarray(w) / sum(w)) @ TETRA_VERTICES)
+    assert is_causal([t])[0], (w, t)
+    return t
+
+
 causal_triples = (st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4)
-                  .filter(lambda w: sum(w) > 0)
-                  .map(lambda w: tuple(0.95 * np.asarray(w) / sum(w) @ TETRA_VERTICES)))
+                  .filter(lambda w: sum(w) > 0).map(_shrunk_barycentre))
+
+
+def test_causal_triples_strategy_stays_inside_at_subnormal_weights():
+    # a subnormal weight must still be shrunk: unshrunk, w = (0, 0, 0, 5e-324)
+    # is the vertex (-1, -1, -1), whose polynomial vanishes on the torus, so
+    # no covariance exists there
+    assert _shrunk_barycentre([0.0, 0.0, 0.0, 5e-324]) == (-0.95, -0.95, -0.95)
+    with pytest.raises(SingularSpectrumError):
+        cov_from_spectrum(SpectralModel("triple", n_modes=1), TETRA_VERTICES[3], [(0, 0)])
+
+
 ORACLE_LAGS = ([(z1, z2) for z1 in range(-5, 6) for z2 in range(-5, 6)]
                + [(20, -13), (0, 40), (-31, 5)])
 
