@@ -94,12 +94,17 @@ def test_batched_projection():
     assert np.allclose(c, np.sqrt(0.5) * np.array([[1, 0], [0, 4]]), atol=1e-4)
 
 
-def test_projection_matches_trapezoid_oracle_batched():
+@pytest.mark.parametrize("batched", [False, True])
+def test_projection_matches_trapezoid_oracle_batched(batched):
+    # the whole (4, 5, n) stack in one call, or curve by curve: both match the oracle
     spec = BasisSpec(support_length=1725.0, n_modes=10)
     rng = np.random.default_rng(8)
     t = np.r_[0.0, np.sort(rng.uniform(0.0, 1725.0, size=298)), 1725.0]
     f = rng.normal(size=(4, 5, t.size))
-    got = project_samples(t, f, spec)
+    if batched:
+        got = project_samples(t, f, spec)
+    else:
+        got = np.array([[project_samples(t, f[i, j], spec) for j in range(5)] for i in range(4)])
     # the oracle returns raw-sine coefficients c_p; the coordinates are sqrt(L/2) c_p
     expect = trapezoid_projection(t, f, spec.support_length, spec.n_modes)
     expect = expect * np.sqrt(spec.support_length / 2.0)
