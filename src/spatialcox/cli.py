@@ -55,6 +55,13 @@ def _theta_vector(text):
     return np.array([float(v) for v in text.split(",")])
 
 
+def _non_negative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is negative")
+    return value
+
+
 def _int_list(text):
     return tuple(int(v) for v in text.split(","))
 
@@ -102,7 +109,7 @@ def build_parser():
                                 description="Spatial Cox / SARH(1) spectral toolbox")
     p.add_argument("--version", action="version", version=__version__)
     p.add_argument("--config", default=None, help="key = value file mirroring the flags")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out-dir", default="", help="directory for output artifacts")
     sub = p.add_subparsers(dest="command", required=True, parser_class=functools.partial(

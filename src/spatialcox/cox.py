@@ -17,7 +17,7 @@ import numpy as np
 from .errors import (BoundaryError, InvalidCovarianceError, LagUnavailableError,
                      OverflowGuardError, ParameterDomainError)
 from .field import CoeffField
-from .spectral import cov_from_spectrum
+from .spectral import _lag_bounds, cov_from_spectrum
 
 EXP_GUARD = 700.0
 
@@ -151,8 +151,11 @@ def predict_field(field: CoeffField, model, theta_hat) -> CoeffField:
 
     Per mode k and site (i, j): l_{k,1} X(i-1, j) + l_{k,2} X(i, j-1) +
     l_{k,3} X(i-1, j-1), with the triples of ``model`` at ``theta_hat``; the
-    first row and column, which lack these neighbours, are zero.
+    first row and column, which lack these neighbours, are zero.  A model
+    whose mode count is not the field's raises :class:`ParameterDomainError`.
     """
+    if model.n_modes != field.n_modes:
+        raise ParameterDomainError("model and field mode counts differ")
     triples = model.eig_triples(theta_hat)
     x = field.data
     pred = np.zeros_like(x)
@@ -167,10 +170,10 @@ def cov_map(model, theta, phi: TestFunction, max_lag, grid_size: int = 512) -> d
 
     For diagonal models R_z(phi)(phi) = sum_k phi_k^2 R_z(phi_k)(phi_k); the
     per-mode covariances come from :func:`spatialcox.spectral.cov_from_spectrum`.
+    ``max_lag`` holds two non-negative integral bounds; any other raises
+    :class:`ParameterDomainError`.
     """
-    l1, l2 = int(max_lag[0]), int(max_lag[1])
-    if l1 < 0 or l2 < 0:
-        raise ParameterDomainError("max_lag must be >= 0")
+    l1, l2 = _lag_bounds(max_lag)
     _check_phi(phi, model.n_modes, "model")
     lags = [(z1, z2) for z1 in range(-l1, l1 + 1) for z2 in range(-l2, l2 + 1)]
     values, _ = cov_from_spectrum(model, theta, lags, grid_size=grid_size)

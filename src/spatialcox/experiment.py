@@ -7,7 +7,6 @@ defaults, the setting the CLI and the pipeline fit at too.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +24,8 @@ class ExperimentConfig:
     Per-replicate seeds are spawned deterministically from ``seed``, so
     results do not depend on scheduling order.  A bad family, n_modes or
     theta_true (as :class:`~spatialcox.sarh.Sarh1Params` checks them, or a
-    theta_true not causal on every mode) raises :class:`ParameterDomainError`
-    here, not in every replicate.
+    theta_true not causal on every mode) or a negative seed raises
+    :class:`ParameterDomainError` here, not in every replicate.
     """
 
     family: str
@@ -48,6 +47,8 @@ class ExperimentConfig:
             raise ParameterDomainError("every grid side must be >= 2")
         if self.burn_in < 0:
             raise ParameterDomainError("burn_in must be >= 0")
+        if self.seed < 0:
+            raise ParameterDomainError("seed must be >= 0")
         params = Sarh1Params(self.family, self.theta_true, self.n_modes)
         bad = np.flatnonzero(~is_causal(params.model.eig_triples(params.theta)))
         if bad.size:
@@ -109,6 +110,8 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentTable:
         seeds = [int(s.generate_state(1)[0]) for s in child.spawn(cfg.replicates)]
         jobs = [(cfg, side, s) for s in seeds]
         if threads > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=threads) as pool:
                 outcomes = list(pool.map(_replicate_safe, jobs))
         else:

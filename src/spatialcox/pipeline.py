@@ -11,7 +11,10 @@ that the field's five circular lag moments give (no FFT), a fit of the
 point-spectra family ``realdata_pmf`` from the normalized field's moments
 at :func:`~spatialcox.whittle.estimate`'s defaults, and plug-in prediction.
 A synthetic generator producing count data from a known field +
-trend supports closed-loop validation and the CLI demos.
+trend supports closed-loop validation and the CLI demos.  The stages
+import the scipy they call (``scipy.interpolate``, ``scipy.linalg``,
+``scipy.spatial``) inside their functions, so importing this module loads
+numpy only.
 """
 
 from __future__ import annotations
@@ -20,9 +23,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import BSpline
-from scipy.linalg import solve_triangular
-from scipy.spatial.distance import cdist
 
 from .basis import BasisSpec, design_matrix, project_samples
 from .cox import predict_field
@@ -113,6 +113,8 @@ def idw_interpolate(series: GridSeries, target_dims) -> GridSeries:
     row-normalised weight-matrix product, so the cost is one (nodes x sites)
     @ (sites x columns) product and O(nodes x sites) memory for the weights.
     """
+    from scipy.spatial.distance import cdist
+
     n1, n2 = int(target_dims[0]), int(target_dims[1])
     xs = np.linspace(series.sites[:, 0].min(), series.sites[:, 0].max(), n1)
     ys = np.linspace(series.sites[:, 1].min(), series.sites[:, 1].max(), n2)
@@ -157,6 +159,9 @@ def spline_smooth(times, values, n_knots: int) -> BSpline:
     on a grid in the data range it gives the (..., len(grid)) curves, and its
     ``c`` holds the (n_knots + 4, ...) coefficients.
     """
+    from scipy.interpolate import BSpline
+    from scipy.linalg import solve_triangular
+
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
     if t.size < n_knots + 4:
@@ -178,6 +183,8 @@ def _legendre_design_on(fit_times, eval_times, degree):
 def _fit_trend(values, times, degree):
     # per-site Legendre least squares along the last axis by one QR of the design:
     # coef (degree + 1, sites), Q (T, degree + 1) and the coordinates Q^T v (sites, degree + 1)
+    from scipy.linalg import solve_triangular
+
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
     if t.size < degree + 1:
@@ -280,6 +287,8 @@ def run_pipeline(raw: GridSeries, cfg: PipelineConfig | None = None) -> Pipeline
     tag.  When the detrended residual is numerically zero the estimation
     stages are skipped and the result carries a diagnostic instead.
     """
+    from scipy.interpolate import BSpline
+
     cfg = cfg or PipelineConfig()
     diagnostics = {}
 

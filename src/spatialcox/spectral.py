@@ -79,17 +79,27 @@ class EmpiricalCov:
         return self.values[np.argmax(self.lags1 == z1), np.argmax(self.lags2 == z2)]
 
 
+def _lag_bounds(max_lag) -> tuple[int, int]:
+    # (L1, L2) of a lag rectangle: integers >= 0, none truncated by int()
+    bounds = max_lag[0], max_lag[1]
+    if not all(float(b).is_integer() and b >= 0 for b in bounds):
+        raise ParameterDomainError(f"max_lag must hold integers >= 0, got {bounds}")
+    return int(bounds[0]), int(bounds[1])
+
+
 def empirical_cov(field: CoeffField, max_lag) -> EmpiricalCov:
     """Empirical covariances over the lag rectangle |z1| <= L1, |z2| <= L2.
 
     One BLAS product per lag of the half rectangle z1 > 0, or z1 == 0 and
     z2 >= 0; each mirror lag is filled as the exact transpose, since
-    C(-z) = C(z)^T, and C(0) is made exactly symmetric the same way.
+    C(-z) = C(z)^T, and C(0) is made exactly symmetric the same way.  A
+    bound that is negative, not integral or not below the field dims raises
+    :class:`ParameterDomainError`.
     """
-    l1max, l2max = int(max_lag[0]), int(max_lag[1])
+    l1max, l2max = _lag_bounds(max_lag)
     n1, n2, m = field.data.shape
-    if not (0 <= l1max < n1 and 0 <= l2max < n2):
-        raise ParameterDomainError("max_lag must be >= 0 and smaller than the field dims")
+    if l1max >= n1 or l2max >= n2:
+        raise ParameterDomainError("max_lag must be smaller than the field dims")
     x = field.data
     lags1 = np.arange(-l1max, l1max + 1)
     lags2 = np.arange(-l2max, l2max + 1)

@@ -17,7 +17,8 @@ exact gradients, convex for the families whose triples are affine in theta
 one-parameter example1 by a grid bracket and bounded Brent.  The one
 stopping setting is ``estimate``'s ``loss_tol``, SLSQP's ``ftol``; every
 production caller keeps its default 1e-10, and the iteration cap
-``MAX_ITER`` is a constant the fits never reach.
+``MAX_ITER`` is a constant the fits never reach.  ``scipy.optimize`` is
+imported inside the two fits, so importing this module loads numpy only.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import linprog, minimize, minimize_scalar
 
 from .errors import ParameterDomainError
 from .field import CoeffField
@@ -117,6 +117,8 @@ class ThetaEstimate:
 def _fit_scalar(model, moments):
     # example1's sigma2 = max(1, |l1|)^2 has a kink at theta = pi, where mode 1
     # leaves the causal set: bracket on a 64-node grid, then bounded Brent
+    from scipy.optimize import minimize_scalar
+
     def objective(theta):
         v = _mode_losses_fast(model, theta, moments)
         return v.max() + TIE_BREAK * v.mean()
@@ -149,6 +151,8 @@ def _fit_epigraph(model, moments, loss_tol):
     # The causal sigma2 is the model's on example2's box, which is causal; for
     # the affine families, held in the closed tetrahedron, it is the model's
     # there and never above it elsewhere (Jensen), and the program is convex
+    from scipy.optimize import linprog, minimize
+
     box, q = model.theta_box, model.n_params
     constraints, jac = [], None
     if model.family in AFFINE_FAMILIES:

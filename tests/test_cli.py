@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -253,6 +256,60 @@ def test_experiment_bad_grid_sizes_is_usage_error(tmp_path, capsys, via_config):
     assert err.value.code == 2
     assert "--grid-sizes" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+@pytest.mark.parametrize("command", [["simulate", "--dims", "6x6", "--modes", "2"],
+                                     ["experiment", "--grid-sizes", "8", "--replicates", "1"]],
+                         ids=["simulate", "experiment"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, via_config, command):
+    # a negative seed used to reach numpy's SeedSequence and end in a bare ValueError
+    if via_config:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = -1\n")
+        argv = ["--config", cfg, *command]
+    else:
+        argv = ["--seed", "-1", *command]
+    with pytest.raises(SystemExit) as err:
+        run([*argv, "--out", tmp_path / "out"])
+    assert err.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+_SCIPY_PER_COMMAND = """
+import json, sys
+from spatialcox.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+main(["simulate", "--dims", "8x8", "--modes", "2", "--burn-in", "5", "--out", "f.bin"])
+main(["periodogram", "--field", "f.bin", "--out", "pg.bin"])
+with open("est.json", "w") as fh:
+    json.dump({"family": "example1", "theta_hat": [1.0]}, fh)
+main(["predict", "--field", "f.bin", "--theta", "est.json", "--out", "pred.bin"])
+with open("phi.csv", "w") as fh:
+    fh.write("1.0\\n0.5\\n")
+main(["cox-moments", "--field", "f.bin", "--phi", "phi.csv", "--rect", "1:3x1:3",
+      "--family", "example1", "--theta", "1.0", "--out", "m.json"])
+numpy_only = scipy_modules()
+main(["estimate", "--field", "f.bin", "--modes", "2", "--out", "est2.json"])
+print(json.dumps([numpy_only, scipy_modules()]))
+"""
+
+
+def test_numpy_only_commands_load_no_scipy(tmp_path):
+    # a fresh interpreter: the test modules' own scipy imports would mask the check
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PER_COMMAND], capture_output=True,
+                         text=True, check=True, cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    numpy_only, after_estimate = json.loads(out.stdout.splitlines()[-1])
+    assert numpy_only == []
+    assert "scipy.optimize" in after_estimate
+    # the pipeline's interpolation stays unloaded; scipy.spatial is not checked,
+    # since scipy.optimize imports it itself
+    assert not [m for m in after_estimate if m.startswith("scipy.interpolate")]
 
 
 def test_config_file_merging(tmp_path):

@@ -174,6 +174,12 @@ def test_plug_in_predict_identities():
     np.testing.assert_allclose(pred[2], pred[0] + 2.0 * pred[1], rtol=1e-12, atol=1e-15)
 
 
+def test_predict_rejects_mismatched_mode_counts(field3):
+    # a typed error, not numpy's broadcast ValueError
+    with pytest.raises(ParameterDomainError, match="model and field mode counts differ"):
+        predict_field(field3, SpectralModel("example1", n_modes=2), [1.0])
+
+
 def test_predict_boundary_error(field3):
     # the first row and column lack quarter-plane neighbours and stay zero;
     # an interior site is l1 X(i-1, j) + l2 X(i, j-1) + l3 X(i-1, j-1)
@@ -219,6 +225,14 @@ def test_cov_map_rejects_negative_lags_and_mismatched_phi():
         cov_map(model, [1.0], TestFunction([1.0, 0.5]), (-1, 2))
     with pytest.raises(ParameterDomainError, match="phi holds 3 coefficients for a model of 2"):
         cov_map(model, [1.0], TestFunction([1.0, 0.5, 0.2]), (1, 1))
+
+
+def test_cov_map_rejects_non_integral_lags():
+    # (1.9, 0.5) used to truncate through int() to (1, 0), a map of three lags
+    model = SpectralModel("example1", n_modes=2)
+    with pytest.raises(ParameterDomainError, match="integers >= 0"):
+        cov_map(model, [1.0], TestFunction([1.0, 0.5]), (1.9, 0.5))
+    assert len(cov_map(model, [1.0], TestFunction([1.0, 0.5]), (np.int64(1), 2.0))) == 15
 
 
 def test_cov_map_combines_modes():

@@ -68,7 +68,7 @@ def test_config_validation():
 @pytest.mark.parametrize("bad", [{"grid_sizes": (1, 24)}, {"grid_sizes": (0,)},
                                  {"burn_in": -1}, {"n_modes": 0},
                                  {"theta_true": [1.0, 2.0]}, {"family": "example3"},
-                                 {"theta_true": [5.0]}])
+                                 {"theta_true": [5.0]}, {"seed": -1}])
 def test_config_rejects_degenerate_sizes(bad):
     # each used to reach the replicates, fail in all of them and end in RuntimeError
     with pytest.raises(ParameterDomainError):

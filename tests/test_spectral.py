@@ -143,6 +143,14 @@ def test_empirical_cov_lag_domain_error():
             empirical_cov(fld, lag)
 
 
+def test_empirical_cov_rejects_non_integral_lags():
+    # (1.5, 1) used to truncate through int() to (1, 1)
+    fld = random_field((5, 5), 1, seed=1)
+    with pytest.raises(ParameterDomainError, match="integers >= 0"):
+        empirical_cov(fld, (1.5, 1))
+    assert empirical_cov(fld, (2.0, np.int64(1))).values.shape == (5, 3, 1, 1)
+
+
 def test_cov_from_spectrum_constant():
     # white noise of innovation sd 0.5 is the unit one times 0.5: F == 0.25 /
     # (2 pi)^2, so R_0 = 0.25 times the unit R_0
