@@ -13,12 +13,15 @@ products without forming its periodogram.  In the eigenvalue triple each
 mode's loss is a PSD quadratic form, so its gradient is exact and cheap:
 every family with two or more parameters is fitted by one SLSQP solve with
 exact gradients, convex for the families whose triples are affine in theta
-(constrained to the causal tetrahedron ``CAUSAL_FACES``), and the
-one-parameter example1 by a grid bracket and bounded Brent.  The one
+(constrained to the causal tetrahedron ``CAUSAL_FACES``).  The one-parameter
+example1 is fitted exactly: in s = theta^2 its losses are ratios of
+polynomials, so the minimum is the least of a few candidates, roots of
+polynomials of degree <= 8 found by one batched ``eigvals``.  The one
 stopping setting is ``estimate``'s ``loss_tol``, SLSQP's ``ftol``; every
-production caller keeps its default 1e-10, and the iteration cap
-``MAX_ITER`` is a constant the fits never reach.  ``scipy.optimize`` is
-imported inside the two fits, so importing this module loads numpy only.
+production caller keeps its default 1e-10, and SLSQP's iteration cap
+``MAX_ITER`` is a constant it never reaches.  ``scipy.optimize`` is
+imported inside the SLSQP fit, so importing this module, and fitting
+example1, loads numpy only.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ import numpy as np
 
 from .errors import ParameterDomainError
 from .field import CoeffField
-from .sarh import (_LAGS, AFFINE_FAMILIES, CAUSAL_FACES, TWO_PI_SQ, SpectralModel, _gram_form,
-                   family_jacobian)
+from .sarh import (_GRAM, _LAGS, AFFINE_FAMILIES, CAUSAL_FACES, TWO_PI_SQ, SpectralModel,
+                   _gram_form, c2_innovation_var, family_jacobian, family_triples)
 
 # ---------------------------------------------------------------------------
 # loss
@@ -86,8 +89,8 @@ def whittle_loss(model: SpectralModel, theta, sample: CoeffField) -> float:
 # estimation
 
 
-# iteration cap of SLSQP and of example1's Brent refinement; the fits stop on
-# their tolerances long before it (below 200 loss evaluations)
+# iteration cap of SLSQP; the fits stop on their tolerance long before it
+# (below 200 loss evaluations)
 MAX_ITER = 2000
 
 # weight of the mean-over-modes term added to the sup loss in the searches:
@@ -114,22 +117,84 @@ class ThetaEstimate:
         return text
 
 
-def _fit_scalar(model, moments):
-    # example1's sigma2 = max(1, |l1|)^2 has a kink at theta = pi, where mode 1
-    # leaves the causal set: bracket on a 64-node grid, then bounded Brent
-    from scipy.optimize import minimize_scalar
+def _example1_pieces(model: SpectralModel):
+    """example1 in s = theta^2: the mode constants (c1, c2) of the triples
+    (c1 s, c2 s, -c1 c2 s^2), read from the family at theta = 1, and the s-box
+    cut at every s = 1/c1_k and 1/c2_k inside it into pieces (edges (P+1,)).
+    On a piece the separable C2 variance max(1, l1)^2 max(1, l2)^2 of mode k is
+    the monomial coef[p, k] s^power[p, k], power 0, 2 or 4."""
+    c1, c2, _ = family_triples("example1", [1.0], model.n_modes).T
+    lo, hi = model.theta_box[0] ** 2
+    breaks = np.concatenate([1.0 / c1, 1.0 / c2])
+    edges = np.unique(np.concatenate([[lo, hi], breaks[(breaks > lo) & (breaks < hi)]]))
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    over1, over2 = c1 * mid > 1.0, c2 * mid > 1.0
+    coef = np.where(over1, c1**2, 1.0) * np.where(over2, c2**2, 1.0)
+    return (c1, c2), edges, coef, 2 * (over1.astype(int) + over2)
 
-    def objective(theta):
-        v = _mode_losses_fast(model, theta, moments)
-        return v.max() + TIE_BREAK * v.mean()
 
-    grid = np.linspace(*model.theta_box[0], 64)
-    values = [objective(t) for t in grid]
-    i = int(np.argmin(values))
-    res = minimize_scalar(objective, bounds=(grid[max(i - 1, 0)], grid[min(i + 1, 63)]),
-                          options={"xatol": 1e-10, "maxiter": MAX_ITER})
-    theta = res.x if res.fun <= values[i] else grid[i]
-    return np.array([theta]), grid.size + res.nfev, res.success
+# _COLLECT[3 p + q] is the unit row of s^(p + q), collecting a_p' G a_q into powers
+_COLLECT = np.eye(5)[np.add.outer(np.arange(3), np.arange(3)).ravel()]
+
+
+def _real_roots(polys: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Real roots in [lo, hi], lo > 0, of the rows of ascending coefficients.
+
+    Rows that are identically zero are dropped.  Every other row of degree
+    d <= n becomes block-diag(companion, 0) of size n, so one batched
+    ``eigvals`` gives all roots; the zero block's eigenvalues are exact zeros,
+    below lo.  Roots with |imag| <= 1e-6 |root| count as real: a spurious
+    candidate costs one evaluation, a missed one the optimum.
+    """
+    polys = polys[np.any(polys != 0.0, axis=1)]
+    n = polys.shape[1] - 1
+    deg = n - np.argmax(polys[:, ::-1] != 0.0, axis=1)
+    cols = np.arange(n)
+    src = deg[:, None] - 1 - cols  # the top row holds -p_{d-1}, ..., -p_0 over p_d
+    lead = np.take_along_axis(polys, deg[:, None], axis=1)
+    comp = np.zeros((len(polys), n, n))
+    comp[:, 0] = np.where(src >= 0, -np.take_along_axis(polys, np.maximum(src, 0), axis=1)
+                          / lead, 0.0)
+    comp[:, cols[1:], cols[:-1]] = cols[1:] < deg[:, None]
+    roots = np.linalg.eigvals(comp)
+    ok = (np.abs(roots.imag) <= 1e-6 * np.abs(roots)) & (roots.real >= lo) & (roots.real <= hi)
+    return roots.real[ok]
+
+
+def _fit_example1(model: SpectralModel, moments: np.ndarray):
+    # With s = theta^2 and a = (1, -c1 s, -c2 s, c1 c2 s^2), mode k's loss is
+    # (2 pi)^2 N_k(s) / v_k(s): a quartic N_k = a' G_k a over the monomial C2
+    # variance of the piece.  Times s^D, D the piece's largest power, every
+    # loss is a polynomial P_k of degree <= 4 + D, so the minimum of
+    # max_k loss_k + eta mean_k loss_k lies at a piece end, a root of
+    # d/ds (P_k + eta mean P) / s^D, i.e. of s Q' - D Q, or a crossing
+    # P_i = P_j.  All candidates are evaluated at once; ties take the least theta.
+    (c1, c2), edges, coef, power = _example1_pieces(model)
+    m = model.n_modes
+    basis = np.zeros((m, 3, 4))
+    basis[:, 0, 0], basis[:, 1, 1], basis[:, 1, 2], basis[:, 2, 3] = 1.0, -c1, -c2, c1 * c2
+    quartic = np.einsum("kpi,kij,kqj->kpq", basis, moments[:, _GRAM], basis).reshape(m, 9)
+    quartic = quartic @ _COLLECT
+    i, j = np.triu_indices(m, 1)
+    roots = []
+    for p in range(len(edges) - 1):  # one batched eigvals per piece, of size 4 + D
+        top = power[p].max()
+        loss = np.zeros((m, 5 + top))
+        np.put_along_axis(loss, np.arange(5) + (top - power[p])[:, None],
+                          quartic / coef[p][:, None], axis=1)
+        q = loss + TIE_BREAK * loss.mean(axis=0)
+        polys = np.vstack([(np.arange(5 + top) - top) * q, loss[i] - loss[j]])
+        roots.append(_real_roots(polys, edges[p], edges[p + 1]))
+    roots = np.concatenate(roots)
+    theta = np.sort(np.concatenate([model.theta_box[0], np.sqrt(edges[1:-1]), np.sqrt(roots)]))
+    theta = np.clip(theta, *model.theta_box[0])  # sqrt(theta^2) may leave the box by an ulp
+    s = theta[:, None] ** 2
+    l1, l2 = c1 * s, c2 * s
+    triples = np.stack([l1, l2, -l1 * l2], axis=-1).reshape(-1, 3)
+    losses = (TWO_PI_SQ * _gram_form(triples, np.tile(moments, (len(theta), 1)))[0]
+              / c2_innovation_var(triples)).reshape(len(theta), m)
+    best = int(np.argmin(losses.max(axis=1) + TIE_BREAK * losses.mean(axis=1)))
+    return theta[best:best + 1], len(theta), True
 
 
 _CAUSAL_SIGMA2 = 1.0 / TWO_PI_SQ  # sigma2 of every causal mode
@@ -195,16 +260,19 @@ def estimate(model: SpectralModel, sample: CoeffField,
     gradients, the affine ones constrained to the closed causal tetrahedron
     of every mode (a box without a causal point raises
     :class:`ParameterDomainError`); ``loss_tol`` is that solve's ``ftol``.
-    example1 takes the best node of a 64-point grid over its box, refined by
-    bounded Brent to 1e-10 in theta between the node's neighbours.  Both
-    add ``TIE_BREAK`` times the mean-over-modes loss to the sup loss; the
-    reported ``loss_at_min`` is the pure sup loss.  The model's innovation
+    example1 is minimized exactly, over the candidates of
+    :func:`_fit_example1` (the box ends, the points where a mode's C2
+    variance changes form, and the stationary points and crossings of the
+    mode losses), numpy only; ``n_loss_evals`` is their number plus one for
+    the sup loss at the optimum, and the fit always converges.  Both add ``TIE_BREAK`` times the mean-over-modes loss to the
+    sup loss, and ties go to the least theta; the reported ``loss_at_min`` is
+    the pure sup loss.  The model's innovation
     variances are the C2 ones, so a field whose innovation sd is a known s_k
     is fitted as ``sample`` divided by s_k.
     """
     t0 = time.perf_counter()
     moments = _sample_moments(model, sample)
-    theta_hat, n_evals, success = (_fit_scalar(model, moments) if model.n_params == 1
+    theta_hat, n_evals, success = (_fit_example1(model, moments) if model.family == "example1"
                                    else _fit_epigraph(model, moments, loss_tol))
     pure = float(_mode_losses_fast(model, theta_hat, moments).max())
     return ThetaEstimate(theta_hat=theta_hat, loss_at_min=pure, n_loss_evals=n_evals + 1,

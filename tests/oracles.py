@@ -9,7 +9,8 @@ double sum of the count variance, the dense Fourier-grid Whittle loss, the
 cosine contraction of a periodogram and the field that has a given one,
 row-by-row CSV writers, the curve-space pipeline (smooth, interpolate and
 detrend every curve on the dense time grid), and the scalar and grid forms
-of the eigenvalue families, the stationarity checks and the C2 normalization.
+of the eigenvalue families, the stationarity checks and the C2 normalization,
+and a dense grid refined by zooming for the example1 fit.
 Implementations under test must agree with these, never share code with them.
 """
 
@@ -413,6 +414,39 @@ def log_denominator_mean(l1, l2, l3, n=4096):
     a = np.abs(1.0 - l1 * np.exp(1j * w))
     b = np.abs(l2 + l3 * np.exp(1j * w))
     return float(np.mean(2.0 * np.log(np.maximum(np.maximum(a, b), 1e-300))))
+
+
+def stencil_objective_example1(moments, theta, tie_break):
+    """example1's max_k loss_k + tie_break * mean_k loss_k at each theta.
+
+    Each loss is the moment contraction of |D_k|^2 written out term by term,
+    (1 + l1^2 + l2^2 + l3^2) m0 + 2 (l2 l3 - l1) m1 + 2 (l1 l3 - l2) m2
+    - 2 l3 m3 + 2 l1 l2 m4, over the separable C2 prefactor
+    max(1, l1^2) max(1, l2^2) / (2 pi)^2; ``moments`` (M, 5) are the cosine
+    moments of ``periodogram_moments``.
+    """
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))[:, None]
+    l1, l2, l3 = eigenvalues_example1(theta, np.arange(1, moments.shape[0] + 1))
+    m0, m1, m2, m3, m4 = moments.T
+    d2 = ((1.0 + l1**2 + l2**2 + l3**2) * m0 + 2.0 * (l2 * l3 - l1) * m1
+          + 2.0 * (l1 * l3 - l2) * m2 - 2.0 * l3 * m3 + 2.0 * l1 * l2 * m4)
+    loss = d2 * (2.0 * np.pi) ** 2 / (np.maximum(1.0, l1**2) * np.maximum(1.0, l2**2))
+    return loss.max(axis=1) + tie_break * loss.mean(axis=1)
+
+
+def dense_refine_example1(moments, box, tie_break, n=4001, zoom=201, tol=1e-13):
+    """Minimizer and minimum of :func:`stencil_objective_example1` over the theta
+    interval ``box``: the best node of an n-point grid, then grids of ``zoom``
+    points over the two cells around the best node, until the spacing is below tol."""
+    lo, hi = box
+    grid = np.linspace(lo, hi, n)
+    while True:
+        values = stencil_objective_example1(moments, grid, tie_break)
+        i = int(np.argmin(values))
+        h = grid[1] - grid[0]
+        if h < tol:
+            return float(grid[i]), float(values[i])
+        grid = np.linspace(max(lo, grid[i] - h), min(hi, grid[i] + h), zoom)
 
 
 def grid_min_triple_loss(i_diag, w1, w2, box, n=31, sigma2=1.0 / (2.0 * np.pi) ** 2):

@@ -293,8 +293,10 @@ with open("phi.csv", "w") as fh:
     fh.write("1.0\\n0.5\\n")
 main(["cox-moments", "--field", "f.bin", "--phi", "phi.csv", "--rect", "1:3x1:3",
       "--family", "example1", "--theta", "1.0", "--out", "m.json"])
-numpy_only = scipy_modules()
 main(["estimate", "--field", "f.bin", "--modes", "2", "--out", "est2.json"])
+numpy_only = scipy_modules()
+main(["estimate", "--field", "f.bin", "--modes", "2", "--family", "triple",
+      "--out", "est3.json"])
 print(json.dumps([numpy_only, scipy_modules()]))
 """
 
@@ -304,12 +306,13 @@ def test_numpy_only_commands_load_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", _SCIPY_PER_COMMAND], capture_output=True,
                          text=True, check=True, cwd=tmp_path,
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-    numpy_only, after_estimate = json.loads(out.stdout.splitlines()[-1])
+    numpy_only, after_triple = json.loads(out.stdout.splitlines()[-1])
+    # the default (example1) estimate is numpy only; an SLSQP fit loads scipy.optimize
     assert numpy_only == []
-    assert "scipy.optimize" in after_estimate
+    assert "scipy.optimize" in after_triple
     # the pipeline's interpolation stays unloaded; scipy.spatial is not checked,
     # since scipy.optimize imports it itself
-    assert not [m for m in after_estimate if m.startswith("scipy.interpolate")]
+    assert not [m for m in after_triple if m.startswith("scipy.interpolate")]
 
 
 def test_config_file_merging(tmp_path):

@@ -1,17 +1,21 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import (dense_mode_losses, field_with_periodogram, grid_has_torus_zero,
-                     grid_min_triple_loss, normalize_c2, periodogram_moments, rational_density)
+from oracles import (dense_mode_losses, dense_refine_example1, field_with_periodogram,
+                     grid_has_torus_zero, grid_min_triple_loss, normalize_c2,
+                     periodogram_moments, rational_density, stencil_objective_example1)
 from spatialcox import (BasisSpec, CoeffField, FrequencyGrid, Periodogram,
                         Sarh1Params, SpectralModel, cov_from_spectrum, estimate,
                         family_triples, is_causal, periodogram, simulate_sarh1, trig_moments,
                         whittle_loss)
 from spatialcox.errors import ParameterDomainError, SingularSpectrumError
 from spatialcox.pipeline import DEFAULT_TRUE_PMF
-from spatialcox.sarh import CAUSAL_FACES, TRIPLE_BOX, _has_torus_zero
-from spatialcox.whittle import _mode_losses_fast, _mode_losses_with_grad
+from spatialcox.sarh import CAUSAL_FACES, TRIPLE_BOX, _has_torus_zero, c2_innovation_var
+from spatialcox.whittle import (TIE_BREAK, _example1_pieces, _mode_losses_fast,
+                                _mode_losses_with_grad)
 
 TWO_PI_SQ = (2 * np.pi) ** 2
 EXAMPLE1_M2 = SpectralModel("example1", n_modes=2)
@@ -299,6 +303,71 @@ def test_fit_with_fixed_noise_sd_recovers_theta():
     fit = estimate(model, CoeffField(fld.data / 2.0, fld.basis))
     assert abs(fit.theta_hat[0] - 1.7) < 1e-4
     assert fit.loss_at_min == pytest.approx(1.0, abs=1e-3)
+
+
+# --- example1: the exact fit from polynomial roots -------------------------
+
+# random sub-boxes of example1's box, and two fixed ones: one holding theta = pi,
+# where mode 1 leaves the causal set, and one wholly above it
+_RANDOM_BOXES = np.sort(np.random.default_rng(71).uniform(0.7, 4.0, size=(6, 2)), axis=1)
+EXAMPLE1_BOXES = [*_RANDOM_BOXES.tolist(), [3.0, 3.3], [3.2, 4.0], [0.7, 4.0]]
+
+
+def _example1_field(name):
+    if name == "model-3.6":  # noise-free, beyond pi
+        return model_field(SpectralModel("example1", n_modes=6), [3.6], (24, 24))
+    theta, seed = {"sim-1.0": (1.0, 72), "sim-3.0": (3.0, 73)}[name]
+    return simulate_sarh1(Sarh1Params("example1", [theta], 6), (32, 32), burn_in=30, seed=seed)
+
+
+@pytest.mark.parametrize("name", ["sim-1.0", "sim-3.0", "model-3.6"])
+def test_example1_fit_matches_dense_oracle(name):
+    fld = _example1_field(name)
+    moments = periodogram_moments(periodogram(fld))
+    for box in EXAMPLE1_BOXES:
+        fit = estimate(SpectralModel("example1", n_modes=6, theta_box=[box]), fld)
+        theta, best = dense_refine_example1(moments, box, TIE_BREAK)
+        mine = stencil_objective_example1(moments, fit.theta_hat, TIE_BREAK)[0]
+        assert mine <= best + 1e-12 * abs(best), (name, box)
+        assert abs(fit.theta_hat[0] - theta) <= 1e-6, (name, box)
+        assert fit.converged and fit.n_loss_evals >= 3  # the box ends, then theta_hat
+
+
+@pytest.mark.parametrize("box", [[0.7, 4.0], [3.0, 3.3], [3.2, 4.0], [1.0, 2.0]])
+def test_example1_piece_variance_is_monomial(box):
+    # inside each piece of the s = theta^2 box, coef s^power is c2_innovation_var
+    model = SpectralModel("example1", n_modes=10, theta_box=[box])
+    _, edges, coef, power = _example1_pieces(model)
+    assert edges[0] == pytest.approx(box[0] ** 2) and edges[-1] == pytest.approx(box[1] ** 2)
+    assert (np.pi**2 in edges) == (box[0] < np.pi < box[1])
+    for p in range(len(edges) - 1):
+        for s in np.linspace(edges[p], edges[p + 1], 7)[1:-1]:
+            var = c2_innovation_var(family_triples("example1", [np.sqrt(s)], 10))
+            np.testing.assert_allclose(coef[p] * s ** power[p], var, rtol=1e-12)
+
+
+@pytest.mark.parametrize("box", [[0.7, 4.0], [3.2, 4.0]])
+def test_example1_zero_field_fits_lower_box_end(box):
+    # a flat loss of 0: every theta ties, and the tie goes to the least one
+    fld = CoeffField(np.zeros((16, 16, 4)), BasisSpec(1.0, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = estimate(SpectralModel("example1", n_modes=4, theta_box=[box]), fld)
+    assert fit.theta_hat[0] == box[0]
+    assert fit.loss_at_min == 0.0
+
+
+def test_example1_repeated_column_field_fits():
+    # every mode the same column: equal moments, so no polynomial vanishes
+    one = simulate_sarh1(Sarh1Params("example1", [1.0], 1), (30, 30), burn_in=30, seed=74)
+    fld = CoeffField(np.repeat(one.data, 10, axis=2), BasisSpec(1.0, 10))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = estimate(SpectralModel("example1", n_modes=10), fld)
+    assert np.isfinite(fit.theta_hat).all() and np.isfinite(fit.loss_at_min)
+    theta, _ = dense_refine_example1(periodogram_moments(periodogram(fld)), [0.7, 4.0],
+                                     TIE_BREAK)
+    assert abs(fit.theta_hat[0] - theta) <= 1e-6
 
 
 # --- affine families: one convex solve over the causal tetrahedron ----------
