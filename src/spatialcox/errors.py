@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that raises one."""
+
+import numbers
 
 
 class SpatialCoxError(Exception):
@@ -71,3 +73,11 @@ class PipelineStageError(SpatialCoxError, RuntimeError):
     def __init__(self, stage, message):
         super().__init__(f"[{stage}] {message}")
         self.stage = stage
+
+
+def check_int(value, name: str, minimum: int) -> int:
+    """``value`` as an int, if it is an integer (numpy's included) >= ``minimum``;
+    anything else raises :class:`ParameterDomainError`."""
+    if not isinstance(value, numbers.Integral) or value < minimum:
+        raise ParameterDomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)

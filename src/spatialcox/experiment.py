@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterDomainError, SpatialCoxError
+from .errors import ParameterDomainError, SpatialCoxError, check_int
 from .sarh import Sarh1Params, is_causal, simulate_sarh1
 from .whittle import estimate
 
@@ -24,7 +24,8 @@ class ExperimentConfig:
     Per-replicate seeds are spawned deterministically from ``seed``, so
     results do not depend on scheduling order.  A bad family, n_modes or
     theta_true (as :class:`~spatialcox.sarh.Sarh1Params` checks them, or a
-    theta_true not causal on every mode) or a negative seed raises
+    theta_true not causal on every mode), or a grid side, replicate count,
+    burn-in or seed that is not an integer in range, raises
     :class:`ParameterDomainError` here, not in every replicate.
     """
 
@@ -39,16 +40,13 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "theta_true",
                            np.atleast_1d(np.asarray(self.theta_true, dtype=float)))
-        if self.replicates < 1:
-            raise ParameterDomainError("replicates must be >= 1")
+        check_int(self.replicates, "replicates", 1)
+        for side in self.grid_sizes:
+            check_int(side, "every grid side", 2)
         if list(self.grid_sizes) != sorted(self.grid_sizes):
             raise ParameterDomainError("grid_sizes must be ascending")
-        if any(side < 2 for side in self.grid_sizes):
-            raise ParameterDomainError("every grid side must be >= 2")
-        if self.burn_in < 0:
-            raise ParameterDomainError("burn_in must be >= 0")
-        if self.seed < 0:
-            raise ParameterDomainError("seed must be >= 0")
+        check_int(self.burn_in, "burn_in", 0)
+        check_int(self.seed, "seed", 0)
         params = Sarh1Params(self.family, self.theta_true, self.n_modes)
         bad = np.flatnonzero(~is_causal(params.model.eig_triples(params.theta)))
         if bad.size:

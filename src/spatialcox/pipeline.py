@@ -54,7 +54,8 @@ class GridSeries:
         sites = np.atleast_2d(np.asarray(self.sites, dtype=float))
         times = np.asarray(self.times, dtype=float)
         values = np.atleast_2d(np.asarray(self.values, dtype=float))
-        if not (np.all(np.isfinite(times)) and np.all(np.diff(times) > 0)):
+        # times[1:] > times[:-1], not np.diff: a gap wider than the float range overflows
+        if not (np.all(np.isfinite(times)) and np.all(times[1:] > times[:-1])):
             raise ParameterDomainError("times must be finite and strictly increasing")
         if values.shape != (sites.shape[0], times.size):
             raise ParameterDomainError("values must have shape (n_sites, n_times)")

@@ -11,10 +11,16 @@ form through c = 1 + l1^2 - l2^2 - l3^2 and d = l1 + l2 l3, because on the
 unit circle |1 - l1 e^{iw}|^2 - |l2 + l3 e^{iw}|^2 = c - 2 d cos w; the code
 reads c -+ 2d only as products of the face margins of ``CAUSAL_FACES``.
 
-X(i, j) needs only the anti-diagonals i + j - 1 and i + j - 2, so the field is
-swept one anti-diagonal at a time, over all modes at once.  :class:`SpectralModel`
-is the one model type of the package: simulation, estimation, covariances
-and prediction all read families, boxes and innovation variances from it.
+The simulation has two kernels, chosen from the triples, that read one
+innovation stream laid out the same way.  When every mode is separable,
+l3 == -l1*l2 exactly (all of example1 and example2, and any triple or custom
+theta that factors), D = (1 - l1 z1)(1 - l2 z2) and the field is
+(1 - l1 B1)^-1 (1 - l2 B2)^-1 eps: one in-place AR(1) pass along j, then one
+along i.  Otherwise X(i, j) needs only the anti-diagonals i + j - 1 and
+i + j - 2, so the field is swept one anti-diagonal at a time, over all modes
+at once.  :class:`SpectralModel` is the one model type of the package:
+simulation, estimation, covariances and prediction all read families, boxes
+and innovation variances from it.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import BasisSpec
-from .errors import ParameterDomainError, StationarityError
+from .errors import ParameterDomainError, StationarityError, check_int
 from .field import CoeffField
 
 TWO_PI_SQ = (2.0 * np.pi) ** 2
@@ -309,6 +315,45 @@ class Sarh1Params:
         self.model.eig_triples(self.theta)  # checks theta's length and box
 
 
+def _ar1_passes(rng, shape, triples) -> np.ndarray:
+    """The separable field (1 - l1 B1)^-1 (1 - l2 B2)^-1 eps, viewed as (r1, r2, M).
+
+    The innovations fill a mode-major (M, r1, r2) buffer, the order of one
+    (r1, r2) draw per mode; an AR(1) pass along j, then one along i, run in place.
+    """
+    r1, r2 = shape
+    buf = np.empty((triples.shape[0], r1, r2))
+    rng.standard_normal(out=buf)
+    for axis, lam in ((2, triples[:, 1:2]), (1, triples[:, :1])):
+        lines = np.moveaxis(buf, axis, 0)
+        tmp = np.empty_like(lines[0])
+        for prev, cur in zip(lines[:-1], lines[1:]):
+            np.multiply(prev, lam, out=tmp)
+            cur += tmp
+    return buf.transpose(1, 2, 0)
+
+
+def _sweep(rng, shape, triples) -> np.ndarray:
+    """Any causal field by the anti-diagonal sweep, viewed as (r1, r2, M)."""
+    r1, r2 = shape
+    m = triples.shape[0]
+    # innovations of the burn-in block, behind a zero row 0 and column 0
+    buf = np.zeros((r1 + 1, r2 + 1, m))
+    for k in range(m):  # one mode at a time: no second full-size array
+        buf[1:, 1:, k] = rng.standard_normal((r1, r2))
+    # cell (i, s - i) of anti-diagonal s is row s + i*r2 of flat: a diagonal is one
+    # strided slice, and its up, up-left and left neighbours are that slice shifted
+    # back; ((eps + l1 up) + l3 up-left) + l2 left is the order of the row recursion
+    flat = buf.reshape(-1, m)
+    neighbours = ((r2 + 1, triples[:, 0]), (r2 + 2, triples[:, 2]), (1, triples[:, 1]))
+    for s in range(2, r1 + r2 + 1):
+        a, b = s + max(1, s - r2) * r2, s + min(s - 1, r1) * r2 + 1
+        x = flat[a:b:r2]
+        for back, lam in neighbours:
+            x += lam * flat[a - back:b - back:r2]
+    return buf[1:, 1:]
+
+
 def simulate_sarh1(params: Sarh1Params, dims, burn_in: int = 100,
                    seed: int = 0, basis: BasisSpec | None = None) -> CoeffField:
     """Generate a stationary zero-mean Gaussian SARH(1) coefficient field.
@@ -318,16 +363,21 @@ def simulate_sarh1(params: Sarh1Params, dims, burn_in: int = 100,
     C2 ones on the causal set; a field of innovation sd s_k is this one times
     s_k.  A margin of ``burn_in`` rows and columns is generated with zero
     boundary initialization and discarded, leaving the requested ``dims``
-    block.  The output is bit-identical for fixed (params, dims, burn_in,
-    seed).  A mode whose triple is not causal (:func:`is_causal`) would make
-    the recursion diverge, so it raises :class:`StationarityError` with the
-    first such mode index.
+    block.  When every mode's triple has l3 == -l1*l2 exactly, the field is
+    built by two AR(1) passes; otherwise by the anti-diagonal sweep.  Both
+    draw mode k's innovations as one (n1 + burn_in, n2 + burn_in) block from
+    ``default_rng(seed)``, mode after mode, so the two agree to rounding on a
+    separable triple.  The output is bit-identical for fixed (params, dims,
+    burn_in, seed).  ``dims`` must be two integers >= 2 and ``burn_in`` and
+    ``seed`` integers >= 0, else :class:`ParameterDomainError`.  A mode whose
+    triple is not causal (:func:`is_causal`) would make the recursion diverge,
+    so it raises :class:`StationarityError` with the first such mode index.
     """
-    n1, n2 = int(dims[0]), int(dims[1])
-    if n1 < 2 or n2 < 2:
-        raise ParameterDomainError("dims must be at least (2, 2)")
-    if burn_in < 0:
-        raise ParameterDomainError("burn_in must be >= 0")
+    if np.shape(dims) != (2,):
+        raise ParameterDomainError(f"dims must be two integers >= 2, got {dims!r}")
+    n1, n2 = (check_int(v, "each dim", 2) for v in dims)
+    burn_in = check_int(burn_in, "burn_in", 0)
+    seed = check_int(seed, "seed", 0)
     triples = params.model.eig_triples(params.theta)
     bad = np.flatnonzero(~is_causal(triples))
     if bad.size:
@@ -336,23 +386,10 @@ def simulate_sarh1(params: Sarh1Params, dims, burn_in: int = 100,
             f"mode {k + 1}: AR polynomial of {tuple(triples[k].tolist())} vanishes on "
             "the closed unit bidisk", mode=k + 1)
 
-    rng = np.random.default_rng(seed)
-    r1, r2 = n1 + burn_in, n2 + burn_in
-    # innovations of the burn-in block, behind a zero row 0 and column 0
-    buf = np.zeros((r1 + 1, r2 + 1, params.n_modes))
-    for k in range(params.n_modes):  # one mode at a time: no second full-size array
-        buf[1:, 1:, k] = rng.standard_normal((r1, r2))
-    # cell (i, s - i) of anti-diagonal s is row s + i*r2 of flat: a diagonal is one
-    # strided slice, and its up, up-left and left neighbours are that slice shifted
-    # back; ((eps + l1 up) + l3 up-left) + l2 left is the order of the row recursion
-    flat = buf.reshape(-1, params.n_modes)
-    neighbours = ((r2 + 1, triples[:, 0]), (r2 + 2, triples[:, 2]), (1, triples[:, 1]))
-    for s in range(2, r1 + r2 + 1):
-        a, b = s + max(1, s - r2) * r2, s + min(s - 1, r1) * r2 + 1
-        x = flat[a:b:r2]
-        for back, lam in neighbours:
-            x += lam * flat[a - back:b - back:r2]
+    l1, l2, l3 = triples.T
+    kernel = _ar1_passes if np.array_equal(l3, -l1 * l2) else _sweep
+    x = kernel(np.random.default_rng(seed), (n1 + burn_in, n2 + burn_in), triples)
     if basis is None:
         basis = BasisSpec(support_length=1.0, n_modes=params.n_modes)
-    # a copy, so that the field does not keep the burn-in margin alive
-    return CoeffField(buf[1 + burn_in:, 1 + burn_in:].copy(), basis)
+    # a C-ordered copy, so that the field does not keep the burn-in margin alive
+    return CoeffField(x[burn_in:, burn_in:].copy(), basis)

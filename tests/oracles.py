@@ -68,7 +68,8 @@ def naive_sarh(triples, dims, burn, seed):
     """Site-by-site SARH(1) sweep with the same unit-innovation stream layout.
 
     Each site adds ((eps + l1 up) + l3 up-left) + l2 left, the order of the
-    package's kernel, so the two agree bit for bit.
+    package's anti-diagonal sweep, so the two agree bit for bit; against the
+    AR(1) passes that separable triples take they agree to rounding.
     """
     n1, n2 = dims
     m = len(triples)

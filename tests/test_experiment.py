@@ -68,9 +68,13 @@ def test_config_validation():
 @pytest.mark.parametrize("bad", [{"grid_sizes": (1, 24)}, {"grid_sizes": (0,)},
                                  {"burn_in": -1}, {"n_modes": 0},
                                  {"theta_true": [1.0, 2.0]}, {"family": "example3"},
-                                 {"theta_true": [5.0]}, {"seed": -1}])
+                                 {"theta_true": [5.0]}, {"seed": -1},
+                                 {"grid_sizes": (8.5,)}, {"replicates": 2.5},
+                                 {"burn_in": 2.5}])
 def test_config_rejects_degenerate_sizes(bad):
-    # each used to reach the replicates, fail in all of them and end in RuntimeError
+    # each used to reach the replicates, fail in all of them and end in RuntimeError;
+    # a float side used to simulate a truncated field and report N = side^2,
+    # a float replicate count or burn-in to end in a bare TypeError
     with pytest.raises(ParameterDomainError):
         small_cfg(**bad)
 

@@ -43,6 +43,8 @@ def test_series_validation():
         GridSeries([[0, 0]], [2.0, 1.0], [[1.0, 2.0]])
     with pytest.raises(ParameterDomainError):
         GridSeries([[0, 0]], [1.0, 2.0], [[1.0, 2.0, 3.0]])
+    # finite times whose gap exceeds the float range used to overflow in np.diff
+    GridSeries([[0, 0]], [-1.7e308, 1.7e308], [[1.0, 2.0]])
 
 
 @pytest.mark.parametrize("times", [[1.0, 2.0, np.nan], [np.nan, 1.0, 2.0], [1.0, 2.0, np.inf],

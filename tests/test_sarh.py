@@ -14,6 +14,7 @@ from oracles import (bidisk_min_gap, crude_sum_margins, eigenvalues_example1,
 from spatialcox import (Sarh1Params, c2_innovation_var, cov_from_spectrum, empirical_cov,
                         family_triples, is_causal, periodogram, simulate_sarh1, SpectralModel)
 from spatialcox.errors import ParameterDomainError, ResolutionError, StationarityError
+from spatialcox import sarh
 from spatialcox.sarh import CAUSAL_FACES, _face_margins, _has_torus_zero
 
 
@@ -103,15 +104,55 @@ def test_simulate_degenerate_ar_is_iid():
     assert abs(var[1] - 4.0) < 0.2
 
 
-# the anti-diagonal bounds of the kernel bind differently on each shape
-@pytest.mark.parametrize("dims, burn_in", [((12, 9), 6), ((9, 12), 6), ((2, 2), 0),
-                                           ((2, 7), 0), ((31, 3), 5)],
-                         ids=["12x9", "9x12", "2x2", "2x7", "31x3"])
-def test_simulate_matches_naive_recursion(dims, burn_in):
-    theta = [0.5, 0.3, -0.2, -0.4, 0.2, 0.1, 0.3, -0.6, 0.05]
-    fast = simulate_sarh1(Sarh1Params("custom", theta, 3), dims, burn_in=burn_in, seed=7)
-    slow = naive_sarh(family_triples("custom", theta, 3), dims, burn_in, 7)
-    np.testing.assert_array_equal(fast.data, slow)
+def _fail(*args):
+    raise AssertionError("the other simulation kernel ran")
+
+
+# the anti-diagonal bounds of the sweep bind differently on each shape; the
+# separable triples (l3 == -l1*l2 exactly) take the AR(1) passes instead, which
+# round differently from the site recursion: by ulps of the field's scale, so a
+# cell near zero differs by more than 1e-13 of itself
+_SHAPES = {"12x9": ((12, 9), 6), "9x12": ((9, 12), 6), "2x2": ((2, 2), 0),
+           "2x7": ((2, 7), 0), "31x3": ((31, 3), 5)}
+_KERNEL_CASES = {
+    "": ("custom", [0.5, 0.3, -0.2, -0.4, 0.2, 0.1, 0.3, -0.6, 0.05], "_ar1_passes"),
+    "-example1": ("example1", [1.0], "_sweep"),
+    "-example2": ("example2", [1.0, 1.6, 1.5, 1.2], "_sweep"),
+    "-custom_separable": ("custom", [0.5, 0.4, -0.2, -0.6, 0.5, 0.3, 0.25, -0.8, 0.2],
+                          "_sweep")}
+
+
+@pytest.mark.parametrize("dims, burn_in, family, theta, other", [
+    pytest.param(*shape, *case, id=shape_id + case_id)
+    for case_id, case in _KERNEL_CASES.items() for shape_id, shape in _SHAPES.items()])
+def test_simulate_matches_naive_recursion(dims, burn_in, family, theta, other, monkeypatch):
+    monkeypatch.setattr(sarh, other, _fail)
+    fast = simulate_sarh1(Sarh1Params(family, theta, 3), dims, burn_in=burn_in, seed=7)
+    slow = naive_sarh(family_triples(family, theta, 3), dims, burn_in, 7)
+    if other == "_ar1_passes":
+        np.testing.assert_array_equal(fast.data, slow)
+    else:
+        np.testing.assert_allclose(fast.data, slow, rtol=1e-13, atol=1e-13 * np.abs(slow).max())
+
+
+@pytest.mark.parametrize("kwargs", [{"dims": (12.7, 8)}, {"dims": (8, 8, 3)}, {"dims": 8},
+                                    {"dims": (1, 8)}, {"burn_in": 2.5}, {"burn_in": -1},
+                                    {"seed": -1}, {"seed": 1.5}],
+                         ids=["dims_float", "dims_three", "dims_scalar", "dims_one",
+                              "burn_in_float", "burn_in_negative", "seed_negative",
+                              "seed_float"])
+def test_simulate_rejects_bad_arguments_at_the_boundary(kwargs):
+    # a float side used to be truncated, a third dim ignored, and a float
+    # burn-in or seed or a negative seed to fail inside numpy
+    args = {"dims": (8, 8), "burn_in": 2, "seed": 0, **kwargs}
+    with pytest.raises(ParameterDomainError):
+        simulate_sarh1(Sarh1Params("example1", [1.0], 2), **args)
+
+
+def test_simulate_accepts_numpy_integers():
+    params = Sarh1Params("example1", [1.0], 2)
+    got = simulate_sarh1(params, np.array([6, 5]), burn_in=np.int64(3), seed=np.uint32(4))
+    np.testing.assert_array_equal(got.data, simulate_sarh1(params, (6, 5), 3, 4).data)
 
 
 def test_import_leaves_out_scipy():
