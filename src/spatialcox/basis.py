@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientResolutionError, ParameterDomainError
+from .errors import InsufficientResolutionError, ParameterDomainError, check_int
 
 
 @dataclass(frozen=True)
@@ -23,19 +23,18 @@ class BasisSpec:
     Parameters
     ----------
     support_length : float
-        Length L of the support interval [0, L] of the basis functions.
+        Finite length L > 0 of the support interval [0, L] of the basis functions.
     n_modes : int
-        Number of modes M retained.
+        Number of modes M retained, an integer >= 1.
     """
 
     support_length: float
     n_modes: int
 
     def __post_init__(self):
-        if not self.support_length > 0:
-            raise ParameterDomainError("support_length must be positive")
-        if self.n_modes < 1:
-            raise ParameterDomainError("n_modes must be >= 1")
+        if not 0.0 < self.support_length < np.inf:  # inf would give an all-zero basis
+            raise ParameterDomainError("support_length must be finite and positive")
+        object.__setattr__(self, "n_modes", check_int(self.n_modes, "n_modes", 1))
 
 
 def design_matrix(spec: BasisSpec, t_grid) -> np.ndarray:
@@ -67,7 +66,7 @@ def project_samples(t_grid, samples, spec: BasisSpec) -> np.ndarray:
     t = np.asarray(t_grid, dtype=float)
     f = np.asarray(samples, dtype=float)
     if t.ndim != 1 or f.shape[-1] != t.size:
-        raise ValueError("samples last axis must match t_grid length")
+        raise ParameterDomainError("samples last axis must match t_grid length")
     if t.size < 2 * spec.n_modes + 1:
         raise InsufficientResolutionError(
             f"need >= {2 * spec.n_modes + 1} sample points for M={spec.n_modes}, got {t.size}"

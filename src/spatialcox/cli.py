@@ -20,7 +20,7 @@ from . import __version__
 from .basis import BasisSpec
 from .cox import (BorelRect, TestFunction, cov_map, count_moments, ls_count_predictor,
                   predict_field, sample_counts)
-from .errors import FileFormatError
+from .errors import FileFormatError, check_int
 from .experiment import ExperimentConfig, run_experiment
 from .field import _read_numeric_csv, load_field_binary, save_field_binary, save_field_csv
 from .pipeline import (PipelineConfig, load_series_csv, make_synthetic_counts,
@@ -56,10 +56,7 @@ def _theta_vector(text):
 
 
 def _non_negative_int(text):
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is negative")
-    return value
+    return check_int(int(text), "seed", 0)
 
 
 def _int_list(text):

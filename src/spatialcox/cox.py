@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BoundaryError, InvalidCovarianceError, LagUnavailableError,
-                     OverflowGuardError, ParameterDomainError)
+                     OverflowGuardError, ParameterDomainError, check_dims, check_int)
 from .field import CoeffField
-from .spectral import _lag_bounds, cov_from_spectrum
+from .spectral import cov_from_spectrum
 
 EXP_GUARD = 700.0
 
@@ -40,7 +40,7 @@ class TestFunction:
 
 @dataclass(frozen=True)
 class BorelRect:
-    """Inclusive lattice rectangle [a1, b1] x [a2, b2]; unit cell area 1."""
+    """Inclusive lattice rectangle [a1, b1] x [a2, b2] of integer corners >= 0; cell area 1."""
 
     a1: int
     b1: int
@@ -48,6 +48,8 @@ class BorelRect:
     b2: int
 
     def __post_init__(self):
+        for name in ("a1", "b1", "a2", "b2"):
+            object.__setattr__(self, name, check_int(getattr(self, name), name, 0))
         if self.b1 < self.a1 or self.b2 < self.a2:
             raise ParameterDomainError("rectangle must be non-empty")
 
@@ -56,7 +58,7 @@ class BorelRect:
         return (self.b1 - self.a1 + 1) * (self.b2 - self.a2 + 1)
 
     def check_within(self, dims) -> None:
-        if self.a1 < 0 or self.a2 < 0 or self.b1 >= dims[0] or self.b2 >= dims[1]:
+        if self.b1 >= dims[0] or self.b2 >= dims[1]:
             raise BoundaryError(f"rectangle {self} outside lattice {dims}")
 
 
@@ -82,12 +84,13 @@ def _lag_lookup(cov, z):
 def product_density_n(points, cov) -> float:
     """n-th order product density rho^n * exp(0.5 * sum_{i != j} R_{z_i - z_j}).
 
-    ``cov`` maps integer lags (z1, z2) to R_z(phi)(phi) and must contain
-    every pairwise lag (plus (0, 0)).  The i == j terms of the double sum are
-    excluded, which makes the n = 1 case reduce to the intensity and the
-    n = 2 case to the pair-correlation identity.
+    ``points`` are lattice sites, pairs of integers >= 0.  ``cov`` maps integer
+    lags (z1, z2) to R_z(phi)(phi) and must contain every pairwise lag (plus
+    (0, 0)).  The i == j terms of the double sum are excluded, which makes the
+    n = 1 case reduce to the intensity and the n = 2 case to the
+    pair-correlation identity.
     """
-    pts = [tuple(int(c) for c in p) for p in points]
+    pts = [check_dims(p, "every point", 0) for p in points]
     rho = cox_intensity(_lag_lookup(cov, (0, 0)))
     acc = sum(_lag_lookup(cov, (pa[0] - pb[0], pa[1] - pb[1]))
               for a, pa in enumerate(pts) for b, pb in enumerate(pts) if a != b)
@@ -141,7 +144,8 @@ def ls_count_predictor(field: CoeffField, rect: BorelRect, phi: TestFunction) ->
 
 
 def sample_counts(field: CoeffField, rect: BorelRect, phi: TestFunction, seed: int) -> int:
-    """Conditional Poisson draw with mean ls_count_predictor(field, rect, phi)."""
+    """Conditional Poisson draw with mean ls_count_predictor(field, rect, phi); seed >= 0."""
+    seed = check_int(seed, "seed", 0)
     mean = ls_count_predictor(field, rect, phi)
     return int(np.random.default_rng(seed).poisson(mean))
 
@@ -173,7 +177,7 @@ def cov_map(model, theta, phi: TestFunction, max_lag, grid_size: int = 512) -> d
     ``max_lag`` holds two non-negative integral bounds; any other raises
     :class:`ParameterDomainError`.
     """
-    l1, l2 = _lag_bounds(max_lag)
+    l1, l2 = check_dims(max_lag, "max_lag", 0)
     _check_phi(phi, model.n_modes, "model")
     lags = [(z1, z2) for z1 in range(-l1, l1 + 1) for z2 in range(-l2, l2 + 1)]
     values, _ = cov_from_spectrum(model, theta, lags, grid_size=grid_size)

@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the integer check that raises one."""
+"""Exception types shared across the package, and the integer checks that raise one."""
 
 import numbers
+
+import numpy as np
 
 
 class SpatialCoxError(Exception):
@@ -76,8 +78,16 @@ class PipelineStageError(SpatialCoxError, RuntimeError):
 
 
 def check_int(value, name: str, minimum: int) -> int:
-    """``value`` as an int, if it is an integer (numpy's included) >= ``minimum``;
-    anything else raises :class:`ParameterDomainError`."""
-    if not isinstance(value, numbers.Integral) or value < minimum:
+    """The package's one rule for counts, sizes, lag bounds, indices and seeds: ``value``
+    as an int, if it is a real number with an integral value >= ``minimum`` (numpy ints
+    and 2.0 pass); 2.5, NaN, inf and non-numbers raise :class:`ParameterDomainError`."""
+    if not (isinstance(value, numbers.Real) and float(value).is_integer()) or value < minimum:
         raise ParameterDomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def check_dims(pair, name: str, minimum: int) -> tuple[int, int]:
+    """``pair`` as two ints, if it holds exactly two values :func:`check_int` accepts."""
+    if np.shape(pair) != (2,):
+        raise ParameterDomainError(f"{name} must be two integers >= {minimum}, got {pair!r}")
+    return check_int(pair[0], f"{name}[0]", minimum), check_int(pair[1], f"{name}[1]", minimum)

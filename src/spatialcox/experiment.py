@@ -26,7 +26,8 @@ class ExperimentConfig:
     theta_true (as :class:`~spatialcox.sarh.Sarh1Params` checks them, or a
     theta_true not causal on every mode), or a grid side, replicate count,
     burn-in or seed that is not an integer in range, raises
-    :class:`ParameterDomainError` here, not in every replicate.
+    :class:`ParameterDomainError` here, not in every replicate.  The counts
+    are stored as ints, so a side of 8.0 reports N = 64.
     """
 
     family: str
@@ -40,14 +41,14 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "theta_true",
                            np.atleast_1d(np.asarray(self.theta_true, dtype=float)))
-        check_int(self.replicates, "replicates", 1)
-        for side in self.grid_sizes:
-            check_int(side, "every grid side", 2)
-        if list(self.grid_sizes) != sorted(self.grid_sizes):
+        for name, minimum in (("replicates", 1), ("burn_in", 0), ("seed", 0)):
+            object.__setattr__(self, name, check_int(getattr(self, name), name, minimum))
+        sides = tuple(check_int(side, "every grid side", 2) for side in self.grid_sizes)
+        if list(sides) != sorted(sides):
             raise ParameterDomainError("grid_sizes must be ascending")
-        check_int(self.burn_in, "burn_in", 0)
-        check_int(self.seed, "seed", 0)
+        object.__setattr__(self, "grid_sizes", sides)
         params = Sarh1Params(self.family, self.theta_true, self.n_modes)
+        object.__setattr__(self, "n_modes", params.n_modes)
         bad = np.flatnonzero(~is_causal(params.model.eig_triples(params.theta)))
         if bad.size:
             raise ParameterDomainError(f"theta_true is not causal on mode {bad[0] + 1}")
@@ -100,8 +101,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentTable:
     (theta_hat - theta_0)^2 per component.  ``threads`` below 1 raises
     :class:`ParameterDomainError`.
     """
-    if threads < 1:
-        raise ParameterDomainError("threads must be >= 1")
+    threads = check_int(threads, "threads", 1)
     root = np.random.SeedSequence(cfg.seed)
     rows = []
     for side, child in zip(cfg.grid_sizes, root.spawn(len(cfg.grid_sizes))):

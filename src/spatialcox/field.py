@@ -9,7 +9,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .basis import BasisSpec
-from .errors import FileFormatError, ParameterDomainError
+from .errors import FileFormatError, ParameterDomainError, check_dims
 
 _HEADER_DTYPE = np.dtype([("n1", "<i8"), ("n2", "<i8"), ("m", "<i8"), ("support", "<f8")])
 
@@ -30,11 +30,11 @@ class CoeffField:
     def __post_init__(self):
         arr = np.asarray(self.data, dtype=float)
         if arr.ndim != 3:
-            raise ValueError("data must have shape (N1, N2, M)")
+            raise ParameterDomainError("data must have shape (N1, N2, M)")
         if arr.shape[2] != self.basis.n_modes:
-            raise ValueError("third axis must match basis.n_modes")
+            raise ParameterDomainError("third axis must match basis.n_modes")
         if not np.all(np.isfinite(arr)):
-            raise ValueError("field coefficients must be finite")
+            raise ParameterDomainError("field coefficients must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
@@ -61,10 +61,8 @@ class FrequencyGrid:
     z2: np.ndarray = dc_field(init=False, repr=False)
 
     def __post_init__(self):
-        n1, n2 = self.dims
-        if n1 < 1 or n2 < 1:
-            raise ParameterDomainError("grid dims must be positive")
-        for name, n in (("z1", n1), ("z2", n2)):
+        object.__setattr__(self, "dims", check_dims(self.dims, "grid dims", 1))
+        for name, n in zip(("z1", "z2"), self.dims):
             z = np.rint(np.fft.fftfreq(n) * n).astype(int)
             if n % 2 == 0:
                 z[z == -n // 2] = n // 2
@@ -105,8 +103,8 @@ def _read_binary(fh, header_dtype, dtype, per_site):
     """Read one header record, then the payload of ``dtype`` values it implies.
 
     The payload holds ``n1 * n2 * per_site(header)`` values.  Non-positive
-    header dims, or a file too short for its header or payload, raise
-    :class:`FileFormatError`.
+    header dims, a file too short for its header or payload, or a non-finite
+    payload value raise :class:`FileFormatError`.
     """
     raw = np.fromfile(fh, dtype=header_dtype, count=1)
     if raw.size != 1:
@@ -120,14 +118,20 @@ def _read_binary(fh, header_dtype, dtype, per_site):
     if available < count:
         raise FileFormatError(
             f"truncated file: header implies {count} values, found {available}")
-    return (n1, n2, m), header, np.fromfile(fh, dtype=dtype, count=count)
+    payload = np.fromfile(fh, dtype=dtype, count=count)
+    if not np.all(np.isfinite(payload)):
+        raise FileFormatError("payload holds a non-finite value")
+    return (n1, n2, m), header, payload
 
 
 def load_field_binary(path) -> CoeffField:
+    """Read a file of :func:`save_field_binary`; a bad header support is a FileFormatError."""
     with open(path, "rb") as fh:
         dims, header, data = _read_binary(fh, _HEADER_DTYPE, "<f8", lambda h: int(h["m"]))
-    spec = BasisSpec(support_length=float(header["support"]), n_modes=dims[2])
-    return CoeffField(data.reshape(dims), spec)
+    support = float(header["support"])
+    if not 0.0 < support < np.inf:
+        raise FileFormatError(f"{path}: header support {support} is not finite and positive")
+    return CoeffField(data.reshape(dims), BasisSpec(support_length=support, n_modes=dims[2]))
 
 
 def _write_csv(path, header, inner, blocks) -> None:

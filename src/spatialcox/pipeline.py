@@ -28,7 +28,7 @@ from .basis import BasisSpec, design_matrix, project_samples
 from .cox import predict_field
 from .errors import (AmbiguousInterpolationError, DivisionGuardError, FileFormatError,
                      InsufficientResolutionError, ParameterDomainError,
-                     PipelineStageError, RankDeficiencyError)
+                     PipelineStageError, RankDeficiencyError, check_dims, check_int)
 from .field import CoeffField, _read_numeric_csv, _write_csv
 from .sarh import (TWO_PI_SQ, Sarh1Params, SpectralModel, _gram_min, family_triples,
                    simulate_sarh1)
@@ -42,13 +42,11 @@ class GridSeries:
     sites : array (S, 2) of (lon, lat) or lattice coordinates
     times : finite, strictly increasing time stamps (T,)
     values : array (S, T)
-    lattice_dims : set when the sites enumerate a regular lattice row-major
     """
 
     sites: np.ndarray
     times: np.ndarray
     values: np.ndarray
-    lattice_dims: tuple | None = None
 
     def __post_init__(self):
         sites = np.atleast_2d(np.asarray(self.sites, dtype=float))
@@ -116,7 +114,7 @@ def idw_interpolate(series: GridSeries, target_dims) -> GridSeries:
     """
     from scipy.spatial.distance import cdist
 
-    n1, n2 = int(target_dims[0]), int(target_dims[1])
+    n1, n2 = check_dims(target_dims, "target_dims", 1)
     xs = np.linspace(series.sites[:, 0].min(), series.sites[:, 0].max(), n1)
     ys = np.linspace(series.sites[:, 1].min(), series.sites[:, 1].max(), n2)
     nodes = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
@@ -142,7 +140,7 @@ def idw_interpolate(series: GridSeries, target_dims) -> GridSeries:
         w = d2[miss] if is_hit.any() else d2
         w **= -1.0  # 1 / d^2 in place: d2 is not read again
         out[miss] = (w @ series.values) / w.sum(axis=1)[:, None]
-    return GridSeries(nodes, series.times, out, lattice_dims=(n1, n2))
+    return GridSeries(nodes, series.times, out)
 
 
 def _qr_of_design(design, what):
@@ -165,6 +163,7 @@ def spline_smooth(times, values, n_knots: int) -> BSpline:
 
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
+    n_knots = check_int(n_knots, "n_knots", 0)
     if t.size < n_knots + 4:
         raise InsufficientResolutionError(
             f"need >= n_knots + 4 = {n_knots + 4} observations, got {t.size}")
@@ -238,18 +237,12 @@ class PipelineConfig:
     cumulate: bool = True
 
     def __post_init__(self):
-        if min(self.lattice_dims) < 2:
-            raise ParameterDomainError("every lattice side must be >= 2")
-        if self.n_knots < 0:
-            raise ParameterDomainError("n_knots must be >= 0")
-        if self.trend_degree < 0:
-            raise ParameterDomainError("trend_degree must be >= 0")
-        if self.n_modes < 1:
-            raise ParameterDomainError("n_modes must be >= 1")
-        need = max(2 * self.n_modes + 1, self.trend_degree + 1)
-        if self.n_time_nodes < need:
-            raise ParameterDomainError(f"n_time_nodes must be >= max(2 n_modes + 1, "
-                                       f"trend_degree + 1) = {need}")
+        object.__setattr__(self, "lattice_dims", check_dims(self.lattice_dims, "lattice_dims", 2))
+        for name, minimum in (("n_knots", 0), ("trend_degree", 0), ("n_modes", 1)):
+            object.__setattr__(self, name, check_int(getattr(self, name), name, minimum))
+        need = max(2 * self.n_modes + 1, self.trend_degree + 1)  # projection and trend fit
+        object.__setattr__(self, "n_time_nodes",
+                           check_int(self.n_time_nodes, "n_time_nodes", need))
 
 
 @dataclass
@@ -336,7 +329,7 @@ def run_pipeline(raw: GridSeries, cfg: PipelineConfig | None = None) -> Pipeline
     basis = BasisSpec(support_length=support, n_modes=cfg.n_modes)
     coeff = stage("project", lambda: project_samples(out_times, log_curves, basis)
                   - qtv @ project_samples(out_times, q.T, basis))
-    residual_field = CoeffField(coeff.reshape(lattice.lattice_dims + (-1,)), basis)
+    residual_field = CoeffField(coeff.reshape(cfg.lattice_dims + (-1,)), basis)
 
     rms = float(np.sqrt(np.mean(coeff**2)))
     log_scale = max(1.0, float(np.sqrt(np.vdot(log_curves, log_curves) / log_curves.size)))
@@ -412,7 +405,8 @@ def make_synthetic_counts(lattice_dims=(40, 40), n_modes: int = 10, n_months: in
 
     Returns (GridSeries, SyntheticTruth).
     """
-    n1, n2 = lattice_dims
+    n1, n2 = check_dims(lattice_dims, "lattice_dims", 2)
+    n_months, seed = check_int(n_months, "n_months", 1), check_int(seed, "seed", 0)
     lam_true = family_triples("realdata_pmf", DEFAULT_TRUE_PMF, n_modes)
     params = Sarh1Params("custom", lam_true.ravel(), n_modes)
     basis = BasisSpec(support_length=support_length, n_modes=n_modes)
@@ -431,7 +425,7 @@ def make_synthetic_counts(lattice_dims=(40, 40), n_modes: int = 10, n_months: in
     xs = np.arange(n1, dtype=float)
     ys = np.arange(n2, dtype=float)
     nodes = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
-    series = GridSeries(nodes, t_m, counts.reshape(-1, n_months), lattice_dims=(n1, n2))
+    series = GridSeries(nodes, t_m, counts.reshape(-1, n_months))
     return series, truth
 
 
@@ -454,8 +448,7 @@ def run_cross_validation(raw: GridSeries, cfg: PipelineConfig | None = None,
     pipeline time grid), its normalized L1 value, and the per-fold values.
     """
     cfg = cfg or PipelineConfig()
-    if max_folds < 1:
-        raise ParameterDomainError("max_folds must be >= 1")
+    max_folds, seed = check_int(max_folds, "max_folds", 1), check_int(seed, "seed", 0)
     if radius < 0:
         raise ParameterDomainError("radius must be >= 0")
     n_sites = raw.sites.shape[0]

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import BasisSpec
-from .errors import ParameterDomainError, StationarityError, check_int
+from .errors import ParameterDomainError, StationarityError, check_dims, check_int
 from .field import CoeffField
 
 TWO_PI_SQ = (2.0 * np.pi) ** 2
@@ -91,6 +91,7 @@ def family_triples(family: str, theta, n_modes: int) -> np.ndarray:
         holding k wins.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    n_modes = check_int(n_modes, "n_modes", 1)
     size = _theta_size(family, n_modes)
     if theta.size != size:
         raise ParameterDomainError(f"{family} theta must have length {size}")
@@ -254,8 +255,7 @@ class SpectralModel:
     theta_box: np.ndarray = None
 
     def __post_init__(self):
-        if self.n_modes < 1:
-            raise ParameterDomainError("n_modes must be >= 1")
+        object.__setattr__(self, "n_modes", check_int(self.n_modes, "n_modes", 1))
         q, default = _theta_size(self.family, self.n_modes), default_box(self.family, self.n_modes)
         box = np.atleast_2d(np.asarray(default if self.theta_box is None else self.theta_box,
                                        dtype=float))
@@ -311,6 +311,7 @@ class Sarh1Params:
 
     def __post_init__(self):
         object.__setattr__(self, "model", SpectralModel(self.family, self.n_modes))
+        object.__setattr__(self, "n_modes", self.model.n_modes)
         object.__setattr__(self, "theta", np.atleast_1d(np.asarray(self.theta, dtype=float)))
         self.model.eig_triples(self.theta)  # checks theta's length and box
 
@@ -373,9 +374,7 @@ def simulate_sarh1(params: Sarh1Params, dims, burn_in: int = 100,
     triple is not causal (:func:`is_causal`) would make the recursion diverge,
     so it raises :class:`StationarityError` with the first such mode index.
     """
-    if np.shape(dims) != (2,):
-        raise ParameterDomainError(f"dims must be two integers >= 2, got {dims!r}")
-    n1, n2 = (check_int(v, "each dim", 2) for v in dims)
+    n1, n2 = check_dims(dims, "dims", 2)
     burn_in = check_int(burn_in, "burn_in", 0)
     seed = check_int(seed, "seed", 0)
     triples = params.model.eig_triples(params.theta)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (FileFormatError, LagUnavailableError, ParameterDomainError,
-                     ResolutionError, SingularSpectrumError)
+                     ResolutionError, SingularSpectrumError, check_dims, check_int)
 from .field import CoeffField, FrequencyGrid, _read_binary, _write_csv
 from .sarh import _cosines, _face_margins, _gram_form, _has_torus_zero
 
@@ -79,14 +79,6 @@ class EmpiricalCov:
         return self.values[np.argmax(self.lags1 == z1), np.argmax(self.lags2 == z2)]
 
 
-def _lag_bounds(max_lag) -> tuple[int, int]:
-    # (L1, L2) of a lag rectangle: integers >= 0, none truncated by int()
-    bounds = max_lag[0], max_lag[1]
-    if not all(float(b).is_integer() and b >= 0 for b in bounds):
-        raise ParameterDomainError(f"max_lag must hold integers >= 0, got {bounds}")
-    return int(bounds[0]), int(bounds[1])
-
-
 def empirical_cov(field: CoeffField, max_lag) -> EmpiricalCov:
     """Empirical covariances over the lag rectangle |z1| <= L1, |z2| <= L2.
 
@@ -96,7 +88,7 @@ def empirical_cov(field: CoeffField, max_lag) -> EmpiricalCov:
     bound that is negative, not integral or not below the field dims raises
     :class:`ParameterDomainError`.
     """
-    l1max, l2max = _lag_bounds(max_lag)
+    l1max, l2max = check_dims(max_lag, "max_lag", 0)
     n1, n2, m = field.data.shape
     if l1max >= n1 or l2max >= n2:
         raise ParameterDomainError("max_lag must be smaller than the field dims")
@@ -225,15 +217,15 @@ def fejer_smoothed_inverse(model, theta, k: int, m_smooth, omega) -> float:
     in each direction (Whittle, 1954), so the sum over |z_j| <= M_j - 1 with
     triangular weights prod_j (1 - |z_j|/M_j) is exact and has at most nine
     terms: the cosines of 1/F_k at omega weighted by 1, a1, a2, a1 a2, a1 a2
-    with a_j = 1 - 1/M_j.  A mode index outside 1..M or an order below 1
-    raises :class:`ParameterDomainError`.  sigma2_k is the C2 one, which is
-    positive for every triple, so 1/F_k is defined everywhere.
+    with a_j = 1 - 1/M_j.  A mode index or order that is not an integer, an
+    order below 1 or a mode index outside 1..M raises
+    :class:`ParameterDomainError`.  sigma2_k is the C2 one, which is positive
+    for every triple, so 1/F_k is defined everywhere.
     """
-    m1, m2 = int(m_smooth[0]), int(m_smooth[1])
-    if m1 < 1 or m2 < 1:
-        raise ParameterDomainError("smoothing orders must be >= 1")
+    m1, m2 = check_dims(m_smooth, "m_smooth", 1)
+    k = check_int(k, "mode index k", 1)
     triples = model.eig_triples(theta)
-    if not 1 <= k <= triples.shape[0]:
+    if k > triples.shape[0]:
         raise ParameterDomainError(f"mode index {k} outside 1..{triples.shape[0]}")
     a1, a2 = 1.0 - 1.0 / m1, 1.0 - 1.0 / m2
     mu = _cosines(float(omega[0]), float(omega[1])) * [1.0, a1, a2, a1 * a2, a1 * a2]
@@ -276,7 +268,8 @@ def load_periodogram_binary(path) -> Periodogram:
 
     Its diagonal entries are |Xdft_w(phi_k)|^2: an imaginary residue, or a
     negative real value, above 1e-10 of the largest real magnitude raises
-    :class:`FileFormatError`, as does a header the payload does not match.
+    :class:`FileFormatError`, as do a non-finite value and a header the
+    payload does not match.
     """
     with open(path, "rb") as fh:
         (n1, n2, m), header, payload = _read_binary(

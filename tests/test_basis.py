@@ -25,6 +25,19 @@ def test_sine_eval_domain_errors():
         BasisSpec(support_length=1.0, n_modes=0)
 
 
+@pytest.mark.parametrize("support", [np.inf, np.nan, 0.0])
+def test_basis_rejects_support_not_finite_and_positive(support):
+    # an infinite support used to construct, and its design matrix was all zeros
+    with pytest.raises(ParameterDomainError, match="finite and positive"):
+        BasisSpec(support_length=support, n_modes=2)
+
+
+def test_project_samples_shape_fault_is_parameter_domain_error():
+    # it used to be a bare ValueError
+    with pytest.raises(ParameterDomainError, match="t_grid length"):
+        project_samples(np.linspace(0.0, 1.0, 10), np.zeros(9), BasisSpec(1.0, 2))
+
+
 def test_sine_eval_normalized_flag():
     # the one convention is the normalized one: sqrt(2/L) is 1 at L = 2 and 2 at L = 1/2
     spec = BasisSpec(support_length=2.0, n_modes=1)

@@ -230,7 +230,7 @@ def test_cov_map_rejects_negative_lags_and_mismatched_phi():
 def test_cov_map_rejects_non_integral_lags():
     # (1.9, 0.5) used to truncate through int() to (1, 0), a map of three lags
     model = SpectralModel("example1", n_modes=2)
-    with pytest.raises(ParameterDomainError, match="integers >= 0"):
+    with pytest.raises(ParameterDomainError, match=r"max_lag\[0\] must be an integer >= 0"):
         cov_map(model, [1.0], TestFunction([1.0, 0.5]), (1.9, 0.5))
     assert len(cov_map(model, [1.0], TestFunction([1.0, 0.5]), (np.int64(1), 2.0))) == 15
 

@@ -70,13 +70,22 @@ def test_config_validation():
                                  {"theta_true": [1.0, 2.0]}, {"family": "example3"},
                                  {"theta_true": [5.0]}, {"seed": -1},
                                  {"grid_sizes": (8.5,)}, {"replicates": 2.5},
-                                 {"burn_in": 2.5}])
+                                 {"burn_in": 2.5}, {"n_modes": 2.5}, {"n_modes": np.nan},
+                                 {"grid_sizes": (24, np.inf)}, {"seed": 1.5}])
 def test_config_rejects_degenerate_sizes(bad):
     # each used to reach the replicates, fail in all of them and end in RuntimeError;
     # a float side used to simulate a truncated field and report N = side^2,
-    # a float replicate count or burn-in to end in a bare TypeError
+    # a float replicate count or burn-in to end in a bare TypeError; n_modes = 2.5
+    # used to construct (three modes), and NaN to end in a bare ValueError
     with pytest.raises(ParameterDomainError):
         small_cfg(**bad)
+
+
+def test_integral_float_side_reports_integer_n():
+    # a side of 8.0 used to be rejected; it is the integer 8, so N is the int 64
+    table = run_experiment(small_cfg(grid_sizes=(8.0,), replicates=2))
+    assert {r["N"] for r in table.rows} == {64}
+    assert all(type(r["N"]) is int for r in table.rows)
 
 
 @pytest.mark.parametrize("threads", [0, -2])

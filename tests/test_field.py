@@ -6,7 +6,7 @@ import pytest
 from spatialcox import (BasisSpec, CoeffField, FrequencyGrid, design_matrix,
                         load_field_binary, load_field_csv, save_field_binary,
                         save_field_csv)
-from spatialcox.errors import FileFormatError
+from spatialcox.errors import FileFormatError, ParameterDomainError
 
 
 def curve_at(fld, site, t):
@@ -51,6 +51,31 @@ def test_field_invariants():
     fld = CoeffField(np.zeros((2, 2, 2)), spec)
     with pytest.raises(ValueError):
         fld.data[0, 0, 0] = 1.0  # immutable
+
+
+def test_field_shape_faults_are_parameter_domain_errors():
+    # each used to be a bare ValueError
+    spec = BasisSpec(support_length=1.0, n_modes=2)
+    for data in (np.zeros((2, 2)), np.zeros((2, 2, 3)), np.full((2, 2, 2), np.nan)):
+        with pytest.raises(ParameterDomainError):
+            CoeffField(data, spec)
+
+
+@pytest.mark.parametrize("what, value", [("payload", np.nan), ("payload", -np.inf),
+                                         ("support", np.nan), ("support", -1.0),
+                                         ("support", np.inf)])
+def test_binary_non_finite_payload_or_bad_support_rejected(tmp_path, small_field, what, value):
+    # a NaN payload used to end in a bare ValueError from CoeffField, a NaN or
+    # negative header support in a ParameterDomainError from BasisSpec, and an
+    # infinite one to load as an all-zero basis
+    path = tmp_path / "f.bin"
+    save_field_binary(small_field, path)
+    raw = bytearray(path.read_bytes())
+    offset = 24 if what == "support" else 32 + 8 * 5
+    raw[offset:offset + 8] = np.array([value], dtype="<f8").tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FileFormatError, match=what):
+        load_field_binary(path)
 
 
 def test_binary_roundtrip(tmp_path, small_field):

@@ -137,22 +137,27 @@ def test_simulate_matches_naive_recursion(dims, burn_in, family, theta, other, m
 
 @pytest.mark.parametrize("kwargs", [{"dims": (12.7, 8)}, {"dims": (8, 8, 3)}, {"dims": 8},
                                     {"dims": (1, 8)}, {"burn_in": 2.5}, {"burn_in": -1},
-                                    {"seed": -1}, {"seed": 1.5}],
+                                    {"seed": -1}, {"seed": 1.5}, {"dims": (np.nan, 8)},
+                                    {"seed": np.inf}, {"n_modes": 2.5}, {"n_modes": np.nan}],
                          ids=["dims_float", "dims_three", "dims_scalar", "dims_one",
                               "burn_in_float", "burn_in_negative", "seed_negative",
-                              "seed_float"])
+                              "seed_float", "dims_nan", "seed_inf", "n_modes_float",
+                              "n_modes_nan"])
 def test_simulate_rejects_bad_arguments_at_the_boundary(kwargs):
     # a float side used to be truncated, a third dim ignored, and a float
-    # burn-in or seed or a negative seed to fail inside numpy
-    args = {"dims": (8, 8), "burn_in": 2, "seed": 0, **kwargs}
+    # burn-in or seed or a negative seed to fail inside numpy; n_modes = 2.5
+    # used to build three modes and end in a bare ValueError
+    args = {"dims": (8, 8), "burn_in": 2, "seed": 0, "n_modes": 2, **kwargs}
     with pytest.raises(ParameterDomainError):
-        simulate_sarh1(Sarh1Params("example1", [1.0], 2), **args)
+        simulate_sarh1(Sarh1Params("example1", [1.0], args.pop("n_modes")), **args)
 
 
 def test_simulate_accepts_numpy_integers():
     params = Sarh1Params("example1", [1.0], 2)
     got = simulate_sarh1(params, np.array([6, 5]), burn_in=np.int64(3), seed=np.uint32(4))
     np.testing.assert_array_equal(got.data, simulate_sarh1(params, (6, 5), 3, 4).data)
+    # integral floats are the same integers
+    np.testing.assert_array_equal(got.data, simulate_sarh1(params, (6.0, 5.0), 3.0, 4.0).data)
 
 
 def test_import_leaves_out_scipy():
@@ -437,9 +442,9 @@ def test_family_theta_length_checked():
 
 @pytest.mark.parametrize("family, n_modes", [("example1", 0), ("example1", -1), ("custom", 0)])
 def test_model_without_modes_rejected_at_construction(family, n_modes):
-    with pytest.raises(ParameterDomainError, match="n_modes must be >= 1"):
+    with pytest.raises(ParameterDomainError, match="n_modes must be an integer >= 1"):
         SpectralModel(family, n_modes)
-    with pytest.raises(ParameterDomainError, match="n_modes must be >= 1"):
+    with pytest.raises(ParameterDomainError, match="n_modes must be an integer >= 1"):
         Sarh1Params(family, [1.0] if family == "example1" else [], n_modes)
 
 

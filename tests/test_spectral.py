@@ -146,7 +146,7 @@ def test_empirical_cov_lag_domain_error():
 def test_empirical_cov_rejects_non_integral_lags():
     # (1.5, 1) used to truncate through int() to (1, 1)
     fld = random_field((5, 5), 1, seed=1)
-    with pytest.raises(ParameterDomainError, match="integers >= 0"):
+    with pytest.raises(ParameterDomainError, match=r"max_lag\[0\] must be an integer >= 0"):
         empirical_cov(fld, (1.5, 1))
     assert empirical_cov(fld, (2.0, np.int64(1))).values.shape == (5, 3, 1, 1)
 
@@ -430,6 +430,21 @@ def test_periodogram_binary_truncated_payload_rejected(tmp_path, full):
     save_periodogram_binary(pg, path)
     path.write_bytes(path.read_bytes()[:-16])
     with pytest.raises(FileFormatError, match="truncated"):
+        load_periodogram_binary(path)
+
+
+@pytest.mark.parametrize("full", [False, True])
+def test_periodogram_binary_non_finite_payload_rejected(tmp_path, full):
+    # every deviation test is False against NaN, so a NaN imaginary part on
+    # the diagonal, or anywhere off it, used to load silently
+    pg = periodogram(random_field((4, 3), 2, seed=6), full=full)
+    path = tmp_path / "pg.bin"
+    save_periodogram_binary(pg, path)
+    raw = bytearray(path.read_bytes())
+    offset = 32 + 16 * full + 8  # im of values[0, 0, 0], or of cross[0, 0, 0, 1]
+    raw[offset:offset + 8] = np.array([np.nan], dtype="<f8").tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FileFormatError, match="non-finite"):
         load_periodogram_binary(path)
 
 
