@@ -64,8 +64,8 @@ class BorelRect:
 
 def cox_intensity(cov0: float) -> float:
     """First-order intensity rho_phi = exp(R_0(phi)(phi) / 2); constant over sites."""
-    if cov0 < 0:
-        raise InvalidCovarianceError("R_0(phi)(phi) must be nonnegative")
+    if not 0 <= cov0 < np.inf:  # NaN fails too
+        raise InvalidCovarianceError(f"R_0(phi)(phi) must be finite and nonnegative, got {cov0}")
     return float(np.exp(0.5 * cov0))
 
 
@@ -74,11 +74,14 @@ def pair_correlation(covz: float) -> float:
     return float(np.exp(covz))
 
 
-def _lag_lookup(cov, z):
+def _lag_values(cov, lags) -> list:
     try:
-        return cov[z]
-    except KeyError:
-        raise LagUnavailableError(f"covariance lag {z} not supplied") from None
+        r = [cov[z] for z in lags]
+    except KeyError as exc:
+        raise LagUnavailableError(f"covariance lag {exc.args[0]} not supplied") from None
+    if not np.all(ok := np.isfinite(r)):  # one array test, naming the first bad lag
+        raise InvalidCovarianceError(f"covariance at lag {lags[np.argmin(ok)]} is not finite")
+    return r
 
 
 def product_density_n(points, cov) -> float:
@@ -91,10 +94,9 @@ def product_density_n(points, cov) -> float:
     pair-correlation identity.
     """
     pts = [check_dims(p, "every point", 0) for p in points]
-    rho = cox_intensity(_lag_lookup(cov, (0, 0)))
-    acc = sum(_lag_lookup(cov, (pa[0] - pb[0], pa[1] - pb[1]))
-              for a, pa in enumerate(pts) for b, pb in enumerate(pts) if a != b)
-    return float(rho ** len(pts) * np.exp(0.5 * acc))
+    r0, *r = _lag_values(cov, [(0, 0)] + [(pa[0] - pb[0], pa[1] - pb[1]) for a, pa in
+                                          enumerate(pts) for b, pb in enumerate(pts) if a != b])
+    return float(cox_intensity(r0) ** len(pts) * np.exp(0.5 * sum(r)))
 
 
 def count_moments(rect: BorelRect, cov) -> tuple[float, float]:
@@ -106,13 +108,13 @@ def count_moments(rect: BorelRect, cov) -> tuple[float, float]:
     with integrals replaced by unit-cell sums.  The double sum runs over
     the distinct lags h in B - B, each weighted by its (n1 - |h1|)(n2 - |h2|)
     site pairs of the n1 x n2 rectangle.  ``cov`` must contain every lag in
-    B - B.
+    B - B, with finite values.
     """
-    r0 = _lag_lookup(cov, (0, 0))
-    rho = cox_intensity(r0)
     n1, n2 = rect.b1 - rect.a1 + 1, rect.b2 - rect.a2 + 1
     h1, h2 = np.arange(1 - n1, n1), np.arange(1 - n2, n2)
-    r = np.array([_lag_lookup(cov, (z1, z2)) for z1 in h1.tolist() for z2 in h2.tolist()])
+    r = np.array(_lag_values(cov, [(z1, z2) for z1 in h1.tolist() for z2 in h2.tolist()]))
+    r0 = r[r.size // 2]  # the centre lag (0, 0)
+    rho = cox_intensity(r0)
     # the lags run over a centred rectangle, so reversing them maps h to -h
     pairs = np.outer(n1 - np.abs(h1), n2 - np.abs(h2)).ravel()
     acc = pairs @ np.exp(0.5 * (r + r[::-1]))

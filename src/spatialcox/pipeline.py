@@ -5,16 +5,15 @@ per site, inverse-distance-weighted (1 / d^2) interpolation of the spline
 coefficients to a regular lattice, evaluation on a dense time grid from 0
 to the last time stamp, log transform of the curves floored at 1, per-node
 polynomial trend fit, projection of the detrended curves onto the sine
-basis as P(log) - (P Q)(Q^T log) (Q orthonormal on the trend span, so the
+basis as P(log) - (P U)(U^T log) (U orthonormal on the trend span, so the
 residual cube is never formed), per-mode normalization by the innovation sd
 that the field's five circular lag moments give (no FFT), a fit of the
 point-spectra family ``realdata_pmf`` from the normalized field's moments
 at :func:`~spatialcox.whittle.estimate`'s defaults, and plug-in prediction.
 A synthetic generator producing count data from a known field +
-trend supports closed-loop validation and the CLI demos.  The stages
-import the scipy they call (``scipy.interpolate``, ``scipy.linalg``,
-``scipy.spatial``) inside their functions, so importing this module loads
-numpy only.
+trend supports closed-loop validation and the CLI demos.  The stages import
+the scipy they call (``scipy.interpolate``, ``scipy.spatial``) inside their
+functions, so importing this module loads numpy only.
 """
 
 from __future__ import annotations
@@ -143,23 +142,25 @@ def idw_interpolate(series: GridSeries, target_dims) -> GridSeries:
     return GridSeries(nodes, series.times, out)
 
 
-def _qr_of_design(design, what):
-    # thin QR of a least-squares design, after the rank test lstsq applies
-    if np.linalg.matrix_rank(design) < design.shape[1]:
+def _svd_of_design(design, what):
+    # one thin SVD of a least-squares design: its singular values give the rank test
+    # of lstsq (and matrix_rank), u is an orthonormal basis of its span and
+    # vt.T / s maps the coordinates u'y to the coefficients
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    if s[-1] <= s[0] * max(design.shape) * np.finfo(float).eps:
         raise RankDeficiencyError(f"{what} design is rank deficient: fewer terms or more times")
-    return np.linalg.qr(design)
+    return u, vt.T / s
 
 
 def spline_smooth(times, values, n_knots: int) -> BSpline:
     """Least-squares cubic B-spline fit with uniform interior knots.
 
-    values : (..., T) curves sampled at ``times``, fitted jointly by one QR of
+    values : (..., T) curves sampled at ``times``, fitted jointly by one SVD of
     the shared (T, n_knots + 4) design.  Returns the fitted ``BSpline``: called
     on a grid in the data range it gives the (..., len(grid)) curves, and its
     ``c`` holds the (n_knots + 4, ...) coefficients.
     """
     from scipy.interpolate import BSpline
-    from scipy.linalg import solve_triangular
 
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -169,8 +170,8 @@ def spline_smooth(times, values, n_knots: int) -> BSpline:
             f"need >= n_knots + 4 = {n_knots + 4} observations, got {t.size}")
     interior = np.linspace(t[0], t[-1], n_knots + 2)[1:-1]
     knots = np.r_[[t[0]] * 4, interior, [t[-1]] * 4]
-    q, r = _qr_of_design(BSpline.design_matrix(t, knots, 3).toarray(), "spline")
-    coef = solve_triangular(r, q.T @ v.reshape(-1, t.size).T)
+    u, solve = _svd_of_design(BSpline.design_matrix(t, knots, 3).toarray(), "spline")
+    coef = solve @ (u.T @ v.reshape(-1, t.size).T)
     return BSpline(knots, coef.T.reshape(v.shape[:-1] + (knots.size - 4,)), 3, axis=-1)
 
 
@@ -181,18 +182,16 @@ def _legendre_design_on(fit_times, eval_times, degree):
 
 
 def _fit_trend(values, times, degree):
-    # per-site Legendre least squares along the last axis by one QR of the design:
-    # coef (degree + 1, sites), Q (T, degree + 1) and the coordinates Q^T v (sites, degree + 1)
-    from scipy.linalg import solve_triangular
-
+    # per-site Legendre least squares along the last axis by one SVD of the design:
+    # coef (degree + 1, sites), U (T, degree + 1) and the coordinates U^T v (sites, degree + 1)
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
     if t.size < degree + 1:
         raise InsufficientResolutionError(
             f"need >= degree + 1 = {degree + 1} time points, got {t.size}")
-    q, r = _qr_of_design(_legendre_design_on(t, t, degree), "trend")
-    qtv = v.reshape(-1, t.size) @ q
-    return solve_triangular(r, qtv.T), q, qtv
+    u, solve = _svd_of_design(_legendre_design_on(t, t, degree), "trend")
+    utv = v.reshape(-1, t.size) @ u
+    return solve @ utv.T, u, utv
 
 
 def cvfare(true_curves, predicted_curves, t_grid):
@@ -204,8 +203,8 @@ def cvfare(true_curves, predicted_curves, t_grid):
     lam = np.atleast_2d(np.asarray(true_curves, dtype=float))
     hat = np.atleast_2d(np.asarray(predicted_curves, dtype=float))
     t = np.asarray(t_grid, dtype=float)
-    if lam.shape != hat.shape or lam.shape[-1] != t.size:
-        raise ParameterDomainError("curve arrays must share shape (n, len(t_grid))")
+    if lam.shape != hat.shape or lam.shape[-1] != t.size or not np.all(np.isfinite([lam, hat])):
+        raise ParameterDomainError("curve arrays must be finite and share shape (n, len(t_grid))")
     if np.any(lam <= 0):
         raise DivisionGuardError("true intensity must be strictly positive")
     curve = np.abs((lam - hat) / lam).mean(axis=0)
@@ -322,13 +321,13 @@ def run_pipeline(raw: GridSeries, cfg: PipelineConfig | None = None) -> Pipeline
     log_curves = stage("log", lambda: np.log(np.maximum(curves, LOG_FLOOR, out=curves),
                                              out=curves))
 
-    trend_coef, q, qtv = stage("trend", lambda: _fit_trend(log_curves, out_times,
+    trend_coef, u, utv = stage("trend", lambda: _fit_trend(log_curves, out_times,
                                                            cfg.trend_degree))
 
-    # the projection of log - Q Q^T log, without forming the residual
+    # the projection of log - U U^T log, without forming the residual
     basis = BasisSpec(support_length=support, n_modes=cfg.n_modes)
     coeff = stage("project", lambda: project_samples(out_times, log_curves, basis)
-                  - qtv @ project_samples(out_times, q.T, basis))
+                  - utv @ project_samples(out_times, u.T, basis))
     residual_field = CoeffField(coeff.reshape(cfg.lattice_dims + (-1,)), basis)
 
     rms = float(np.sqrt(np.mean(coeff**2)))

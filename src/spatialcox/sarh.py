@@ -54,24 +54,21 @@ CAUSAL_FACES = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0],
 _C2_NODES = np.exp(1j * (-np.pi + 2.0 * np.pi * np.arange(2048) / 2048))
 
 
-def _theta_size(family: str, n_modes: int) -> int:
-    sizes = {"example1": 1, "example2": 4, "triple": 3, "custom": 3 * n_modes,
-             "realdata_pmf": 3 * (1 + len(DEFAULT_PMF_GROUPS))}
-    if family not in FAMILIES:  # a tuple test, so an unhashable family is unknown too
-        raise ParameterDomainError(f"unknown family {family!r}")
-    return sizes[family]
-
-
 def default_box(family: str, n_modes: int) -> np.ndarray:
-    """Default theta box of a family, one closed interval per coordinate."""
+    """Default theta box of a family, one closed interval per coordinate: the one
+    table of the families, whose length is the theta size.  An unknown family
+    raises :class:`ParameterDomainError`."""
     if family == "example1":
         return THETA_BOX_EXAMPLE1.copy()
     if family == "example2":
         return THETA_BOX_EXAMPLE2.copy()
     if family == "triple":
         return TRIPLE_BOX.copy()
-    bound = 0.9 if family == "realdata_pmf" else 0.95
-    return np.tile([-bound, bound], (_theta_size(family, n_modes), 1))
+    if family == "custom":
+        return np.tile([-0.95, 0.95], (3 * n_modes, 1))
+    if family == "realdata_pmf":
+        return np.tile([-0.9, 0.9], (3 * (1 + len(DEFAULT_PMF_GROUPS)), 1))
+    raise ParameterDomainError(f"unknown family {family!r}")
 
 
 def family_triples(family: str, theta, n_modes: int) -> np.ndarray:
@@ -92,12 +89,11 @@ def family_triples(family: str, theta, n_modes: int) -> np.ndarray:
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     n_modes = check_int(n_modes, "n_modes", 1)
-    size = _theta_size(family, n_modes)
-    if theta.size != size:
-        raise ParameterDomainError(f"{family} theta must have length {size}")
+    box = default_box(family, n_modes)
+    if theta.size != len(box) or not np.all(np.isfinite(theta)):
+        raise ParameterDomainError(f"{family} theta must be finite, of length {len(box)}")
     ks = np.arange(1, n_modes + 1, dtype=float)
     if family in ("example1", "example2"):
-        box = THETA_BOX_EXAMPLE1 if family == "example1" else THETA_BOX_EXAMPLE2
         if not all(lo <= v <= hi for v, (lo, hi) in zip(theta.tolist(), box.tolist())):
             raise ParameterDomainError(f"theta={theta} outside the {family} box")
         if family == "example1":
@@ -123,7 +119,7 @@ def family_jacobian(family: str, theta, n_modes: int) -> np.ndarray:
     (constant for these, and their triples are J @ theta: each maps theta = 0
     to the zero triple, so J holds the triples at the unit vectors)."""
     if family in AFFINE_FAMILIES:
-        eye = np.eye(_theta_size(family, n_modes))
+        eye = np.eye(len(default_box(family, n_modes)))
         return np.stack([family_triples(family, e, n_modes) for e in eye], axis=-1)
     if family != "example2":
         raise ParameterDomainError(f"no Jacobian for family {family!r}")
@@ -176,16 +172,17 @@ def _gram_min(mu: np.ndarray) -> np.ndarray:
 
 
 def _face_margins(triples):
-    # the triples as rows and their face margins m, the one form of every torus
-    # question: a causal row (all m > 0) has c -+ 2d > 0, so no torus zero and C2 variance 1
+    # the triples as rows, their face margins m and c - 2d = m0 m1, c + 2d = m2 m3: the
+    # one form of every torus question; a causal row (all m > 0) has c -+ 2d > 0, so
+    # no torus zero and C2 variance 1
     t = np.atleast_2d(np.asarray(triples, dtype=float))
-    return t, 1.0 - t @ CAUSAL_FACES.T
+    m = 1.0 - t @ CAUSAL_FACES.T
+    return t, m, m[:, 0] * m[:, 1], m[:, 2] * m[:, 3]
 
 
 def _has_torus_zero(triples) -> np.ndarray:
     """Per row: D vanishes on the unit torus, |c| <= 2|d|: c -+ 2d not of one strict sign."""
-    _, m = _face_margins(triples)
-    lo, hi = m[:, 0] * m[:, 1], m[:, 2] * m[:, 3]
+    _, _, lo, hi = _face_margins(triples)
     return ~(((lo > 0) & (hi > 0)) | ((lo < 0) & (hi < 0)))
 
 
@@ -213,8 +210,7 @@ def c2_innovation_var(triples) -> np.ndarray:
     Only inside the band |c| < 2|d|, where D vanishes on the torus, is the w1
     mean a 2048-node rectangle rule.
     """
-    t, m = _face_margins(triples)
-    lo, hi = m[:, 0] * m[:, 1], m[:, 2] * m[:, 3]
+    t, _, lo, hi = _face_margins(triples)
     out = np.maximum(1.0, np.abs(t[:, 0])) ** 2
     rest = (lo < 0) | (hi < 0)
     if rest.any():
@@ -230,16 +226,16 @@ def c2_innovation_var(triples) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SpectralModel:
-    """A SARH(1) parameter family: the one place that knows families, theta
-    sizes and boxes, innovation variances and spectral densities.
+    """A SARH(1) parameter family: the one model type, knowing boxes (and so
+    theta sizes), innovation variances and spectral densities.
 
     family : one of ``FAMILIES``; "triple" applies one eigenvalue triple
         theta = (l1, l2, l3) to every mode, "custom" takes theta of length 3*M
         (per-mode triples), see :func:`family_triples`.
     n_modes : truncation M >= 1
-    theta_box : per-coordinate closed intervals lo < hi, shape (q, 2);
-        None selects :func:`default_box`, which example1 and example2 boxes
-        must lie inside.
+    theta_box : per-coordinate finite closed intervals lo < hi, shape (q, 2);
+        None selects :func:`default_box`, whose length is q and which
+        example1 and example2 boxes must lie inside.
 
     Mode k has the spectral density sigma2_k / |D_k(e^{iw1}, e^{iw2})|^2 with
     sigma2 = innovation variance / (2 pi)^2, the variance being the
@@ -256,19 +252,16 @@ class SpectralModel:
 
     def __post_init__(self):
         object.__setattr__(self, "n_modes", check_int(self.n_modes, "n_modes", 1))
-        q, default = _theta_size(self.family, self.n_modes), default_box(self.family, self.n_modes)
+        default = default_box(self.family, self.n_modes)
         box = np.atleast_2d(np.asarray(default if self.theta_box is None else self.theta_box,
                                        dtype=float))
-        if box.shape != (q, 2) or not np.all(box[:, 0] < box[:, 1]):
-            raise ParameterDomainError(f"{self.family} theta box must be {q} intervals lo < hi")
+        if box.shape != default.shape or not np.all(np.isfinite(box) & (box[:, :1] < box[:, 1:])):
+            raise ParameterDomainError(
+                f"{self.family} theta box must be {len(default)} finite intervals lo < hi")
         if self.family in ("example1", "example2") and not (
                 np.all(box[:, 0] >= default[:, 0]) and np.all(box[:, 1] <= default[:, 1])):
             raise ParameterDomainError(f"{self.family} theta box leaves {default.tolist()}")
         object.__setattr__(self, "theta_box", box)
-
-    @property
-    def n_params(self) -> int:
-        return self.theta_box.shape[0]
 
     def contains(self, theta) -> bool:
         theta = np.atleast_1d(theta)

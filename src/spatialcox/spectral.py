@@ -120,14 +120,13 @@ _MAX_QUAD_CELLS = 2**21
 _QUAD_RTOL = 1e-13
 
 
-def _w1_transform(triple, margins, k2, n):
+def _w1_transform(triple, lo, hi, k2, n):
     # (2 pi)^2 / n sum_j e^{i z1 w_j} r_j^{k2} / |c - 2 d cos w_j| over w_j = 2 pi j / n,
     # for every z1 mod n (axis 1) and every |z2| in k2 (axis 0): the w2
     # integral of the unit-sigma density in closed form, then one inverse FFT.
-    # c - 2d cos w = (c - 2d) cos^2(w/2) + (c + 2d) sin^2(w/2), and c -+ 2d are
+    # c - 2d cos w = (c - 2d) cos^2(w/2) + (c + 2d) sin^2(w/2), and lo, hi = c -+ 2d are
     # the products of the triple's face margins, so nothing cancels near the band edge
     l1, l2, l3 = triple
-    lo, hi = margins[0] * margins[1], margins[2] * margins[3]
     half = np.pi * np.arange(n) / n
     e = np.exp(2j * half)
     a, b = 1.0 - l1 * e, l2 + l3 * e
@@ -156,9 +155,10 @@ def cov_from_spectrum(model, theta, lags, grid_size: int = 512):
     model : :class:`spatialcox.sarh.SpectralModel`, or any object with
         ``eig_triples(theta) -> (M, 3)`` and ``sigma2(theta) -> (M,)``
     theta : parameter vector
-    lags : sequence of integer lag pairs (z1, z2); z2 is exact at any size,
-        being closed form, and z1 sets the quadrature's starting grid
-    grid_size : least starting w1 node count; the start is raised to the
+    lags : integer lag pairs (z1, z2), checked as one (K, 2) array: the first
+        lag that is not two integers raises :class:`ParameterDomainError`.  z2
+        is exact at any size, being closed form; z1 sets the starting grid
+    grid_size : least starting w1 node count, an integer >= 1; the start is raised to the
         smallest power of two above 2 max|z1| + 1, so that every z1 lies
         below its Nyquist limit, and each mode doubles it until the largest
         change of its covariances is <= 1e-13 of its variance R_0
@@ -178,9 +178,14 @@ def cov_from_spectrum(model, theta, lags, grid_size: int = 512):
         a mode whose AR polynomial vanishes on the unit torus (|c| <= 2|d|):
         the density is not integrable there and no covariance exists.
     """
-    lags = np.array([(int(z1), int(z2)) for z1, z2 in lags], dtype=np.int64).reshape(-1, 2)
-    start = max(grid_size, 1 << int(2 * np.abs(lags[:, 0]).max(initial=0) + 1).bit_length())
-    triples, margins = _face_margins(model.eig_triples(theta))
+    z = np.asarray(lags, dtype=float).reshape(len(lags), 2)
+    # integral and within int64: NaN and inf fail one of the two tests
+    if not np.all(ok := np.all((z == np.round(z)) & (np.abs(z) < 2.0**62), axis=1)):
+        raise ParameterDomainError(f"lag {tuple(z[np.argmin(ok)].tolist())} is not two integers")
+    lags = z.astype(np.int64)
+    start = max(check_int(grid_size, "grid_size", 1),
+                1 << int(2 * np.abs(lags[:, 0]).max(initial=0) + 1).bit_length())
+    triples, _, lo, hi = _face_margins(model.eig_triples(theta))
     bad = np.flatnonzero(_has_torus_zero(triples) | ~np.all(np.isfinite(triples), axis=1))
     if bad.size:
         k = int(bad[0])
@@ -194,13 +199,13 @@ def cov_from_spectrum(model, theta, lags, grid_size: int = 512):
     row, z1 = row[:-1], flip * lags[:, 0]
     vals = np.empty((lags.shape[0], triples.shape[0]))
     residue = 0.0
-    for k, (triple, m) in enumerate(zip(triples, margins)):
+    for k, triple in enumerate(triples):
         n, prev = start, None
         while True:  # each grid is checked against the cap before it is built
             if n * (k2.size + 4) > _MAX_QUAD_CELLS:
                 raise ResolutionError(
                     f"mode {k + 1}: covariance quadrature not converged below {n} w1 nodes")
-            h = _w1_transform(triple, m, k2, n)
+            h = _w1_transform(triple, lo[k], hi[k], k2, n)
             cur, r0 = h[row, z1 % n], h[0, 0].real
             if prev is not None and np.abs(cur - prev).max(initial=0.0) <= _QUAD_RTOL * r0:
                 break

@@ -63,9 +63,10 @@ def trig_moments(sample: CoeffField) -> np.ndarray:
 
 # the loss of mode k times sigma2_k is the periodogram average of |D_k|^2,
 # i.e. sarh._gram_form at mu = trig_moments: a PSD form a' G_k a in
-# a = (1, -l1, -l2, -l3), with gradient -2 (G_k a)[1:] in the triple
-def _mode_losses_fast(model: SpectralModel, theta, moments: np.ndarray) -> np.ndarray:
-    return _gram_form(model.eig_triples(theta), moments)[0] / model.sigma2(theta)
+# a = (1, -l1, -l2, -l3), with gradient -2 (G_k a)[1:] in the triple; sigma2_k
+# is the C2 one of the triple, the model's
+def _mode_losses(triples: np.ndarray, moments: np.ndarray) -> np.ndarray:
+    return _gram_form(triples, moments)[0] / (c2_innovation_var(triples) / TWO_PI_SQ)
 
 
 def _sample_moments(model: SpectralModel, sample: CoeffField) -> np.ndarray:
@@ -79,10 +80,10 @@ def whittle_loss(model: SpectralModel, theta, sample: CoeffField) -> float:
     """max over modes k <= M of the Fourier-grid average of I_w(phi_k)/F_{w,theta}(phi_k),
     with I the periodogram of the field ``sample``, read through :func:`trig_moments`."""
     moments = _sample_moments(model, sample)
-    model.eig_triples(theta)  # checks theta's length before the box
+    triples = model.eig_triples(theta)  # checks theta's length before the box
     if not model.contains(theta):
         raise ParameterDomainError("theta outside the parameter box")
-    return float(_mode_losses_fast(model, theta, moments).max())
+    return float(_mode_losses(triples, moments).max())
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +192,7 @@ def _fit_example1(model: SpectralModel, moments: np.ndarray):
     s = theta[:, None] ** 2
     l1, l2 = c1 * s, c2 * s
     triples = np.stack([l1, l2, -l1 * l2], axis=-1).reshape(-1, 3)
-    losses = (TWO_PI_SQ * _gram_form(triples, np.tile(moments, (len(theta), 1)))[0]
-              / c2_innovation_var(triples)).reshape(len(theta), m)
+    losses = _mode_losses(triples, np.tile(moments, (len(theta), 1))).reshape(len(theta), m)
     best = int(np.argmin(losses.max(axis=1) + TIE_BREAK * losses.mean(axis=1)))
     return theta[best:best + 1], len(theta), True
 
@@ -218,7 +218,7 @@ def _fit_epigraph(model, moments, loss_tol):
     # there and never above it elsewhere (Jensen), and the program is convex
     from scipy.optimize import linprog, minimize
 
-    box, q = model.theta_box, model.n_params
+    box, q = model.theta_box, len(model.theta_box)
     constraints, jac = [], None
     if model.family in AFFINE_FAMILIES:
         jac = family_jacobian(model.family, None, model.n_modes)
@@ -264,17 +264,17 @@ def estimate(model: SpectralModel, sample: CoeffField,
     :func:`_fit_example1` (the box ends, the points where a mode's C2
     variance changes form, and the stationary points and crossings of the
     mode losses), numpy only; ``n_loss_evals`` is their number plus one for
-    the sup loss at the optimum, and the fit always converges.  Both add ``TIE_BREAK`` times the mean-over-modes loss to the
-    sup loss, and ties go to the least theta; the reported ``loss_at_min`` is
-    the pure sup loss.  The model's innovation
-    variances are the C2 ones, so a field whose innovation sd is a known s_k
-    is fitted as ``sample`` divided by s_k.
+    the sup loss at the optimum, and the fit always converges.  Both add
+    ``TIE_BREAK`` times the mean-over-modes loss to the sup loss, and ties
+    go to the least theta; the reported ``loss_at_min`` is the pure sup
+    loss.  The model's innovation variances are the C2 ones, so a field
+    whose innovation sd is a known s_k is fitted as ``sample`` divided by s_k.
     """
     t0 = time.perf_counter()
     moments = _sample_moments(model, sample)
     theta_hat, n_evals, success = (_fit_example1(model, moments) if model.family == "example1"
                                    else _fit_epigraph(model, moments, loss_tol))
-    pure = float(_mode_losses_fast(model, theta_hat, moments).max())
+    pure = float(_mode_losses(model.eig_triples(theta_hat), moments).max())
     return ThetaEstimate(theta_hat=theta_hat, loss_at_min=pure, n_loss_evals=n_evals + 1,
                          converged=bool(success), family=model.family,
                          runtime_s=time.perf_counter() - t0)

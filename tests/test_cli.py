@@ -81,6 +81,21 @@ def test_estimate_refuses_a_box_wider_than_the_family_box(tmp_path):
     assert 0.8 <= json.loads(est.read_text())["theta_hat"][0] <= 1.5
 
 
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--field", "{field}", "--family", "triple", "--modes", "4",
+     "--theta-box=-inf:inf,-inf:inf,-inf:inf"],
+    ["simulate", "--family", "triple", "--modes", "4", "--theta", "nan,0,0"],
+], ids=["estimate_infinite_box", "simulate_nan_theta"])
+def test_non_finite_theta_and_box_rejected(tmp_path, argv):
+    # the estimate used to write "theta_hat": [NaN, NaN, NaN], not valid JSON, and
+    # simulate to raise a StationarityError
+    field, out = tmp_path / "field.bin", tmp_path / "out"
+    run(["simulate", "--dims", "16x16", "--modes", "4", "--burn-in", 10, "--out", field])
+    with pytest.raises(ParameterDomainError, match="triple theta"):
+        run([arg.format(field=field) for arg in argv] + ["--out", out])
+    assert not out.exists()
+
+
 def test_cox_moments_command(tmp_path):
     field = tmp_path / "field.bin"
     run(["--seed", 3, "simulate", "--dims", "16x16", "--modes", "3",

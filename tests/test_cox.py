@@ -47,6 +47,24 @@ def test_cox_intensity_values():
         cox_intensity(-0.1)
 
 
+_LAGS_3X3 = [(z1, z2) for z1 in range(-2, 3) for z2 in range(-2, 3)]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: cox_intensity(np.nan), lambda: cox_intensity(np.inf),
+    lambda: count_moments(BorelRect(0, 2, 0, 2),
+                          {**dict.fromkeys(_LAGS_3X3, 0.1), (1, 0): np.nan}),
+    lambda: count_moments(BorelRect(0, 2, 0, 2), {**dict.fromkeys(_LAGS_3X3, 0.1),
+                                                  (0, 0): np.inf}),
+    lambda: product_density_n([(0, 0), (1, 0)], {(0, 0): 0.1, (1, 0): np.nan, (-1, 0): 0.0}),
+], ids=["intensity_nan", "intensity_inf", "count_lag_nan", "count_variance_inf",
+        "product_density_nan"])
+def test_non_finite_covariance_rejected(call):
+    # each used to return NaN or inf: the test cov0 < 0 lets NaN through
+    with pytest.raises(InvalidCovarianceError, match="finite"):
+        call()
+
+
 def test_pair_correlation_identities():
     assert pair_correlation(0.0) == 1.0
     r0 = 0.8

@@ -18,7 +18,7 @@ from spatialcox.cox import BorelRect, TestFunction, product_density_n, sample_co
 from spatialcox.errors import ParameterDomainError
 from spatialcox.pipeline import spline_smooth
 from spatialcox.sarh import family_triples
-from spatialcox.spectral import fejer_smoothed_inverse
+from spatialcox.spectral import cov_from_spectrum, fejer_smoothed_inverse
 
 _SERIES = GridSeries([[0.0, 0.0], [1.0, 1.0]], [1.0, 2.0], [[1.0, 2.0], [3.0, 4.0]])
 _FIELD = CoeffField(np.zeros((4, 4, 2)), BasisSpec(1.0, 2))
@@ -67,6 +67,10 @@ _BAD = {
         SpectralModel("example1", 3), [1.0], 1, (1.5, 2), (0.0, 0.0)),
     "fejer_index_float": lambda: fejer_smoothed_inverse(
         SpectralModel("example1", 3), [1.0], 1.5, (4, 4), (0.0, 0.0)),
+    "cov_grid_size_float": lambda: cov_from_spectrum(SpectralModel("example1", 2), [1.0],
+                                                     [(0, 0)], grid_size=100.5),
+    "cov_grid_size_zero": lambda: cov_from_spectrum(SpectralModel("example1", 2), [1.0],
+                                                    [(0, 0)], grid_size=0),
     "cv_folds_float": lambda: _cross_validate(max_folds=2.5),
     "cv_seed_float": lambda: _cross_validate(seed=1.5),
     "cv_seed_negative": lambda: _cross_validate(seed=-1),
@@ -108,6 +112,9 @@ def test_integral_values_give_the_integer_results():
     model = SpectralModel("example1", 3)
     assert (fejer_smoothed_inverse(model, [1.0], 2.0, (np.int64(3), 4.0), (0.3, -1.0))
             == fejer_smoothed_inverse(model, [1.0], 2, (3, 4), (0.3, -1.0)))
+    np.testing.assert_array_equal(
+        cov_from_spectrum(model, [1.0], [(1.0, -2.0), (np.int64(0), 3)], grid_size=64.0)[0],
+        cov_from_spectrum(model, [1.0], [(1, -2), (0, 3)], grid_size=64)[0])
     np.testing.assert_array_equal(idw_interpolate(_SERIES, (3.0, np.int64(2))).values,
                                   idw_interpolate(_SERIES, (3, 2)).values)
     rect = BorelRect(0, 1, 0, 1)

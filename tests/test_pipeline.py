@@ -12,7 +12,7 @@ from spatialcox import (CoeffField, GridSeries, PipelineConfig, cvfare, idw_inte
                         run_pipeline, save_series_csv, spline_smooth)
 from spatialcox.errors import (AmbiguousInterpolationError, DivisionGuardError, FileFormatError,
                                InsufficientResolutionError, ParameterDomainError,
-                               PipelineStageError)
+                               PipelineStageError, RankDeficiencyError)
 from spatialcox.pipeline import _fit_trend
 from spatialcox.sarh import TWO_PI_SQ, Sarh1Params, _gram_min, simulate_sarh1
 from spatialcox.whittle import trig_moments
@@ -256,6 +256,15 @@ def test_trend_constructed_decomposition_oracle():
     assert np.max(np.abs(design.T @ resid) / len(t)) < 1e-9
 
 
+def test_rank_deficient_designs_rejected():
+    # eight time stamps on two distinct values: neither design has full column rank
+    t = np.repeat([0.0, 1.0], 4)
+    with pytest.raises(RankDeficiencyError, match="trend design is rank deficient"):
+        _fit_trend(np.zeros(8), t, degree=3)
+    with pytest.raises(RankDeficiencyError, match="spline design is rank deficient"):
+        spline_smooth(t, np.zeros(8), n_knots=2)
+
+
 def test_trend_needs_enough_points():
     with pytest.raises(InsufficientResolutionError):
         _fit_trend(np.zeros(8), np.linspace(0, 1, 8), degree=10)
@@ -275,6 +284,15 @@ def test_cvfare_identities():
     assert l1 == pytest.approx(1.0)
     with pytest.raises(DivisionGuardError):
         cvfare(np.zeros((1, 4)), np.ones((1, 4)), np.linspace(0, 1, 4))
+
+
+@pytest.mark.parametrize("true, predicted", [([[1.0, np.nan]], [[1.0, 1.0]]),
+                                             ([[1.0, 1.0]], [[np.inf, 1.0]])],
+                         ids=["nan_true", "inf_predicted"])
+def test_cvfare_rejects_non_finite_curves(true, predicted):
+    # both used to return an L1 of NaN or inf
+    with pytest.raises(ParameterDomainError, match="finite"):
+        cvfare(true, predicted, [0.0, 1.0])
 
 
 # --- synthetic generator ----------------------------------------------------

@@ -11,8 +11,9 @@ from oracles import (bidisk_min_gap, crude_sum_margins, eigenvalues_example1,
                      eigenvalues_example2, grid_has_torus_zero, log_denominator_mean,
                      naive_sarh, pmf_triple_scalar, quadrature_sigma2_c2, rational_density,
                      separable_cov, torus_min_abs_denominator)
-from spatialcox import (Sarh1Params, c2_innovation_var, cov_from_spectrum, empirical_cov,
-                        family_triples, is_causal, periodogram, simulate_sarh1, SpectralModel)
+from spatialcox import (Sarh1Params, TestFunction, c2_innovation_var, cov_from_spectrum, cov_map,
+                        empirical_cov, family_triples, fejer_smoothed_inverse, is_causal,
+                        periodogram, simulate_sarh1, SpectralModel)
 from spatialcox.errors import ParameterDomainError, ResolutionError, StationarityError
 from spatialcox import sarh
 from spatialcox.sarh import CAUSAL_FACES, _face_margins, _has_torus_zero
@@ -453,6 +454,34 @@ def test_model_without_modes_rejected_at_construction(family, n_modes):
 def test_bad_theta_box_rejected_at_construction(box):
     with pytest.raises(ParameterDomainError):
         SpectralModel("example1", 2, theta_box=box)
+
+
+@pytest.mark.parametrize("box", [[[-np.inf, np.inf]] * 3, [[0.0, np.inf]] * 3],
+                         ids=["infinite", "half_infinite"])
+def test_non_finite_theta_box_rejected_at_construction(box):
+    # such a box used to construct, and estimate then returned a NaN or inf theta_hat
+    with pytest.raises(ParameterDomainError, match="3 finite intervals"):
+        SpectralModel("triple", 2, theta_box=box)
+
+
+# one non-finite coordinate per family, each inside the family box otherwise
+_NON_FINITE_THETA = {"example1": [np.nan], "example2": [1.0, np.nan, 1.5, 1.2],
+                     "triple": [np.nan, 0.0, 0.0], "custom": [0.1] * 5 + [np.inf],
+                     "realdata_pmf": [0.1] * 8 + [-np.inf]}
+
+
+@pytest.mark.parametrize("family", list(_NON_FINITE_THETA))
+def test_non_finite_theta_rejected_at_the_model_boundary(family):
+    # every theta passes family_triples: a NaN triple theta used to build
+    # Sarh1Params and then raise StationarityError in simulate, make sigma2 and
+    # fejer_smoothed_inverse NaN, and make cov_map raise SingularSpectrumError
+    theta, model = _NON_FINITE_THETA[family], SpectralModel(family, 2)
+    for call in (lambda: family_triples(family, theta, 2), lambda: Sarh1Params(family, theta, 2),
+                 lambda: model.sigma2(theta),
+                 lambda: fejer_smoothed_inverse(model, theta, 1, (2, 2), (0.0, 0.0)),
+                 lambda: cov_map(model, theta, TestFunction([1.0, 0.5]), (1, 1))):
+        with pytest.raises(ParameterDomainError, match=f"{family} theta must be finite"):
+            call()
 
 
 @pytest.mark.parametrize("family, box", [

@@ -161,6 +161,16 @@ def test_cov_from_spectrum_constant():
     assert residue < 1e-10
 
 
+@pytest.mark.parametrize("lags, bad", [
+    ([(1.7, 0)], r"\(1.7, 0.0\)"), ([(0, 0), (np.nan, 0)], r"\(nan, 0.0\)"),
+    ([(0, 0), (1, 0), (0, np.inf)], r"\(0.0, inf\)"), ([(2.0**63, 0)], r"\(9.2\d*e\+18, 0.0\)"),
+], ids=["fraction", "nan", "inf", "beyond_int64"])
+def test_cov_from_spectrum_rejects_lags_that_are_not_integers(lags, bad):
+    # (1.7, 0) used to truncate to lag (1, 0), and NaN to end in a bare ValueError
+    with pytest.raises(ParameterDomainError, match=f"lag {bad} is not two integers"):
+        cov_from_spectrum(SpectralModel("example1", 2), [1.0], lags)
+
+
 def test_cov_from_spectrum_example1_matches_closed_form():
     from spatialcox import family_triples
     model = SpectralModel("example1", n_modes=2)

@@ -14,7 +14,7 @@ from spatialcox import (BasisSpec, CoeffField, FrequencyGrid, Periodogram,
 from spatialcox.errors import ParameterDomainError, SingularSpectrumError
 from spatialcox.pipeline import DEFAULT_TRUE_PMF
 from spatialcox.sarh import CAUSAL_FACES, TRIPLE_BOX, _has_torus_zero, c2_innovation_var
-from spatialcox.whittle import (TIE_BREAK, _example1_pieces, _mode_losses_fast,
+from spatialcox.whittle import (TIE_BREAK, _example1_pieces, _mode_losses,
                                 _mode_losses_with_grad)
 
 TWO_PI_SQ = (2 * np.pi) ** 2
@@ -147,7 +147,7 @@ def test_fast_path_equals_dense():
                           ("triple", [0.3, 0.2, -0.05])):
         model = SpectralModel(family, n_modes=5)
         dense = dense_mode_losses(model, theta, pg)
-        fast = _mode_losses_fast(model, theta, moments)
+        fast = _mode_losses(model.eig_triples(theta), moments)
         np.testing.assert_allclose(fast, dense, rtol=1e-11)
 
 
@@ -192,9 +192,9 @@ def test_loss_monte_carlo_near_one_and_locally_minimal():
     for seed in range(20):
         fld = simulate_sarh1(params, (256, 256), burn_in=100, seed=42_000 + seed)
         m = trig_moments(fld)
-        l0 = _mode_losses_fast(model, [1.0], m).max()
-        lm = _mode_losses_fast(model, [0.7], m).max()
-        lp = _mode_losses_fast(model, [1.3], m).max()
+        l0 = _mode_losses(model.eig_triples([1.0]), m).max()
+        lm = _mode_losses(model.eig_triples([0.7]), m).max()
+        lp = _mode_losses(model.eig_triples([1.3]), m).max()
         at_true.append(l0)
         wins += (l0 < lm) and (l0 < lp)
     assert abs(np.mean(at_true) - 1.0) < 0.05
@@ -560,9 +560,10 @@ def test_mode_loss_jacobian_matches_central_differences(family):
         theta = centre + scale * half * rng.uniform(-1, 1, size=centre.size)
         assert np.all(is_causal(model.eig_triples(theta)))
         losses, jac = _mode_losses_with_grad(model, theta, moments)
-        np.testing.assert_allclose(losses, _mode_losses_fast(model, theta, moments), rtol=1e-12)
+        np.testing.assert_allclose(losses, _mode_losses(model.eig_triples(theta), moments),
+                                   rtol=1e-12)
         h = 1e-5 * np.maximum(1.0, np.abs(theta))
-        fd = np.stack([(_mode_losses_fast(model, theta + h[j] * e, moments)
-                        - _mode_losses_fast(model, theta - h[j] * e, moments)) / (2 * h[j])
-                       for j, e in enumerate(np.eye(theta.size))], axis=1)
+        fd = np.stack([(_mode_losses(model.eig_triples(theta + h[j] * e), moments)
+                        - _mode_losses(model.eig_triples(theta - h[j] * e), moments))
+                       / (2 * h[j]) for j, e in enumerate(np.eye(theta.size))], axis=1)
         np.testing.assert_allclose(jac, fd, rtol=1e-6, atol=1e-9 * np.abs(fd).max())
