@@ -37,7 +37,8 @@ class Periodogram:
     """Periodogram operator on the Fourier grid of a sample.
 
     ``values[w1, w2, k]`` holds the diagonal entries
-    Xdft_w(phi_k) * Xdft_{-w}(phi_k); ``cross``, when present, holds the full
+    Xdft_w(phi_k) * Xdft_{-w}(phi_k) = |Xdft_w(phi_k)|^2, complex with an
+    imaginary part of exactly 0; ``cross``, when present, holds the full
     block ``cross[w1, w2, k, l] = Xdft_w(phi_k) * Xdft_{-w}(phi_l)``.
     """
 
@@ -54,10 +55,13 @@ def periodogram(field: CoeffField, full: bool = False) -> Periodogram:
     """Periodogram operator values[w, k, l] = Xdft_w(phi_k) * Xdft_{-w}(phi_l)."""
     xt = functional_dft(field)
     xr = _reflect(xt)
-    values = xt * xr
+    # |Xdft_w(phi_k)|^2 is real: drop the product's imaginary rounding residue
+    values = (xt * xr).real.astype(complex)
     cross = None
-    if full:  # the same elementwise product, so the diagonal of cross is values bit for bit
+    if full:
         cross = xt[..., :, None] * xr[..., None, :]
+        diag = np.arange(values.shape[2])
+        cross[..., diag, diag] = values  # so the diagonal of cross is values bit for bit
     return Periodogram(FrequencyGrid(field.dims), values, cross)
 
 
@@ -79,34 +83,44 @@ class EmpiricalCov:
         return self.values[np.argmax(self.lags1 == z1), np.argmax(self.lags2 == z2)]
 
 
+def _fft_size(n: int) -> int:
+    # smallest 5-smooth size 2^a 3^b 5^c >= n, where pocketfft is fast; the
+    # exponents are floats so that 5^a cannot overflow
+    e = np.arange(int(n).bit_length() + 1.0)
+    sizes = np.multiply.outer(np.multiply.outer(2.0**e, 3.0**e), 5.0**e)
+    return int(sizes[sizes >= n].min())
+
+
 def empirical_cov(field: CoeffField, max_lag) -> EmpiricalCov:
     """Empirical covariances over the lag rectangle |z1| <= L1, |z2| <= L2.
 
-    One BLAS product per lag of the half rectangle z1 > 0, or z1 == 0 and
-    z2 >= 0; each mirror lag is filled as the exact transpose, since
-    C(-z) = C(z)^T, and C(0) is made exactly symmetric the same way.  A
-    bound that is negative, not integral or not below the field dims raises
+    A zero-padded cross-correlation by real FFTs: each axis is padded to the
+    smallest 2^a 3^b 5^c >= N_j + L_j, so no circular wrap reaches a stored
+    lag; one ``rfft2`` of the mode-major field, then per mode k one batched
+    ``irfft2`` of conj(F_k) F_l over l >= k.  The lower triangle is filled as
+    the exact mirror, since C(-z) = C(z)^T, and the diagonal's lags below
+    z = 0 are copied from those above it, so the symmetry holds bit for bit.
+    A bound that is negative, not integral or not below the field dims raises
     :class:`ParameterDomainError`.
     """
     l1max, l2max = check_dims(max_lag, "max_lag", 0)
     n1, n2, m = field.data.shape
     if l1max >= n1 or l2max >= n2:
         raise ParameterDomainError("max_lag must be smaller than the field dims")
-    x = field.data
     lags1 = np.arange(-l1max, l1max + 1)
     lags2 = np.arange(-l2max, l2max + 1)
+    p = (_fft_size(n1 + l1max), _fft_size(n2 + l2max))
+    f = np.fft.rfft2(np.moveaxis(field.data, 2, 0), s=p)
+    rows, cols = (lags1 % p[0])[:, None], lags2 % p[1]
     out = np.empty((lags1.size, lags2.size, m, m))
-    norm = 1.0 / (n1 * n2)
-    for z1 in range(l1max + 1):
-        for z2 in range(-l2max if z1 else 0, l2max + 1):
-            a2, b2 = max(0, -z2), min(n2, n2 - z2)
-            base = x[:n1 - z1, a2:b2].reshape(-1, m)
-            shifted = x[z1:, a2 + z2:b2 + z2].reshape(-1, m)
-            c = norm * (base.T @ shifted)
-            if z1 == z2 == 0:
-                c = np.triu(c) + np.triu(c, 1).T
-            out[l1max + z1, l2max + z2] = c
-            out[l1max - z1, l2max - z2] = c.T
+    for k in range(m):  # per k, not over all pairs at once, to keep memory flat
+        corr = np.fft.irfft2(np.conj(f[k]) * f[k:], s=p)
+        out[:, :, k, k:] = np.moveaxis(corr[:, rows, cols], 0, 2) / (n1 * n2)
+    flat = out.reshape(-1, m, m)
+    upper, diag = np.triu_indices(m, 1), np.arange(m)
+    flat[:, upper[1], upper[0]] = flat[::-1, upper[0], upper[1]]
+    half = flat.shape[0] // 2
+    flat[:half, diag, diag] = flat[:half:-1, diag, diag]
     return EmpiricalCov(lags1, lags2, out)
 
 

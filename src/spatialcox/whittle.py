@@ -49,7 +49,8 @@ def trig_moments(sample: CoeffField) -> np.ndarray:
     evaluation needs.  The average against cos<h, w> is the circular lag sum
     sum_y X_y(phi_k) X_{y+h}(phi_k) over N (2 pi)^2 (Parseval), so the field
     is read directly: one wrap-padded copy and five lag products, no FFT.
-    Anything but a :class:`~spatialcox.field.CoeffField` raises ``TypeError``.
+    Anything but a :class:`~spatialcox.field.CoeffField` raises ``TypeError``,
+    and a field whose moments overflow raises :class:`ParameterDomainError`.
     """
     if not isinstance(sample, CoeffField):
         raise TypeError(f"the Whittle sample must be a CoeffField, not {type(sample).__name__}")
@@ -58,7 +59,11 @@ def trig_moments(sample: CoeffField) -> np.ndarray:
     padded = np.pad(x, ((0, 1), (1, 1), (0, 0)), mode="wrap")  # x_y at padded[y1, y2 + 1]
     sums = [np.einsum("ijk,ijk->k", x, padded[h1:h1 + n1, 1 + h2:1 + h2 + n2])
             for h1, h2 in _LAGS]
-    return np.stack(sums, axis=1) / (n1 * n2 * TWO_PI_SQ)
+    moments = np.stack(sums, axis=1) / (n1 * n2 * TWO_PI_SQ)
+    if not np.all(np.isfinite(moments)):
+        raise ParameterDomainError("the field's periodogram moments are not finite: "
+                                   "its values are too large")
+    return moments
 
 
 # the loss of mode k times sigma2_k is the periodogram average of |D_k|^2,
@@ -111,7 +116,7 @@ class ThetaEstimate:
 
     def to_json(self, path=None) -> str:
         text = json.dumps({**asdict(self), "theta_hat": np.asarray(self.theta_hat).tolist()},
-                          indent=2)
+                          indent=2, allow_nan=False)
         if path is not None:
             with open(path, "w") as fh:
                 fh.write(text)

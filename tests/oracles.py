@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to freeze expected values.
 
 Everything here is deliberately slow and direct: double sums for the DFT,
-nested loops for covariances, a naive site-by-site sweep for the SARH(1)
+nested loops for covariances and one BLAS product per lag for the whole
+lag rectangle of them, a naive site-by-site sweep for the SARH(1)
 recursion, the closed-form covariance of the separable (l3 = -l1*l2)
 autoregression, the 2-D grid inversion of a spectrum to covariances, the
 256^2 quadrature of the Fejer-smoothed inverse spectrum, the site-pair
@@ -62,6 +63,30 @@ def brute_force_cov_pair(a, b, z1, z2):
             if 0 <= t1 < n1 and 0 <= t2 < n2:
                 acc += a[y1, y2] * b[t1, t2]
     return acc / (n1 * n2)
+
+
+def lag_by_lag_empirical_cov(data, max_lag):
+    """Direct-sum empirical covariances, one BLAS product per lag of the half rectangle.
+
+    ``data`` is (N1, N2, M); returns values[i1, i2, k, l] at lag
+    (i1 - L1, i2 - L2) as :func:`spatialcox.empirical_cov` lays them out.
+    Each mirror lag is the exact transpose, and C(0) is made exactly
+    symmetric the same way.
+    """
+    l1max, l2max = max_lag
+    n1, n2, m = data.shape
+    out = np.empty((2 * l1max + 1, 2 * l2max + 1, m, m))
+    for z1 in range(l1max + 1):
+        for z2 in range(-l2max if z1 else 0, l2max + 1):
+            a2, b2 = max(0, -z2), min(n2, n2 - z2)
+            base = data[:n1 - z1, a2:b2].reshape(-1, m)
+            shifted = data[z1:, a2 + z2:b2 + z2].reshape(-1, m)
+            c = (base.T @ shifted) / (n1 * n2)
+            if z1 == z2 == 0:
+                c = np.triu(c) + np.triu(c, 1).T
+            out[l1max + z1, l2max + z2] = c
+            out[l1max - z1, l2max - z2] = c.T
+    return out
 
 
 def naive_sarh(triples, dims, burn, seed):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oracles import (brute_force_cov, brute_force_cov_pair, brute_force_dft,
-                     grid_cov_from_spectrum, periodogram_csv_loop, quadrature_fejer_inverse,
-                     separable_cov)
+                     grid_cov_from_spectrum, lag_by_lag_empirical_cov, periodogram_csv_loop,
+                     quadrature_fejer_inverse, separable_cov)
 from spatialcox import (BasisSpec, CoeffField, Periodogram, Sarh1Params, SpectralModel,
                         TestFunction, c2_innovation_var, cov_from_spectrum, cov_map, empirical_cov,
                         fejer_smoothed_inverse, functional_dft, is_causal, periodogram,
@@ -12,7 +13,7 @@ from spatialcox import (BasisSpec, CoeffField, Periodogram, Sarh1Params, Spectra
 from spatialcox.errors import (FileFormatError, LagUnavailableError, ParameterDomainError,
                               ResolutionError, SingularSpectrumError)
 from spatialcox.sarh import _gram_form
-from spatialcox.spectral import load_periodogram_binary, save_periodogram_binary
+from spatialcox.spectral import _fft_size, load_periodogram_binary, save_periodogram_binary
 
 
 def random_field(dims, modes, seed, support=1.0):
@@ -149,6 +150,61 @@ def test_empirical_cov_rejects_non_integral_lags():
     with pytest.raises(ParameterDomainError, match=r"max_lag\[0\] must be an integer >= 0"):
         empirical_cov(fld, (1.5, 1))
     assert empirical_cov(fld, (2.0, np.int64(1))).values.shape == (5, 3, 1, 1)
+
+
+@st.composite
+def fields_with_lags(draw):
+    n1, n2, m = draw(st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 3)))
+    # no value so small that every product underflows below max|C|'s precision
+    x = draw(arrays(float, (n1, n2, m), elements=st.floats(-1e3, 1e3).filter(
+        lambda v: v == 0 or abs(v) > 1e-100)))
+    return x, (draw(st.integers(0, n1 - 1)), draw(st.integers(0, n2 - 1)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(fields_with_lags())
+@example((np.arange(98.0).reshape(7, 7, 2) - 40.0, (6, 4)))  # padded to 15 x 12, not 13 x 11
+def test_empirical_cov_matches_lag_by_lag_oracle(case):
+    x, lag = case
+    cov = empirical_cov(CoeffField(x, BasisSpec(1.0, x.shape[2])), lag)
+    want = lag_by_lag_empirical_cov(x, lag)
+    assert cov.values.shape == want.shape
+    assert np.abs(cov.values - want).max() <= 1e-13 * np.abs(want).max()
+    np.testing.assert_array_equal(cov.values, cov.values[::-1, ::-1].transpose(0, 1, 3, 2))
+
+
+def test_fft_size_is_the_smallest_5_smooth_size_not_below_n():
+    def smooth(n):
+        for f in (2, 3, 5):
+            while n % f == 0:
+                n //= f
+        return n == 1
+
+    for n in range(1, 500):
+        p = _fft_size(n)
+        assert smooth(p) and p >= n and not any(smooth(q) for q in range(n, p))
+        assert (p == n) == smooth(n)
+    assert _fft_size(83) == 90
+    p = _fft_size(2**40 + 1)  # exact at sizes far above any lattice's
+    assert smooth(p) and 2**40 < p < 2**41
+
+
+def test_periodogram_diagonal_is_exactly_real(tmp_path):
+    fld = random_field((9, 8), 3, seed=31)
+    xt = functional_dft(fld)
+    xr = xt[(-np.arange(9)) % 9][:, (-np.arange(8)) % 8]
+    want = (xt * xr).real
+    for full in (False, True):
+        pg = periodogram(fld, full=full)
+        assert np.all(pg.values.imag == 0) and not np.any(np.signbit(pg.values.imag))
+        np.testing.assert_array_equal(pg.values.real.view(np.uint64), want.view(np.uint64))
+        if full:
+            np.testing.assert_array_equal(np.einsum("ijkk->ijk", pg.cross).copy().view(np.uint64),
+                                          pg.values.view(np.uint64))
+        save_periodogram_csv(pg, tmp_path / "pg.csv")
+        rows = [r.split(",") for r in (tmp_path / "pg.csv").read_text().splitlines()[1:]]
+        diag = [r for r in rows if r[2] == r[3]]
+        assert len(diag) == 9 * 8 * 3 and all(r[5] == "0.0" for r in diag)
 
 
 def test_cov_from_spectrum_constant():

@@ -8,7 +8,7 @@ from oracles import (dense_mode_losses, dense_refine_example1, field_with_period
                      grid_has_torus_zero, grid_min_triple_loss, normalize_c2,
                      periodogram_moments, rational_density, stencil_objective_example1)
 from spatialcox import (BasisSpec, CoeffField, FrequencyGrid, Periodogram,
-                        Sarh1Params, SpectralModel, cov_from_spectrum, estimate,
+                        Sarh1Params, SpectralModel, ThetaEstimate, cov_from_spectrum, estimate,
                         family_triples, is_causal, periodogram, simulate_sarh1, trig_moments,
                         whittle_loss)
 from spatialcox.errors import ParameterDomainError, SingularSpectrumError
@@ -288,6 +288,25 @@ def test_estimate_json_roundtrip(tmp_path):
     assert back["theta_hat"][0] == pytest.approx(fit.theta_hat[0])
     assert set(back) == {"family", "theta_hat", "loss_at_min", "n_loss_evals", "converged",
                          "runtime_s"}
+
+
+@pytest.mark.parametrize("family", ["example1", "triple"])
+def test_overflowing_field_rejected_before_the_fit(family):
+    # finite values whose squares overflow: the moments would be inf and nan,
+    # which made the triple fit return loss_at_min = nan and example1 end in
+    # numpy's LinAlgError
+    rng = np.random.default_rng(5)
+    fld = CoeffField(1e200 * rng.normal(size=(8, 8, 2)), BasisSpec(1.0, 2))
+    with pytest.raises(ParameterDomainError, match="not finite"):
+        trig_moments(fld)
+    with pytest.raises(ParameterDomainError, match="not finite"):
+        estimate(SpectralModel(family, n_modes=2), fld)
+
+
+def test_estimate_json_rejects_non_finite_values():
+    fit = ThetaEstimate(np.array([np.nan, 0.0, 0.0]), float("nan"), 1, False, "triple")
+    with pytest.raises(ValueError, match="JSON"):
+        fit.to_json()
 
 
 def test_fit_with_fixed_noise_sd_recovers_theta():
