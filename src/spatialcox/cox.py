@@ -175,13 +175,12 @@ def cov_map(model, theta, phi: TestFunction, max_lag, grid_size: int = 512) -> d
     """Lag map (z1, z2) -> R_z(phi)(phi) built from the model spectrum.
 
     For diagonal models R_z(phi)(phi) = sum_k phi_k^2 R_z(phi_k)(phi_k); the
-    per-mode covariances come from :func:`spatialcox.spectral.cov_from_spectrum`.
-    ``max_lag`` holds two non-negative integral bounds; any other raises
-    :class:`ParameterDomainError`.
+    per-mode covariances come from :func:`spatialcox.spectral.cov_from_spectrum`,
+    which checks ``grid_size`` but does not use it.  ``max_lag`` holds two
+    non-negative integral bounds; any other raises :class:`ParameterDomainError`.
     """
     l1, l2 = check_dims(max_lag, "max_lag", 0)
     _check_phi(phi, model.n_modes, "model")
-    lags = [(z1, z2) for z1 in range(-l1, l1 + 1) for z2 in range(-l2, l2 + 1)]
+    lags = np.mgrid[-l1:l1 + 1, -l2:l2 + 1].reshape(2, -1).T  # (K, 2), z1-major
     values, _ = cov_from_spectrum(model, theta, lags, grid_size=grid_size)
-    w = phi.coefficients**2
-    return {lag: float(values[i] @ w) for i, lag in enumerate(lags)}
+    return dict(zip(map(tuple, lags.tolist()), (values @ phi.coefficients**2).tolist()))

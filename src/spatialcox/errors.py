@@ -18,7 +18,7 @@ class InsufficientResolutionError(SpatialCoxError, ValueError):
 
 
 class ResolutionError(SpatialCoxError, ValueError):
-    """Frequency grid too coarse for the requested lag (Nyquist check)."""
+    """A computation would exceed its size cap before it converges (the covariance sweep)."""
 
 
 class SingularSpectrumError(SpatialCoxError, ArithmeticError):

@@ -327,17 +327,14 @@ def _ar1_passes(rng, shape, triples) -> np.ndarray:
     return buf.transpose(1, 2, 0)
 
 
-def _sweep(rng, shape, triples) -> np.ndarray:
-    """Any causal field by the anti-diagonal sweep, viewed as (r1, r2, M)."""
-    r1, r2 = shape
-    m = triples.shape[0]
-    # innovations of the burn-in block, behind a zero row 0 and column 0
-    buf = np.zeros((r1 + 1, r2 + 1, m))
-    for k in range(m):  # one mode at a time: no second full-size array
-        buf[1:, 1:, k] = rng.standard_normal((r1, r2))
+def _stencil_sweep(buf, triples) -> None:
+    """x(i, j) += l1 x(i-1, j) + l3 x(i-1, j-1) + l2 x(i, j-1) at every i, j >= 1 of a
+    C-ordered (r1+1, r2+1, M) buffer, in place: the simulation sweeps innovations, and
+    ``cov_from_spectrum`` the covariances, behind the boundary row 0 and column 0."""
+    r1, r2, m = buf.shape[0] - 1, buf.shape[1] - 1, buf.shape[2]
     # cell (i, s - i) of anti-diagonal s is row s + i*r2 of flat: a diagonal is one
     # strided slice, and its up, up-left and left neighbours are that slice shifted
-    # back; ((eps + l1 up) + l3 up-left) + l2 left is the order of the row recursion
+    # back; ((x + l1 up) + l3 up-left) + l2 left is the order of the row recursion
     flat = buf.reshape(-1, m)
     neighbours = ((r2 + 1, triples[:, 0]), (r2 + 2, triples[:, 2]), (1, triples[:, 1]))
     for s in range(2, r1 + r2 + 1):
@@ -345,6 +342,15 @@ def _sweep(rng, shape, triples) -> np.ndarray:
         x = flat[a:b:r2]
         for back, lam in neighbours:
             x += lam * flat[a - back:b - back:r2]
+
+
+def _sweep(rng, shape, triples) -> np.ndarray:
+    """Any causal field by the anti-diagonal sweep, viewed as (r1, r2, M)."""
+    # innovations of the burn-in block, behind a zero row 0 and column 0
+    buf = np.zeros((shape[0] + 1, shape[1] + 1, triples.shape[0]))
+    for k in range(triples.shape[0]):  # one mode at a time: no second full-size array
+        buf[1:, 1:, k] = rng.standard_normal(shape)
+    _stencil_sweep(buf, triples)
     return buf[1:, 1:]
 
 

@@ -9,7 +9,8 @@ import numpy as np
 from .errors import (FileFormatError, LagUnavailableError, ParameterDomainError,
                      ResolutionError, SingularSpectrumError, check_dims, check_int)
 from .field import CoeffField, FrequencyGrid, _read_binary, _write_csv
-from .sarh import _cosines, _face_margins, _gram_form, _has_torus_zero
+from .sarh import (TWO_PI_SQ, _cosines, _face_margins, _gram_form, _has_torus_zero,
+                   _stencil_sweep, is_causal)
 
 _HEADER = np.dtype([("n1", "<i8"), ("n2", "<i8"), ("m", "<i8"), ("full", "<i8")])
 
@@ -128,77 +129,47 @@ def empirical_cov(field: CoeffField, max_lag) -> EmpiricalCov:
 # model-based operations
 
 
-# cap on one mode's w1 quadrature, n nodes x (distinct |z2| + 4) complex
-# values (32 MiB), and its convergence tolerance relative to R_0
-_MAX_QUAD_CELLS = 2**21
-_QUAD_RTOL = 1e-13
-
-
-def _w1_transform(triple, lo, hi, k2, n):
-    # (2 pi)^2 / n sum_j e^{i z1 w_j} r_j^{k2} / |c - 2 d cos w_j| over w_j = 2 pi j / n,
-    # for every z1 mod n (axis 1) and every |z2| in k2 (axis 0): the w2
-    # integral of the unit-sigma density in closed form, then one inverse FFT.
-    # c - 2d cos w = (c - 2d) cos^2(w/2) + (c + 2d) sin^2(w/2), and lo, hi = c -+ 2d are
-    # the products of the triple's face margins, so nothing cancels near the band edge
-    l1, l2, l3 = triple
-    half = np.pi * np.arange(n) / n
-    e = np.exp(2j * half)
-    a, b = 1.0 - l1 * e, l2 + l3 * e
-    r = np.conj(b / a) if lo > 0 else a / b  # evaluate only this mode's branch
-    g = np.power(r, k2[:, None]) / np.abs(lo * np.cos(half) ** 2 + hi * np.sin(half) ** 2)
-    return np.fft.ifft(g, axis=1) * (2.0 * np.pi) ** 2
+# cap on the covariance sweep, rows x columns x modes float64 cells (32 MiB), and the
+# size, relative to R_0, of the covariances that its zero row stands in for
+_MAX_SWEEP_CELLS = 2**22
+_TAIL_RTOL = 1e-18
+# the four orientations of D, (l1, l2, l3) / 1, (1, -l3, -l2) / l1, (-l3, 1, -l1) / l2 and
+# (-l2, -l1, 1) / l3: signed picks from e = (1, l1, l2, l3) over e[c], lag signs _SIGNS[c]
+_PICK = np.array([[1, 2, 3], [0, 3, 2], [3, 0, 1], [2, 1, 0]])
+_PICK_SIGN = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
+_SIGNS = np.array([[1, 1], [-1, 1], [1, -1], [-1, -1]])
 
 
 def cov_from_spectrum(model, theta, lags, grid_size: int = 512):
-    """Invert a SARH(1) spectral model to covariances R_z = integral e^{i<z,w>} F_w dw.
+    """Covariances R_z = integral e^{i<z,w>} F_w dw of a SARH(1) spectral model, shape (K, M).
 
-    Per mode, with A = 1 - l1 e^{iw1}, B = l2 + l3 e^{iw1} and
-    |A|^2 - |B|^2 = c - 2 d cos w1 (see :mod:`spatialcox.sarh`), the w2
-    integral is closed form by residues (Brockwell & Davis, section 3.3):
+    Per mode, the unit-innovation covariances of a causal triple solve the lattice
+    Yule-Walker equations (Whittle, 1954; Tjostheim, 1978; Brockwell & Davis, 3.3):
+    R(z1, z2) = l1 R(z1-1, z2) + l2 R(z1, z2-1) + l3 R(z1-1, z2-1) for z2 >= 1, and
+    R(z1, 0) = rho^|z1| / sqrt(lo hi), lo hi = c^2 - 4d^2 from the face margins of
+    :mod:`spatialcox.sarh` and rho = 2d / (c + sqrt(lo hi)).  Separable triples
+    (l3 == -l1*l2 exactly) take l1^|z1| l2^|z2| / ((1-l1^2)(1-l2^2)); the others
+    run one sweep of the stencil over z1 in [-L1-T, L1], z2 in [0, L2] behind a
+    zero row, with q^T <= 1e-18 for q = max(|rho|, |l1|); z2 < 0 is R(-z) = R(z).
+    A triple with no torus zero is causal in one orientation: D / l_c is the AR
+    polynomial of (1/l1, -l3/l1, -l2/l1), (-l3/l2, 1/l2, -l1/l2) or
+    (-l2/l3, -l1/l3, 1/l3) with z1, z2 or both reflected, and
+    R(z) = (C2 variance / l_c^2) R'(reflected z).
 
-        integral e^{i z2 w2} |A - B e^{iw2}|^-2 dw2 = 2 pi r^{z2} / |c - 2 d cos w1|
-
-    for z2 >= 0, and conj(r)^{|z2|} for z2 < 0, with r = conj(B/A) where the
-    margin product c - 2d is > 0 (|A| > |B|) and r = A/B where it is < 0.  This covers
-    every triple whose AR polynomial has no zero on the unit torus, causal
-    or not.  The w1 integrand is smooth and periodic, so a rectangle rule
-    converges geometrically; one inverse FFT over its nodes gives every z1.
-
-    Parameters
-    ----------
-    model : :class:`spatialcox.sarh.SpectralModel`, or any object with
-        ``eig_triples(theta) -> (M, 3)`` and ``sigma2(theta) -> (M,)``
-    theta : parameter vector
-    lags : integer lag pairs (z1, z2), checked as one (K, 2) array: the first
-        lag that is not two integers raises :class:`ParameterDomainError`.  z2
-        is exact at any size, being closed form; z1 sets the starting grid
-    grid_size : least starting w1 node count, an integer >= 1; the start is raised to the
-        smallest power of two above 2 max|z1| + 1, so that every z1 lies
-        below its Nyquist limit, and each mode doubles it until the largest
-        change of its covariances is <= 1e-13 of its variance R_0
-
-    Returns
-    -------
-    values : array, shape (len(lags), M), real
-    residue : float, largest imaginary residue removed, relative to R_0
-
-    Raises
-    ------
-    ResolutionError
-        a quadrature that would need more than 2^21 complex values (nodes x
-        (distinct |z2| + 4)): lags too wide for it, or a mode that converges
-        only past it, which happens only very near the torus-zero band.
-    SingularSpectrumError
-        a mode whose AR polynomial vanishes on the unit torus (|c| <= 2|d|):
-        the density is not integrable there and no covariance exists.
+    ``model`` has ``eig_triples(theta) -> (M, 3)`` and ``sigma2(theta) -> (M,)``.
+    ``lags`` are checked as one (K, 2) array: the first that is not two integers
+    raises :class:`ParameterDomainError`.  ``grid_size``, an integer >= 1, is
+    checked and unused.  The residue returned beside the values is always 0.0.
+    A sweep above 2^22 cells raises :class:`ResolutionError` ("not converged"):
+    T grows like 1/(1 - q) near the torus-zero band, while lags with z2 = 0 never
+    sweep.  A mode with |c| <= 2|d| vanishes on the unit torus and has no
+    covariance: :class:`SingularSpectrumError`.
     """
     z = np.asarray(lags, dtype=float).reshape(len(lags), 2)
     # integral and within int64: NaN and inf fail one of the two tests
     if not np.all(ok := np.all((z == np.round(z)) & (np.abs(z) < 2.0**62), axis=1)):
         raise ParameterDomainError(f"lag {tuple(z[np.argmin(ok)].tolist())} is not two integers")
-    lags = z.astype(np.int64)
-    start = max(check_int(grid_size, "grid_size", 1),
-                1 << int(2 * np.abs(lags[:, 0]).max(initial=0) + 1).bit_length())
+    check_int(grid_size, "grid_size", 1)
     triples, _, lo, hi = _face_margins(model.eig_triples(theta))
     bad = np.flatnonzero(_has_torus_zero(triples) | ~np.all(np.isfinite(triples), axis=1))
     if bad.size:
@@ -206,27 +177,50 @@ def cov_from_spectrum(model, theta, lags, grid_size: int = 512):
         raise SingularSpectrumError(
             f"mode {k + 1}: AR polynomial of {tuple(triples[k].tolist())} vanishes on the "
             "unit torus, so the spectral density is not integrable")
-    sigma2 = np.asarray(model.sigma2(theta), dtype=float)
-    # R(z1, z2) = R(-z1, -z2): a lag with z2 < 0 reads row |z2| at -z1
-    flip = np.where(lags[:, 1] < 0, -1, 1)
-    k2, row = np.unique(np.append(np.abs(lags[:, 1]), 0), return_inverse=True)
-    row, z1 = row[:-1], flip * lags[:, 0]
-    vals = np.empty((lags.shape[0], triples.shape[0]))
-    residue = 0.0
-    for k, triple in enumerate(triples):
-        n, prev = start, None
-        while True:  # each grid is checked against the cap before it is built
-            if n * (k2.size + 4) > _MAX_QUAD_CELLS:
-                raise ResolutionError(
-                    f"mode {k + 1}: covariance quadrature not converged below {n} w1 nodes")
-            h = _w1_transform(triple, lo[k], hi[k], k2, n)
-            cur, r0 = h[row, z1 % n], h[0, 0].real
-            if prev is not None and np.abs(cur - prev).max(initial=0.0) <= _QUAD_RTOL * r0:
-                break
-            prev, n = cur, 2 * n
-        residue = max(residue, float(np.abs(cur.imag).max(initial=0.0) / r0))
-        vals[:, k] = sigma2[k] * cur.real
-    return vals, residue
+    e = np.hstack([np.ones((triples.shape[0], 1)), triples])
+    with np.errstate(over="ignore", invalid="ignore"):  # a tiny divisor is never the causal one
+        cand = np.divide(e[:, _PICK] * _PICK_SIGN, e[:, :, None], out=np.zeros(e.shape + (3,)),
+                         where=e[:, :, None] != 0)
+        ok = (e != 0) & is_causal(cand.reshape(-1, 3)).reshape(e.shape)
+    rows, pick = np.arange(e.shape[0]), np.argmax(ok, axis=1)
+    t, div = cand[rows, pick], e[rows, pick]
+    scale = np.asarray(model.sigma2(theta), dtype=float) * TWO_PI_SQ / div**2
+    if not np.all(found := ok[rows, pick] & np.isfinite(scale)):
+        raise ResolutionError(f"mode {np.argmin(found) + 1}: no orientation is causal with a "
+                              "finite scale in floating point: covariances not converged")
+    # each mode's lags (K, M) in its causal frame, turned by R(-y) = R(y) so that y2 >= 0
+    y1, y2 = (z.astype(np.int64)[:, j:j + 1] * _SIGNS[pick, j] for j in (0, 1))
+    y1, y2 = np.where(y2 < 0, -y1, y1), np.abs(y2)
+    # rho, the root inside the unit disk of d x^2 - c x + d, is the same in every orientation
+    # and sqrt(lo hi) only scales by l_c^-2, so both come from the original margins
+    c, root = 0.5 * (lo + hi), np.sqrt(np.abs(lo)) * np.sqrt(np.abs(hi))  # lo hi may overflow
+    rho = 2.0 * (triples[:, 0] + triples[:, 1] * triples[:, 2]) / (c + np.copysign(root, c))
+    sep = t[:, 2] == -t[:, 0] * t[:, 1]
+    l1, l2 = t[sep, 0], t[sep, 1]
+    vals = np.empty(y1.shape)
+    vals[:, sep] = l1 ** np.abs(y1[:, sep]) * l2 ** y2[:, sep] / ((1 - l1**2) * (1 - l2**2))
+    if not sep.all():
+        vals[:, ~sep] = _swept_cov(t[~sep], y1[:, ~sep], y2[:, ~sep], rho[~sep],
+                                   div[~sep] ** 2 / root[~sep], np.flatnonzero(~sep))
+    return vals * scale, 0.0
+
+
+def _swept_cov(triples, y1, y2, rho, r0, modes):
+    # the column rho^|z1| r0 swept by the causal triples' stencil, read at lags y (y2 >= 0)
+    wide, deep = int(np.abs(y1).max(initial=0)), int(y2.max(initial=0))
+    if deep == 0:
+        return rho ** np.abs(y1) * r0
+    q = np.maximum(np.abs(rho), np.abs(triples[:, 0]))
+    with np.errstate(divide="ignore"):  # T is 0 at q = 0, and inf if q rounds to 1
+        tail = np.ceil(np.log(_TAIL_RTOL) / np.log(q.max())) if q.max() < 1.0 else np.inf
+    if (2.0 * wide + tail + 2.0) * (deep + 1) * triples.shape[0] > _MAX_SWEEP_CELLS:
+        raise ResolutionError(f"mode {modes[np.argmax(q)] + 1}: covariance sweep not converged "
+                              f"below {_MAX_SWEEP_CELLS} cells, tail ratio q = {q.max():.9g}")
+    top = wide + int(tail) + 1  # row of z1 = 0; row 0 is the zero row z1 = -top
+    buf = np.zeros((top + wide + 1, deep + 1, triples.shape[0]))
+    buf[1:, 0] = rho ** np.abs(np.arange(1 - top, wide + 1))[:, None] * r0
+    _stencil_sweep(buf, triples)
+    return buf[y1 + top, y2, np.arange(triples.shape[0])]
 
 
 def fejer_smoothed_inverse(model, theta, k: int, m_smooth, omega) -> float:

@@ -4,14 +4,16 @@ Everything here is deliberately slow and direct: double sums for the DFT,
 nested loops for covariances and one BLAS product per lag for the whole
 lag rectangle of them, a naive site-by-site sweep for the SARH(1)
 recursion, the closed-form covariance of the separable (l3 = -l1*l2)
-autoregression, the 2-D grid inversion of a spectrum to covariances, the
-256^2 quadrature of the Fejer-smoothed inverse spectrum, the site-pair
-double sum of the count variance, the dense Fourier-grid Whittle loss, the
-cosine contraction of a periodogram and the field that has a given one,
-row-by-row CSV writers, the curve-space pipeline (smooth, interpolate and
-detrend every curve on the dense time grid), and the scalar and grid forms
-of the eigenvalue families, the stationarity checks and the C2 normalization,
-and a dense grid refined by zooming for the example1 fit.
+autoregression, the 2-D grid inversion of a spectrum to covariances and
+the w1 quadrature of its closed-form w2 integral, the forward cosine sum
+of a lag rectangle of covariances, the 256^2 quadrature of the
+Fejer-smoothed inverse spectrum, the site-pair double sum of the count
+variance, the dense Fourier-grid Whittle loss, the cosine contraction of
+a periodogram and the field that has a given one, row-by-row CSV writers,
+the curve-space pipeline (smooth, interpolate and detrend every curve on
+the dense time grid), the scalar and grid forms of the eigenvalue families,
+the stationarity checks and the C2 normalization, and a dense grid refined
+by zooming for the example1 fit.
 Implementations under test must agree with these, never share code with them.
 """
 
@@ -146,6 +148,60 @@ def grid_cov_from_spectrum(model, theta, lags, grid_size):
         for i, (z1, z2) in enumerate(lags):
             out[i, k] = (rhat[z1 % grid_size, z2 % grid_size] * (-1.0) ** (z1 + z2)).real
     return out
+
+
+def quadrature_cov_from_spectrum(model, theta, lags, grid_size=512, rtol=1e-13,
+                                 max_cells=2**21):
+    """Covariances by the w1 quadrature of the closed-form w2 integral.
+
+    With A = 1 - l1 e^{iw1}, B = l2 + l3 e^{iw1} and |A|^2 - |B|^2 = c - 2d cos w1,
+    the w2 integral of e^{i z2 w2} |A - B e^{iw2}|^-2 is 2 pi r^{z2} / |c - 2d cos w1|
+    by residues, with r = conj(B/A) where c - 2d > 0 and r = A/B where it is < 0,
+    and conj(r)^{|z2|} for z2 < 0.  The w1 integral is a rectangle rule of n
+    nodes, one inverse FFT giving every z1; n starts at the larger of
+    ``grid_size`` and the power of two above 2 max|z1| + 1 and doubles per mode
+    until the covariances change by at most ``rtol`` of R_0.  More than
+    ``max_cells`` complex values (nodes x (distinct |z2| + 4)) raises
+    ResolutionError.  Returns the real parts, shape (len(lags), M).
+    """
+    lags = np.asarray(lags, dtype=np.int64).reshape(-1, 2)
+    start = max(grid_size, 1 << int(2 * np.abs(lags[:, 0]).max(initial=0) + 1).bit_length())
+    flip = np.where(lags[:, 1] < 0, -1, 1)
+    k2, row = np.unique(np.append(np.abs(lags[:, 1]), 0), return_inverse=True)
+    row, z1 = row[:-1], flip * lags[:, 0]
+    out = np.empty((lags.shape[0], model.n_modes))
+    for k, ((l1, l2, l3), s2) in enumerate(zip(model.eig_triples(theta), model.sigma2(theta))):
+        # c -+ 2d as products of face margins, so nothing cancels near the band edge
+        lo = (1.0 - l1 - l2 - l3) * (1.0 - l1 + l2 + l3)
+        hi = (1.0 + l1 - l2 + l3) * (1.0 + l1 + l2 - l3)
+        if lo * hi <= 0:
+            raise SingularSpectrumError(f"mode {k + 1} vanishes on the unit torus")
+        n, prev = start, None
+        while True:
+            if n * (k2.size + 4) > max_cells:
+                raise ResolutionError(f"mode {k + 1}: quadrature not converged below {n} nodes")
+            half = np.pi * np.arange(n) / n
+            e = np.exp(2j * half)
+            a, b = 1.0 - l1 * e, l2 + l3 * e
+            r = np.conj(b / a) if lo > 0 else a / b
+            g = np.power(r, k2[:, None]) / np.abs(lo * np.cos(half) ** 2 + hi * np.sin(half) ** 2)
+            h = np.fft.ifft(g, axis=1) * (2.0 * np.pi) ** 2
+            cur, r0 = h[row, z1 % n], h[0, 0].real
+            if prev is not None and np.abs(cur - prev).max(initial=0.0) <= rtol * r0:
+                break
+            prev, n = cur, 2 * n
+        out[:, k] = s2 * cur.real
+    return out
+
+
+def lag_rectangle_cosine_sum(values, w1, w2):
+    """sum_z R_z cos(z1 w1 + z2 w2) over the lag rectangle |z_j| <= L_j at every
+    node (w1[a], w2[b]): Re(E1 R E2^T) with E_j[a, z] = e^{i w_j[a] z}, where
+    ``values`` holds R_z z1-major, shape (2 L1 + 1, 2 L2 + 1)."""
+    l1, l2 = (values.shape[0] - 1) // 2, (values.shape[1] - 1) // 2
+    e1 = np.exp(1j * np.outer(w1, np.arange(-l1, l1 + 1)))
+    e2 = np.exp(1j * np.outer(w2, np.arange(-l2, l2 + 1)))
+    return (e1 @ values @ e2.T).real
 
 
 def quadrature_fejer_inverse(model, theta, k, m_smooth, omega, quad_size=256):

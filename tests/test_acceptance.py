@@ -8,8 +8,8 @@ stated criteria, never from the observed values.
 import numpy as np
 import pytest
 
-from oracles import (brute_force_cov, brute_force_dft, field_with_periodogram, normalize_c2,
-                     rational_density)
+from oracles import (brute_force_cov, brute_force_dft, field_with_periodogram,
+                     lag_rectangle_cosine_sum, normalize_c2, rational_density)
 from spatialcox import (BasisSpec, BorelRect, CoeffField, ExperimentConfig, FrequencyGrid,
                         Periodogram, Sarh1Params, SpectralModel, TestFunction, count_moments,
                         cov_from_spectrum, cvfare, empirical_cov, estimate, family_triples,
@@ -165,12 +165,8 @@ def test_criterion_8_spectrum_covariance_roundtrip():
     vals, residue = cov_from_spectrum(model, [1.0], lags, grid_size=512)
     assert residue < 1e-10
     grid = np.linspace(-np.pi, np.pi, 129)[:-1]
-    w1, w2 = np.meshgrid(grid, grid, indexing="ij")
-    acc = np.zeros_like(w1)
-    for (z1, z2), r in zip(lags, vals[:, 0]):
-        acc += r * np.cos(w1 * z1 + w2 * z2)
-    acc /= TWO_PI_SQ
-    dens = model.density([1.0], w1, w2)[:, :, 0]
+    acc = lag_rectangle_cosine_sum(vals[:, 0].reshape(129, 129), grid, grid) / TWO_PI_SQ
+    dens = model.density([1.0], grid[:, None], grid[None, :])[:, :, 0]
     rel_l1 = float(np.abs(acc - dens).sum() / dens.sum())
     assert rel_l1 < 1e-4
     report(8, f"cov_from_spectrum -> forward sum over |z|<=64 recovers F with "

@@ -383,7 +383,8 @@ def _near_face_triples(n, seed):
 def test_causal_triples_near_a_face_are_regular():
     # every torus question reads the same face margins, so a triple is_causal
     # accepts has no torus zero, a C2 variance of exactly 1 and covariances
-    # (no SingularSpectrumError), however close it lies to a face
+    # (no SingularSpectrumError), however close it lies to a face; the lags
+    # (0, 0) and (1, 0) lie on the closed-form column z2 = 0, so no sweep runs
     quoted = [(0.9534693105267749, -0.37276420641605035, 0.41929489588927504),
               (-0.9802709739304512, 0.3947756295642039, 0.41450465563375266)]
     batch = _near_face_triples(20_000, seed=19)
@@ -391,18 +392,19 @@ def test_causal_triples_near_a_face_are_regular():
     assert triples.shape[0] > 10_000 and np.all(is_causal(triples))
     assert not np.any(_has_torus_zero(triples))
     np.testing.assert_array_equal(c2_innovation_var(triples), 1.0)
-    # the singular check covers every mode before the first quadrature; so
-    # close to a face the quadrature may not converge below its cap
     model = SpectralModel("custom", n_modes=triples.shape[0])
-    try:
-        cov_from_spectrum(model, triples.ravel(), [(0, 0), (1, 0)])
-    except ResolutionError:
-        pass
+    (r0, r1), _ = cov_from_spectrum(model, triples.ravel(), [(0, 0), (1, 0)])
+    assert np.all(np.isfinite(r0)) and np.all(np.isfinite(r1)) and np.all(r0 > 0)
+    # R(1, 0) = rho R(0, 0), rho = 2d / (c + sqrt(lo hi)) the root of d x^2 - c x + d
+    # inside the unit disk; c = (lo + hi) / 2 from the margin products lo, hi = c -+ 2d,
+    # since 1 + l1^2 - l2^2 - l3^2 cancels near the vertices, where c = 0
+    l1, l2, l3 = triples.T
+    _, _, lo, hi = _face_margins(triples)
+    rho = 2.0 * (l1 + l2 * l3) / (0.5 * (lo + hi) + np.sqrt(lo * hi))
+    assert np.all(np.abs(r1 - rho * r0) <= 1e-13 * r0)
     for triple in quoted:
-        try:
-            cov_from_spectrum(SpectralModel("triple", n_modes=1), np.array(triple), [(0, 0)])
-        except ResolutionError:
-            pass
+        (r,), _ = cov_from_spectrum(SpectralModel("triple", n_modes=1), np.array(triple), [(0, 0)])
+        assert np.isfinite(r[0]) and r[0] > 0
 
 
 @settings(deadline=None)

@@ -4,15 +4,16 @@ from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import (brute_force_cov, brute_force_cov_pair, brute_force_dft,
-                     grid_cov_from_spectrum, lag_by_lag_empirical_cov, periodogram_csv_loop,
-                     quadrature_fejer_inverse, separable_cov)
+                     grid_cov_from_spectrum, lag_by_lag_empirical_cov, lag_rectangle_cosine_sum,
+                     periodogram_csv_loop, quadrature_cov_from_spectrum, quadrature_fejer_inverse,
+                     separable_cov)
 from spatialcox import (BasisSpec, CoeffField, Periodogram, Sarh1Params, SpectralModel,
                         TestFunction, c2_innovation_var, cov_from_spectrum, cov_map, empirical_cov,
                         fejer_smoothed_inverse, functional_dft, is_causal, periodogram,
                         save_periodogram_csv, simulate_sarh1)
 from spatialcox.errors import (FileFormatError, LagUnavailableError, ParameterDomainError,
                               ResolutionError, SingularSpectrumError)
-from spatialcox.sarh import _gram_form
+from spatialcox.sarh import _gram_form, _has_torus_zero
 from spatialcox.spectral import _fft_size, load_periodogram_binary, save_periodogram_binary
 
 
@@ -247,19 +248,14 @@ def test_cov_from_spectrum_roundtrip():
     lags = [(z1, z2) for z1 in range(-64, 65) for z2 in range(-64, 65)]
     vals, _ = cov_from_spectrum(model, [1.0], lags, grid_size=512)
     grid = np.linspace(-np.pi, np.pi, 129)[:-1]
-    w1, w2 = np.meshgrid(grid, grid, indexing="ij")
-    acc = np.zeros_like(w1)
-    for (z1, z2), r in zip(lags, vals[:, 0]):
-        acc += r * np.cos(w1 * z1 + w2 * z2)
-    acc /= (2 * np.pi) ** 2
-    dens = model.density([1.0], w1, w2)[:, :, 0]
+    acc = lag_rectangle_cosine_sum(vals[:, 0].reshape(129, 129), grid, grid) / (2 * np.pi) ** 2
+    dens = model.density([1.0], grid[:, None], grid[None, :])[:, :, 0]
     assert np.abs(acc - dens).sum() / dens.sum() < 1e-4
 
 
 def test_cov_from_spectrum_wide_lags_match_separable_closed_form():
-    # z2 is closed form at any size, and the w1 quadrature starts above twice
-    # the widest |z1|, so lags past grid_size / 2 are exact too; at theta = 3.1
-    # (l1 ~ 0.97 on mode 1) they are far from zero
+    # separable modes are closed form at any lag, whatever grid_size says; at
+    # theta = 3.1 (l1 ~ 0.97 on mode 1) these lags are far from zero
     from spatialcox import family_triples
 
     model = SpectralModel("example1", n_modes=2)
@@ -330,18 +326,95 @@ def test_cov_from_spectrum_matches_2d_grid_oracle(triple):
     assert residue < 1e-12
 
 
-def test_cov_from_spectrum_refines_nodes_near_band_edge():
-    # c - 2|d| = 1e-3: 512 w1 nodes leave an error near 1e-9, so the node
-    # count must double until the covariances settle
+def test_cov_from_spectrum_near_band_edge_matches_quadrature():
+    # c - 2|d| = 1e-3: rho ~ 0.955, so the sweep's tail runs ~900 rows, and the
+    # quadrature oracle needs thousands of w1 nodes
     model = SpectralModel("triple", n_modes=1)
     theta = np.array([0.5, 0.499, 0.0])
     lags = [(0, 0), (1, 0), (0, 1), (7, -3), (-40, 25)]
     got, _ = cov_from_spectrum(model, theta, lags)
-    fine, _ = cov_from_spectrum(model, theta, lags, grid_size=8192)
-    np.testing.assert_allclose(got, fine, rtol=0, atol=1e-13 * fine[0, 0])
-    # 1e-10 from the band edge needs millions of nodes: refuse, do not guess
+    want = quadrature_cov_from_spectrum(model, theta, lags, grid_size=8192)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * want[0, 0])
+    # 1e-10 from the band edge the column z2 = 0 is still closed form, R_0 =
+    # 1 / sqrt(lo hi) with lo, hi = c -+ 2d as products of face margins ...
+    edge = np.array([0.5, 0.4999999999, 0.0])
+    l1, l2, l3 = edge
+    lo = (1.0 - l1 - l2 - l3) * (1.0 - l1 + l2 + l3)
+    hi = (1.0 + l1 - l2 + l3) * (1.0 + l1 + l2 - l3)
+    (r0,), _ = cov_from_spectrum(model, edge, [(0, 0)])
+    assert r0[0] == pytest.approx(1.0 / np.sqrt(lo * hi), rel=1e-14)
+    # ... but a lag with z2 >= 1 needs a tail of millions of rows: refuse, do not guess
     with pytest.raises(ResolutionError, match="not converged"):
-        cov_from_spectrum(model, np.array([0.5, 0.4999999999, 0.0]), [(0, 0)])
+        cov_from_spectrum(model, edge, [(0, 0), (0, 1)])
+
+
+@pytest.mark.parametrize("triple", [
+    (1.9536800312192517, -3.280036506017995, -0.32635647479874313),  # ulps off the band
+    (1e200, 0.0, 0.0),                                                # overflowing scale
+], ids=["ulps_off_the_band", "overflow"])
+def test_cov_from_spectrum_refuses_a_mode_with_no_causal_orientation(triple):
+    # the first triple is off the torus zero, yet every orientation rounds to a
+    # margin <= 0; the huge one has a C2 variance and l_c^2 of inf.  Either would
+    # feed a non-causal or NaN triple to the sweep, so both refuse, naming no number
+    model = SpectralModel("triple", n_modes=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not _has_torus_zero([triple])[0]
+        with pytest.raises(ResolutionError, match="not converged"):
+            cov_from_spectrum(model, np.array(triple), [(0, 0)])
+
+
+def _reflect_z1(t):
+    return (1.0 / t[0], -t[2] / t[0], -t[1] / t[0])
+
+
+def _reflect_z2(t):
+    return (-t[2] / t[1], 1.0 / t[1], -t[0] / t[1])
+
+
+def _reflect_both(t):
+    return (-t[1] / t[2], -t[0] / t[2], 1.0 / t[2])
+
+
+# each reflection is an involution, so it maps a causal triple whose divisor is
+# off zero to a non-causal one causal in that reflection; the causal triples keep
+# every face margin >= 0.05, so their images stay off the torus zero
+_mixed_modes = st.one_of(
+    causal_triples,
+    st.tuples(st.floats(-0.95, 0.95), st.floats(-0.95, 0.95)).map(lambda a: (*a, -a[0] * a[1])),
+    *(causal_triples.filter(lambda t, c=c: abs(t[c]) >= 0.1).map(f)
+      for c, f in enumerate((_reflect_z1, _reflect_z2, _reflect_both))))
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.lists(_mixed_modes, min_size=2, max_size=4))
+def test_cov_from_spectrum_matches_quadrature_oracle(modes):
+    model = SpectralModel("custom", n_modes=len(modes))
+    theta = np.ravel(modes)
+    got, residue = cov_from_spectrum(model, theta, ORACLE_LAGS)
+    want = quadrature_cov_from_spectrum(model, theta, ORACLE_LAGS)
+    r0 = want[ORACLE_LAGS.index((0, 0))]
+    assert np.all(np.abs(got - want) <= 1e-12 * r0) and residue == 0.0
+
+
+# 2^-20 from a face: a causal triple and its image under the z2 reflection, whose
+# dyadic entries make every face margin exact, so only rho's powers round
+@pytest.mark.parametrize("triple", [(0.375, 0.5, 0.125 - 2**-20), (-0.25 + 2**-19, 2.0, -0.75)],
+                         ids=["causal", "reflected"])
+def test_cov_from_spectrum_column_is_closed_form_near_a_face(triple):
+    # R(z1, 0) = (2 pi)^2 sigma2 rho^|z1| / sqrt(lo hi) at any |z1|, rho the root of
+    # d x^2 - c x + d inside the unit disk; c < 0 in the reflected triple
+    model = SpectralModel("triple", n_modes=1)
+    l1, l2, l3 = triple
+    lo = (1.0 - l1 - l2 - l3) * (1.0 - l1 + l2 + l3)
+    hi = (1.0 + l1 - l2 + l3) * (1.0 + l1 + l2 - l3)
+    c, d = 0.5 * (lo + hi), l1 + l2 * l3
+    rho = 2.0 * d / (c + np.sign(c) * np.sqrt(lo * hi))
+    assert 0.99 < abs(rho) < 1.0
+    z1 = np.arange(-300, 301)
+    got, _ = cov_from_spectrum(model, np.array(triple), np.stack([z1, 0 * z1], axis=1))
+    scale = (2 * np.pi) ** 2 * model.sigma2(np.array(triple))[0] / np.sqrt(lo * hi)
+    want = scale * rho ** np.abs(z1)
+    np.testing.assert_allclose(got[:, 0], want, rtol=1e-12)
 
 
 def test_fejer_constant_spectrum():
