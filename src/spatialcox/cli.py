@@ -117,7 +117,6 @@ def build_parser():
     s.add_argument("--theta", type=_theta_vector, default=np.array([1.0]))
     s.add_argument("--dims", type=_parse_dims, default=(200, 200))
     s.add_argument("--modes", type=int, default=10)
-    s.add_argument("--burn-in", type=int, default=100)
     s.add_argument("--support-length", type=float, default=1.0)
     s.add_argument("--out", default="field.bin")
     s.add_argument("--csv", action="store_true", help="also write CSV next to the binary")
@@ -171,7 +170,6 @@ def build_parser():
     s.add_argument("--grid-sizes", type=_int_list, default="100,150,200")
     s.add_argument("--replicates", type=int, default=30)
     s.add_argument("--modes", type=int, default=10)
-    s.add_argument("--burn-in", type=int, default=100)
     s.add_argument("--out", default="experiment.csv")
     return p
 
@@ -179,7 +177,7 @@ def build_parser():
 def cmd_simulate(args):
     params = Sarh1Params(args.family, args.theta, args.modes)
     basis = BasisSpec(support_length=args.support_length, n_modes=args.modes)
-    fld = simulate_sarh1(params, args.dims, burn_in=args.burn_in, seed=args.seed, basis=basis)
+    fld = simulate_sarh1(params, args.dims, seed=args.seed, basis=basis)
     out = _out_path(args, args.out)
     save_field_binary(fld, out)
     if args.csv:
@@ -207,7 +205,11 @@ def cmd_estimate(args):
 
 def cmd_cox_moments(args):
     fld = load_field_binary(args.field)
-    phi = TestFunction(_read_numeric_csv(args.phi, ndmin=1).ravel())
+    phi = _read_numeric_csv(args.phi)
+    if phi.shape[1] != 1:
+        raise FileFormatError(f"{args.phi}: expected one coefficient per line, "
+                              f"got {phi.shape[1]} columns")
+    phi = TestFunction(phi[:, 0])
     rect = args.rect
     payload = {
         "rect": [rect.a1, rect.b1, rect.a2, rect.b2],
@@ -294,7 +296,7 @@ def cmd_cross_validate(args):
 def cmd_experiment(args):
     cfg = ExperimentConfig(family=args.family, theta_true=args.theta,
                            grid_sizes=args.grid_sizes, replicates=args.replicates,
-                           n_modes=args.modes, burn_in=args.burn_in, seed=args.seed)
+                           n_modes=args.modes, seed=args.seed)
     table = run_experiment(cfg, threads=args.threads)
     out = _out_path(args, args.out)
     table.to_csv(out)

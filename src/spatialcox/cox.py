@@ -182,5 +182,5 @@ def cov_map(model, theta, phi: TestFunction, max_lag, grid_size: int = 512) -> d
     l1, l2 = check_dims(max_lag, "max_lag", 0)
     _check_phi(phi, model.n_modes, "model")
     lags = np.mgrid[-l1:l1 + 1, -l2:l2 + 1].reshape(2, -1).T  # (K, 2), z1-major
-    values, _ = cov_from_spectrum(model, theta, lags, grid_size=grid_size)
+    values = cov_from_spectrum(model, theta, lags, grid_size=grid_size)
     return dict(zip(map(tuple, lags.tolist()), (values @ phi.coefficients**2).tolist()))

@@ -18,7 +18,7 @@ class InsufficientResolutionError(SpatialCoxError, ValueError):
 
 
 class ResolutionError(SpatialCoxError, ValueError):
-    """A computation would exceed its size cap before it converges (the covariance sweep)."""
+    """A covariance sweep beyond its cell cap, or a mode with no causal orientation in floats."""
 
 
 class SingularSpectrumError(SpatialCoxError, ArithmeticError):

@@ -163,7 +163,7 @@ def save_field_csv(field: CoeffField, path) -> None:
                (((i,), (row.reshape(-1),)) for i, row in enumerate(field.data)))
 
 
-def _read_numeric_csv(path, skiprows: int = 0, ndmin: int = 2) -> np.ndarray:
+def _read_numeric_csv(path, skiprows: int = 0) -> np.ndarray:
     """``np.loadtxt`` of a CSV after ``skiprows`` header lines; no data row (checked
     before numpy parses, or warns) or a non-number raises :class:`FileFormatError`."""
     with open(path) as fh:
@@ -171,7 +171,7 @@ def _read_numeric_csv(path, skiprows: int = 0, ndmin: int = 2) -> np.ndarray:
         if not any(line.split("#", 1)[0].strip() for line in body):
             raise FileFormatError(f"{path} holds no data rows")
     try:
-        return np.loadtxt(path, delimiter=",", skiprows=skiprows, ndmin=ndmin)
+        return np.loadtxt(path, delimiter=",", skiprows=skiprows, ndmin=2)
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 
@@ -183,13 +183,16 @@ def load_field_csv(path, support_length: float) -> CoeffField:
         raise FileFormatError("expected rows of i, j, k, value")
     if not np.all(np.isfinite(rows)) or np.any(rows[:, :3] % 1 != 0):
         raise FileFormatError("entries must be finite numbers, with integer i, j and k")
-    n1 = int(rows[:, 0].max()) + 1
-    n2 = int(rows[:, 1].max()) + 1
-    m = int(rows[:, 2].max())
+    if np.any(rows[:, :3] < [0, 0, 1]):
+        raise FileFormatError("negative site index or mode index below 1")
+    n1, n2, m = (int(v) for v in rows[:, :3].max(axis=0) + [1, 1, 0])
+    # a grid with more cells than the file has rows misses some: refuse it before
+    # allocating, so that a huge index cannot ask for a huge array
+    if n1 * n2 * m > rows.shape[0]:
+        raise FileFormatError(f"{n1}x{n2}x{m} grid has at least {n1 * n2 * m - rows.shape[0]} "
+                              f"missing (i, j, k) rows: the file has {rows.shape[0]}")
     idx = rows[:, :3].astype(int)
     idx[:, 2] -= 1
-    if idx.min() < 0:
-        raise FileFormatError("negative site index or mode index below 1")
     seen = np.zeros((n1, n2, m), dtype=int)
     np.add.at(seen, tuple(idx.T), 1)
     if np.any(seen != 1):

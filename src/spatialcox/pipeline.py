@@ -82,6 +82,11 @@ def load_series_csv(path) -> GridSeries:
         raise FileFormatError("every entry must be a finite number")
     if np.any(raw[:, 0] < 0) or np.any(raw[:, 0] % 1 != 0):
         raise FileFormatError("site ids must be non-negative integers")
+    # sites 0..max(id) each need a row, so an id at or above the row count leaves one
+    # out: refuse it before allocating, so that a huge id cannot ask for a huge array
+    if raw[:, 0].max() >= raw.shape[0]:
+        raise FileFormatError(f"site id {raw[:, 0].max():.0f} leaves sites without rows: "
+                              f"ids must run over 0..S-1 within the file's {raw.shape[0]} rows")
     ids = raw[:, 0].astype(int)
     times, t_idx = np.unique(raw[:, 3], return_inverse=True)
     if np.unique(ids * times.size + t_idx).size != ids.size:
@@ -373,7 +378,6 @@ DEFAULT_TRUE_PMF = np.array([0.32, 0.08, 0.04,     # theta_{1,1}, deltas for gro
 SYNTHETIC_TREND = (4.5, 4.0, 0.4, -0.2)
 SYNTHETIC_AMPLITUDE = 0.16
 SYNTHETIC_AMP_DECAY = 0.7
-SYNTHETIC_BURN_IN = 80
 
 
 @dataclass(frozen=True, eq=False)
@@ -409,7 +413,7 @@ def make_synthetic_counts(lattice_dims=(40, 40), n_modes: int = 10, n_months: in
     lam_true = family_triples("realdata_pmf", DEFAULT_TRUE_PMF, n_modes)
     params = Sarh1Params("custom", lam_true.ravel(), n_modes)
     basis = BasisSpec(support_length=support_length, n_modes=n_modes)
-    fld = simulate_sarh1(params, (n1, n2), burn_in=SYNTHETIC_BURN_IN, seed=seed, basis=basis)
+    fld = simulate_sarh1(params, (n1, n2), seed=seed, basis=basis)
     amp = SYNTHETIC_AMPLITUDE / np.arange(1, n_modes + 1) ** SYNTHETIC_AMP_DECAY
     # amp_p times the raw sine is amp_p sqrt(L/2) times the orthonormal one
     coeff = fld.data * (amp * np.sqrt(support_length / 2.0))

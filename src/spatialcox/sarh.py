@@ -18,9 +18,9 @@ theta that factors), D = (1 - l1 z1)(1 - l2 z2) and the field is
 (1 - l1 B1)^-1 (1 - l2 B2)^-1 eps: one in-place AR(1) pass along j, then one
 along i.  Otherwise X(i, j) needs only the anti-diagonals i + j - 1 and
 i + j - 2, so the field is swept one anti-diagonal at a time, over all modes
-at once.  :class:`SpectralModel` is the one model type of the package:
-simulation, estimation, covariances and prediction all read families, boxes
-and innovation variances from it.
+at once; both start from the exact law of row 0 and column 0.  :class:`SpectralModel`
+is the one model type of the package: simulation, estimation, covariances and
+prediction all read families, boxes and innovation variances from it.
 """
 
 from __future__ import annotations
@@ -174,10 +174,31 @@ def _gram_min(mu: np.ndarray) -> np.ndarray:
 def _face_margins(triples):
     # the triples as rows, their face margins m and c - 2d = m0 m1, c + 2d = m2 m3: the
     # one form of every torus question; a causal row (all m > 0) has c -+ 2d > 0, so
-    # no torus zero and C2 variance 1
+    # no torus zero and C2 variance 1.  m = 1 - CAUSAL_FACES @ t is summed with the
+    # TwoSum error of each addition (Ogita, Rump & Oishi, 2005), so that a margin near
+    # a face is correct to about an ulp of itself, not of |l1| + |l2| + |l3|
     t = np.atleast_2d(np.asarray(triples, dtype=float))
-    m = 1.0 - t @ CAUSAL_FACES.T
+    m, err = np.ones((t.shape[0], 4)), 0.0
+    for x in -t.T[:, :, None] * CAUSAL_FACES.T[:, None, :]:  # exact products by +-1
+        total = m + x
+        back = total - m
+        err = err + ((m - (total - back)) + (x - back))
+        m = total
+    m = m + err
     return t, m, m[:, 0] * m[:, 1], m[:, 2] * m[:, 3]
+
+
+def _product_form(triples):
+    """Per row: R_0, the lag-one correlations (rho1, rho2) along z1 and z2, and the sds
+    sqrt(R_0 (1 - rho^2)) of the AR(1) chains they make.  A causal triple has R(i, -j) =
+    R_0 rho1^i rho2^j for i, j >= 0: with s_f = sqrt(|m_f|), R_0 = 1 / (s0 s1 s2 s3),
+    rho1 = (s2 s3 - s0 s1) / (s2 s3 + s0 s1) and rho2 likewise of s1 s3 and s0 s2.  The
+    reflection that makes a triple causal divides every margin by -+l_c, so rho1, rho2
+    are those of its causal frame, and R_0 is that frame's over l_c^2."""
+    s = np.sqrt(np.abs(_face_margins(triples)[1]))
+    near = np.stack([s[:, 0] * s[:, 1], s[:, 0] * s[:, 2]], axis=1)  # corners z_j = 1
+    far = np.stack([s[:, 2] * s[:, 3], s[:, 1] * s[:, 3]], axis=1)   # corners z_j = -1
+    return 1.0 / (near[:, 0] * far[:, 0]), (far - near) / (far + near), 2.0 / (far + near)
 
 
 def _has_torus_zero(triples) -> np.ndarray:
@@ -309,22 +330,18 @@ class Sarh1Params:
         self.model.eig_triples(self.theta)  # checks theta's length and box
 
 
-def _ar1_passes(rng, shape, triples) -> np.ndarray:
-    """The separable field (1 - l1 B1)^-1 (1 - l2 B2)^-1 eps, viewed as (r1, r2, M).
-
-    The innovations fill a mode-major (M, r1, r2) buffer, the order of one
-    (r1, r2) draw per mode; an AR(1) pass along j, then one along i, run in place.
-    """
-    r1, r2 = shape
-    buf = np.empty((triples.shape[0], r1, r2))
-    rng.standard_normal(out=buf)
-    for axis, lam in ((2, triples[:, 1:2]), (1, triples[:, :1])):
+def _ar1_passes(buf, triples) -> None:
+    """The separable field (1 - l1 B1)^-1 (1 - l2 B2)^-1 eps of the innovations in a
+    (r1, r2, M) buffer, in place: an AR(1) pass along j, then one along i.  Each pass
+    first scales its starting line by (1 - l^2)^-1/2, column 0 by l2's and row 0 by
+    l1's, so that it starts from the stationary law of its chain."""
+    for axis, lam in ((1, triples[:, 1]), (0, triples[:, 0])):
         lines = np.moveaxis(buf, axis, 0)
+        lines[0] /= np.sqrt((1.0 - lam) * (1.0 + lam))
         tmp = np.empty_like(lines[0])
         for prev, cur in zip(lines[:-1], lines[1:]):
             np.multiply(prev, lam, out=tmp)
             cur += tmp
-    return buf.transpose(1, 2, 0)
 
 
 def _stencil_sweep(buf, triples) -> None:
@@ -344,14 +361,16 @@ def _stencil_sweep(buf, triples) -> None:
             x += lam * flat[a - back:b - back:r2]
 
 
-def _sweep(rng, shape, triples) -> np.ndarray:
-    """Any causal field by the anti-diagonal sweep, viewed as (r1, r2, M)."""
-    # innovations of the burn-in block, behind a zero row 0 and column 0
-    buf = np.zeros((shape[0] + 1, shape[1] + 1, triples.shape[0]))
-    for k in range(triples.shape[0]):  # one mode at a time: no second full-size array
-        buf[1:, 1:, k] = rng.standard_normal(shape)
+def _sweep(buf, triples) -> None:
+    """Any causal field of the innovations in a (r1, r2, M) buffer, in place: the edge
+    chains of :func:`_product_form` on row 0 and column 0, then the anti-diagonal sweep."""
+    r0, rho, sd = _product_form(triples)
+    buf[0, 0] *= np.sqrt(r0)
+    for j, edge in enumerate((buf[:, 0], buf[0])):  # column 0 along i, row 0 along j
+        for prev, cur in zip(edge[:-1], edge[1:]):
+            cur *= sd[:, j]
+            cur += rho[:, j] * prev
     _stencil_sweep(buf, triples)
-    return buf[1:, 1:]
 
 
 def simulate_sarh1(params: Sarh1Params, dims, burn_in: int = 100,
@@ -361,20 +380,20 @@ def simulate_sarh1(params: Sarh1Params, dims, burn_in: int = 100,
     Mode k follows the recursion of the module docstring with the triple of
     ``params.model`` at ``params.theta`` and unit-variance innovations, the
     C2 ones on the causal set; a field of innovation sd s_k is this one times
-    s_k.  A margin of ``burn_in`` rows and columns is generated with zero
-    boundary initialization and discarded, leaving the requested ``dims``
-    block.  When every mode's triple has l3 == -l1*l2 exactly, the field is
-    built by two AR(1) passes; otherwise by the anti-diagonal sweep.  Both
-    draw mode k's innovations as one (n1 + burn_in, n2 + burn_in) block from
-    ``default_rng(seed)``, mode after mode, so the two agree to rounding on a
-    separable triple.  The output is bit-identical for fixed (params, dims,
-    burn_in, seed).  ``dims`` must be two integers >= 2 and ``burn_in`` and
-    ``seed`` integers >= 0, else :class:`ParameterDomainError`.  A mode whose
-    triple is not causal (:func:`is_causal`) would make the recursion diverge,
-    so it raises :class:`StationarityError` with the first such mode index.
+    s_k.  The field has the exact stationary law: row 0 and column 0 are the
+    AR(1) chains of :func:`_product_form` that leave the corner, and the
+    recursion fills the rest.  When every mode's triple has l3 == -l1*l2
+    exactly, the field is built by two AR(1) passes; otherwise by the
+    anti-diagonal sweep.  Both read mode k's innovations as one (n1, n2) block
+    from ``default_rng(seed)``, mode after mode, so the two agree to rounding on
+    a separable triple.  The output is bit-identical for fixed (params, dims,
+    seed); ``burn_in`` is checked and unused.  ``dims`` must be two integers
+    >= 2 and ``burn_in`` and ``seed`` integers >= 0, else
+    :class:`ParameterDomainError`.  A non-causal mode (:func:`is_causal`) has no
+    stationary law: :class:`StationarityError` names the first.
     """
     n1, n2 = check_dims(dims, "dims", 2)
-    burn_in = check_int(burn_in, "burn_in", 0)
+    check_int(burn_in, "burn_in", 0)
     seed = check_int(seed, "seed", 0)
     triples = params.model.eig_triples(params.theta)
     bad = np.flatnonzero(~is_causal(triples))
@@ -384,10 +403,11 @@ def simulate_sarh1(params: Sarh1Params, dims, burn_in: int = 100,
             f"mode {k + 1}: AR polynomial of {tuple(triples[k].tolist())} vanishes on "
             "the closed unit bidisk", mode=k + 1)
 
+    rng, x = np.random.default_rng(seed), np.empty((n1, n2, triples.shape[0]))
+    for k in range(triples.shape[0]):  # one (n1, n2) block per mode, mode after mode
+        x[:, :, k] = rng.standard_normal((n1, n2))
     l1, l2, l3 = triples.T
-    kernel = _ar1_passes if np.array_equal(l3, -l1 * l2) else _sweep
-    x = kernel(np.random.default_rng(seed), (n1 + burn_in, n2 + burn_in), triples)
+    (_ar1_passes if np.array_equal(l3, -l1 * l2) else _sweep)(x, triples)
     if basis is None:
         basis = BasisSpec(support_length=1.0, n_modes=params.n_modes)
-    # a C-ordered copy, so that the field does not keep the burn-in margin alive
-    return CoeffField(x[burn_in:, burn_in:].copy(), basis)
+    return CoeffField(x, basis)

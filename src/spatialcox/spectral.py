@@ -9,7 +9,7 @@ import numpy as np
 from .errors import (FileFormatError, LagUnavailableError, ParameterDomainError,
                      ResolutionError, SingularSpectrumError, check_dims, check_int)
 from .field import CoeffField, FrequencyGrid, _read_binary, _write_csv
-from .sarh import (TWO_PI_SQ, _cosines, _face_margins, _gram_form, _has_torus_zero,
+from .sarh import (TWO_PI_SQ, _cosines, _gram_form, _has_torus_zero, _product_form,
                    _stencil_sweep, is_causal)
 
 _HEADER = np.dtype([("n1", "<i8"), ("n2", "<i8"), ("m", "<i8"), ("full", "<i8")])
@@ -129,28 +129,26 @@ def empirical_cov(field: CoeffField, max_lag) -> EmpiricalCov:
 # model-based operations
 
 
-# cap on the covariance sweep, rows x columns x modes float64 cells (32 MiB), and the
-# size, relative to R_0, of the covariances that its zero row stands in for
+# cap on the covariance sweep's lag rectangle, rows x columns x modes float64 cells (32 MiB)
 _MAX_SWEEP_CELLS = 2**22
-_TAIL_RTOL = 1e-18
 # the four orientations of D, (l1, l2, l3) / 1, (1, -l3, -l2) / l1, (-l3, 1, -l1) / l2 and
-# (-l2, -l1, 1) / l3: signed picks from e = (1, l1, l2, l3) over e[c], lag signs _SIGNS[c]
+# (-l2, -l1, 1) / l3: signed picks from e = (1, l1, l2, l3) over e[c]; they reflect no lag
+# axis, z1, z2 and both, so _PARITY[c] is the sign they give z1 z2
 _PICK = np.array([[1, 2, 3], [0, 3, 2], [3, 0, 1], [2, 1, 0]])
 _PICK_SIGN = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
-_SIGNS = np.array([[1, 1], [-1, 1], [1, -1], [-1, -1]])
+_PARITY = np.array([1, -1, -1, 1])
 
 
-def cov_from_spectrum(model, theta, lags, grid_size: int = 512):
+def cov_from_spectrum(model, theta, lags, grid_size: int = 512) -> np.ndarray:
     """Covariances R_z = integral e^{i<z,w>} F_w dw of a SARH(1) spectral model, shape (K, M).
 
     Per mode, the unit-innovation covariances of a causal triple solve the lattice
     Yule-Walker equations (Whittle, 1954; Tjostheim, 1978; Brockwell & Davis, 3.3):
-    R(z1, z2) = l1 R(z1-1, z2) + l2 R(z1, z2-1) + l3 R(z1-1, z2-1) for z2 >= 1, and
-    R(z1, 0) = rho^|z1| / sqrt(lo hi), lo hi = c^2 - 4d^2 from the face margins of
-    :mod:`spatialcox.sarh` and rho = 2d / (c + sqrt(lo hi)).  Separable triples
-    (l3 == -l1*l2 exactly) take l1^|z1| l2^|z2| / ((1-l1^2)(1-l2^2)); the others
-    run one sweep of the stencil over z1 in [-L1-T, L1], z2 in [0, L2] behind a
-    zero row, with q^T <= 1e-18 for q = max(|rho|, |l1|); z2 < 0 is R(-z) = R(z).
+    R(z1, z2) = l1 R(z1-1, z2) + l2 R(z1, z2-1) + l3 R(z1-1, z2-1) for z2 >= 1.  Turned
+    by R(-z) = R(z) to z2 >= 0, lags with z1 <= 0 take the product form R_0 rho1^-z1
+    rho2^z2 of :func:`spatialcox.sarh._product_form`; the others come from one exact
+    sweep of the stencil over z1 in [-1, L1], z2 in [0, L2] that starts from the product
+    form on row z1 = -1 and column z2 = 0.  A separable triple has rho1 = l1, rho2 = l2.
     A triple with no torus zero is causal in one orientation: D / l_c is the AR
     polynomial of (1/l1, -l3/l1, -l2/l1), (-l3/l2, 1/l2, -l1/l2) or
     (-l2/l3, -l1/l3, 1/l3) with z1, z2 or both reflected, and
@@ -159,18 +157,16 @@ def cov_from_spectrum(model, theta, lags, grid_size: int = 512):
     ``model`` has ``eig_triples(theta) -> (M, 3)`` and ``sigma2(theta) -> (M,)``.
     ``lags`` are checked as one (K, 2) array: the first that is not two integers
     raises :class:`ParameterDomainError`.  ``grid_size``, an integer >= 1, is
-    checked and unused.  The residue returned beside the values is always 0.0.
-    A sweep above 2^22 cells raises :class:`ResolutionError` ("not converged"):
-    T grows like 1/(1 - q) near the torus-zero band, while lags with z2 = 0 never
-    sweep.  A mode with |c| <= 2|d| vanishes on the unit torus and has no
-    covariance: :class:`SingularSpectrumError`.
+    checked and unused.  A mode with |c| <= 2|d| vanishes on the unit torus and has
+    no covariance: :class:`SingularSpectrumError`.  A mode with no orientation causal
+    in floating point, and a sweep above 2^22 cells, raise :class:`ResolutionError`.
     """
     z = np.asarray(lags, dtype=float).reshape(len(lags), 2)
     # integral and within int64: NaN and inf fail one of the two tests
     if not np.all(ok := np.all((z == np.round(z)) & (np.abs(z) < 2.0**62), axis=1)):
         raise ParameterDomainError(f"lag {tuple(z[np.argmin(ok)].tolist())} is not two integers")
     check_int(grid_size, "grid_size", 1)
-    triples, _, lo, hi = _face_margins(model.eig_triples(theta))
+    triples = np.asarray(model.eig_triples(theta), dtype=float)
     bad = np.flatnonzero(_has_torus_zero(triples) | ~np.all(np.isfinite(triples), axis=1))
     if bad.size:
         k = int(bad[0])
@@ -182,45 +178,35 @@ def cov_from_spectrum(model, theta, lags, grid_size: int = 512):
         cand = np.divide(e[:, _PICK] * _PICK_SIGN, e[:, :, None], out=np.zeros(e.shape + (3,)),
                          where=e[:, :, None] != 0)
         ok = (e != 0) & is_causal(cand.reshape(-1, 3)).reshape(e.shape)
-    rows, pick = np.arange(e.shape[0]), np.argmax(ok, axis=1)
-    t, div = cand[rows, pick], e[rows, pick]
-    scale = np.asarray(model.sigma2(theta), dtype=float) * TWO_PI_SQ / div**2
-    if not np.all(found := ok[rows, pick] & np.isfinite(scale)):
+    pick = np.argmax(ok, axis=1)
+    t = cand[np.arange(e.shape[0]), pick]
+    scale = np.asarray(model.sigma2(theta), dtype=float) * TWO_PI_SQ
+    if not np.all(found := ok.any(axis=1) & np.isfinite(scale)):
         raise ResolutionError(f"mode {np.argmin(found) + 1}: no orientation is causal with a "
                               "finite scale in floating point: covariances not converged")
-    # each mode's lags (K, M) in its causal frame, turned by R(-y) = R(y) so that y2 >= 0
-    y1, y2 = (z.astype(np.int64)[:, j:j + 1] * _SIGNS[pick, j] for j in (0, 1))
-    y1, y2 = np.where(y2 < 0, -y1, y1), np.abs(y2)
-    # rho, the root inside the unit disk of d x^2 - c x + d, is the same in every orientation
-    # and sqrt(lo hi) only scales by l_c^-2, so both come from the original margins
-    c, root = 0.5 * (lo + hi), np.sqrt(np.abs(lo)) * np.sqrt(np.abs(hi))  # lo hi may overflow
-    rho = 2.0 * (triples[:, 0] + triples[:, 1] * triples[:, 2]) / (c + np.copysign(root, c))
-    sep = t[:, 2] == -t[:, 0] * t[:, 1]
-    l1, l2 = t[sep, 0], t[sep, 1]
-    vals = np.empty(y1.shape)
-    vals[:, sep] = l1 ** np.abs(y1[:, sep]) * l2 ** y2[:, sep] / ((1 - l1**2) * (1 - l2**2))
-    if not sep.all():
-        vals[:, ~sep] = _swept_cov(t[~sep], y1[:, ~sep], y2[:, ~sep], rho[~sep],
-                                   div[~sep] ** 2 / root[~sep], np.flatnonzero(~sep))
-    return vals * scale, 0.0
-
-
-def _swept_cov(triples, y1, y2, rho, r0, modes):
-    # the column rho^|z1| r0 swept by the causal triples' stencil, read at lags y (y2 >= 0)
-    wide, deep = int(np.abs(y1).max(initial=0)), int(y2.max(initial=0))
-    if deep == 0:
-        return rho ** np.abs(y1) * r0
-    q = np.maximum(np.abs(rho), np.abs(triples[:, 0]))
-    with np.errstate(divide="ignore"):  # T is 0 at q = 0, and inf if q rounds to 1
-        tail = np.ceil(np.log(_TAIL_RTOL) / np.log(q.max())) if q.max() < 1.0 else np.inf
-    if (2.0 * wide + tail + 2.0) * (deep + 1) * triples.shape[0] > _MAX_SWEEP_CELLS:
-        raise ResolutionError(f"mode {modes[np.argmax(q)] + 1}: covariance sweep not converged "
-                              f"below {_MAX_SWEEP_CELLS} cells, tail ratio q = {q.max():.9g}")
-    top = wide + int(tail) + 1  # row of z1 = 0; row 0 is the zero row z1 = -top
-    buf = np.zeros((top + wide + 1, deep + 1, triples.shape[0]))
-    buf[1:, 0] = rho ** np.abs(np.arange(1 - top, wide + 1))[:, None] * r0
-    _stencil_sweep(buf, triples)
-    return buf[y1 + top, y2, np.arange(triples.shape[0])]
+    # in each mode's causal frame, turned by R(-y) = R(y) to y2 >= 0, a lag has |y1| = |z1|
+    # and y2 = |z2|, and y1 > 0 < y2 where z1 z2 has the sign of the frame's parity
+    a = np.abs(z.astype(np.int64))
+    n, k = np.unique(a, return_inverse=True)  # the powers of the distinct |z_j| only
+    k = k.reshape(a.shape)
+    r0, rho, _ = _product_form(triples)  # the causal frame's, R_0 over l_c^2
+    powers = rho.T[:, None, :] ** n[:, None]
+    vals = r0 * powers[0][k[:, 0]] * powers[1][k[:, 1]]
+    swept = (np.sign(z[:, :1]) * np.sign(z[:, 1:])) * _PARITY[pick] > 0
+    if (hit := swept.any(axis=1)).any():
+        y1, y2 = a[hit, 0], a[hit, 1]
+        wide, deep = int(y1.max()), int(y2.max())
+        if (wide + 2) * (deep + 1) * t.shape[0] > _MAX_SWEEP_CELLS:
+            raise ResolutionError(f"covariance sweep over lags up to ({wide}, {deep}) exceeds "
+                                  f"{_MAX_SWEEP_CELLS} cells")
+        # row 0 is z1 = -1 and column 0 is z2 = 0, both in product form; the recursion
+        # has no innovation term, so the cells it fills start at zero
+        buf = np.zeros((wide + 2, deep + 1, t.shape[0]))
+        buf[:, 0] = r0 * rho[:, 0] ** np.abs(np.arange(-1, wide + 1))[:, None]
+        buf[0] = r0 * rho[:, 0] * rho[:, 1] ** np.arange(deep + 1)[:, None]
+        _stencil_sweep(buf, t)
+        vals[hit] = np.where(swept[hit], buf[y1 + 1, y2], vals[hit])
+    return vals * scale
 
 
 def fejer_smoothed_inverse(model, theta, k: int, m_smooth, omega) -> float:

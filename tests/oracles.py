@@ -18,6 +18,8 @@ Implementations under test must agree with these, never share code with them.
 """
 
 import csv
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 from scipy.interpolate import make_lsq_spline
@@ -91,33 +93,63 @@ def lag_by_lag_empirical_cov(data, max_lag):
     return out
 
 
-def naive_sarh(triples, dims, burn, seed):
+def exact_face_margins(triple):
+    """The four face margins 1 -+ l1 -+ l2 -+ l3 of ``sarh.CAUSAL_FACES``, summed in
+    exact rationals from the floats of ``triple`` and rounded once."""
+    l1, l2, l3 = (Fraction(float(v)) for v in triple)
+    return [float(m) for m in (1 - l1 - l2 - l3, 1 - l1 + l2 + l3, 1 + l1 - l2 + l3,
+                               1 + l1 + l2 - l3)]
+
+
+def exact_axis_cov(triple, lag):
+    """R(0, lag) of a causal triple's unit-innovation field, in 50-digit decimals.
+
+    Along z2 the field is that of the transposed triple (l2, l1, l3) along z1, whose
+    covariances are rho^|lag| / sqrt(c^2 - 4 d^2) with c = 1 + l2^2 - l1^2 - l3^2,
+    d = l2 + l1 l3 and rho = 2 d / (c + sqrt(c^2 - 4 d^2)) (Whittle, 1954); the
+    floats of ``triple`` enter exactly, so only the final rounding is inexact.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        l1, l2, l3 = (Decimal(float(v)) for v in triple)
+        c, d = 1 + l2 * l2 - l1 * l1 - l3 * l3, l2 + l1 * l3
+        root = (c * c - 4 * d * d).sqrt()
+        return float((2 * d / (c + root)) ** abs(lag) / root)
+
+
+def naive_sarh(triples, dims, seed):
     """Site-by-site SARH(1) sweep with the same unit-innovation stream layout.
 
-    Each site adds ((eps + l1 up) + l3 up-left) + l2 left, the order of the
-    package's anti-diagonal sweep, so the two agree bit for bit; against the
-    AR(1) passes that separable triples take they agree to rounding.
+    The corner is sqrt(R_0) eps; column 0 and row 0 are the AR(1) chains
+    x = rho x_prev + sd eps along i and j, where with s_f = sqrt(m_f) of the
+    exact face margins R_0 = 1 / (s0 s1 s2 s3), rho = (far - near) / (far + near)
+    and sd = 2 / (far + near), near = s0 s1 | s0 s2 and far = s2 s3 | s1 s3 along
+    i | j.  Every other site adds ((eps + l1 up) + l3 up-left) + l2 left, the
+    order of the package's anti-diagonal sweep, so the two agree bit for bit;
+    against the AR(1) passes that separable triples take they agree to rounding.
     """
     n1, n2 = dims
-    m = len(triples)
     rng = np.random.default_rng(seed)
-    r1, r2 = n1 + burn, n2 + burn
-    out = np.empty((n1, n2, m))
-    for k in range(m):
-        l1, l2, l3 = triples[k]
-        eps = rng.normal(0.0, 1.0, size=(r1, r2))
-        x = np.zeros((r1, r2))
-        for i in range(r1):
-            for j in range(r2):
-                v = eps[i, j]
-                if i > 0:
-                    v += l1 * x[i - 1, j]
-                if i > 0 and j > 0:
-                    v += l3 * x[i - 1, j - 1]
-                if j > 0:
-                    v += l2 * x[i, j - 1]
-                x[i, j] = v
-        out[:, :, k] = x[burn:, burn:]
+    out = np.empty((n1, n2, len(triples)))
+    for k, (l1, l2, l3) in enumerate(triples):
+        s0, s1, s2, s3 = np.sqrt(exact_face_margins((l1, l2, l3)))
+        r0 = 1.0 / ((s0 * s1) * (s2 * s3))
+        (rho1, sd1), (rho2, sd2) = (((far - near) / (far + near), 2.0 / (far + near))
+                                    for near, far in ((s0 * s1, s2 * s3), (s0 * s2, s1 * s3)))
+        eps = rng.normal(0.0, 1.0, size=(n1, n2))
+        x = np.zeros((n1, n2))
+        for i in range(n1):
+            for j in range(n2):
+                if i == 0 and j == 0:
+                    x[i, j] = np.sqrt(r0) * eps[i, j]
+                elif j == 0:
+                    x[i, j] = sd1 * eps[i, j] + rho1 * x[i - 1, j]
+                elif i == 0:
+                    x[i, j] = sd2 * eps[i, j] + rho2 * x[i, j - 1]
+                else:
+                    x[i, j] = ((eps[i, j] + l1 * x[i - 1, j]) + l3 * x[i - 1, j - 1]
+                               + l2 * x[i, j - 1])
+        out[:, :, k] = x
     return out
 
 

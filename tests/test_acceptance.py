@@ -30,7 +30,7 @@ def report(k, message):
 def table1_runs():
     cfg = ExperimentConfig(family="example1", theta_true=[1.0],
                            grid_sizes=(100, 150, 200), replicates=30,
-                           n_modes=10, burn_in=100, seed=101)
+                           n_modes=10, seed=101)
     return run_experiment(cfg)
 
 
@@ -60,7 +60,7 @@ def test_consistency_invariant_full_monotonicity(table1_runs):
 def test_criterion_3_table2_spot_check():
     truth = np.array([1.0, 1.6, 1.5, 1.2])
     cfg = ExperimentConfig(family="example2", theta_true=truth, grid_sizes=(200,),
-                           replicates=20, n_modes=10, burn_in=100, seed=303)
+                           replicates=20, n_modes=10, seed=303)
     table = run_experiment(cfg)
     means = np.array([table.select(40000, component=c)["mean"] for c in range(1, 5)])
     devs = np.abs(means - truth)
@@ -162,8 +162,7 @@ def test_criterion_7_whittle_identifiability():
 def test_criterion_8_spectrum_covariance_roundtrip():
     model = SpectralModel("example1", n_modes=1)
     lags = [(z1, z2) for z1 in range(-64, 65) for z2 in range(-64, 65)]
-    vals, residue = cov_from_spectrum(model, [1.0], lags, grid_size=512)
-    assert residue < 1e-10
+    vals = cov_from_spectrum(model, [1.0], lags, grid_size=512)
     grid = np.linspace(-np.pi, np.pi, 129)[:-1]
     acc = lag_rectangle_cosine_sum(vals[:, 0].reshape(129, 129), grid, grid) / TWO_PI_SQ
     dens = model.density([1.0], grid[:, None], grid[None, :])[:, :, 0]
@@ -183,7 +182,7 @@ def test_criterion_9_cox_moment_suite():
     # (b)+(c) Monte Carlo over 10^4 fields: log-normal intensity mean and the
     # doubly stochastic count mean/variance, all within 3 standard errors
     model = SpectralModel("example1", n_modes=1)
-    lag_vals, _ = cov_from_spectrum(
+    lag_vals = cov_from_spectrum(
         model, [1.0], [(z1, z2) for z1 in range(-2, 3) for z2 in range(-2, 3)])
     cov = {lag: float(lag_vals[i, 0]) for i, lag in enumerate(
         [(z1, z2) for z1 in range(-2, 3) for z2 in range(-2, 3)])}
@@ -197,7 +196,7 @@ def test_criterion_9_cox_moment_suite():
     counts = np.empty(n_rep)
     rng = np.random.default_rng(909)
     for r in range(n_rep):
-        fld = simulate_sarh1(params, (24, 24), burn_in=40, seed=700_000 + r)
+        fld = simulate_sarh1(params, (24, 24), seed=700_000 + r)
         ex = np.exp(fld.data[:, :, 0])
         field_means[r] = ex.mean()
         counts[r] = rng.poisson(ex[:3, :3].sum())

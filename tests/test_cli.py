@@ -20,7 +20,7 @@ def run(argv):
 def test_simulate_periodogram_estimate_predict_chain(tmp_path):
     field = tmp_path / "field.bin"
     run(["--seed", 7, "simulate", "--family", "example1", "--theta", "1.0",
-         "--dims", "48x48", "--modes", "4", "--burn-in", 30, "--out", field, "--csv"])
+         "--dims", "48x48", "--modes", "4", "--out", field, "--csv"])
     fld = load_field_binary(field)
     assert fld.dims == (48, 48) and fld.n_modes == 4
     assert (tmp_path / "field.bin.csv").exists()
@@ -43,7 +43,7 @@ def test_simulate_periodogram_estimate_predict_chain(tmp_path):
 
 def test_periodogram_full_writes_the_cross_block(tmp_path):
     field, plain, full = tmp_path / "field.bin", tmp_path / "pg.bin", tmp_path / "pgram.bin"
-    run(["simulate", "--dims", "6x5", "--modes", "3", "--burn-in", 10, "--out", field])
+    run(["simulate", "--dims", "6x5", "--modes", "3", "--out", field])
     run(["periodogram", "--field", field, "--out", plain])
     run(["periodogram", "--field", field, "--full", "--csv", "--out", full])
     back = load_periodogram_binary(full)
@@ -72,7 +72,7 @@ def test_estimate_refuses_a_box_wider_than_the_family_box(tmp_path):
     # example1's triples are defined on [0.7, 4] only: the box is refused when
     # the model is built, before the field is read, not inside the fit
     field, est = tmp_path / "field.bin", tmp_path / "est.json"
-    run(["simulate", "--dims", "16x16", "--modes", "4", "--burn-in", 10, "--out", field])
+    run(["simulate", "--dims", "16x16", "--modes", "4", "--out", field])
     with pytest.raises(ParameterDomainError, match="example1 theta box leaves"):
         run(["estimate", "--field", field, "--modes", "4", "--theta-box", "0.5:4.5",
              "--out", est])
@@ -90,7 +90,7 @@ def test_non_finite_theta_and_box_rejected(tmp_path, argv):
     # the estimate used to write "theta_hat": [NaN, NaN, NaN], not valid JSON, and
     # simulate to raise a StationarityError
     field, out = tmp_path / "field.bin", tmp_path / "out"
-    run(["simulate", "--dims", "16x16", "--modes", "4", "--burn-in", 10, "--out", field])
+    run(["simulate", "--dims", "16x16", "--modes", "4", "--out", field])
     with pytest.raises(ParameterDomainError, match="triple theta"):
         run([arg.format(field=field) for arg in argv] + ["--out", out])
     assert not out.exists()
@@ -98,8 +98,7 @@ def test_non_finite_theta_and_box_rejected(tmp_path, argv):
 
 def test_cox_moments_command(tmp_path):
     field = tmp_path / "field.bin"
-    run(["--seed", 3, "simulate", "--dims", "16x16", "--modes", "3",
-         "--burn-in", 10, "--out", field])
+    run(["--seed", 3, "simulate", "--dims", "16x16", "--modes", "3", "--out", field])
     phi = tmp_path / "phi.csv"
     phi.write_text("1.0\n0.0\n0.0\n")
     out = tmp_path / "moments.json"
@@ -119,7 +118,7 @@ def test_cox_moments_command(tmp_path):
 def test_cox_moments_wide_rect_reads_its_own_lags(tmp_path):
     # the model moments take the lags B - B, here up to 20 on each axis
     field = tmp_path / "field.bin"
-    run(["simulate", "--dims", "32x32", "--modes", "2", "--burn-in", 10, "--out", field])
+    run(["simulate", "--dims", "32x32", "--modes", "2", "--out", field])
     phi = tmp_path / "phi.csv"
     phi.write_text("1.0\n0.0\n")
     out = tmp_path / "moments.json"
@@ -136,7 +135,7 @@ def test_cox_moments_wide_rect_reads_its_own_lags(tmp_path):
 def test_cox_moments_rect_wider_than_half_the_quadrature(tmp_path):
     # lags up to 259 on the first axis, past the 512-node quadrature's Nyquist limit
     field = tmp_path / "field.bin"
-    run(["simulate", "--dims", "262x12", "--modes", "4", "--burn-in", 10, "--out", field])
+    run(["simulate", "--dims", "262x12", "--modes", "4", "--out", field])
     phi = tmp_path / "phi.csv"
     phi.write_text("1.0\n0.0\n0.0\n0.0\n")
     out = tmp_path / "moments.json"
@@ -166,7 +165,7 @@ def test_removed_tuning_flags_refused(argv):
 @pytest.mark.parametrize("model_flags", [["--family", "example1"], ["--theta", "1.0"]])
 def test_cox_moments_family_needs_theta(tmp_path, model_flags):
     field = tmp_path / "field.bin"
-    run(["simulate", "--dims", "8x8", "--modes", "2", "--burn-in", 5, "--out", field])
+    run(["simulate", "--dims", "8x8", "--modes", "2", "--out", field])
     phi = tmp_path / "phi.csv"
     phi.write_text("1.0\n0.0\n")
     out = tmp_path / "moments.json"
@@ -183,6 +182,28 @@ def test_estimate_starts_flag_gone(tmp_path):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["simulate", "experiment"])
+def test_burn_in_flag_gone(tmp_path, command):
+    # fields are drawn from their exact stationary law, so no margin is set
+    with pytest.raises(SystemExit) as err:
+        run([command, "--burn-in", 10, "--out", tmp_path / "out"])
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize("text", ["1.0,0.5\n0.25,0.125\n", "1.0,0.5,0.25,0.125\n"],
+                         ids=["two_by_two", "one_line"])
+def test_cox_moments_phi_reads_one_coefficient_per_line(tmp_path, text):
+    # both files used to be ravelled into the four coefficients of a 4-mode field
+    field = tmp_path / "field.bin"
+    run(["simulate", "--dims", "8x8", "--modes", "4", "--out", field])
+    phi = tmp_path / "phi.csv"
+    phi.write_text(text)
+    out = tmp_path / "moments.json"
+    with pytest.raises(FileFormatError, match="one coefficient per line"):
+        run(["cox-moments", "--field", field, "--phi", phi, "--rect", "1:3x1:3", "--out", out])
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text, error", [
     ("", FileFormatError),
     ("1.0\nabc\n", FileFormatError),
@@ -191,7 +212,7 @@ def test_estimate_starts_flag_gone(tmp_path):
 ], ids=["empty", "non_numeric", "wrong_count", "nan"])
 def test_cox_moments_bad_phi_rejected(tmp_path, text, error):
     field = tmp_path / "field.bin"
-    run(["simulate", "--dims", "8x8", "--modes", "2", "--burn-in", 5, "--out", field])
+    run(["simulate", "--dims", "8x8", "--modes", "2", "--out", field])
     phi = tmp_path / "phi.csv"
     phi.write_text(text)
     out = tmp_path / "moments.json"
@@ -244,7 +265,7 @@ def test_experiment_command(tmp_path):
     out = tmp_path / "table.csv"
     run(["experiment", "--family", "example1", "--theta", "1.0",
          "--grid-sizes", "24", "--replicates", 2, "--modes", 3,
-         "--burn-in", 15, "--out", out])
+         "--out", out])
     rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
     assert rows.shape[0] == 1 and rows[0, 0] == 576
 
@@ -299,7 +320,7 @@ from spatialcox.cli import main
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
-main(["simulate", "--dims", "8x8", "--modes", "2", "--burn-in", "5", "--out", "f.bin"])
+main(["simulate", "--dims", "8x8", "--modes", "2", "--out", "f.bin"])
 main(["periodogram", "--field", "f.bin", "--out", "pg.bin"])
 with open("est.json", "w") as fh:
     json.dump({"family": "example1", "theta_hat": [1.0]}, fh)
@@ -333,7 +354,7 @@ def test_numpy_only_commands_load_no_scipy(tmp_path):
 def test_config_file_merging(tmp_path):
     field = tmp_path / "cfg_field.bin"
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("dims = 12x10\nmodes = 2\nburn-in = 5\n# comment line\n")
+    cfg.write_text("dims = 12x10\nmodes = 2\n# comment line\n")
     run(["--config", cfg, "simulate", "--out", field])
     fld = load_field_binary(field)
     assert fld.dims == (12, 10) and fld.n_modes == 2
@@ -345,8 +366,8 @@ def test_config_file_merging(tmp_path):
 def test_config_loses_to_explicit_flag_with_equals_sign(tmp_path):
     field = tmp_path / "eq_field.bin"
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("dims = 6x6\nmodes = 2\nburn-in = 5\n")
-    run(["--config", cfg, "simulate", "--dims=4x4", "--burn-in=3", "--out", field])
+    cfg.write_text("dims = 6x6\nmodes = 2\n")
+    run(["--config", cfg, "simulate", "--dims=4x4", "--out", field])
     fld = load_field_binary(field)
     assert fld.dims == (4, 4) and fld.n_modes == 2
 
@@ -371,7 +392,7 @@ def test_config_unknown_key_rejected(tmp_path):
 
 def test_config_supplies_required_flags(tmp_path):
     field = tmp_path / "f.bin"
-    run(["simulate", "--dims", "8x8", "--modes", "2", "--burn-in", 5, "--out", field])
+    run(["simulate", "--dims", "8x8", "--modes", "2", "--out", field])
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"field = {field}\n")
     run(["--config", cfg, "periodogram", "--out", tmp_path / "pg.bin"])
@@ -396,7 +417,7 @@ def test_required_flag_missing_from_config_is_usage_error(tmp_path, capsys):
 def test_config_store_true_and_top_level_keys(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("csv = yes\nout-dir = {}\nseed = 4\ndims = 6x6\nmodes = 2\n"
-                   "burn-in = 3\n".format(tmp_path / "out"))
+                   .format(tmp_path / "out"))
     run(["--config", cfg, "simulate", "--out", "f.bin"])
     assert (tmp_path / "out" / "f.bin.csv").exists()
     first = load_field_binary(tmp_path / "out" / "f.bin").data
@@ -433,7 +454,7 @@ def test_abbreviated_flag_refused(tmp_path, capsys):
     # config file: argparse would otherwise expand --dim to --dims
     field = tmp_path / "abbrev_field.bin"
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("dims = 6x6\nmodes = 2\nburn-in = 5\n")
+    cfg.write_text("dims = 6x6\nmodes = 2\n")
     with pytest.raises(SystemExit) as err:
         run(["--config", cfg, "simulate", "--dim", "4x4", "--out", field])
     assert err.value.code == 2
@@ -452,7 +473,7 @@ def test_abbreviated_flag_refused(tmp_path, capsys):
 ], ids=["not_json", "no_family", "list", "text_theta", "list_family"])
 def test_predict_bad_estimate_json_rejected(tmp_path, text, error):
     field = tmp_path / "field.bin"
-    run(["simulate", "--dims", "8x8", "--modes", "2", "--burn-in", 5, "--out", field])
+    run(["simulate", "--dims", "8x8", "--modes", "2", "--out", field])
     est = tmp_path / "est.json"
     est.write_text(text)
     pred = tmp_path / "pred.bin"
@@ -463,7 +484,7 @@ def test_predict_bad_estimate_json_rejected(tmp_path, text, error):
 
 def test_cox_moments_rect_outside_lattice_rejected(tmp_path):
     field = tmp_path / "field.bin"
-    run(["simulate", "--dims", "8x8", "--modes", "2", "--burn-in", 5, "--out", field])
+    run(["simulate", "--dims", "8x8", "--modes", "2", "--out", field])
     phi = tmp_path / "phi.csv"
     phi.write_text("1.0\n0.0\n")
     out = tmp_path / "moments.json"
@@ -477,7 +498,7 @@ def test_triple_family_simulate_and_estimate(tmp_path):
     # every family of sarh.FAMILIES is a choice of both commands
     field = tmp_path / "field.bin"
     assert run(["simulate", "--family", "triple", "--theta", "0.1,0.1,0", "--dims", "16x16",
-                "--modes", "2", "--burn-in", 10, "--out", field]) is None
+                "--modes", "2", "--out", field]) is None
     est = tmp_path / "est.json"
     assert run(["estimate", "--family", "triple", "--field", field, "--modes", "2",
                 "--out", est]) is None

@@ -220,7 +220,7 @@ def test_plug_in_prediction_beats_zero_predictor():
     params = Sarh1Params("example1", [1.0], 1)
     sq_pred, sq_zero = 0.0, 0.0
     for seed in range(20):
-        fld = simulate_sarh1(params, (60, 60), burn_in=40, seed=7_000 + seed)
+        fld = simulate_sarh1(params, (60, 60), seed=7_000 + seed)
         pred = predict_field(fld, model, [1.0])
         err = fld.data[1:, 1:] - pred.data[1:, 1:]
         sq_pred += float(np.sum(err**2))
@@ -258,6 +258,6 @@ def test_cov_map_combines_modes():
     phi = TestFunction([0.5, 2.0])
     cmap = cov_map(model, [1.0], phi, (1, 1))
     from spatialcox import cov_from_spectrum
-    vals, _ = cov_from_spectrum(model, [1.0], [(1, -1)])
+    vals = cov_from_spectrum(model, [1.0], [(1, -1)])
     expect = 0.25 * vals[0, 0] + 4.0 * vals[0, 1]
     assert cmap[(1, -1)] == pytest.approx(expect, rel=1e-12)

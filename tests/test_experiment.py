@@ -7,7 +7,7 @@ from spatialcox.errors import ParameterDomainError, SingularSpectrumError
 
 def small_cfg(**kw):
     base = dict(family="example1", theta_true=[1.0], grid_sizes=(24, 32),
-                replicates=4, n_modes=3, burn_in=20, seed=7)
+                replicates=4, n_modes=3, seed=7)
     base.update(kw)
     return ExperimentConfig(**base)
 
@@ -18,6 +18,13 @@ def test_single_replicate_mse_is_squared_error():
     assert row["mse"] == pytest.approx((row["mean"] - 1.0) ** 2, rel=1e-12)
     assert row["sd"] == 0.0
     assert row["n_failed"] == 0
+
+
+def test_burn_in_changes_no_table():
+    # the fields are drawn from their exact stationary law, with no margin
+    rows = [run_experiment(small_cfg(grid_sizes=(16,), replicates=2, burn_in=b)).rows
+            for b in (0, 100)]
+    assert rows[0] == rows[1]
 
 
 def test_mse_identity_and_determinism():

@@ -104,6 +104,15 @@ def test_csv_missing_rows_rejected(tmp_path, small_field):
         load_field_csv(path, support_length=1.0)
 
 
+def test_csv_huge_index_rejected_before_allocating(tmp_path):
+    # the grid of these indices is more than the address space: numpy used to refuse
+    # it with a bare ValueError; a TiB-sized grid would have been allocated instead
+    path = tmp_path / "f.csv"
+    path.write_text(f"i,j,k,value\n0,0,1,1.0\n{2**31},{2**31},{2**31},2.0\n")
+    with pytest.raises(FileFormatError, match="missing"):
+        load_field_csv(path, support_length=1.0)
+
+
 def test_csv_duplicate_rows_rejected(tmp_path, small_field):
     path = tmp_path / "f.csv"
     save_field_csv(small_field, path)

@@ -113,8 +113,8 @@ def test_integral_values_give_the_integer_results():
     assert (fejer_smoothed_inverse(model, [1.0], 2.0, (np.int64(3), 4.0), (0.3, -1.0))
             == fejer_smoothed_inverse(model, [1.0], 2, (3, 4), (0.3, -1.0)))
     np.testing.assert_array_equal(
-        cov_from_spectrum(model, [1.0], [(1.0, -2.0), (np.int64(0), 3)], grid_size=64.0)[0],
-        cov_from_spectrum(model, [1.0], [(1, -2), (0, 3)], grid_size=64)[0])
+        cov_from_spectrum(model, [1.0], [(1.0, -2.0), (np.int64(0), 3)], grid_size=64.0),
+        cov_from_spectrum(model, [1.0], [(1, -2), (0, 3)], grid_size=64))
     np.testing.assert_array_equal(idw_interpolate(_SERIES, (3.0, np.int64(2))).values,
                                   idw_interpolate(_SERIES, (3, 2)).values)
     rect = BorelRect(0, 1, 0, 1)

@@ -77,8 +77,9 @@ SERIES_ROWS = ["0,0.0,0.0,1.0,5.0", "0,0.0,0.0,2.0,6.0",
     [],                                                        # header only
     SERIES_ROWS[:3],                                           # (site 1, time 2) missing
     SERIES_ROWS[:3] + ["1,1.0,0.0,2.0,nan"],                   # nan value
+    SERIES_ROWS + [f"{2**62},1.0,0.0,1.0,9.0"],                # an id beyond the address space
 ], ids=["repeated_row", "negative_id", "two_coordinates", "fractional_id", "no_rows",
-        "missing_row", "nan_value"])
+        "missing_row", "nan_value", "huge_id"])
 def test_series_csv_bad_rows_rejected(tmp_path, rows):
     path = tmp_path / "series.csv"
     path.write_text("\n".join(["site_id,lon,lat,time,value", *rows]) + "\n")

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import (bidisk_min_gap, crude_sum_margins, eigenvalues_example1,
-                     eigenvalues_example2, grid_has_torus_zero, log_denominator_mean,
-                     naive_sarh, pmf_triple_scalar, quadrature_sigma2_c2, rational_density,
-                     separable_cov, torus_min_abs_denominator)
+                     eigenvalues_example2, exact_axis_cov, exact_face_margins, grid_has_torus_zero,
+                     log_denominator_mean, naive_sarh, pmf_triple_scalar, quadrature_sigma2_c2,
+                     rational_density, separable_cov, torus_min_abs_denominator)
 from spatialcox import (Sarh1Params, TestFunction, c2_innovation_var, cov_from_spectrum, cov_map,
                         empirical_cov, family_triples, fejer_smoothed_inverse, is_causal,
                         periodogram, simulate_sarh1, SpectralModel)
-from spatialcox.errors import ParameterDomainError, ResolutionError, StationarityError
+from spatialcox.errors import ParameterDomainError, StationarityError
 from spatialcox import sarh
 from spatialcox.sarh import CAUSAL_FACES, _face_margins, _has_torus_zero
 
@@ -99,7 +99,7 @@ def test_stationarity_example2_true_values_fails_crude_bound():
 def test_simulate_degenerate_ar_is_iid():
     # innovation sds (1, 2): the unit field times the sds
     params = Sarh1Params("custom", [0.0, 0.0, 0.0, 0.0, 0.0, 0.0], 2)
-    fld = simulate_sarh1(params, (200, 200), burn_in=5, seed=42)
+    fld = simulate_sarh1(params, (200, 200), seed=42)
     var = (fld.data * [1.0, 2.0]).var(axis=(0, 1))
     assert abs(var[0] - 1.0) < 0.05
     assert abs(var[1] - 4.0) < 0.2
@@ -113,8 +113,7 @@ def _fail(*args):
 # separable triples (l3 == -l1*l2 exactly) take the AR(1) passes instead, which
 # round differently from the site recursion: by ulps of the field's scale, so a
 # cell near zero differs by more than 1e-13 of itself
-_SHAPES = {"12x9": ((12, 9), 6), "9x12": ((9, 12), 6), "2x2": ((2, 2), 0),
-           "2x7": ((2, 7), 0), "31x3": ((31, 3), 5)}
+_SHAPES = {"12x9": (12, 9), "9x12": (9, 12), "2x2": (2, 2), "2x7": (2, 7), "31x3": (31, 3)}
 _KERNEL_CASES = {
     "": ("custom", [0.5, 0.3, -0.2, -0.4, 0.2, 0.1, 0.3, -0.6, 0.05], "_ar1_passes"),
     "-example1": ("example1", [1.0], "_sweep"),
@@ -123,17 +122,68 @@ _KERNEL_CASES = {
                           "_sweep")}
 
 
-@pytest.mark.parametrize("dims, burn_in, family, theta, other", [
-    pytest.param(*shape, *case, id=shape_id + case_id)
+@pytest.mark.parametrize("dims, family, theta, other", [
+    pytest.param(shape, *case, id=shape_id + case_id)
     for case_id, case in _KERNEL_CASES.items() for shape_id, shape in _SHAPES.items()])
-def test_simulate_matches_naive_recursion(dims, burn_in, family, theta, other, monkeypatch):
+def test_simulate_matches_naive_recursion(dims, family, theta, other, monkeypatch):
     monkeypatch.setattr(sarh, other, _fail)
-    fast = simulate_sarh1(Sarh1Params(family, theta, 3), dims, burn_in=burn_in, seed=7)
-    slow = naive_sarh(family_triples(family, theta, 3), dims, burn_in, 7)
+    fast = simulate_sarh1(Sarh1Params(family, theta, 3), dims, seed=7)
+    slow = naive_sarh(family_triples(family, theta, 3), dims, 7)
     if other == "_ar1_passes":
         np.testing.assert_array_equal(fast.data, slow)
     else:
         np.testing.assert_allclose(fast.data, slow, rtol=1e-13, atol=1e-13 * np.abs(slow).max())
+
+
+@pytest.mark.parametrize("family, theta", [("example1", [1.0]), ("triple", [0.5, 0.3, -0.1])],
+                         ids=["passes", "sweep"])
+def test_simulate_ignores_burn_in(family, theta):
+    # no margin is simulated, so every burn_in gives the same field bit for bit
+    params = Sarh1Params(family, theta, 3)
+    want = simulate_sarh1(params, (9, 7), seed=5).data
+    for burn_in in (0, 20, 100):
+        got = simulate_sarh1(params, (9, 7), burn_in=burn_in, seed=5).data
+        np.testing.assert_array_equal(got, want)
+
+
+# one separable triple (the AR(1) passes) and two that are not (the sweep)
+@pytest.mark.parametrize("triple", [(0.6, -0.5, 0.3), (0.5, 0.45, 0.0), (-0.3, 0.6, 0.25)],
+                         ids=["separable", "near_band", "mixed_signs"])
+def test_simulated_field_has_the_exact_stationary_law(triple):
+    # 20,000 independent 6x8 fields, one per mode: the corner, the edges and the
+    # interior each have variance R_0, and lag-one pairs within the column 0
+    # chain, the row 0 chain, across the corner and inside have the covariances
+    # of cov_from_spectrum, within 3 standard errors.  A zero-started 6x8 field
+    # of (0.5, 0.45, 0) has variance 2.68 at (5, 5) against R_0 = 3.21
+    n = 20_000
+    params = Sarh1Params("triple", triple, n)
+    x = simulate_sarh1(params, (6, 8), seed=123).data
+    r = cov_from_spectrum(params.model, params.theta, [(0, 0), (1, 0), (0, 1), (1, 1), (1, -1)])
+    r = dict(zip(["0", "10", "01", "11", "1-1"], r[:, 0]))
+    inner = x[1:, 1:]
+    checks = {
+        "corner variance": (x[0, 0] ** 2, r["0"]),
+        "edge variance": ((np.concatenate([x[1:, 0], x[0, 1:]]) ** 2).mean(axis=0), r["0"]),
+        "interior variance": ((inner**2).mean(axis=(0, 1)), r["0"]),
+        "column 0 lag (1, 0)": ((x[1:, 0] * x[:-1, 0]).mean(axis=0), r["10"]),
+        "row 0 lag (0, 1)": ((x[0, 1:] * x[0, :-1]).mean(axis=0), r["01"]),
+        "across the corner lag (1, -1)": (x[1, 0] * x[0, 1], r["1-1"]),
+        "interior lag (1, 0)": ((inner[1:] * inner[:-1]).mean(axis=(0, 1)), r["10"]),
+        "interior lag (0, 1)": ((inner[:, 1:] * inner[:, :-1]).mean(axis=(0, 1)), r["01"]),
+        "interior lag (1, 1)": ((inner[1:, 1:] * inner[:-1, :-1]).mean(axis=(0, 1)), r["11"]),
+        "interior lag (1, -1)": ((inner[1:, :-1] * inner[:-1, 1:]).mean(axis=(0, 1)), r["1-1"]),
+    }
+    for name, (per_field, want) in checks.items():
+        se = per_field.std(ddof=1) / np.sqrt(n)
+        assert abs(per_field.mean() - want) < 3 * se, (name, per_field.mean(), want, se)
+
+
+def test_face_margins_are_exact_near_a_face():
+    # 1 - (l1 + l2 + l3) with the sum rounded first gave m0 = 1.0000000000287557e-06
+    # at (0.5, 0.399999, 0.1), a relative error of 2.8e-11
+    for triple in [(0.5, 0.399999, 0.1), (0.5, 0.4999999999, 0.0)]:
+        np.testing.assert_allclose(_face_margins([triple])[1][0], exact_face_margins(triple),
+                                   rtol=2.0**-52, atol=0)
 
 
 @pytest.mark.parametrize("kwargs", [{"dims": (12.7, 8)}, {"dims": (8, 8, 3)}, {"dims": 8},
@@ -172,10 +222,10 @@ def test_import_leaves_out_scipy():
 
 def test_simulate_reproducible():
     params = Sarh1Params("example1", [1.3], 4)
-    a = simulate_sarh1(params, (20, 30), burn_in=15, seed=99)
-    b = simulate_sarh1(params, (20, 30), burn_in=15, seed=99)
+    a = simulate_sarh1(params, (20, 30), seed=99)
+    b = simulate_sarh1(params, (20, 30), seed=99)
     np.testing.assert_array_equal(a.data, b.data)
-    c = simulate_sarh1(params, (20, 30), burn_in=15, seed=100)
+    c = simulate_sarh1(params, (20, 30), seed=100)
     assert not np.array_equal(a.data, c.data)
 
 
@@ -183,12 +233,12 @@ def test_simulate_autocovariance_ratio_spectral_inversion_oracle():
     # lag-(1,0)/lag-(0,0) against the ratio from numerically inverting the
     # spectral density on a 512^2 grid; Monte Carlo over 10 fields, 3 SE band
     model = SpectralModel("example1", n_modes=1)
-    (r0, r1), _ = cov_from_spectrum(model, [1.0], [(0, 0), (1, 0)], grid_size=512)
+    r0, r1 = cov_from_spectrum(model, [1.0], [(0, 0), (1, 0)], grid_size=512)
     target = float(r1[0] / r0[0])
     params = Sarh1Params("example1", [1.0], 1)
     ratios = []
     for rep in range(10):
-        fld = simulate_sarh1(params, (150, 150), burn_in=60, seed=500 + rep)
+        fld = simulate_sarh1(params, (150, 150), seed=500 + rep)
         cov = empirical_cov(fld, (1, 0))
         ratios.append(cov.at(1, 0)[0, 0] / cov.at(0, 0)[0, 0])
     ratios = np.array(ratios)
@@ -200,7 +250,7 @@ def test_simulate_autocovariance_ratio_spectral_inversion_oracle():
 
 def test_simulate_zero_mean_and_mode_independence():
     params = Sarh1Params("example1", [1.0], 3)
-    fld = simulate_sarh1(params, (300, 300), burn_in=80, seed=2024)
+    fld = simulate_sarh1(params, (300, 300), seed=2024)
     n = 300 * 300
     for k in range(3):
         x = fld.data[:, :, k]
@@ -217,14 +267,14 @@ def test_example2_true_values_simulate_without_warning():
     params = Sarh1Params("example2", [1.0, 1.6, 1.5, 1.2], 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        fld = simulate_sarh1(params, (16, 16), burn_in=10, seed=1)
+        fld = simulate_sarh1(params, (16, 16), seed=1)
     assert np.all(np.isfinite(fld.data))
 
 
 def test_unit_root_rejected_with_mode_index():
     params = Sarh1Params("custom", [1.0, 0.0, 0.0, 0.1, 0.1, 0.0], 2)
     with pytest.raises(StationarityError) as err:
-        simulate_sarh1(params, (8, 8), burn_in=4, seed=0)
+        simulate_sarh1(params, (8, 8), seed=0)
     assert err.value.mode == 1
 
 
@@ -236,7 +286,7 @@ def test_non_causal_triple_off_the_torus_rejected(theta):
     params = Sarh1Params("custom", theta, m)
     assert torus_min_abs_denominator(family_triples("custom", theta, m)[-1]) > 0.05
     with pytest.raises(StationarityError) as err:
-        simulate_sarh1(params, (8, 8), burn_in=4, seed=0)
+        simulate_sarh1(params, (8, 8), seed=0)
     assert err.value.mode == m
 
 
@@ -244,7 +294,7 @@ def test_example1_beyond_pi_rejected():
     # l1 = theta^2 / pi^2 > 1 on mode 1 once theta > pi; at 3.8 the torus
     # grid check found no zero, so the field used to grow without bound
     with pytest.raises(StationarityError) as err:
-        simulate_sarh1(Sarh1Params("example1", [3.8], 3), (8, 8), burn_in=4, seed=0)
+        simulate_sarh1(Sarh1Params("example1", [3.8], 3), (8, 8), seed=0)
     assert err.value.mode == 1
 
 
@@ -270,11 +320,11 @@ def test_spectral_consistency_of_simulator():
     acc = None
     reps = 100
     for rep in range(reps):
-        fld = simulate_sarh1(params, (128, 128), burn_in=60, seed=31_000 + rep)
+        fld = simulate_sarh1(params, (128, 128), seed=31_000 + rep)
         i_diag = periodogram(fld).values.real[:, :, 0]
         acc = i_diag if acc is None else acc + i_diag
     avg = acc / reps
-    grid = periodogram(simulate_sarh1(params, (128, 128), burn_in=1, seed=0)).grid
+    grid = periodogram(simulate_sarh1(params, (128, 128), seed=0)).grid
     w1, w2 = grid.meshes()
     dens = model.density([1.0], w1, w2)[:, :, 0]
     rel_l1 = np.abs(avg - dens).sum() / dens.sum()
@@ -286,7 +336,7 @@ def test_spectral_consistency_of_simulator():
 
 def test_simulated_variance_matches_separable_closed_form():
     params = Sarh1Params("example1", [1.0], 1)
-    fld = simulate_sarh1(params, (250, 250), burn_in=80, seed=77)
+    fld = simulate_sarh1(params, (250, 250), seed=77)
     l1, l2, _ = eigenvalues_example1(1.0, 1)
     target = separable_cov(l1, l2, 0, 0, innovation_var=1.0)
     sample = fld.data.var()
@@ -306,10 +356,16 @@ triples_in_cube = st.tuples(*[st.floats(-2.0, 2.0)] * 3)
 @example((0.4, 0.3, -0.05))
 @example((0.9, 0.0, 0.0))
 @example((0.5, 0.5, 0.0))  # on the face l1 + l2 + l3 = 1
+@example((0.5, 0.5, -7.307419739137539e-273))  # a tiny step inside it
 def test_is_causal_matches_bidisk_root_oracle(triple):
     # the grid minimum bounds the true minimum from above, so a grid gap <= 0
-    # already proves a zero in the closed bidisk
+    # already proves a zero in the closed bidisk; but a gap within rounding of 0,
+    # as at (0.5, 0.5, -7.3e-273) whose gap rounds to 0 and whose margins are all
+    # positive, proves nothing, and there the exact margins decide
     gap = bidisk_min_gap(triple)
+    if abs(gap) <= 1e-12:
+        assert is_causal(np.array([triple]))[0] == (min(exact_face_margins(triple)) > 0)
+        return
     assume(gap <= 0.0 or gap > 0.05)
     assert is_causal(np.array([triple]))[0] == (gap > 0)
 
@@ -393,17 +449,18 @@ def test_causal_triples_near_a_face_are_regular():
     assert not np.any(_has_torus_zero(triples))
     np.testing.assert_array_equal(c2_innovation_var(triples), 1.0)
     model = SpectralModel("custom", n_modes=triples.shape[0])
-    (r0, r1), _ = cov_from_spectrum(model, triples.ravel(), [(0, 0), (1, 0)])
+    r0, r1 = cov_from_spectrum(model, triples.ravel(), [(0, 0), (1, 0)])
     assert np.all(np.isfinite(r0)) and np.all(np.isfinite(r1)) and np.all(r0 > 0)
-    # R(1, 0) = rho R(0, 0), rho = 2d / (c + sqrt(lo hi)) the root of d x^2 - c x + d
-    # inside the unit disk; c = (lo + hi) / 2 from the margin products lo, hi = c -+ 2d,
-    # since 1 + l1^2 - l2^2 - l3^2 cancels near the vertices, where c = 0
-    l1, l2, l3 = triples.T
-    _, _, lo, hi = _face_margins(triples)
-    rho = 2.0 * (l1 + l2 * l3) / (0.5 * (lo + hi) + np.sqrt(lo * hi))
+    # R(1, 0) = rho R(0, 0) and R_0, against the closed form of the z1 axis in 50-digit
+    # decimals (the z2 axis of the transposed triple); in floats, 2d / (c + sqrt(lo hi))
+    # with d = l1 + l2 l3 is off by up to 1.8e-13 of rho here
+    want = np.array([[exact_axis_cov((l2, l1, l3), lag) for lag in (0, 1)]
+                     for l1, l2, l3 in triples])
+    rho = want[:, 1] / want[:, 0]
     assert np.all(np.abs(r1 - rho * r0) <= 1e-13 * r0)
+    assert np.all(np.abs(r0 - want[:, 0]) <= 1e-13 * want[:, 0])
     for triple in quoted:
-        (r,), _ = cov_from_spectrum(SpectralModel("triple", n_modes=1), np.array(triple), [(0, 0)])
+        (r,) = cov_from_spectrum(SpectralModel("triple", n_modes=1), np.array(triple), [(0, 0)])
         assert np.isfinite(r[0]) and r[0] > 0
 
 
@@ -508,10 +565,10 @@ def test_box_inside_the_family_box_accepted():
 def test_white_noise_has_one_variance_in_simulation_and_model(s):
     # a white-noise mode of innovation sd s is the unit one times s: it
     # simulates with variance s^2, and its model covariance R_0 is s^2 times 1
-    (r0,), _ = cov_from_spectrum(SpectralModel("custom", 1), np.zeros(3), [(0, 0)])
+    (r0,) = cov_from_spectrum(SpectralModel("custom", 1), np.zeros(3), [(0, 0)])
     assert s**2 * r0[0] == pytest.approx(s**2, rel=1e-12)
     params = Sarh1Params("custom", np.zeros(3), 1)
-    x = s * simulate_sarh1(params, (200, 200), burn_in=0, seed=11).data
+    x = s * simulate_sarh1(params, (200, 200), seed=11).data
     assert x.var() == pytest.approx(s**2, rel=0.03)  # 4e4 draws: sd of var/s^2 ~ 0.007
 
 
@@ -521,8 +578,8 @@ def test_white_noise_has_one_variance_in_simulation_and_model(s):
                                                           -0.1, -0.02, 0.04])])
 def test_simulate_accepts_every_family(family, theta):
     params = Sarh1Params(family, theta, 3)
-    fld = simulate_sarh1(params, (6, 5), burn_in=4, seed=1)
+    fld = simulate_sarh1(params, (6, 5), seed=1)
     assert fld.data.shape == (6, 5, 3)
     # the field is that of the family's triples, drawn with unit innovations
-    want = naive_sarh(family_triples(family, theta, 3), (6, 5), 4, 1)
+    want = naive_sarh(family_triples(family, theta, 3), (6, 5), 1)
     np.testing.assert_allclose(fld.data, want, atol=1e-12)

@@ -131,7 +131,7 @@ def test_loss_at_matching_spectrum_is_one():
 def test_loss_scales_linearly():
     model = SpectralModel("example1", n_modes=2)
     params = Sarh1Params("example1", [1.0], 2)
-    fld = simulate_sarh1(params, (24, 24), burn_in=20, seed=5)
+    fld = simulate_sarh1(params, (24, 24), seed=5)
     base = whittle_loss(model, [1.0], fld)
     scaled = CoeffField(np.sqrt(3.0) * fld.data, fld.basis)  # a periodogram 3 times fld's
     assert whittle_loss(model, [1.0], scaled) == pytest.approx(3.0 * base, rel=1e-12)
@@ -139,7 +139,7 @@ def test_loss_scales_linearly():
 
 def test_fast_path_equals_dense():
     params = Sarh1Params("example2", [1.0, 1.6, 1.5, 1.2], 5)
-    fld = simulate_sarh1(params, (20, 28), burn_in=20, seed=6)
+    fld = simulate_sarh1(params, (20, 28), seed=6)
     pg = periodogram(fld)
     moments = trig_moments(fld)
     for family, theta in (("example2", [0.9, 1.5, 1.4, 1.1]),
@@ -190,7 +190,7 @@ def test_loss_monte_carlo_near_one_and_locally_minimal():
     params = Sarh1Params("example1", [1.0], 10)
     at_true, wins = [], 0
     for seed in range(20):
-        fld = simulate_sarh1(params, (256, 256), burn_in=100, seed=42_000 + seed)
+        fld = simulate_sarh1(params, (256, 256), seed=42_000 + seed)
         m = trig_moments(fld)
         l0 = _mode_losses(model.eig_triples([1.0]), m).max()
         lm = _mode_losses(model.eig_triples([0.7]), m).max()
@@ -244,7 +244,7 @@ def test_estimate_noise_free_recovers_theta():
 def test_estimate_respects_box_and_beats_bracketing_grid():
     model = SpectralModel("example1", n_modes=3)
     params = Sarh1Params("example1", [1.0], 3)
-    fld = simulate_sarh1(params, (32, 32), burn_in=20, seed=8)
+    fld = simulate_sarh1(params, (32, 32), seed=8)
     fit = estimate(model, fld)
     assert model.contains(fit.theta_hat)
     assert fit.loss_at_min == whittle_loss(model, fit.theta_hat, fld)
@@ -256,7 +256,7 @@ def test_estimate_respects_box_and_beats_bracketing_grid():
 def test_estimate_is_pure_function_of_periodogram():
     model = SpectralModel("example1", n_modes=3)
     params = Sarh1Params("example1", [1.0], 3)
-    fld = simulate_sarh1(params, (32, 32), burn_in=20, seed=9)
+    fld = simulate_sarh1(params, (32, 32), seed=9)
     a = estimate(model, fld)
     b = estimate(model, fld)
     np.testing.assert_array_equal(a.theta_hat, b.theta_hat)
@@ -269,7 +269,7 @@ def test_estimate_is_pure_function_of_periodogram():
 def test_estimate_from_field_matches_periodogram(family, theta):
     # the fit reads the field only through its periodogram: another field with
     # the same periodogram gives the same fit
-    fld = simulate_sarh1(Sarh1Params(family, theta, 5), (48, 40), burn_in=30, seed=17)
+    fld = simulate_sarh1(Sarh1Params(family, theta, 5), (48, 40), seed=17)
     model = SpectralModel(family, n_modes=5)
     from_field = estimate(model, fld)
     from_pgram = estimate(model, field_with_periodogram(periodogram(fld)))
@@ -336,7 +336,7 @@ def _example1_field(name):
     if name == "model-3.6":  # noise-free, beyond pi
         return model_field(SpectralModel("example1", n_modes=6), [3.6], (24, 24))
     theta, seed = {"sim-1.0": (1.0, 72), "sim-3.0": (3.0, 73)}[name]
-    return simulate_sarh1(Sarh1Params("example1", [theta], 6), (32, 32), burn_in=30, seed=seed)
+    return simulate_sarh1(Sarh1Params("example1", [theta], 6), (32, 32), seed=seed)
 
 
 @pytest.mark.parametrize("name", ["sim-1.0", "sim-3.0", "model-3.6"])
@@ -378,7 +378,7 @@ def test_example1_zero_field_fits_lower_box_end(box):
 
 def test_example1_repeated_column_field_fits():
     # every mode the same column: equal moments, so no polynomial vanishes
-    one = simulate_sarh1(Sarh1Params("example1", [1.0], 1), (30, 30), burn_in=30, seed=74)
+    one = simulate_sarh1(Sarh1Params("example1", [1.0], 1), (30, 30), seed=74)
     fld = CoeffField(np.repeat(one.data, 10, axis=2), BasisSpec(1.0, 10))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -404,8 +404,7 @@ def test_triple_fit_of_band_periodogram_is_causal():
 @pytest.mark.parametrize("family", ["custom", "realdata_pmf"])
 def test_affine_family_fit_recovers_pmf_triples(family):
     lam = family_triples("realdata_pmf", DEFAULT_TRUE_PMF, 10)
-    fld = simulate_sarh1(Sarh1Params("custom", lam.ravel(), 10), (64, 64), burn_in=60,
-                         seed=3)
+    fld = simulate_sarh1(Sarh1Params("custom", lam.ravel(), 10), (64, 64), seed=3)
     model = SpectralModel(family, n_modes=10)
     fit = estimate(model, fld)
     lam_hat = model.eig_triples(fit.theta_hat)
@@ -433,7 +432,7 @@ def test_triple_fit_not_above_dense_grid_oracle(seed):
         fld = field_with_periodogram(pg)
     else:
         params = Sarh1Params("custom", [0.5, 0.3, -0.1, 0.2, 0.6, 0.1], 2)
-        fld = simulate_sarh1(params, (12, 12), burn_in=30, seed=seed)
+        fld = simulate_sarh1(params, (12, 12), seed=seed)
         pg = periodogram(fld)
     fit = estimate(SpectralModel("triple", n_modes=2), fld)
     w1, w2 = pg.grid.meshes()
@@ -547,7 +546,7 @@ def test_estimate_realdata_pmf_recovers_triples():
     theta_true = np.array([0.30, 0.10, 0.05, 0.22, 0.06, -0.04, -0.08, -0.03, 0.03])
     lam_true = family_triples("realdata_pmf", theta_true, 10)
     params = Sarh1Params("custom", lam_true.ravel(), 10)
-    fld = simulate_sarh1(params, (96, 96), burn_in=60, seed=404)
+    fld = simulate_sarh1(params, (96, 96), seed=404)
     model = SpectralModel("realdata_pmf", n_modes=10)
     fit = estimate(model, fld)
     lam_hat = model.eig_triples(fit.theta_hat)
@@ -569,7 +568,7 @@ def test_mode_loss_jacobian_matches_central_differences(family):
     rng = np.random.default_rng(61)
     n_modes = 4
     fld = simulate_sarh1(Sarh1Params("example2", [1.0, 1.6, 1.5, 1.2], n_modes), (20, 24),
-                         burn_in=20, seed=62)
+                         seed=62)
     moments = trig_moments(fld)
     model = SpectralModel(family, n_modes=n_modes)
     box = model.theta_box
