@@ -97,8 +97,10 @@ def empirical_cov(field: CoeffField, max_lag) -> EmpiricalCov:
 
     A zero-padded cross-correlation by real FFTs: each axis is padded to the
     smallest 2^a 3^b 5^c >= N_j + L_j, so no circular wrap reaches a stored
-    lag; one ``rfft2`` of the mode-major field, then per mode k one batched
-    ``irfft2`` of conj(F_k) F_l over l >= k.  The lower triangle is filled as
+    lag; one ``rfft2`` of the mode-major field, then per mode k the inverse of
+    conj(F_k) F_l over l >= k in ``irfft2``'s own two steps: an ``ifft`` over
+    z1, of which only the 2 L1 + 1 stored rows go on to the ``irfft`` over z2,
+    so the result is ``irfft2``'s bit for bit.  The lower triangle is filled as
     the exact mirror, since C(-z) = C(z)^T, and the diagonal's lags below
     z = 0 are copied from those above it, so the symmetry holds bit for bit.
     A bound that is negative, not integral or not below the field dims raises
@@ -112,11 +114,12 @@ def empirical_cov(field: CoeffField, max_lag) -> EmpiricalCov:
     lags2 = np.arange(-l2max, l2max + 1)
     p = (_fft_size(n1 + l1max), _fft_size(n2 + l2max))
     f = np.fft.rfft2(np.moveaxis(field.data, 2, 0), s=p)
-    rows, cols = (lags1 % p[0])[:, None], lags2 % p[1]
+    rows, cols = lags1 % p[0], lags2 % p[1]
     out = np.empty((lags1.size, lags2.size, m, m))
     for k in range(m):  # per k, not over all pairs at once, to keep memory flat
-        corr = np.fft.irfft2(np.conj(f[k]) * f[k:], s=p)
-        out[:, :, k, k:] = np.moveaxis(corr[:, rows, cols], 0, 2) / (n1 * n2)
+        stored_rows = np.fft.ifft(np.conj(f[k]) * f[k:], n=p[0], axis=1)[:, rows]
+        corr = np.fft.irfft(stored_rows, n=p[1], axis=2)[:, :, cols]
+        out[:, :, k, k:] = np.moveaxis(corr, 0, 2) / (n1 * n2)
     flat = out.reshape(-1, m, m)
     upper, diag = np.triu_indices(m, 1), np.arange(m)
     flat[:, upper[1], upper[0]] = flat[::-1, upper[0], upper[1]]
@@ -183,7 +186,7 @@ def cov_from_spectrum(model, theta, lags, grid_size: int = 512) -> np.ndarray:
     scale = np.asarray(model.sigma2(theta), dtype=float) * TWO_PI_SQ
     if not np.all(found := ok.any(axis=1) & np.isfinite(scale)):
         raise ResolutionError(f"mode {np.argmin(found) + 1}: no orientation is causal with a "
-                              "finite scale in floating point: covariances not converged")
+                              "finite scale in floating point")
     # in each mode's causal frame, turned by R(-y) = R(y) to y2 >= 0, a lag has |y1| = |z1|
     # and y2 = |z2|, and y1 > 0 < y2 where z1 z2 has the sign of the frame's parity
     a = np.abs(z.astype(np.int64))

@@ -1,19 +1,21 @@
 """Independent brute-force oracles used to freeze expected values.
 
-Everything here is deliberately slow and direct: double sums for the DFT,
-nested loops for covariances and one BLAS product per lag for the whole
-lag rectangle of them, a naive site-by-site sweep for the SARH(1)
-recursion, the closed-form covariance of the separable (l3 = -l1*l2)
-autoregression, the 2-D grid inversion of a spectrum to covariances and
-the w1 quadrature of its closed-form w2 integral, the forward cosine sum
-of a lag rectangle of covariances, the 256^2 quadrature of the
-Fejer-smoothed inverse spectrum, the site-pair double sum of the count
-variance, the dense Fourier-grid Whittle loss, the cosine contraction of
-a periodogram and the field that has a given one, row-by-row CSV writers,
-the curve-space pipeline (smooth, interpolate and detrend every curve on
-the dense time grid), the scalar and grid forms of the eigenvalue families,
-the stationarity checks and the C2 normalization, and a dense grid refined
-by zooming for the example1 fit.
+Everything here is deliberately slow and direct: double sums for the
+DFT, nested loops for covariances, one BLAS product per lag for the
+whole lag rectangle of them, the whole-grid irfft2 of their padded FFT
+form, a naive site-by-site sweep for the SARH(1) recursion, the
+closed-form covariance of the separable (l3 = -l1*l2) autoregression,
+the 2-D grid inversion of a spectrum to covariances and the w1
+quadrature of its closed-form w2 integral, the forward cosine sum of a
+lag rectangle of covariances, the 256^2 quadrature of the Fejer-smoothed
+inverse spectrum, the site-pair double sum of the count variance, the
+dense Fourier-grid Whittle loss, the cosine contraction of a periodogram
+and the field that has a given one, row-by-row CSV writers,
+inverse-distance weighting through the dense cdist matrix, the
+curve-space pipeline (smooth, interpolate and detrend every curve on the
+dense time grid), the scalar and grid forms of the eigenvalue families,
+the stationarity checks and the C2 normalization, and a dense grid
+refined by zooming for the example1 fit.
 Implementations under test must agree with these, never share code with them.
 """
 
@@ -23,9 +25,11 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.interpolate import make_lsq_spline
+from scipy.spatial.distance import cdist
 
 from spatialcox import BasisSpec, CoeffField
-from spatialcox.errors import ParameterDomainError, ResolutionError, SingularSpectrumError
+from spatialcox.errors import (AmbiguousInterpolationError, ParameterDomainError,
+                               ResolutionError, SingularSpectrumError)
 
 
 def brute_force_dft(data, z1_list, z2_list):
@@ -90,6 +94,43 @@ def lag_by_lag_empirical_cov(data, max_lag):
                 c = np.triu(c) + np.triu(c, 1).T
             out[l1max + z1, l2max + z2] = c
             out[l1max - z1, l2max - z2] = c.T
+    return out
+
+
+def irfft2_empirical_cov(data, max_lag):
+    """Empirical covariances by zero-padded real FFTs, inverted whole: per mode k one
+    batched ``irfft2`` of conj(F_k) F_l over l >= k, then the stored lags sliced out.
+
+    ``data`` is (N1, N2, M); each axis is padded to the smallest 2^a 3^b 5^c that
+    is >= N_j + L_j.  Returns values[i1, i2, k, l] at lag (i1 - L1, i2 - L2), the
+    lower triangle and the diagonal's lags below z = 0 filled as exact mirrors.
+    """
+    def smooth_size(n):
+        size = n
+        while True:
+            rest = size
+            for f in (2, 3, 5):
+                while rest % f == 0:
+                    rest //= f
+            if rest == 1:
+                return size
+            size += 1
+
+    l1max, l2max = max_lag
+    n1, n2, m = data.shape
+    lags1, lags2 = np.arange(-l1max, l1max + 1), np.arange(-l2max, l2max + 1)
+    p = (smooth_size(n1 + l1max), smooth_size(n2 + l2max))
+    f = np.fft.rfft2(np.moveaxis(data, 2, 0), s=p)
+    rows, cols = (lags1 % p[0])[:, None], lags2 % p[1]
+    out = np.empty((lags1.size, lags2.size, m, m))
+    for k in range(m):
+        corr = np.fft.irfft2(np.conj(f[k]) * f[k:], s=p)
+        out[:, :, k, k:] = np.moveaxis(corr[:, rows, cols], 0, 2) / (n1 * n2)
+    flat = out.reshape(-1, m, m)
+    upper, diag = np.triu_indices(m, 1), np.arange(m)
+    flat[:, upper[1], upper[0]] = flat[::-1, upper[0], upper[1]]
+    half = flat.shape[0] // 2
+    flat[:half, diag, diag] = flat[:half:-1, diag, diag]
     return out
 
 
@@ -386,6 +427,40 @@ def brute_force_idw(sites, values, nodes, power):
             w = d[i] ** (-power)
             out[i] = (w @ values) / w.sum()
     return out
+
+
+def cdist_idw(sites, values, target_dims):
+    """Inverse-distance weighting onto the lattice over the sites' bounding box, by
+    the dense (nodes x sites) ``cdist`` matrix: a node whose squared distance to a
+    source is below (1e-9 * max(1, largest distance))^2 copies its first such
+    source, after every such source's row is checked ``np.isclose`` to it (else
+    ``AmbiguousInterpolationError``); every other node takes the row-normalised
+    1 / d^2 weights of the gathered miss rows in one product.
+    Returns (nodes, values)."""
+    sites = np.asarray(sites, dtype=float)
+    values = np.asarray(values, dtype=float)
+    n1, n2 = target_dims
+    xs = np.linspace(sites[:, 0].min(), sites[:, 0].max(), n1)
+    ys = np.linspace(sites[:, 1].min(), sites[:, 1].max(), n2)
+    nodes = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
+    d2 = cdist(nodes, sites, "sqeuclidean")
+    hits = d2 < (1e-9 * max(np.sqrt(d2.max()), 1.0)) ** 2
+    is_hit = hits.any(axis=1)
+    out = np.empty((nodes.shape[0], values.shape[1]))
+    hits = hits[is_hit]
+    first = hits.argmax(axis=1)
+    node_idx, src_idx = np.nonzero(hits)
+    same = np.isclose(values[src_idx], values[first[node_idx]], equal_nan=True).all(axis=1)
+    if not same.all():
+        raise AmbiguousInterpolationError(f"node {nodes[is_hit][node_idx[~same][0]]} "
+                                          "coincides with sources holding distinct values")
+    out[is_hit] = values[first]
+    miss = ~is_hit
+    if miss.any():
+        w = d2[miss] if is_hit.any() else d2
+        w **= -1.0
+        out[miss] = (w @ values) / w.sum(axis=1)[:, None]
+    return nodes, out
 
 
 def trapezoid_projection(t, samples, support_length, n_modes):

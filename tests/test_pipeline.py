@@ -1,10 +1,15 @@
+import json
+import os
+import subprocess
+import sys
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import brute_force_idw, curve_space_residual
+from oracles import brute_force_idw, cdist_idw, curve_space_residual
+from scipy.interpolate import BSpline
 
 import spatialcox.pipeline
 from spatialcox import (CoeffField, GridSeries, PipelineConfig, cvfare, idw_interpolate,
@@ -13,7 +18,7 @@ from spatialcox import (CoeffField, GridSeries, PipelineConfig, cvfare, idw_inte
 from spatialcox.errors import (AmbiguousInterpolationError, DivisionGuardError, FileFormatError,
                                InsufficientResolutionError, ParameterDomainError,
                                PipelineStageError, RankDeficiencyError)
-from spatialcox.pipeline import _fit_trend
+from spatialcox.pipeline import _bspline_basis, _evaluate_spline, _fit_trend
 from spatialcox.sarh import TWO_PI_SQ, Sarh1Params, _gram_min, simulate_sarh1
 from spatialcox.whittle import trig_moments
 
@@ -130,13 +135,14 @@ def test_idw_bounded_by_source_range():
     assert out.values.max() <= series.values.max() + 1e-12
 
 
-def _mixed_sites(rng, dims):
-    """Lattice sites with every other interior site jittered off its node."""
+def _mixed_sites(rng, dims, step=2):
+    """Lattice sites with every step-th interior site jittered off its node; at step 1
+    every interior site moves and only the boundary sites stay on nodes, as in perfbench."""
     n1, n2 = dims
     grid = np.stack(np.meshgrid(np.arange(n1, dtype=float), np.arange(n2, dtype=float),
                                 indexing="ij"), axis=-1).reshape(-1, 2)
     interior = ((grid > 0) & (grid < np.array([n1 - 1, n2 - 1]))).all(axis=1)
-    moved = interior & (np.arange(grid.shape[0]) % 2 == 1)
+    moved = interior & (np.arange(grid.shape[0]) % step == step - 1)
     grid[moved] += rng.uniform(-0.25, 0.25, size=(moved.sum(), 2))
     return grid, moved
 
@@ -173,6 +179,66 @@ def test_idw_ambiguity_names_first_offending_node():
         idw_interpolate(series, (2, 2))
 
 
+def _idw_cases():
+    rng = np.random.default_rng(28)
+    on_nodes = make_synthetic_counts((9, 8), n_months=12, support_length=48.0, seed=5)[0]
+    line = np.c_[np.linspace(0.0, 3.0, 7), rng.uniform(0.0, 1.0, 7)]
+    dup_sites = np.array([[0.0, 0.0], [2.0, 1.0], [2.0, 1.0], [0.5, 0.7], [4.0, 3.0]])
+    dup_values = rng.normal(size=(5, 6))
+    dup_values[2] = dup_values[1]
+    return {
+        # 40 x 40 nodes x 1600 sites: the weights run in several blocks of lattice rows
+        "perfbench_layout": (_mixed_sites(rng, (40, 40), step=1)[0],
+                             rng.normal(size=(1600, 44)), (40, 40)),
+        "sites_on_every_node": (on_nodes.sites, on_nodes.values, (9, 8)),
+        "one_row_lattice": (line, rng.normal(size=(7, 5)), (1, 9)),
+        "one_column_lattice": (line[:, ::-1], rng.normal(size=(7, 5)), (9, 1)),
+        "duplicates_with_equal_rows": (dup_sites, dup_values, (5, 4)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_idw_cases()))
+def test_idw_is_the_cdist_form_bit_for_bit(case):
+    # per-axis squared distances summed per block of lattice rows are cdist's, and a hit
+    # row's 1/0 must stay inside the block that overwrites it: no warning escapes
+    sites, values, dims = _idw_cases()[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = idw_interpolate(GridSeries(sites, np.arange(values.shape[1], dtype=float),
+                                         values), dims)
+    nodes, expect = cdist_idw(sites, values, dims)
+    np.testing.assert_array_equal(out.sites, nodes)
+    np.testing.assert_array_equal(out.values, expect)
+
+
+def test_idw_blocks_of_part_of_a_lattice_row_match_the_oracle():
+    # blocks smaller than one lattice row: BLAS may order a product of so few rows
+    # differently, so the interpolated rows agree to rounding and the hits exactly
+    rng = np.random.default_rng(9)
+    sites, moved = _mixed_sites(rng, (12, 10), step=1)
+    values = rng.normal(size=(120, 7))
+    with mock.patch.object(spatialcox.pipeline, "BLOCK_CELLS", 3 * 120):
+        out = idw_interpolate(GridSeries(sites, np.arange(7.0), values), (12, 10))
+    _, expect = cdist_idw(sites, values, (12, 10))
+    np.testing.assert_allclose(out.values, expect, rtol=1e-13, atol=0)
+    np.testing.assert_array_equal(out.values[~moved], values[~moved])
+
+
+def test_idw_ambiguity_names_the_oracles_node():
+    sites = np.array([[0.0, 0.0], [3.0, 2.0], [1.5, 1.0], [1.5, 1.0], [3.0, 2.0]])
+    values = np.arange(10.0).reshape(5, 2)
+    values[4] = values[1]  # the corner agrees; the centre node does not
+    series = GridSeries(sites, [0.0, 1.0], values)
+    with pytest.raises(AmbiguousInterpolationError) as want:
+        cdist_idw(sites, values, (3, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AmbiguousInterpolationError) as got:
+            idw_interpolate(series, (3, 3))
+    assert str(got.value) == str(want.value)
+    assert "node [1.5 1. ]" in str(got.value)
+
+
 # --- spline smoothing -------------------------------------------------------
 
 
@@ -200,6 +266,36 @@ def test_spline_denoises_sine():
     got = spline_smooth(t, noisy, n_knots=20)(t)
     resid_rms = np.sqrt(np.mean((got - signal) ** 2))
     assert resid_rms < 0.3
+
+
+def test_local_support_evaluation_matches_the_dense_design():
+    # the pipeline's evaluation: times from 0 although the data start at 30, so the
+    # first nodes are clipped to the first knot, where only B_0 is 1; at the last
+    # node only the last basis function is nonzero
+    rng = np.random.default_rng(17)
+    times = np.linspace(30.0, 720.0, 180)
+    spline = spline_smooth(times, np.cumsum(rng.poisson(20.0, size=(30, 180)), axis=1), 16)
+    knots, coef = spline.t, spline.c  # coef (n_knots + 4, curves)
+    x = np.clip(np.linspace(0.0, 720.0, 401), knots[0], knots[-1])
+    design = BSpline.design_matrix(x, knots, 3).toarray()
+    # de Boor's four values per point are the dense design's nonzeros, bit for bit
+    ell, basis = _bspline_basis(knots, x)
+    local = np.zeros_like(design)
+    np.put_along_axis(local, ell[:, None] + np.arange(-3, 1), basis, axis=1)
+    np.testing.assert_array_equal(local, design)
+    got = _evaluate_spline(knots, coef, x)
+    dense = coef.T @ design.T
+    assert got.shape == (401, 30) and got.flags.c_contiguous
+    err = np.abs(got.T - dense)
+    assert np.all(err <= 1e-15 * np.abs(dense).max(axis=1, keepdims=True))
+    clipped = x == knots[0]
+    assert 0 < clipped.sum() < x.size
+    np.testing.assert_array_equal(got[clipped], np.broadcast_to(coef[0], (clipped.sum(), 30)))
+    np.testing.assert_array_equal(got[-1], coef[-1])
+    # called as a spline it continues the end polynomials outside the knots, as BSpline does
+    outside = np.linspace(0.0, 800.0, 97)
+    np.testing.assert_allclose(spline(outside), BSpline(knots, coef, 3)(outside).T,
+                               rtol=1e-12, atol=0)
 
 
 def test_spline_needs_enough_points():
@@ -467,6 +563,34 @@ def test_pipeline_takes_no_fft(monkeypatch):
     series, _ = tiny_series(seed=11)
     res = run_pipeline(series, tiny_cfg())
     assert not res.estimation_skipped
+
+
+_LATTICE_STAGES_SCIPY = """
+import json, sys
+from unittest import mock
+import spatialcox.pipeline as P
+
+series, _ = P.make_synthetic_counts((6, 6), n_months=60, support_length=240.0, seed=3)
+sites = series.sites.copy()
+sites[7] += 0.2  # one node interpolates
+with mock.patch.object(P, "RESIDUAL_RMS_FLOOR", 1e300):  # stop before the Whittle fit
+    res = P.run_pipeline(P.GridSeries(sites, series.times, series.values),
+                         P.PipelineConfig(lattice_dims=(6, 6), n_time_nodes=121, n_knots=8))
+P.spline_smooth(series.times, series.values, 8)(series.times)
+print(json.dumps([res.estimation_skipped, sorted(m for m in sys.modules if m.startswith("scipy"))]))
+"""
+
+
+def test_pipeline_lattice_stages_load_no_scipy(tmp_path):
+    # a fresh interpreter, since the tests themselves import scipy: smoothing, IDW,
+    # evaluation, log, trend and projection load neither scipy.interpolate nor
+    # scipy.spatial; only the Whittle fit of realdata_pmf loads scipy.optimize
+    out = subprocess.run([sys.executable, "-c", _LATTICE_STAGES_SCIPY], capture_output=True,
+                         text=True, check=True, cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    skipped, scipy_modules = json.loads(out.stdout.splitlines()[-1])
+    assert skipped
+    assert scipy_modules == []
 
 
 def test_mode_scale_reads_the_innovation_sd():

@@ -4,9 +4,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import (brute_force_cov, brute_force_cov_pair, brute_force_dft, exact_axis_cov,
-                     grid_cov_from_spectrum, lag_by_lag_empirical_cov, lag_rectangle_cosine_sum,
-                     periodogram_csv_loop, quadrature_cov_from_spectrum, quadrature_fejer_inverse,
-                     separable_cov)
+                     grid_cov_from_spectrum, irfft2_empirical_cov, lag_by_lag_empirical_cov,
+                     lag_rectangle_cosine_sum, periodogram_csv_loop, quadrature_cov_from_spectrum,
+                     quadrature_fejer_inverse, separable_cov)
 from spatialcox import (BasisSpec, CoeffField, Periodogram, Sarh1Params, SpectralModel,
                         TestFunction, c2_innovation_var, cov_from_spectrum, cov_map, empirical_cov,
                         fejer_smoothed_inverse, functional_dft, is_causal, periodogram,
@@ -119,6 +119,20 @@ def test_empirical_cov_symmetry_exact():
     for z1 in range(-3, 4):
         for z2 in range(-2, 3):
             np.testing.assert_array_equal(cov.at(z1, z2), cov.at(-z1, -z2).T)
+
+
+@pytest.mark.parametrize("dims, modes, max_lag", [
+    ((9, 7), 3, (3, 2)),      # odd dims, padded to 12 x 9
+    ((8, 10), 4, (5, 0)),     # even dims, L2 = 0: one stored column
+    ((16, 16), 2, (0, 6)),    # L1 = 0: one stored row
+    ((7, 12), 1, (6, 11)),    # the largest lags
+], ids=["odd", "even_l2_zero", "l1_zero", "largest_lags"])
+def test_empirical_cov_is_the_irfft2_form_bit_for_bit(dims, modes, max_lag):
+    # inverting only the stored rows of the z1 ifft before the z2 irfft is irfft2's
+    # own sequence of 1-D transforms, so nothing moves by a single bit
+    fld = random_field(dims, modes, seed=sum(dims) + modes)
+    np.testing.assert_array_equal(empirical_cov(fld, max_lag).values,
+                                  irfft2_empirical_cov(fld.data, max_lag))
 
 
 def test_empirical_cov_brute_force_oracle():
@@ -356,7 +370,7 @@ def test_cov_from_spectrum_refuses_a_mode_with_no_causal_orientation(triple):
     model = SpectralModel("triple", n_modes=1)
     with np.errstate(over="ignore", invalid="ignore"):
         assert not _has_torus_zero([triple])[0]
-        with pytest.raises(ResolutionError, match="not converged"):
+        with pytest.raises(ResolutionError, match="no orientation is causal"):
             cov_from_spectrum(model, np.array(triple), [(0, 0)])
 
 
