@@ -223,9 +223,10 @@ def cmd_cox_moments(args):
         cmap = cov_map(model, args.theta, phi, (rect.b1 - rect.a1, rect.b2 - rect.a2))
         mean, var = count_moments(rect, cmap)
         payload["model_mean"], payload["model_variance"] = mean, var
+    text = json.dumps(payload, indent=2, allow_nan=False)  # never Infinity or NaN
     out = _out_path(args, args.out)
     with open(out, "w") as fh:
-        json.dump(payload, fh, indent=2)
+        fh.write(text)
     print(f"wrote {out}")
 
 

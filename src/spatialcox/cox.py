@@ -62,15 +62,30 @@ class BorelRect:
             raise BoundaryError(f"rectangle {self} outside lattice {dims}")
 
 
-def cox_intensity(cov0: float) -> float:
-    """First-order intensity rho_phi = exp(R_0(phi)(phi) / 2); constant over sites."""
+def _check_exponent(mx: float, what: str) -> None:
+    # the one overflow rule of the moments: an exponent above EXP_GUARD raises
+    if mx > EXP_GUARD:
+        raise OverflowGuardError(f"{what} exponent {mx:.1f} exceeds {EXP_GUARD}",
+                                 max_exponent=mx)
+
+
+def _check_variance(cov0) -> None:
     if not 0 <= cov0 < np.inf:  # NaN fails too
         raise InvalidCovarianceError(f"R_0(phi)(phi) must be finite and nonnegative, got {cov0}")
+
+
+def cox_intensity(cov0: float) -> float:
+    """First-order intensity rho_phi = exp(R_0(phi)(phi) / 2); constant over sites.
+    An exponent above ``EXP_GUARD`` raises :class:`OverflowGuardError`."""
+    _check_variance(cov0)
+    _check_exponent(0.5 * cov0, "intensity")
     return float(np.exp(0.5 * cov0))
 
 
 def pair_correlation(covz: float) -> float:
-    """Pair correlation g_phi = exp(R_{z_i - z_j}(phi)(phi))."""
+    """Pair correlation g_phi = exp(R_{z_i - z_j}(phi)(phi)).  An exponent above
+    ``EXP_GUARD`` raises :class:`OverflowGuardError`."""
+    _check_exponent(covz, "pair-correlation")
     return float(np.exp(covz))
 
 
@@ -91,12 +106,16 @@ def product_density_n(points, cov) -> float:
     lags (z1, z2) to R_z(phi)(phi) and must contain every pairwise lag (plus
     (0, 0)).  The i == j terms of the double sum are excluded, which makes the
     n = 1 case reduce to the intensity and the n = 2 case to the
-    pair-correlation identity.
+    pair-correlation identity.  The density is exp of (n R_0 + sum) / 2, and
+    an exponent above ``EXP_GUARD`` raises :class:`OverflowGuardError`.
     """
     pts = [check_dims(p, "every point", 0) for p in points]
     r0, *r = _lag_values(cov, [(0, 0)] + [(pa[0] - pb[0], pa[1] - pb[1]) for a, pa in
                                           enumerate(pts) for b, pb in enumerate(pts) if a != b])
-    return float(cox_intensity(r0) ** len(pts) * np.exp(0.5 * sum(r)))
+    _check_variance(r0)
+    expo = 0.5 * (len(pts) * r0 + sum(r))
+    _check_exponent(expo, "product-density")
+    return float(np.exp(expo))
 
 
 def count_moments(rect: BorelRect, cov) -> tuple[float, float]:
@@ -108,7 +127,9 @@ def count_moments(rect: BorelRect, cov) -> tuple[float, float]:
     with integrals replaced by unit-cell sums.  The double sum runs over
     the distinct lags h in B - B, each weighted by its (n1 - |h1|)(n2 - |h2|)
     site pairs of the n1 x n2 rectangle.  ``cov`` must contain every lag in
-    B - B, with finite values.
+    B - B, with finite values.  A variance term exp(R_0 + (R_h + R_-h) / 2)
+    whose exponent exceeds ``EXP_GUARD``, or a mean or variance that
+    overflows all the same, raises :class:`OverflowGuardError`.
     """
     n1, n2 = rect.b1 - rect.a1 + 1, rect.b2 - rect.a2 + 1
     h1, h2 = np.arange(1 - n1, n1), np.arange(1 - n2, n2)
@@ -116,11 +137,18 @@ def count_moments(rect: BorelRect, cov) -> tuple[float, float]:
     r0 = r[r.size // 2]  # the centre lag (0, 0)
     rho = cox_intensity(r0)
     # the lags run over a centred rectangle, so reversing them maps h to -h
+    expo = 0.5 * (r + r[::-1])
+    mx = float(r0 + expo.max())  # at least 2 R_0, from h = 0
+    _check_exponent(mx, "count-variance")
     pairs = np.outer(n1 - np.abs(h1), n2 - np.abs(h2)).ravel()
-    acc = pairs @ np.exp(0.5 * (r + r[::-1]))
     area = rect.area
-    var = np.exp(r0) * acc + area * rho * (1.0 - area * rho)
-    return float(rho * area), float(var)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        acc = pairs @ np.exp(expo)
+        mean, var = rho * area, np.exp(r0) * acc + area * rho * (1.0 - area * rho)
+    if not (np.isfinite(mean) and np.isfinite(var)):  # inf - inf made NaN variances
+        raise OverflowGuardError(f"count moments of exponent {mx:.1f} overflow over "
+                                 f"{area} cells", max_exponent=mx)
+    return float(mean), float(var)
 
 
 def _check_phi(phi: TestFunction, n_modes: int, owner: str) -> None:
@@ -138,10 +166,7 @@ def ls_count_predictor(field: CoeffField, rect: BorelRect, phi: TestFunction) ->
     rect.check_within(field.dims)
     _check_phi(phi, field.n_modes, "field")
     expo = field.data[rect.a1:rect.b1 + 1, rect.a2:rect.b2 + 1] @ phi.coefficients
-    mx = float(expo.max())
-    if mx > EXP_GUARD:
-        raise OverflowGuardError(f"log-intensity exponent {mx:.1f} exceeds {EXP_GUARD}",
-                                 max_exponent=mx)
+    _check_exponent(float(expo.max()), "log-intensity")
     return float(np.exp(expo).sum())
 
 

@@ -11,13 +11,13 @@ onto the sine basis as P(log) - (P U)(U^T log) (U orthonormal on the trend
 span, so the residual cube is never formed), per-mode normalization by the
 innovation sd that the field's five circular lag moments give (no FFT), a
 fit of the point-spectra family ``realdata_pmf`` from the normalized
-field's moments at :func:`~spatialcox.whittle.estimate`'s defaults, and
-plug-in prediction.
+field's moments by :func:`~spatialcox.whittle.estimate`'s interior-point
+solve, and plug-in prediction.
 A synthetic generator producing count data from a known field +
-trend supports closed-loop validation and the CLI demos.  The stages up to
-the Whittle fit are numpy only: no ``scipy.spatial`` distances and no
-``scipy.interpolate`` splines; the B-spline basis comes from de Boor's
-recursion.
+trend supports closed-loop validation and the CLI demos.  Every stage, the
+Whittle fit included, is numpy only: no ``scipy.spatial`` distances, no
+``scipy.interpolate`` splines (the B-spline basis comes from de Boor's
+recursion) and no ``scipy.optimize``.
 """
 
 from __future__ import annotations

@@ -10,18 +10,19 @@ moments are the circular lag covariances of the field at (0,0), (1,0),
 (0,1), (1,1) and (1,-1) over (2 pi)^2 (Whittle, 1954), so the sample is the
 :class:`~spatialcox.field.CoeffField` itself, read by five O(NM) lag
 products without forming its periodogram.  In the eigenvalue triple each
-mode's loss is a PSD quadratic form, so its gradient is exact and cheap:
-every family with two or more parameters is fitted by one SLSQP solve with
-exact gradients, convex for the families whose triples are affine in theta
-(constrained to the causal tetrahedron ``CAUSAL_FACES``).  The one-parameter
-example1 is fitted exactly: in s = theta^2 its losses are ratios of
-polynomials, so the minimum is the least of a few candidates, roots of
-polynomials of degree <= 8 found by one batched ``eigvals``.  The one
-stopping setting is ``estimate``'s ``loss_tol``, SLSQP's ``ftol``; every
-production caller keeps its default 1e-10, and SLSQP's iteration cap
-``MAX_ITER`` is a constant it never reaches.  ``scipy.optimize`` is
-imported inside the SLSQP fit, so importing this module, and fitting
-example1, loads numpy only.
+mode's loss is a PSD quadratic form.  For ``AFFINE_FAMILIES`` (triple, custom,
+realdata_pmf), whose triples are affine in theta, each loss is then an exact
+convex quadratic in theta, and the sup loss over the causal tetrahedron
+``CAUSAL_FACES`` is one convex epigraph program, solved to its optimum by a
+numpy primal-dual interior-point method (Boyd & Vandenberghe, *Convex
+Optimization*, sec. 11.7) with constant tolerances and iteration cap.  The
+one-parameter example1 is fitted exactly: in s = theta^2 its losses are
+ratios of polynomials, so the minimum is the least of a few candidates,
+roots of polynomials of degree <= 8 found by one batched ``eigvals``.  Only
+example2, whose triples are not affine, takes an SLSQP solve with exact
+gradients; ``estimate``'s ``loss_tol`` is its ``ftol``, and ``scipy.optimize``
+is imported inside it, so importing this module and fitting every other
+family loads numpy only.
 """
 
 from __future__ import annotations
@@ -205,34 +206,20 @@ def _fit_example1(model: SpectralModel, moments: np.ndarray):
 _CAUSAL_SIGMA2 = 1.0 / TWO_PI_SQ  # sigma2 of every causal mode
 
 
-def _mode_losses_with_grad(model: SpectralModel, theta, moments: np.ndarray, jac=None):
+def _mode_losses_with_grad(model: SpectralModel, theta, moments: np.ndarray):
     """Per-mode losses at the causal sigma2 and their theta-Jacobian (M, q),
-    J_k' (-2 (G_k a)[1:]) / sigma2 with J = :func:`family_jacobian`.  An
-    affine family passes its constant J, and its triples are J theta."""
-    triples = model.eig_triples(theta) if jac is None else jac @ theta
-    if jac is None:
-        jac = family_jacobian(model.family, theta, model.n_modes)
-    u, du = _gram_form(triples, moments)
+    J_k' (-2 (G_k a)[1:]) / sigma2 with J = :func:`family_jacobian`."""
+    u, du = _gram_form(model.eig_triples(theta), moments)
+    jac = family_jacobian(model.family, theta, model.n_modes)
     return u / _CAUSAL_SIGMA2, np.einsum("kiq,ki->kq", jac, du) / _CAUSAL_SIGMA2
 
 
-def _fit_epigraph(model, moments, loss_tol):
-    # min t + eta mean_k loss_k s.t. loss_k <= t over the box, from its centre.
-    # The causal sigma2 is the model's on example2's box, which is causal; for
-    # the affine families, held in the closed tetrahedron, it is the model's
-    # there and never above it elsewhere (Jensen), and the program is convex
-    from scipy.optimize import linprog, minimize
+def _fit_slsqp(model, moments, loss_tol):
+    # example2: min t + eta mean_k loss_k s.t. loss_k <= t over the box, from its
+    # centre, by SLSQP; the box is causal, so the causal sigma2 is the model's
+    from scipy.optimize import minimize
 
     box, q = model.theta_box, len(model.theta_box)
-    constraints, jac = [], None
-    if model.family in AFFINE_FAMILIES:
-        jac = family_jacobian(model.family, None, model.n_modes)
-        a_ub = np.einsum("fi,kiq->kfq", CAUSAL_FACES, jac).reshape(-1, q)
-        if linprog(np.zeros(q), A_ub=a_ub, b_ub=np.ones(len(a_ub)), bounds=box).status == 2:
-            raise ParameterDomainError("the theta box holds no causal parameter")
-        a_ub = np.hstack([a_ub, np.zeros((len(a_ub), 1))])  # x = (theta, t)
-        constraints.append({"type": "ineq", "fun": lambda x: 1.0 - a_ub @ x,
-                            "jac": lambda x: -a_ub})
     n_evals, last = 0, (None, None, None)
 
     def losses(x):  # losses and gradients together, evaluated once per theta
@@ -240,19 +227,141 @@ def _fit_epigraph(model, moments, loss_tol):
         theta = np.clip(x[:q], box[:, 0], box[:, 1])
         if not np.array_equal(theta, last[0]):
             n_evals += 1
-            last = (theta, *_mode_losses_with_grad(model, theta, moments, jac))
+            last = (theta, *_mode_losses_with_grad(model, theta, moments))
         return last[1:]
 
     ones = np.ones((model.n_modes, 1))
-    constraints.append({"type": "ineq", "fun": lambda x: x[q] - losses(x)[0],
-                        "jac": lambda x: np.hstack([-losses(x)[1], ones])})
     x0 = np.append(box.mean(axis=1), 0.0)
     x0[q] = losses(x0)[0].max()
     res = minimize(lambda x: x[q] + TIE_BREAK * losses(x)[0].mean(), x0, method="SLSQP",
                    jac=lambda x: np.append(TIE_BREAK * losses(x)[1].mean(axis=0), 1.0),
-                   bounds=[*box, (None, None)], constraints=constraints,
+                   bounds=[*box, (None, None)],
+                   constraints=[{"type": "ineq", "fun": lambda x: x[q] - losses(x)[0],
+                                 "jac": lambda x: np.hstack([-losses(x)[1], ones])}],
                    options={"ftol": loss_tol, "maxiter": MAX_ITER})
     return np.clip(res.x[:q], box[:, 0], box[:, 1]), n_evals, res.success
+
+
+# the interior-point fit: its iteration cap, far above the 17-34 iterations
+# that seeded fits of every affine family take, its tolerance on the duality
+# gap and the dual residual at losses of order one, and the centring factor and
+# backtracking constants of Boyd & Vandenberghe, *Convex Optimization*, sec. 11.7
+IP_MAX_ITER = 100
+_IP_TOL = 1e-13
+_IP_MU, _IP_ALPHA, _IP_BETA = 10.0, 0.01, 0.5
+
+
+def _affine_program(model: SpectralModel, moments: np.ndarray):
+    """The affine families' mode losses at the causal sigma2 as exact quadratics
+    q_k(theta) = c_k + b_k.theta + theta' P_k theta, returned as (c, b, P), and
+    the distinct causal faces A theta <= 1 of the modes, as the rows of A.  With
+    the constant J = :func:`family_jacobian` and G_k = mu_k[_GRAM] / sigma2,
+    P_k = J_k' G_k[1:, 1:] J_k, b_k = -2 J_k' G_k[1:, 0] and c_k = G_k[0, 0]."""
+    jac = family_jacobian(model.family, None, model.n_modes)
+    g = moments[:, _GRAM] / _CAUSAL_SIGMA2
+    quad = (g[:, 0, 0], -2.0 * np.einsum("kiq,ki->kq", jac, g[:, 1:, 0]),
+            np.einsum("kiq,kij,kjr->kqr", jac, g[:, 1:, 1:], jac))
+    faces = np.einsum("fi,kiq->kfq", CAUSAL_FACES, jac).reshape(-1, jac.shape[-1])
+    return quad, np.unique(faces, axis=0)  # modes that share a triple share its faces
+
+
+def _interior_point(a, ub, x, quad=None):
+    """min t + TIE_BREAK mean_k q_k(theta) s.t. a x <= ub and q_k(theta) <= t over
+    x = (theta, t), from a strictly feasible x, by the primal-dual interior-point
+    method of Boyd & Vandenberghe, *Convex Optimization*, sec. 11.7.
+
+    ``quad`` = (c, b, P) holds the convex quadratics of :func:`_affine_program`,
+    scaled to losses of order one; None makes the linear program of a phase I,
+    which returns as soon as t < 0 by more than the duality gap.  Each Newton
+    step solves the symmetric primal-dual system in (x, lambda): the system
+    reduced to x alone would carry the inverse slacks of the binding
+    constraints, up to 1e14, into its condition number, and stall short of the
+    tolerance.  The method stops once the surrogate duality gap and the norm
+    of the dual residual are below ``_IP_TOL``, and returns the point, the
+    number of distinct points at which the constraints were evaluated,
+    line-search trials included, and whether it so stopped within
+    ``IP_MAX_ITER`` iterations.
+    """
+    n, phase_one = x.size, quad is None
+    c0, b, p = quad if quad is not None else (np.zeros(0), np.zeros((0, n - 1)),
+                                              np.zeros((0, n - 1, n - 1)))
+    k = len(c0)
+    weight = TIE_BREAK / k if k else 0.0
+    rows = np.vstack([np.zeros((k, n)), a])
+    rows[:k, -1] = -1.0
+    m = len(rows)
+
+    def evaluate(x):  # constraint values f < 0, their gradients, the cost gradient
+        theta, df = x[:-1], rows.copy()
+        pt = p @ theta
+        df[:k, :-1] = b + 2.0 * pt
+        g0 = np.append(weight * df[:k, :-1].sum(axis=0), 1.0)
+        return np.concatenate([c0 + (b + pt) @ theta - x[-1], a @ x - ub]), df, g0
+
+    def residual(state, lam, tau):
+        f, df, g0 = state
+        return np.concatenate([g0 + df.T @ lam, -lam * f - 1.0 / tau])
+
+    state, n_evals = evaluate(x), 1
+    lam = 1.0 / -state[0]
+    lam /= lam @ -rows[:, -1]  # the t row of the dual residual vanishes
+    kkt = np.zeros((n + m, n + m))
+    kkt[:n, n:], kkt[n:, :n] = rows.T, rows
+    diag = np.arange(n, n + m)
+    for _ in range(IP_MAX_ITER):
+        f, df, g0 = state
+        gap = -f @ lam
+        if phase_one and x[-1] + gap <= 0.0:  # within half the least t, or better
+            return x, n_evals, True
+        if gap <= _IP_TOL and np.linalg.norm(g0 + df.T @ lam) <= _IP_TOL:
+            return x, n_evals, True
+        tau = _IP_MU * m / gap
+        kkt[:n - 1, :n - 1] = 2.0 * np.einsum("k,kqr->qr", weight + lam[:k], p)
+        kkt[:n - 1, n:n + k], kkt[n:n + k, :n - 1] = df[:k, :-1].T, df[:k, :-1]
+        kkt[diag, diag] = f / lam
+        step = np.linalg.solve(kkt, np.concatenate([-(g0 + df.T @ lam),
+                                                    -f - 1.0 / (tau * lam)]))
+        dx, dlam = step[:n], step[n:]
+        shrink = dlam < 0.0
+        s = 0.99 * min(1.0, np.min(-lam[shrink] / dlam[shrink], initial=1.0))
+        r0 = np.linalg.norm(residual(state, lam, tau))
+        for _ in range(50):  # backtracking, to a step of 2^-50
+            trial = evaluate(x + s * dx)
+            n_evals += 1
+            if (np.all(trial[0] < 0.0) and np.linalg.norm(residual(trial, lam + s * dlam, tau))
+                    <= (1.0 - _IP_ALPHA * s) * r0):
+                break
+            s *= _IP_BETA
+        else:
+            return x, n_evals, False
+        x, lam, state = x + s * dx, lam + s * dlam, trial
+    return x, n_evals, False
+
+
+def _fit_affine(model: SpectralModel, moments: np.ndarray, start=None):
+    # min t + eta mean_k q_k(theta) s.t. q_k(theta) <= t, the causal faces and
+    # the box: convex, since each q_k is, and on the closed tetrahedron the
+    # causal sigma2 is the model's.  The start is the box centre, or ``start``,
+    # when it is strictly causal, else the point of a phase I
+    box = model.theta_box
+    q = len(box)
+    (c0, b, p), faces = _affine_program(model, moments)
+    lin = np.vstack([faces, np.eye(q), -np.eye(q)])
+    ub = np.concatenate([np.ones(len(faces)), box[:, 1], -box[:, 0]])
+    theta = box.mean(axis=1) if start is None else np.asarray(start, dtype=float)
+    worst = np.max(faces @ theta)
+    if worst >= 1.0:  # phase I: min s s.t. A theta - s <= 1 inside the box
+        s_col = np.where(np.arange(len(lin)) < len(faces), -1.0, 0.0)[:, None]
+        x, _, _ = _interior_point(np.hstack([lin, s_col]), ub, np.append(theta, worst))
+        if x[-1] >= 0.0:
+            raise ParameterDomainError("the theta box holds no causal parameter")
+        theta = x[:-1]
+    scale = c0.max() if c0.max() > 0.0 else 1.0  # the loss at theta = 0 is of order one
+    c0, b, p = c0 / scale, b / scale, p / scale
+    x, n_evals, converged = _interior_point(
+        np.hstack([lin, np.zeros((len(lin), 1))]), ub,
+        np.append(theta, (c0 + (b + p @ theta) @ theta).max() + 1.0), (c0, b, p))
+    return x[:-1], n_evals, converged
 
 
 def estimate(model: SpectralModel, sample: CoeffField,
@@ -260,25 +369,35 @@ def estimate(model: SpectralModel, sample: CoeffField,
     """Minimize the Whittle sup loss over the parameter box and the causal set.
 
     ``sample`` is the field, read by :func:`trig_moments`.
-    Families with two or more parameters (example2 and ``AFFINE_FAMILIES``)
-    take one SLSQP epigraph solve from the box centre with exact loss
-    gradients, the affine ones constrained to the closed causal tetrahedron
-    of every mode (a box without a causal point raises
-    :class:`ParameterDomainError`); ``loss_tol`` is that solve's ``ftol``.
+    ``AFFINE_FAMILIES`` take the interior-point solve of :func:`_fit_affine`
+    over the box and the closed causal tetrahedron of every mode, from the
+    box centre, or from a phase I point when the centre is not strictly
+    causal; a box without a strictly causal point raises
+    :class:`ParameterDomainError`.  ``converged`` means that the duality gap
+    and the dual residual met their tolerance within ``IP_MAX_ITER``
+    iterations, and ``n_loss_evals`` counts the distinct points at which the
+    losses were evaluated, line-search trials included.  example2 takes one
+    SLSQP epigraph solve from the box centre with exact loss gradients;
+    ``loss_tol`` is that solve's ``ftol`` and is read by no other family.
     example1 is minimized exactly, over the candidates of
     :func:`_fit_example1` (the box ends, the points where a mode's C2
     variance changes form, and the stationary points and crossings of the
-    mode losses), numpy only; ``n_loss_evals`` is their number plus one for
-    the sup loss at the optimum, and the fit always converges.  Both add
-    ``TIE_BREAK`` times the mean-over-modes loss to the sup loss, and ties
-    go to the least theta; the reported ``loss_at_min`` is the pure sup
-    loss.  The model's innovation variances are the C2 ones, so a field
-    whose innovation sd is a known s_k is fitted as ``sample`` divided by s_k.
+    mode losses); ``n_loss_evals`` is their number, and the fit always
+    converges.  Every family adds ``TIE_BREAK`` times the mean-over-modes
+    loss to the sup loss, and example1's ties go to the least theta;
+    ``n_loss_evals`` counts one more evaluation for the pure sup loss at the
+    optimum, which is the reported ``loss_at_min``.  The model's innovation
+    variances are the C2 ones, so a field whose innovation sd is a known s_k
+    is fitted as ``sample`` divided by s_k.
     """
     t0 = time.perf_counter()
     moments = _sample_moments(model, sample)
-    theta_hat, n_evals, success = (_fit_example1(model, moments) if model.family == "example1"
-                                   else _fit_epigraph(model, moments, loss_tol))
+    if model.family == "example1":
+        theta_hat, n_evals, success = _fit_example1(model, moments)
+    elif model.family in AFFINE_FAMILIES:
+        theta_hat, n_evals, success = _fit_affine(model, moments)
+    else:
+        theta_hat, n_evals, success = _fit_slsqp(model, moments, loss_tol)
     pure = float(_mode_losses(model.eig_triples(theta_hat), moments).max())
     return ThetaEstimate(theta_hat=theta_hat, loss_at_min=pure, n_loss_evals=n_evals + 1,
                          converged=bool(success), family=model.family,

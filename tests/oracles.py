@@ -14,8 +14,9 @@ and the field that has a given one, row-by-row CSV writers,
 inverse-distance weighting through the dense cdist matrix, the
 curve-space pipeline (smooth, interpolate and detrend every curve on the
 dense time grid), the scalar and grid forms of the eigenvalue families,
-the stationarity checks and the C2 normalization, and a dense grid
-refined by zooming for the example1 fit.
+the stationarity checks and the C2 normalization, a dense grid
+refined by zooming for the example1 fit, and scipy's ``linprog`` check and
+SLSQP solve of the affine families' fit.
 Implementations under test must agree with these, never share code with them.
 """
 
@@ -662,3 +663,63 @@ def grid_min_triple_loss(i_diag, w1, w2, box, n=31, sigma2=1.0 / (2.0 * np.pi) *
         losses = den @ i_flat / (e1.size * sigma2)
         best = min(best, float(losses.max(axis=1).min()))
     return best
+
+
+def affine_mode_losses(model, moments, theta):
+    """Per-mode Whittle losses of an affine family (triple, custom, realdata_pmf)
+    at the causal C2 prefactor 1 / (2 pi)^2 and their theta-Jacobian (M, q).
+
+    Each loss is the moment contraction of |D_k|^2 written out term by term, as
+    in :func:`stencil_objective_example1`; the triple Jacobian J is read from the
+    model's triples at the unit vectors, since the family maps theta = 0 to zero.
+    """
+    theta = np.asarray(theta, dtype=float)
+    jac = np.stack([model.eig_triples(e) for e in np.eye(theta.size)], axis=-1)
+    l1, l2, l3 = (jac @ theta).T
+    m0, m1, m2, m3, m4 = moments.T
+    d2 = ((1.0 + l1**2 + l2**2 + l3**2) * m0 + 2.0 * (l2 * l3 - l1) * m1
+          + 2.0 * (l1 * l3 - l2) * m2 - 2.0 * l3 * m3 + 2.0 * l1 * l2 * m4)
+    dl = 2.0 * np.stack([l1 * m0 - m1 + l3 * m2 + l2 * m4,
+                         l2 * m0 + l3 * m1 - m2 + l1 * m4,
+                         l3 * m0 + l2 * m1 + l1 * m2 - m3], axis=1)
+    scale = (2.0 * np.pi) ** 2
+    return scale * d2, scale * np.einsum("ki,kiq->kq", dl, jac)
+
+
+def affine_objective(model, moments, theta, tie_break):
+    """The affine fit's objective max_k loss_k + tie_break * mean_k loss_k."""
+    losses = affine_mode_losses(model, moments, theta)[0]
+    return float(losses.max() + tie_break * losses.mean())
+
+
+def slsqp_affine_fit(model, moments, tie_break, ftol=1e-10, maxiter=2000):
+    """The affine fit by scipy: a ``linprog`` check that the box holds a point of
+    the closed causal tetrahedron of every mode, then one SLSQP solve of the
+    epigraph program min t + tie_break * mean_k loss_k s.t. loss_k <= t, the
+    causal faces and the box, from the box centre.  Returns (theta, success)."""
+    from scipy.optimize import linprog, minimize
+
+    box, q = model.theta_box, len(model.theta_box)
+    jac = np.stack([model.eig_triples(e) for e in np.eye(q)], axis=-1)
+    # causal iff 1 - l1 > |l2 + l3| and 1 + l1 > |l2 - l3|: four faces f . l < 1
+    faces = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
+    a_ub = np.einsum("fi,kiq->kfq", faces, jac).reshape(-1, q)
+    if linprog(np.zeros(q), A_ub=a_ub, b_ub=np.ones(len(a_ub)), bounds=box).status == 2:
+        raise ParameterDomainError("the theta box holds no causal parameter")
+    a_ub = np.hstack([a_ub, np.zeros((len(a_ub), 1))])  # x = (theta, t)
+    ones = np.ones((model.n_modes, 1))
+
+    def losses(x):
+        return affine_mode_losses(model, moments, np.clip(x[:q], box[:, 0], box[:, 1]))
+
+    x0 = np.append(box.mean(axis=1), 0.0)
+    x0[q] = losses(x0)[0].max()
+    res = minimize(lambda x: x[q] + tie_break * losses(x)[0].mean(), x0, method="SLSQP",
+                   jac=lambda x: np.append(tie_break * losses(x)[1].mean(axis=0), 1.0),
+                   bounds=[*box, (None, None)],
+                   constraints=[{"type": "ineq", "fun": lambda x: 1.0 - a_ub @ x,
+                                 "jac": lambda x: -a_ub},
+                                {"type": "ineq", "fun": lambda x: x[q] - losses(x)[0],
+                                 "jac": lambda x: np.hstack([-losses(x)[1], ones])}],
+                   options={"ftol": ftol, "maxiter": maxiter})
+    return np.clip(res.x[:q], box[:, 0], box[:, 1]), bool(res.success)

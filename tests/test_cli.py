@@ -9,7 +9,8 @@ import pytest
 
 from spatialcox import load_field_binary, make_synthetic_counts, save_series_csv
 from spatialcox.cli import main
-from spatialcox.errors import BoundaryError, FileFormatError, ParameterDomainError
+from spatialcox.errors import (BoundaryError, FileFormatError, OverflowGuardError,
+                               ParameterDomainError)
 from spatialcox.spectral import load_periodogram_binary
 
 
@@ -113,6 +114,21 @@ def test_cox_moments_command(tmp_path):
     r0 = 1.0 / ((1 - l1**2) * (1 - l2**2))
     assert payload["model_mean"] == pytest.approx(25 * np.exp(r0 / 2), rel=1e-8)
     assert payload["model_variance"] > 0
+
+
+def test_cox_moments_overflow_writes_no_json(tmp_path):
+    # a triple 1e-7 from the torus-zero band: R_0 is about 2236, so the model
+    # moments overflow.  The command wrote "model_mean": Infinity and
+    # "model_variance": NaN, which is not JSON
+    field = tmp_path / "field.bin"
+    run(["simulate", "--dims", "8x8", "--modes", "4", "--out", field])
+    phi = tmp_path / "phi.csv"
+    phi.write_text("1.0\n0.0\n0.0\n0.0\n")
+    out = tmp_path / "moments.json"
+    with pytest.raises(OverflowGuardError):
+        run(["cox-moments", "--field", field, "--phi", phi, "--rect", "0:2x0:2",
+             "--family", "triple", "--theta", "0.5,0.4999999,0", "--out", out])
+    assert not out.exists()
 
 
 def test_cox_moments_wide_rect_reads_its_own_lags(tmp_path):
@@ -330,9 +346,16 @@ with open("phi.csv", "w") as fh:
 main(["cox-moments", "--field", "f.bin", "--phi", "phi.csv", "--rect", "1:3x1:3",
       "--family", "example1", "--theta", "1.0", "--out", "m.json"])
 main(["estimate", "--field", "f.bin", "--modes", "2", "--out", "est2.json"])
+for family in ("triple", "custom", "realdata_pmf"):
+    main(["estimate", "--field", "f.bin", "--modes", "2", "--family", family,
+          "--out", f"est_{family}.json"])
+main(["pipeline", "--lattice", "6x6", "--time-nodes", "121", "--knots", "8", "--modes", "4",
+      "--out", "pipe.json"])
+main(["cross-validate", "--lattice", "6x6", "--time-nodes", "121", "--knots", "8",
+      "--modes", "4", "--folds", "2", "--no-cumulate", "--out", "cv.json"])
 numpy_only = scipy_modules()
-main(["estimate", "--field", "f.bin", "--modes", "2", "--family", "triple",
-      "--out", "est3.json"])
+main(["estimate", "--field", "f.bin", "--modes", "2", "--family", "example2",
+      "--out", "est_example2.json"])
 print(json.dumps([numpy_only, scipy_modules()]))
 """
 
@@ -342,13 +365,11 @@ def test_numpy_only_commands_load_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", _SCIPY_PER_COMMAND], capture_output=True,
                          text=True, check=True, cwd=tmp_path,
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-    numpy_only, after_triple = json.loads(out.stdout.splitlines()[-1])
-    # the default (example1) estimate is numpy only; an SLSQP fit loads scipy.optimize
+    numpy_only, after_example2 = json.loads(out.stdout.splitlines()[-1])
+    # every command but an example2 estimate is numpy only, the affine fits and
+    # the pipeline's included; example2's SLSQP fit loads scipy.optimize
     assert numpy_only == []
-    assert "scipy.optimize" in after_triple
-    # the pipeline's interpolation stays unloaded; scipy.spatial is not checked,
-    # since scipy.optimize imports it itself
-    assert not [m for m in after_triple if m.startswith("scipy.interpolate")]
+    assert "scipy.optimize" in after_example2
 
 
 def test_config_file_merging(tmp_path):

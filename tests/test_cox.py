@@ -152,6 +152,47 @@ def test_ls_predictor_overflow_guard():
     assert err.value.max_exponent == pytest.approx(800.0)
 
 
+@pytest.mark.parametrize("r0, expo", [(800.0, 1600.0), (1500.0, 750.0)])
+def test_count_moments_overflow_guard(r0, expo):
+    # each returned (4.7e174, nan) and (inf, nan): the variance term
+    # exp(2 R_0) overflows, and inf - inf is NaN; at R_0 = 1500 the intensity
+    # overflows first
+    cov = dict.fromkeys(_LAGS_3X3, r0)
+    with pytest.raises(OverflowGuardError) as err:
+        count_moments(BorelRect(0, 2, 0, 2), cov)
+    assert err.value.max_exponent == pytest.approx(expo)
+
+
+def test_count_moments_overflow_after_the_guard():
+    # every exponent 2 R_0 = 699 passes the guard, but the 1.2e6 site pairs of
+    # the 1100-cell rectangle, each near exp(699), sum past the float range
+    rect = BorelRect(0, 0, 0, 1099)
+    cov = {(0, z2): 349.5 for z2 in range(-1099, 1100)}
+    with pytest.raises(OverflowGuardError, match="overflow") as err:
+        count_moments(rect, cov)
+    assert err.value.max_exponent == pytest.approx(699.0)
+
+
+@pytest.mark.parametrize("call, expo", [
+    (lambda: cox_intensity(1500.0), 750.0),
+    (lambda: pair_correlation(800.0), 800.0),
+    (lambda: product_density_n([(0, 0), (1, 0)], {(0, 0): 800.0, (1, 0): 0.0,
+                                                  (-1, 0): 0.0}), 800.0),
+], ids=["intensity", "pair_correlation", "product_density"])
+def test_moment_exponents_guarded(call, expo):
+    # these returned inf, inf and raised the builtin OverflowError of float **
+    with pytest.raises(OverflowGuardError) as err:
+        call()
+    assert err.value.max_exponent == pytest.approx(expo)
+
+
+def test_product_density_exponent_is_the_whole_sum():
+    # R_0 = 1500 with R_(1,0) = -1500: each factor rho = exp(750) overflows,
+    # but the density exp((2 R_0 + 2 R_(1,0)) / 2) is 1
+    cov = {(0, 0): 1500.0, (1, 0): -1500.0, (-1, 0): -1500.0}
+    assert product_density_n([(0, 0), (1, 0)], cov) == 1.0
+
+
 def test_sample_counts_reproducible_and_lln(field3):
     phi = TestFunction([0.2, 0.1, -0.3])
     rect = BorelRect(0, 5, 0, 5)

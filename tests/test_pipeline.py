@@ -567,29 +567,28 @@ def test_pipeline_takes_no_fft(monkeypatch):
 
 _LATTICE_STAGES_SCIPY = """
 import json, sys
-from unittest import mock
 import spatialcox.pipeline as P
 
 series, _ = P.make_synthetic_counts((6, 6), n_months=60, support_length=240.0, seed=3)
 sites = series.sites.copy()
 sites[7] += 0.2  # one node interpolates
-with mock.patch.object(P, "RESIDUAL_RMS_FLOOR", 1e300):  # stop before the Whittle fit
-    res = P.run_pipeline(P.GridSeries(sites, series.times, series.values),
-                         P.PipelineConfig(lattice_dims=(6, 6), n_time_nodes=121, n_knots=8))
+res = P.run_pipeline(P.GridSeries(sites, series.times, series.values),
+                     P.PipelineConfig(lattice_dims=(6, 6), n_time_nodes=121, n_knots=8))
 P.spline_smooth(series.times, series.values, 8)(series.times)
-print(json.dumps([res.estimation_skipped, sorted(m for m in sys.modules if m.startswith("scipy"))]))
+print(json.dumps([res.estimation_skipped, res.fit.converged,
+                  sorted(m for m in sys.modules if m.startswith("scipy"))]))
 """
 
 
 def test_pipeline_lattice_stages_load_no_scipy(tmp_path):
     # a fresh interpreter, since the tests themselves import scipy: smoothing, IDW,
-    # evaluation, log, trend and projection load neither scipy.interpolate nor
-    # scipy.spatial; only the Whittle fit of realdata_pmf loads scipy.optimize
+    # evaluation, log, trend, projection and the interior-point Whittle fit of
+    # realdata_pmf load no scipy module
     out = subprocess.run([sys.executable, "-c", _LATTICE_STAGES_SCIPY], capture_output=True,
                          text=True, check=True, cwd=tmp_path,
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-    skipped, scipy_modules = json.loads(out.stdout.splitlines()[-1])
-    assert skipped
+    skipped, converged, scipy_modules = json.loads(out.stdout.splitlines()[-1])
+    assert not skipped and converged
     assert scipy_modules == []
 
 

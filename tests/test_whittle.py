@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import (dense_mode_losses, dense_refine_example1, field_with_periodogram,
-                     grid_has_torus_zero, grid_min_triple_loss, normalize_c2,
-                     periodogram_moments, rational_density, stencil_objective_example1)
+from oracles import (affine_objective, dense_mode_losses, dense_refine_example1,
+                     field_with_periodogram, grid_has_torus_zero, grid_min_triple_loss,
+                     normalize_c2, periodogram_moments, rational_density, slsqp_affine_fit,
+                     stencil_objective_example1)
 from spatialcox import (BasisSpec, CoeffField, FrequencyGrid, Periodogram,
                         Sarh1Params, SpectralModel, ThetaEstimate, cov_from_spectrum, estimate,
                         family_triples, is_causal, periodogram, simulate_sarh1, trig_moments,
@@ -14,7 +15,7 @@ from spatialcox import (BasisSpec, CoeffField, FrequencyGrid, Periodogram,
 from spatialcox.errors import ParameterDomainError, SingularSpectrumError
 from spatialcox.pipeline import DEFAULT_TRUE_PMF
 from spatialcox.sarh import CAUSAL_FACES, TRIPLE_BOX, _has_torus_zero, c2_innovation_var
-from spatialcox.whittle import (TIE_BREAK, _example1_pieces, _mode_losses,
+from spatialcox.whittle import (TIE_BREAK, _example1_pieces, _fit_affine, _mode_losses,
                                 _mode_losses_with_grad)
 
 TWO_PI_SQ = (2 * np.pi) ** 2
@@ -412,7 +413,9 @@ def test_affine_family_fit_recovers_pmf_triples(family):
     assert fit.converged
     assert np.median(rel) <= 0.15, rel
     assert np.all(lam_hat @ CAUSAL_FACES.T <= 1 + 1e-9)
-    # exact gradients: one loss evaluation per SLSQP step, not one per coordinate
+    # one Newton step per interior-point iteration, each loss evaluation exact:
+    # iterations and line-search trials together stay far below one per
+    # coordinate and iteration
     assert fit.n_loss_evals <= 100, fit.n_loss_evals
 
 
@@ -421,6 +424,91 @@ def test_box_without_causal_point_rejected():
     fld = model_field(SpectralModel("example1", n_modes=2), [1.0], (8, 8))
     with pytest.raises(ParameterDomainError):
         estimate(model, fld)
+
+
+def _affine_case(name):
+    """(model, field) of the seeded triple, custom and realdata_pmf fits and the
+    band triple's noise-free field fitted by a causal triple."""
+    if name == "band":
+        wide = SpectralModel("triple", n_modes=3, theta_box=[[-2, 2]] * 3)
+        return SpectralModel("triple", n_modes=3), model_field(wide, BAND_TRIPLE, (32, 32))
+    if name == "triple":
+        fld = simulate_sarh1(Sarh1Params("triple", [0.4, 0.3, -0.1], 5), (48, 40), seed=17)
+        return SpectralModel("triple", n_modes=5), fld
+    lam = family_triples("realdata_pmf", DEFAULT_TRUE_PMF, 10)
+    fld = simulate_sarh1(Sarh1Params("custom", lam.ravel(), 10), (64, 64), seed=3)
+    return SpectralModel(name, n_modes=10), fld
+
+
+@pytest.mark.parametrize("name", ["triple", "custom", "realdata_pmf", "band"])
+def test_affine_fit_not_above_slsqp_oracle(name):
+    # the interior-point optimum against the linprog check and SLSQP solve of
+    # the same epigraph program, at SLSQP's tightest useful ftol
+    model, fld = _affine_case(name)
+    moments = periodogram_moments(periodogram(fld))
+    fit = estimate(model, fld)
+    oracle, _ = slsqp_affine_fit(model, moments, TIE_BREAK, ftol=1e-14)
+    assert fit.converged
+    assert (affine_objective(model, moments, fit.theta_hat, TIE_BREAK)
+            <= affine_objective(model, moments, oracle, TIE_BREAK) + 1e-12)
+    assert np.max(model.eig_triples(fit.theta_hat) @ CAUSAL_FACES.T) <= 1 + 1e-9
+    assert model.contains(fit.theta_hat)
+
+
+@pytest.mark.parametrize("name", ["triple", "custom", "realdata_pmf", "band"])
+def test_affine_fit_independent_of_its_start(name):
+    # the convex program has one optimum: the box centre and another strictly
+    # causal start reach it within 1e-8
+    model, fld = _affine_case(name)
+    moments = trig_moments(fld)
+    rng = np.random.default_rng(81)
+    box = model.theta_box
+    start = box.mean(axis=1) + 0.1 * (box[:, 1] - box[:, 0]) * rng.uniform(-1, 1, len(box))
+    assert np.all(is_causal(model.eig_triples(start)))
+    centre, _, ok_centre = _fit_affine(model, moments)
+    other, _, ok_other = _fit_affine(model, moments, start=start)
+    assert ok_centre and ok_other
+    np.testing.assert_allclose(other, centre, rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("box", [[[0.2, 0.95], [0.2, 0.95], [-0.9, 0.9]],
+                                 [[-0.9, -0.2], [0.2, 0.9], [-0.9, 0.3]]])
+def test_affine_fit_from_phase_one_start(box):
+    # box centres outside the causal set: (0.575, 0.575, 0) and (-0.55, 0.55, -0.3);
+    # a phase I finds a strictly causal start
+    model = SpectralModel("triple", n_modes=2, theta_box=box)
+    fld = simulate_sarh1(Sarh1Params("custom", [0.5, 0.3, -0.1, 0.2, 0.6, 0.1], 2), (12, 12),
+                         seed=21)
+    assert not is_causal(model.theta_box.mean(axis=1))[0]
+    moments = periodogram_moments(periodogram(fld))
+    fit = estimate(model, fld)
+    oracle, _ = slsqp_affine_fit(model, moments, TIE_BREAK, ftol=1e-14)
+    assert fit.converged and model.contains(fit.theta_hat)
+    assert np.max(CAUSAL_FACES @ fit.theta_hat) < 1.0
+    assert (affine_objective(model, moments, fit.theta_hat, TIE_BREAK)
+            <= affine_objective(model, moments, oracle, TIE_BREAK) + 1e-12)
+
+
+def test_box_touching_causal_set_on_its_boundary_rejected():
+    # the box meets the closed tetrahedron at (0.5, 0.5, 0) alone, a triple whose
+    # D vanishes at w = 0: no strictly causal start, so no fit
+    model = SpectralModel("triple", n_modes=2, theta_box=[[0.5, 0.9], [0.5, 0.9], [0.0, 0.9]])
+    fld = model_field(SpectralModel("example1", n_modes=2), [1.0], (8, 8))
+    with pytest.raises(ParameterDomainError, match="causal"):
+        estimate(model, fld)
+
+
+@pytest.mark.parametrize("family", ["triple", "custom"])
+def test_affine_fit_is_scale_free(family):
+    # the losses scale with the field's variance and the fit normalizes them:
+    # a field times 1e-100, 1 or 1e100 has one theta_hat
+    base = simulate_sarh1(Sarh1Params("custom", [0.5, 0.3, -0.1, 0.2, 0.6, 0.1], 2), (12, 12),
+                          seed=21)
+    model = SpectralModel(family, n_modes=2)
+    fits = [estimate(model, CoeffField(c * base.data, base.basis)) for c in (1e-100, 1.0, 1e100)]
+    assert all(fit.converged for fit in fits)
+    for fit in fits[::2]:
+        np.testing.assert_allclose(fit.theta_hat, fits[1].theta_hat, rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("seed", [21, 22, None])
