@@ -47,21 +47,10 @@ def design_matrix(spec: BasisSpec, t_grid) -> np.ndarray:
 
 
 def project_samples(t_grid, samples, spec: BasisSpec) -> np.ndarray:
-    """Project sampled curves onto the sine basis by trapezoidal quadrature.
-
-    Parameters
-    ----------
-    t_grid : array, shape (T,)
-        Sample abscissae; must cover [0, L] with at least 2M+1 points.
-    samples : array, shape (..., T)
-        Curve values on ``t_grid``; leading axes are batch axes.
-    spec : BasisSpec
-
-    Returns
-    -------
-    array, shape (..., M)
-        Coordinates a_p = sqrt(2/L) * integral of f * phi_p with respect to
-        the orthonormalized basis, so f ~ a @ design_matrix(spec, t).
+    """Project curves ``samples`` (..., T), sampled on ``t_grid`` (T,), onto the sine
+    basis by the trapezoid rule: the (..., M) coordinates a_p = sqrt(2/L) * integral
+    of f * phi_p in the orthonormalized basis, so f ~ a @ design_matrix(spec, t).
+    ``t_grid`` must cover [0, L] with at least 2M+1 points; leading axes are batch axes.
     """
     t = np.asarray(t_grid, dtype=float)
     f = np.asarray(samples, dtype=float)
@@ -74,10 +63,10 @@ def project_samples(t_grid, samples, spec: BasisSpec) -> np.ndarray:
     tol = 1e-9 * spec.support_length
     if t[0] > tol or t[-1] < spec.support_length - tol:
         raise InsufficientResolutionError("t_grid must cover [0, support_length]")
-    # trapezoid rule as a weight vector: the projection is one matmul against
-    # the weighted orthonormal basis rows
+    return f @ _quadrature_rows(spec, t).T
+
+
+def _quadrature_rows(spec: BasisSpec, t) -> np.ndarray:
+    # the (M, T) design times the trapezoid weights of t: the projection's one sum over t
     dt = np.diff(t)
-    w = np.zeros(t.size)
-    w[:-1] += 0.5 * dt
-    w[1:] += 0.5 * dt
-    return f @ (design_matrix(spec, t) * w).T
+    return design_matrix(spec, t) * (0.5 * np.r_[dt, 0.0] + 0.5 * np.r_[0.0, dt])

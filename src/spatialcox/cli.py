@@ -25,7 +25,7 @@ from .experiment import ExperimentConfig, run_experiment
 from .field import _read_numeric_csv, load_field_binary, save_field_binary, save_field_csv
 from .pipeline import (PipelineConfig, load_series_csv, make_synthetic_counts,
                        run_cross_validation, run_pipeline)
-from .sarh import FAMILIES, Sarh1Params, SpectralModel, simulate_sarh1
+from .sarh import FAMILIES, Sarh1Params, SpectralModel, family_jacobian, simulate_sarh1
 from .spectral import periodogram, save_periodogram_binary, save_periodogram_csv
 from .whittle import estimate
 
@@ -269,6 +269,8 @@ def cmd_pipeline(args):
     payload = {
         "estimation_skipped": res.estimation_skipped,
         "theta_hat": None if res.theta_hat is None else np.asarray(res.theta_hat).tolist(),
+        "theta_unread": np.flatnonzero(~family_jacobian("realdata_pmf", None, cfg.n_modes)
+                                       .any(axis=(0, 1))).tolist(),
         "lambda_hat": None if res.lambda_hat is None else res.lambda_hat.tolist(),
         "mode_scale": res.mode_scale.tolist(),
         "loss_at_min": None if res.fit is None else res.fit.loss_at_min,

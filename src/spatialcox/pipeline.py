@@ -2,22 +2,18 @@
 
 Stages (in order): cumulate raw records, least-squares cubic B-spline fit
 per site, inverse-distance-weighted (1 / d^2) interpolation of the spline
-coefficients to a regular lattice (per-axis squared distances, weights in
-blocks of lattice rows: O(block x sites) memory, not O(nodes x sites)),
-local-support evaluation on a dense time grid from 0 to the last time stamp
-into one (times, nodes) array, log transform of the curves floored at 1 in
-place, per-node polynomial trend fit, projection of the detrended curves
-onto the sine basis as P(log) - (P U)(U^T log) (U orthonormal on the trend
-span, so the residual cube is never formed), per-mode normalization by the
-innovation sd that the field's five circular lag moments give (no FFT), a
-fit of the point-spectra family ``realdata_pmf`` from the normalized
-field's moments by :func:`~spatialcox.whittle.estimate`'s interior-point
-solve, and plug-in prediction.
-A synthetic generator producing count data from a known field +
-trend supports closed-loop validation and the CLI demos.  Every stage, the
-Whittle fit included, is numpy only: no ``scipy.spatial`` distances, no
-``scipy.interpolate`` splines (the B-spline basis comes from de Boor's
-recursion) and no ``scipy.optimize``.
+coefficients to a regular lattice (weights in blocks of lattice rows, never
+O(nodes x sites)), one streamed pass over a dense time grid from 0 to the last
+time stamp that evaluates the lattice curves by local support, logs them
+floored at 1 and accumulates their polynomial trend and their detrended sine
+coordinates P(log) - (P U)(U^T log), U orthonormal on the trend span, in time
+blocks sized to the cache (no (times, nodes) array), per-mode normalization by the
+innovation sd of the five circular lag moments (no FFT), the interior-point
+fit of ``realdata_pmf`` by :func:`~spatialcox.whittle.estimate`, and plug-in
+prediction.  A synthetic generator of counts from a known field and trend
+supports closed-loop validation and the CLI demos.  Every stage is numpy only:
+no ``scipy.spatial``, no ``scipy.interpolate`` (the B-spline basis comes from
+de Boor's recursion) and no ``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -27,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec, design_matrix, project_samples
+from .basis import BasisSpec, _quadrature_rows, design_matrix, project_samples
 from .cox import predict_field
 from .errors import (AmbiguousInterpolationError, DivisionGuardError, FileFormatError,
                      InsufficientResolutionError, ParameterDomainError,
@@ -110,7 +106,7 @@ def load_series_csv(path) -> GridSeries:
 # stages
 
 
-# float64 cells of one block of the IDW weights or the log curves, 2 MiB: about one
+# float64 cells of one block of the IDW weights or the lattice curves, 2 MiB: about one
 # core's L2 cache.  On a host with 2 MiB of L2 per core, IDW blocks of 1-4 MiB timed
 # alike and 0.25 MiB ran 15% slower
 BLOCK_CELLS = 2**18
@@ -273,17 +269,35 @@ def _legendre_design_on(fit_times, eval_times, degree):
     return np.polynomial.legendre.legvander(u, degree)
 
 
-def _fit_trend(values, times, degree):
-    # per-site Legendre least squares along the last axis by one SVD of the design:
-    # coef (degree + 1, sites), U (T, degree + 1) and the coordinates U^T v (sites, degree + 1)
-    t = np.asarray(times, dtype=float)
-    v = np.asarray(values, dtype=float)
+def _project_curves(knots, coef, t, degree, basis):
+    # the log of the curves with spline coefficients coef (n_coef, nodes) on t, floored
+    # at LOG_FLOOR: the Legendre trend (degree + 1, nodes), with U orthonormal on its
+    # span, the sine coordinates P(log) - (P U)(U^T log) (nodes, M) and the log scale.
+    # Per knot interval's run of t, cut to BLOCK_CELLS, the local-support product, log,
+    # sum of squares and product with [U^T; W] (W: P's trapezoid-weighted rows) run
+    # while the block is in cache, so no (times, nodes) array is formed
     if t.size < degree + 1:
         raise InsufficientResolutionError(
             f"need >= degree + 1 = {degree + 1} time points, got {t.size}")
     u, solve = _svd_of_design(_legendre_design_on(t, t, degree), "trend")
-    utv = u.T @ v.reshape(-1, t.size).T  # reads time-major curves, passed as .T, in place
-    return solve @ utv, u, utv.T
+    pu = project_samples(t, u.T, basis)  # checks that t resolves the basis, first
+    rows = np.vstack([u.T, _quadrature_rows(basis, t)])
+    ell, local = _bspline_basis(knots, np.clip(t, knots[0], knots[-1]))
+    starts = np.flatnonzero(np.r_[True, ell[1:] != ell[:-1], True])
+    step = max(1, BLOCK_CELLS // coef.shape[1])
+    buf = np.empty((min(step, np.diff(starts).max()), coef.shape[1]))
+    acc = np.zeros((rows.shape[0], coef.shape[1]))
+    sum_sq = 0.0
+    for a, b in zip(starts[:-1], starts[1:]):
+        for c in range(a, b, step):
+            block = buf[:min(step, b - c)]
+            np.matmul(local[c:c + len(block)], coef[ell[a] - 3:ell[a] + 1], out=block)
+            np.log(np.maximum(block, LOG_FLOOR, out=block), out=block)
+            sum_sq += np.vdot(block, block)
+            acc += rows[:, c:c + len(block)] @ block
+    utv = acc[:degree + 1]
+    return (solve @ utv, acc[degree + 1:].T - utv.T @ pu,
+            max(1.0, float(np.sqrt(sum_sq / (t.size * coef.shape[1])))))
 
 
 def cvfare(true_curves, predicted_curves, t_grid):
@@ -405,32 +419,12 @@ def run_pipeline(raw: GridSeries, cfg: PipelineConfig | None = None) -> Pipeline
     greville = (knots[1:-3] + knots[2:-2] + knots[3:-1]) / 3.0
     lattice = stage("idw", lambda: idw_interpolate(
         GridSeries(raw.sites, greville, spline.c.T), cfg.lattice_dims))
-    # the lattice curves as one (times, nodes) array, constant outside the data range;
-    # the log runs in place and the later stages read it through .T, without a copy
-    curves = stage("evaluate", lambda: _evaluate_spline(
-        knots, lattice.values.T, np.clip(out_times, knots[0], knots[-1])))
-
-    def _log():
-        # block by block, so each block's sum of squares (the log scale) is read in cache
-        sum_sq = 0.0
-        for block in np.array_split(curves, -(-curves.size // BLOCK_CELLS)):
-            np.log(np.maximum(block, LOG_FLOOR, out=block), out=block)
-            sum_sq += np.vdot(block, block)
-        return curves, sum_sq
-
-    log_curves, log_sum_sq = stage("log", _log)
-
-    trend_coef, u, utv = stage("trend", lambda: _fit_trend(log_curves.T, out_times,
-                                                           cfg.trend_degree))
-
-    # the projection of log - U U^T log, without forming the residual
     basis = BasisSpec(support_length=support, n_modes=cfg.n_modes)
-    coeff = stage("project", lambda: project_samples(out_times, log_curves.T, basis)
-                  - utv @ project_samples(out_times, u.T, basis))
+    trend_coef, coeff, log_scale = stage("project", lambda: _project_curves(
+        knots, lattice.values.T, out_times, cfg.trend_degree, basis))
     residual_field = CoeffField(coeff.reshape(cfg.lattice_dims + (-1,)), basis)
 
     rms = float(np.sqrt(np.mean(coeff**2)))
-    log_scale = max(1.0, float(np.sqrt(log_sum_sq / log_curves.size)))
     if rms < RESIDUAL_RMS_FLOOR * log_scale:
         diagnostics["note"] = f"residual RMS {rms:.3e} below floor; estimation skipped"
         return PipelineResult(out_times, trend_coef, residual_field, np.ones(cfg.n_modes),

@@ -26,6 +26,7 @@ prediction all read families, boxes and innovation variances from it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -116,11 +117,10 @@ def family_triples(family: str, theta, n_modes: int) -> np.ndarray:
 
 def family_jacobian(family: str, theta, n_modes: int) -> np.ndarray:
     """d triple_k / d theta, shape (M, 3, q), of example2 and the affine families
-    (constant for these, and their triples are J @ theta: each maps theta = 0
-    to the zero triple, so J holds the triples at the unit vectors)."""
+    (constant for these, and their triples are J @ theta: each maps theta = 0 to the
+    zero triple, so J holds the triples at the unit vectors, built once, read-only)."""
     if family in AFFINE_FAMILIES:
-        eye = np.eye(len(default_box(family, n_modes)))
-        return np.stack([family_triples(family, e, n_modes) for e in eye], axis=-1)
+        return _affine_jacobian(family, check_int(n_modes, "n_modes", 1))
     if family != "example2":
         raise ParameterDomainError(f"no Jacobian for family {family!r}")
     # l_q = th_{q,1} r_q with r_q = 1/(k + th_{q,2}), and l3 = -l1 l2
@@ -129,6 +129,14 @@ def family_jacobian(family: str, theta, n_modes: int) -> np.ndarray:
     d1, d2 = np.zeros((2, n_modes, 4))
     d1[:, 0], d1[:, 1], d2[:, 2], d2[:, 3] = r1, -l1 * r1, r2, -l2 * r2
     return np.stack([d1, d2, -(d1 * l2[:, None] + l1[:, None] * d2)], axis=1)
+
+
+@lru_cache(maxsize=8)
+def _affine_jacobian(family, n_modes):
+    eye = np.eye(len(default_box(family, n_modes)))
+    jac = np.stack([family_triples(family, e, n_modes) for e in eye], axis=-1)
+    jac.setflags(write=False)
+    return jac
 
 
 # the lags h of the stencil's five cosines cos<h, w>, the order of _GRAM and trig_moments

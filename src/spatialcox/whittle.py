@@ -256,13 +256,16 @@ def _affine_program(model: SpectralModel, moments: np.ndarray):
     q_k(theta) = c_k + b_k.theta + theta' P_k theta, returned as (c, b, P), and
     the distinct causal faces A theta <= 1 of the modes, as the rows of A.  With
     the constant J = :func:`family_jacobian` and G_k = mu_k[_GRAM] / sigma2,
-    P_k = J_k' G_k[1:, 1:] J_k, b_k = -2 J_k' G_k[1:, 0] and c_k = G_k[0, 0]."""
+    P_k = J_k' G_k[1:, 1:] J_k, b_k = -2 J_k' G_k[1:, 0] and c_k = G_k[0, 0].
+    Coordinates no mode reads (zero columns of J) stay out; their mask comes third."""
     jac = family_jacobian(model.family, None, model.n_modes)
+    read = jac.any(axis=(0, 1))
+    jac = jac[..., read]
     g = moments[:, _GRAM] / _CAUSAL_SIGMA2
     quad = (g[:, 0, 0], -2.0 * np.einsum("kiq,ki->kq", jac, g[:, 1:, 0]),
             np.einsum("kiq,kij,kjr->kqr", jac, g[:, 1:, 1:], jac))
     faces = np.einsum("fi,kiq->kfq", CAUSAL_FACES, jac).reshape(-1, jac.shape[-1])
-    return quad, np.unique(faces, axis=0)  # modes that share a triple share its faces
+    return quad, np.unique(faces, axis=0), read  # modes sharing a triple share its faces
 
 
 def _interior_point(a, ub, x, quad=None):
@@ -342,13 +345,14 @@ def _fit_affine(model: SpectralModel, moments: np.ndarray, start=None):
     # min t + eta mean_k q_k(theta) s.t. q_k(theta) <= t, the causal faces and
     # the box: convex, since each q_k is, and on the closed tetrahedron the
     # causal sigma2 is the model's.  The start is the box centre, or ``start``,
-    # when it is strictly causal, else the point of a phase I
-    box = model.theta_box
-    q = len(box)
-    (c0, b, p), faces = _affine_program(model, moments)
-    lin = np.vstack([faces, np.eye(q), -np.eye(q)])
+    # when it is strictly causal, else the point of a phase I.  Coordinates that
+    # no mode reads stay at their box midpoint
+    (c0, b, p), faces, read = _affine_program(model, moments)
+    theta_hat = model.theta_box.mean(axis=1)
+    box = model.theta_box[read]
+    lin = np.vstack([faces, np.eye(len(box)), -np.eye(len(box))])
     ub = np.concatenate([np.ones(len(faces)), box[:, 1], -box[:, 0]])
-    theta = box.mean(axis=1) if start is None else np.asarray(start, dtype=float)
+    theta = box.mean(axis=1) if start is None else np.asarray(start, dtype=float)[read]
     worst = np.max(faces @ theta)
     if worst >= 1.0:  # phase I: min s s.t. A theta - s <= 1 inside the box
         s_col = np.where(np.arange(len(lin)) < len(faces), -1.0, 0.0)[:, None]
@@ -361,7 +365,8 @@ def _fit_affine(model: SpectralModel, moments: np.ndarray, start=None):
     x, n_evals, converged = _interior_point(
         np.hstack([lin, np.zeros((len(lin), 1))]), ub,
         np.append(theta, (c0 + (b + p @ theta) @ theta).max() + 1.0), (c0, b, p))
-    return x[:-1], n_evals, converged
+    theta_hat[read] = x[:-1]
+    return theta_hat, n_evals, converged
 
 
 def estimate(model: SpectralModel, sample: CoeffField,

@@ -13,7 +13,8 @@ dense Fourier-grid Whittle loss, the cosine contraction of a periodogram
 and the field that has a given one, row-by-row CSV writers,
 inverse-distance weighting through the dense cdist matrix, the
 curve-space pipeline (smooth, interpolate and detrend every curve on the
-dense time grid), the scalar and grid forms of the eigenvalue families,
+dense time grid), the pipeline's lattice stages on one dense (times,
+nodes) array of log curves, the scalar and grid forms of the eigenvalue families,
 the stationarity checks and the C2 normalization, a dense grid
 refined by zooming for the example1 fit, and scipy's ``linprog`` check and
 SLSQP solve of the affine families' fit.
@@ -28,9 +29,10 @@ import numpy as np
 from scipy.interpolate import make_lsq_spline
 from scipy.spatial.distance import cdist
 
-from spatialcox import BasisSpec, CoeffField
+from spatialcox import BasisSpec, CoeffField, project_samples
 from spatialcox.errors import (AmbiguousInterpolationError, ParameterDomainError,
                                ResolutionError, SingularSpectrumError)
+from spatialcox.pipeline import _evaluate_spline
 
 
 def brute_force_dft(data, z1_list, z2_list):
@@ -471,6 +473,32 @@ def trapezoid_projection(t, samples, support_length, n_modes):
     f = np.asarray(samples, dtype=float)
     phi = np.sin(np.pi * np.outer(np.arange(1, n_modes + 1), t) / support_length)
     return (2.0 / support_length) * np.trapezoid(f[..., None, :] * phi, t, axis=-1)
+
+
+def dense_trend(values, times, degree):
+    """Per-curve Legendre least squares along the last axis by one SVD of the design:
+    the coefficients (degree + 1, curves), U (T, degree + 1) orthonormal on the
+    design's span, and the coordinates U^T v (curves, degree + 1)."""
+    t = np.asarray(times, dtype=float)
+    v = np.asarray(values, dtype=float)
+    design = np.polynomial.legendre.legvander(2.0 * (t - t[0]) / (t[-1] - t[0]) - 1.0, degree)
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    utv = u.T @ v.reshape(-1, t.size).T
+    return (vt.T / s) @ utv, u, utv.T
+
+
+def dense_project_curves(knots, coef, t, degree, basis):
+    """The pipeline's lattice stages through one dense (times, nodes) array, with the
+    arguments and returns of ``pipeline._project_curves``: every curve evaluated on
+    ``t`` by the package's local-support ``_evaluate_spline``, floored at 1 and
+    logged in place, the trend of :func:`dense_trend`, and the detrended sine
+    coordinates P(log) - (P U)(U^T log) by ``project_samples``, which reads the
+    array through its transpose; also the log scale max(1, RMS of the log curves)."""
+    log = _evaluate_spline(knots, coef, np.clip(t, knots[0], knots[-1]))
+    np.log(np.maximum(log, 1.0, out=log), out=log)
+    trend_coef, u, utv = dense_trend(log.T, t, degree)
+    coeff = project_samples(t, log.T, basis) - utv @ project_samples(t, u.T, basis)
+    return trend_coef, coeff, max(1.0, float(np.sqrt(np.vdot(log, log) / log.size)))
 
 
 def curve_space_residual(raw, cfg):

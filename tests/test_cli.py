@@ -277,6 +277,18 @@ def test_pipeline_defaults_come_from_config(tmp_path):
     assert len(payload["lambda_hat"]) == 10
 
 
+def test_pipeline_names_the_unread_coordinates(tmp_path):
+    # at 4 modes no mode is in the pmf group (7, 9): its deltas 2, 5 and 8 are
+    # named, and come back at their box midpoint, 0; at 10 modes every one is read
+    for modes, unread in ((4, [2, 5, 8]), (10, [])):
+        out = tmp_path / f"pipe{modes}.json"
+        run(["pipeline", "--lattice", "6x6", "--time-nodes", 121, "--knots", 8,
+             "--modes", modes, "--out", out])
+        payload = json.loads(out.read_text())
+        assert payload["theta_unread"] == unread
+        assert [payload["theta_hat"][i] for i in unread] == [0.0] * len(unread)
+
+
 def test_experiment_command(tmp_path):
     out = tmp_path / "table.csv"
     run(["experiment", "--family", "example1", "--theta", "1.0",

@@ -2,23 +2,25 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import brute_force_idw, cdist_idw, curve_space_residual
+from oracles import (brute_force_idw, cdist_idw, curve_space_residual, dense_project_curves,
+                     dense_trend)
 from scipy.interpolate import BSpline
 
 import spatialcox.pipeline
-from spatialcox import (CoeffField, GridSeries, PipelineConfig, cvfare, idw_interpolate,
+from spatialcox import (BasisSpec, CoeffField, GridSeries, PipelineConfig, cvfare, idw_interpolate,
                         load_series_csv, make_synthetic_counts, run_cross_validation,
                         run_pipeline, save_series_csv, spline_smooth)
 from spatialcox.errors import (AmbiguousInterpolationError, DivisionGuardError, FileFormatError,
                                InsufficientResolutionError, ParameterDomainError,
                                PipelineStageError, RankDeficiencyError)
-from spatialcox.pipeline import _bspline_basis, _evaluate_spline, _fit_trend
+from spatialcox.pipeline import _bspline_basis, _evaluate_spline, _project_curves
 from spatialcox.sarh import TWO_PI_SQ, Sarh1Params, _gram_min, simulate_sarh1
 from spatialcox.whittle import trig_moments
 
@@ -304,11 +306,13 @@ def test_spline_needs_enough_points():
 
 
 # --- polynomial trend -------------------------------------------------------
+# the dense oracle's trend, which the streamed stage matches below, and the
+# stage's own checks
 
 
 def trend_and_residual(values, times, degree):
     # the fitted trend is Q (Q^T v), Q orthonormal on the Legendre span
-    _, q, qtv = _fit_trend(values, times, degree)
+    _, q, qtv = dense_trend(values, times, degree)
     trend = (qtv @ q.T).reshape(np.shape(values))
     return trend, values - trend
 
@@ -322,7 +326,7 @@ def test_trend_exact_degree10():
     assert np.max(np.abs(resid)) < 1e-6
     np.testing.assert_allclose(trend + resid, f, atol=1e-9)
     # the Legendre coefficients give the same trend
-    coef, _, _ = _fit_trend(f, t, 10)
+    coef, _, _ = dense_trend(f, t, 10)
     legendre = np.polynomial.legendre.legvander(2 * t - 1, 10) @ coef
     np.testing.assert_allclose(legendre[:, 0], trend, atol=1e-9)
 
@@ -353,18 +357,25 @@ def test_trend_constructed_decomposition_oracle():
     assert np.max(np.abs(design.T @ resid) / len(t)) < 1e-9
 
 
+def stage_args():
+    # constant curves on [0, 1]: clamped knots without interior ones, one node
+    return np.repeat([0.0, 1.0], 4), np.full((4, 1), 2.0), BasisSpec(1.0, 1)
+
+
 def test_rank_deficient_designs_rejected():
     # eight time stamps on two distinct values: neither design has full column rank
     t = np.repeat([0.0, 1.0], 4)
+    knots, coef, basis = stage_args()
     with pytest.raises(RankDeficiencyError, match="trend design is rank deficient"):
-        _fit_trend(np.zeros(8), t, degree=3)
+        _project_curves(knots, coef, t, 3, basis)
     with pytest.raises(RankDeficiencyError, match="spline design is rank deficient"):
         spline_smooth(t, np.zeros(8), n_knots=2)
 
 
 def test_trend_needs_enough_points():
-    with pytest.raises(InsufficientResolutionError):
-        _fit_trend(np.zeros(8), np.linspace(0, 1, 8), degree=10)
+    knots, coef, basis = stage_args()
+    with pytest.raises(InsufficientResolutionError, match="degree \\+ 1 = 11"):
+        _project_curves(knots, coef, np.linspace(0, 1, 8), 10, basis)
 
 
 # --- CVFARE -----------------------------------------------------------------
@@ -418,9 +429,8 @@ def test_pipeline_end_to_end_deterministic():
     assert res.lambda_hat.shape == (10, 3)
     assert res.residual_field.dims == (12, 12)
     assert np.all(res.mode_scale > 0)
-    for name in ("ingest", "cumulate", "smooth", "idw", "log", "trend",
-                 "project", "normalize", "estimate", "predict"):
-        assert name in res.diagnostics
+    assert list(res.diagnostics) == ["ingest", "cumulate", "smooth", "idw", "project",
+                                     "normalize", "estimate", "predict"]
     res2 = run_pipeline(series, cfg)
     np.testing.assert_array_equal(res.lambda_hat, res2.lambda_hat)
     # predictions are finite log-intensity curves on a strided grid
@@ -487,6 +497,53 @@ def test_coefficient_space_pipeline_matches_curve_space_oracle(run):
     assert res.estimation_skipped
     want, log_scale = curve_space_residual(raw, cfg)
     assert np.max(np.abs(res.residual_field.data - want)) <= 1e-12 * log_scale
+
+
+@pytest.mark.parametrize("case", ["criterion_10", "split_knot_runs", "clamped_ends",
+                                  "no_cumulate"])
+def test_streamed_projection_matches_dense_oracle(case):
+    # the streamed evaluate-log-trend-project stage against the same chain through
+    # one dense (times, nodes) array of log curves
+    block = spatialcox.pipeline.BLOCK_CELLS
+    if case == "criterion_10":
+        series, _ = make_synthetic_counts((40, 40), seed=1000)
+        cfg = PipelineConfig(lattice_dims=(40, 40), n_time_nodes=1725, n_knots=40,
+                             trend_degree=3, n_modes=10)
+    else:
+        series, _ = tiny_series(seed=23)
+        cfg = tiny_cfg(cumulate=case != "no_cumulate")
+    if case == "split_knot_runs":
+        block = 144 * 5  # blocks of 5 times, against runs of about 23 per knot interval
+    if case == "clamped_ends":
+        # the data start a quarter of the way in, so the first quarter of the time
+        # grid lies before the first knot, on the clamped end segment
+        k = series.times.size // 4
+        series = GridSeries(series.sites, series.times[k:], series.values[:, k:])
+    with mock.patch.object(spatialcox.pipeline, "BLOCK_CELLS", block):
+        got = run_pipeline(series, cfg)
+        with mock.patch.object(spatialcox.pipeline, "_project_curves", dense_project_curves):
+            want = run_pipeline(series, cfg)
+    scale = np.abs(want.residual_field.data).max()
+    assert np.abs(got.residual_field.data - want.residual_field.data).max() <= 1e-12 * scale
+    np.testing.assert_allclose(got.trend_coef, want.trend_coef, rtol=0,
+                               atol=1e-12 * np.abs(want.trend_coef).max())
+    assert got.estimation_skipped == want.estimation_skipped
+    if not want.estimation_skipped:
+        np.testing.assert_allclose(got.theta_hat, want.theta_hat, rtol=0, atol=1e-9)
+
+
+def test_pipeline_never_forms_the_time_by_node_array():
+    # 1725 times by 1600 nodes of float64 is 21.1 MiB; the dense chain peaked above it
+    series, _ = make_synthetic_counts((40, 40), n_months=48, seed=5)
+    cfg = PipelineConfig(lattice_dims=(40, 40), n_time_nodes=1725)
+    tracemalloc.start()
+    try:
+        res = run_pipeline(series, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not res.estimation_skipped
+    assert peak < 1725 * 1600 * 8 / 3, peak / 2**20
 
 
 def test_pipeline_refuses_mode_absorbed_by_trend():

@@ -487,6 +487,20 @@ def test_pmf_family_matches_scalar_oracle(theta, m):
     np.testing.assert_array_equal(SpectralModel("realdata_pmf", m).eig_triples(theta), want)
 
 
+@pytest.mark.parametrize("family, n_modes", [("triple", 3), ("custom", 4), ("realdata_pmf", 4),
+                                             ("realdata_pmf", 10)])
+def test_affine_jacobian_is_the_unit_vector_stack_read_only(family, n_modes):
+    # the affine families' J is built once per (family, n_modes): the triples at
+    # the unit vectors, bit for bit, shared and not writable
+    q = len(sarh.default_box(family, n_modes))
+    want = np.stack([family_triples(family, e, n_modes) for e in np.eye(q)], axis=-1)
+    jac = sarh.family_jacobian(family, None, n_modes)
+    np.testing.assert_array_equal(jac, want)
+    assert sarh.family_jacobian(family, np.zeros(q), np.int64(n_modes)) is jac
+    with pytest.raises(ValueError, match="read-only"):
+        jac[0, 0, 0] = 1.0
+
+
 def test_family_theta_length_checked():
     for family, theta in [("example1", [1.0, 2.0]), ("example2", [1.0, 1.6, 1.5]),
                           ("triple", [0.1, 0.2]), ("custom", [0.1] * 5),

@@ -471,6 +471,23 @@ def test_affine_fit_independent_of_its_start(name):
     np.testing.assert_allclose(other, centre, rtol=0, atol=1e-8)
 
 
+def test_affine_fit_leaves_unread_coordinates_at_the_box_midpoint():
+    # at 4 modes no mode is in the pmf group (7, 9), so its deltas (coordinates 2, 5
+    # and 8) enter no loss: they come back at the box midpoint from any start, and
+    # the read ones agree within 1e-8
+    model = SpectralModel("realdata_pmf", n_modes=4)
+    fld = simulate_sarh1(Sarh1Params("realdata_pmf", DEFAULT_TRUE_PMF, 4), (24, 24), seed=5)
+    moments = trig_moments(fld)
+    centre, _, ok_centre = _fit_affine(model, moments)
+    other, _, ok_other = _fit_affine(model, moments, start=np.full(9, 0.05))
+    assert ok_centre and ok_other
+    unread = [2, 5, 8]
+    read = np.setdiff1d(np.arange(9), unread)
+    np.testing.assert_array_equal(centre[unread], other[unread])
+    np.testing.assert_array_equal(centre[unread], model.theta_box[unread].mean(axis=1))
+    np.testing.assert_allclose(other[read], centre[read], rtol=0, atol=1e-8)
+
+
 @pytest.mark.parametrize("box", [[[0.2, 0.95], [0.2, 0.95], [-0.9, 0.9]],
                                  [[-0.9, -0.2], [0.2, 0.9], [-0.9, 0.3]]])
 def test_affine_fit_from_phase_one_start(box):
