@@ -134,25 +134,32 @@ def load_field_binary(path) -> CoeffField:
     return CoeffField(data.reshape(dims), BasisSpec(support_length=support, n_modes=dims[2]))
 
 
+def _cells(col) -> list:
+    """The text of each value of a column: str for ints, repr for floats."""
+    return list(map(str, np.asarray(col).tolist()))
+
+
 def _write_csv(path, header, inner, blocks) -> None:
     """Write ``header`` and each block's rows byte for byte as csv.writer would:
     str for ints, repr for floats (exact round trip, -0.0 kept), CRLF line ends.
 
     A block is ``(lead, values)``: Python scalars that open each of its rows,
-    then equal-length value columns.  The ``inner`` columns (grid indices,
-    mode labels, times) sit between the two and repeat in every block, so
-    they are formatted once; value text is held one block at a time.
+    then equal-length value columns, each an array, formatted here, or a list
+    of its cells' text.  The ``inner`` columns (grid indices, mode labels,
+    times) sit between the two and repeat in every block, so they are
+    formatted once.  Text given as a list lets a caller format a value once
+    for several rows: the periodogram of a real field is Hermitian bit for
+    bit, so :func:`spatialcox.spectral.save_periodogram_csv` passes block -w1
+    the text of block w1 at the mirrored rows (w2, k, l) -> (-w2, l, k).
     """
-    def text(col):
-        return map(str, np.asarray(col).tolist())
-
-    inner_text = list(map(",".join, zip(*map(text, inner))))
+    inner_text = list(map(",".join, zip(*map(_cells, inner))))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for lead, values in blocks:
             head = "".join(f"{v}," for v in lead)
-            rows = zip([head + r for r in inner_text], *map(text, values))
-            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
+            cols = (c if isinstance(c, list) else _cells(c) for c in values)
+            rows = map(",".join, zip(inner_text, *cols))
+            fh.write(head + f"\r\n{head}".join(rows) + "\r\n")
 
 
 def save_field_csv(field: CoeffField, path) -> None:

@@ -124,7 +124,8 @@ def idw_interpolate(series: GridSeries, target_dims) -> GridSeries:
     ``scipy.spatial`` is needed and no (nodes x sites) array is formed: the
     weights take O(block x sites) memory, with the block set by
     ``BLOCK_CELLS``, and each block's nodes one (block x sites) @
-    (sites x columns) product.
+    (sites x columns) product.  A block whose nodes all coincide with sources
+    forms no weights, and a lattice of such blocks allocates none.
     """
     n1, n2 = check_dims(target_dims, "target_dims", 1)
     src = series.values
@@ -165,11 +166,16 @@ def idw_interpolate(series: GridSeries, target_dims) -> GridSeries:
     # a block is whole lattice rows or part of one, so its nodes are contiguous in out
     rows = min(n1, max(1, BLOCK_CELLS // (n2 * n_sites)))
     cols = min(n2, max(1, BLOCK_CELLS // n_sites))
-    w = np.empty((rows, cols, n_sites))
+    missed = np.ones((n1, n2), dtype=bool)
+    missed.flat[node] = False
+    w = None
     # a hit node's weight 1/0 makes its row inf or NaN; that row is overwritten below
     with np.errstate(divide="ignore", invalid="ignore"):
         for a in range(0, n1, rows):
             for b in range(0, n2, cols):
+                if not missed[a:a + rows, b:b + cols].any():
+                    continue
+                w = np.empty((rows, cols, n_sites)) if w is None else w
                 wb = w[:min(rows, n1 - a), :min(cols, n2 - b)]
                 np.add(dx2[a:a + wb.shape[0], None], dy2[None, b:b + wb.shape[1]], out=wb)
                 wb = np.reciprocal(wb, out=wb).reshape(-1, n_sites)

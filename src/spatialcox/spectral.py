@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import (FileFormatError, LagUnavailableError, ParameterDomainError,
                      ResolutionError, SingularSpectrumError, check_dims, check_int)
-from .field import CoeffField, FrequencyGrid, _read_binary, _write_csv
+from .field import CoeffField, FrequencyGrid, _cells, _read_binary, _write_csv
 from .sarh import (TWO_PI_SQ, _cosines, _gram_form, _has_torus_zero, _product_form,
                    _stencil_sweep, is_causal)
 
@@ -40,7 +40,11 @@ class Periodogram:
     ``values[w1, w2, k]`` holds the diagonal entries
     Xdft_w(phi_k) * Xdft_{-w}(phi_k) = |Xdft_w(phi_k)|^2, complex with an
     imaginary part of exactly 0; ``cross``, when present, holds the full
-    block ``cross[w1, w2, k, l] = Xdft_w(phi_k) * Xdft_{-w}(phi_l)``.
+    block ``cross[w1, w2, k, l] = Xdft_w(phi_k) * Xdft_{-w}(phi_l)``.  Of a
+    real field the operator is Hermitian, I_{-w}(phi_k, phi_l) = I_w(phi_l,
+    phi_k), and :func:`periodogram` keeps it bit for bit in ``values`` and the
+    real part of ``cross``; the imaginary part of ``cross`` may differ in the
+    last bit, as the complex product rounds its two terms in a different order.
     """
 
     grid: FrequencyGrid
@@ -242,15 +246,45 @@ def save_periodogram_csv(pgram: Periodogram, path) -> None:
     """CSV columns w1, w2, k, l, re, im (diagonal rows have k == l).
 
     Rows run over the Fourier grid, then over the mode pairs (k, l): the
-    diagonal pairs only, or every pair when the cross block is present.
+    diagonal pairs only, or every pair when the cross block is present.  The
+    rows of one w1 form a block.  A block's column whose bits are all zero
+    (+0.0, as the diagonal's im) is written as "0.0" without formatting, and
+    block -w1 reuses the text of block w1's column wherever its bits equal
+    that column's at the mirrored rows (w2, k, l) -> (-w2, l, k), which
+    :func:`periodogram` gives ``values`` and the real part of ``cross``; any
+    other column is formatted.  So a periodogram costs about one repr per
+    distinct value, and the bytes are those of formatting every value.
     """
-    m, n2 = pgram.n_modes, pgram.grid.dims[1]
+    m, (n1, n2) = pgram.n_modes, pgram.grid.dims
     full = pgram.cross is not None
     k, l = np.divmod(np.arange(m * m), m) if full else (np.arange(m),) * 2
-    vals = (pgram.cross if full else pgram.values).reshape(pgram.grid.dims[0], -1)
+    vals = np.ascontiguousarray(pgram.cross if full else pgram.values, dtype=complex)
+    vals = vals.reshape(n1, -1)
+    bits = vals.view(np.int64).reshape(n1, -1, 2)  # (block, row, re or im)
+    # row r of block -w1 mirrors row mirror[r] of block w1
+    mirror = ((-np.arange(n2) % n2)[:, None] * k.size + (l * m + k if full else k)).ravel()
+    at_mirror = mirror.tolist()
+
+    def blocks():
+        held = {}  # (block, part): joined text that the block's mirror, still to come, reuses
+        for i, w1 in enumerate(pgram.grid.omega1.tolist()):
+            j, cols = -i % n1, []
+            for part, v in enumerate((vals[i].real, vals[i].imag)):
+                b, text = bits[i, :, part], held.pop((j, part), None)
+                if not b.any():
+                    cells = ["0.0"] * b.size
+                elif text is not None:
+                    cells = list(map(text.split(",").__getitem__, at_mirror))
+                else:
+                    cells = _cells(v)
+                    if i < j and np.array_equal(bits[j, :, part], b[mirror]):
+                        held[i, part] = ",".join(cells)
+                cols.append(cells)
+            yield (w1,), cols
+
     _write_csv(path, ["w1", "w2", "k", "l", "re", "im"],
                (np.repeat(pgram.grid.omega2, k.size), np.tile(k + 1, n2), np.tile(l + 1, n2)),
-               (((w1,), (v.real, v.imag)) for w1, v in zip(pgram.grid.omega1.tolist(), vals)))
+               blocks())
 
 
 def save_periodogram_binary(pgram: Periodogram, path) -> None:

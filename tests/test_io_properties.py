@@ -4,8 +4,10 @@ periodogram's normalization."""
 
 import csv
 import io
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -14,8 +16,9 @@ from spatialcox import (BasisSpec, CoeffField, GridSeries, Periodogram, empirica
                         load_field_binary, load_field_csv, load_series_csv, periodogram,
                         save_field_binary, save_field_csv, save_periodogram_csv,
                         save_series_csv)
-from spatialcox.field import _write_csv
-from spatialcox.spectral import load_periodogram_binary, save_periodogram_binary
+import spatialcox.spectral
+from spatialcox.field import _cells, _write_csv
+from spatialcox.spectral import _reflect, load_periodogram_binary, save_periodogram_binary
 
 # signed zeros, subnormals, 1e-300..1e300 and whole numbers, beside arbitrary finite floats
 SPECIAL = [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e-300, -1e300,
@@ -89,6 +92,50 @@ def test_periodogram_csv_matches_row_loop_oracle_any_values(tmp_path_factory, sh
           else Periodogram(grid, vals))
     assert same_bytes(tmp_path_factory.mktemp("p"), save_periodogram_csv,
                       periodogram_csv_loop, pg)
+
+
+@SETTINGS
+@given(fields(st.floats(-1e150, 1e150)))
+def test_periodogram_is_hermitian_bit_for_bit(fld):
+    # I_{-w}(phi_k, phi_l) = I_w(phi_l, phi_k): the CSV writer reuses the text of block w1
+    # for block -w1 where the bits agree, and they always agree for the diagonal and for
+    # the real part of the full block; the full block's im may differ in the last bit
+    pg = periodogram(fld, full=True)
+    assert _reflect(pg.values).tobytes() == pg.values.tobytes()
+    assert _reflect(pg.cross.real).swapaxes(2, 3).tobytes() == pg.cross.real.tobytes()
+
+
+@pytest.mark.parametrize("full", [False, True])
+@pytest.mark.parametrize("part", ["re", "im"])
+@pytest.mark.parametrize("change", ["+0.0 to -0.0", "+1 ulp"])
+def test_periodogram_csv_formats_a_changed_mirror_column(tmp_path, full, part, change):
+    # block w1 = 1 is written before its mirror, block 4 of 5; one entry of block 4 moves
+    # off the bits of its mirror entry, (w2, k, l) = (3, 0, 2) -> (1, 2, 0), on 4 x 3 modes;
+    # a diagonal im column of +0.0 with one -0.0 is not all zero bits
+    rng = np.random.default_rng(3)
+    pg = periodogram(CoeffField(rng.normal(size=(5, 4, 3)), BasisSpec(1.0, 3)), full=full)
+    vals = (pg.cross if full else pg.values).copy()
+    at, mirror = ((4, 3, 0, 2), (1, 1, 2, 0)) if full else ((4, 3, 0), (1, 1, 0))
+    assert vals.real[at].tobytes() == vals.real[mirror].tobytes()
+    col = getattr(vals, "real" if part == "re" else "imag")
+    if change == "+1 ulp":
+        col[at] = np.nextafter(col[at], np.inf)
+    else:
+        col[mirror] = 0.0
+        col[at] = -0.0
+    changed = (Periodogram(pg.grid, pg.values, vals) if full
+               else Periodogram(pg.grid, vals))
+    assert same_bytes(tmp_path, save_periodogram_csv, periodogram_csv_loop, changed)
+
+
+def test_periodogram_csv_formats_each_distinct_diagonal_value_once(tmp_path):
+    # 6 blocks of w1: 0 and 3 are their own mirrors, 4 and 5 reuse the text of 2 and 1,
+    # and the diagonal im is +0.0 throughout, so 4 of 12 value columns are formatted
+    rng = np.random.default_rng(4)
+    pg = periodogram(CoeffField(rng.normal(size=(6, 4, 3)), BasisSpec(1.0, 3)))
+    with mock.patch.object(spatialcox.spectral, "_cells", wraps=_cells) as fmt:
+        assert same_bytes(tmp_path, save_periodogram_csv, periodogram_csv_loop, pg)
+    assert fmt.call_count == 4
 
 
 def series_from(sites, times, values):

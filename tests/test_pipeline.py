@@ -226,6 +226,23 @@ def test_idw_blocks_of_part_of_a_lattice_row_match_the_oracle():
     np.testing.assert_array_equal(out.values[~moved], values[~moved])
 
 
+def test_idw_forms_no_weights_where_every_node_is_a_source():
+    # make_synthetic_counts puts a site on every node, so every block is all hits: no
+    # block forms the weight product or allocates the (block x sites) weights
+    # 32 x 32 nodes x 1024 sites: four blocks of 8 lattice rows, 2 MiB of weights each
+    series, _ = make_synthetic_counts((32, 32), n_months=12, seed=5)
+    with mock.patch.object(np, "matmul", side_effect=np.matmul) as product:
+        tracemalloc.start()
+        try:
+            out = idw_interpolate(series, (32, 32))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert product.call_count == 0
+    assert peak < spatialcox.pipeline.BLOCK_CELLS * 8, peak / 2**20
+    assert out.values.tobytes() == series.values.tobytes()
+
+
 def test_idw_ambiguity_names_the_oracles_node():
     sites = np.array([[0.0, 0.0], [3.0, 2.0], [1.5, 1.0], [1.5, 1.0], [3.0, 2.0]])
     values = np.arange(10.0).reshape(5, 2)
