@@ -21,7 +21,10 @@ class CoeffField:
     ``data[i, j, k]`` is the coefficient of mode k+1 at site (i, j).  The
     stack treats these as coordinates of the field value with respect to the
     orthonormalized basis, so ``data @ design_matrix(basis, t)`` gives the
-    curves at times t.  Instances are immutable.
+    curves at times t.  ``data`` may be any strided (N1, N2, M) array, such
+    as the mode-major view that :func:`spatialcox.sarh.simulate_sarh1`
+    returns; a float array is kept as it lies, without a copy.  Instances
+    are immutable.
     """
 
     data: np.ndarray
@@ -96,7 +99,8 @@ def save_field_binary(field: CoeffField, path) -> None:
     header["support"] = field.basis.support_length
     with open(path, "wb") as fh:
         header.tofile(fh)
-        field.data.astype("<f8").tofile(fh)
+        # one C-ordered block: tofile walks any other layout element by element
+        np.ascontiguousarray(field.data, dtype="<f8").tofile(fh)
 
 
 def _read_binary(fh, header_dtype, dtype, per_site):

@@ -153,13 +153,14 @@ def idw_interpolate(series: GridSeries, target_dims) -> GridSeries:
     order = np.lexsort((site, node))
     node, site = node[order], site[order]
 
-    # a hit node copies its first coincident source; every coincident
+    # a hit node copies its first coincident source; every later coincident
     # source must carry the same series
     first = np.diff(node, prepend=-1) != 0
-    same = np.isclose(src[site], src[site[first][np.cumsum(first) - 1]],
+    later = ~first
+    same = np.isclose(src[site[later]], src[site[first][np.cumsum(first)[later] - 1]],
                       equal_nan=True).all(axis=1)
     if not same.all():
-        raise AmbiguousInterpolationError(f"node {nodes[node[~same][0]]} "
+        raise AmbiguousInterpolationError(f"node {nodes[node[later][~same][0]]} "
                                           "coincides with sources holding distinct values")
 
     out = np.empty((n1 * n2, src.shape[1]))

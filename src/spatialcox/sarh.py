@@ -11,10 +11,12 @@ form through c = 1 + l1^2 - l2^2 - l3^2 and d = l1 + l2 l3, because on the
 unit circle |1 - l1 e^{iw}|^2 - |l2 + l3 e^{iw}|^2 = c - 2 d cos w; the code
 reads c -+ 2d only as products of the face margins of ``CAUSAL_FACES``.
 
-The simulation has two kernels, chosen from the triples, that read one
-innovation stream laid out the same way.  When every mode is separable,
-l3 == -l1*l2 exactly (all of example1 and example2, and any triple or custom
-theta that factors), D = (1 - l1 z1)(1 - l2 z2) and the field is
+The simulation has two kernels, chosen from the triples, that filter one
+mode-major (M, n1, n2) buffer of innovations in place, the layout in which
+the random generator fills it; the field is that buffer seen as (n1, n2, M),
+a view, not a copy.  When every mode is separable, l3 == -l1*l2 exactly (all
+of example1 and example2, and any triple or custom theta that factors),
+D = (1 - l1 z1)(1 - l2 z2) and the field is
 (1 - l1 B1)^-1 (1 - l2 B2)^-1 eps: one in-place AR(1) pass along j, then one
 along i.  Otherwise X(i, j) needs only the anti-diagonals i + j - 1 and
 i + j - 2, so the field is swept one anti-diagonal at a time, over all modes
@@ -340,10 +342,10 @@ class Sarh1Params:
 
 def _ar1_passes(buf, triples) -> None:
     """The separable field (1 - l1 B1)^-1 (1 - l2 B2)^-1 eps of the innovations in a
-    (r1, r2, M) buffer, in place: an AR(1) pass along j, then one along i.  Each pass
-    first scales its starting line by (1 - l^2)^-1/2, column 0 by l2's and row 0 by
-    l1's, so that it starts from the stationary law of its chain."""
-    for axis, lam in ((1, triples[:, 1]), (0, triples[:, 0])):
+    mode-major (M, r1, r2) buffer, in place: an AR(1) pass along j, then one along i.
+    Each pass first scales its starting line by (1 - l^2)^-1/2, column 0 by l2's and
+    row 0 by l1's, so that it starts from the stationary law of its chain."""
+    for axis, lam in ((2, triples[:, 1:2]), (1, triples[:, :1])):
         lines = np.moveaxis(buf, axis, 0)
         lines[0] /= np.sqrt((1.0 - lam) * (1.0 + lam))
         tmp = np.empty_like(lines[0])
@@ -354,27 +356,30 @@ def _ar1_passes(buf, triples) -> None:
 
 def _stencil_sweep(buf, triples) -> None:
     """x(i, j) += l1 x(i-1, j) + l3 x(i-1, j-1) + l2 x(i, j-1) at every i, j >= 1 of a
-    C-ordered (r1+1, r2+1, M) buffer, in place: the simulation sweeps innovations, and
-    ``cov_from_spectrum`` the covariances, behind the boundary row 0 and column 0."""
-    r1, r2, m = buf.shape[0] - 1, buf.shape[1] - 1, buf.shape[2]
-    # cell (i, s - i) of anti-diagonal s is row s + i*r2 of flat: a diagonal is one
-    # strided slice, and its up, up-left and left neighbours are that slice shifted
-    # back; ((x + l1 up) + l3 up-left) + l2 left is the order of the row recursion
-    flat = buf.reshape(-1, m)
-    neighbours = ((r2 + 1, triples[:, 0]), (r2 + 2, triples[:, 2]), (1, triples[:, 1]))
+    C-ordered mode-major (M, r1+1, r2+1) buffer, in place: the simulation sweeps
+    innovations, and ``cov_from_spectrum`` the covariances, behind the boundary row 0
+    and column 0.  The buffer must be C-contiguous, so that its (M, cells) reshape is
+    a view and the sweep fills the buffer itself."""
+    m, r1, r2 = buf.shape[0], buf.shape[1] - 1, buf.shape[2] - 1
+    # cell (i, s - i) of anti-diagonal s is column s + i*r2 of flat: a diagonal is one
+    # strided slice per mode, and its up, up-left and left neighbours are that slice
+    # shifted back; ((x + l1 up) + l3 up-left) + l2 left is the order of the row recursion
+    flat = buf.reshape(m, -1)
+    neighbours = ((r2 + 1, triples[:, :1]), (r2 + 2, triples[:, 2:]), (1, triples[:, 1:2]))
     for s in range(2, r1 + r2 + 1):
         a, b = s + max(1, s - r2) * r2, s + min(s - 1, r1) * r2 + 1
-        x = flat[a:b:r2]
+        x = flat[:, a:b:r2]
         for back, lam in neighbours:
-            x += lam * flat[a - back:b - back:r2]
+            x += lam * flat[:, a - back:b - back:r2]
 
 
 def _sweep(buf, triples) -> None:
-    """Any causal field of the innovations in a (r1, r2, M) buffer, in place: the edge
-    chains of :func:`_product_form` on row 0 and column 0, then the anti-diagonal sweep."""
+    """Any causal field of the innovations in a mode-major (M, r1, r2) buffer, in place:
+    the edge chains of :func:`_product_form` on row 0 and column 0, then the
+    anti-diagonal sweep."""
     r0, rho, sd = _product_form(triples)
-    buf[0, 0] *= np.sqrt(r0)
-    for j, edge in enumerate((buf[:, 0], buf[0])):  # column 0 along i, row 0 along j
+    buf[:, 0, 0] *= np.sqrt(r0)
+    for j, edge in enumerate((buf[:, :, 0].T, buf[:, 0].T)):  # column 0 along i, row 0 along j
         for prev, cur in zip(edge[:-1], edge[1:]):
             cur *= sd[:, j]
             cur += rho[:, j] * prev
@@ -394,7 +399,9 @@ def simulate_sarh1(params: Sarh1Params, dims, burn_in: int = 100,
     exactly, the field is built by two AR(1) passes; otherwise by the
     anti-diagonal sweep.  Both read mode k's innovations as one (n1, n2) block
     from ``default_rng(seed)``, mode after mode, so the two agree to rounding on
-    a separable triple.  The output is bit-identical for fixed (params, dims,
+    a separable triple: ``standard_normal`` fills one (M, n1, n2) buffer in
+    that order, the kernels filter it in place, and the field's ``data`` is
+    its (n1, n2, M) view.  The output is bit-identical for fixed (params, dims,
     seed); ``burn_in`` is checked and unused.  ``dims`` must be two integers
     >= 2 and ``burn_in`` and ``seed`` integers >= 0, else
     :class:`ParameterDomainError`.  A non-causal mode (:func:`is_causal`) has no
@@ -411,11 +418,11 @@ def simulate_sarh1(params: Sarh1Params, dims, burn_in: int = 100,
             f"mode {k + 1}: AR polynomial of {tuple(triples[k].tolist())} vanishes on "
             "the closed unit bidisk", mode=k + 1)
 
-    rng, x = np.random.default_rng(seed), np.empty((n1, n2, triples.shape[0]))
-    for k in range(triples.shape[0]):  # one (n1, n2) block per mode, mode after mode
-        x[:, :, k] = rng.standard_normal((n1, n2))
+    # one (n1, n2) block per mode, mode after mode: the RNG stream's own order
+    buf = np.empty((triples.shape[0], n1, n2))
+    np.random.default_rng(seed).standard_normal(out=buf)
     l1, l2, l3 = triples.T
-    (_ar1_passes if np.array_equal(l3, -l1 * l2) else _sweep)(x, triples)
+    (_ar1_passes if np.array_equal(l3, -l1 * l2) else _sweep)(buf, triples)
     if basis is None:
         basis = BasisSpec(support_length=1.0, n_modes=params.n_modes)
-    return CoeffField(x, basis)
+    return CoeffField(np.moveaxis(buf, 0, 2), basis)

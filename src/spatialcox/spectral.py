@@ -42,9 +42,8 @@ class Periodogram:
     imaginary part of exactly 0; ``cross``, when present, holds the full
     block ``cross[w1, w2, k, l] = Xdft_w(phi_k) * Xdft_{-w}(phi_l)``.  Of a
     real field the operator is Hermitian, I_{-w}(phi_k, phi_l) = I_w(phi_l,
-    phi_k), and :func:`periodogram` keeps it bit for bit in ``values`` and the
-    real part of ``cross``; the imaginary part of ``cross`` may differ in the
-    last bit, as the complex product rounds its two terms in a different order.
+    phi_k), and :func:`periodogram` keeps it bit for bit in ``values`` and
+    ``cross``.
     """
 
     grid: FrequencyGrid
@@ -65,8 +64,18 @@ def periodogram(field: CoeffField, full: bool = False) -> Periodogram:
     cross = None
     if full:
         cross = xt[..., :, None] * xr[..., None, :]
-        diag = np.arange(values.shape[2])
+        m = values.shape[2]
+        diag, (up, low) = np.arange(m), np.triu_indices(m, 1)
         cross[..., diag, diag] = values  # so the diagonal of cross is values bit for bit
+        # block -w's product X_{-w}(phi_k) X_w(phi_l) rounds its imaginary part apart from
+        # block w's X_w(phi_l) X_{-w}(phi_k): fill it from block w transposed, and a
+        # self-mirrored block (w = -w) from its upper triangle, so the whole is Hermitian
+        at = np.arange(values.shape[0] * values.shape[1])
+        mirror = _reflect(at.reshape(values.shape[:2])).ravel()
+        flat, later = cross.reshape(at.size, m, m), at > mirror
+        flat[later] = flat[mirror[later]].swapaxes(1, 2)
+        for i in np.flatnonzero(at == mirror):
+            flat[i, low, up] = flat[i, up, low]
     return Periodogram(FrequencyGrid(field.dims), values, cross)
 
 
@@ -208,11 +217,11 @@ def cov_from_spectrum(model, theta, lags, grid_size: int = 512) -> np.ndarray:
                                   f"{_MAX_SWEEP_CELLS} cells")
         # row 0 is z1 = -1 and column 0 is z2 = 0, both in product form; the recursion
         # has no innovation term, so the cells it fills start at zero
-        buf = np.zeros((wide + 2, deep + 1, t.shape[0]))
-        buf[:, 0] = r0 * rho[:, 0] ** np.abs(np.arange(-1, wide + 1))[:, None]
-        buf[0] = r0 * rho[:, 0] * rho[:, 1] ** np.arange(deep + 1)[:, None]
+        buf = np.zeros((t.shape[0], wide + 2, deep + 1))  # mode-major, as the sweep takes it
+        buf[:, :, 0] = r0[:, None] * rho[:, :1] ** np.abs(np.arange(-1, wide + 1))
+        buf[:, 0] = (r0 * rho[:, 0])[:, None] * rho[:, 1:] ** np.arange(deep + 1)
         _stencil_sweep(buf, t)
-        vals[hit] = np.where(swept[hit], buf[y1 + 1, y2], vals[hit])
+        vals[hit] = np.where(swept[hit], buf[:, y1 + 1, y2].T, vals[hit])
     return vals * scale
 
 

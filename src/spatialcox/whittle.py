@@ -42,6 +42,13 @@ from .sarh import (_GRAM, _LAGS, AFFINE_FAMILIES, CAUSAL_FACES, TWO_PI_SQ, Spect
 # loss
 
 
+# a circular shift y -> y + h mod n along one axis, h in (-1, 0, 1), as (y, y + h) pairs of
+# slices: the interior run, then the wrap (which, at n = 1, pairs the one site with itself)
+_SHIFT = {0: ((slice(None), slice(None)),),
+          1: ((slice(None, -1), slice(1, None)), (slice(-1, None), slice(None, 1))),
+          -1: ((slice(1, None), slice(None, -1)), (slice(None, 1), slice(-1, None)))}
+
+
 def trig_moments(sample: CoeffField) -> np.ndarray:
     """Periodogram averages against (1, cos w1, cos w2, cos(w1+w2), cos(w1-w2)).
 
@@ -49,17 +56,19 @@ def trig_moments(sample: CoeffField) -> np.ndarray:
     periodogram; together they carry everything a rational-denominator loss
     evaluation needs.  The average against cos<h, w> is the circular lag sum
     sum_y X_y(phi_k) X_{y+h}(phi_k) over N (2 pi)^2 (Parseval), so the field
-    is read directly: one wrap-padded copy and five lag products, no FFT.
-    Anything but a :class:`~spatialcox.field.CoeffField` raises ``TypeError``,
-    and a field whose moments overflow raises :class:`ParameterDomainError`.
+    is read directly, no FFT: each lag sum adds the products of the interior
+    slices to those of the wrap column, the wrap row and the corner, read from
+    the field at its own strides, so no copy of it is made.  Anything but a
+    :class:`~spatialcox.field.CoeffField` raises ``TypeError``, and a field
+    whose moments overflow raises :class:`ParameterDomainError`.
     """
     if not isinstance(sample, CoeffField):
         raise TypeError(f"the Whittle sample must be a CoeffField, not {type(sample).__name__}")
     x = sample.data
     n1, n2, _ = x.shape
-    padded = np.pad(x, ((0, 1), (1, 1), (0, 0)), mode="wrap")  # x_y at padded[y1, y2 + 1]
-    sums = [np.einsum("ijk,ijk->k", x, padded[h1:h1 + n1, 1 + h2:1 + h2 + n2])
-            for h1, h2 in _LAGS]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
+        sums = [sum(np.einsum("ijk,ijk->k", x[a1, a2], x[b1, b2])
+                    for a1, b1 in _SHIFT[h1] for a2, b2 in _SHIFT[h2]) for h1, h2 in _LAGS]
     moments = np.stack(sums, axis=1) / (n1 * n2 * TWO_PI_SQ)
     if not np.all(np.isfinite(moments)):
         raise ParameterDomainError("the field's periodogram moments are not finite: "

@@ -3,12 +3,14 @@
 Everything here is deliberately slow and direct: double sums for the
 DFT, nested loops for covariances, one BLAS product per lag for the
 whole lag rectangle of them, the whole-grid irfft2 of their padded FFT
-form, a naive site-by-site sweep for the SARH(1) recursion, the
+form, a naive site-by-site sweep for the SARH(1) recursion and its per-mode
+scatter draw filtered in the (n1, n2, M) layout, the
 closed-form covariance of the separable (l3 = -l1*l2) autoregression,
 the 2-D grid inversion of a spectrum to covariances and the w1
 quadrature of its closed-form w2 integral, the forward cosine sum of a
 lag rectangle of covariances, the 256^2 quadrature of the Fejer-smoothed
 inverse spectrum, the site-pair double sum of the count variance, the
+wrap-padded copy that the circular lag moments read, the
 dense Fourier-grid Whittle loss, the cosine contraction of a periodogram
 and the field that has a given one, row-by-row CSV writers,
 inverse-distance weighting through the dense cdist matrix, the
@@ -197,6 +199,40 @@ def naive_sarh(triples, dims, seed):
     return out
 
 
+def scatter_sarh1(triples, dims, seed):
+    """The SARH(1) field drawn one (n1, n2) block per mode and scattered into a C-ordered
+    (n1, n2, M) array, then filtered in that layout, vectorized over the modes: the AR(1)
+    passes along j, then i, when every triple is separable, else the edge chains of
+    ``naive_sarh`` and the site-by-site recursion in the same order of terms.  The
+    same stream in the same order of operations, so the package's mode-major buffer
+    must give this field bit for bit."""
+    n1, n2 = dims
+    triples = np.asarray(triples, dtype=float)
+    rng, x = np.random.default_rng(seed), np.empty((n1, n2, len(triples)))
+    for k in range(len(triples)):
+        x[:, :, k] = rng.standard_normal((n1, n2))
+    l1, l2, l3 = triples.T
+    if np.array_equal(l3, -l1 * l2):
+        for axis, lam in ((1, l2), (0, l1)):
+            lines = np.moveaxis(x, axis, 0)
+            lines[0] /= np.sqrt((1.0 - lam) * (1.0 + lam))
+            for prev, cur in zip(lines[:-1], lines[1:]):
+                cur += prev * lam
+        return x
+    s0, s1, s2, s3 = np.sqrt(np.array([exact_face_margins(t) for t in triples])).T
+    near, far = np.stack([s0 * s1, s0 * s2]), np.stack([s2 * s3, s1 * s3])
+    rho, sd = (far - near) / (far + near), 2.0 / (far + near)
+    x[0, 0] *= np.sqrt(1.0 / (near[0] * far[0]))
+    for j, edge in enumerate((x[:, 0], x[0])):  # column 0 along i, row 0 along j
+        for prev, cur in zip(edge[:-1], edge[1:]):
+            cur *= sd[j]
+            cur += rho[j] * prev
+    for i in range(1, n1):
+        for j in range(1, n2):
+            x[i, j] = ((x[i, j] + l1 * x[i - 1, j]) + l3 * x[i - 1, j - 1]) + l2 * x[i, j - 1]
+    return x
+
+
 def separable_cov(l1, l2, z1, z2, innovation_var=1.0):
     """Closed-form covariance of the separable AR: s^2 l1^|z1| l2^|z2| / ((1-l1^2)(1-l2^2))."""
     return (innovation_var * l1 ** abs(z1) * l2 ** abs(z2)
@@ -342,6 +378,16 @@ def periodogram_moments(pgram):
     cosines = np.stack([np.ones_like(w1), np.cos(w1), np.cos(w2), np.cos(w1 + w2),
                         np.cos(w1 - w2)])
     return np.einsum("ijk,cij->kc", pgram.values.real, cosines) / pgram.grid.size
+
+
+def padded_trig_moments(data):
+    """The five circular lag sums of ``trig_moments`` over N (2 pi)^2, shape (M, 5),
+    read from one wrap-padded copy of the (n1, n2, M) field: x_y at padded[y1, y2 + 1]."""
+    n1, n2, _ = data.shape
+    padded = np.pad(data, ((0, 1), (1, 1), (0, 0)), mode="wrap")
+    sums = [np.einsum("ijk,ijk->k", data, padded[h1:h1 + n1, 1 + h2:1 + h2 + n2])
+            for h1, h2 in ((0, 0), (1, 0), (0, 1), (1, 1), (1, -1))]
+    return np.stack(sums, axis=1) / (n1 * n2 * (2.0 * np.pi) ** 2)
 
 
 def field_with_periodogram(pgram):

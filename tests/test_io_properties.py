@@ -98,11 +98,12 @@ def test_periodogram_csv_matches_row_loop_oracle_any_values(tmp_path_factory, sh
 @given(fields(st.floats(-1e150, 1e150)))
 def test_periodogram_is_hermitian_bit_for_bit(fld):
     # I_{-w}(phi_k, phi_l) = I_w(phi_l, phi_k): the CSV writer reuses the text of block w1
-    # for block -w1 where the bits agree, and they always agree for the diagonal and for
-    # the real part of the full block; the full block's im may differ in the last bit
+    # for block -w1 where the bits agree, and they agree for the diagonal and for both
+    # parts of the full block, whose block -w is block w transposed
     pg = periodogram(fld, full=True)
     assert _reflect(pg.values).tobytes() == pg.values.tobytes()
     assert _reflect(pg.cross.real).swapaxes(2, 3).tobytes() == pg.cross.real.tobytes()
+    assert _reflect(pg.cross.imag).swapaxes(2, 3).tobytes() == pg.cross.imag.tobytes()
 
 
 @pytest.mark.parametrize("full", [False, True])
@@ -136,6 +137,16 @@ def test_periodogram_csv_formats_each_distinct_diagonal_value_once(tmp_path):
     with mock.patch.object(spatialcox.spectral, "_cells", wraps=_cells) as fmt:
         assert same_bytes(tmp_path, save_periodogram_csv, periodogram_csv_loop, pg)
     assert fmt.call_count == 4
+
+
+def test_full_periodogram_csv_formats_each_mirrored_value_once(tmp_path):
+    # the full block is Hermitian in both parts, so blocks 4 and 5 reuse the re and the
+    # im text of blocks 2 and 1, and 8 of 12 value columns are formatted, not 10
+    rng = np.random.default_rng(4)
+    pg = periodogram(CoeffField(rng.normal(size=(6, 4, 3)), BasisSpec(1.0, 3)), full=True)
+    with mock.patch.object(spatialcox.spectral, "_cells", wraps=_cells) as fmt:
+        assert same_bytes(tmp_path, save_periodogram_csv, periodogram_csv_loop, pg)
+    assert fmt.call_count == 8
 
 
 def series_from(sites, times, values):

@@ -243,6 +243,22 @@ def test_idw_forms_no_weights_where_every_node_is_a_source():
     assert out.values.tobytes() == series.values.tobytes()
 
 
+def test_idw_compares_only_the_later_sources_of_a_node(monkeypatch):
+    # one site per node: no node has a second coincident source, so the agreement
+    # check has no row to compare, not each node's row with itself
+    series, _ = make_synthetic_counts((12, 10), n_months=12, seed=5)
+    rows, isclose = [], np.isclose
+
+    def spy(a, b, **kw):
+        rows.append(np.shape(a)[0])
+        return isclose(a, b, **kw)
+
+    monkeypatch.setattr(np, "isclose", spy)
+    out = idw_interpolate(series, (12, 10))
+    assert sum(rows) == 0, rows
+    assert out.values.tobytes() == series.values.tobytes()
+
+
 def test_idw_ambiguity_names_the_oracles_node():
     sites = np.array([[0.0, 0.0], [3.0, 2.0], [1.5, 1.0], [1.5, 1.0], [3.0, 2.0]])
     values = np.arange(10.0).reshape(5, 2)

@@ -10,7 +10,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from oracles import (bidisk_min_gap, crude_sum_margins, eigenvalues_example1,
                      eigenvalues_example2, exact_axis_cov, exact_face_margins, grid_has_torus_zero,
                      log_denominator_mean, naive_sarh, pmf_triple_scalar, quadrature_sigma2_c2,
-                     rational_density, separable_cov, torus_min_abs_denominator)
+                     rational_density, scatter_sarh1, separable_cov,
+                     torus_min_abs_denominator)
 from spatialcox import (Sarh1Params, TestFunction, c2_innovation_var, cov_from_spectrum, cov_map,
                         empirical_cov, family_triples, fejer_smoothed_inverse, is_causal,
                         periodogram, simulate_sarh1, SpectralModel)
@@ -133,6 +134,31 @@ def test_simulate_matches_naive_recursion(dims, family, theta, other, monkeypatc
         np.testing.assert_array_equal(fast.data, slow)
     else:
         np.testing.assert_allclose(fast.data, slow, rtol=1e-13, atol=1e-13 * np.abs(slow).max())
+
+
+# every family: example1, example2 and the separable triple take the AR(1) passes, the
+# others the edge chains and the sweep
+_FAMILY_CASES = {
+    "example1": ("example1", [1.0]),
+    "example2": ("example2", [1.0, 1.6, 1.5, 1.2]),
+    "triple_separable": ("triple", [0.5, -0.4, 0.2]),
+    "triple": ("triple", [0.5, 0.3, -0.1]),
+    "custom": ("custom", [0.5, 0.3, -0.2, -0.4, 0.2, 0.1, 0.3, -0.6, 0.05, 0.1, 0.1, 0.1]),
+    "realdata_pmf": ("realdata_pmf", [0.32, 0.08, 0.04, 0.26, 0.04, -0.04, -0.10, -0.02, 0.04]),
+}
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 5), (7, 3), (16, 16), (40, 25)],
+                         ids=lambda d: f"{d[0]}x{d[1]}")
+@pytest.mark.parametrize("family, theta", list(_FAMILY_CASES.values()), ids=list(_FAMILY_CASES))
+def test_simulate_equals_the_scatter_draw_bit_for_bit(family, theta, dims):
+    # the mode-major buffer takes the stream in the order of one (n1, n2) draw per mode,
+    # and its filters do the scatter layout's operations in the same order
+    params = Sarh1Params(family, theta, 4)
+    fld = simulate_sarh1(params, dims, seed=11)
+    want = scatter_sarh1(params.model.eig_triples(params.theta), dims, 11)
+    assert fld.data.shape == want.shape
+    assert fld.data.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("family, theta", [("example1", [1.0]), ("triple", [0.5, 0.3, -0.1])],

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,7 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from oracles import (affine_objective, dense_mode_losses, dense_refine_example1,
                      field_with_periodogram, grid_has_torus_zero, grid_min_triple_loss,
-                     normalize_c2, periodogram_moments, rational_density, slsqp_affine_fit,
+                     normalize_c2, padded_trig_moments, periodogram_moments, rational_density,
+                     slsqp_affine_fit,
                      stencil_objective_example1)
 from spatialcox import (BasisSpec, CoeffField, FrequencyGrid, Periodogram,
                         Sarh1Params, SpectralModel, ThetaEstimate, cov_from_spectrum, estimate,
@@ -165,6 +167,48 @@ def test_field_moments_match_periodogram_moments(dims, n_modes, seed):
     ref = periodogram_moments(periodogram(fld))
     assert direct.shape == ref.shape == (n_modes, 5)
     assert np.all(np.abs(direct - ref) <= 1e-12 * ref[:, :1])
+
+
+def _layout(values, layout):
+    # the same values in another memory layout: C order, the mode-major view that
+    # simulate_sarh1 returns, Fortran order, or negative strides on every axis
+    if layout == "mode_major":
+        return np.moveaxis(np.ascontiguousarray(np.moveaxis(values, 2, 0)), 0, 2)
+    if layout == "fortran":
+        return np.asfortranarray(values)
+    if layout == "negative_stride":
+        return values[::-1, ::-1, ::-1].copy()[::-1, ::-1, ::-1]
+    return values
+
+
+@settings(deadline=None, max_examples=80)
+@given(dims=st.tuples(st.integers(1, 9), st.integers(1, 9)), n_modes=st.integers(1, 4),
+       layout=st.sampled_from(["C", "mode_major", "fortran", "negative_stride"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_trig_moments_match_the_padded_copy_at_any_strides(dims, n_modes, layout, seed):
+    # the lag sums read slices of the field where it lies, the wrap row, column and
+    # corner included; on a side of 1 or 2 a lag wraps onto itself
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=dims + (n_modes,)) * 10.0 ** rng.uniform(-3, 3, n_modes)
+    data = _layout(values, layout)
+    fld = CoeffField(data, BasisSpec(1.0, n_modes))
+    assert fld.data.strides == data.strides and np.array_equal(data, values)
+    got, want = trig_moments(fld), padded_trig_moments(values)
+    assert np.all(np.abs(got - want) <= 1e-12 * want[:, :1])
+
+
+@pytest.mark.parametrize("layout", ["C", "mode_major"])
+def test_trig_moments_make_no_copy_of_the_field(layout):
+    # the lag sums read the field where it lies: any copy of it would peak above its bytes
+    values = np.random.default_rng(4).normal(size=(120, 120, 10))
+    fld = CoeffField(_layout(values, layout), BasisSpec(1.0, 10))
+    tracemalloc.start()
+    try:
+        trig_moments(fld)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < values.nbytes / 10, peak / values.nbytes
 
 
 @settings(deadline=None, max_examples=60)
