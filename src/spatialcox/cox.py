@@ -10,6 +10,7 @@ become unit-cell lattice sums throughout.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,8 @@ from .field import CoeffField
 from .spectral import cov_from_spectrum
 
 EXP_GUARD = 700.0
+# numpy's Poisson sampler refuses a mean above int64 max - 10 sqrt(int64 max), about 9.22e18
+POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max))
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,9 +92,10 @@ def pair_correlation(covz: float) -> float:
     return float(np.exp(covz))
 
 
-def _lag_values(cov, lags) -> list:
+def _lag_values(cov, lags) -> np.ndarray:
+    # the values of a list of lags, read in its order, so the first missing lag is named
     try:
-        r = [cov[z] for z in lags]
+        r = np.fromiter(map(cov.__getitem__, lags), float, len(lags))
     except KeyError as exc:
         raise LagUnavailableError(f"covariance lag {exc.args[0]} not supplied") from None
     if not np.all(ok := np.isfinite(r)):  # one array test, naming the first bad lag
@@ -133,7 +137,7 @@ def count_moments(rect: BorelRect, cov) -> tuple[float, float]:
     """
     n1, n2 = rect.b1 - rect.a1 + 1, rect.b2 - rect.a2 + 1
     h1, h2 = np.arange(1 - n1, n1), np.arange(1 - n2, n2)
-    r = np.array(_lag_values(cov, [(z1, z2) for z1 in h1.tolist() for z2 in h2.tolist()]))
+    r = _lag_values(cov, list(itertools.product(h1.tolist(), h2.tolist())))  # z1-major
     r0 = r[r.size // 2]  # the centre lag (0, 0)
     rho = cox_intensity(r0)
     # the lags run over a centred rectangle, so reversing them maps h to -h
@@ -160,20 +164,32 @@ def _check_phi(phi: TestFunction, n_modes: int, owner: str) -> None:
 def ls_count_predictor(field: CoeffField, rect: BorelRect, phi: TestFunction) -> float:
     """Least-squares predictor of N(B) given the field: sum_{z in B} exp(X_z(phi)).
 
-    Coincides with the conditional variance (Poisson).  Exponents above 700
-    raise :class:`OverflowGuardError` with the offending maximum.
+    Coincides with the conditional variance (Poisson).  Exponents above 700,
+    and a sum that overflows all the same over many cells, raise
+    :class:`OverflowGuardError` with the offending maximum.
     """
     rect.check_within(field.dims)
     _check_phi(phi, field.n_modes, "field")
     expo = field.data[rect.a1:rect.b1 + 1, rect.a2:rect.b2 + 1] @ phi.coefficients
-    _check_exponent(float(expo.max()), "log-intensity")
-    return float(np.exp(expo).sum())
+    mx = float(expo.max())
+    _check_exponent(mx, "log-intensity")
+    with np.errstate(over="ignore"):  # checked below
+        total = float(np.exp(expo).sum())
+    if total == np.inf:
+        raise OverflowGuardError(f"predictor of exponent {mx:.1f} overflows over {expo.size} "
+                                 "cells", max_exponent=mx)
+    return total
 
 
 def sample_counts(field: CoeffField, rect: BorelRect, phi: TestFunction, seed: int) -> int:
-    """Conditional Poisson draw with mean ls_count_predictor(field, rect, phi); seed >= 0."""
+    """Conditional Poisson draw with mean ls_count_predictor(field, rect, phi); seed >= 0.
+    A mean above ``POISSON_MEAN_MAX``, which numpy's sampler refuses, raises
+    :class:`OverflowGuardError` before the draw."""
     seed = check_int(seed, "seed", 0)
     mean = ls_count_predictor(field, rect, phi)
+    if mean > POISSON_MEAN_MAX:
+        raise OverflowGuardError(f"Poisson mean {mean:.4g} exceeds the sampler's limit "
+                                 f"{POISSON_MEAN_MAX:.4g}", max_exponent=float(np.log(mean)))
     return int(np.random.default_rng(seed).poisson(mean))
 
 
@@ -208,4 +224,5 @@ def cov_map(model, theta, phi: TestFunction, max_lag, grid_size: int = 512) -> d
     _check_phi(phi, model.n_modes, "model")
     lags = np.mgrid[-l1:l1 + 1, -l2:l2 + 1].reshape(2, -1).T  # (K, 2), z1-major
     values = cov_from_spectrum(model, theta, lags, grid_size=grid_size)
-    return dict(zip(map(tuple, lags.tolist()), (values @ phi.coefficients**2).tolist()))
+    keys = itertools.product(range(-l1, l1 + 1), range(-l2, l2 + 1))  # the same order
+    return dict(zip(keys, (values @ phi.coefficients**2).tolist()))

@@ -211,6 +211,13 @@ def _product_form(triples):
     return 1.0 / (near[:, 0] * far[:, 0]), (far - near) / (far + near), 2.0 / (far + near)
 
 
+def _separable(triples) -> np.ndarray:
+    """Per row: l3 == -l1*l2 exactly, so D = (1 - l1 z1)(1 - l2 z2) factors, the field is
+    two AR(1) filters and its covariances are R_0 rho1^|z1| rho2^|z2| at every lag."""
+    l1, l2, l3 = np.asarray(triples, dtype=float).T
+    return l3 == -l1 * l2
+
+
 def _has_torus_zero(triples) -> np.ndarray:
     """Per row: D vanishes on the unit torus, |c| <= 2|d|: c -+ 2d not of one strict sign."""
     _, _, lo, hi = _face_margins(triples)
@@ -421,8 +428,7 @@ def simulate_sarh1(params: Sarh1Params, dims, burn_in: int = 100,
     # one (n1, n2) block per mode, mode after mode: the RNG stream's own order
     buf = np.empty((triples.shape[0], n1, n2))
     np.random.default_rng(seed).standard_normal(out=buf)
-    l1, l2, l3 = triples.T
-    (_ar1_passes if np.array_equal(l3, -l1 * l2) else _sweep)(buf, triples)
+    (_ar1_passes if _separable(triples).all() else _sweep)(buf, triples)
     if basis is None:
         basis = BasisSpec(support_length=1.0, n_modes=params.n_modes)
     return CoeffField(np.moveaxis(buf, 0, 2), basis)

@@ -10,7 +10,7 @@ from .errors import (FileFormatError, LagUnavailableError, ParameterDomainError,
                      ResolutionError, SingularSpectrumError, check_dims, check_int)
 from .field import CoeffField, FrequencyGrid, _cells, _read_binary, _write_csv
 from .sarh import (TWO_PI_SQ, _cosines, _gram_form, _has_torus_zero, _product_form,
-                   _stencil_sweep, is_causal)
+                   _separable, _stencil_sweep, is_causal)
 
 _HEADER = np.dtype([("n1", "<i8"), ("n2", "<i8"), ("m", "<i8"), ("full", "<i8")])
 
@@ -110,14 +110,15 @@ def empirical_cov(field: CoeffField, max_lag) -> EmpiricalCov:
 
     A zero-padded cross-correlation by real FFTs: each axis is padded to the
     smallest 2^a 3^b 5^c >= N_j + L_j, so no circular wrap reaches a stored
-    lag; one ``rfft2`` of the mode-major field, then per mode k the inverse of
-    conj(F_k) F_l over l >= k in ``irfft2``'s own two steps: an ``ifft`` over
+    lag; one ``rfft2`` of the mode-major field, then pair by pair, l >= k, the
+    inverse of conj(F_k) F_l in ``irfft2``'s own two steps: an ``ifft`` over
     z1, of which only the 2 L1 + 1 stored rows go on to the ``irfft`` over z2,
-    so the result is ``irfft2``'s bit for bit.  The lower triangle is filled as
-    the exact mirror, since C(-z) = C(z)^T, and the diagonal's lags below
-    z = 0 are copied from those above it, so the symmetry holds bit for bit.
-    A bound that is negative, not integral or not below the field dims raises
-    :class:`ParameterDomainError`.
+    so the result is ``irfft2``'s bit for bit.  Every pair reuses one product
+    buffer, so no temporary grows with M, and the sums are divided by N once at
+    the end.  Pair (l, k) is filled as the exact mirror, since C(-z) = C(z)^T,
+    and the diagonal's lags below z = 0 are copied from those above it, so the
+    symmetry holds bit for bit.  A bound that is negative, not integral or not
+    below the field dims raises :class:`ParameterDomainError`.
     """
     l1max, l2max = check_dims(max_lag, "max_lag", 0)
     n1, n2, m = field.data.shape
@@ -129,15 +130,19 @@ def empirical_cov(field: CoeffField, max_lag) -> EmpiricalCov:
     f = np.fft.rfft2(np.moveaxis(field.data, 2, 0), s=p)
     rows, cols = lags1 % p[0], lags2 % p[1]
     out = np.empty((lags1.size, lags2.size, m, m))
-    for k in range(m):  # per k, not over all pairs at once, to keep memory flat
-        stored_rows = np.fft.ifft(np.conj(f[k]) * f[k:], n=p[0], axis=1)[:, rows]
-        corr = np.fft.irfft(stored_rows, n=p[1], axis=2)[:, :, cols]
-        out[:, :, k, k:] = np.moveaxis(corr, 0, 2) / (n1 * n2)
-    flat = out.reshape(-1, m, m)
-    upper, diag = np.triu_indices(m, 1), np.arange(m)
-    flat[:, upper[1], upper[0]] = flat[::-1, upper[0], upper[1]]
-    half = flat.shape[0] // 2
-    flat[:half, diag, diag] = flat[:half:-1, diag, diag]
+    flat, half = out.reshape(-1, m, m), lags1.size * lags2.size // 2  # flat is a view
+    prod = np.empty_like(f[0])  # one pair's spectrum, reused by every pair
+    for k in range(m):
+        conj_k = np.conj(f[k])
+        for l in range(k, m):
+            np.multiply(conj_k, f[l], out=prod)
+            stored_rows = np.fft.ifft(prod, n=p[0], axis=0)[rows]
+            out[:, :, k, l] = np.fft.irfft(stored_rows, n=p[1], axis=1)[:, cols]
+            if l > k:
+                flat[:, l, k] = flat[::-1, k, l]
+            else:
+                flat[:half, k, k] = flat[:half:-1, k, k]
+    out /= n1 * n2
     return EmpiricalCov(lags1, lags2, out)
 
 
@@ -162,20 +167,23 @@ def cov_from_spectrum(model, theta, lags, grid_size: int = 512) -> np.ndarray:
     Yule-Walker equations (Whittle, 1954; Tjostheim, 1978; Brockwell & Davis, 3.3):
     R(z1, z2) = l1 R(z1-1, z2) + l2 R(z1, z2-1) + l3 R(z1-1, z2-1) for z2 >= 1.  Turned
     by R(-z) = R(z) to z2 >= 0, lags with z1 <= 0 take the product form R_0 rho1^-z1
-    rho2^z2 of :func:`spatialcox.sarh._product_form`; the others come from one exact
-    sweep of the stencil over z1 in [-1, L1], z2 in [0, L2] that starts from the product
-    form on row z1 = -1 and column z2 = 0.  A separable triple has rho1 = l1, rho2 = l2.
-    A triple with no torus zero is causal in one orientation: D / l_c is the AR
-    polynomial of (1/l1, -l3/l1, -l2/l1), (-l3/l2, 1/l2, -l1/l2) or
-    (-l2/l3, -l1/l3, 1/l3) with z1, z2 or both reflected, and
-    R(z) = (C2 variance / l_c^2) R'(reflected z).
+    rho2^z2 of :func:`spatialcox.sarh._product_form`.  A separable mode
+    (:func:`spatialcox.sarh._separable`) has rho1 = l1, rho2 = l2 and takes the product
+    form R_0 rho1^|z1| rho2^|z2| at every lag, so it is never swept.  The other modes'
+    remaining lags come from one exact sweep of the stencil over those modes, z1 in
+    [-1, L1], z2 in [0, L2], that starts from the product form on row z1 = -1 and
+    column z2 = 0.  Powers are taken of the distinct |z_j| only.  A triple with no
+    torus zero is causal in one orientation: D / l_c is the AR polynomial of
+    (1/l1, -l3/l1, -l2/l1), (-l3/l2, 1/l2, -l1/l2) or (-l2/l3, -l1/l3, 1/l3) with
+    z1, z2 or both reflected, and R(z) = (C2 variance / l_c^2) R'(reflected z).
 
     ``model`` has ``eig_triples(theta) -> (M, 3)`` and ``sigma2(theta) -> (M,)``.
     ``lags`` are checked as one (K, 2) array: the first that is not two integers
     raises :class:`ParameterDomainError`.  ``grid_size``, an integer >= 1, is
     checked and unused.  A mode with |c| <= 2|d| vanishes on the unit torus and has
     no covariance: :class:`SingularSpectrumError`.  A mode with no orientation causal
-    in floating point, and a sweep above 2^22 cells, raise :class:`ResolutionError`.
+    in floating point, and a sweep above 2^22 cells (rows x columns x non-separable
+    modes), raise :class:`ResolutionError`.
     """
     z = np.asarray(lags, dtype=float).reshape(len(lags), 2)
     # integral and within int64: NaN and inf fail one of the two tests
@@ -208,20 +216,25 @@ def cov_from_spectrum(model, theta, lags, grid_size: int = 512) -> np.ndarray:
     r0, rho, _ = _product_form(triples)  # the causal frame's, R_0 over l_c^2
     powers = rho.T[:, None, :] ** n[:, None]
     vals = r0 * powers[0][k[:, 0]] * powers[1][k[:, 1]]
-    swept = (np.sign(z[:, :1]) * np.sign(z[:, 1:])) * _PARITY[pick] > 0
+    # a separable mode is in product form at every lag, so only the others are swept
+    modes = np.flatnonzero(~_separable(triples))
+    swept = (np.sign(z[:, :1]) * np.sign(z[:, 1:])) * _PARITY[pick[modes]] > 0
     if (hit := swept.any(axis=1)).any():
         y1, y2 = a[hit, 0], a[hit, 1]
         wide, deep = int(y1.max()), int(y2.max())
-        if (wide + 2) * (deep + 1) * t.shape[0] > _MAX_SWEEP_CELLS:
+        if (wide + 2) * (deep + 1) * modes.size > _MAX_SWEEP_CELLS:
             raise ResolutionError(f"covariance sweep over lags up to ({wide}, {deep}) exceeds "
                                   f"{_MAX_SWEEP_CELLS} cells")
         # row 0 is z1 = -1 and column 0 is z2 = 0, both in product form; the recursion
         # has no innovation term, so the cells it fills start at zero
-        buf = np.zeros((t.shape[0], wide + 2, deep + 1))  # mode-major, as the sweep takes it
-        buf[:, :, 0] = r0[:, None] * rho[:, :1] ** np.abs(np.arange(-1, wide + 1))
-        buf[:, 0] = (r0 * rho[:, 0])[:, None] * rho[:, 1:] ** np.arange(deep + 1)
-        _stencil_sweep(buf, t)
-        vals[hit] = np.where(swept[hit], buf[:, y1 + 1, y2].T, vals[hit])
+        r0m, rhom = r0[modes], rho[modes]
+        buf = np.zeros((modes.size, wide + 2, deep + 1))  # mode-major, as the sweep takes it
+        buf[:, :, 0] = r0m[:, None] * rhom[:, :1] ** np.abs(np.arange(-1, wide + 1))
+        buf[:, 0] = (r0m * rhom[:, 0])[:, None] * rhom[:, 1:] ** np.arange(deep + 1)
+        _stencil_sweep(buf, t[modes])
+        rows = vals[hit]
+        rows[:, modes] = np.where(swept[hit], buf[:, y1 + 1, y2].T, rows[:, modes])
+        vals[hit] = rows
     return vals * scale
 
 

@@ -7,7 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from spatialcox import load_field_binary, make_synthetic_counts, save_series_csv
+from spatialcox import (BasisSpec, CoeffField, load_field_binary, make_synthetic_counts,
+                        save_field_binary, save_series_csv)
 from spatialcox.cli import main
 from spatialcox.errors import (BoundaryError, FileFormatError, OverflowGuardError,
                                ParameterDomainError)
@@ -128,6 +129,19 @@ def test_cox_moments_overflow_writes_no_json(tmp_path):
     with pytest.raises(OverflowGuardError):
         run(["cox-moments", "--field", field, "--phi", phi, "--rect", "0:2x0:2",
              "--family", "triple", "--theta", "0.5,0.4999999,0", "--out", out])
+    assert not out.exists()
+
+
+def test_cox_moments_refuses_a_mean_numpy_cannot_draw(tmp_path):
+    # 4 e^45 = 1.4e20 passes the exponent guard, but numpy's Poisson sampler takes no
+    # mean above 9.22e18: the command ended in "ValueError: lam value too large"
+    field = tmp_path / "huge_mean.bin"
+    save_field_binary(CoeffField(np.full((4, 4, 1), 45.0), BasisSpec(1.0, 1)), field)
+    phi = tmp_path / "phi.csv"
+    phi.write_text("1.0\n")
+    out = tmp_path / "moments.json"
+    with pytest.raises(OverflowGuardError, match="Poisson mean"):
+        run(["cox-moments", "--field", field, "--phi", phi, "--rect", "0:1x0:1", "--out", out])
     assert not out.exists()
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -204,6 +206,29 @@ def test_sample_counts_reproducible_and_lln(field3):
     assert abs(draws.mean() - mean) / mean < 0.01
 
 
+def test_sample_counts_refuses_a_mean_numpy_cannot_draw():
+    # every exponent is 45 <= EXP_GUARD, but the mean 4 e^45 = 1.4e20 is above the
+    # 9.22e18 that numpy's Poisson sampler takes: this ended in a bare
+    # "ValueError: lam value too large"
+    fld = CoeffField(np.full((4, 4, 1), 45.0), BasisSpec(1.0, 1))
+    rect, phi = BorelRect(0, 1, 0, 1), TestFunction([1.0])
+    with pytest.raises(OverflowGuardError, match=r"Poisson mean 1\.397e\+20") as err:
+        sample_counts(fld, rect, phi, seed=0)
+    assert err.value.max_exponent == pytest.approx(45.0 + np.log(4.0))
+    # a mean just below the limit is drawn
+    one = CoeffField(np.full((1, 1, 1), 43.0), BasisSpec(1.0, 1))
+    assert sample_counts(one, BorelRect(0, 0, 0, 0), phi, seed=0) > 0
+
+
+def test_ls_predictor_sum_overflow_guard():
+    # each exponent 700 passes the guard, but 40,000 cells of e^700 sum past the
+    # float range: the predictor returned inf
+    fld = CoeffField(np.full((200, 200, 1), 700.0), BasisSpec(1.0, 1))
+    with pytest.raises(OverflowGuardError, match="overflows over 40000 cells") as err:
+        ls_count_predictor(fld, BorelRect(0, 199, 0, 199), TestFunction([1.0]))
+    assert err.value.max_exponent == 700.0
+
+
 def test_conditional_mean_equals_variance(field3):
     phi = TestFunction([0.2, 0.1, -0.3])
     rect = BorelRect(0, 5, 0, 5)
@@ -292,6 +317,30 @@ def test_cov_map_rejects_non_integral_lags():
     with pytest.raises(ParameterDomainError, match=r"max_lag\[0\] must be an integer >= 0"):
         cov_map(model, [1.0], TestFunction([1.0, 0.5]), (1.9, 0.5))
     assert len(cov_map(model, [1.0], TestFunction([1.0, 0.5]), (np.int64(1), 2.0))) == 15
+
+
+def test_cov_map_keys_run_z1_major():
+    cmap = cov_map(SpectralModel("example1", n_modes=2), [1.0], TestFunction([1.0, 0.5]), (2, 3))
+    assert list(cmap) == [(z1, z2) for z1 in range(-2, 3) for z2 in range(-3, 4)]
+
+
+@pytest.mark.parametrize("lag", [(-2, -2), (1, -1), (0, 0), (2, 2)])
+def test_count_moments_names_the_lag_that_is_not_finite(lag):
+    cov = {**dict.fromkeys(_LAGS_3X3, 0.1), lag: np.nan}
+    with pytest.raises(InvalidCovarianceError, match=re.escape(f"at lag {lag} is not finite")):
+        count_moments(BorelRect(0, 2, 0, 2), cov)
+
+
+@pytest.mark.parametrize("missing", [((-2, 1), (1, -2)), ((1, -2), (-2, 1)), ((0, 2), (0, -2)),
+                                     ((2, -1), (2, 2))])
+def test_count_moments_names_the_first_missing_lag_z1_major(missing):
+    # whatever order the lags left the map in, the first missing one in z1-major order
+    cov = dict.fromkeys(_LAGS_3X3, 0.1)
+    for lag in missing:
+        del cov[lag]
+    first = min(missing)  # tuple order is the z1-major order
+    with pytest.raises(LagUnavailableError, match=re.escape(f"lag {first} not supplied")):
+        count_moments(BorelRect(0, 2, 0, 2), cov)
 
 
 def test_cov_map_combines_modes():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -7,10 +9,11 @@ from oracles import (brute_force_cov, brute_force_cov_pair, brute_force_dft, exa
                      grid_cov_from_spectrum, irfft2_empirical_cov, lag_by_lag_empirical_cov,
                      lag_rectangle_cosine_sum, periodogram_csv_loop, quadrature_cov_from_spectrum,
                      quadrature_fejer_inverse, separable_cov)
+import spatialcox.spectral
 from spatialcox import (BasisSpec, CoeffField, Periodogram, Sarh1Params, SpectralModel,
                         TestFunction, c2_innovation_var, cov_from_spectrum, cov_map, empirical_cov,
-                        fejer_smoothed_inverse, functional_dft, is_causal, periodogram,
-                        save_periodogram_csv, simulate_sarh1)
+                        family_triples, fejer_smoothed_inverse, functional_dft, is_causal,
+                        periodogram, save_periodogram_csv, simulate_sarh1)
 from spatialcox.errors import (FileFormatError, LagUnavailableError, ParameterDomainError,
                               ResolutionError, SingularSpectrumError)
 from spatialcox.sarh import _gram_form, _has_torus_zero
@@ -135,6 +138,23 @@ def test_empirical_cov_is_the_irfft2_form_bit_for_bit(dims, modes, max_lag):
                                   irfft2_empirical_cov(fld.data, max_lag))
 
 
+def test_empirical_cov_memory_stays_flat_in_the_mode_count():
+    # pair by pair, one product buffer serves all 210 pairs of 20 modes: the peak is the
+    # output, the rfft2 array and its transient, and a few single-pair spectra.  A batch
+    # of the (M - k) pairs of mode k, and its inverse, would pass the bound
+    fld = random_field((40, 40), 20, seed=3)
+    p = (_fft_size(40 + 12), _fft_size(40 + 12))
+    pair_bytes = p[0] * (p[1] // 2 + 1) * 16
+    tracemalloc.start()
+    try:
+        out = empirical_cov(fld, (12, 12))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    bound = out.values.nbytes + 2 * 20 * pair_bytes + 8 * pair_bytes
+    assert peak < bound, (peak / 2**20, bound / 2**20)
+
+
 def test_empirical_cov_brute_force_oracle():
     fld = random_field((5, 4), 3, seed=4)
     cov = empirical_cov(fld, (4, 3))
@@ -252,6 +272,40 @@ def test_cov_from_spectrum_example1_matches_closed_form():
             assert vals[i, k - 1] == pytest.approx(separable_cov(l1, l2, z1, z2), abs=1e-10)
     r0 = vals[0]
     assert np.all(r0 >= np.abs(vals[1:]))  # R_0 dominates
+
+
+def test_separable_modes_never_sweep(monkeypatch):
+    # example1 and example2 are separable, l3 = -l1 l2, so every lag, z1 z2 > 0 too, is
+    # the product form R_0 l1^|z1| l2^|z2|: a sweep that raises is never reached
+    lags = [(3, 5), (-2, -7), (19, 19), (1, 1), (4, -6), (-8, 3), (0, 0), (11, 0)]
+
+    def no_sweep(buf, triples):
+        raise AssertionError("swept a separable mode")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(spatialcox.spectral, "_stencil_sweep", no_sweep)
+        for family, theta in (("example1", [1.0]), ("example1", [3.1]),
+                              ("example2", [1.0, 1.6, 1.5, 1.2])):
+            got = cov_from_spectrum(SpectralModel(family, 4), theta, lags)
+            for k, (l1, l2, _) in enumerate(family_triples(family, theta, 4)):
+                want = [separable_cov(l1, l2, z1, z2) for z1, z2 in lags]
+                r0 = separable_cov(l1, l2, 0, 0)
+                assert np.max(np.abs(got[:, k] - want)) <= 1e-13 * r0, (family, theta, k)
+    # a custom model sweeps its non-separable mode alone, and both match the quadrature
+    swept, sweep = [], spatialcox.spectral._stencil_sweep
+
+    def spy(buf, triples):
+        swept.append(triples.copy())
+        sweep(buf, triples)
+
+    monkeypatch.setattr(spatialcox.spectral, "_stencil_sweep", spy)
+    model, theta = SpectralModel("custom", 2), np.array([0.4, 0.3, -0.12, 0.5, 0.3, -0.1])
+    assert theta[2] == -theta[0] * theta[1]  # mode 1 is separable in floats
+    got = cov_from_spectrum(model, theta, ORACLE_LAGS)
+    np.testing.assert_array_equal(np.concatenate(swept), [theta[3:]])
+    want = quadrature_cov_from_spectrum(model, theta, ORACLE_LAGS)
+    r0 = want[ORACLE_LAGS.index((0, 0))]
+    assert np.all(np.abs(got - want) <= 1e-13 * r0)
 
 
 def test_cov_from_spectrum_roundtrip():
