@@ -36,7 +36,8 @@ class CoeffField:
             raise ParameterDomainError("data must have shape (N1, N2, M)")
         if arr.shape[2] != self.basis.n_modes:
             raise ParameterDomainError("third axis must match basis.n_modes")
-        if not np.all(np.isfinite(arr)):
+        # min and max are finite iff every value is (NaN propagates), and form no mask
+        if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
             raise ParameterDomainError("field coefficients must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)

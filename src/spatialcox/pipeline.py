@@ -12,8 +12,8 @@ innovation sd of the five circular lag moments (no FFT), the interior-point
 fit of ``realdata_pmf`` by :func:`~spatialcox.whittle.estimate`, and plug-in
 prediction.  A synthetic generator of counts from a known field and trend
 supports closed-loop validation and the CLI demos.  Every stage is numpy only:
-no ``scipy.spatial``, no ``scipy.interpolate`` (the B-spline basis comes from
-de Boor's recursion) and no ``scipy.optimize``.
+the B-spline basis comes from de Boor's recursion, the IDW distances from
+per-axis sums and the fit from the package's own interior-point routine.
 """
 
 from __future__ import annotations
@@ -120,8 +120,8 @@ def idw_interpolate(series: GridSeries, target_dims) -> GridSeries:
     with several sources whose rows are not ``np.isclose`` raises
     :class:`AmbiguousInterpolationError`.  The squared distances are formed
     per axis, dx^2 (n1, sites) and dy^2 (n2, sites), and summed per block of
-    lattice rows, as cdist's ``sqeuclidean`` sums them, so no
-    ``scipy.spatial`` is needed and no (nodes x sites) array is formed: the
+    lattice rows, as cdist's ``sqeuclidean`` sums them, so no distance
+    library is needed and no (nodes x sites) array is formed: the
     weights take O(block x sites) memory, with the block set by
     ``BLOCK_CELLS``, and each block's nodes one (block x sites) @
     (sites x columns) product.  A block whose nodes all coincide with sources
@@ -200,8 +200,8 @@ def _svd_of_design(design, what):
 def _bspline_basis(knots, x):
     # on clamped cubic knots, the knot interval l of each point of x and the values of
     # the only B-splines nonzero there, B_{l-3..l}, by de Boor's recursion (A Practical
-    # Guide to Splines, 1978) in scipy's order of operations, so the values are
-    # BSpline.design_matrix's bit for bit.  Points outside the knots take the end
+    # Guide to Splines, 1978) in BSpline.design_matrix's order of operations, so the
+    # values are its own bit for bit.  Points outside the knots take the end
     # intervals' polynomials
     ell = np.clip(np.searchsorted(knots, x, side="right") - 1, 3, knots.size - 5)
     basis = np.zeros((x.size, 4))
@@ -234,7 +234,7 @@ class CubicBSpline:
     """Cubic B-spline curves on the clamped knots ``t``, coefficients ``c`` (n_coef, ...).
 
     Called on points x, it gives the (..., len(x)) curves; outside the knots it
-    continues the end polynomials, as ``scipy.interpolate.BSpline`` does.
+    continues the end polynomials, as ``interpolate.BSpline`` does.
     """
 
     t: np.ndarray

@@ -10,19 +10,11 @@ moments are the circular lag covariances of the field at (0,0), (1,0),
 (0,1), (1,1) and (1,-1) over (2 pi)^2 (Whittle, 1954), so the sample is the
 :class:`~spatialcox.field.CoeffField` itself, read by five O(NM) lag
 products without forming its periodogram.  In the eigenvalue triple each
-mode's loss is a PSD quadratic form.  For ``AFFINE_FAMILIES`` (triple, custom,
-realdata_pmf), whose triples are affine in theta, each loss is then an exact
-convex quadratic in theta, and the sup loss over the causal tetrahedron
-``CAUSAL_FACES`` is one convex epigraph program, solved to its optimum by a
-numpy primal-dual interior-point method (Boyd & Vandenberghe, *Convex
-Optimization*, sec. 11.7) with constant tolerances and iteration cap.  The
-one-parameter example1 is fitted exactly: in s = theta^2 its losses are
-ratios of polynomials, so the minimum is the least of a few candidates,
-roots of polynomials of degree <= 8 found by one batched ``eigvals``.  Only
-example2, whose triples are not affine, takes an SLSQP solve with exact
-gradients; ``estimate``'s ``loss_tol`` is its ``ftol``, and ``scipy.optimize``
-is imported inside it, so importing this module and fitting every other
-family loads numpy only.
+mode's loss is a PSD quadratic form.  example1 is fitted exactly, over the
+real roots of a few polynomials in theta^2.  Every other family takes one
+trust-region loop whose steps each solve a convex program over local models
+of the losses by a numpy interior-point method; for ``AFFINE_FAMILIES``,
+whose triples are affine in theta, the model is exact and one step final.
 """
 
 from __future__ import annotations
@@ -35,8 +27,8 @@ import numpy as np
 
 from .errors import ParameterDomainError
 from .field import CoeffField
-from .sarh import (_GRAM, _LAGS, AFFINE_FAMILIES, CAUSAL_FACES, TWO_PI_SQ, SpectralModel,
-                   _gram_form, c2_innovation_var, family_jacobian, family_triples)
+from .sarh import (_GRAM, _LAGS, CAUSAL_FACES, TWO_PI_SQ, SpectralModel, _gram_form,
+                   c2_innovation_var, family_hessian, family_jacobian, family_triples)
 
 # ---------------------------------------------------------------------------
 # loss
@@ -104,10 +96,6 @@ def whittle_loss(model: SpectralModel, theta, sample: CoeffField) -> float:
 # ---------------------------------------------------------------------------
 # estimation
 
-
-# iteration cap of SLSQP; the fits stop on their tolerance long before it
-# (below 200 loss evaluations)
-MAX_ITER = 2000
 
 # weight of the mean-over-modes term added to the sup loss in the searches:
 # among minimizers of the sup loss it picks the one where the remaining modes
@@ -212,87 +200,55 @@ def _fit_example1(model: SpectralModel, moments: np.ndarray):
     return theta[best:best + 1], len(theta), True
 
 
-_CAUSAL_SIGMA2 = 1.0 / TWO_PI_SQ  # sigma2 of every causal mode
-
-
-def _mode_losses_with_grad(model: SpectralModel, theta, moments: np.ndarray):
-    """Per-mode losses at the causal sigma2 and their theta-Jacobian (M, q),
-    J_k' (-2 (G_k a)[1:]) / sigma2 with J = :func:`family_jacobian`."""
-    u, du = _gram_form(model.eig_triples(theta), moments)
-    jac = family_jacobian(model.family, theta, model.n_modes)
-    return u / _CAUSAL_SIGMA2, np.einsum("kiq,ki->kq", jac, du) / _CAUSAL_SIGMA2
-
-
-def _fit_slsqp(model, moments, loss_tol):
-    # example2: min t + eta mean_k loss_k s.t. loss_k <= t over the box, from its
-    # centre, by SLSQP; the box is causal, so the causal sigma2 is the model's
-    from scipy.optimize import minimize
-
-    box, q = model.theta_box, len(model.theta_box)
-    n_evals, last = 0, (None, None, None)
-
-    def losses(x):  # losses and gradients together, evaluated once per theta
-        nonlocal n_evals, last
-        theta = np.clip(x[:q], box[:, 0], box[:, 1])
-        if not np.array_equal(theta, last[0]):
-            n_evals += 1
-            last = (theta, *_mode_losses_with_grad(model, theta, moments))
-        return last[1:]
-
-    ones = np.ones((model.n_modes, 1))
-    x0 = np.append(box.mean(axis=1), 0.0)
-    x0[q] = losses(x0)[0].max()
-    res = minimize(lambda x: x[q] + TIE_BREAK * losses(x)[0].mean(), x0, method="SLSQP",
-                   jac=lambda x: np.append(TIE_BREAK * losses(x)[1].mean(axis=0), 1.0),
-                   bounds=[*box, (None, None)],
-                   constraints=[{"type": "ineq", "fun": lambda x: x[q] - losses(x)[0],
-                                 "jac": lambda x: np.hstack([-losses(x)[1], ones])}],
-                   options={"ftol": loss_tol, "maxiter": MAX_ITER})
-    return np.clip(res.x[:q], box[:, 0], box[:, 1]), n_evals, res.success
-
-
-# the interior-point fit: its iteration cap, far above the 17-34 iterations
-# that seeded fits of every affine family take, its tolerance on the duality
-# gap and the dual residual at losses of order one, and the centring factor and
-# backtracking constants of Boyd & Vandenberghe, *Convex Optimization*, sec. 11.7
+# the interior-point cap (seeded affine fits take 17-34 iterations), its tolerance at
+# losses of order one, the share of a trust-region step's model decrease it may leave
+# unsolved, and Boyd & Vandenberghe's centring and line-search constants
 IP_MAX_ITER = 100
-_IP_TOL = 1e-13
+_IP_TOL, _IP_RATIO = 1e-13, 0.1
 _IP_MU, _IP_ALPHA, _IP_BETA = 10.0, 0.01, 0.5
+# the trust-region cap, step (in box widths) and decrease rules, and the shares of the
+# predicted decrease below which a step is refused and the radius shrinks
+TR_MAX_ITER = 50
+_TR_STEP_TOL, _TR_DECREASE_TOL = 1e-10, 1e-13
+_TR_ACCEPT, _TR_SHRINK = 0.1, 0.25
 
 
-def _affine_program(model: SpectralModel, moments: np.ndarray):
-    """The affine families' mode losses at the causal sigma2 as exact quadratics
-    q_k(theta) = c_k + b_k.theta + theta' P_k theta, returned as (c, b, P), and
-    the distinct causal faces A theta <= 1 of the modes, as the rows of A.  With
-    the constant J = :func:`family_jacobian` and G_k = mu_k[_GRAM] / sigma2,
-    P_k = J_k' G_k[1:, 1:] J_k, b_k = -2 J_k' G_k[1:, 0] and c_k = G_k[0, 0].
-    Coordinates no mode reads (zero columns of J) stay out; their mask comes third."""
-    jac = family_jacobian(model.family, None, model.n_modes)
-    read = jac.any(axis=(0, 1))
-    jac = jac[..., read]
-    g = moments[:, _GRAM] / _CAUSAL_SIGMA2
-    quad = (g[:, 0, 0], -2.0 * np.einsum("kiq,ki->kq", jac, g[:, 1:, 0]),
-            np.einsum("kiq,kij,kjr->kqr", jac, g[:, 1:, 1:], jac))
+def _local_model(model: SpectralModel, moments: np.ndarray, theta, read):
+    """The mode losses times the causal sigma2, 1/(2 pi)^2, as quadratics c_k + b_k.d +
+    d' P_k d in the step d of the ``read`` coordinates, (c, b, P); the faces linearised,
+    rows [A, m] of A d <= m; and whether the model is exact.  With g_k = -2 (G_k a)[1:]
+    of :func:`_gram_form` and J, T the family's Jacobian and Hessian, b_k = J_k' g_k and
+    P_k = J_k' G_k[1:, 1:] J_k + g_k.T_k / 2 with its negative eigenvalues clipped: the
+    Taylor model, made convex, and for the affine families (T = 0) the losses."""
+    triples = model.eig_triples(theta)
+    c, grad = _gram_form(triples, moments)
+    jac = family_jacobian(model.family, theta, model.n_modes)[..., read]
+    hess = family_hessian(model.family, theta, model.n_modes)
+    p = np.einsum("kiq,kij,kjr->kqr", jac, moments[:, _GRAM][:, 1:, 1:], jac)
+    if hess.any():
+        p += 0.5 * np.einsum("ki,kiqr->kqr", grad, hess)[:, read][:, :, read]
+        w, v = np.linalg.eigh(p)
+        p = np.einsum("kqi,ki,kri->kqr", v, np.maximum(w, 0.0), v)
     faces = np.einsum("fi,kiq->kfq", CAUSAL_FACES, jac).reshape(-1, jac.shape[-1])
-    return quad, np.unique(faces, axis=0), read  # modes sharing a triple share its faces
+    lin = np.unique(np.hstack([faces, (1.0 - triples @ CAUSAL_FACES.T).reshape(-1, 1)]),
+                    axis=0)  # modes sharing a triple share its faces
+    return (c, np.einsum("kiq,ki->kq", jac, grad), p), lin, not hess.any()
 
 
-def _interior_point(a, ub, x, quad=None):
+def _interior_point(a, ub, x, quad=None, target=None):
     """min t + TIE_BREAK mean_k q_k(theta) s.t. a x <= ub and q_k(theta) <= t over
     x = (theta, t), from a strictly feasible x, by the primal-dual interior-point
     method of Boyd & Vandenberghe, *Convex Optimization*, sec. 11.7.
 
-    ``quad`` = (c, b, P) holds the convex quadratics of :func:`_affine_program`,
-    scaled to losses of order one; None makes the linear program of a phase I,
-    which returns as soon as t < 0 by more than the duality gap.  Each Newton
-    step solves the symmetric primal-dual system in (x, lambda): the system
-    reduced to x alone would carry the inverse slacks of the binding
-    constraints, up to 1e14, into its condition number, and stall short of the
-    tolerance.  The method stops once the surrogate duality gap and the norm
-    of the dual residual are below ``_IP_TOL``, and returns the point, the
-    number of distinct points at which the constraints were evaluated,
-    line-search trials included, and whether it so stopped within
-    ``IP_MAX_ITER`` iterations.
+    ``quad`` = (c, b, P) holds :func:`_local_model`'s quadratics at losses of order one;
+    None makes the linear program of a phase I, which returns once t < 0 by more than the
+    gap.  Each Newton step solves the symmetric system in (x, lambda), whose x-only form
+    carries inverse slacks up to 1e14, and is taken once it cuts the primal-dual residual
+    or, given a trust-region step's ``target`` objective, the barrier function by the
+    Armijo share: where many constraints bind with nearly parallel gradients the
+    multipliers swing, and the residual alone lets steps crawl.  It stops once the gap
+    and the dual residual are below ``_IP_TOL`` or ``_IP_RATIO`` times the decrease from
+    ``target``, and returns the point, the number of points evaluated and whether it so stopped.
     """
     n, phase_one = x.size, quad is None
     c0, b, p = quad if quad is not None else (np.zeros(0), np.zeros((0, n - 1)),
@@ -312,7 +268,10 @@ def _interior_point(a, ub, x, quad=None):
 
     def residual(state, lam, tau):
         f, df, g0 = state
-        return np.concatenate([g0 + df.T @ lam, -lam * f - 1.0 / tau])
+        return np.linalg.norm(np.concatenate([g0 + df.T @ lam, -lam * f - 1.0 / tau]))
+
+    def barrier(state, x, tau):  # the cost less the log barrier at 1/tau
+        return x[-1] + weight * (state[0][:k] + x[-1]).sum() - np.log(-state[0]).sum() / tau
 
     state, n_evals = evaluate(x), 1
     lam = 1.0 / -state[0]
@@ -322,10 +281,12 @@ def _interior_point(a, ub, x, quad=None):
     diag = np.arange(n, n + m)
     for _ in range(IP_MAX_ITER):
         f, df, g0 = state
-        gap = -f @ lam
+        gap, tol = -f @ lam, _IP_TOL
         if phase_one and x[-1] + gap <= 0.0:  # within half the least t, or better
             return x, n_evals, True
-        if gap <= _IP_TOL and np.linalg.norm(g0 + df.T @ lam) <= _IP_TOL:
+        if target is not None:  # the objective is t + weight sum_k q_k, q_k = f_k + t
+            tol = max(tol, _IP_RATIO * (target - x[-1] - weight * (f[:k] + x[-1]).sum()))
+        if gap <= tol and np.linalg.norm(g0 + df.T @ lam) <= tol:
             return x, n_evals, True
         tau = _IP_MU * m / gap
         kkt[:n - 1, :n - 1] = 2.0 * np.einsum("k,kqr->qr", weight + lam[:k], p)
@@ -336,12 +297,15 @@ def _interior_point(a, ub, x, quad=None):
         dx, dlam = step[:n], step[n:]
         shrink = dlam < 0.0
         s = 0.99 * min(1.0, np.min(-lam[shrink] / dlam[shrink], initial=1.0))
-        r0 = np.linalg.norm(residual(state, lam, tau))
-        for _ in range(50):  # backtracking, to a step of 2^-50
+        r0 = residual(state, lam, tau)
+        for _ in range(30):  # backtracking, to a step of 2^-30
             trial = evaluate(x + s * dx)
             n_evals += 1
-            if (np.all(trial[0] < 0.0) and np.linalg.norm(residual(trial, lam + s * dlam, tau))
-                    <= (1.0 - _IP_ALPHA * s) * r0):
+            if np.all(trial[0] < 0.0) and (
+                    residual(trial, lam + s * dlam, tau) <= (1.0 - _IP_ALPHA * s) * r0
+                    or target is not None
+                    and barrier(trial, x + s * dx, tau) - barrier(state, x, tau)
+                    <= _IP_ALPHA * s * min(0.0, (g0 + df.T @ (1.0 / (tau * -f))) @ dx)):
                 break
             s *= _IP_BETA
         else:
@@ -350,68 +314,84 @@ def _interior_point(a, ub, x, quad=None):
     return x, n_evals, False
 
 
-def _fit_affine(model: SpectralModel, moments: np.ndarray, start=None):
-    # min t + eta mean_k q_k(theta) s.t. q_k(theta) <= t, the causal faces and
-    # the box: convex, since each q_k is, and on the closed tetrahedron the
-    # causal sigma2 is the model's.  The start is the box centre, or ``start``,
-    # when it is strictly causal, else the point of a phase I.  Coordinates that
-    # no mode reads stay at their box midpoint
-    (c0, b, p), faces, read = _affine_program(model, moments)
-    theta_hat = model.theta_box.mean(axis=1)
-    box = model.theta_box[read]
-    lin = np.vstack([faces, np.eye(len(box)), -np.eye(len(box))])
-    ub = np.concatenate([np.ones(len(faces)), box[:, 1], -box[:, 0]])
-    theta = box.mean(axis=1) if start is None else np.asarray(start, dtype=float)[read]
-    worst = np.max(faces @ theta)
-    if worst >= 1.0:  # phase I: min s s.t. A theta - s <= 1 inside the box
-        s_col = np.where(np.arange(len(lin)) < len(faces), -1.0, 0.0)[:, None]
-        x, _, _ = _interior_point(np.hstack([lin, s_col]), ub, np.append(theta, worst))
+def _fit_trust_region(model: SpectralModel, moments: np.ndarray, start=None):
+    # min max_k l_k + eta mean_k l_k over the box and the closed causal set by trust-region
+    # steps (Nocedal & Wright, ch. 4, 18), each min t + eta mean_k q_k s.t. q_k <= t in the
+    # box, |d| <= radius * width and the linearised faces; an exact model's step is final.  The
+    # start: the box centre, ``start`` or a phase I point; unread coordinates keep the midpoint
+    def merit(q):
+        return q.max() + TIE_BREAK * q.mean()
+
+    def rows(t_coef):  # the faces, then the box, over x = (d, t)
+        return np.hstack([np.vstack([lin[:, :-1], fence]),
+                          np.r_[np.full(len(lin), t_coef), np.zeros(len(fence))][:, None]])
+
+    box = model.theta_box
+    theta = box.mean(axis=1)
+    read = family_jacobian(model.family, theta, model.n_modes).any(axis=(0, 1))
+    if start is not None:
+        theta[read] = np.asarray(start, dtype=float)[read]
+    lo, hi = box[read].T
+    width, fence = hi - lo, np.vstack([np.eye(read.sum()), -np.eye(read.sum())])
+    quad, lin, exact = _local_model(model, moments, theta, read)
+    if lin[:, -1].min() <= 0.0:  # phase I: min s s.t. A d - s <= m inside the box
+        x, _, _ = _interior_point(rows(-1.0), np.r_[lin[:, -1], hi - theta[read], theta[read] - lo],
+                                  np.append(np.zeros(len(width)), 1.0 - lin[:, -1].min()))
         if x[-1] >= 0.0:
             raise ParameterDomainError("the theta box holds no causal parameter")
-        theta = x[:-1]
-    scale = c0.max() if c0.max() > 0.0 else 1.0  # the loss at theta = 0 is of order one
-    c0, b, p = c0 / scale, b / scale, p / scale
-    x, n_evals, converged = _interior_point(
-        np.hstack([lin, np.zeros((len(lin), 1))]), ub,
-        np.append(theta, (c0 + (b + p @ theta) @ theta).max() + 1.0), (c0, b, p))
-    theta_hat[read] = x[:-1]
-    return theta_hat, n_evals, converged
+        theta[read] += x[:-1]
+        quad, lin, exact = _local_model(model, moments, theta, read)
+    radius, n_evals = 1.0, 0
+    for _ in range(TR_MAX_ITER):
+        scale = quad[0].max() if quad[0].max() > 0.0 else 1.0  # losses of order one
+        c, b, p = (x / scale for x in quad)
+        upper, lower = (np.minimum(g, radius * width) for g in (hi - theta[read], theta[read] - lo))
+        inset = 0.01 * (upper + lower)  # a start strictly inside the box, if theta is on it
+        d = np.clip(0.0, inset - lower, upper - inset)
+        d *= np.all(lin[:, :-1] @ d < lin[:, -1])  # unless that leaves a causal face
+        x, evals, ok = _interior_point(rows(0.0), np.r_[lin[:, -1], upper, lower],
+                                       np.append(d, (c + (b + p @ d) @ d).max() + 1.0),
+                                       (c, b, p), None if exact else merit(c))
+        n_evals, d = n_evals + evals, x[:-1]
+        if exact:
+            theta[read] += d
+            return theta, n_evals, ok
+        trial = theta.copy()
+        trial[read] = np.clip(theta[read] + d, lo, hi)
+        trial_model = _local_model(model, moments, trial, read)
+        n_evals, step = n_evals + 1, np.max(np.abs(d) / width)
+        predicted = merit(c) - merit(c + (b + p @ d) @ d)
+        actual = merit(c) - merit(trial_model[0][0] / scale)
+        if actual > max(_TR_ACCEPT * predicted, 0.0):
+            theta, (quad, lin, exact) = trial, trial_model
+        radius = _TR_SHRINK * step if actual < _TR_SHRINK * predicted else min(2 * radius, 1.0)
+        if predicted <= _TR_DECREASE_TOL or step <= _TR_STEP_TOL:  # the decrease and step rules
+            return theta, n_evals, True
+    return theta, n_evals, False
 
 
-def estimate(model: SpectralModel, sample: CoeffField,
-             loss_tol: float = 1e-10) -> ThetaEstimate:
+def estimate(model: SpectralModel, sample: CoeffField) -> ThetaEstimate:
     """Minimize the Whittle sup loss over the parameter box and the causal set.
 
-    ``sample`` is the field, read by :func:`trig_moments`.
-    ``AFFINE_FAMILIES`` take the interior-point solve of :func:`_fit_affine`
-    over the box and the closed causal tetrahedron of every mode, from the
-    box centre, or from a phase I point when the centre is not strictly
-    causal; a box without a strictly causal point raises
-    :class:`ParameterDomainError`.  ``converged`` means that the duality gap
-    and the dual residual met their tolerance within ``IP_MAX_ITER``
-    iterations, and ``n_loss_evals`` counts the distinct points at which the
-    losses were evaluated, line-search trials included.  example2 takes one
-    SLSQP epigraph solve from the box centre with exact loss gradients;
-    ``loss_tol`` is that solve's ``ftol`` and is read by no other family.
-    example1 is minimized exactly, over the candidates of
-    :func:`_fit_example1` (the box ends, the points where a mode's C2
-    variance changes form, and the stationary points and crossings of the
-    mode losses); ``n_loss_evals`` is their number, and the fit always
-    converges.  Every family adds ``TIE_BREAK`` times the mean-over-modes
-    loss to the sup loss, and example1's ties go to the least theta;
-    ``n_loss_evals`` counts one more evaluation for the pure sup loss at the
-    optimum, which is the reported ``loss_at_min``.  The model's innovation
-    variances are the C2 ones, so a field whose innovation sd is a known s_k
-    is fitted as ``sample`` divided by s_k.
+    ``sample`` is the field, read by :func:`trig_moments`.  example1 is minimized
+    exactly, over the candidates of :func:`_fit_example1` (the box ends, the points
+    where a mode's C2 variance changes form, and the stationary points and crossings
+    of the mode losses), and always converges.  Every other family takes
+    :func:`_fit_trust_region` over the box and the closed causal tetrahedron of every
+    mode; a box without a strictly causal point raises :class:`ParameterDomainError`.
+    ``converged`` means that its loop met the step or decrease rule within
+    ``TR_MAX_ITER`` steps, for the affine families that their one interior-point
+    solve met its tolerance.  ``n_loss_evals`` counts the distinct points at which
+    the losses or their models were evaluated, and one more for the pure sup loss at
+    the optimum, ``loss_at_min``.  Every family adds ``TIE_BREAK`` times the mean
+    loss to the sup loss; example1's ties go to the least theta.  The innovation
+    variances are the C2 ones: a field of known innovation sd s_k is fitted divided
+    by s_k.
     """
     t0 = time.perf_counter()
     moments = _sample_moments(model, sample)
-    if model.family == "example1":
-        theta_hat, n_evals, success = _fit_example1(model, moments)
-    elif model.family in AFFINE_FAMILIES:
-        theta_hat, n_evals, success = _fit_affine(model, moments)
-    else:
-        theta_hat, n_evals, success = _fit_slsqp(model, moments, loss_tol)
+    fit = _fit_example1 if model.family == "example1" else _fit_trust_region
+    theta_hat, n_evals, success = fit(model, moments)
     pure = float(_mode_losses(model.eig_triples(theta_hat), moments).max())
     return ThetaEstimate(theta_hat=theta_hat, loss_at_min=pure, n_loss_evals=n_evals + 1,
                          converged=bool(success), family=model.family,

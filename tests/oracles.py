@@ -18,8 +18,8 @@ curve-space pipeline (smooth, interpolate and detrend every curve on the
 dense time grid), the pipeline's lattice stages on one dense (times,
 nodes) array of log curves, the scalar and grid forms of the eigenvalue families,
 the stationarity checks and the C2 normalization, a dense grid
-refined by zooming for the example1 fit, and scipy's ``linprog`` check and
-SLSQP solve of the affine families' fit.
+refined by zooming for the example1 fit, scipy's ``linprog`` check and
+SLSQP solve of the affine families' fit, and its SLSQP solve of example2's.
 Implementations under test must agree with these, never share code with them.
 """
 
@@ -739,17 +739,12 @@ def grid_min_triple_loss(i_diag, w1, w2, box, n=31, sigma2=1.0 / (2.0 * np.pi) *
     return best
 
 
-def affine_mode_losses(model, moments, theta):
-    """Per-mode Whittle losses of an affine family (triple, custom, realdata_pmf)
-    at the causal C2 prefactor 1 / (2 pi)^2 and their theta-Jacobian (M, q).
-
-    Each loss is the moment contraction of |D_k|^2 written out term by term, as
-    in :func:`stencil_objective_example1`; the triple Jacobian J is read from the
-    model's triples at the unit vectors, since the family maps theta = 0 to zero.
-    """
-    theta = np.asarray(theta, dtype=float)
-    jac = np.stack([model.eig_triples(e) for e in np.eye(theta.size)], axis=-1)
-    l1, l2, l3 = (jac @ theta).T
+def _stencil_losses(triples, jac, moments):
+    """Per-mode Whittle losses at the causal C2 prefactor 1 / (2 pi)^2 of the
+    triples (M, 3), and their theta-Jacobian (M, q) through the triple Jacobian
+    ``jac`` (M, 3, q): each loss is the moment contraction of |D_k|^2 written out
+    term by term, as in :func:`stencil_objective_example1`."""
+    l1, l2, l3 = triples.T
     m0, m1, m2, m3, m4 = moments.T
     d2 = ((1.0 + l1**2 + l2**2 + l3**2) * m0 + 2.0 * (l2 * l3 - l1) * m1
           + 2.0 * (l1 * l3 - l2) * m2 - 2.0 * l3 * m3 + 2.0 * l1 * l2 * m4)
@@ -760,10 +755,63 @@ def affine_mode_losses(model, moments, theta):
     return scale * d2, scale * np.einsum("ki,kiq->kq", dl, jac)
 
 
+def affine_mode_losses(model, moments, theta):
+    """Per-mode Whittle losses of an affine family (triple, custom, realdata_pmf)
+    at the causal C2 prefactor and their theta-Jacobian (M, q); the triple
+    Jacobian J is read from the model's triples at the unit vectors, since the
+    family maps theta = 0 to zero."""
+    theta = np.asarray(theta, dtype=float)
+    jac = np.stack([model.eig_triples(e) for e in np.eye(theta.size)], axis=-1)
+    return _stencil_losses(jac @ theta, jac, moments)
+
+
+def example2_mode_losses(moments, theta):
+    """example2's per-mode Whittle losses at the causal C2 prefactor, which is
+    the model's on its causal box, and their theta-Jacobian (M, 4), from
+    dl_q/dth_{q,1} = 1/(k + th_{q,2}), dl_q/dth_{q,2} = -l_q/(k + th_{q,2}) and
+    l3 = -l1 l2."""
+    k = np.arange(1.0, moments.shape[0] + 1)
+    l1, l2, l3 = eigenvalues_example2(theta, k)
+    r1, r2, zero = 1.0 / (k + theta[1]), 1.0 / (k + theta[3]), np.zeros_like(k)
+    d1 = np.stack([r1, -l1 * r1, zero, zero], axis=1)
+    d2 = np.stack([zero, zero, r2, -l2 * r2], axis=1)
+    jac = np.stack([d1, d2, -(l2[:, None] * d1 + l1[:, None] * d2)], axis=1)
+    return _stencil_losses(np.stack([l1, l2, l3], axis=1), jac, moments)
+
+
 def affine_objective(model, moments, theta, tie_break):
     """The affine fit's objective max_k loss_k + tie_break * mean_k loss_k."""
     losses = affine_mode_losses(model, moments, theta)[0]
     return float(losses.max() + tie_break * losses.mean())
+
+
+def example2_objective(moments, theta, tie_break):
+    """The example2 fit's objective max_k loss_k + tie_break * mean_k loss_k."""
+    losses = example2_mode_losses(moments, np.asarray(theta, dtype=float))[0]
+    return float(losses.max() + tie_break * losses.mean())
+
+
+def _slsqp_epigraph(mode_losses, box, tie_break, ftol, maxiter, constraints=()):
+    # min t + tie_break * mean_k loss_k s.t. loss_k <= t, ``constraints`` and the
+    # box over x = (theta, t), from the box centre, by SLSQP with exact gradients
+    from scipy.optimize import minimize
+
+    q = len(box)
+
+    def losses(x):
+        return mode_losses(np.clip(x[:q], box[:, 0], box[:, 1]))
+
+    x0 = np.append(box.mean(axis=1), 0.0)
+    x0[q] = losses(x0)[0].max()
+    ones = np.ones((len(losses(x0)[0]), 1))
+    res = minimize(lambda x: x[q] + tie_break * losses(x)[0].mean(), x0, method="SLSQP",
+                   jac=lambda x: np.append(tie_break * losses(x)[1].mean(axis=0), 1.0),
+                   bounds=[*box, (None, None)],
+                   constraints=[*constraints,
+                                {"type": "ineq", "fun": lambda x: x[q] - losses(x)[0],
+                                 "jac": lambda x: np.hstack([-losses(x)[1], ones])}],
+                   options={"ftol": ftol, "maxiter": maxiter})
+    return np.clip(res.x[:q], box[:, 0], box[:, 1]), bool(res.success)
 
 
 def slsqp_affine_fit(model, moments, tie_break, ftol=1e-10, maxiter=2000):
@@ -771,7 +819,7 @@ def slsqp_affine_fit(model, moments, tie_break, ftol=1e-10, maxiter=2000):
     the closed causal tetrahedron of every mode, then one SLSQP solve of the
     epigraph program min t + tie_break * mean_k loss_k s.t. loss_k <= t, the
     causal faces and the box, from the box centre.  Returns (theta, success)."""
-    from scipy.optimize import linprog, minimize
+    from scipy.optimize import linprog
 
     box, q = model.theta_box, len(model.theta_box)
     jac = np.stack([model.eig_triples(e) for e in np.eye(q)], axis=-1)
@@ -781,19 +829,15 @@ def slsqp_affine_fit(model, moments, tie_break, ftol=1e-10, maxiter=2000):
     if linprog(np.zeros(q), A_ub=a_ub, b_ub=np.ones(len(a_ub)), bounds=box).status == 2:
         raise ParameterDomainError("the theta box holds no causal parameter")
     a_ub = np.hstack([a_ub, np.zeros((len(a_ub), 1))])  # x = (theta, t)
-    ones = np.ones((model.n_modes, 1))
+    return _slsqp_epigraph(lambda theta: affine_mode_losses(model, moments, theta), box,
+                           tie_break, ftol, maxiter,
+                           [{"type": "ineq", "fun": lambda x: 1.0 - a_ub @ x,
+                             "jac": lambda x: -a_ub}])
 
-    def losses(x):
-        return affine_mode_losses(model, moments, np.clip(x[:q], box[:, 0], box[:, 1]))
 
-    x0 = np.append(box.mean(axis=1), 0.0)
-    x0[q] = losses(x0)[0].max()
-    res = minimize(lambda x: x[q] + tie_break * losses(x)[0].mean(), x0, method="SLSQP",
-                   jac=lambda x: np.append(tie_break * losses(x)[1].mean(axis=0), 1.0),
-                   bounds=[*box, (None, None)],
-                   constraints=[{"type": "ineq", "fun": lambda x: 1.0 - a_ub @ x,
-                                 "jac": lambda x: -a_ub},
-                                {"type": "ineq", "fun": lambda x: x[q] - losses(x)[0],
-                                 "jac": lambda x: np.hstack([-losses(x)[1], ones])}],
-                   options={"ftol": ftol, "maxiter": maxiter})
-    return np.clip(res.x[:q], box[:, 0], box[:, 1]), bool(res.success)
+def slsqp_example2_fit(model, moments, ftol, tie_break=1e-3, maxiter=2000):
+    """The example2 fit by scipy: one SLSQP solve of the epigraph program
+    min t + tie_break * mean_k loss_k s.t. loss_k <= t over the box, from its
+    centre; the box is causal, so no face enters.  Returns (theta, success)."""
+    return _slsqp_epigraph(lambda theta: example2_mode_losses(moments, theta), model.theta_box,
+                           tie_break, ftol, maxiter)

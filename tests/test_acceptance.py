@@ -150,7 +150,7 @@ def test_criterion_7_whittle_identifiability():
         for _ in range(10):
             theta_star = box[:, 0] + rng.random(box.shape[0]) * (box[:, 1] - box[:, 0])
             fld = field_with_periodogram(_noise_free_periodogram(model, theta_star, (64, 64)))
-            fit = estimate(model, fld, loss_tol=1e-14)
+            fit = estimate(model, fld)
             worst_theta = max(worst_theta, float(np.max(np.abs(fit.theta_hat - theta_star))))
             worst_loss = max(worst_loss, abs(fit.loss_at_min - 1.0))
     assert worst_theta <= 1e-4, worst_theta

@@ -379,10 +379,11 @@ main(["pipeline", "--lattice", "6x6", "--time-nodes", "121", "--knots", "8", "--
       "--out", "pipe.json"])
 main(["cross-validate", "--lattice", "6x6", "--time-nodes", "121", "--knots", "8",
       "--modes", "4", "--folds", "2", "--no-cumulate", "--out", "cv.json"])
-numpy_only = scipy_modules()
 main(["estimate", "--field", "f.bin", "--modes", "2", "--family", "example2",
       "--out", "est_example2.json"])
-print(json.dumps([numpy_only, scipy_modules()]))
+main(["experiment", "--grid-sizes", "8", "--replicates", "2", "--modes", "2",
+      "--family", "example2", "--theta", "1.0,1.6,1.5,1.2", "--out", "exp2.csv"])
+print(json.dumps(scipy_modules()))
 """
 
 
@@ -391,11 +392,9 @@ def test_numpy_only_commands_load_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", _SCIPY_PER_COMMAND], capture_output=True,
                          text=True, check=True, cwd=tmp_path,
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-    numpy_only, after_example2 = json.loads(out.stdout.splitlines()[-1])
-    # every command but an example2 estimate is numpy only, the affine fits and
-    # the pipeline's included; example2's SLSQP fit loads scipy.optimize
-    assert numpy_only == []
-    assert "scipy.optimize" in after_example2
+    # every command is numpy only: the fits of every family, example2's included,
+    # the pipeline and the experiment
+    assert json.loads(out.stdout.splitlines()[-1]) == []
 
 
 def test_config_file_merging(tmp_path):

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -51,6 +52,30 @@ def test_field_invariants():
     fld = CoeffField(np.zeros((2, 2, 2)), spec)
     with pytest.raises(ValueError):
         fld.data[0, 0, 0] = 1.0  # immutable
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_field_check_refuses_one_non_finite_value_and_forms_no_mask(value):
+    # the check reads the mode-major view that simulate_sarh1 returns without a
+    # boolean mask of the field, an eighth of its bytes; one bad value is refused
+    buf = np.random.default_rng(3).standard_normal((10, 200, 200))
+    spec = BasisSpec(support_length=1.0, n_modes=10)
+    CoeffField(np.moveaxis(buf, 0, 2), spec)
+    tracemalloc.start()
+    try:
+        CoeffField(np.moveaxis(buf, 0, 2), spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < buf.nbytes / 100, peak
+    buf[7, 123, 45] = value
+    with pytest.raises(ParameterDomainError, match="must be finite"):
+        CoeffField(np.moveaxis(buf, 0, 2), spec)
+
+
+def test_zero_size_field_accepted():
+    fld = CoeffField(np.zeros((0, 3, 2)), BasisSpec(support_length=1.0, n_modes=2))
+    assert fld.dims == (0, 3)
 
 
 def test_field_shape_faults_are_parameter_domain_errors():

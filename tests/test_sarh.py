@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -238,12 +239,27 @@ def test_simulate_accepts_numpy_integers():
 
 
 def test_import_leaves_out_scipy():
-    # scipy is imported inside the fits and pipeline stages that call it
+    # no module of the package imports scipy
     code = ("import sys, spatialcox; "
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert out.stdout.strip() == "[]"
+
+
+def test_simulate_peak_memory_is_its_output():
+    # the field's finiteness check forms no mask (an eighth of the output, 1.126x
+    # with one); what remains above the output is numpy's per-line ufunc buffers of
+    # the AR(1) passes, about 66 kB at 200^2 x 10
+    params = Sarh1Params("example1", [1.0], 10)
+    simulate_sarh1(params, (200, 200), seed=1)
+    tracemalloc.start()
+    try:
+        out = simulate_sarh1(params, (200, 200), seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * out.data.nbytes, peak / out.data.nbytes
 
 
 def test_simulate_reproducible():

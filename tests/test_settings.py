@@ -13,10 +13,9 @@ from spatialcox.pipeline import SyntheticTruth
 from spatialcox.sarh import default_box, family_jacobian, family_triples
 
 
-def test_estimate_takes_one_setting():
-    params = inspect.signature(estimate).parameters
-    assert list(params) == ["model", "sample", "loss_tol"]
-    assert params["loss_tol"].default == 1e-10
+def test_estimate_takes_no_setting():
+    # one solver for every family, with constant tolerances: the model and the sample only
+    assert list(inspect.signature(estimate).parameters) == ["model", "sample"]
 
 
 def test_config_fields():
