@@ -55,19 +55,15 @@ class ExperimentConfig:
             raise ParameterDomainError(f"theta_true is not causal on mode {bad[0] + 1}")
 
 
-def _replicate(args):
-    cfg, side, rep_seed = args
-    params = Sarh1Params(cfg.family, cfg.theta_true, cfg.n_modes)
-    fld = simulate_sarh1(params, (side, side), seed=rep_seed)
-    fit = estimate(params.model, fld)
-    return np.asarray(fit.theta_hat)
-
-
-def _replicate_safe(args):
+def _replicate(job):
+    # theta_hat, or the repr of the package error that stopped it; other errors are bugs
+    cfg, side, rep_seed = job
     try:
-        return "ok", _replicate(args)
-    except SpatialCoxError as exc:  # recorded, not fatal; other errors are bugs
-        return "err", repr(exc)
+        params = Sarh1Params(cfg.family, cfg.theta_true, cfg.n_modes)
+        fld = simulate_sarh1(params, (side, side), seed=rep_seed)
+        return np.asarray(estimate(params.model, fld).theta_hat)
+    except SpatialCoxError as exc:
+        return repr(exc)
 
 
 @dataclass
@@ -99,37 +95,33 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentTable:
     other exception propagates.  If every replicate of a size fails, the
     RuntimeError quotes the first failure.  Mean and SD (ddof=1) are
     reported with the empirical mean square error (1/R) sum
-    (theta_hat - theta_0)^2 per component.  ``threads`` below 1 raises
+    (theta_hat - theta_0)^2 per component.  With ``threads`` > 1 the
+    replicates of every size share one pool of that many worker processes;
+    the rows do not depend on it.  ``threads`` below 1 raises
     :class:`ParameterDomainError`.
     """
     threads = check_int(threads, "threads", 1)
-    root = np.random.SeedSequence(cfg.seed)
-    rows = []
-    for side, child in zip(cfg.grid_sizes, root.spawn(len(cfg.grid_sizes))):
-        seeds = [int(s.generate_state(1)[0]) for s in child.spawn(cfg.replicates)]
-        jobs = [(cfg, side, s) for s in seeds]
-        if threads > 1:
-            from concurrent.futures import ProcessPoolExecutor
+    children = np.random.SeedSequence(cfg.seed).spawn(len(cfg.grid_sizes))
+    jobs = [(cfg, side, int(seq.generate_state(1)[0]))
+            for side, child in zip(cfg.grid_sizes, children)
+            for seq in child.spawn(cfg.replicates)]
+    if threads > 1:
+        from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                outcomes = list(pool.map(_replicate_safe, jobs))
-        else:
-            outcomes = [_replicate_safe(job) for job in jobs]
-        estimates = [out for status, out in outcomes if status == "ok"]
-        failures = [out for status, out in outcomes if status != "ok"]
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            outcomes = list(pool.map(_replicate, jobs))
+    else:
+        outcomes = list(map(_replicate, jobs))
+    rows = []
+    for i, side in enumerate(cfg.grid_sizes):
+        mine = outcomes[i * cfg.replicates:(i + 1) * cfg.replicates]
+        failures = [out for out in mine if isinstance(out, str)]
+        estimates = [out for out in mine if not isinstance(out, str)]
         if not estimates:
             raise RuntimeError(f"all {len(failures)} replicates failed at side={side}; "
                                f"first failure: {failures[0]}")
-        arr = np.array(estimates)
-        n_val = side * side
-        for c in range(arr.shape[1]):
-            diffs = arr[:, c] - cfg.theta_true[c]
-            rows.append({
-                "N": n_val,
-                "component": c + 1,
-                "mean": float(arr[:, c].mean()),
-                "sd": float(arr[:, c].std(ddof=1)) if arr.shape[0] > 1 else 0.0,
-                "mse": float(np.mean(diffs**2)),
-                "n_failed": len(failures),
-            })
+        rows += [{"N": side * side, "component": c + 1, "mean": float(col.mean()),
+                  "sd": float(col.std(ddof=1)) if col.size > 1 else 0.0,
+                  "mse": float(np.mean((col - cfg.theta_true[c]) ** 2)),
+                  "n_failed": len(failures)} for c, col in enumerate(np.array(estimates).T)]
     return ExperimentTable(rows)

@@ -19,6 +19,7 @@ per-axis sums and the fit from the package's own interior-point routine.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -386,6 +387,17 @@ class PipelineResult:
         return out
 
 
+@contextmanager
+def _stage(diagnostics, name):
+    # times the block into diagnostics[name]; a failure in it re-raises tagged with name
+    t0 = time.perf_counter()
+    try:
+        yield
+    except Exception as exc:
+        raise PipelineStageError(name, str(exc)) from exc
+    diagnostics[name] = time.perf_counter() - t0
+
+
 def run_pipeline(raw: GridSeries, cfg: PipelineConfig | None = None) -> PipelineResult:
     """Run the full estimation pipeline on raw site series.
 
@@ -396,39 +408,30 @@ def run_pipeline(raw: GridSeries, cfg: PipelineConfig | None = None) -> Pipeline
     cfg = cfg or PipelineConfig()
     diagnostics = {}
 
-    def stage(name, fn):
-        t0 = time.perf_counter()
-        try:
-            out = fn()
-        except Exception as exc:
-            raise PipelineStageError(name, str(exc)) from exc
-        diagnostics[name] = time.perf_counter() - t0
-        return out
-
-    def _ingest():
+    with _stage(diagnostics, "ingest"):
         for name, arr in (("counts", raw.values), ("site coordinates", raw.sites)):
             if not np.all(np.isfinite(arr)):
                 raise ParameterDomainError(f"{name} must be finite")
         if np.any(raw.values < 0):
             raise ParameterDomainError("count inputs must be nonnegative")
-        return raw.values
-
-    values = stage("ingest", _ingest)
-    values = stage("cumulate", lambda: np.cumsum(values, axis=1) if cfg.cumulate else values)
+    with _stage(diagnostics, "cumulate"):
+        values = np.cumsum(raw.values, axis=1) if cfg.cumulate else raw.values
 
     support = float(raw.times[-1])
     out_times = np.linspace(0.0, support, cfg.n_time_nodes)
-    spline = stage("smooth", lambda: spline_smooth(raw.times, values, cfg.n_knots))
+    with _stage(diagnostics, "smooth"):
+        spline = spline_smooth(raw.times, values, cfg.n_knots)
 
     # IDW acts on sites and the spline on time, so IDW of the control polygons (the
     # coefficients, at the Greville abscissae) gives those of the interpolated curves
     knots = spline.t
     greville = (knots[1:-3] + knots[2:-2] + knots[3:-1]) / 3.0
-    lattice = stage("idw", lambda: idw_interpolate(
-        GridSeries(raw.sites, greville, spline.c.T), cfg.lattice_dims))
-    basis = BasisSpec(support_length=support, n_modes=cfg.n_modes)
-    trend_coef, coeff, log_scale = stage("project", lambda: _project_curves(
-        knots, lattice.values.T, out_times, cfg.trend_degree, basis))
+    with _stage(diagnostics, "idw"):
+        lattice = idw_interpolate(GridSeries(raw.sites, greville, spline.c.T), cfg.lattice_dims)
+    with _stage(diagnostics, "project"):  # a last time stamp <= 0 is refused here
+        basis = BasisSpec(support_length=support, n_modes=cfg.n_modes)
+        trend_coef, coeff, log_scale = _project_curves(knots, lattice.values.T, out_times,
+                                                       cfg.trend_degree, basis)
     residual_field = CoeffField(coeff.reshape(cfg.lattice_dims + (-1,)), basis)
 
     rms = float(np.sqrt(np.mean(coeff**2)))
@@ -437,26 +440,19 @@ def run_pipeline(raw: GridSeries, cfg: PipelineConfig | None = None) -> Pipeline
         return PipelineResult(out_times, trend_coef, residual_field, np.ones(cfg.n_modes),
                               None, None, None, None, True, diagnostics)
 
-    def _normalize():
-        scale = np.sqrt(TWO_PI_SQ * _gram_min(trig_moments(residual_field)))
-        low = np.flatnonzero(scale < RESIDUAL_RMS_FLOOR * log_scale)
+    with _stage(diagnostics, "normalize"):
+        mode_scale = np.sqrt(TWO_PI_SQ * _gram_min(trig_moments(residual_field)))
+        low = np.flatnonzero(mode_scale < RESIDUAL_RMS_FLOOR * log_scale)
         if low.size:  # a mode inside the trend's span holds rounding noise only
             raise InsufficientResolutionError(
-                f"mode {low[0] + 1} has scale {scale[low[0]]:.3e}, below the residual floor: "
-                f"the degree-{cfg.trend_degree} trend absorbs it; lower trend_degree")
-        return scale
-
-    mode_scale = stage("normalize", _normalize)
-
-    def _estimate():
+                f"mode {low[0] + 1} has scale {mode_scale[low[0]]:.3e}, below the residual "
+                f"floor: the degree-{cfg.trend_degree} trend absorbs it; lower trend_degree")
+    with _stage(diagnostics, "estimate"):
         model = SpectralModel("realdata_pmf", n_modes=cfg.n_modes)
-        normalized_field = CoeffField(residual_field.data / mode_scale, basis)
-        return model, estimate(model, normalized_field)
-
-    model, fit = stage("estimate", _estimate)
+        fit = estimate(model, CoeffField(residual_field.data / mode_scale, basis))
     # the predictor is linear per mode, so it acts on the residual field unscaled
-    predicted_field = stage("predict", lambda: predict_field(residual_field, model,
-                                                             fit.theta_hat))
+    with _stage(diagnostics, "predict"):
+        predicted_field = predict_field(residual_field, model, fit.theta_hat)
 
     return PipelineResult(out_times, trend_coef, residual_field, mode_scale, fit.theta_hat,
                           model.eig_triples(fit.theta_hat), fit, predicted_field, False,

@@ -205,6 +205,9 @@ def _fit_example1(model: SpectralModel, moments: np.ndarray):
 # unsolved, and Boyd & Vandenberghe's centring and line-search constants
 IP_MAX_ITER = 100
 _IP_TOL, _IP_RATIO = 1e-13, 0.1
+# the exact losses are PSD forms, >= 0, so an exact fit with an objective below this is that
+# near optimal: on a rank-one sample the gap test stalls (custom at 4 modes: 3e-13)
+_IP_ZERO = 1e-12
 _IP_MU, _IP_ALPHA, _IP_BETA = 10.0, 0.01, 0.5
 # the trust-region cap, step (in box widths) and decrease rules, and the shares of the
 # predicted decrease below which a step is refused and the radius shrinks
@@ -248,7 +251,8 @@ def _interior_point(a, ub, x, quad=None, target=None):
     Armijo share: where many constraints bind with nearly parallel gradients the
     multipliers swing, and the residual alone lets steps crawl.  It stops once the gap
     and the dual residual are below ``_IP_TOL`` or ``_IP_RATIO`` times the decrease from
-    ``target``, and returns the point, the number of points evaluated and whether it so stopped.
+    ``target``, or without one (the exact losses) once the objective is below ``_IP_ZERO``.
+    It returns the point, the number of points evaluated and whether it so stopped.
     """
     n, phase_one = x.size, quad is None
     c0, b, p = quad if quad is not None else (np.zeros(0), np.zeros((0, n - 1)),
@@ -284,8 +288,11 @@ def _interior_point(a, ub, x, quad=None, target=None):
         gap, tol = -f @ lam, _IP_TOL
         if phase_one and x[-1] + gap <= 0.0:  # within half the least t, or better
             return x, n_evals, True
-        if target is not None:  # the objective is t + weight sum_k q_k, q_k = f_k + t
-            tol = max(tol, _IP_RATIO * (target - x[-1] - weight * (f[:k] + x[-1]).sum()))
+        objective = x[-1] + weight * (f[:k] + x[-1]).sum()  # q_k = f_k + t
+        if target is not None:
+            tol = max(tol, _IP_RATIO * (target - objective))
+        elif not phase_one and objective <= _IP_ZERO:
+            return x, n_evals, True
         if gap <= tol and np.linalg.norm(g0 + df.T @ lam) <= tol:
             return x, n_evals, True
         tau = _IP_MU * m / gap

@@ -58,11 +58,30 @@ def test_csv_layout(tmp_path):
 
 
 def test_threads_match_serial():
-    cfg = small_cfg(grid_sizes=(24,), replicates=3)
+    cfg = small_cfg(grid_sizes=(16, 24), replicates=3)
     serial = run_experiment(cfg, threads=1)
     pooled = run_experiment(cfg, threads=2)
-    for a, b in zip(serial.rows, pooled.rows):
-        assert a["mean"] == pytest.approx(b["mean"], rel=0, abs=0)
+    assert [r["N"] for r in serial.rows] == [256, 576]
+    assert serial.rows == pooled.rows
+
+
+@pytest.mark.parametrize("threads, pools", [(2, 1), (1, 0)])
+def test_one_pool_per_run(monkeypatch, threads, pools):
+    # a pool used to be started for each grid size, three here
+    import concurrent.futures
+
+    built = []
+
+    class Counted(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+    table = run_experiment(small_cfg(grid_sizes=(8, 12, 16), replicates=2, n_modes=2),
+                           threads=threads)
+    assert len(built) == pools
+    assert sorted({r["N"] for r in table.rows}) == [64, 144, 256]
 
 
 def test_config_validation():
@@ -121,6 +140,22 @@ def test_all_failed_reports_first_failure(monkeypatch):
     monkeypatch.setattr(ex, "estimate", singular)
     with pytest.raises(RuntimeError, match=r"all 2 replicates failed.*SingularSpectrumError"):
         run_experiment(small_cfg(grid_sizes=(24,), replicates=2))
+
+
+def test_all_failed_names_the_failing_size(monkeypatch):
+    # the first size fits, the second fails in every replicate
+    import spatialcox.experiment as ex
+
+    real = ex.estimate
+
+    def fails_at_24(model, fld):
+        if fld.dims == (24, 24):
+            raise SingularSpectrumError("injected")
+        return real(model, fld)
+
+    monkeypatch.setattr(ex, "estimate", fails_at_24)
+    with pytest.raises(RuntimeError, match=r"all 2 replicates failed at side=24;"):
+        run_experiment(small_cfg(grid_sizes=(16, 24), replicates=2))
 
 
 def test_non_causal_theta_rejected_at_construction():

@@ -600,12 +600,30 @@ def test_pipeline_ambiguous_sources_tagged_idw():
     assert isinstance(err.value.__cause__, AmbiguousInterpolationError)
 
 
-def test_pipeline_stage_error_tagged():
-    series = GridSeries([[0.0, 0.0], [1.0, 1.0]], [1.0, 2.0],
-                        [[-1.0, 2.0], [0.0, 1.0]])
+def _twelve_months():
+    series, _ = tiny_series(seed=4, dims=(4, 4), months=60)
+    return GridSeries(series.sites, np.arange(1.0, 13.0), series.values[:, :12])
+
+
+def _times_before_zero():
+    series, _ = tiny_series(seed=4, dims=(4, 4), months=60)
+    return GridSeries(series.sites, series.times - series.times[-1] - 1.0, series.values)
+
+
+@pytest.mark.parametrize("make, kw, stage, cause", [
+    (lambda: GridSeries([[0.0, 0.0], [1.0, 1.0]], [1.0, 2.0], [[-1.0, 2.0], [0.0, 1.0]]),
+     {}, "ingest", ParameterDomainError),
+    # 20 knots need 24 time stamps
+    (_twelve_months, dict(lattice_dims=(4, 4), n_knots=20), "smooth",
+     InsufficientResolutionError),
+    # the basis support is the last time stamp; this error used to escape untagged
+    (_times_before_zero, dict(lattice_dims=(4, 4)), "project", ParameterDomainError),
+], ids=["ingest", "smooth", "project"])
+def test_pipeline_stage_error_tagged(make, kw, stage, cause):
     with pytest.raises(PipelineStageError) as err:
-        run_pipeline(series, tiny_cfg())
-    assert err.value.stage == "ingest"
+        run_pipeline(make(), tiny_cfg(**kw))
+    assert err.value.stage == stage
+    assert isinstance(err.value.__cause__, cause)
 
 
 def test_cross_validation_smoke():

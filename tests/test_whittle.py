@@ -573,6 +573,19 @@ def test_affine_fit_is_scale_free(family):
         np.testing.assert_allclose(fit.theta_hat, fits[1].theta_hat, rtol=0, atol=1e-10)
 
 
+@pytest.mark.parametrize("family", ["custom", "realdata_pmf"])
+@pytest.mark.parametrize("n_modes", [2, 4])
+def test_affine_fit_of_rank_one_moments_converges(family, n_modes):
+    # a constant field's moments are rank one: every loss vanishes on the face
+    # l1 + l2 + l3 = 1, where the interior-point gap stalls.  These fits used to end
+    # unconverged after 315-438 evaluations with the sup loss already below 4e-13
+    fit = estimate(SpectralModel(family, n_modes=n_modes),
+                   CoeffField(np.ones((8, 8, n_modes)), BasisSpec(1.0, n_modes)))
+    assert fit.converged
+    assert fit.n_loss_evals <= 260
+    assert fit.loss_at_min <= 1e-12
+
+
 @pytest.mark.parametrize("seed", [21, 22, None])
 def test_triple_fit_not_above_dense_grid_oracle(seed):
     # seeded fields of two causal modes, and (None) the band triple's spectrum
