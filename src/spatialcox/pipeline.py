@@ -1,9 +1,10 @@
 """Space-time count ingestion and the estimation pipeline.
 
-Stages (in order): cumulate raw records, least-squares cubic B-spline fit
-per site, inverse-distance-weighted (1 / d^2) interpolation of the spline
-coefficients to a regular lattice (weights in blocks of lattice rows, never
-O(nodes x sites)), one streamed pass over a dense time grid from 0 to the last
+Stages (in order): least-squares cubic B-spline fit per site of the raw
+records' running totals, taken in the spline's coefficient space (no (sites,
+times) running total is formed), inverse-distance-weighted (1 / d^2)
+interpolation of the spline coefficients to a regular lattice (weights in
+blocks of lattice rows, never O(nodes x sites)), one streamed pass over a dense time grid from 0 to the last
 time stamp that evaluates the lattice curves by local support, logs them
 floored at 1 and accumulates their polynomial trend and their detrended sine
 coordinates P(log) - (P U)(U^T log), U orthonormal on the trend span, in time
@@ -27,7 +28,7 @@ import numpy as np
 from .basis import BasisSpec, _quadrature_rows, design_matrix, project_samples
 from .cox import predict_field
 from .errors import (AmbiguousInterpolationError, DivisionGuardError, FileFormatError,
-                     InsufficientResolutionError, ParameterDomainError,
+                     InsufficientResolutionError, OverflowGuardError, ParameterDomainError,
                      PipelineStageError, RankDeficiencyError, check_dims, check_int)
 from .field import CoeffField, _read_numeric_csv, _write_csv
 from .sarh import (TWO_PI_SQ, Sarh1Params, SpectralModel, _gram_min, family_triples,
@@ -40,7 +41,7 @@ class GridSeries:
     """Raw space-time observations: one series per site.
 
     sites : array (S, 2) of (lon, lat) or lattice coordinates
-    times : finite, strictly increasing time stamps (T,)
+    times : finite, strictly increasing time stamps (T,), T >= 1
     values : array (S, T)
     """
 
@@ -52,6 +53,8 @@ class GridSeries:
         sites = np.atleast_2d(np.asarray(self.sites, dtype=float))
         times = np.asarray(self.times, dtype=float)
         values = np.atleast_2d(np.asarray(self.values, dtype=float))
+        if times.ndim != 1 or not times.size:
+            raise ParameterDomainError("times must be a non-empty 1-D array")
         # times[1:] > times[:-1], not np.diff: a gap wider than the float range overflows
         if not (np.all(np.isfinite(times)) and np.all(times[1:] > times[:-1])):
             raise ParameterDomainError("times must be finite and strictly increasing")
@@ -125,8 +128,11 @@ def idw_interpolate(series: GridSeries, target_dims) -> GridSeries:
     library is needed and no (nodes x sites) array is formed: the
     weights take O(block x sites) memory, with the block set by
     ``BLOCK_CELLS``, and each block's nodes one (block x sites) @
-    (sites x columns) product.  A block whose nodes all coincide with sources
-    forms no weights, and a lattice of such blocks allocates none.
+    (sites x columns) product, formed columns-first as (columns x sites) @
+    (sites x block) into a C-ordered (columns x nodes) array whose transpose
+    is returned, so that each column's lattice values are one contiguous row.
+    A block whose nodes all coincide with sources forms no weights, and a
+    lattice of such blocks allocates none.
     """
     n1, n2 = check_dims(target_dims, "target_dims", 1)
     src = series.values
@@ -164,8 +170,9 @@ def idw_interpolate(series: GridSeries, target_dims) -> GridSeries:
         raise AmbiguousInterpolationError(f"node {nodes[node[later][~same][0]]} "
                                           "coincides with sources holding distinct values")
 
-    out = np.empty((n1 * n2, src.shape[1]))
-    # a block is whole lattice rows or part of one, so its nodes are contiguous in out
+    out = np.empty((src.shape[1], n1 * n2))
+    # a block is whole lattice rows or part of one, so its nodes are contiguous columns
+    # of out
     rows = min(n1, max(1, BLOCK_CELLS // (n2 * n_sites)))
     cols = min(n2, max(1, BLOCK_CELLS // n_sites))
     missed = np.ones((n1, n2), dtype=bool)
@@ -181,11 +188,11 @@ def idw_interpolate(series: GridSeries, target_dims) -> GridSeries:
                 wb = w[:min(rows, n1 - a), :min(cols, n2 - b)]
                 np.add(dx2[a:a + wb.shape[0], None], dy2[None, b:b + wb.shape[1]], out=wb)
                 wb = np.reciprocal(wb, out=wb).reshape(-1, n_sites)
-                ob = out[a * n2 + b:a * n2 + b + wb.shape[0]]
-                np.matmul(wb, src, out=ob)
-                ob /= wb.sum(axis=1)[:, None]
-    out[node[first]] = src[site[first]]
-    return GridSeries(nodes, series.times, out)
+                ob = out[:, a * n2 + b:a * n2 + b + wb.shape[0]]
+                np.matmul(src.T, wb.T, out=ob)
+                ob /= wb.sum(axis=1)
+    out[:, node[first]] = src[site[first]].T
+    return GridSeries(nodes, series.times, out.T)
 
 
 def _svd_of_design(design, what):
@@ -247,11 +254,15 @@ class CubicBSpline:
         return curves.T.reshape(self.c.shape[1:] + x.shape)
 
 
-def spline_smooth(times, values, n_knots: int) -> CubicBSpline:
+def spline_smooth(times, values, n_knots: int, cumulate: bool = False) -> CubicBSpline:
     """Least-squares cubic B-spline fit with uniform interior knots.
 
     values : (..., T) curves sampled at ``times``, fitted jointly by one SVD of
-    the shared (T, n_knots + 4) design.  Returns the fitted :class:`CubicBSpline`:
+    the shared (T, n_knots + 4) design.  With ``cumulate`` the curves fitted are
+    the running totals of ``values`` along time.  The fit is linear, so they are
+    taken in coefficient space, U^T cumsum(V)^T = (R U)^T V^T with R U the sums
+    of U's rows from the last one up, and no running total of ``values`` is
+    formed.  Returns the fitted :class:`CubicBSpline`:
     called on a grid in the data range it gives the (..., len(grid)) curves, and
     its ``c`` holds the (n_knots + 4, ...) coefficients.
     """
@@ -267,6 +278,8 @@ def spline_smooth(times, values, n_knots: int) -> CubicBSpline:
     design = np.zeros((t.size, knots.size - 4))
     np.put_along_axis(design, ell[:, None] + np.arange(-3, 1), basis, axis=1)
     u, solve = _svd_of_design(design, "spline")
+    if cumulate:
+        u = np.cumsum(u[::-1], axis=0)[::-1]
     coef = solve @ (u.T @ v.reshape(-1, t.size).T)
     return CubicBSpline(knots, coef.reshape(coef.shape[:1] + v.shape[:-1]))
 
@@ -387,6 +400,18 @@ class PipelineResult:
         return out
 
 
+def _finite_min(arr, error, message):
+    # the least entry of arr (0 when it is empty), raising error(message) unless every
+    # entry is finite: min and max are finite iff every value is (NaN propagates), and
+    # form no mask
+    if not arr.size:
+        return 0.0
+    least = arr.min()
+    if not (np.isfinite(least) and np.isfinite(arr.max())):
+        raise error(message)
+    return least
+
+
 @contextmanager
 def _stage(diagnostics, name):
     # times the block into diagnostics[name]; a failure in it re-raises tagged with name
@@ -409,18 +434,16 @@ def run_pipeline(raw: GridSeries, cfg: PipelineConfig | None = None) -> Pipeline
     diagnostics = {}
 
     with _stage(diagnostics, "ingest"):
-        for name, arr in (("counts", raw.values), ("site coordinates", raw.sites)):
-            if not np.all(np.isfinite(arr)):
-                raise ParameterDomainError(f"{name} must be finite")
-        if np.any(raw.values < 0):
+        least_count = _finite_min(raw.values, ParameterDomainError, "counts must be finite")
+        _finite_min(raw.sites, ParameterDomainError, "site coordinates must be finite")
+        if least_count < 0:
             raise ParameterDomainError("count inputs must be nonnegative")
-    with _stage(diagnostics, "cumulate"):
-        values = np.cumsum(raw.values, axis=1) if cfg.cumulate else raw.values
 
     support = float(raw.times[-1])
     out_times = np.linspace(0.0, support, cfg.n_time_nodes)
     with _stage(diagnostics, "smooth"):
-        spline = spline_smooth(raw.times, values, cfg.n_knots)
+        spline = spline_smooth(raw.times, raw.values, cfg.n_knots, cumulate=cfg.cumulate)
+        _finite_min(spline.c, OverflowGuardError, "spline coefficients overflow the float range")
 
     # IDW acts on sites and the spline on time, so IDW of the control polygons (the
     # coefficients, at the Greville abscissae) gives those of the interpolated curves
@@ -432,7 +455,7 @@ def run_pipeline(raw: GridSeries, cfg: PipelineConfig | None = None) -> Pipeline
         basis = BasisSpec(support_length=support, n_modes=cfg.n_modes)
         trend_coef, coeff, log_scale = _project_curves(knots, lattice.values.T, out_times,
                                                        cfg.trend_degree, basis)
-    residual_field = CoeffField(coeff.reshape(cfg.lattice_dims + (-1,)), basis)
+        residual_field = CoeffField(coeff.reshape(cfg.lattice_dims + (-1,)), basis)
 
     rms = float(np.sqrt(np.mean(coeff**2)))
     if rms < RESIDUAL_RMS_FLOOR * log_scale:
@@ -556,8 +579,7 @@ def run_cross_validation(raw: GridSeries, cfg: PipelineConfig | None = None,
 
     t_eval = np.linspace(0.0, float(raw.times[-1]), cfg.n_time_nodes)[::8]
 
-    values = np.cumsum(raw.values[folds], axis=1) if cfg.cumulate else raw.values[folds]
-    smoothed = spline_smooth(raw.times, values, cfg.n_knots)
+    smoothed = spline_smooth(raw.times, raw.values[folds], cfg.n_knots, cumulate=cfg.cumulate)
     observed = np.maximum(smoothed(np.clip(t_eval, raw.times[0], raw.times[-1])), LOG_FLOOR)
 
     preds = []

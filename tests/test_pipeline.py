@@ -19,7 +19,7 @@ from spatialcox import (BasisSpec, CoeffField, GridSeries, PipelineConfig, cvfar
                         run_pipeline, save_series_csv, spline_smooth)
 from spatialcox.errors import (AmbiguousInterpolationError, DivisionGuardError, FileFormatError,
                                InsufficientResolutionError, ParameterDomainError,
-                               PipelineStageError, RankDeficiencyError)
+                               OverflowGuardError, PipelineStageError, RankDeficiencyError)
 from spatialcox.pipeline import _bspline_basis, _evaluate_spline, _project_curves
 from spatialcox.sarh import TWO_PI_SQ, Sarh1Params, _gram_min, simulate_sarh1
 from spatialcox.whittle import trig_moments
@@ -52,6 +52,13 @@ def test_series_validation():
         GridSeries([[0, 0]], [1.0, 2.0], [[1.0, 2.0, 3.0]])
     # finite times whose gap exceeds the float range used to overflow in np.diff
     GridSeries([[0, 0]], [-1.7e308, 1.7e308], [[1.0, 2.0]])
+
+
+def test_series_rejects_empty_times():
+    # a series without time stamps used to reach run_pipeline, whose last-time-stamp
+    # lookup raised a bare IndexError outside every stage
+    with pytest.raises(ParameterDomainError, match="non-empty"):
+        GridSeries([[0, 0], [1, 1]], np.zeros(0), np.zeros((2, 0)))
 
 
 @pytest.mark.parametrize("times", [[1.0, 2.0, np.nan], [np.nan, 1.0, 2.0], [1.0, 2.0, np.inf],
@@ -333,6 +340,36 @@ def test_local_support_evaluation_matches_the_dense_design():
                                rtol=1e-12, atol=0)
 
 
+@st.composite
+def count_series(draw):
+    """Integer-valued counts, zeros included, at evenly spaced time stamps (monthly
+    records), with a knot count they resolve: every knot interval holds a stamp."""
+    n_knots = draw(st.integers(0, 12))
+    n_times = draw(st.integers(n_knots + 4, n_knots + 80))
+    n_series = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    times = draw(st.floats(-100.0, 100.0)) + draw(st.floats(0.1, 10.0)) * np.arange(n_times)
+    counts = rng.integers(0, draw(st.integers(1, 10**6)), size=(n_series, n_times))
+    counts[rng.random(counts.shape) < draw(st.floats(0.0, 1.0))] = 0
+    return times, counts.astype(float), n_knots
+
+
+@settings(deadline=None, max_examples=100)
+@given(count_series())
+def test_cumulated_spline_is_the_spline_of_the_running_totals(case):
+    # the smoother is linear, so the running totals can be taken in coefficient space
+    times, counts, n_knots = case
+    got = spline_smooth(times, counts, n_knots, cumulate=True).c
+    want = spline_smooth(times, np.cumsum(counts, axis=-1), n_knots).c
+    assert got.shape == want.shape == (n_knots + 4, counts.shape[0])
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    # without cumulate it is the thin-SVD least-squares fit as before, bit for bit
+    plain = spline_smooth(times, counts, n_knots, cumulate=False)
+    u, sv, vt = np.linalg.svd(BSpline.design_matrix(times, plain.t, 3).toarray(),
+                              full_matrices=False)
+    assert np.array_equal(plain.c, (vt.T / sv) @ (u.T @ counts.T))
+
+
 def test_spline_needs_enough_points():
     with pytest.raises(InsufficientResolutionError):
         spline_smooth(np.linspace(0, 1, 10), np.zeros(10), n_knots=8)
@@ -462,8 +499,8 @@ def test_pipeline_end_to_end_deterministic():
     assert res.lambda_hat.shape == (10, 3)
     assert res.residual_field.dims == (12, 12)
     assert np.all(res.mode_scale > 0)
-    assert list(res.diagnostics) == ["ingest", "cumulate", "smooth", "idw", "project",
-                                     "normalize", "estimate", "predict"]
+    assert list(res.diagnostics) == ["ingest", "smooth", "idw", "project", "normalize",
+                                     "estimate", "predict"]
     res2 = run_pipeline(series, cfg)
     np.testing.assert_array_equal(res.lambda_hat, res2.lambda_hat)
     # predictions are finite log-intensity curves on a strided grid
@@ -725,18 +762,38 @@ def test_pipeline_loss_at_min_reads_one():
 # --- input checks at the boundary ---------------------------------------------
 
 
-@pytest.mark.parametrize("where", ["count", "site"])
-def test_pipeline_non_finite_input_tagged_ingest(where):
+@pytest.mark.parametrize("where, bad", [("count", np.nan), ("site", np.nan),
+                                        ("count", np.inf), ("site", np.inf),
+                                        ("count", -np.inf), ("site", -np.inf)],
+                         ids=["count", "site", "count_inf", "site_inf", "count_minus_inf",
+                              "site_minus_inf"])
+def test_pipeline_non_finite_input_tagged_ingest(where, bad):
+    # min and max carry NaN and either infinity, so no mask is needed to see them; a
+    # -inf count is refused as non-finite, not as negative
     series, _ = tiny_series(seed=4, dims=(4, 4), months=60)
     sites, values = np.array(series.sites), np.array(series.values)
     if where == "count":
-        values[5, 7] = np.nan
+        values[5, 7] = bad
     else:
-        sites[5, 1] = np.nan
-    with pytest.raises(PipelineStageError) as err:
+        sites[5, 1] = bad
+    with pytest.raises(PipelineStageError, match=f"{where}.* must be finite") as err:
         run_pipeline(GridSeries(sites, series.times, values), tiny_cfg(lattice_dims=(4, 4)))
     assert err.value.stage == "ingest"
     assert isinstance(err.value.__cause__, ParameterDomainError)
+
+
+def test_pipeline_overflowing_running_totals_tagged_smooth():
+    # 60 counts of 1e307 sum past the float range; the coefficients came out inf and
+    # escaped as a bare ParameterDomainError from the residual field, outside every stage
+    series, _ = make_synthetic_counts((6, 6), n_modes=4, n_months=60, seed=1)
+    huge = GridSeries(series.sites, series.times, np.full(series.values.shape, 1e307))
+    cfg = PipelineConfig((6, 6), n_time_nodes=120, n_knots=8, trend_degree=3, n_modes=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(PipelineStageError) as err:
+            run_pipeline(huge, cfg)
+    assert err.value.stage == "smooth"
+    assert isinstance(err.value.__cause__, OverflowGuardError)
 
 
 @pytest.mark.parametrize("bad", [dict(lattice_dims=(0, 5)), dict(lattice_dims=(1, 1)),
