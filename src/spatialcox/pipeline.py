@@ -40,9 +40,11 @@ from .whittle import ThetaEstimate, estimate, trig_moments
 class GridSeries:
     """Raw space-time observations: one series per site.
 
-    sites : array (S, 2) of (lon, lat) or lattice coordinates
+    sites : finite array (S, 2) of (lon, lat) or lattice coordinates
     times : finite, strictly increasing time stamps (T,), T >= 1
     values : array (S, T)
+
+    Sites, times or a values shape other than these raise :class:`ParameterDomainError`.
     """
 
     sites: np.ndarray
@@ -53,6 +55,8 @@ class GridSeries:
         sites = np.atleast_2d(np.asarray(self.sites, dtype=float))
         times = np.asarray(self.times, dtype=float)
         values = np.atleast_2d(np.asarray(self.values, dtype=float))
+        if sites.ndim != 2 or sites.shape[1] != 2 or not np.all(np.isfinite(sites)):
+            raise ParameterDomainError("sites must be a finite (n_sites, 2) array")
         if times.ndim != 1 or not times.size:
             raise ParameterDomainError("times must be a non-empty 1-D array")
         # times[1:] > times[:-1], not np.diff: a gap wider than the float range overflows
@@ -435,7 +439,6 @@ def run_pipeline(raw: GridSeries, cfg: PipelineConfig | None = None) -> Pipeline
 
     with _stage(diagnostics, "ingest"):
         least_count = _finite_min(raw.values, ParameterDomainError, "counts must be finite")
-        _finite_min(raw.sites, ParameterDomainError, "site coordinates must be finite")
         if least_count < 0:
             raise ParameterDomainError("count inputs must be nonnegative")
 

@@ -133,24 +133,6 @@ def family_jacobian(family: str, theta, n_modes: int) -> np.ndarray:
     return np.stack([d1, d2, -(d1 * l2[:, None] + l1[:, None] * d2)], axis=1)
 
 
-def family_hessian(family: str, theta, n_modes: int) -> np.ndarray:
-    """d^2 triple_k / d theta^2, shape (M, 3, q, q): zero for the affine families (a read-only
-    broadcast); for example2 d2 l_q / d th_{q,1} d th_{q,2} = -r_q^2 and d2 l_q / d th_{q,2}^2 =
-    2 l_q r_q^2, r_q = 1/(k + th_{q,2}), and l3 = -l1 l2 adds -(l2 H1 + l1 H2 + d1 d2' + d2 d1')."""
-    n_modes = check_int(n_modes, "n_modes", 1)
-    if family in AFFINE_FAMILIES:
-        return np.broadcast_to(0.0, (n_modes, 3) + (len(default_box(family, n_modes)),) * 2)
-    d1, d2, _ = np.moveaxis(family_jacobian(family, theta, n_modes), 1, 0)
-    h = np.zeros((n_modes, 3, 4, 4))
-    for q, d in enumerate((d1, d2)):  # d l_q / d th_{q,1} = r_q, d l_q / d th_{q,2} = -l_q r_q
-        h[:, q, 2 * q, 2 * q + 1] = h[:, q, 2 * q + 1, 2 * q] = -d[:, 2 * q] ** 2
-        h[:, q, 2 * q + 1, 2 * q + 1] = -2.0 * d[:, 2 * q] * d[:, 2 * q + 1]
-    l1, l2 = (d1[:, 0] * theta[0])[:, None, None], (d2[:, 2] * theta[2])[:, None, None]
-    cross = d1[:, :, None] * d2[:, None, :]
-    h[:, 2] = -(l2 * h[:, 0] + l1 * h[:, 1] + cross + cross.transpose(0, 2, 1))
-    return h
-
-
 @lru_cache(maxsize=8)
 def _affine_jacobian(family, n_modes):
     eye = np.eye(len(default_box(family, n_modes)))

@@ -12,9 +12,10 @@ moments are the circular lag covariances of the field at (0,0), (1,0),
 products without forming its periodogram.  In the eigenvalue triple each
 mode's loss is a PSD quadratic form.  example1 is fitted exactly, over the
 real roots of a few polynomials in theta^2.  Every other family takes one
-trust-region loop whose steps each solve a convex program over local models
-of the losses by a numpy interior-point method; for ``AFFINE_FAMILIES``,
-whose triples are affine in theta, the model is exact and one step final.
+trust-region loop whose steps each solve, by a numpy interior-point method,
+the convex program over the exact losses of the triple map linearised at
+the step's start; for ``AFFINE_FAMILIES``, whose triples are affine in
+theta, that model is the losses and one step final.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ import numpy as np
 
 from .errors import ParameterDomainError
 from .field import CoeffField
-from .sarh import (_GRAM, _LAGS, CAUSAL_FACES, TWO_PI_SQ, SpectralModel, _gram_form,
-                   c2_innovation_var, family_hessian, family_jacobian, family_triples)
+from .sarh import (_GRAM, _LAGS, AFFINE_FAMILIES, CAUSAL_FACES, TWO_PI_SQ, SpectralModel,
+                   _gram_form, c2_innovation_var, family_jacobian, family_triples)
 
 # ---------------------------------------------------------------------------
 # loss
@@ -218,24 +219,20 @@ _TR_ACCEPT, _TR_SHRINK = 0.1, 0.25
 
 def _local_model(model: SpectralModel, moments: np.ndarray, theta, read):
     """The mode losses times the causal sigma2, 1/(2 pi)^2, as quadratics c_k + b_k.d +
-    d' P_k d in the step d of the ``read`` coordinates, (c, b, P); the faces linearised,
-    rows [A, m] of A d <= m; and whether the model is exact.  With g_k = -2 (G_k a)[1:]
-    of :func:`_gram_form` and J, T the family's Jacobian and Hessian, b_k = J_k' g_k and
-    P_k = J_k' G_k[1:, 1:] J_k + g_k.T_k / 2 with its negative eigenvalues clipped: the
-    Taylor model, made convex, and for the affine families (T = 0) the losses."""
+    d' P_k d in the step d of the ``read`` coordinates, (c, b, P), and the faces
+    linearised, rows [A, m] of A d <= m.  Each quadratic is the exact loss a' G_k a of the
+    linearised triple map l_k + J_k d, a = (1, -(l_k + J_k d)): with g_k = -2 (G_k a)[1:]
+    of :func:`_gram_form`, b_k = J_k' g_k and P_k = J_k' G_k[1:, 1:] J_k, PSD as G_k is
+    (the Gauss-Newton model; Nocedal & Wright, ch. 10), and for the affine families,
+    whose triples are J theta, the losses themselves."""
     triples = model.eig_triples(theta)
     c, grad = _gram_form(triples, moments)
     jac = family_jacobian(model.family, theta, model.n_modes)[..., read]
-    hess = family_hessian(model.family, theta, model.n_modes)
     p = np.einsum("kiq,kij,kjr->kqr", jac, moments[:, _GRAM][:, 1:, 1:], jac)
-    if hess.any():
-        p += 0.5 * np.einsum("ki,kiqr->kqr", grad, hess)[:, read][:, :, read]
-        w, v = np.linalg.eigh(p)
-        p = np.einsum("kqi,ki,kri->kqr", v, np.maximum(w, 0.0), v)
     faces = np.einsum("fi,kiq->kfq", CAUSAL_FACES, jac).reshape(-1, jac.shape[-1])
     lin = np.unique(np.hstack([faces, (1.0 - triples @ CAUSAL_FACES.T).reshape(-1, 1)]),
                     axis=0)  # modes sharing a triple share its faces
-    return (c, np.einsum("kiq,ki->kq", jac, grad), p), lin, not hess.any()
+    return (c, np.einsum("kiq,ki->kq", jac, grad), p), lin
 
 
 def _interior_point(a, ub, x, quad=None, target=None):
@@ -340,14 +337,15 @@ def _fit_trust_region(model: SpectralModel, moments: np.ndarray, start=None):
         theta[read] = np.asarray(start, dtype=float)[read]
     lo, hi = box[read].T
     width, fence = hi - lo, np.vstack([np.eye(read.sum()), -np.eye(read.sum())])
-    quad, lin, exact = _local_model(model, moments, theta, read)
+    exact = model.family in AFFINE_FAMILIES  # the model is then the losses themselves
+    quad, lin = _local_model(model, moments, theta, read)
     if lin[:, -1].min() <= 0.0:  # phase I: min s s.t. A d - s <= m inside the box
         x, _, _ = _interior_point(rows(-1.0), np.r_[lin[:, -1], hi - theta[read], theta[read] - lo],
                                   np.append(np.zeros(len(width)), 1.0 - lin[:, -1].min()))
         if x[-1] >= 0.0:
             raise ParameterDomainError("the theta box holds no causal parameter")
         theta[read] += x[:-1]
-        quad, lin, exact = _local_model(model, moments, theta, read)
+        quad, lin = _local_model(model, moments, theta, read)
     radius, n_evals = 1.0, 0
     for _ in range(TR_MAX_ITER):
         scale = quad[0].max() if quad[0].max() > 0.0 else 1.0  # losses of order one
@@ -370,7 +368,7 @@ def _fit_trust_region(model: SpectralModel, moments: np.ndarray, start=None):
         predicted = merit(c) - merit(c + (b + p @ d) @ d)
         actual = merit(c) - merit(trial_model[0][0] / scale)
         if actual > max(_TR_ACCEPT * predicted, 0.0):
-            theta, (quad, lin, exact) = trial, trial_model
+            theta, (quad, lin) = trial, trial_model
         radius = _TR_SHRINK * step if actual < _TR_SHRINK * predicted else min(2 * radius, 1.0)
         if predicted <= _TR_DECREASE_TOL or step <= _TR_STEP_TOL:  # the decrease and step rules
             return theta, n_evals, True

@@ -70,6 +70,21 @@ def test_series_rejects_non_finite_times(times):
         GridSeries([[0.0, 0.0]], times, [[1.0, 2.0, 3.0]])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1, 3],
+                         ids=["site", "site_inf", "site_minus_inf", "one_column", "three_columns"])
+def test_series_rejects_bad_sites(bad):
+    # a NaN site made idw_interpolate return an all-NaN lattice without a word, an inf
+    # one a bare RuntimeWarning, and sites of 1 or 3 columns an untyped ValueError there
+    series, _ = tiny_series(seed=4, dims=(4, 4), months=60)
+    sites = np.array(series.sites)
+    if isinstance(bad, int):
+        sites = np.hstack([sites, sites])[:, :bad]
+    else:
+        sites[5, 1] = bad
+    with pytest.raises(ParameterDomainError, match=r"sites must be a finite \(n_sites, 2\)"):
+        GridSeries(sites, series.times, series.values)
+
+
 def test_series_csv_roundtrip(tmp_path):
     series, _ = tiny_series(seed=3, dims=(3, 3), months=24)
     path = tmp_path / "series.csv"
@@ -762,22 +777,16 @@ def test_pipeline_loss_at_min_reads_one():
 # --- input checks at the boundary ---------------------------------------------
 
 
-@pytest.mark.parametrize("where, bad", [("count", np.nan), ("site", np.nan),
-                                        ("count", np.inf), ("site", np.inf),
-                                        ("count", -np.inf), ("site", -np.inf)],
-                         ids=["count", "site", "count_inf", "site_inf", "count_minus_inf",
-                              "site_minus_inf"])
-def test_pipeline_non_finite_input_tagged_ingest(where, bad):
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                         ids=["count", "count_inf", "count_minus_inf"])
+def test_pipeline_non_finite_input_tagged_ingest(bad):
     # min and max carry NaN and either infinity, so no mask is needed to see them; a
     # -inf count is refused as non-finite, not as negative
     series, _ = tiny_series(seed=4, dims=(4, 4), months=60)
-    sites, values = np.array(series.sites), np.array(series.values)
-    if where == "count":
-        values[5, 7] = bad
-    else:
-        sites[5, 1] = bad
-    with pytest.raises(PipelineStageError, match=f"{where}.* must be finite") as err:
-        run_pipeline(GridSeries(sites, series.times, values), tiny_cfg(lattice_dims=(4, 4)))
+    values = np.array(series.values)
+    values[5, 7] = bad
+    with pytest.raises(PipelineStageError, match="count.* must be finite") as err:
+        run_pipeline(GridSeries(series.sites, series.times, values), tiny_cfg(lattice_dims=(4, 4)))
     assert err.value.stage == "ingest"
     assert isinstance(err.value.__cause__, ParameterDomainError)
 

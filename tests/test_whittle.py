@@ -16,8 +16,8 @@ from spatialcox import (BasisSpec, CoeffField, FrequencyGrid, Periodogram,
                         whittle_loss)
 from spatialcox.errors import ParameterDomainError, SingularSpectrumError
 from spatialcox.pipeline import DEFAULT_TRUE_PMF
-from spatialcox.sarh import (CAUSAL_FACES, TRIPLE_BOX, _has_torus_zero, c2_innovation_var,
-                             family_hessian)
+from spatialcox.sarh import (_GRAM, CAUSAL_FACES, TRIPLE_BOX, _gram_form, _has_torus_zero,
+                             c2_innovation_var, family_jacobian)
 from spatialcox.whittle import (TIE_BREAK, _example1_pieces, _fit_trust_region, _local_model,
                                 _mode_losses)
 
@@ -742,7 +742,7 @@ def test_example2_fit_not_above_slsqp_oracle(seed):
 def test_example2_noise_free_fits_bound_their_evaluations():
     # criterion 7's noise-free spectra bind every mode with a zero gradient, where
     # the inner solves need most evaluations: each fit converges within 400 of
-    # them (343 at most, against 36-48 for SLSQP) and recovers theta* within 1e-5
+    # them (338 at most, against 36-48 for SLSQP) and recovers theta* within 1e-5
     rng = np.random.default_rng(77)
     rng.random((10, 1))  # criterion 7's example1 draws come first
     model = SpectralModel("example2", n_modes=10)
@@ -760,9 +760,10 @@ def test_example2_noise_free_fits_bound_their_evaluations():
 @pytest.mark.parametrize("family", ["example2", "triple", "custom", "realdata_pmf"])
 def test_mode_loss_jacobian_matches_central_differences(family):
     # interior theta in the causal set, where sigma2 is the model's own: the local
-    # model's value is the loss, its gradient the central difference of the losses,
-    # and 2 P the central difference of that gradient with its negative eigenvalues
-    # clipped; the affine families' curvature term is exactly zero
+    # model's value is the loss, its gradient the central difference of the losses, P is
+    # J' G[1:, 1:] J with J the central difference of the triples, and the model at
+    # theta + d is the Gram form at the linearised triples l + J d, which for the affine
+    # families are the triples at theta + d
     rng = np.random.default_rng(61)
     n_modes = 4
     fld = simulate_sarh1(Sarh1Params("example2", [1.0, 1.6, 1.5, 1.2], n_modes), (20, 24),
@@ -773,25 +774,44 @@ def test_mode_loss_jacobian_matches_central_differences(family):
     read = np.ones(len(box), dtype=bool)
     centre, half = box.mean(axis=1), (box[:, 1] - box[:, 0]) / 2
     scale = 0.9 if family == "example2" else 0.15  # affine: |l1| + |l2| + |l3| < 1
-    hessian = family_hessian(family, centre, n_modes)
-    assert hessian.shape == (n_modes, 3, len(box), len(box))
-    assert (family == "example2") == bool(hessian.any())
     for _ in range(3):
         theta = centre + scale * half * rng.uniform(-1, 1, size=centre.size)
-        assert np.all(is_causal(model.eig_triples(theta)))
-        (c, b, p), _, exact = _local_model(model, moments, theta, read)
-        assert exact == (family != "example2")
-        np.testing.assert_allclose(TWO_PI_SQ * c,
-                                   _mode_losses(model.eig_triples(theta), moments), rtol=1e-12)
+        triples = model.eig_triples(theta)
+        assert np.all(is_causal(triples))
+        (c, b, p), _ = _local_model(model, moments, theta, read)
+        np.testing.assert_allclose(TWO_PI_SQ * c, _mode_losses(triples, moments), rtol=1e-12)
         h = 1e-5 * np.maximum(1.0, np.abs(theta))
         steps = [h[j] * e for j, e in enumerate(np.eye(theta.size))]
         fd = np.stack([(_mode_losses(model.eig_triples(theta + e), moments)
                         - _mode_losses(model.eig_triples(theta - e), moments)) / (2 * h[j])
                        for j, e in enumerate(steps)], axis=1) / TWO_PI_SQ
         np.testing.assert_allclose(b, fd, rtol=1e-6, atol=1e-9 * np.abs(fd).max())
-        fd2 = np.stack([(_local_model(model, moments, theta + e, read)[0][1]
-                         - _local_model(model, moments, theta - e, read)[0][1]) / (2 * h[j])
+        jac = np.stack([(model.eig_triples(theta + e) - model.eig_triples(theta - e)) / (2 * h[j])
                         for j, e in enumerate(steps)], axis=2)
-        w, v = np.linalg.eigh(0.5 * (fd2 + fd2.transpose(0, 2, 1)))
-        clipped = np.einsum("kqi,ki,kri->kqr", v, np.maximum(w, 0.0), v)
-        np.testing.assert_allclose(2 * p, clipped, rtol=0, atol=1e-6 * np.abs(fd2).max())
+        gram = moments[:, _GRAM][:, 1:, 1:]
+        np.testing.assert_allclose(p, np.einsum("kiq,kij,kjr->kqr", jac, gram, jac),
+                                   rtol=1e-7, atol=1e-9 * np.abs(p).max())
+        d = 0.1 * half * rng.uniform(-1, 1, size=centre.size)
+        linear = triples + family_jacobian(family, theta, n_modes) @ d
+        if family != "example2":
+            np.testing.assert_allclose(linear, model.eig_triples(theta + d), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(c + (b + p @ d) @ d, _gram_form(linear, moments)[0],
+                                   rtol=1e-12)
+
+
+@settings(deadline=None, max_examples=40)
+@given(family=st.sampled_from(["example2", "triple", "custom", "realdata_pmf"]),
+       dims=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+       seed=st.integers(0, 2**32 - 1), u=st.lists(st.floats(0.0, 1.0), min_size=12, max_size=12))
+def test_local_model_curvature_is_psd_without_clipping(family, dims, seed, u):
+    # P_k = J_k' G_k[1:, 1:] J_k with G_k PSD for any field's moments, at any theta of the box
+    n_modes = 4
+    model = SpectralModel(family, n_modes=n_modes)
+    box = model.theta_box
+    theta = box[:, 0] + np.resize(u, len(box)) * (box[:, 1] - box[:, 0])
+    fld = CoeffField(np.random.default_rng(seed).standard_normal(dims + (n_modes,)),
+                     BasisSpec(1.0, n_modes))
+    (_, _, p), _ = _local_model(model, trig_moments(fld), theta, np.ones(len(box), dtype=bool))
+    scale = np.abs(p).max(axis=(1, 2))
+    np.testing.assert_allclose(p, p.transpose(0, 2, 1), rtol=0, atol=1e-15 * scale.max())
+    assert np.all(np.linalg.eigvalsh(p).min(axis=1) >= -1e-12 * scale)
