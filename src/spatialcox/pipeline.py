@@ -4,14 +4,16 @@ Stages (in order): least-squares cubic B-spline fit per site of the raw
 records' running totals, taken in the spline's coefficient space (no (sites,
 times) running total is formed), inverse-distance-weighted (1 / d^2)
 interpolation of the spline coefficients to a regular lattice (weights in
-blocks of lattice rows, never O(nodes x sites)), one streamed pass over a dense time grid from 0 to the last
+blocks of lattice rows trimmed to the nodes that hold no source, never
+O(nodes x sites)), one streamed pass over a dense time grid from 0 to the last
 time stamp that evaluates the lattice curves by local support, logs them
 floored at 1 and accumulates their polynomial trend and their detrended sine
 coordinates P(log) - (P U)(U^T log), U orthonormal on the trend span, in time
 blocks sized to the cache (no (times, nodes) array), per-mode normalization by the
 innovation sd of the five circular lag moments (no FFT), the interior-point
 fit of ``realdata_pmf`` by :func:`~spatialcox.whittle.estimate`, and plug-in
-prediction.  A synthetic generator of counts from a known field and trend
+prediction.  A synthetic generator of counts from a known field and trend,
+built one lattice row at a time so that its peak memory is about its output,
 supports closed-loop validation and the CLI demos.  Every stage is numpy only:
 the B-spline basis comes from de Boor's recursion, the IDW distances from
 per-axis sums and the fit from the package's own interior-point routine.
@@ -36,15 +38,22 @@ from .sarh import (TWO_PI_SQ, Sarh1Params, SpectralModel, _gram_min, family_trip
 from .whittle import ThetaEstimate, estimate, trig_moments
 
 
+def _check_finite(arr, error, message):
+    # raises error(message) unless every entry of arr is finite: min and max are finite
+    # iff every value is (NaN propagates), and form no mask
+    if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+        raise error(message)
+
+
 @dataclass(frozen=True, eq=False)
 class GridSeries:
     """Raw space-time observations: one series per site.
 
     sites : finite array (S, 2) of (lon, lat) or lattice coordinates
     times : finite, strictly increasing time stamps (T,), T >= 1
-    values : array (S, T)
+    values : finite array (S, T)
 
-    Sites, times or a values shape other than these raise :class:`ParameterDomainError`.
+    Sites, times or values other than these raise :class:`ParameterDomainError`.
     """
 
     sites: np.ndarray
@@ -64,6 +73,7 @@ class GridSeries:
             raise ParameterDomainError("times must be finite and strictly increasing")
         if values.shape != (sites.shape[0], times.size):
             raise ParameterDomainError("values must have shape (n_sites, n_times)")
+        _check_finite(values, ParameterDomainError, "values must be finite")
         for name, arr in (("sites", sites), ("times", times), ("values", values)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -131,12 +141,12 @@ def idw_interpolate(series: GridSeries, target_dims) -> GridSeries:
     lattice rows, as cdist's ``sqeuclidean`` sums them, so no distance
     library is needed and no (nodes x sites) array is formed: the
     weights take O(block x sites) memory, with the block set by
-    ``BLOCK_CELLS``, and each block's nodes one (block x sites) @
-    (sites x columns) product, formed columns-first as (columns x sites) @
-    (sites x block) into a C-ordered (columns x nodes) array whose transpose
-    is returned, so that each column's lattice values are one contiguous row.
-    A block whose nodes all coincide with sources forms no weights, and a
-    lattice of such blocks allocates none.
+    ``BLOCK_CELLS``.  Each block is trimmed to the bounding box of its nodes
+    that coincide with no source, and the box's nodes take one (box x sites)
+    @ (sites x columns) product, scattered into a C-ordered (columns x nodes)
+    array whose transpose is returned, so that each column's lattice values
+    are one contiguous row.  A block whose nodes all coincide with sources
+    forms no weights, and a lattice of such blocks allocates none.
     """
     n1, n2 = check_dims(target_dims, "target_dims", 1)
     src = series.values
@@ -174,27 +184,38 @@ def idw_interpolate(series: GridSeries, target_dims) -> GridSeries:
         raise AmbiguousInterpolationError(f"node {nodes[node[later][~same][0]]} "
                                           "coincides with sources holding distinct values")
 
-    out = np.empty((src.shape[1], n1 * n2))
-    # a block is whole lattice rows or part of one, so its nodes are contiguous columns
-    # of out
+    n_cols = src.shape[1]
+    out = np.empty((n_cols, n1, n2))
     rows = min(n1, max(1, BLOCK_CELLS // (n2 * n_sites)))
     cols = min(n2, max(1, BLOCK_CELLS // n_sites))
     missed = np.ones((n1, n2), dtype=bool)
     missed.flat[node] = False
     w = None
-    # a hit node's weight 1/0 makes its row inf or NaN; that row is overwritten below
+    # a hit node inside a block's box of missed nodes takes the weight 1/0, which makes
+    # its row inf or NaN; that row is overwritten below
     with np.errstate(divide="ignore", invalid="ignore"):
         for a in range(0, n1, rows):
             for b in range(0, n2, cols):
-                if not missed[a:a + rows, b:b + cols].any():
+                block = missed[a:a + rows, b:b + cols]
+                i, j = np.flatnonzero(block.any(axis=1)), np.flatnonzero(block.any(axis=0))
+                if not i.size:
                     continue
-                w = np.empty((rows, cols, n_sites)) if w is None else w
-                wb = w[:min(rows, n1 - a), :min(cols, n2 - b)]
-                np.add(dx2[a:a + wb.shape[0], None], dy2[None, b:b + wb.shape[1]], out=wb)
-                wb = np.reciprocal(wb, out=wb).reshape(-1, n_sites)
-                ob = out[:, a * n2 + b:a * n2 + b + wb.shape[0]]
-                np.matmul(src.T, wb.T, out=ob)
-                ob /= wb.sum(axis=1)
+                # the block trimmed to the bounding box of its missed nodes; its weights
+                # and product are the heads of flat buffers, so every reshape is a view
+                a0, a1, b0, b1 = a + i[0], a + i[-1] + 1, b + j[0], b + j[-1] + 1
+                m = (a1 - a0) * (b1 - b0)
+                if w is None:
+                    w, prod = np.empty(rows * cols * n_sites), np.empty(n_cols * rows * cols)
+                wb = w[:m * n_sites].reshape(a1 - a0, b1 - b0, n_sites)
+                np.add(dx2[a0:a1, None], dy2[None, b0:b1], out=wb)
+                wb = np.reciprocal(wb, out=wb).reshape(m, n_sites)
+                # (box x sites) @ (sites x columns), as the dense form orders it: then a
+                # box of any width rounds as the dense product does, on the tested BLAS
+                pb = prod[:m * n_cols].reshape(m, n_cols)
+                np.matmul(wb, src, out=pb)
+                pb /= wb.sum(axis=1)[:, None]
+                out[:, a0:a1, b0:b1] = pb.T.reshape(n_cols, a1 - a0, b1 - b0)
+    out = out.reshape(n_cols, -1)
     out[:, node[first]] = src[site[first]].T
     return GridSeries(nodes, series.times, out.T)
 
@@ -404,18 +425,6 @@ class PipelineResult:
         return out
 
 
-def _finite_min(arr, error, message):
-    # the least entry of arr (0 when it is empty), raising error(message) unless every
-    # entry is finite: min and max are finite iff every value is (NaN propagates), and
-    # form no mask
-    if not arr.size:
-        return 0.0
-    least = arr.min()
-    if not (np.isfinite(least) and np.isfinite(arr.max())):
-        raise error(message)
-    return least
-
-
 @contextmanager
 def _stage(diagnostics, name):
     # times the block into diagnostics[name]; a failure in it re-raises tagged with name
@@ -437,16 +446,15 @@ def run_pipeline(raw: GridSeries, cfg: PipelineConfig | None = None) -> Pipeline
     cfg = cfg or PipelineConfig()
     diagnostics = {}
 
-    with _stage(diagnostics, "ingest"):
-        least_count = _finite_min(raw.values, ParameterDomainError, "counts must be finite")
-        if least_count < 0:
+    with _stage(diagnostics, "ingest"):  # GridSeries holds finite values only
+        if raw.values.min(initial=0.0) < 0:
             raise ParameterDomainError("count inputs must be nonnegative")
 
     support = float(raw.times[-1])
     out_times = np.linspace(0.0, support, cfg.n_time_nodes)
     with _stage(diagnostics, "smooth"):
         spline = spline_smooth(raw.times, raw.values, cfg.n_knots, cumulate=cfg.cumulate)
-        _finite_min(spline.c, OverflowGuardError, "spline coefficients overflow the float range")
+        _check_finite(spline.c, OverflowGuardError, "spline coefficients overflow the float range")
 
     # IDW acts on sites and the spline on time, so IDW of the control polygons (the
     # coefficients, at the Greville abscissae) gives those of the interpolated curves
@@ -505,10 +513,18 @@ class SyntheticTruth:
     basis: BasisSpec
 
     def log_intensity(self, t) -> np.ndarray:
+        """log Lambda at the times t on every lattice site, (n1, n2, len(t))."""
+        return np.stack(list(self.log_intensity_rows(t)))
+
+    def log_intensity_rows(self, t):
+        """log Lambda at the times t, one (n2, len(t)) lattice row at a time in row
+        order: the cubic trend in t / L plus the field's sine expansion."""
         t = np.asarray(t, dtype=float)
         u = t / self.basis.support_length
         trend = sum(c * u**p for p, c in enumerate(SYNTHETIC_TREND))
-        return trend[None, None, :] + self.coeff @ design_matrix(self.basis, t)
+        design = design_matrix(self.basis, t)
+        for row in self.coeff:
+            yield trend + row @ design
 
 
 def make_synthetic_counts(lattice_dims=(40, 40), n_modes: int = 10, n_months: int = 432,
@@ -522,6 +538,13 @@ def make_synthetic_counts(lattice_dims=(40, 40), n_modes: int = 10, n_months: in
     independent Poisson draws of the increments, so the cumulative counts
     track the curve with relative noise ~ Lambda^{-1/2}.  Sites coincide
     with the lattice nodes, making the IDW stage exact.
+
+    The counts are built one lattice row at a time, straight into the one
+    (n1 * n2, n_months) output: per row the log-intensity, its exp, the
+    increments floored at 0 and the Poisson draws.  Drawing row by row in row
+    order reads the generator's stream as one draw over the whole lattice
+    would, so the counts are the same, and the peak memory is about the
+    output's.
 
     Returns (GridSeries, SyntheticTruth).
     """
@@ -537,10 +560,11 @@ def make_synthetic_counts(lattice_dims=(40, 40), n_modes: int = 10, n_months: in
 
     t_m = np.linspace(0.0, support_length, n_months + 1)[1:]
     truth = SyntheticTruth(DEFAULT_TRUE_PMF.copy(), lam_true, coeff, basis)
-    lam_curve = np.exp(truth.log_intensity(t_m))
-    inc = np.diff(lam_curve, axis=2, prepend=0.0)
     rng = np.random.default_rng(seed + 1)
-    counts = rng.poisson(np.maximum(inc, 0.0)).astype(float)
+    counts = np.empty((n1, n2, n_months))
+    for row, log in zip(counts, truth.log_intensity_rows(t_m)):
+        inc = np.diff(np.exp(log, out=log), axis=-1, prepend=0.0)
+        row[...] = rng.poisson(np.maximum(inc, 0.0, out=inc))
 
     xs = np.arange(n1, dtype=float)
     ys = np.arange(n2, dtype=float)

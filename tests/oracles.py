@@ -13,8 +13,9 @@ inverse spectrum, the site-pair double sum of the count variance, the
 wrap-padded copy that the circular lag moments read, the
 dense Fourier-grid Whittle loss, the cosine contraction of a periodogram
 and the field that has a given one, row-by-row CSV writers,
-inverse-distance weighting through the dense cdist matrix, the
-curve-space pipeline (smooth, interpolate and detrend every curve on the
+inverse-distance weighting through the dense cdist matrix, the one-shot
+synthetic count generator (full-size log-intensity, intensity, increments
+and draws at once), the curve-space pipeline (smooth, interpolate and detrend every curve on the
 dense time grid), the pipeline's lattice stages on one dense (times,
 nodes) array of log curves, the scalar and grid forms of the eigenvalue families,
 the stationarity checks and the C2 normalization, a dense grid
@@ -31,10 +32,12 @@ import numpy as np
 from scipy.interpolate import make_lsq_spline
 from scipy.spatial.distance import cdist
 
-from spatialcox import BasisSpec, CoeffField, project_samples
+from spatialcox import BasisSpec, CoeffField, GridSeries, project_samples
 from spatialcox.errors import (AmbiguousInterpolationError, ParameterDomainError,
                                ResolutionError, SingularSpectrumError)
-from spatialcox.pipeline import _evaluate_spline
+from spatialcox.pipeline import (DEFAULT_TRUE_PMF, SYNTHETIC_AMP_DECAY, SYNTHETIC_AMPLITUDE,
+                                 SYNTHETIC_TREND, SyntheticTruth, _evaluate_spline)
+from spatialcox.sarh import Sarh1Params, family_triples, simulate_sarh1
 
 
 def brute_force_dft(data, z1_list, z2_list):
@@ -510,6 +513,39 @@ def cdist_idw(sites, values, target_dims):
         w **= -1.0
         out[miss] = (w @ values) / w.sum(axis=1)[:, None]
     return nodes, out
+
+
+def dense_log_intensity(coeff, basis, t):
+    """The synthetic log-intensity (n1, n2, len(t)) of every site at once: the cubic
+    ``SYNTHETIC_TREND`` in t / L plus coeff @ the orthonormal sine design."""
+    t = np.asarray(t, dtype=float)
+    u = t / basis.support_length
+    trend = sum(c * u**p for p, c in enumerate(SYNTHETIC_TREND))
+    modes = np.arange(1, basis.n_modes + 1)
+    design = np.sin(np.pi * np.outer(modes, t) / basis.support_length)
+    design *= np.sqrt(2.0 / basis.support_length)
+    return trend[None, None, :] + coeff @ design
+
+
+def dense_synthetic_counts(lattice_dims=(40, 40), n_modes=10, n_months=432,
+                           support_length=1725.0, seed=0):
+    """``make_synthetic_counts`` in one shot: the full-size log-intensity, intensity,
+    increments, int64 Poisson draws and their float copy of the whole lattice, all
+    at once.  Returns (GridSeries, SyntheticTruth)."""
+    n1, n2 = lattice_dims
+    lam_true = family_triples("realdata_pmf", DEFAULT_TRUE_PMF, n_modes)
+    basis = BasisSpec(support_length=support_length, n_modes=n_modes)
+    fld = simulate_sarh1(Sarh1Params("custom", lam_true.ravel(), n_modes), (n1, n2),
+                         seed=seed, basis=basis)
+    amp = SYNTHETIC_AMPLITUDE / np.arange(1, n_modes + 1) ** SYNTHETIC_AMP_DECAY
+    coeff = fld.data * (amp * np.sqrt(support_length / 2.0))
+    t_m = np.linspace(0.0, support_length, n_months + 1)[1:]
+    lam_curve = np.exp(dense_log_intensity(coeff, basis, t_m))
+    inc = np.diff(lam_curve, axis=2, prepend=0.0)
+    counts = np.random.default_rng(seed + 1).poisson(np.maximum(inc, 0.0)).astype(float)
+    nodes = np.array([[x, y] for x in range(n1) for y in range(n2)], dtype=float)
+    return (GridSeries(nodes, t_m, counts.reshape(-1, n_months)),
+            SyntheticTruth(DEFAULT_TRUE_PMF.copy(), lam_true, coeff, basis))
 
 
 def trapezoid_projection(t, samples, support_length, n_modes):

@@ -9,8 +9,8 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import (brute_force_idw, cdist_idw, curve_space_residual, dense_project_curves,
-                     dense_trend)
+from oracles import (brute_force_idw, cdist_idw, curve_space_residual, dense_log_intensity,
+                     dense_project_curves, dense_synthetic_counts, dense_trend)
 from scipy.interpolate import BSpline
 
 import spatialcox.pipeline
@@ -83,6 +83,29 @@ def test_series_rejects_bad_sites(bad):
         sites[5, 1] = bad
     with pytest.raises(ParameterDomainError, match=r"sites must be a finite \(n_sites, 2\)"):
         GridSeries(sites, series.times, series.values)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                         ids=["count", "count_inf", "count_minus_inf"])
+def test_series_rejects_non_finite_values(bad):
+    # min and max carry NaN and either infinity, so no mask is needed to see them; a
+    # -inf count is refused as non-finite, not as negative
+    series, _ = tiny_series(seed=4, dims=(4, 4), months=60)
+    values = np.array(series.values)
+    values[5, 7] = bad
+    with pytest.raises(ParameterDomainError, match="values must be finite"):
+        GridSeries(series.sites, series.times, values)
+
+
+def test_series_with_a_nan_value_never_reaches_idw():
+    # 20 sites x 3 times with one NaN value: idw_interpolate gave 16 NaN values of 48 on
+    # a 4 x 4 lattice, the whole time column, without an error or a warning
+    rng = np.random.default_rng(38)
+    values = rng.uniform(0.0, 10.0, size=(20, 3))
+    values[7, 1] = np.nan
+    with pytest.raises(ParameterDomainError, match="values must be finite"):
+        idw_interpolate(GridSeries(rng.uniform(0.0, 5.0, size=(20, 2)), [0.0, 1.0, 2.0],
+                                   values), (4, 4))
 
 
 def test_series_csv_roundtrip(tmp_path):
@@ -263,6 +286,21 @@ def test_idw_forms_no_weights_where_every_node_is_a_source():
     assert product.call_count == 0
     assert peak < spatialcox.pipeline.BLOCK_CELLS * 8, peak / 2**20
     assert out.values.tobytes() == series.values.tobytes()
+
+
+def test_idw_forms_products_only_on_the_box_of_missed_nodes():
+    # perfbench's layout: the 156 boundary sites sit on nodes and the 1,444 interior
+    # ones are jittered off theirs.  Each block of lattice rows is trimmed to the box
+    # of its missed nodes, so the products cover the 38 x 38 interior nodes, not 1,600
+    rng = np.random.default_rng(38)
+    sites, moved = _mixed_sites(rng, (40, 40), step=1)
+    values = rng.normal(size=(1600, 44))
+    with mock.patch.object(np, "matmul", side_effect=np.matmul) as product:
+        out = idw_interpolate(GridSeries(sites, np.arange(44.0), values), (40, 40))
+    nodes = sum(call.kwargs["out"].size for call in product.call_args_list) // 44
+    assert nodes == moved.sum() == 1444
+    _, expect = cdist_idw(sites, values, (40, 40))
+    assert out.values.tobytes() == expect.tobytes()
 
 
 def test_idw_compares_only_the_later_sources_of_a_node(monkeypatch):
@@ -501,6 +539,36 @@ def test_synthetic_counts_shape_and_determinism():
     # intensity curves are positive and mostly increasing
     lam = np.exp(truth.log_intensity(np.linspace(1, 720, 100)))
     assert np.all(lam > 0)
+
+
+SYNTHETIC_SHAPES = [((40, 40), 432), ((12, 12), 432), ((7, 9), 48), ((33, 17), 100),
+                    ((64, 64), 432), ((2, 3), 5)]
+
+
+@pytest.mark.parametrize("dims, months", SYNTHETIC_SHAPES,
+                         ids=[f"{n1}x{n2}x{m}" for (n1, n2), m in SYNTHETIC_SHAPES])
+def test_synthetic_counts_are_the_one_shot_counts_byte_for_byte(dims, months):
+    # row-order Poisson draws read the stream as one draw over the whole lattice does
+    series, truth = make_synthetic_counts(dims, n_months=months, seed=3)
+    want, want_truth = dense_synthetic_counts(dims, n_months=months, seed=3)
+    for got, expect in ((series.values, want.values), (series.sites, want.sites),
+                        (series.times, want.times), (truth.coeff, want_truth.coeff)):
+        assert got.tobytes() == expect.tobytes()
+    t = np.linspace(0.0, truth.basis.support_length, 97)
+    assert (truth.log_intensity(t).tobytes()
+            == dense_log_intensity(truth.coeff, truth.basis, t).tobytes())
+
+
+def test_synthetic_counts_peak_is_about_the_output():
+    # the one-shot form held the log-intensity, the intensity, the increments, the int64
+    # draws and their float copy at once: 4.05 x the output at 40 x 40 x 432
+    tracemalloc.start()
+    try:
+        series, _ = make_synthetic_counts((40, 40), n_months=432, seed=7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * series.values.nbytes, peak / series.values.nbytes
 
 
 # --- pipeline ---------------------------------------------------------------
@@ -775,20 +843,6 @@ def test_pipeline_loss_at_min_reads_one():
 
 
 # --- input checks at the boundary ---------------------------------------------
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
-                         ids=["count", "count_inf", "count_minus_inf"])
-def test_pipeline_non_finite_input_tagged_ingest(bad):
-    # min and max carry NaN and either infinity, so no mask is needed to see them; a
-    # -inf count is refused as non-finite, not as negative
-    series, _ = tiny_series(seed=4, dims=(4, 4), months=60)
-    values = np.array(series.values)
-    values[5, 7] = bad
-    with pytest.raises(PipelineStageError, match="count.* must be finite") as err:
-        run_pipeline(GridSeries(series.sites, series.times, values), tiny_cfg(lattice_dims=(4, 4)))
-    assert err.value.stage == "ingest"
-    assert isinstance(err.value.__cause__, ParameterDomainError)
 
 
 def test_pipeline_overflowing_running_totals_tagged_smooth():
