@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer checks that raise one."""
+"""Exception types shared across the package, and the checks that raise one."""
 
 import numbers
 
@@ -91,3 +91,13 @@ def check_dims(pair, name: str, minimum: int) -> tuple[int, int]:
     if np.shape(pair) != (2,):
         raise ParameterDomainError(f"{name} must be two integers >= {minimum}, got {pair!r}")
     return check_int(pair[0], f"{name}[0]", minimum), check_int(pair[1], f"{name}[1]", minimum)
+
+
+def check_finite(arr: np.ndarray, error: type, message: str) -> None:
+    """The package's one finiteness rule: ``error(message)`` unless every entry of ``arr``
+    is finite, by one ``min`` and one ``max`` (NaN propagates) and no mask.  A complex
+    array is tested on ``.real`` and ``.imag`` apart: numpy orders complex values
+    lexicographically, so [1+inf j, 2, 0.5] has min 0.5 and max 2."""
+    for part in (arr.real, arr.imag) if np.iscomplexobj(arr) else (arr,):
+        if part.size and not (np.isfinite(part.min()) and np.isfinite(part.max())):
+            raise error(message)

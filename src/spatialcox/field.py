@@ -1,15 +1,20 @@
-"""Coefficient fields over a spatial lattice, Fourier frequency grids, and file I/O."""
+"""Coefficient fields over a spatial lattice, Fourier frequency grids, and file I/O.
+
+The package's file conventions, each stated once: binary (a little-endian header record,
+then one C-ordered block of finite values) in :func:`_write_binary` and :func:`_read_binary`,
+strict JSON (no NaN or Infinity) formatted before its file opens, CSV as csv.writer's."""
 
 from __future__ import annotations
 
 import itertools
+import json
 import os
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .basis import BasisSpec
-from .errors import FileFormatError, ParameterDomainError, check_dims
+from .errors import FileFormatError, ParameterDomainError, check_dims, check_finite
 
 _HEADER_DTYPE = np.dtype([("n1", "<i8"), ("n2", "<i8"), ("m", "<i8"), ("support", "<f8")])
 
@@ -36,9 +41,7 @@ class CoeffField:
             raise ParameterDomainError("data must have shape (N1, N2, M)")
         if arr.shape[2] != self.basis.n_modes:
             raise ParameterDomainError("third axis must match basis.n_modes")
-        # min and max are finite iff every value is (NaN propagates), and form no mask
-        if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
-            raise ParameterDomainError("field coefficients must be finite")
+        check_finite(arr, ParameterDomainError, "field coefficients must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
@@ -90,53 +93,62 @@ class FrequencyGrid:
 
 
 # ---------------------------------------------------------------------------
-# serialization: flat little-endian binary (header N1,N2,M,support_length) + CSV
+# serialization: flat little-endian binary (header N1,N2,M,support_length), JSON, CSV
+
+
+def _write_binary(path, header_dtype, header: tuple, payload, dtype) -> None:
+    """Write the ``header_dtype`` record ``header``, then ``payload`` as one C-ordered block
+    of ``dtype`` values (no copy if it lies so already): the layout of :func:`_read_binary`."""
+    with open(path, "wb") as fh:
+        np.array([header], dtype=header_dtype).tofile(fh)
+        # one C-ordered block: tofile walks any other layout element by element
+        np.ascontiguousarray(payload, dtype=dtype).tofile(fh)
+
+
+def _read_binary(path, header_dtype, dtype, per_site):
+    """One ``header_dtype`` record, then the ``n1 * n2 * per_site(header)`` values of
+    ``dtype`` it implies.  Non-positive header dims, a file too short for its header or
+    payload, or a non-finite payload value raise :class:`FileFormatError`."""
+    with open(path, "rb") as fh:
+        raw = np.fromfile(fh, dtype=header_dtype, count=1)
+        if raw.size != 1:
+            raise FileFormatError("file is shorter than its header")
+        header = raw[0]
+        n1, n2, m = (int(header[f]) for f in ("n1", "n2", "m"))
+        if min(n1, n2, m) < 1:
+            raise FileFormatError(f"header dims ({n1}, {n2}, {m}) must be positive")
+        count = n1 * n2 * per_site(header)
+        available = (os.fstat(fh.fileno()).st_size - fh.tell()) // np.dtype(dtype).itemsize
+        if available < count:
+            raise FileFormatError(
+                f"truncated file: header implies {count} values, found {available}")
+        payload = np.fromfile(fh, dtype=dtype, count=count)
+    check_finite(payload, FileFormatError, "payload holds a non-finite value")
+    return (n1, n2, m), header, payload
 
 
 def save_field_binary(field: CoeffField, path) -> None:
-    header = np.zeros(1, dtype=_HEADER_DTYPE)
-    n1, n2 = field.dims
-    header["n1"], header["n2"], header["m"] = n1, n2, field.n_modes
-    header["support"] = field.basis.support_length
-    with open(path, "wb") as fh:
-        header.tofile(fh)
-        # one C-ordered block: tofile walks any other layout element by element
-        np.ascontiguousarray(field.data, dtype="<f8").tofile(fh)
-
-
-def _read_binary(fh, header_dtype, dtype, per_site):
-    """Read one header record, then the payload of ``dtype`` values it implies.
-
-    The payload holds ``n1 * n2 * per_site(header)`` values.  Non-positive
-    header dims, a file too short for its header or payload, or a non-finite
-    payload value raise :class:`FileFormatError`.
-    """
-    raw = np.fromfile(fh, dtype=header_dtype, count=1)
-    if raw.size != 1:
-        raise FileFormatError("file is shorter than its header")
-    header = raw[0]
-    n1, n2, m = (int(header[f]) for f in ("n1", "n2", "m"))
-    if min(n1, n2, m) < 1:
-        raise FileFormatError(f"header dims ({n1}, {n2}, {m}) must be positive")
-    count = n1 * n2 * per_site(header)
-    available = (os.fstat(fh.fileno()).st_size - fh.tell()) // np.dtype(dtype).itemsize
-    if available < count:
-        raise FileFormatError(
-            f"truncated file: header implies {count} values, found {available}")
-    payload = np.fromfile(fh, dtype=dtype, count=count)
-    if not np.all(np.isfinite(payload)):
-        raise FileFormatError("payload holds a non-finite value")
-    return (n1, n2, m), header, payload
+    _write_binary(path, _HEADER_DTYPE, (*field.dims, field.n_modes, field.basis.support_length),
+                  field.data, "<f8")
 
 
 def load_field_binary(path) -> CoeffField:
     """Read a file of :func:`save_field_binary`; a bad header support is a FileFormatError."""
-    with open(path, "rb") as fh:
-        dims, header, data = _read_binary(fh, _HEADER_DTYPE, "<f8", lambda h: int(h["m"]))
+    dims, header, data = _read_binary(path, _HEADER_DTYPE, "<f8", lambda h: int(h["m"]))
     support = float(header["support"])
     if not 0.0 < support < np.inf:
         raise FileFormatError(f"{path}: header support {support} is not finite and positive")
     return CoeffField(data.reshape(dims), BasisSpec(support_length=support, n_modes=dims[2]))
+
+
+def _write_json(path, payload) -> str:
+    """``payload`` as strict JSON text, indent 2, also written to ``path`` unless it is None.
+    A NaN or an infinity raises ValueError before the file opens, so it leaves no file."""
+    text = json.dumps(payload, indent=2, allow_nan=False)
+    if path is not None:
+        with open(path, "w") as fh:
+            fh.write(text)
+    return text
 
 
 def _cells(col) -> list:

@@ -31,18 +31,11 @@ from .basis import BasisSpec, _quadrature_rows, design_matrix, project_samples
 from .cox import predict_field
 from .errors import (AmbiguousInterpolationError, DivisionGuardError, FileFormatError,
                      InsufficientResolutionError, OverflowGuardError, ParameterDomainError,
-                     PipelineStageError, RankDeficiencyError, check_dims, check_int)
+                     PipelineStageError, RankDeficiencyError, check_dims, check_finite, check_int)
 from .field import CoeffField, _read_numeric_csv, _write_csv
 from .sarh import (TWO_PI_SQ, Sarh1Params, SpectralModel, _gram_min, family_triples,
                    simulate_sarh1)
 from .whittle import ThetaEstimate, estimate, trig_moments
-
-
-def _check_finite(arr, error, message):
-    # raises error(message) unless every entry of arr is finite: min and max are finite
-    # iff every value is (NaN propagates), and form no mask
-    if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
-        raise error(message)
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,7 +66,7 @@ class GridSeries:
             raise ParameterDomainError("times must be finite and strictly increasing")
         if values.shape != (sites.shape[0], times.size):
             raise ParameterDomainError("values must have shape (n_sites, n_times)")
-        _check_finite(values, ParameterDomainError, "values must be finite")
+        check_finite(values, ParameterDomainError, "values must be finite")
         for name, arr in (("sites", sites), ("times", times), ("values", values)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -96,8 +89,7 @@ def load_series_csv(path) -> GridSeries:
     raw = _read_numeric_csv(path, skiprows=1)
     if raw.shape[1] != 5:
         raise FileFormatError("expected rows of site_id, lon, lat, time, value")
-    if not np.all(np.isfinite(raw)):
-        raise FileFormatError("every entry must be a finite number")
+    check_finite(raw, FileFormatError, "every entry must be a finite number")
     if np.any(raw[:, 0] < 0) or np.any(raw[:, 0] % 1 != 0):
         raise FileFormatError("site ids must be non-negative integers")
     # sites 0..max(id) each need a row, so an id at or above the row count leaves one
@@ -454,7 +446,7 @@ def run_pipeline(raw: GridSeries, cfg: PipelineConfig | None = None) -> Pipeline
     out_times = np.linspace(0.0, support, cfg.n_time_nodes)
     with _stage(diagnostics, "smooth"):
         spline = spline_smooth(raw.times, raw.values, cfg.n_knots, cumulate=cfg.cumulate)
-        _check_finite(spline.c, OverflowGuardError, "spline coefficients overflow the float range")
+        check_finite(spline.c, OverflowGuardError, "spline coefficients overflow the float range")
 
     # IDW acts on sites and the spline on time, so IDW of the control polygons (the
     # coefficients, at the Greville abscissae) gives those of the interpolated curves

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import (FileFormatError, LagUnavailableError, ParameterDomainError,
                      ResolutionError, SingularSpectrumError, check_dims, check_int)
-from .field import CoeffField, FrequencyGrid, _cells, _read_binary, _write_csv
+from .field import CoeffField, FrequencyGrid, _cells, _read_binary, _write_binary, _write_csv
 from .sarh import (TWO_PI_SQ, _cosines, _gram_form, _has_torus_zero, _product_form,
                    _separable, _stencil_sweep, is_causal)
 
@@ -311,14 +311,9 @@ def save_periodogram_csv(pgram: Periodogram, path) -> None:
 
 def save_periodogram_binary(pgram: Periodogram, path) -> None:
     """Binary layout: header (N1, N2, M, full flag) then interleaved re/im float64."""
-    header = np.zeros(1, dtype=_HEADER)
-    n1, n2 = pgram.grid.dims
-    header["n1"], header["n2"], header["m"] = n1, n2, pgram.n_modes
-    header["full"] = 0 if pgram.cross is None else 1
-    payload = pgram.values if pgram.cross is None else pgram.cross
-    with open(path, "wb") as fh:
-        header.tofile(fh)
-        payload.astype("<c16").view("<f8").tofile(fh)
+    full = pgram.cross is not None
+    _write_binary(path, _HEADER, (*pgram.grid.dims, pgram.n_modes, int(full)),
+                  pgram.cross if full else pgram.values, "<c16")
 
 
 def load_periodogram_binary(path) -> Periodogram:
@@ -329,9 +324,8 @@ def load_periodogram_binary(path) -> Periodogram:
     :class:`FileFormatError`, as do a non-finite value and a header the
     payload does not match.
     """
-    with open(path, "rb") as fh:
-        (n1, n2, m), header, payload = _read_binary(
-            fh, _HEADER, "<c16", lambda h: int(h["m"]) ** (2 if h["full"] else 1))
+    (n1, n2, m), header, payload = _read_binary(
+        path, _HEADER, "<c16", lambda h: int(h["m"]) ** (2 if h["full"] else 1))
     cross = payload.reshape(n1, n2, m, m) if header["full"] else None
     values = payload.reshape(n1, n2, m) if cross is None else np.einsum("ijkk->ijk", cross).copy()
     scale = max(np.abs(values.real).max(), 1e-300)

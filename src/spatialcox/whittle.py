@@ -20,14 +20,13 @@ theta, that model is the losses and one step final.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ParameterDomainError
-from .field import CoeffField
+from .errors import ParameterDomainError, check_finite
+from .field import CoeffField, _write_json
 from .sarh import (_GRAM, _LAGS, AFFINE_FAMILIES, CAUSAL_FACES, TWO_PI_SQ, SpectralModel,
                    _gram_form, c2_innovation_var, family_jacobian, family_triples)
 
@@ -63,9 +62,8 @@ def trig_moments(sample: CoeffField) -> np.ndarray:
         sums = [sum(np.einsum("ijk,ijk->k", x[a1, a2], x[b1, b2])
                     for a1, b1 in _SHIFT[h1] for a2, b2 in _SHIFT[h2]) for h1, h2 in _LAGS]
     moments = np.stack(sums, axis=1) / (n1 * n2 * TWO_PI_SQ)
-    if not np.all(np.isfinite(moments)):
-        raise ParameterDomainError("the field's periodogram moments are not finite: "
-                                   "its values are too large")
+    check_finite(moments, ParameterDomainError,
+                 "the field's periodogram moments are not finite: its values are too large")
     return moments
 
 
@@ -114,12 +112,7 @@ class ThetaEstimate:
     runtime_s: float = 0.0
 
     def to_json(self, path=None) -> str:
-        text = json.dumps({**asdict(self), "theta_hat": np.asarray(self.theta_hat).tolist()},
-                          indent=2, allow_nan=False)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
+        return _write_json(path, {**asdict(self), "theta_hat": np.asarray(self.theta_hat).tolist()})
 
 
 def _example1_pieces(model: SpectralModel):

@@ -29,14 +29,14 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
-from scipy.interpolate import make_lsq_spline
+from scipy.interpolate import BSpline, make_lsq_spline
 from scipy.spatial.distance import cdist
 
 from spatialcox import BasisSpec, CoeffField, GridSeries, project_samples
 from spatialcox.errors import (AmbiguousInterpolationError, ParameterDomainError,
                                ResolutionError, SingularSpectrumError)
 from spatialcox.pipeline import (DEFAULT_TRUE_PMF, SYNTHETIC_AMP_DECAY, SYNTHETIC_AMPLITUDE,
-                                 SYNTHETIC_TREND, SyntheticTruth, _evaluate_spline)
+                                 SYNTHETIC_TREND, SyntheticTruth)
 from spatialcox.sarh import Sarh1Params, family_triples, simulate_sarh1
 
 
@@ -488,7 +488,7 @@ def cdist_idw(sites, values, target_dims):
     source, after every such source's row is checked ``np.isclose`` to it (else
     ``AmbiguousInterpolationError``); every other node takes the row-normalised
     1 / d^2 weights of the gathered miss rows in one product.
-    Returns (nodes, values)."""
+    Returns (nodes, values, the mask of the nodes that copy a source)."""
     sites = np.asarray(sites, dtype=float)
     values = np.asarray(values, dtype=float)
     n1, n2 = target_dims
@@ -512,7 +512,7 @@ def cdist_idw(sites, values, target_dims):
         w = d2[miss] if is_hit.any() else d2
         w **= -1.0
         out[miss] = (w @ values) / w.sum(axis=1)[:, None]
-    return nodes, out
+    return nodes, out, is_hit
 
 
 def dense_log_intensity(coeff, basis, t):
@@ -572,11 +572,11 @@ def dense_trend(values, times, degree):
 def dense_project_curves(knots, coef, t, degree, basis):
     """The pipeline's lattice stages through one dense (times, nodes) array, with the
     arguments and returns of ``pipeline._project_curves``: every curve evaluated on
-    ``t`` by the package's local-support ``_evaluate_spline``, floored at 1 and
+    ``t`` (clipped to the knot span) by scipy's cubic ``BSpline``, floored at 1 and
     logged in place, the trend of :func:`dense_trend`, and the detrended sine
     coordinates P(log) - (P U)(U^T log) by ``project_samples``, which reads the
     array through its transpose; also the log scale max(1, RMS of the log curves)."""
-    log = _evaluate_spline(knots, coef, np.clip(t, knots[0], knots[-1]))
+    log = BSpline(knots, coef, 3)(np.clip(t, knots[0], knots[-1]))
     np.log(np.maximum(log, 1.0, out=log), out=log)
     trend_coef, u, utv = dense_trend(log.T, t, degree)
     coeff = project_samples(t, log.T, basis) - utv @ project_samples(t, u.T, basis)

@@ -429,11 +429,33 @@ def test_config_bad_value_is_usage_error(tmp_path, capsys):
     assert not field.exists()
 
 
-def test_config_unknown_key_rejected(tmp_path):
+def test_config_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("folds = 3\n")
-    with pytest.raises(SystemExit, match="config key 'folds' does not match any flag"):
+    with pytest.raises(SystemExit) as err:
         run(["--config", cfg, "simulate", "--out", tmp_path / "f.bin"])
+    assert err.value.code == 2
+    assert (f"{cfg}: config key 'folds' does not match any flag of simulate"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "f.bin").exists()
+
+
+@pytest.mark.parametrize("line, key", [("csv", "'csv'"), ("out", "'out'"),
+                                       ("command = periodogram", "'command'"),
+                                       ("config = other.cfg", "'config'")],
+                         ids=["csv_line", "out_line", "command_key", "config_key"])
+def test_config_line_or_key_naming_no_flag_is_usage_error(tmp_path, capsys, line, key):
+    # read as key = "", a line "csv" turned --csv off and the command exited 0, and a
+    # line "out" ran the command, then died on open(""); the keys command and config
+    # name no settable flag, and were ignored
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"dims = 4x4\nmodes = 2\n{line}\n")
+    with pytest.raises(SystemExit) as err:
+        run(["--config", cfg, "simulate", "--out", tmp_path / "f.bin"])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert str(cfg) in message and key in message
+    assert not (tmp_path / "f.bin").exists()
 
 
 def test_config_supplies_required_flags(tmp_path):

@@ -5,6 +5,15 @@ from spatialcox import ExperimentConfig, run_experiment
 from spatialcox.errors import ParameterDomainError, SingularSpectrumError
 
 
+def test_select_of_a_missing_row_is_a_key_error():
+    table = run_experiment(small_cfg(grid_sizes=(24,), replicates=2))
+    assert table.select(576)["N"] == 576
+    with pytest.raises(KeyError, match=r"\(400, 1\)"):
+        table.select(400)
+    with pytest.raises(KeyError, match=r"\(576, 2\)"):
+        table.select(576, component=2)
+
+
 def small_cfg(**kw):
     base = dict(family="example1", theta_true=[1.0], grid_sizes=(24, 32),
                 replicates=4, n_modes=3, seed=7)

@@ -7,7 +7,7 @@ import pytest
 from spatialcox import (BasisSpec, CoeffField, FrequencyGrid, design_matrix,
                         load_field_binary, load_field_csv, save_field_binary,
                         save_field_csv)
-from spatialcox.errors import FileFormatError, ParameterDomainError
+from spatialcox.errors import FileFormatError, ParameterDomainError, check_finite
 
 
 def curve_at(fld, site, t):
@@ -52,6 +52,23 @@ def test_field_invariants():
     fld = CoeffField(np.zeros((2, 2, 2)), spec)
     with pytest.raises(ValueError):
         fld.data[0, 0, 0] = 1.0  # immutable
+
+
+@pytest.mark.parametrize("values, finite", [
+    ([1.0, 2.0, 0.5], True), ([], True), ([1.0, np.nan, 0.5], False), ([1.0, -np.inf], False),
+    ([complex(1.0, np.inf), 2.0, 0.5], False), ([complex(1.0, np.nan), 2.0, 0.5], False),
+    ([complex(1.0, -1e300), 2.0, 0.5], True), (np.zeros((0, 3), dtype=complex), True),
+], ids=["real", "empty", "nan", "minus_inf", "complex_inf_imag", "complex_nan_imag",
+        "complex_finite", "complex_empty"])
+def test_check_finite_tests_the_real_and_imaginary_parts(values, finite):
+    # numpy orders complex values lexicographically: [1+inf j, 2, 0.5] has min 0.5 and
+    # max 2, both finite, so the parts are tested apart
+    arr = np.asarray(values)
+    if finite:
+        check_finite(arr, FileFormatError, "not finite")
+    else:
+        with pytest.raises(FileFormatError, match="not finite"):
+            check_finite(arr, FileFormatError, "not finite")
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -194,6 +211,18 @@ def test_frequency_grid_ranges(dims):
         w = 2 * np.pi * z / n
         assert np.all(w > -np.pi) and np.all(w <= np.pi)
         assert len(set(z.tolist())) == n
+
+
+@pytest.mark.parametrize("rows, match", [
+    (["0,0,1", "0,1,1", "1,0,1", "1,1,1"], "expected rows of i, j, k, value"),
+    (["0,0,1,1.0", "0,1,1,2.0", "-1,0,1,3.0", "1,1,1,4.0"], "negative site index"),
+    (["0,0,1,1.0", "0,1,1,2.0", "1,0,0,3.0", "1,1,1,4.0"], "mode index below 1"),
+], ids=["three_columns", "negative_site", "mode_zero"])
+def test_csv_wrong_columns_or_index_below_range_rejected(tmp_path, rows, match):
+    path = tmp_path / "f.csv"
+    path.write_text("\n".join(["i,j,k,value", *rows]) + "\n")
+    with pytest.raises(FileFormatError, match=match):
+        load_field_csv(path, support_length=1.0)
 
 
 @pytest.mark.parametrize("rows", [

@@ -529,6 +529,13 @@ def test_pmf_family_matches_scalar_oracle(theta, m):
     np.testing.assert_array_equal(SpectralModel("realdata_pmf", m).eig_triples(theta), want)
 
 
+def test_jacobian_of_example1_or_an_unknown_family_rejected():
+    # only example2 and the affine families have a Jacobian; example1 is fitted exactly
+    for family in ("example1", "no_such_family"):
+        with pytest.raises(ParameterDomainError, match=f"no Jacobian for family '{family}'"):
+            sarh.family_jacobian(family, [1.0], 3)
+
+
 @pytest.mark.parametrize("family, n_modes", [("triple", 3), ("custom", 4), ("realdata_pmf", 4),
                                              ("realdata_pmf", 10)])
 def test_affine_jacobian_is_the_unit_vector_stack_read_only(family, n_modes):

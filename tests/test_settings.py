@@ -6,8 +6,8 @@ import inspect
 import pytest
 
 from spatialcox import (ExperimentConfig, PipelineConfig, PipelineResult, Sarh1Params,
-                        SpectralModel, design_matrix, estimate, idw_interpolate,
-                        make_synthetic_counts, product_density_n, project_samples,
+                        SpectralModel, cli, design_matrix, estimate, idw_interpolate,
+                        make_synthetic_counts, pipeline, product_density_n, project_samples,
                         run_cross_validation, sarh, spectral)
 from spatialcox.pipeline import SyntheticTruth
 from spatialcox.sarh import default_box, family_jacobian, family_triples
@@ -42,6 +42,19 @@ def test_one_form_per_convention():
     assert not hasattr(spectral, "CAUSAL_FACES")
     assert [f.name for f in dataclasses.fields(SyntheticTruth)] == [
         "theta_flat", "lambda_true", "coeff", "basis"]
+
+
+def test_one_statement_per_io_convention():
+    # main joins --out with --out-dir, each subparser names its handler, the config keys
+    # are the parsers' own options, and errors.check_finite is the one finiteness test
+    for name in ("_out_path", "_COMMANDS", "_TOP_LEVEL_KEYS"):
+        assert not hasattr(cli, name), name
+    assert not hasattr(pipeline, "_check_finite")
+    parser = cli.build_parser()
+    assert set(cli._options(parser)) == {"seed", "threads", "out_dir"}
+    subs = next(a for a in parser._actions if a.dest == "command").choices
+    assert all(s.get_default("func") is getattr(cli, "cmd_" + name.replace("-", "_"))
+               for name, s in subs.items())
 
 
 def test_model_fields():

@@ -666,6 +666,35 @@ def test_periodogram_binary_non_finite_payload_rejected(tmp_path, full):
         load_periodogram_binary(path)
 
 
+def test_periodogram_binary_infinite_imaginary_part_rejected(tmp_path):
+    # numpy orders complex values lexicographically: an infinite imaginary part at a value
+    # whose real part is neither the least nor the largest is in neither min nor max
+    pg = periodogram(random_field((4, 3), 2, seed=6))
+    path = tmp_path / "pg.bin"
+    save_periodogram_binary(pg, path)
+    at = np.argsort(pg.values.real, axis=None)[pg.values.size // 2]
+    raw = bytearray(path.read_bytes())
+    offset = 32 + 16 * at + 8
+    raw[offset:offset + 8] = np.array([np.inf], dtype="<f8").tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FileFormatError, match="non-finite"):
+        load_periodogram_binary(path)
+
+
+def test_cov_from_spectrum_refuses_a_sweep_above_the_cap_before_allocating():
+    # one non-separable mode at lag (2100, 2000): 2102 x 2001 cells, above 2^22; the
+    # sweep's buffer would take 32 MiB
+    model = SpectralModel("triple", n_modes=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResolutionError, match="exceeds 4194304 cells"):
+            cov_from_spectrum(model, [0.5, 0.3, -0.1], [(2100, 2000)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
 @pytest.mark.parametrize("dims", [(0, 3, 2), (4, 3, -2)])
 def test_periodogram_binary_nonpositive_header_dims_rejected(tmp_path, dims):
     pg = periodogram(random_field((4, 3), 2, seed=6))

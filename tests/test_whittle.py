@@ -1,10 +1,12 @@
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import spatialcox.whittle
 from oracles import (affine_objective, dense_mode_losses, dense_refine_example1,
                      field_with_periodogram, grid_has_torus_zero, grid_min_triple_loss,
                      example2_objective, normalize_c2, padded_trig_moments, periodogram_moments,
@@ -257,6 +259,14 @@ def test_loss_domain_errors():
         whittle_loss(other, [1.0], fld)
 
 
+def test_loss_theta_outside_the_box_rejected():
+    # (0.99, 0, 0) is a causal triple, outside the family's box: the box check raises
+    model = SpectralModel("triple", n_modes=3)
+    fld = simulate_sarh1(Sarh1Params("triple", [0.5, 0.3, -0.1], 3), (16, 16), seed=1)
+    with pytest.raises(ParameterDomainError, match="outside the parameter box"):
+        whittle_loss(model, (0.99, 0.0, 0.0), fld)
+
+
 @pytest.mark.parametrize("theta", [[1.0], [1.0, 1.6]])
 def test_loss_theta_of_wrong_length_rejected(theta):
     # checked before the box, which reads theta elementwise
@@ -278,6 +288,21 @@ def test_periodogram_sample_rejected(call):
 
 # --- estimation -------------------------------------------------------------
 
+
+@pytest.mark.parametrize("family, theta, name, value", [
+    ("triple", [0.5, 0.3, -0.1], "IP_MAX_ITER", 1),       # the interior-point cap
+    ("triple", [0.5, 0.3, -0.1], "_IP_ALPHA", 1e300),     # a line search with no step
+    ("example2", [1.0, 1.6, 1.5, 1.2], "TR_MAX_ITER", 1),  # the trust-region cap
+], ids=["ip_cap", "ip_line_search", "tr_cap"])
+def test_estimate_reports_a_fit_that_stops_short(family, theta, name, value):
+    # each loop that can stop before its rule is met returns converged=False, and a
+    # point of the box
+    model = SpectralModel(family, n_modes=3)
+    fld = simulate_sarh1(Sarh1Params(family, theta, 3), (16, 16), seed=2)
+    with mock.patch.object(spatialcox.whittle, name, value):
+        fit = estimate(model, fld)
+    assert not fit.converged and model.contains(fit.theta_hat)
+    assert estimate(model, fld).converged
 
 def test_estimate_noise_free_recovers_theta():
     model = SpectralModel("example1", n_modes=6)
