@@ -6,7 +6,8 @@ the command runs) if given; JSON outputs are strict (no NaN or Infinity).  Every
 can also be supplied through ``--config FILE`` of ``key = value`` lines (keys match the
 long flag names with dashes or underscores); they become parser defaults, so each value
 goes through its flag's type and explicit flags win.  A line without ``=``, or a key
-naming no flag of the top-level parser or of the chosen subcommand, is a usage error.
+naming no flag of the top-level parser or of the chosen subcommand, is a usage error, and
+so is an empty ``--out``, before the command runs.
 """
 
 from __future__ import annotations
@@ -39,11 +40,7 @@ def _parse_dims(text):
 
 def _parse_box(text):
     # "0.7:4" or "0.7:1.3,1.3:1.9,..." per coordinate
-    rows = []
-    for part in text.split(","):
-        lo, hi = part.split(":")
-        rows.append([float(lo), float(hi)])
-    return np.array(rows)
+    return np.array([[float(lo), float(hi)] for lo, hi in (p.split(":") for p in text.split(","))])
 
 
 def _parse_rect(text):
@@ -306,6 +303,8 @@ def main(argv=None):
         parser.error(f"{config}: config key {key!r} does not match any flag of {args.command}")
     if args.command == "cox-moments" and (args.family is None) != (args.theta is None):
         parser.error("cox-moments: --family and --theta go together")
+    if not args.out:  # from --out '' or a config line out =
+        parser.error(f"{args.command}: --out must name a file")
     if args.out_dir:  # every subcommand writes its --out under --out-dir
         os.makedirs(args.out_dir, exist_ok=True)
         args.out = os.path.join(args.out_dir, args.out)

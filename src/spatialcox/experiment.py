@@ -20,7 +20,7 @@ from .whittle import estimate
 class ExperimentConfig:
     """Replication study configuration.
 
-    grid_sizes are side lengths; each contributes N = side^2 samples.
+    grid_sizes are one or more ascending side lengths, each giving N = side^2 samples.
     Per-replicate seeds are spawned deterministically from ``seed``, so
     results do not depend on scheduling order.  A bad family, n_modes or
     theta_true (as :class:`~spatialcox.sarh.Sarh1Params` checks them, or a
@@ -45,14 +45,15 @@ class ExperimentConfig:
         for name, minimum in (("replicates", 1), ("burn_in", 0), ("seed", 0)):
             object.__setattr__(self, name, check_int(getattr(self, name), name, minimum))
         sides = tuple(check_int(side, "every grid side", 2) for side in self.grid_sizes)
+        if not sides:
+            raise ParameterDomainError("grid_sizes must hold one or more ascending sides")
         if list(sides) != sorted(sides):
             raise ParameterDomainError("grid_sizes must be ascending")
         object.__setattr__(self, "grid_sizes", sides)
         params = Sarh1Params(self.family, self.theta_true, self.n_modes)
         object.__setattr__(self, "n_modes", params.n_modes)
-        bad = np.flatnonzero(~is_causal(params.model.eig_triples(params.theta)))
-        if bad.size:
-            raise ParameterDomainError(f"theta_true is not causal on mode {bad[0] + 1}")
+        if not np.all(ok := is_causal(params.model.eig_triples(params.theta))):
+            raise ParameterDomainError(f"theta_true is not causal on mode {np.argmin(ok) + 1}")
 
 
 def _replicate(job):

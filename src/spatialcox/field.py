@@ -59,8 +59,8 @@ class FrequencyGrid:
     """Fourier frequencies omega_z = 2*pi*z_j/N_j with -N_j/2 < z_j <= floor(N_j/2).
 
     Frequencies are stored in FFT layout so arrays align with numpy's fft2
-    output; the Nyquist bin of an even axis is labeled +N/2 so that every
-    component lies in (-pi, pi].
+    output: the labels are 0..N-1 with those above N // 2 taken minus N, so the
+    Nyquist bin of an even axis is +N/2 and every component lies in (-pi, pi].
     """
 
     dims: tuple[int, int]
@@ -70,9 +70,8 @@ class FrequencyGrid:
     def __post_init__(self):
         object.__setattr__(self, "dims", check_dims(self.dims, "grid dims", 1))
         for name, n in zip(("z1", "z2"), self.dims):
-            z = np.rint(np.fft.fftfreq(n) * n).astype(int)
-            if n % 2 == 0:
-                z[z == -n // 2] = n // 2
+            z = np.arange(n)
+            z[z > n // 2] -= n
             z.setflags(write=False)
             object.__setattr__(self, name, z)
 
@@ -215,14 +214,12 @@ def load_field_csv(path, support_length: float) -> CoeffField:
     if n1 * n2 * m > rows.shape[0]:
         raise FileFormatError(f"{n1}x{n2}x{m} grid has at least {n1 * n2 * m - rows.shape[0]} "
                               f"missing (i, j, k) rows: the file has {rows.shape[0]}")
-    idx = rows[:, :3].astype(int)
-    idx[:, 2] -= 1
-    seen = np.zeros((n1, n2, m), dtype=int)
-    np.add.at(seen, tuple(idx.T), 1)
+    flat = np.ravel_multi_index(tuple((rows[:, :3] - [0, 0, 1]).astype(int).T), (n1, n2, m))
+    seen = np.bincount(flat, minlength=n1 * n2 * m)
     if np.any(seen != 1):
         missing, repeated = int(np.sum(seen == 0)), int(np.sum(seen > 1))
         raise FileFormatError(
             f"{n1}x{n2}x{m} grid has {missing} missing and {repeated} repeated (i, j, k) rows")
-    data = np.zeros((n1, n2, m))
-    data[tuple(idx.T)] = rows[:, 3]
-    return CoeffField(data, BasisSpec(support_length=support_length, n_modes=m))
+    data = np.zeros(n1 * n2 * m)
+    data[flat] = rows[:, 3]
+    return CoeffField(data.reshape(n1, n2, m), BasisSpec(support_length=support_length, n_modes=m))

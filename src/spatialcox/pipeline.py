@@ -38,6 +38,12 @@ from .sarh import (TWO_PI_SQ, Sarh1Params, SpectralModel, _gram_min, family_trip
 from .whittle import ThetaEstimate, estimate, trig_moments
 
 
+def _check_times(t):
+    # t[1:] > t[:-1], not np.diff: a gap wider than the float range overflows
+    if not (np.all(np.isfinite(t)) and np.all(t[1:] > t[:-1])):
+        raise ParameterDomainError("times must be finite and strictly increasing")
+
+
 @dataclass(frozen=True, eq=False)
 class GridSeries:
     """Raw space-time observations: one series per site.
@@ -61,9 +67,7 @@ class GridSeries:
             raise ParameterDomainError("sites must be a finite (n_sites, 2) array")
         if times.ndim != 1 or not times.size:
             raise ParameterDomainError("times must be a non-empty 1-D array")
-        # times[1:] > times[:-1], not np.diff: a gap wider than the float range overflows
-        if not (np.all(np.isfinite(times)) and np.all(times[1:] > times[:-1])):
-            raise ParameterDomainError("times must be finite and strictly increasing")
+        _check_times(times)
         if values.shape != (sites.shape[0], times.size):
             raise ParameterDomainError("values must have shape (n_sites, n_times)")
         check_finite(values, ParameterDomainError, "values must be finite")
@@ -122,6 +126,11 @@ def load_series_csv(path) -> GridSeries:
 BLOCK_CELLS = 2**18
 
 
+def _lattice_axes(sites, dims):
+    # the IDW lattice's axes: dims[a] evenly spaced points spanning the sites' bounding box
+    return [np.linspace(lo, hi, n) for lo, hi, n in zip(sites.min(axis=0), sites.max(axis=0), dims)]
+
+
 def idw_interpolate(series: GridSeries, target_dims) -> GridSeries:
     """Inverse-distance-weighted interpolation onto a regular lattice, weights 1 / d^2.
 
@@ -143,8 +152,7 @@ def idw_interpolate(series: GridSeries, target_dims) -> GridSeries:
     n1, n2 = check_dims(target_dims, "target_dims", 1)
     src = series.values
     n_sites = src.shape[0]
-    (x0, y0), (x1, y1) = series.sites.min(axis=0), series.sites.max(axis=0)
-    xs, ys = np.linspace(x0, x1, n1), np.linspace(y0, y1, n2)
+    xs, ys = _lattice_axes(series.sites, (n1, n2))
     nodes = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
     dx2 = (xs[:, None] - series.sites[:, 0]) ** 2
     dy2 = (ys[:, None] - series.sites[:, 1]) ** 2
@@ -152,19 +160,15 @@ def idw_interpolate(series: GridSeries, target_dims) -> GridSeries:
     d2_max = np.max(dx2.max(axis=0) + dy2.max(axis=0))
     tol = (1e-9 * max(np.sqrt(d2_max), 1.0)) ** 2
 
-    # fl(a + b) >= max(a, b), so a coincident (node, site) pair has both axis terms
-    # below tol: pair each site's row candidates with its column candidates, then confirm
-    site_x, row = np.nonzero(dx2.T < tol)  # both ordered by site
-    site_y, col = np.nonzero(dy2.T < tol)
-    n_y = np.bincount(site_y, minlength=n_sites)  # column candidates per site
-    reps = n_y[site_x]
-    k = np.repeat(np.arange(site_x.size), reps)  # the row candidate of each pair
-    rank = np.arange(k.size) - np.repeat(np.cumsum(reps) - reps, reps)
-    site, i, j = site_x[k], row[k], col[(np.cumsum(n_y) - n_y)[site_x[k]] + rank]
-    hit = dx2[i, site] + dy2[j, site] < tol
-    node, site = i[hit] * n2 + j[hit], site[hit]
-    order = np.lexsort((site, node))
-    node, site = node[order], site[order]
+    # fl(a + b) >= max(a, b), so a coincident (node, site) pair has its row term below
+    # tol: walk, in order, the lattice rows within tol of some site's x, so that nonzero
+    # gives the (node, site) pairs ordered by node, then site
+    hits = [np.empty((2, 0), dtype=np.intp)]
+    for i in np.flatnonzero((dx2 < tol).any(axis=1)):
+        near = np.flatnonzero(dx2[i] < tol)
+        j, k = np.nonzero(dx2[i, near] + dy2[:, near] < tol)
+        hits.append(np.stack([i * n2 + j, near[k]]))
+    node, site = np.hstack(hits)
 
     # a hit node copies its first coincident source; every later coincident
     # source must carry the same series
@@ -242,16 +246,13 @@ def _bspline_basis(knots, x):
     return ell, basis
 
 
-def _evaluate_spline(knots, coef, x):
-    # the curves with coefficients coef (n_coef, curves) at the points x as a C-ordered
-    # (len(x), curves) array: each run of points in one knot interval takes one
-    # (points, 4) @ (4, curves) product
-    ell, basis = _bspline_basis(knots, x)
-    out = np.empty((x.size, coef.shape[1]))
-    starts = np.flatnonzero(np.r_[True, ell[1:] != ell[:-1], True])
-    for a, b in zip(starts[:-1], starts[1:]):
-        np.matmul(basis[a:b], coef[ell[a] - 3:ell[a] + 1], out=out[a:b])
-    return out
+def _knot_runs(ell, step):
+    # (first, end, interval) of each run of consecutive points in one knot interval,
+    # cut to at most step points; the intervals are >= 3, so -1 opens and closes the runs
+    starts = np.flatnonzero(np.diff(ell, prepend=-1, append=-1))
+    for a, b in zip(starts[:-1].tolist(), starts[1:].tolist()):
+        for c in range(a, b, step):
+            yield c, min(c + step, b), int(ell[a])
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,7 +260,8 @@ class CubicBSpline:
     """Cubic B-spline curves on the clamped knots ``t``, coefficients ``c`` (n_coef, ...).
 
     Called on points x, it gives the (..., len(x)) curves; outside the knots it
-    continues the end polynomials, as ``interpolate.BSpline`` does.
+    continues the end polynomials, as ``interpolate.BSpline`` does.  Each run of
+    points in one knot interval takes one (points, 4) @ (4, curves) product.
     """
 
     t: np.ndarray
@@ -267,13 +269,18 @@ class CubicBSpline:
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        curves = _evaluate_spline(self.t, self.c.reshape(self.c.shape[0], -1), x.ravel())
+        coef = self.c.reshape(self.c.shape[0], -1)
+        ell, basis = _bspline_basis(self.t, x.ravel())
+        curves = np.empty((x.size, coef.shape[1]))
+        for a, b, k in _knot_runs(ell, x.size):
+            np.matmul(basis[a:b], coef[k - 3:k + 1], out=curves[a:b])
         return curves.T.reshape(self.c.shape[1:] + x.shape)
 
 
 def spline_smooth(times, values, n_knots: int, cumulate: bool = False) -> CubicBSpline:
     """Least-squares cubic B-spline fit with uniform interior knots.
 
+    times : finite, strictly increasing (as in :class:`GridSeries`, else ParameterDomainError)
     values : (..., T) curves sampled at ``times``, fitted jointly by one SVD of
     the shared (T, n_knots + 4) design.  With ``cumulate`` the curves fitted are
     the running totals of ``values`` along time.  The fit is linear, so they are
@@ -286,6 +293,7 @@ def spline_smooth(times, values, n_knots: int, cumulate: bool = False) -> CubicB
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
     n_knots = check_int(n_knots, "n_knots", 0)
+    _check_times(t)
     if t.size < n_knots + 4:
         raise InsufficientResolutionError(
             f"need >= n_knots + 4 = {n_knots + 4} observations, got {t.size}")
@@ -311,9 +319,10 @@ def _project_curves(knots, coef, t, degree, basis):
     # the log of the curves with spline coefficients coef (n_coef, nodes) on t, floored
     # at LOG_FLOOR: the Legendre trend (degree + 1, nodes), with U orthonormal on its
     # span, the sine coordinates P(log) - (P U)(U^T log) (nodes, M) and the log scale.
-    # Per knot interval's run of t, cut to BLOCK_CELLS, the local-support product, log,
-    # sum of squares and product with [U^T; W] (W: P's trapezoid-weighted rows) run
-    # while the block is in cache, so no (times, nodes) array is formed
+    # Per knot interval's run of t (t is sorted, so one run per interval), cut to
+    # BLOCK_CELLS, the local-support product, log, sum of squares and product with
+    # [U^T; W] (W: P's trapezoid-weighted rows) run while the block is in cache, so no
+    # (times, nodes) array is formed
     if t.size < degree + 1:
         raise InsufficientResolutionError(
             f"need >= degree + 1 = {degree + 1} time points, got {t.size}")
@@ -321,18 +330,16 @@ def _project_curves(knots, coef, t, degree, basis):
     pu = project_samples(t, u.T, basis)  # checks that t resolves the basis, first
     rows = np.vstack([u.T, _quadrature_rows(basis, t)])
     ell, local = _bspline_basis(knots, np.clip(t, knots[0], knots[-1]))
-    starts = np.flatnonzero(np.r_[True, ell[1:] != ell[:-1], True])
     step = max(1, BLOCK_CELLS // coef.shape[1])
-    buf = np.empty((min(step, np.diff(starts).max()), coef.shape[1]))
+    buf = np.empty((min(step, np.bincount(ell).max()), coef.shape[1]))
     acc = np.zeros((rows.shape[0], coef.shape[1]))
     sum_sq = 0.0
-    for a, b in zip(starts[:-1], starts[1:]):
-        for c in range(a, b, step):
-            block = buf[:min(step, b - c)]
-            np.matmul(local[c:c + len(block)], coef[ell[a] - 3:ell[a] + 1], out=block)
-            np.log(np.maximum(block, LOG_FLOOR, out=block), out=block)
-            sum_sq += np.vdot(block, block)
-            acc += rows[:, c:c + len(block)] @ block
+    for a, b, k in _knot_runs(ell, step):
+        block = buf[:b - a]
+        np.matmul(local[a:b], coef[k - 3:k + 1], out=block)
+        np.log(np.maximum(block, LOG_FLOOR, out=block), out=block)
+        sum_sq += np.vdot(block, block)
+        acc += rows[:, a:b] @ block
     utv = acc[:degree + 1]
     return (solve @ utv, acc[degree + 1:].T - utv.T @ pu,
             max(1.0, float(np.sqrt(sum_sq / (t.size * coef.shape[1])))))
@@ -468,10 +475,10 @@ def run_pipeline(raw: GridSeries, cfg: PipelineConfig | None = None) -> Pipeline
 
     with _stage(diagnostics, "normalize"):
         mode_scale = np.sqrt(TWO_PI_SQ * _gram_min(trig_moments(residual_field)))
-        low = np.flatnonzero(mode_scale < RESIDUAL_RMS_FLOOR * log_scale)
-        if low.size:  # a mode inside the trend's span holds rounding noise only
+        if not np.all(ok := mode_scale >= RESIDUAL_RMS_FLOOR * log_scale):
+            k = int(np.argmin(ok))  # a mode inside the trend's span holds rounding noise only
             raise InsufficientResolutionError(
-                f"mode {low[0] + 1} has scale {mode_scale[low[0]]:.3e}, below the residual "
+                f"mode {k + 1} has scale {mode_scale[k]:.3e}, below the residual "
                 f"floor: the degree-{cfg.trend_degree} trend absorbs it; lower trend_degree")
     with _stage(diagnostics, "estimate"):
         model = SpectralModel("realdata_pmf", n_modes=cfg.n_modes)
@@ -558,9 +565,7 @@ def make_synthetic_counts(lattice_dims=(40, 40), n_modes: int = 10, n_months: in
         inc = np.diff(np.exp(log, out=log), axis=-1, prepend=0.0)
         row[...] = rng.poisson(np.maximum(inc, 0.0, out=inc))
 
-    xs = np.arange(n1, dtype=float)
-    ys = np.arange(n2, dtype=float)
-    nodes = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
+    nodes = np.stack(np.indices((n1, n2), dtype=float), -1).reshape(-1, 2)
     series = GridSeries(nodes, t_m, counts.reshape(-1, n_months))
     return series, truth
 
@@ -578,14 +583,14 @@ def run_cross_validation(raw: GridSeries, cfg: PipelineConfig | None = None,
     and the predicted intensity curve at the nearest lattice node is scored
     by :func:`cvfare` against the held-out site's own smoothed cumulative
     curve.  ``radius`` extends the held-out set to all sites within that
-    distance.
+    distance; a radius that is not a number >= 0 raises :class:`ParameterDomainError`.
 
     Returns a dict with the pointwise CVFARE curve (on every 8th node of the
     pipeline time grid), its normalized L1 value, and the per-fold values.
     """
     cfg = cfg or PipelineConfig()
     max_folds, seed = check_int(max_folds, "max_folds", 1), check_int(seed, "seed", 0)
-    if radius < 0:
+    if not radius >= 0:  # NaN too
         raise ParameterDomainError("radius must be >= 0")
     n_sites = raw.sites.shape[0]
     rng = np.random.default_rng(seed)
@@ -605,11 +610,9 @@ def run_cross_validation(raw: GridSeries, cfg: PipelineConfig | None = None,
     for s, keep in zip(folds, keeps):
         sub = GridSeries(raw.sites[keep], raw.times, raw.values[keep])
         res = run_pipeline(sub, cfg)
-        pred = np.exp(res.log_intensity_prediction(t_eval))
-        lo, hi = sub.sites.min(axis=0), sub.sites.max(axis=0)
-        i, j = (int(np.argmin(np.abs(np.linspace(lo[a], hi[a], n) - raw.sites[s, a])))
-                for a, n in enumerate(res.residual_field.dims))
-        preds.append(pred[i, j])
+        i, j = (int(np.argmin(np.abs(axis - raw.sites[s, a])))
+                for a, axis in enumerate(_lattice_axes(sub.sites, res.residual_field.dims)))
+        preds.append(np.exp(res.log_intensity_prediction(t_eval)[i, j]))
     curve, l1 = cvfare(observed, preds, t_eval)
     fold_l1 = [cvfare(o, p, t_eval)[1] for o, p in zip(observed, preds)]
     return {"t": t_eval, "cvfare": curve, "l1": l1,

@@ -418,9 +418,8 @@ def simulate_sarh1(params: Sarh1Params, dims, burn_in: int = 100,
     check_int(burn_in, "burn_in", 0)
     seed = check_int(seed, "seed", 0)
     triples = params.model.eig_triples(params.theta)
-    bad = np.flatnonzero(~is_causal(triples))
-    if bad.size:
-        k = int(bad[0])
+    if not np.all(ok := is_causal(triples)):
+        k = int(np.argmin(ok))
         raise StationarityError(
             f"mode {k + 1}: AR polynomial of {tuple(triples[k].tolist())} vanishes on "
             "the closed unit bidisk", mode=k + 1)

@@ -29,8 +29,7 @@ def functional_dft(field: CoeffField) -> np.ndarray:
 
 def _reflect(arr: np.ndarray) -> np.ndarray:
     # value at -omega: index z -> (-z) mod N on both spatial axes
-    n1, n2 = arr.shape[0], arr.shape[1]
-    return arr[(-np.arange(n1)) % n1][:, (-np.arange(n2)) % n2]
+    return np.roll(arr[::-1, ::-1], 1, axis=(0, 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,9 +190,8 @@ def cov_from_spectrum(model, theta, lags, grid_size: int = 512) -> np.ndarray:
         raise ParameterDomainError(f"lag {tuple(z[np.argmin(ok)].tolist())} is not two integers")
     check_int(grid_size, "grid_size", 1)
     triples = np.asarray(model.eig_triples(theta), dtype=float)
-    bad = np.flatnonzero(_has_torus_zero(triples) | ~np.all(np.isfinite(triples), axis=1))
-    if bad.size:
-        k = int(bad[0])
+    if not np.all(ok := np.all(np.isfinite(triples), axis=1) & ~_has_torus_zero(triples)):
+        k = int(np.argmin(ok))
         raise SingularSpectrumError(
             f"mode {k + 1}: AR polynomial of {tuple(triples[k].tolist())} vanishes on the "
             "unit torus, so the spectral density is not integrable")
@@ -246,12 +244,14 @@ def fejer_smoothed_inverse(model, theta, k: int, m_smooth, omega) -> float:
     triangular weights prod_j (1 - |z_j|/M_j) is exact and has at most nine
     terms: the cosines of 1/F_k at omega weighted by 1, a1, a2, a1 a2, a1 a2
     with a_j = 1 - 1/M_j.  A mode index or order that is not an integer, an
-    order below 1 or a mode index outside 1..M raises
-    :class:`ParameterDomainError`.  sigma2_k is the C2 one, which is positive
-    for every triple, so 1/F_k is defined everywhere.
+    order below 1, a mode index outside 1..M or an ``omega`` that is not two
+    finite numbers raises :class:`ParameterDomainError`.  sigma2_k is the C2
+    one, which is positive for every triple, so 1/F_k is defined everywhere.
     """
     m1, m2 = check_dims(m_smooth, "m_smooth", 1)
     k = check_int(k, "mode index k", 1)
+    if np.shape(omega) != (2,) or not np.all(np.isfinite(omega)):
+        raise ParameterDomainError(f"omega must be two finite numbers, got {omega!r}")
     triples = model.eig_triples(theta)
     if k > triples.shape[0]:
         raise ParameterDomainError(f"mode index {k} outside 1..{triples.shape[0]}")

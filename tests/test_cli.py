@@ -458,6 +458,24 @@ def test_config_line_or_key_naming_no_flag_is_usage_error(tmp_path, capsys, line
     assert not (tmp_path / "f.bin").exists()
 
 
+@pytest.mark.parametrize("where", ["flag", "flag_under_out_dir", "config_line"])
+def test_empty_out_is_usage_error_before_any_work(tmp_path, capsys, monkeypatch, where):
+    # an empty --out, or a config line "out =", ran the whole command and then died on
+    # open(""): a bare FileNotFoundError, or IsADirectoryError under --out-dir
+    monkeypatch.setattr("spatialcox.cli.simulate_sarh1",
+                        lambda *a, **k: pytest.fail("the command ran"))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("out =\n")
+    argv = {"flag": ["simulate", "--out", ""],
+            "flag_under_out_dir": ["--out-dir", tmp_path / "od", "simulate", "--out", ""],
+            "config_line": ["--config", cfg, "simulate"]}[where]
+    with pytest.raises(SystemExit) as err:
+        run(argv)
+    assert err.value.code == 2
+    assert "simulate: --out must name a file" in capsys.readouterr().err
+    assert not (tmp_path / "od").exists()
+
+
 def test_config_supplies_required_flags(tmp_path):
     field = tmp_path / "f.bin"
     run(["simulate", "--dims", "8x8", "--modes", "2", "--out", field])

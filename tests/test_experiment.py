@@ -106,7 +106,8 @@ def test_config_validation():
                                  {"theta_true": [5.0]}, {"seed": -1},
                                  {"grid_sizes": (8.5,)}, {"replicates": 2.5},
                                  {"burn_in": 2.5}, {"n_modes": 2.5}, {"n_modes": np.nan},
-                                 {"grid_sizes": (24, np.inf)}, {"seed": 1.5}])
+                                 {"grid_sizes": (24, np.inf)}, {"seed": 1.5},
+                                 {"grid_sizes": ()}])
 def test_config_rejects_degenerate_sizes(bad):
     # each used to reach the replicates, fail in all of them and end in RuntimeError;
     # a float side used to simulate a truncated field and report N = side^2,

@@ -20,7 +20,7 @@ from spatialcox import (BasisSpec, CoeffField, GridSeries, PipelineConfig, cvfar
 from spatialcox.errors import (AmbiguousInterpolationError, DivisionGuardError, FileFormatError,
                                InsufficientResolutionError, ParameterDomainError,
                                OverflowGuardError, PipelineStageError, RankDeficiencyError)
-from spatialcox.pipeline import _bspline_basis, _evaluate_spline, _project_curves
+from spatialcox.pipeline import CubicBSpline, _bspline_basis, _project_curves
 from spatialcox.sarh import TWO_PI_SQ, Sarh1Params, _gram_min, simulate_sarh1
 from spatialcox.whittle import trig_moments
 
@@ -243,6 +243,10 @@ def _idw_cases():
         "one_row_lattice": (line, rng.normal(size=(7, 5)), (1, 9)),
         "one_column_lattice": (line[:, ::-1], rng.normal(size=(7, 5)), (9, 1)),
         "duplicates_with_equal_rows": (dup_sites, dup_values, (5, 4)),
+        # every site at one x, so every lattice row shares it: the one layout where the
+        # coincidence walk visits every row with every site
+        "collinear_sites": (np.c_[np.full(6, 2.0), rng.uniform(0.0, 3.0, 6)],
+                            rng.normal(size=(6, 4)), (3, 7)),
     }
 
 
@@ -388,11 +392,18 @@ def test_local_support_evaluation_matches_the_dense_design():
     local = np.zeros_like(design)
     np.put_along_axis(local, ell[:, None] + np.arange(-3, 1), basis, axis=1)
     np.testing.assert_array_equal(local, design)
-    got = _evaluate_spline(knots, coef, x)
+    curves = CubicBSpline(knots, coef)
+    got = curves(x).T
     dense = coef.T @ design.T
     assert got.shape == (401, 30) and got.flags.c_contiguous
-    err = np.abs(got.T - dense)
-    assert np.all(err <= 1e-15 * np.abs(dense).max(axis=1, keepdims=True))
+    scale = 1e-15 * np.abs(dense).max(axis=1, keepdims=True)
+    assert np.all(np.abs(got.T - dense) <= scale)
+    # unsorted points fall in runs of one or a few points, and one point is its own run
+    perm = rng.permutation(x.size)
+    assert np.all(np.abs(curves(x[perm]) - dense[:, perm]) <= scale)
+    one = curves(x[200])
+    assert one.shape == (30,)
+    assert np.all(np.abs(one - dense[:, 200]) <= scale[:, 0])
     clipped = x == knots[0]
     assert 0 < clipped.sum() < x.size
     np.testing.assert_array_equal(got[clipped], np.broadcast_to(coef[0], (clipped.sum(), 30)))
@@ -431,6 +442,20 @@ def test_cumulated_spline_is_the_spline_of_the_running_totals(case):
     u, sv, vt = np.linalg.svd(BSpline.design_matrix(times, plain.t, 3).toarray(),
                               full_matrices=False)
     assert np.array_equal(plain.c, (vt.T / sv) @ (u.T @ counts.T))
+
+
+@pytest.mark.parametrize("times", [[0.0, 1.0, np.nan, 3.0, 4.0, 5.0],
+                                   [0.0, 1.0, 2.0, 3.0, 4.0, np.inf],
+                                   [-np.inf, 1.0, 2.0, 3.0, 4.0, 5.0],
+                                   [5.0, 4.0, 3.0, 2.0, 1.0, 0.0],
+                                   [0.0, 1.0, 1.0, 3.0, 4.0, 5.0]],
+                         ids=["nan", "inf", "minus_inf", "decreasing", "repeated"])
+def test_spline_refuses_the_times_a_series_refuses(times):
+    # NaN or inf times ended in numpy's LinAlgError (SVD did not converge); decreasing
+    # or repeated ones were fitted without a word, or with more knots ended in a
+    # RankDeficiencyError that blamed the knot count
+    with pytest.raises(ParameterDomainError, match="finite and strictly increasing"):
+        spline_smooth(times, np.ones((2, 6)), n_knots=1)
 
 
 def test_spline_needs_enough_points():
@@ -496,13 +521,15 @@ def stage_args():
 
 
 def test_rank_deficient_designs_rejected():
-    # eight time stamps on two distinct values: neither design has full column rank
+    # eight time stamps on two distinct values: the trend design has no full column rank;
+    # the spline refuses repeated stamps, so its eight increasing stamps leave the four
+    # B-splines that vanish near 0 only two rows, near 1 (Schoenberg-Whitney fails)
     t = np.repeat([0.0, 1.0], 4)
     knots, coef, basis = stage_args()
     with pytest.raises(RankDeficiencyError, match="trend design is rank deficient"):
         _project_curves(knots, coef, t, 3, basis)
     with pytest.raises(RankDeficiencyError, match="spline design is rank deficient"):
-        spline_smooth(t, np.zeros(8), n_knots=2)
+        spline_smooth(np.r_[np.linspace(0.0, 0.01, 6), 0.99, 1.0], np.zeros(8), n_knots=4)
 
 
 def test_trend_needs_enough_points():
@@ -883,8 +910,9 @@ def test_pipeline_config_rejects_out_of_domain(bad):
 
 @pytest.mark.parametrize("kwargs, message", [
     (dict(max_folds=0), "max_folds"), (dict(max_folds=-1), "max_folds"),
-    (dict(radius=-1.0), "radius must"), (dict(radius=100.0), "holds out every site"),
-], ids=["no_folds", "negative_folds", "negative_radius", "radius_holds_out_all"])
+    (dict(radius=-1.0), "radius must"), (dict(radius=np.nan), "radius must"),
+    (dict(radius=100.0), "holds out every site"),
+], ids=["no_folds", "negative_folds", "negative_radius", "nan_radius", "radius_holds_out_all"])
 def test_cross_validation_rejects_bad_arguments(kwargs, message, monkeypatch):
     # rejected before any fold runs the pipeline
     monkeypatch.setattr(spatialcox.pipeline, "run_pipeline",

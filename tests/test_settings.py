@@ -57,6 +57,13 @@ def test_one_statement_per_io_convention():
                for name, s in subs.items())
 
 
+def test_one_form_per_index_set():
+    # a spline evaluates its curves itself, through the knot-run loop it shares with the
+    # streamed projection, and IDW finds coincident pairs by walking lattice rows
+    assert not hasattr(pipeline, "_evaluate_spline")
+    assert "lexsort" not in inspect.getsource(idw_interpolate)
+
+
 def test_model_fields():
     # the innovation scale is a factor on the data and the pmf groups are
     # DEFAULT_PMF_GROUPS, so neither is a model setting

@@ -554,6 +554,16 @@ def test_fejer_mode_index_outside_range_rejected(k):
         fejer_smoothed_inverse(model, [1.0], k, (4, 4), (0.0, 0.0))
 
 
+@pytest.mark.parametrize("omega", [(np.nan, 0.0), (0.3, np.inf), (-np.inf, 0.0), (0.3,)],
+                         ids=["nan", "inf", "minus_inf", "one_number"])
+def test_fejer_omega_not_two_finite_numbers_rejected(omega):
+    # a NaN or inf frequency returned nan (inf with a RuntimeWarning), and one number
+    # ended in a bare IndexError
+    model = SpectralModel("example1", n_modes=3)
+    with pytest.raises(ParameterDomainError, match="omega must be two finite numbers"):
+        fejer_smoothed_inverse(model, [1.0], 1, (4, 4), omega)
+
+
 def test_fejer_torus_zero_is_exact():
     # D of (0.5, 0.5, 0) vanishes at omega = 0, a node of any quadrature grid;
     # the Fejer sum of |D|^2 = 1.5 - cos w1 - cos w2 + 0.5 cos(w1 - w2) there
