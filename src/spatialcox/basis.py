@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientResolutionError, ParameterDomainError, check_int
+from .errors import (InsufficientResolutionError, ParameterDomainError, check_finite,
+                     check_int)
 
 
 @dataclass(frozen=True)
@@ -38,8 +39,10 @@ class BasisSpec:
 
 
 def design_matrix(spec: BasisSpec, t_grid) -> np.ndarray:
-    """Matrix Phi with Phi[p-1, i] = sqrt(2/L) phi_p(t_i), shape (M, len(t_grid))."""
+    """Matrix Phi with Phi[p-1, i] = sqrt(2/L) phi_p(t_i), shape (M, len(t_grid)).  A
+    time that is not finite raises :class:`ParameterDomainError`."""
     t = np.asarray(t_grid, dtype=float)
+    check_finite(t, ParameterDomainError, "t_grid must be finite")
     modes = np.arange(1, spec.n_modes + 1)
     phi = np.sin(np.pi * np.outer(modes, t) / spec.support_length)
     phi *= np.sqrt(2.0 / spec.support_length)
@@ -51,11 +54,13 @@ def project_samples(t_grid, samples, spec: BasisSpec) -> np.ndarray:
     basis by the trapezoid rule: the (..., M) coordinates a_p = sqrt(2/L) * integral
     of f * phi_p in the orthonormalized basis, so f ~ a @ design_matrix(spec, t).
     ``t_grid`` must cover [0, L] with at least 2M+1 points; leading axes are batch axes.
+    Samples that are not finite raise :class:`ParameterDomainError`.
     """
     t = np.asarray(t_grid, dtype=float)
     f = np.asarray(samples, dtype=float)
     if t.ndim != 1 or f.shape[-1] != t.size:
         raise ParameterDomainError("samples last axis must match t_grid length")
+    check_finite(f, ParameterDomainError, "samples must be finite")
     if t.size < 2 * spec.n_modes + 1:
         raise InsufficientResolutionError(
             f"need >= {2 * spec.n_modes + 1} sample points for M={spec.n_modes}, got {t.size}"

@@ -18,9 +18,10 @@ import numpy as np
 from .errors import (BoundaryError, InvalidCovarianceError, LagUnavailableError,
                      OverflowGuardError, ParameterDomainError, check_dims, check_int)
 from .field import CoeffField
-from .spectral import cov_from_spectrum
+from .spectral import _bounded_cache, cov_from_spectrum
 
 EXP_GUARD = 700.0
+_RECT_SLOTS, _RECT_LAGS = 4, 2**12  # the lag rectangles :func:`_lag_rect` keeps
 # numpy's Poisson sampler refuses a mean above int64 max - 10 sqrt(int64 max), about 9.22e18
 POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max))
 
@@ -92,6 +93,17 @@ def pair_correlation(covz: float) -> float:
     return float(np.exp(covz))
 
 
+@_bounded_cache(_RECT_SLOTS, _RECT_LAGS, lambda l1, l2: (2 * l1 + 1) * (2 * l2 + 1))
+def _lag_rect(l1: int, l2: int):
+    """The lags of the rectangle |z1| <= l1, |z2| <= l2, z1-major, centred, so reversing
+    them maps z to -z: a read-only (K, 2) integer array and the tuple of their keys.  The
+    last 4 rectangles of at most 2^12 lags are kept, about 80 bytes a lag, so at most
+    about 1.3 MiB; with the tables of :func:`cov_from_spectrum`, under 8 MiB."""
+    lags = np.mgrid[-l1:l1 + 1, -l2:l2 + 1].reshape(2, -1).T
+    lags.setflags(write=False)
+    return lags, tuple(itertools.product(range(-l1, l1 + 1), range(-l2, l2 + 1)))
+
+
 def _lag_values(cov, lags) -> np.ndarray:
     # the values of a list of lags, read in its order, so the first missing lag is named
     try:
@@ -136,15 +148,15 @@ def count_moments(rect: BorelRect, cov) -> tuple[float, float]:
     overflows all the same, raises :class:`OverflowGuardError`.
     """
     n1, n2 = rect.b1 - rect.a1 + 1, rect.b2 - rect.a2 + 1
-    h1, h2 = np.arange(1 - n1, n1), np.arange(1 - n2, n2)
-    r = _lag_values(cov, list(itertools.product(h1.tolist(), h2.tolist())))  # z1-major
+    h, keys = _lag_rect(n1 - 1, n2 - 1)
+    r = _lag_values(cov, keys)
     r0 = r[r.size // 2]  # the centre lag (0, 0)
     rho = cox_intensity(r0)
     # the lags run over a centred rectangle, so reversing them maps h to -h
     expo = 0.5 * (r + r[::-1])
     mx = float(r0 + expo.max())  # at least 2 R_0, from h = 0
     _check_exponent(mx, "count-variance")
-    pairs = np.outer(n1 - np.abs(h1), n2 - np.abs(h2)).ravel()
+    pairs = np.prod([n1, n2] - np.abs(h), axis=1)
     area = rect.area
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         acc = pairs @ np.exp(expo)
@@ -222,7 +234,6 @@ def cov_map(model, theta, phi: TestFunction, max_lag, grid_size: int = 512) -> d
     """
     l1, l2 = check_dims(max_lag, "max_lag", 0)
     _check_phi(phi, model.n_modes, "model")
-    lags = np.mgrid[-l1:l1 + 1, -l2:l2 + 1].reshape(2, -1).T  # (K, 2), z1-major
+    lags, keys = _lag_rect(l1, l2)
     values = cov_from_spectrum(model, theta, lags, grid_size=grid_size)
-    keys = itertools.product(range(-l1, l1 + 1), range(-l2, l2 + 1))  # the same order
     return dict(zip(keys, (values @ phi.coefficients**2).tolist()))

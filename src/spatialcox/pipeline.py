@@ -281,7 +281,7 @@ def spline_smooth(times, values, n_knots: int, cumulate: bool = False) -> CubicB
     """Least-squares cubic B-spline fit with uniform interior knots.
 
     times : finite, strictly increasing (as in :class:`GridSeries`, else ParameterDomainError)
-    values : (..., T) curves sampled at ``times``, fitted jointly by one SVD of
+    values : finite (..., T) curves sampled at ``times``, fitted jointly by one SVD of
     the shared (T, n_knots + 4) design.  With ``cumulate`` the curves fitted are
     the running totals of ``values`` along time.  The fit is linear, so they are
     taken in coefficient space, U^T cumsum(V)^T = (R U)^T V^T with R U the sums
@@ -294,6 +294,7 @@ def spline_smooth(times, values, n_knots: int, cumulate: bool = False) -> CubicB
     v = np.asarray(values, dtype=float)
     n_knots = check_int(n_knots, "n_knots", 0)
     _check_times(t)
+    check_finite(v, ParameterDomainError, "values must be finite")
     if t.size < n_knots + 4:
         raise InsufficientResolutionError(
             f"need >= n_knots + 4 = {n_knots + 4} observations, got {t.size}")
@@ -349,13 +350,16 @@ def cvfare(true_curves, predicted_curves, t_grid):
     """Pointwise mean absolute relative error and its normalized L1 value.
 
     CVFARE(t) = mean over curves of |(true - predicted) / true|; the summary
-    is the time average (normalized L1 over the grid span).
+    is the time average (normalized L1 over the grid span).  Curves that are not finite
+    or do not share the shape (n, len(t_grid)), and a ``t_grid`` that is not finite and
+    strictly increasing, raise :class:`ParameterDomainError`.
     """
     lam = np.atleast_2d(np.asarray(true_curves, dtype=float))
     hat = np.atleast_2d(np.asarray(predicted_curves, dtype=float))
     t = np.asarray(t_grid, dtype=float)
     if lam.shape != hat.shape or lam.shape[-1] != t.size or not np.all(np.isfinite([lam, hat])):
         raise ParameterDomainError("curve arrays must be finite and share shape (n, len(t_grid))")
+    _check_times(t)
     if np.any(lam <= 0):
         raise DivisionGuardError("true intensity must be strictly positive")
     curve = np.abs((lam - hat) / lam).mean(axis=0)

@@ -33,7 +33,8 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import BasisSpec
-from .errors import ParameterDomainError, StationarityError, check_dims, check_int
+from .errors import (ParameterDomainError, StationarityError, check_dims, check_finite,
+                     check_int)
 from .field import CoeffField
 
 TWO_PI_SQ = (2.0 * np.pi) ** 2
@@ -246,8 +247,11 @@ def c2_innovation_var(triples) -> np.ndarray:
     where c -+ 2d <= 0 it is |B| and gives max(|l2|, |l3|)^2.  Causal and
     separable (l3 = -l1*l2) triples are all of this kind, causal ones giving 1.
     Only inside the band |c| < 2|d|, where D vanishes on the torus, is the w1
-    mean a 2048-node rectangle rule.
+    mean a 2048-node rectangle rule.  A triple that is not finite raises
+    :class:`ParameterDomainError`.
     """
+    check_finite(np.asarray(triples, dtype=float), ParameterDomainError,
+                 "eigenvalue triples must be finite")
     t, _, lo, hi = _face_margins(triples)
     out = np.maximum(1.0, np.abs(t[:, 0])) ** 2
     rest = (lo < 0) | (hi < 0)

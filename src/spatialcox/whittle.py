@@ -124,7 +124,9 @@ def _example1_pieces(model: SpectralModel):
     c1, c2, _ = family_triples("example1", [1.0], model.n_modes).T
     lo, hi = model.theta_box[0] ** 2
     breaks = np.concatenate([1.0 / c1, 1.0 / c2])
-    edges = np.unique(np.concatenate([[lo, hi], breaks[(breaks > lo) & (breaks < hi)]]))
+    # return_inverse skips np.unique's masked-array test, whose first call imports numpy.ma
+    edges = np.unique(np.concatenate([[lo, hi], breaks[(breaks > lo) & (breaks < hi)]]),
+                      return_inverse=True)[0]
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
     over1, over2 = c1 * mid > 1.0, c2 * mid > 1.0
     coef = np.where(over1, c1**2, 1.0) * np.where(over2, c2**2, 1.0)
@@ -223,8 +225,9 @@ def _local_model(model: SpectralModel, moments: np.ndarray, theta, read):
     jac = family_jacobian(model.family, theta, model.n_modes)[..., read]
     p = np.einsum("kiq,kij,kjr->kqr", jac, moments[:, _GRAM][:, 1:, 1:], jac)
     faces = np.einsum("fi,kiq->kfq", CAUSAL_FACES, jac).reshape(-1, jac.shape[-1])
+    # modes sharing a triple share its faces; return_inverse, as in _example1_pieces
     lin = np.unique(np.hstack([faces, (1.0 - triples @ CAUSAL_FACES.T).reshape(-1, 1)]),
-                    axis=0)  # modes sharing a triple share its faces
+                    axis=0, return_inverse=True)[0]
     return (c, np.einsum("kiq,ki->kq", jac, grad), p), lin
 
 

@@ -4,6 +4,7 @@ from oracles import trapezoid_projection
 
 from spatialcox import BasisSpec, design_matrix, project_samples
 from spatialcox.errors import InsufficientResolutionError, ParameterDomainError
+from spatialcox.sarh import c2_innovation_var
 
 
 def test_sine_eval_known_values():
@@ -125,3 +126,16 @@ def test_projection_matches_trapezoid_oracle_batched(batched):
     np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-12 * np.abs(expect).max())
     np.testing.assert_allclose(project_samples(t, f[2, 3], spec),
                                got[2, 3], rtol=1e-12, atol=1e-12 * np.abs(expect).max())
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: design_matrix(BasisSpec(1.0, 3), [0.0, np.nan, 1.0]), "t_grid must be finite"),
+    (lambda: project_samples(np.linspace(0.0, 1.0, 9), np.r_[np.zeros(4), np.nan, np.zeros(4)],
+                             BasisSpec(1.0, 3)), "samples must be finite"),
+    (lambda: c2_innovation_var([[0.5, 0.3, -0.1], [0.5, np.nan, 0.0]]),
+     "triples must be finite"),
+], ids=["design_matrix_time", "project_samples_sample", "c2_innovation_var_triple"])
+def test_nan_input_is_a_parameter_domain_error(call, message):
+    # each returned NaN entries without a word
+    with pytest.raises(ParameterDomainError, match=message):
+        call()

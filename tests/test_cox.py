@@ -9,6 +9,7 @@ from spatialcox import (BasisSpec, BorelRect, CoeffField, Sarh1Params, SpectralM
                         TestFunction, cov_map, count_moments, cox_intensity,
                         ls_count_predictor, pair_correlation, predict_field,
                         product_density_n, sample_counts, simulate_sarh1)
+from spatialcox.cox import _lag_rect
 from spatialcox.errors import (BoundaryError, InvalidCovarianceError, LagUnavailableError,
                                OverflowGuardError, ParameterDomainError)
 
@@ -351,3 +352,30 @@ def test_cov_map_combines_modes():
     vals = cov_from_spectrum(model, [1.0], [(1, -1)])
     expect = 0.25 * vals[0, 0] + 4.0 * vals[0, 1]
     assert cmap[(1, -1)] == pytest.approx(expect, rel=1e-12)
+
+
+def test_lag_rect_is_the_one_z1_major_rectangle_kept_read_only():
+    _lag_rect.cache_clear()
+    lags, keys = _lag_rect(2, 3)
+    assert keys == tuple((z1, z2) for z1 in range(-2, 3) for z2 in range(-3, 4))
+    np.testing.assert_array_equal(lags, keys)
+    assert not lags.flags.writeable
+    with pytest.raises(ValueError):
+        lags[0, 0] = 7
+    assert _lag_rect(2, 3)[0] is lags and _lag_rect.cache_info().hits == 1
+    # above 2^12 lags a rectangle is built afresh and not kept
+    big = _lag_rect(32, 32)  # 65^2 = 4225 lags
+    assert _lag_rect.cache_info().currsize == 1 and _lag_rect(32, 32)[1] == big[1]
+
+
+def test_cov_map_dict_mutation_leaves_the_next_call_unchanged():
+    model, phi = SpectralModel("realdata_pmf", 4), TestFunction([1.0, 0.5, 0.25, 0.125])
+    theta = [0.32, 0.08, 0.04, 0.26, 0.04, -0.04, -0.10, -0.02, 0.04]
+    first = cov_map(model, theta, phi, (3, 4))
+    want = dict(first)
+    first[(0, 0)] = np.nan
+    del first[(1, 1)]
+    second = cov_map(model, theta, phi, (3, 4))
+    assert second == want and list(second) == list(want)
+    assert count_moments(BorelRect(0, 3, 0, 4), second) == count_moments(BorelRect(0, 3, 0, 4),
+                                                                          want)

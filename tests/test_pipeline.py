@@ -920,3 +920,21 @@ def test_cross_validation_rejects_bad_arguments(kwargs, message, monkeypatch):
     series, _ = tiny_series(seed=31, dims=(4, 4), months=60)
     with pytest.raises(ParameterDomainError, match=message):
         run_cross_validation(series, tiny_cfg(lattice_dims=(4, 4)), **kwargs)
+
+
+@pytest.mark.parametrize("t", [[0.0, 1.0, np.inf], [1.0, 1.0, 1.0], [0.0, 2.0, 1.0]],
+                         ids=["inf", "constant", "unsorted"])
+def test_cvfare_refuses_a_t_grid_not_finite_and_increasing(t):
+    # an inf time raised a bare RuntimeWarning, a constant grid gave an L1 of NaN and an
+    # unsorted one a number
+    with pytest.raises(ParameterDomainError, match="finite and strictly increasing"):
+        cvfare(np.ones((2, 3)), np.full((2, 3), 2.0), t)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus_inf"])
+def test_spline_refuses_non_finite_values(bad):
+    # one NaN value gave NaN coefficients without a word
+    values = np.ones((2, 6))
+    values[1, 3] = bad
+    with pytest.raises(ParameterDomainError, match="values must be finite"):
+        spline_smooth(np.arange(6.0), values, n_knots=1)

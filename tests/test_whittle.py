@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from unittest import mock
@@ -840,3 +843,17 @@ def test_local_model_curvature_is_psd_without_clipping(family, dims, seed, u):
     scale = np.abs(p).max(axis=(1, 2))
     np.testing.assert_allclose(p, p.transpose(0, 2, 1), rtol=0, atol=1e-15 * scale.max())
     assert np.all(np.linalg.eigvalsh(p).min(axis=1) >= -1e-12 * scale)
+
+
+def test_estimate_leaves_out_numpy_ma():
+    # np.unique's masked-array test imported numpy.ma on the first estimate, about 13 ms
+    # and 1 MiB: an example1 and a realdata_pmf fit, in a fresh interpreter
+    code = ("import sys\n"
+            "from spatialcox import Sarh1Params, SpectralModel, estimate, simulate_sarh1\n"
+            "fld = simulate_sarh1(Sarh1Params('example1', [1.0], 4), (16, 16), seed=1)\n"
+            "for family in ('example1', 'realdata_pmf'):\n"
+            "    estimate(SpectralModel(family, 4), fld)\n"
+            "print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "False"
