@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import (BoundaryError, InvalidCovarianceError, LagUnavailableError,
                      OverflowGuardError, ParameterDomainError, check_dims, check_int)
 from .field import CoeffField
-from .spectral import _bounded_cache, cov_from_spectrum
+from .spectral import cov_from_spectrum
 
 EXP_GUARD = 700.0
 _RECT_SLOTS, _RECT_LAGS = 4, 2**12  # the lag rectangles :func:`_lag_rect` keeps
@@ -93,12 +94,17 @@ def pair_correlation(covz: float) -> float:
     return float(np.exp(covz))
 
 
-@_bounded_cache(_RECT_SLOTS, _RECT_LAGS, lambda l1, l2: (2 * l1 + 1) * (2 * l2 + 1))
 def _lag_rect(l1: int, l2: int):
     """The lags of the rectangle |z1| <= l1, |z2| <= l2, z1-major, centred, so reversing
     them maps z to -z: a read-only (K, 2) integer array and the tuple of their keys.  The
     last 4 rectangles of at most 2^12 lags are kept, about 80 bytes a lag, so at most
-    about 1.3 MiB; with the tables of :func:`cov_from_spectrum`, under 8 MiB."""
+    about 1.3 MiB; a larger one is enumerated on every call."""
+    small = (2 * l1 + 1) * (2 * l2 + 1) <= _RECT_LAGS
+    return (_kept_rect if small else _kept_rect.__wrapped__)(l1, l2)
+
+
+@lru_cache(maxsize=_RECT_SLOTS)
+def _kept_rect(l1: int, l2: int):
     lags = np.mgrid[-l1:l1 + 1, -l2:l2 + 1].reshape(2, -1).T
     lags.setflags(write=False)
     return lags, tuple(itertools.product(range(-l1, l1 + 1), range(-l2, l2 + 1)))

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -158,35 +157,6 @@ _MAX_SWEEP_CELLS = 2**22
 _PICK = np.array([[1, 2, 3], [0, 3, 2], [3, 0, 1], [2, 1, 0]])
 _PICK_SIGN = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
 _PARITY = np.array([1, -1, -1, 1])
-# the unit tables retained: the last 6 whose (K, M) table and (K, 2) key lags hold at most
-# 2^17 float64 cells together, K (M + 2), so at most 6 MiB
-_TABLE_SLOTS, _TABLE_CELLS = 6, 2**17
-
-
-def _bounded_cache(slots: int, cap: int, cells):
-    """An LRU cache of the last ``slots`` results whose arguments weigh at most ``cap``
-    cells, ``cells(*args)``; a heavier call is computed afresh and not retained.  Its
-    ``cache_info`` and ``cache_clear`` are those of :func:`functools.lru_cache`."""
-    def decorate(fn):
-        cached = lru_cache(maxsize=slots)(fn)
-
-        @wraps(fn)
-        def call(*args):
-            return (cached if cells(*args) <= cap else fn)(*args)
-        call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
-        return call
-    return decorate
-
-
-def _causal_frames(triples):
-    # per mode: whether an orientation of D is causal, the first such and its triple
-    e = np.hstack([np.ones((triples.shape[0], 1)), triples])
-    with np.errstate(over="ignore", invalid="ignore"):  # a tiny divisor is never the causal one
-        cand = np.divide(e[:, _PICK] * _PICK_SIGN, e[:, :, None], out=np.zeros(e.shape + (3,)),
-                         where=e[:, :, None] != 0)
-        ok = (e != 0) & is_causal(cand.reshape(-1, 3)).reshape(e.shape)
-    pick = np.argmax(ok, axis=1)
-    return ok.any(axis=1), pick, cand[np.arange(e.shape[0]), pick]
 
 
 def cov_from_spectrum(model, theta, lags, grid_size: int = 512) -> np.ndarray:
@@ -205,13 +175,6 @@ def cov_from_spectrum(model, theta, lags, grid_size: int = 512) -> np.ndarray:
     torus zero is causal in one orientation: D / l_c is the AR polynomial of
     (1/l1, -l3/l1, -l2/l1), (-l3/l2, 1/l2, -l1/l2) or (-l2/l3, -l1/l3, 1/l3) with
     z1, z2 or both reflected, and R(z) = (C2 variance / l_c^2) R'(reflected z).
-
-    That table of unit-innovation covariances depends on the triples and the lags
-    alone, so it is kept, read-only, keyed by the exact bytes of both: the last 6
-    tables whose table and key lags hold at most 2^17 float64 cells together, 6 MiB
-    in all; a larger one is computed afresh on every call.  The checks below run on
-    every call, in the order given, and each call returns the table times
-    ``sigma2 (2 pi)^2`` as a fresh array.
 
     ``model`` has ``eig_triples(theta) -> (M, 3)`` and ``sigma2(theta) -> (M,)``.
     ``lags`` are checked as one (K, 2) array: the first that is not two integers
@@ -232,20 +195,17 @@ def cov_from_spectrum(model, theta, lags, grid_size: int = 512) -> np.ndarray:
         raise SingularSpectrumError(
             f"mode {k + 1}: AR polynomial of {tuple(triples[k].tolist())} vanishes on the "
             "unit torus, so the spectral density is not integrable")
+    e = np.hstack([np.ones((triples.shape[0], 1)), triples])
+    with np.errstate(over="ignore", invalid="ignore"):  # a tiny divisor is never the causal one
+        cand = np.divide(e[:, _PICK] * _PICK_SIGN, e[:, :, None], out=np.zeros(e.shape + (3,)),
+                         where=e[:, :, None] != 0)
+        ok = (e != 0) & is_causal(cand.reshape(-1, 3)).reshape(e.shape)
+    pick = np.argmax(ok, axis=1)
+    t = cand[np.arange(e.shape[0]), pick]
     scale = np.asarray(model.sigma2(theta), dtype=float) * TWO_PI_SQ
-    if not np.all(found := _causal_frames(triples)[0] & np.isfinite(scale)):
+    if not np.all(found := ok.any(axis=1) & np.isfinite(scale)):
         raise ResolutionError(f"mode {np.argmin(found) + 1}: no orientation is causal with a "
                               "finite scale in floating point")
-    return _unit_table(triples.tobytes(), z.tobytes()) * scale
-
-
-@_bounded_cache(_TABLE_SLOTS, _TABLE_CELLS, lambda tri, lag: len(lag) // 16 * (len(tri) // 24 + 2))
-def _unit_table(triple_bytes: bytes, lag_bytes: bytes) -> np.ndarray:
-    # the read-only (K, M) unit-innovation covariances of :func:`cov_from_spectrum`, of
-    # the (M, 3) triples and the checked (K, 2) lags given as their float64 bytes
-    triples = np.frombuffer(triple_bytes).reshape(-1, 3)
-    z = np.frombuffer(lag_bytes).reshape(-1, 2)
-    _, pick, t = _causal_frames(triples)
     # in each mode's causal frame, turned by R(-y) = R(y) to y2 >= 0, a lag has |y1| = |z1|
     # and y2 = |z2|, and y1 > 0 < y2 where z1 z2 has the sign of the frame's parity
     a = np.abs(z.astype(np.int64))
@@ -273,8 +233,7 @@ def _unit_table(triple_bytes: bytes, lag_bytes: bytes) -> np.ndarray:
         rows = vals[hit]
         rows[:, modes] = np.where(swept[hit], buf[:, y1 + 1, y2].T, rows[:, modes])
         vals[hit] = rows
-    vals.setflags(write=False)
-    return vals
+    return vals * scale
 
 
 def fejer_smoothed_inverse(model, theta, k: int, m_smooth, omega) -> float:

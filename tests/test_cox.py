@@ -9,7 +9,7 @@ from spatialcox import (BasisSpec, BorelRect, CoeffField, Sarh1Params, SpectralM
                         TestFunction, cov_map, count_moments, cox_intensity,
                         ls_count_predictor, pair_correlation, predict_field,
                         product_density_n, sample_counts, simulate_sarh1)
-from spatialcox.cox import _lag_rect
+from spatialcox.cox import _kept_rect, _lag_rect
 from spatialcox.errors import (BoundaryError, InvalidCovarianceError, LagUnavailableError,
                                OverflowGuardError, ParameterDomainError)
 
@@ -355,17 +355,17 @@ def test_cov_map_combines_modes():
 
 
 def test_lag_rect_is_the_one_z1_major_rectangle_kept_read_only():
-    _lag_rect.cache_clear()
+    _kept_rect.cache_clear()
     lags, keys = _lag_rect(2, 3)
     assert keys == tuple((z1, z2) for z1 in range(-2, 3) for z2 in range(-3, 4))
     np.testing.assert_array_equal(lags, keys)
     assert not lags.flags.writeable
     with pytest.raises(ValueError):
         lags[0, 0] = 7
-    assert _lag_rect(2, 3)[0] is lags and _lag_rect.cache_info().hits == 1
+    assert _lag_rect(2, 3)[0] is lags and _kept_rect.cache_info().hits == 1
     # above 2^12 lags a rectangle is built afresh and not kept
     big = _lag_rect(32, 32)  # 65^2 = 4225 lags
-    assert _lag_rect.cache_info().currsize == 1 and _lag_rect(32, 32)[1] == big[1]
+    assert _kept_rect.cache_info().currsize == 1 and _lag_rect(32, 32)[1] == big[1]
 
 
 def test_cov_map_dict_mutation_leaves_the_next_call_unchanged():

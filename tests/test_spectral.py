@@ -16,7 +16,6 @@ from spatialcox import (BasisSpec, CoeffField, Periodogram, Sarh1Params, Spectra
                         periodogram, save_periodogram_csv, simulate_sarh1)
 from spatialcox.errors import (FileFormatError, LagUnavailableError, ParameterDomainError,
                               ResolutionError, SingularSpectrumError)
-from spatialcox.pipeline import DEFAULT_TRUE_PMF
 from spatialcox.sarh import _gram_form, _has_torus_zero
 from spatialcox.spectral import _fft_size, load_periodogram_binary, save_periodogram_binary
 
@@ -300,7 +299,6 @@ def test_separable_modes_never_sweep(monkeypatch):
         sweep(buf, triples)
 
     monkeypatch.setattr(spatialcox.spectral, "_stencil_sweep", spy)
-    spatialcox.spectral._unit_table.cache_clear()  # a table kept by an earlier call never sweeps
     model, theta = SpectralModel("custom", 2), np.array([0.4, 0.3, -0.12, 0.5, 0.3, -0.1])
     assert theta[2] == -theta[0] * theta[1]  # mode 1 is separable in floats
     got = cov_from_spectrum(model, theta, ORACLE_LAGS)
@@ -724,87 +722,3 @@ def test_empirical_cov_at_outside_rectangle_raises(lag):
     cov = empirical_cov(random_field((6, 6), 1, seed=2), (2, 2))
     with pytest.raises(LagUnavailableError):
         cov.at(*lag)
-
-
-# --- the unit-innovation table kept per (triples, lags) ---------------------
-
-_TABLE = spatialcox.spectral._unit_table
-# one model of each kind: separable (example1, example2), swept (triple, realdata_pmf)
-# and custom with a separable mode and one in each reflected frame (z1, z2, both)
-_TABLE_CASES = {
-    "example1": (SpectralModel("example1", 4), [1.0]),
-    "example2": (SpectralModel("example2", 4), [1.0, 1.6, 1.5, 1.2]),
-    "triple": (SpectralModel("triple", 4), [0.5, 0.3, -0.1]),
-    "reflected_custom": (SpectralModel("custom", 4),
-                         [0.4, 0.3, -0.12, 1.5, 0.1, 0.0, 0.1, 1.6, 0.2, 0.1, -0.2, 1.7]),
-    "realdata_pmf": (SpectralModel("realdata_pmf", 10), DEFAULT_TRUE_PMF),
-}
-_RECT_LAGS = np.mgrid[-19:20, -19:20].reshape(2, -1).T
-
-
-@pytest.mark.parametrize("case", list(_TABLE_CASES))
-def test_cov_from_spectrum_cold_and_warm_calls_agree_bit_for_bit(case):
-    model, theta = _TABLE_CASES[case]
-    _TABLE.cache_clear()
-    cold = cov_from_spectrum(model, theta, _RECT_LAGS)
-    warm = cov_from_spectrum(model, theta, _RECT_LAGS)
-    assert (_TABLE.cache_info().misses, _TABLE.cache_info().hits) == (1, 1)
-    assert warm.tobytes() == cold.tobytes()
-    # each call returns its own writable array; the kept table stays read-only
-    assert warm.flags.writeable and not np.shares_memory(warm, cold)
-
-
-def test_cov_from_spectrum_result_mutation_leaves_the_next_call_unchanged():
-    model, theta = _TABLE_CASES["reflected_custom"]
-    first = cov_from_spectrum(model, theta, _RECT_LAGS)
-    want = first.copy()
-    first[:] = np.nan
-    np.testing.assert_array_equal(cov_from_spectrum(model, theta, _RECT_LAGS), want)
-
-
-def test_cov_from_spectrum_scales_the_kept_table_by_each_model_sigma2():
-    # a duck-typed model of the same triples with 4 times the innovation variance reads
-    # the same table, times its own scale
-    model, theta = _TABLE_CASES["realdata_pmf"]
-
-    class FourTimes:
-        def eig_triples(self, th):
-            return model.eig_triples(th)
-
-        def sigma2(self, th):
-            return 4.0 * model.sigma2(th)
-
-    unit = cov_from_spectrum(model, theta, _RECT_LAGS)
-    hits = _TABLE.cache_info().hits
-    np.testing.assert_array_equal(cov_from_spectrum(FourTimes(), theta, _RECT_LAGS), 4.0 * unit)
-    assert _TABLE.cache_info().hits == hits + 1
-
-
-@pytest.mark.parametrize("model, theta, lags, error", [
-    (SpectralModel("triple", 1), [0.5, 0.6, 0.0], [(0, 0)], SingularSpectrumError),
-    (SpectralModel("triple", 1), [2.065932128787307, -0.0751311028099844, 1.1410632315972915],
-     [(0, 0)], ResolutionError),
-    (SpectralModel("triple", 1), [0.5, 0.3, -0.1], [(2100, 2000)], ResolutionError),
-    (SpectralModel("example1", 2), [1.0], [(0, 0), (1.5, 0)], ParameterDomainError),
-], ids=["torus_zero", "no_causal_orientation", "sweep_above_the_cap", "lag_not_integral"])
-def test_cov_from_spectrum_raises_on_every_repeated_call(model, theta, lags, error):
-    _TABLE.cache_clear()
-    for _ in range(3):
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error):
-            cov_from_spectrum(model, theta, lags)
-    assert _TABLE.cache_info().currsize == 0
-
-
-def test_cov_from_spectrum_keeps_no_table_above_the_cell_cap():
-    # a table and its key lags of K (M + 2) float64 cells are kept up to 2^17 of them
-    model = SpectralModel("example1", 2)
-    small = np.mgrid[-90:91, -90:91].reshape(2, -1).T   # 181^2 x 4 cells, below 2^17
-    large = np.mgrid[-91:92, -91:92].reshape(2, -1).T   # 183^2 x 4 cells, above
-    assert small.shape[0] * 4 <= spatialcox.spectral._TABLE_CELLS < large.shape[0] * 4
-    _TABLE.cache_clear()
-    cov_from_spectrum(model, [1.0], small)
-    assert _TABLE.cache_info().currsize == 1
-    first = cov_from_spectrum(model, [1.0], large)
-    again = cov_from_spectrum(model, [1.0], large)
-    assert _TABLE.cache_info().currsize == 1 and _TABLE.cache_info().hits == 0
-    assert again.tobytes() == first.tobytes()
