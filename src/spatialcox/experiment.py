@@ -6,12 +6,12 @@ defaults, the setting the CLI and the pipeline fit at too.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterDomainError, SpatialCoxError, check_int
+from .field import _write_csv
 from .sarh import Sarh1Params, is_causal, simulate_sarh1
 from .whittle import estimate
 
@@ -74,12 +74,12 @@ class ExperimentTable:
     rows: list
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["N", "component", "mean", "sd", "mse", "n_failed"])
-            for r in self.rows:
-                w.writerow([r["N"], r["component"], repr(r["mean"]), repr(r["sd"]),
-                            repr(r["mse"]), r["n_failed"]])
+        header, blocks = ["N", "component", "mean", "sd", "mse", "n_failed"], {}
+        for r in self.rows:  # one block per N, led by N; each holds the first's components
+            blocks.setdefault(r["N"], []).append(r)
+        _write_csv(path, header, ([r["component"] for r in next(iter(blocks.values()), [])],),
+                   (((n,), [np.array([r[h] for r in b]) for h in header[2:]])
+                    for n, b in blocks.items()))
 
     def select(self, n_value: int, component: int = 1) -> dict:
         for r in self.rows:

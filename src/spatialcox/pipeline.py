@@ -586,8 +586,8 @@ def run_cross_validation(raw: GridSeries, cfg: PipelineConfig | None = None,
     the pipeline runs on the remaining sites (the IDW stage fills the gap),
     and the predicted intensity curve at the nearest lattice node is scored
     by :func:`cvfare` against the held-out site's own smoothed cumulative
-    curve.  ``radius`` extends the held-out set to all sites within that
-    distance; a radius that is not a number >= 0 raises :class:`ParameterDomainError`.
+    curve.  The held-out set is every site within ``radius`` of it, its co-located
+    twins too; a radius that is not a number >= 0 raises :class:`ParameterDomainError`.
 
     Returns a dict with the pointwise CVFARE curve (on every 8th node of the
     pipeline time grid), its normalized L1 value, and the per-fold values.
@@ -600,8 +600,7 @@ def run_cross_validation(raw: GridSeries, cfg: PipelineConfig | None = None,
     rng = np.random.default_rng(seed)
     folds = np.arange(n_sites) if n_sites <= max_folds else np.sort(
         rng.choice(n_sites, size=max_folds, replace=False))
-    keeps = [np.linalg.norm(raw.sites - raw.sites[s], axis=1) > radius if radius > 0
-             else np.arange(n_sites) != s for s in folds]
+    keeps = [np.linalg.norm(raw.sites - raw.sites[s], axis=1) > radius for s in folds]
     if not all(keep.any() for keep in keeps):
         raise ParameterDomainError(f"radius {radius} holds out every site of a fold")
 

@@ -33,8 +33,8 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import BasisSpec
-from .errors import (ParameterDomainError, StationarityError, check_dims, check_finite,
-                     check_int)
+from .errors import (ParameterDomainError, ResolutionError, SingularSpectrumError,
+                     StationarityError, check_dims, check_finite, check_int)
 from .field import CoeffField
 
 TWO_PI_SQ = (2.0 * np.pi) ** 2
@@ -53,6 +53,12 @@ AFFINE_FAMILIES = ("triple", "custom", "realdata_pmf")
 # 1 - l1 > |l2 + l3| and 1 + l1 > |l2 - l3|: four faces, which imply |l1| < 1.
 CAUSAL_FACES = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0],
                          [-1.0, -1.0, 1.0]])
+# the orientations c of D, (l1, l2, l3), (1, -l3, -l2) / l1, (-l3, 1, -l1) / l2, (-l2, -l1, 1)
+# / l3: signed picks from e = (1, l1, l2, l3) over e[c], reflecting no lag axis, z1, z2 and
+# both, so _PARITY[c] is the sign they give z1 z2
+_PICK = np.array([[1, 2, 3], [0, 3, 2], [3, 0, 1], [2, 1, 0]])
+_PICK_SIGN = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
+_PARITY = np.array([1, -1, -1, 1])
 
 # e^{iw} on the 2048-node rectangle rule over [-pi, pi) of the C2 band quadrature
 _C2_NODES = np.exp(1j * (-np.pi + 2.0 * np.pi * np.arange(2048) / 2048))
@@ -219,10 +225,26 @@ def _separable(triples) -> np.ndarray:
     return l3 == -l1 * l2
 
 
-def _has_torus_zero(triples) -> np.ndarray:
-    """Per row: D vanishes on the unit torus, |c| <= 2|d|: c -+ 2d not of one strict sign."""
-    _, _, lo, hi = _face_margins(triples)
-    return ~(((lo > 0) & (hi > 0)) | ((lo < 0) & (hi < 0)))
+def _causal_frame(triples):
+    """Per row: the orientation c in which D is causal, that frame's triple and the row's C2
+    variance l_c^2.  Off the torus zero one frame is causal (Basu & Reinsel, 1993): frame c > 0
+    has margins 0 and c over -l_c and the other two over l_c, so c > 0 is the face whose margin
+    has margin 0's sign.  A non-finite row or a torus zero raises :class:`SingularSpectrumError`;
+    a frame that rounds out of the causal set, or an overflowing l_c^2, :class:`ResolutionError`."""
+    t, m, lo, hi = _face_margins(triples)  # c -+ 2d of one strict sign: no torus zero
+    if not np.all(ok := np.all(np.isfinite(t), axis=1) & (np.sign(lo) * np.sign(hi) > 0)):
+        raise SingularSpectrumError(
+            f"mode {np.argmin(ok) + 1}: AR polynomial of {tuple(t[np.argmin(ok)].tolist())} "
+            "vanishes on the unit torus, so the spectral density is not integrable")
+    c = np.where(np.all(m > 0, axis=1), 0, 1 + np.argmax((m[:, 1:] > 0) == (m[:, :1] > 0), axis=1))
+    e = np.hstack([np.ones((t.shape[0], 1)), t])
+    lc = np.take_along_axis(e, c[:, None], axis=1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # refused, not warned
+        frame = np.take_along_axis(e, _PICK[c], axis=1) * _PICK_SIGN[c] / lc
+        if not np.all(found := is_causal(frame) & np.isfinite(scale := lc[:, 0] ** 2)):
+            raise ResolutionError(f"mode {np.argmin(found) + 1}: no orientation is causal "
+                                  "with a finite scale in floating point")
+    return c, frame, scale
 
 
 def is_causal(triples) -> np.ndarray:
@@ -321,13 +343,13 @@ class SpectralModel:
 
     def density(self, theta, omega1, omega2) -> np.ndarray:
         """Spectral density values, shape broadcast(omega) + (M,)."""
-        l1, l2, l3 = self.eig_triples(theta).T
+        l1, l2, l3 = (triples := self.eig_triples(theta)).T
         w1 = np.asarray(omega1, dtype=float)[..., None]
         w2 = np.asarray(omega2, dtype=float)[..., None]
         d2 = np.abs(1.0 - l1 * np.exp(1j * w1) - l2 * np.exp(1j * w2)
                     - l3 * np.exp(1j * (w1 + w2))) ** 2
         with np.errstate(divide="ignore"):  # zeros surface as inf, callers guard
-            return self.sigma2(theta) / d2
+            return c2_innovation_var(triples) / TWO_PI_SQ / d2
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (FileFormatError, LagUnavailableError, ParameterDomainError,
-                     ResolutionError, SingularSpectrumError, check_dims, check_int)
+                     ResolutionError, check_dims, check_int)
 from .field import CoeffField, FrequencyGrid, _cells, _read_binary, _write_binary, _write_csv
-from .sarh import (TWO_PI_SQ, _cosines, _gram_form, _has_torus_zero, _product_form,
-                   _separable, _stencil_sweep, is_causal)
+from . import sarh
+from .sarh import (TWO_PI_SQ, _causal_frame, _cosines, _gram_form, _product_form, _separable,
+                   _stencil_sweep, c2_innovation_var)
 
 _HEADER = np.dtype([("n1", "<i8"), ("n2", "<i8"), ("m", "<i8"), ("full", "<i8")])
 
@@ -151,12 +152,6 @@ def empirical_cov(field: CoeffField, max_lag) -> EmpiricalCov:
 
 # cap on the covariance sweep's lag rectangle, rows x columns x modes float64 cells (32 MiB)
 _MAX_SWEEP_CELLS = 2**22
-# the four orientations of D, (l1, l2, l3) / 1, (1, -l3, -l2) / l1, (-l3, 1, -l1) / l2 and
-# (-l2, -l1, 1) / l3: signed picks from e = (1, l1, l2, l3) over e[c]; they reflect no lag
-# axis, z1, z2 and both, so _PARITY[c] is the sign they give z1 z2
-_PICK = np.array([[1, 2, 3], [0, 3, 2], [3, 0, 1], [2, 1, 0]])
-_PICK_SIGN = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
-_PARITY = np.array([1, -1, -1, 1])
 
 
 def cov_from_spectrum(model, theta, lags, grid_size: int = 512) -> np.ndarray:
@@ -171,12 +166,12 @@ def cov_from_spectrum(model, theta, lags, grid_size: int = 512) -> np.ndarray:
     form R_0 rho1^|z1| rho2^|z2| at every lag, so it is never swept.  The other modes'
     remaining lags come from one exact sweep of the stencil over those modes, z1 in
     [-1, L1], z2 in [0, L2], that starts from the product form on row z1 = -1 and
-    column z2 = 0.  Powers are taken of the distinct |z_j| only.  A triple with no
-    torus zero is causal in one orientation: D / l_c is the AR polynomial of
-    (1/l1, -l3/l1, -l2/l1), (-l3/l2, 1/l2, -l1/l2) or (-l2/l3, -l1/l3, 1/l3) with
-    z1, z2 or both reflected, and R(z) = (C2 variance / l_c^2) R'(reflected z).
+    column z2 = 0.  Powers are taken of the distinct |z_j| only.  Off the torus zero a
+    triple is causal in one orientation (:func:`spatialcox.sarh._causal_frame`): D / l_c,
+    the AR polynomial of (1/l1, -l3/l1, -l2/l1), (-l3/l2, 1/l2, -l1/l2) or (-l2/l3, -l1/l3,
+    1/l3) with z1, z2 or both reflected; its C2 variance l_c^2 makes R(z) = R'(reflected z).
 
-    ``model`` has ``eig_triples(theta) -> (M, 3)`` and ``sigma2(theta) -> (M,)``.
+    ``model`` needs only ``eig_triples(theta) -> (M, 3)``, called once.
     ``lags`` are checked as one (K, 2) array: the first that is not two integers
     raises :class:`ParameterDomainError`.  ``grid_size``, an integer >= 1, is
     checked and unused.  A mode with |c| <= 2|d| vanishes on the unit torus and has
@@ -189,23 +184,7 @@ def cov_from_spectrum(model, theta, lags, grid_size: int = 512) -> np.ndarray:
     if not np.all(ok := np.all((z == np.round(z)) & (np.abs(z) < 2.0**62), axis=1)):
         raise ParameterDomainError(f"lag {tuple(z[np.argmin(ok)].tolist())} is not two integers")
     check_int(grid_size, "grid_size", 1)
-    triples = np.asarray(model.eig_triples(theta), dtype=float)
-    if not np.all(ok := np.all(np.isfinite(triples), axis=1) & ~_has_torus_zero(triples)):
-        k = int(np.argmin(ok))
-        raise SingularSpectrumError(
-            f"mode {k + 1}: AR polynomial of {tuple(triples[k].tolist())} vanishes on the "
-            "unit torus, so the spectral density is not integrable")
-    e = np.hstack([np.ones((triples.shape[0], 1)), triples])
-    with np.errstate(over="ignore", invalid="ignore"):  # a tiny divisor is never the causal one
-        cand = np.divide(e[:, _PICK] * _PICK_SIGN, e[:, :, None], out=np.zeros(e.shape + (3,)),
-                         where=e[:, :, None] != 0)
-        ok = (e != 0) & is_causal(cand.reshape(-1, 3)).reshape(e.shape)
-    pick = np.argmax(ok, axis=1)
-    t = cand[np.arange(e.shape[0]), pick]
-    scale = np.asarray(model.sigma2(theta), dtype=float) * TWO_PI_SQ
-    if not np.all(found := ok.any(axis=1) & np.isfinite(scale)):
-        raise ResolutionError(f"mode {np.argmin(found) + 1}: no orientation is causal with a "
-                              "finite scale in floating point")
+    pick, t, scale = _causal_frame(triples := model.eig_triples(theta))
     # in each mode's causal frame, turned by R(-y) = R(y) to y2 >= 0, a lag has |y1| = |z1|
     # and y2 = |z2|, and y1 > 0 < y2 where z1 z2 has the sign of the frame's parity
     a = np.abs(z.astype(np.int64))
@@ -216,7 +195,7 @@ def cov_from_spectrum(model, theta, lags, grid_size: int = 512) -> np.ndarray:
     vals = r0 * powers[0][k[:, 0]] * powers[1][k[:, 1]]
     # a separable mode is in product form at every lag, so only the others are swept
     modes = np.flatnonzero(~_separable(triples))
-    swept = (np.sign(z[:, :1]) * np.sign(z[:, 1:])) * _PARITY[pick[modes]] > 0
+    swept = (np.sign(z[:, :1]) * np.sign(z[:, 1:])) * sarh._PARITY[pick[modes]] > 0
     if (hit := swept.any(axis=1)).any():
         y1, y2 = a[hit, 0], a[hit, 1]
         wide, deep = int(y1.max()), int(y2.max())
@@ -230,9 +209,8 @@ def cov_from_spectrum(model, theta, lags, grid_size: int = 512) -> np.ndarray:
         buf[:, :, 0] = r0m[:, None] * rhom[:, :1] ** np.abs(np.arange(-1, wide + 1))
         buf[:, 0] = (r0m * rhom[:, 0])[:, None] * rhom[:, 1:] ** np.arange(deep + 1)
         _stencil_sweep(buf, t[modes])
-        rows = vals[hit]
-        rows[:, modes] = np.where(swept[hit], buf[:, y1 + 1, y2].T, rows[:, modes])
-        vals[hit] = rows
+        cells = np.ix_(hit, modes)
+        vals[cells] = np.where(swept[hit], buf[:, y1 + 1, y2].T, vals[cells])
     return vals * scale
 
 
@@ -245,8 +223,8 @@ def fejer_smoothed_inverse(model, theta, k: int, m_smooth, omega) -> float:
     terms: the cosines of 1/F_k at omega weighted by 1, a1, a2, a1 a2, a1 a2
     with a_j = 1 - 1/M_j.  A mode index or order that is not an integer, an
     order below 1, a mode index outside 1..M or an ``omega`` that is not two
-    finite numbers raises :class:`ParameterDomainError`.  sigma2_k is the C2
-    one, which is positive for every triple, so 1/F_k is defined everywhere.
+    finite numbers raises :class:`ParameterDomainError`.  sigma2_k is the C2 one of
+    the triples, positive for every triple, so 1/F_k is defined everywhere.
     """
     m1, m2 = check_dims(m_smooth, "m_smooth", 1)
     k = check_int(k, "mode index k", 1)
@@ -257,7 +235,8 @@ def fejer_smoothed_inverse(model, theta, k: int, m_smooth, omega) -> float:
         raise ParameterDomainError(f"mode index {k} outside 1..{triples.shape[0]}")
     a1, a2 = 1.0 - 1.0 / m1, 1.0 - 1.0 / m2
     mu = _cosines(float(omega[0]), float(omega[1])) * [1.0, a1, a2, a1 * a2, a1 * a2]
-    return float(_gram_form(triples[k - 1:k], mu[None, :])[0][0] / model.sigma2(theta)[k - 1])
+    sigma2 = c2_innovation_var(triples)[k - 1] / TWO_PI_SQ
+    return float(_gram_form(triples[k - 1:k], mu[None, :])[0][0] / sigma2)
 
 
 # ---------------------------------------------------------------------------

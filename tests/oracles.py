@@ -12,7 +12,8 @@ lag rectangle of covariances, the 256^2 quadrature of the Fejer-smoothed
 inverse spectrum, the site-pair double sum of the count variance, the
 wrap-padded copy that the circular lag moments read, the
 dense Fourier-grid Whittle loss, the cosine contraction of a periodogram
-and the field that has a given one, row-by-row CSV writers,
+and the field that has a given one, the search of D's four orientations for a causal
+one, row-by-row CSV writers,
 inverse-distance weighting through the dense cdist matrix, the one-shot
 synthetic count generator (full-size log-intensity, intensity, increments
 and draws at once), the curve-space pipeline (smooth, interpolate and detrend every curve on the
@@ -148,6 +149,22 @@ def exact_face_margins(triple):
     l1, l2, l3 = (Fraction(float(v)) for v in triple)
     return [float(m) for m in (1 - l1 - l2 - l3, 1 - l1 + l2 + l3, 1 + l1 - l2 + l3,
                                1 + l1 + l2 - l3)]
+
+
+def searched_causal_orientation(triple):
+    """The first orientation c = 0..3 of D in which ``triple`` is causal in floats, and that
+    frame's triple, found by trying all four; (None, None) if none is.  Frame c is D over
+    1, l1, l2 or l3: the triples (l1, l2, l3), (1/l1, -l3/l1, -l2/l1), (-l3/l2, 1/l2,
+    -l1/l2) and (-l2/l3, -l1/l3, 1/l3), with no lag axis, z1, z2 or both reflected.  Each
+    is rounded to floats and tested by its exact face margins."""
+    l1, l2, l3 = np.asarray(triple, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        frames = [(l1, l2, l3), (1 / l1, -l3 / l1, -l2 / l1), (-l3 / l2, 1 / l2, -l1 / l2),
+                  (-l2 / l3, -l1 / l3, 1 / l3)]
+    for c, frame in enumerate(frames):
+        if np.all(np.isfinite(frame)) and min(exact_face_margins(frame)) > 0:
+            return c, tuple(float(v) for v in frame)
+    return None, None
 
 
 def exact_axis_cov(triple, lag):
@@ -449,6 +466,16 @@ def field_csv_loop(field, path):
             for j in range(n2):
                 for k in range(field.n_modes):
                     w.writerow([i, j, k + 1, repr(float(field.data[i, j, k]))])
+
+
+def experiment_csv_loop(table, path):
+    """Experiment CSV written row by row from the table's rows."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["N", "component", "mean", "sd", "mse", "n_failed"])
+        for r in table.rows:
+            w.writerow([r["N"], r["component"], repr(r["mean"]), repr(r["sd"]),
+                        repr(r["mse"]), r["n_failed"]])
 
 
 def series_csv_loop(series, path):

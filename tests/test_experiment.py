@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from spatialcox import ExperimentConfig, run_experiment
+from oracles import experiment_csv_loop
+from spatialcox import ExperimentConfig, ExperimentTable, run_experiment
 from spatialcox.errors import ParameterDomainError, SingularSpectrumError
 
 
@@ -64,6 +65,23 @@ def test_csv_layout(tmp_path):
     assert header == "N,component,mean,sd,mse,n_failed"
     body = np.loadtxt(path, delimiter=",", skiprows=1)
     assert body.ndim == 1 and body[0] == 576
+    experiment_csv_loop(table, tmp_path / "loop.csv")
+    assert path.read_bytes() == (tmp_path / "loop.csv").read_bytes()
+
+
+def test_csv_bytes_are_the_row_writers(tmp_path):
+    # one block per N through the package's one CSV writer gives the bytes of writing
+    # each row with csv.writer: 2 sizes x 4 components, an sd of 0.0, -0.0, a
+    # subnormal, the largest float and n_failed = 3; and the empty table's header alone
+    values = [0.1, 1 / 3, -0.0, 5e-324, 1.7976931348623157e308, -2.5e-17, 1e16, 7.0]
+    tables = [ExperimentTable([
+        {"N": n, "component": c, "mean": values[i + c], "sd": 0.0 if c == 2 else values[c - 1],
+         "mse": values[(i + 2 * c) % 8], "n_failed": 3 * i}
+        for i, n in enumerate((576, 1024)) for c in range(1, 5)]), ExperimentTable([])]
+    for table in tables:
+        table.to_csv(tmp_path / "got.csv")
+        experiment_csv_loop(table, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_threads_match_serial():

@@ -792,6 +792,26 @@ def test_cross_validation_smoke():
     assert np.all(out["cvfare"] >= 0)
 
 
+def test_cross_validation_holds_out_a_sites_co_located_twin(monkeypatch):
+    # at radius 0 a fold kept every site but the held-out one, so a twin at the same
+    # coordinates, with the same series, stayed in the fit that predicts it
+    series, _ = tiny_series(seed=31, dims=(4, 4), months=60)
+    twin = GridSeries(np.vstack([series.sites, series.sites[5]]), series.times,
+                      np.vstack([series.values, series.values[5]]))
+    seen, run = [], spatialcox.pipeline.run_pipeline
+
+    def spy(sub, cfg):
+        seen.append(sub.sites)
+        return run(sub, cfg)
+
+    monkeypatch.setattr(spatialcox.pipeline, "run_pipeline", spy)
+    out = run_cross_validation(twin, tiny_cfg(lattice_dims=(4, 4)), max_folds=17)
+    assert out["folds"] == list(range(17)) and len(seen) == 17
+    for s, sites in zip(out["folds"], seen):
+        assert not np.any(np.all(sites == twin.sites[s], axis=1)), s
+        assert sites.shape[0] == 16 - (s in (5, 16))
+
+
 def test_pipeline_resumable_from_projected_checkpoint(tmp_path):
     # stage outputs serialize and the downstream stages reproduce the full
     # run bit-identically when resumed from the saved residual field

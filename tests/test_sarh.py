@@ -18,7 +18,7 @@ from spatialcox import (Sarh1Params, TestFunction, c2_innovation_var, cov_from_s
                         periodogram, simulate_sarh1, SpectralModel)
 from spatialcox.errors import ParameterDomainError, StationarityError
 from spatialcox import sarh
-from spatialcox.sarh import CAUSAL_FACES, _face_margins, _has_torus_zero
+from spatialcox.sarh import CAUSAL_FACES, _causal_frame, _face_margins
 
 
 def test_example1_eigenvalues_at_truth():
@@ -488,7 +488,10 @@ def test_causal_triples_near_a_face_are_regular():
     batch = _near_face_triples(20_000, seed=19)
     triples = np.vstack([quoted, batch[is_causal(batch)]])
     assert triples.shape[0] > 10_000 and np.all(is_causal(triples))
-    assert not np.any(_has_torus_zero(triples))
+    _, _, lo, hi = _face_margins(triples)
+    assert np.all((lo > 0) & (hi > 0))
+    c, frame, scale = _causal_frame(triples)
+    assert not c.any() and np.array_equal(frame, triples) and np.all(scale == 1.0)
     np.testing.assert_array_equal(c2_innovation_var(triples), 1.0)
     model = SpectralModel("custom", n_modes=triples.shape[0])
     r0, r1 = cov_from_spectrum(model, triples.ravel(), [(0, 0), (1, 0)])

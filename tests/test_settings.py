@@ -6,9 +6,9 @@ import inspect
 import pytest
 
 from spatialcox import (ExperimentConfig, PipelineConfig, PipelineResult, Sarh1Params,
-                        SpectralModel, cli, design_matrix, estimate, idw_interpolate,
-                        make_synthetic_counts, pipeline, product_density_n, project_samples,
-                        run_cross_validation, sarh, spectral)
+                        SpectralModel, cli, design_matrix, estimate, experiment, field,
+                        idw_interpolate, make_synthetic_counts, pipeline, product_density_n,
+                        project_samples, run_cross_validation, sarh, spectral)
 from spatialcox.pipeline import SyntheticTruth
 from spatialcox.sarh import default_box, family_jacobian, family_triples
 
@@ -36,20 +36,24 @@ def test_single_value_keywords_gone(fn, keyword):
 
 
 def test_one_form_per_convention():
-    # the torus geometry is the face margins of sarh alone, and the sine basis
-    # has one coordinate convention
-    assert not hasattr(sarh, "_torus_cd")
-    assert not hasattr(spectral, "CAUSAL_FACES")
+    # the torus geometry is the face margins of sarh alone, each mode's causal frame is
+    # read from them there, with no orientation table or search in spectral, and the sine
+    # basis has one coordinate convention
+    assert not hasattr(sarh, "_torus_cd") and not hasattr(sarh, "_has_torus_zero")
+    for name in ("CAUSAL_FACES", "_PICK", "_PICK_SIGN", "_PARITY", "is_causal"):
+        assert not hasattr(spectral, name), name
     assert [f.name for f in dataclasses.fields(SyntheticTruth)] == [
         "theta_flat", "lambda_true", "coeff", "basis"]
 
 
 def test_one_statement_per_io_convention():
     # main joins --out with --out-dir, each subparser names its handler, the config keys
-    # are the parsers' own options, and errors.check_finite is the one finiteness test
+    # are the parsers' own options, errors.check_finite is the one finiteness test, and
+    # field._write_csv the one CSV writer, the experiment table's too
     for name in ("_out_path", "_COMMANDS", "_TOP_LEVEL_KEYS"):
         assert not hasattr(cli, name), name
     assert not hasattr(pipeline, "_check_finite")
+    assert not hasattr(experiment, "csv") and experiment._write_csv is field._write_csv
     parser = cli.build_parser()
     assert set(cli._options(parser)) == {"seed", "threads", "out_dir"}
     subs = next(a for a in parser._actions if a.dest == "command").choices

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 from oracles import (brute_force_cov, brute_force_cov_pair, brute_force_dft, exact_axis_cov,
                      grid_cov_from_spectrum, irfft2_empirical_cov, lag_by_lag_empirical_cov,
                      lag_rectangle_cosine_sum, periodogram_csv_loop, quadrature_cov_from_spectrum,
-                     quadrature_fejer_inverse, separable_cov)
+                     quadrature_fejer_inverse, searched_causal_orientation, separable_cov)
 import spatialcox.spectral
 from spatialcox import (BasisSpec, CoeffField, Periodogram, Sarh1Params, SpectralModel,
                         TestFunction, c2_innovation_var, cov_from_spectrum, cov_map, empirical_cov,
@@ -16,7 +16,7 @@ from spatialcox import (BasisSpec, CoeffField, Periodogram, Sarh1Params, Spectra
                         periodogram, save_periodogram_csv, simulate_sarh1)
 from spatialcox.errors import (FileFormatError, LagUnavailableError, ParameterDomainError,
                               ResolutionError, SingularSpectrumError)
-from spatialcox.sarh import _gram_form, _has_torus_zero
+from spatialcox.sarh import _causal_frame, _face_margins, _gram_form
 from spatialcox.spectral import _fft_size, load_periodogram_binary, save_periodogram_binary
 
 
@@ -423,7 +423,8 @@ def test_cov_from_spectrum_refuses_a_mode_with_no_causal_orientation(triple):
     # feed a non-causal or NaN triple to the sweep, so both refuse, naming no number
     model = SpectralModel("triple", n_modes=1)
     with np.errstate(over="ignore", invalid="ignore"):
-        assert not _has_torus_zero([triple])[0]
+        _, _, lo, hi = _face_margins([triple])  # c -+ 2d of one strict sign: no torus zero
+        assert np.sign(lo[0]) * np.sign(hi[0]) > 0
         with pytest.raises(ResolutionError, match="no orientation is causal"):
             cov_from_spectrum(model, np.array(triple), [(0, 0)])
 
@@ -448,6 +449,64 @@ _mixed_modes = st.one_of(
     st.tuples(st.floats(-0.95, 0.95), st.floats(-0.95, 0.95)).map(lambda a: (*a, -a[0] * a[1])),
     *(causal_triples.filter(lambda t, c=c: abs(t[c]) >= 0.1).map(f)
       for c, f in enumerate((_reflect_z1, _reflect_z2, _reflect_both))))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_mixed_modes)
+@example((0.967, 0.005, 0.005))          # c - 2|d| < 1e-3 from the band edge
+@example((0.5, 0.4999999999, 0.0))       # 1e-10 from it
+@example((-0.25 + 2**-19, 2.0, -0.75))   # reflected in z2, 2^-20 from a face
+@example((0.0, 1.5, 0.0))
+@example((1.5, 0.1, 0.0))
+@example((0.1, -0.2, 1.7))
+@example((2.065932128787307, -0.0751311028099844, 1.1410632315972915))  # no frame survives
+def test_causal_frame_picks_the_searched_orientation(triple):
+    # the closed-form rule on one pass of the face margins picks the orientation that the
+    # search of all four finds, with its frame triple and, as l_c^2, the C2 variance bit
+    # for bit; where no frame is causal in floats it refuses
+    c, frame = searched_causal_orientation(triple)
+    if c is None:
+        with pytest.raises(ResolutionError, match="no orientation is causal"):
+            _causal_frame([triple])
+        return
+    got_c, got_frame, scale = _causal_frame([triple])
+    assert (got_c[0], tuple(got_frame[0])) == (c, frame)
+    assert scale[0] == c2_innovation_var([triple])[0]
+
+
+class _TriplesOnly:
+    """A model that has eig_triples and nothing else."""
+
+    def __init__(self, model):
+        self.eig_triples = model.eig_triples
+
+
+def test_a_model_with_only_eig_triples_gets_the_same_covariances():
+    # causal, separable and reflected modes: the C2 scale comes from the triples themselves
+    model = SpectralModel("custom", 4)
+    theta = [0.4, 0.3, -0.12, 1.5, 0.1, 0.0, 0.1, 1.6, 0.2, 0.1, -0.2, 1.7]
+    want = cov_from_spectrum(model, theta, ORACLE_LAGS)
+    assert np.array_equal(cov_from_spectrum(_TriplesOnly(model), theta, ORACLE_LAGS), want)
+    for k in (1, 2, 3, 4):
+        assert (fejer_smoothed_inverse(_TriplesOnly(model), theta, k, (3, 4), (0.3, -1.1))
+                == fejer_smoothed_inverse(model, theta, k, (3, 4), (0.3, -1.1)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: cov_from_spectrum(m, [1.0, 1.6, 1.5, 1.2], [(0, 0), (2, 3)]),
+    lambda m: fejer_smoothed_inverse(m, [1.0, 1.6, 1.5, 1.2], 2, (3, 3), (0.5, 0.5)),
+    lambda m: m.density([1.0, 1.6, 1.5, 1.2], 0.5, 0.5),
+], ids=["cov_from_spectrum", "fejer_smoothed_inverse", "density"])
+def test_each_call_maps_theta_to_the_triples_once(call, monkeypatch):
+    calls, triples = [], spatialcox.sarh.family_triples
+
+    def spy(*args):
+        calls.append(args[0])
+        return triples(*args)
+
+    monkeypatch.setattr(spatialcox.sarh, "family_triples", spy)
+    call(SpectralModel("example2", 4))
+    assert calls == ["example2"]
 
 
 @settings(deadline=None, max_examples=30)

@@ -21,7 +21,7 @@ from spatialcox import (BasisSpec, CoeffField, FrequencyGrid, Periodogram,
                         whittle_loss)
 from spatialcox.errors import ParameterDomainError, SingularSpectrumError
 from spatialcox.pipeline import DEFAULT_TRUE_PMF
-from spatialcox.sarh import (_GRAM, CAUSAL_FACES, TRIPLE_BOX, _gram_form, _has_torus_zero,
+from spatialcox.sarh import (_GRAM, CAUSAL_FACES, TRIPLE_BOX, _face_margins, _gram_form,
                              c2_innovation_var, family_jacobian)
 from spatialcox.whittle import (TIE_BREAK, _example1_pieces, _fit_trust_region, _local_model,
                                 _mode_losses)
@@ -713,11 +713,13 @@ def test_reported_spectra_fixture_values():
     # modes are causal, while those of the odd modes vanish on the torus
     # (c - 2|d| = -0.41 at p = 1).  The grid minimum of |D| stays above 1e-3
     # on a 256^2 grid, but the grid check with its spacing threshold agrees.
+    _, _, lo, hi = _face_margins(REPORTED_SPECTRA)
+    torus_zero = ~(np.sign(lo) * np.sign(hi) > 0)  # c -+ 2d not of one strict sign
     odd, even = REPORTED_SPECTRA[0::2], REPORTED_SPECTRA[1::2]
-    assert np.all(is_causal(even)) and not np.any(_has_torus_zero(even))
-    assert np.all(_has_torus_zero(odd)) and not np.any(is_causal(odd))
-    for row in REPORTED_SPECTRA:
-        assert grid_has_torus_zero(tuple(row)) == _has_torus_zero(row)[0]
+    assert np.all(is_causal(even)) and not np.any(torus_zero[1::2])
+    assert np.all(torus_zero[0::2]) and not np.any(is_causal(odd))
+    for row, zero in zip(REPORTED_SPECTRA, torus_zero):
+        assert grid_has_torus_zero(tuple(row)) == zero
 
 
 def test_realdata_pmf_spectrum_values_and_errors():
