@@ -144,14 +144,14 @@ def count_moments(rect: BorelRect, cov) -> tuple[float, float]:
     """Unconditional mean and variance of N(B) over a lattice rectangle.
 
     mean = rho_phi * |B|;
-    var  = exp(R_0) * sum_{z,y in B} exp((R_{z-y} + R_{y-z}) / 2)
-           + |B| rho_phi (1 - |B| rho_phi),
-    with integrals replaced by unit-cell sums.  The double sum runs over
-    the distinct lags h in B - B, each weighted by its (n1 - |h1|)(n2 - |h2|)
-    site pairs of the n1 x n2 rectangle.  ``cov`` must contain every lag in
-    B - B, with finite values.  A variance term exp(R_0 + (R_h + R_-h) / 2)
-    whose exponent exceeds ``EXP_GUARD``, or a mean or variance that
-    overflows all the same, raises :class:`OverflowGuardError`.
+    var  = mean + exp(R_0) * sum_{z,y in B} expm1((R_{z-y} + R_{y-z}) / 2),
+    exp(R_0) sum exp(...) + |B| rho_phi (1 - |B| rho_phi) without its cancellation,
+    as the |B|^2 site pairs give (|B| rho_phi)^2 = exp(R_0) |B|^2; integrals are
+    unit-cell sums.  The double sum runs over the distinct lags h in B - B, each
+    weighted by its (n1 - |h1|)(n2 - |h2|) site pairs of the n1 x n2 rectangle.
+    ``cov`` must contain every lag in B - B, with finite values.  A variance term
+    exp(R_0 + (R_h + R_-h) / 2) whose exponent exceeds ``EXP_GUARD``, or a mean
+    or variance that overflows all the same, raises :class:`OverflowGuardError`.
     """
     n1, n2 = rect.b1 - rect.a1 + 1, rect.b2 - rect.a2 + 1
     h, keys = _lag_rect(n1 - 1, n2 - 1)
@@ -164,10 +164,10 @@ def count_moments(rect: BorelRect, cov) -> tuple[float, float]:
     _check_exponent(mx, "count-variance")
     pairs = np.prod([n1, n2] - np.abs(h), axis=1)
     area = rect.area
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        acc = pairs @ np.exp(expo)
-        mean, var = rho * area, np.exp(r0) * acc + area * rho * (1.0 - area * rho)
-    if not (np.isfinite(mean) and np.isfinite(var)):  # inf - inf made NaN variances
+    with np.errstate(over="ignore"):  # checked below
+        mean = rho * area
+        var = mean + np.exp(r0) * (pairs @ np.expm1(expo))
+    if not (np.isfinite(mean) and np.isfinite(var)):
         raise OverflowGuardError(f"count moments of exponent {mx:.1f} overflow over "
                                  f"{area} cells", max_exponent=mx)
     return float(mean), float(var)

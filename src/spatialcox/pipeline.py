@@ -35,7 +35,7 @@ from .errors import (AmbiguousInterpolationError, DivisionGuardError, FileFormat
 from .field import CoeffField, _read_numeric_csv, _write_csv
 from .sarh import (TWO_PI_SQ, Sarh1Params, SpectralModel, _gram_min, family_triples,
                    simulate_sarh1)
-from .whittle import ThetaEstimate, estimate, trig_moments
+from .whittle import ThetaEstimate, _sample_gram, estimate
 
 
 def _check_times(t):
@@ -477,15 +477,15 @@ def run_pipeline(raw: GridSeries, cfg: PipelineConfig | None = None) -> Pipeline
         return PipelineResult(out_times, trend_coef, residual_field, np.ones(cfg.n_modes),
                               None, None, None, None, True, diagnostics)
 
+    model = SpectralModel("realdata_pmf", n_modes=cfg.n_modes)
     with _stage(diagnostics, "normalize"):
-        mode_scale = np.sqrt(TWO_PI_SQ * _gram_min(trig_moments(residual_field)))
+        mode_scale = np.sqrt(TWO_PI_SQ * _gram_min(_sample_gram(model, residual_field)))
         if not np.all(ok := mode_scale >= RESIDUAL_RMS_FLOOR * log_scale):
             k = int(np.argmin(ok))  # a mode inside the trend's span holds rounding noise only
             raise InsufficientResolutionError(
                 f"mode {k + 1} has scale {mode_scale[k]:.3e}, below the residual "
                 f"floor: the degree-{cfg.trend_degree} trend absorbs it; lower trend_degree")
     with _stage(diagnostics, "estimate"):
-        model = SpectralModel("realdata_pmf", n_modes=cfg.n_modes)
         fit = estimate(model, CoeffField(residual_field.data / mode_scale, basis))
     # the predictor is linear per mode, so it acts on the residual field unscaled
     with _stage(diagnostics, "predict"):

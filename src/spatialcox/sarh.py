@@ -157,35 +157,37 @@ def _cosines(w1, w2) -> np.ndarray:
     return np.stack([np.cos(h1 * w1 + h2 * w2) for h1, h2 in _LAGS])
 
 
-# mu[:, _GRAM] is G_k, the 4x4 form of a linear functional mu_k on the five
+# mu[..., _GRAM] is G_k, the 4x4 form of a linear functional mu_k on the five
 # cosines over the AR stencil: with a = (1, -l1, -l2, -l3) and e = (1, e^{iw1},
 # e^{iw2}, e^{i(w1+w2)}), |D_k|^2 = |a.e|^2 = sum_ij a_i a_j cos(arg e_i - arg e_j),
-# so mu_k(|D_k|^2) = a' G_k a
+# so mu_k(|D_k|^2) = a' G_k a; a caller holding the five values expands them once
 _GRAM = np.array([[0, 1, 2, 3], [1, 0, 4, 2], [2, 4, 0, 1], [3, 2, 1, 0]])
 
 
-def _gram_form(triples: np.ndarray, mu: np.ndarray):
-    """Per row k, mu_k(|D_k|^2) = a' G_k a and its triple gradient -2 (G_k a)[1:].
-
-    ``mu`` (K, 5) holds the values of mu_k on the cosines of :func:`_cosines`.
-    1/F_k = |D_k|^2 / sigma2_k is a trigonometric polynomial of degree one in
-    each frequency, so this one form gives the Whittle loss (mu = periodogram
-    averages) and any Fourier functional of the inverse spectrum.
-    """
+def _gram_form(triples: np.ndarray, gram: np.ndarray):
+    """Per row k, mu_k(|D_k|^2) = a' G_k a and its triple gradient -2 (G_k a)[1:],
+    over the (K, 4, 4) Gram arrays G_k of the functionals mu_k, which callers expand once."""
     a = np.hstack([np.ones((triples.shape[0], 1)), -triples])
-    ga = np.einsum("kij,kj->ki", mu[:, _GRAM], a)
+    ga = np.einsum("kij,kj->ki", gram, a)
     return np.einsum("ki,ki->k", a, ga), -2.0 * ga[:, 1:]
 
 
-def _gram_min(mu: np.ndarray) -> np.ndarray:
-    """Per row k, min over all triples of a' G_k a = G_k[0, 0] - g' H^+ g, clamped at 0,
-    with g = G_k[1:, 0] and H = G_k[1:, 1:]: the Yule-Walker prediction error of the
-    stencil.  G_k is PSD for periodogram averages, so g lies in range(H) and the
-    pseudo-inverse is exact for a singular H too; (2 pi)^2 times the minimum
-    estimates mode k's innovation variance (Szego-Kolmogorov; Whittle, 1954)."""
-    g = mu[:, _GRAM]
-    v, h_pinv = g[:, 1:, 0], np.linalg.pinv(g[:, 1:, 1:], hermitian=True)
-    return np.maximum(g[:, 0, 0] - np.einsum("ki,kij,kj->k", v, h_pinv, v), 0.0)
+def _inverse_functional(triples: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """Per row k, mu_k(1/F_k) = a' G_k a / sigma2_k with the C2 sigma2_k of the triple.
+    1/F_k = |D_k|^2 / sigma2_k is a trigonometric polynomial of degree one in each
+    frequency, so this one functional gives the Whittle mode losses (mu = periodogram
+    averages) and the Fejer-smoothed inverse spectrum (mu = weighted point cosines)."""
+    return _gram_form(triples, gram)[0] / (c2_innovation_var(triples) / TWO_PI_SQ)
+
+
+def _gram_min(gram: np.ndarray) -> np.ndarray:
+    """Per row k of (K, 4, 4) Gram arrays, min over all triples of a' G_k a = G_k[0, 0] -
+    g' H^+ g, clamped at 0, with g = G_k[1:, 0] and H = G_k[1:, 1:]: the Yule-Walker
+    prediction error of the stencil.  G_k is PSD for periodogram averages, so g lies in
+    range(H) and the pseudo-inverse is exact for a singular H too; (2 pi)^2 times the
+    minimum estimates mode k's innovation variance (Szego-Kolmogorov; Whittle, 1954)."""
+    v, h_pinv = gram[:, 1:, 0], np.linalg.pinv(gram[:, 1:, 1:], hermitian=True)
+    return np.maximum(gram[:, 0, 0] - np.einsum("ki,kij,kj->k", v, h_pinv, v), 0.0)
 
 
 def _face_margins(triples):
@@ -205,14 +207,14 @@ def _face_margins(triples):
     return t, m, m[:, 0] * m[:, 1], m[:, 2] * m[:, 3]
 
 
-def _product_form(triples):
-    """Per row: R_0, the lag-one correlations (rho1, rho2) along z1 and z2, and the sds
-    sqrt(R_0 (1 - rho^2)) of the AR(1) chains they make.  A causal triple has R(i, -j) =
-    R_0 rho1^i rho2^j for i, j >= 0: with s_f = sqrt(|m_f|), R_0 = 1 / (s0 s1 s2 s3),
-    rho1 = (s2 s3 - s0 s1) / (s2 s3 + s0 s1) and rho2 likewise of s1 s3 and s0 s2.  The
-    reflection that makes a triple causal divides every margin by -+l_c, so rho1, rho2
-    are those of its causal frame, and R_0 is that frame's over l_c^2."""
-    s = np.sqrt(np.abs(_face_margins(triples)[1]))
+def _product_form(margins):
+    """Per row of (K, 4) face margins: R_0, the lag-one correlations (rho1, rho2) along
+    z1 and z2, and the sds sqrt(R_0 (1 - rho^2)) of the AR(1) chains they make.  A causal
+    triple has R(i, -j) = R_0 rho1^i rho2^j for i, j >= 0: with s_f = sqrt(|m_f|), R_0 =
+    1 / (s0 s1 s2 s3), rho1 = (s2 s3 - s0 s1) / (s2 s3 + s0 s1) and rho2 likewise of s1 s3
+    and s0 s2.  The reflection that makes a triple causal divides every margin by -+l_c,
+    so rho1, rho2 are those of its causal frame, and R_0 is that frame's over l_c^2."""
+    s = np.sqrt(np.abs(margins))
     near = np.stack([s[:, 0] * s[:, 1], s[:, 0] * s[:, 2]], axis=1)  # corners z_j = 1
     far = np.stack([s[:, 2] * s[:, 3], s[:, 1] * s[:, 3]], axis=1)   # corners z_j = -1
     return 1.0 / (near[:, 0] * far[:, 0]), (far - near) / (far + near), 2.0 / (far + near)
@@ -226,11 +228,12 @@ def _separable(triples) -> np.ndarray:
 
 
 def _causal_frame(triples):
-    """Per row: the orientation c in which D is causal, that frame's triple and the row's C2
-    variance l_c^2.  Off the torus zero one frame is causal (Basu & Reinsel, 1993): frame c > 0
-    has margins 0 and c over -l_c and the other two over l_c, so c > 0 is the face whose margin
-    has margin 0's sign.  A non-finite row or a torus zero raises :class:`SingularSpectrumError`;
-    a frame that rounds out of the causal set, or an overflowing l_c^2, :class:`ResolutionError`."""
+    """Per row: the orientation c in which D is causal, that frame's triple, the row's C2
+    variance l_c^2 and the face margins of the one pass that all are read from.  Off the torus
+    zero one frame is causal (Basu & Reinsel, 1993): frame c > 0 has margins 0 and c over -l_c
+    and the other two over l_c, so c > 0 is the face whose margin has margin 0's sign.  A
+    non-finite row or a torus zero raises :class:`SingularSpectrumError`; a frame that rounds
+    out of the causal set, or an overflowing l_c^2, :class:`ResolutionError`."""
     t, m, lo, hi = _face_margins(triples)  # c -+ 2d of one strict sign: no torus zero
     if not np.all(ok := np.all(np.isfinite(t), axis=1) & (np.sign(lo) * np.sign(hi) > 0)):
         raise SingularSpectrumError(
@@ -244,7 +247,7 @@ def _causal_frame(triples):
         if not np.all(found := is_causal(frame) & np.isfinite(scale := lc[:, 0] ** 2)):
             raise ResolutionError(f"mode {np.argmin(found) + 1}: no orientation is causal "
                                   "with a finite scale in floating point")
-    return c, frame, scale
+    return c, frame, scale, m
 
 
 def is_causal(triples) -> np.ndarray:
@@ -410,7 +413,7 @@ def _sweep(buf, triples) -> None:
     """Any causal field of the innovations in a mode-major (M, r1, r2) buffer, in place:
     the edge chains of :func:`_product_form` on row 0 and column 0, then the
     anti-diagonal sweep."""
-    r0, rho, sd = _product_form(triples)
+    r0, rho, sd = _product_form(_face_margins(triples)[1])
     buf[:, 0, 0] *= np.sqrt(r0)
     for j, edge in enumerate((buf[:, :, 0].T, buf[:, 0].T)):  # column 0 along i, row 0 along j
         for prev, cur in zip(edge[:-1], edge[1:]):

@@ -10,8 +10,8 @@ from .errors import (FileFormatError, LagUnavailableError, ParameterDomainError,
                      ResolutionError, check_dims, check_int)
 from .field import CoeffField, FrequencyGrid, _cells, _read_binary, _write_binary, _write_csv
 from . import sarh
-from .sarh import (TWO_PI_SQ, _causal_frame, _cosines, _gram_form, _product_form, _separable,
-                   _stencil_sweep, c2_innovation_var)
+from .sarh import (_GRAM, _causal_frame, _cosines, _inverse_functional, _product_form,
+                   _separable, _stencil_sweep)
 
 _HEADER = np.dtype([("n1", "<i8"), ("n2", "<i8"), ("m", "<i8"), ("full", "<i8")])
 
@@ -184,13 +184,13 @@ def cov_from_spectrum(model, theta, lags, grid_size: int = 512) -> np.ndarray:
     if not np.all(ok := np.all((z == np.round(z)) & (np.abs(z) < 2.0**62), axis=1)):
         raise ParameterDomainError(f"lag {tuple(z[np.argmin(ok)].tolist())} is not two integers")
     check_int(grid_size, "grid_size", 1)
-    pick, t, scale = _causal_frame(triples := model.eig_triples(theta))
+    pick, t, scale, margins = _causal_frame(triples := model.eig_triples(theta))
     # in each mode's causal frame, turned by R(-y) = R(y) to y2 >= 0, a lag has |y1| = |z1|
     # and y2 = |z2|, and y1 > 0 < y2 where z1 z2 has the sign of the frame's parity
     a = np.abs(z.astype(np.int64))
     n, k = np.unique(a, return_inverse=True)  # the powers of the distinct |z_j| only
     k = k.reshape(a.shape)
-    r0, rho, _ = _product_form(triples)  # the causal frame's, R_0 over l_c^2
+    r0, rho, _ = _product_form(margins)  # the causal frame's, R_0 over l_c^2
     powers = rho.T[:, None, :] ** n[:, None]
     vals = r0 * powers[0][k[:, 0]] * powers[1][k[:, 1]]
     # a separable mode is in product form at every lag, so only the others are swept
@@ -221,10 +221,11 @@ def fejer_smoothed_inverse(model, theta, k: int, m_smooth, omega) -> float:
     in each direction (Whittle, 1954), so the sum over |z_j| <= M_j - 1 with
     triangular weights prod_j (1 - |z_j|/M_j) is exact and has at most nine
     terms: the cosines of 1/F_k at omega weighted by 1, a1, a2, a1 a2, a1 a2
-    with a_j = 1 - 1/M_j.  A mode index or order that is not an integer, an
-    order below 1, a mode index outside 1..M or an ``omega`` that is not two
-    finite numbers raises :class:`ParameterDomainError`.  sigma2_k is the C2 one of
-    the triples, positive for every triple, so 1/F_k is defined everywhere.
+    with a_j = 1 - 1/M_j, read as one Gram array by the Whittle loss's functional
+    :func:`spatialcox.sarh._inverse_functional`.  A mode index or order that is not
+    an integer, an order below 1, a mode index outside 1..M or an ``omega`` that is
+    not two finite numbers raises :class:`ParameterDomainError`.  sigma2_k is the C2
+    one of the triple, positive for every triple, so 1/F_k is defined everywhere.
     """
     m1, m2 = check_dims(m_smooth, "m_smooth", 1)
     k = check_int(k, "mode index k", 1)
@@ -235,8 +236,7 @@ def fejer_smoothed_inverse(model, theta, k: int, m_smooth, omega) -> float:
         raise ParameterDomainError(f"mode index {k} outside 1..{triples.shape[0]}")
     a1, a2 = 1.0 - 1.0 / m1, 1.0 - 1.0 / m2
     mu = _cosines(float(omega[0]), float(omega[1])) * [1.0, a1, a2, a1 * a2, a1 * a2]
-    sigma2 = c2_innovation_var(triples)[k - 1] / TWO_PI_SQ
-    return float(_gram_form(triples[k - 1:k], mu[None, :])[0][0] / sigma2)
+    return float(_inverse_functional(triples[k - 1:k], mu[None, _GRAM])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ParameterDomainError, check_finite
 from .field import CoeffField, _write_json
 from .sarh import (_GRAM, _LAGS, AFFINE_FAMILIES, CAUSAL_FACES, TWO_PI_SQ, SpectralModel,
-                   _gram_form, c2_innovation_var, family_jacobian, family_triples)
+                   _gram_form, _inverse_functional, family_jacobian, family_triples)
 
 # ---------------------------------------------------------------------------
 # loss
@@ -67,29 +67,24 @@ def trig_moments(sample: CoeffField) -> np.ndarray:
     return moments
 
 
-# the loss of mode k times sigma2_k is the periodogram average of |D_k|^2,
-# i.e. sarh._gram_form at mu = trig_moments: a PSD form a' G_k a in
-# a = (1, -l1, -l2, -l3), with gradient -2 (G_k a)[1:] in the triple; sigma2_k
-# is the C2 one of the triple, the model's
-def _mode_losses(triples: np.ndarray, moments: np.ndarray) -> np.ndarray:
-    return _gram_form(triples, moments)[0] / (c2_innovation_var(triples) / TWO_PI_SQ)
-
-
-def _sample_moments(model: SpectralModel, sample: CoeffField) -> np.ndarray:
+# the loss of mode k is sarh._inverse_functional at the Gram arrays G_k of the
+# periodogram averages: a PSD form a' G_k a in a = (1, -l1, -l2, -l3) over the
+# C2 sigma2_k of the triple, the model's; the sample's (M, 4, 4) G_k are expanded here once
+def _sample_gram(model: SpectralModel, sample: CoeffField) -> np.ndarray:
     moments = trig_moments(sample)
     if model.n_modes != moments.shape[0]:
         raise ParameterDomainError("model and sample mode counts differ")
-    return moments
+    return moments[:, _GRAM]
 
 
 def whittle_loss(model: SpectralModel, theta, sample: CoeffField) -> float:
     """max over modes k <= M of the Fourier-grid average of I_w(phi_k)/F_{w,theta}(phi_k),
     with I the periodogram of the field ``sample``, read through :func:`trig_moments`."""
-    moments = _sample_moments(model, sample)
+    gram = _sample_gram(model, sample)
     triples = model.eig_triples(theta)  # checks theta's length before the box
     if not model.contains(theta):
         raise ParameterDomainError("theta outside the parameter box")
-    return float(_mode_losses(triples, moments).max())
+    return float(_inverse_functional(triples, gram).max())
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +156,7 @@ def _real_roots(polys: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return roots.real[ok]
 
 
-def _fit_example1(model: SpectralModel, moments: np.ndarray):
+def _fit_example1(model: SpectralModel, gram: np.ndarray):
     # With s = theta^2 and a = (1, -c1 s, -c2 s, c1 c2 s^2), mode k's loss is
     # (2 pi)^2 N_k(s) / v_k(s): a quartic N_k = a' G_k a over the monomial C2
     # variance of the piece.  Times s^D, D the piece's largest power, every
@@ -173,7 +168,7 @@ def _fit_example1(model: SpectralModel, moments: np.ndarray):
     m = model.n_modes
     basis = np.zeros((m, 3, 4))
     basis[:, 0, 0], basis[:, 1, 1], basis[:, 1, 2], basis[:, 2, 3] = 1.0, -c1, -c2, c1 * c2
-    quartic = np.einsum("kpi,kij,kqj->kpq", basis, moments[:, _GRAM], basis).reshape(m, 9)
+    quartic = np.einsum("kpi,kij,kqj->kpq", basis, gram, basis).reshape(m, 9)
     quartic = quartic @ _COLLECT
     i, j = np.triu_indices(m, 1)
     roots = []
@@ -191,7 +186,7 @@ def _fit_example1(model: SpectralModel, moments: np.ndarray):
     s = theta[:, None] ** 2
     l1, l2 = c1 * s, c2 * s
     triples = np.stack([l1, l2, -l1 * l2], axis=-1).reshape(-1, 3)
-    losses = _mode_losses(triples, np.tile(moments, (len(theta), 1))).reshape(len(theta), m)
+    losses = _inverse_functional(triples, np.tile(gram, (len(theta), 1, 1))).reshape(-1, m)
     best = int(np.argmin(losses.max(axis=1) + TIE_BREAK * losses.mean(axis=1)))
     return theta[best:best + 1], len(theta), True
 
@@ -212,7 +207,7 @@ _TR_STEP_TOL, _TR_DECREASE_TOL = 1e-10, 1e-13
 _TR_ACCEPT, _TR_SHRINK = 0.1, 0.25
 
 
-def _local_model(model: SpectralModel, moments: np.ndarray, theta, read):
+def _local_model(model: SpectralModel, gram: np.ndarray, theta, read):
     """The mode losses times the causal sigma2, 1/(2 pi)^2, as quadratics c_k + b_k.d +
     d' P_k d in the step d of the ``read`` coordinates, (c, b, P), and the faces
     linearised, rows [A, m] of A d <= m.  Each quadratic is the exact loss a' G_k a of the
@@ -221,9 +216,9 @@ def _local_model(model: SpectralModel, moments: np.ndarray, theta, read):
     (the Gauss-Newton model; Nocedal & Wright, ch. 10), and for the affine families,
     whose triples are J theta, the losses themselves."""
     triples = model.eig_triples(theta)
-    c, grad = _gram_form(triples, moments)
+    c, grad = _gram_form(triples, gram)
     jac = family_jacobian(model.family, theta, model.n_modes)[..., read]
-    p = np.einsum("kiq,kij,kjr->kqr", jac, moments[:, _GRAM][:, 1:, 1:], jac)
+    p = np.einsum("kiq,kij,kjr->kqr", jac, gram[:, 1:, 1:], jac)
     faces = np.einsum("fi,kiq->kfq", CAUSAL_FACES, jac).reshape(-1, jac.shape[-1])
     # modes sharing a triple share its faces; return_inverse, as in _example1_pieces
     lin = np.unique(np.hstack([faces, (1.0 - triples @ CAUSAL_FACES.T).reshape(-1, 1)]),
@@ -314,7 +309,7 @@ def _interior_point(a, ub, x, quad=None, target=None):
     return x, n_evals, False
 
 
-def _fit_trust_region(model: SpectralModel, moments: np.ndarray, start=None):
+def _fit_trust_region(model: SpectralModel, gram: np.ndarray, start=None):
     # min max_k l_k + eta mean_k l_k over the box and the closed causal set by trust-region
     # steps (Nocedal & Wright, ch. 4, 18), each min t + eta mean_k q_k s.t. q_k <= t in the
     # box, |d| <= radius * width and the linearised faces; an exact model's step is final.  The
@@ -334,14 +329,14 @@ def _fit_trust_region(model: SpectralModel, moments: np.ndarray, start=None):
     lo, hi = box[read].T
     width, fence = hi - lo, np.vstack([np.eye(read.sum()), -np.eye(read.sum())])
     exact = model.family in AFFINE_FAMILIES  # the model is then the losses themselves
-    quad, lin = _local_model(model, moments, theta, read)
+    quad, lin = _local_model(model, gram, theta, read)
     if lin[:, -1].min() <= 0.0:  # phase I: min s s.t. A d - s <= m inside the box
         x, _, _ = _interior_point(rows(-1.0), np.r_[lin[:, -1], hi - theta[read], theta[read] - lo],
                                   np.append(np.zeros(len(width)), 1.0 - lin[:, -1].min()))
         if x[-1] >= 0.0:
             raise ParameterDomainError("the theta box holds no causal parameter")
         theta[read] += x[:-1]
-        quad, lin = _local_model(model, moments, theta, read)
+        quad, lin = _local_model(model, gram, theta, read)
     radius, n_evals = 1.0, 0
     for _ in range(TR_MAX_ITER):
         scale = quad[0].max() if quad[0].max() > 0.0 else 1.0  # losses of order one
@@ -359,7 +354,7 @@ def _fit_trust_region(model: SpectralModel, moments: np.ndarray, start=None):
             return theta, n_evals, ok
         trial = theta.copy()
         trial[read] = np.clip(theta[read] + d, lo, hi)
-        trial_model = _local_model(model, moments, trial, read)
+        trial_model = _local_model(model, gram, trial, read)
         n_evals, step = n_evals + 1, np.max(np.abs(d) / width)
         predicted = merit(c) - merit(c + (b + p @ d) @ d)
         actual = merit(c) - merit(trial_model[0][0] / scale)
@@ -390,10 +385,10 @@ def estimate(model: SpectralModel, sample: CoeffField) -> ThetaEstimate:
     by s_k.
     """
     t0 = time.perf_counter()
-    moments = _sample_moments(model, sample)
+    gram = _sample_gram(model, sample)
     fit = _fit_example1 if model.family == "example1" else _fit_trust_region
-    theta_hat, n_evals, success = fit(model, moments)
-    pure = float(_mode_losses(model.eig_triples(theta_hat), moments).max())
+    theta_hat, n_evals, success = fit(model, gram)
+    pure = float(_inverse_functional(model.eig_triples(theta_hat), gram).max())
     return ThetaEstimate(theta_hat=theta_hat, loss_at_min=pure, n_loss_evals=n_evals + 1,
                          converged=bool(success), family=model.family,
                          runtime_s=time.perf_counter() - t0)

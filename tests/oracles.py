@@ -390,6 +390,20 @@ def double_sum_count_moments(rect, cov):
     return rho * area, float(np.exp(cov[(0, 0)]) * acc + area * rho * (1.0 - area * rho))
 
 
+def exact_count_variance(rect, cov):
+    """The count variance of :func:`double_sum_count_moments` in 50-digit decimals, as
+    |B| rho + exp(R_0) sum_h pairs_h (exp((R_h + R_-h) / 2) - 1) over the distinct lags
+    h of B - B, pairs_h = (n1 - |h1|)(n2 - |h2|); the floats of ``cov`` enter exactly,
+    so only the final rounding is inexact."""
+    n1, n2 = rect.b1 - rect.a1 + 1, rect.b2 - rect.a2 + 1
+    with localcontext() as ctx:
+        ctx.prec = 50
+        r = {h: Decimal(float(v)) for h, v in cov.items()}
+        acc = sum((n1 - abs(h1)) * (n2 - abs(h2)) * (((r[h1, h2] + r[-h1, -h2]) / 2).exp() - 1)
+                  for h1 in range(1 - n1, n1) for h2 in range(1 - n2, n2))
+        return float(n1 * n2 * (r[0, 0] / 2).exp() + r[0, 0].exp() * acc)
+
+
 def periodogram_moments(pgram):
     """Fourier-grid means of the periodogram diagonal against (1, cos w1, cos w2,
     cos(w1 + w2), cos(w1 - w2)), shape (M, 5): the cosine contraction that

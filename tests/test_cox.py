@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import double_sum_count_moments, rect_sites
+from oracles import double_sum_count_moments, exact_count_variance, rect_sites
 from spatialcox import (BasisSpec, BorelRect, CoeffField, Sarh1Params, SpectralModel,
                         TestFunction, cov_map, count_moments, cox_intensity,
                         ls_count_predictor, pair_correlation, predict_field,
@@ -128,6 +128,32 @@ def test_count_moments_matches_double_sum_oracle(a1, n1, a2, n2, seed, drop_lag)
     want_mean, want_var = double_sum_count_moments(rect, cov)
     assert mean == want_mean
     assert var == pytest.approx(want_var, rel=1e-10)
+
+
+def _geometric_cov(n1, n2, scale):
+    return {(z1, z2): scale * 0.5 ** (abs(z1) + abs(z2))
+            for z1 in range(1 - n1, n1) for z2 in range(1 - n2, n2)}
+
+
+def _random_cov(n1, n2, seed):
+    rng = np.random.default_rng(seed)
+    cov = {(z1, z2): float(rng.uniform(-0.3, 0.3))
+           for z1 in range(1 - n1, n1) for z2 in range(1 - n2, n2)}
+    cov[(0, 0)] = 0.5
+    return cov
+
+
+@pytest.mark.parametrize("rect, cov", [
+    (BorelRect(0, 59, 0, 59), _geometric_cov(60, 60, 1e-3)),
+    (BorelRect(0, 59, 0, 59), _geometric_cov(60, 60, 1e-8)),
+    (BorelRect(3, 14, 5, 45), _geometric_cov(12, 41, 1e-2)),
+    (BorelRect(0, 24, 0, 24), _random_cov(25, 25, 47)),
+], ids=["60x60-1e-3", "60x60-1e-8", "12x41-1e-2", "25x25-random"])
+def test_count_variance_is_correct_to_rounding(rect, cov):
+    # with small covariances the variance is near the mean, so a form that subtracts two
+    # terms near (|B| rho)^2 loses digits; the sum of pairs expm1(...) onto the mean must not
+    _, var = count_moments(rect, cov)
+    assert var == pytest.approx(exact_count_variance(rect, cov), rel=1e-14, abs=0)
 
 
 def test_ls_predictor_values(field3):

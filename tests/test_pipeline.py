@@ -21,7 +21,7 @@ from spatialcox.errors import (AmbiguousInterpolationError, DivisionGuardError, 
                                InsufficientResolutionError, ParameterDomainError,
                                OverflowGuardError, PipelineStageError, RankDeficiencyError)
 from spatialcox.pipeline import CubicBSpline, _bspline_basis, _project_curves
-from spatialcox.sarh import TWO_PI_SQ, Sarh1Params, _gram_min, simulate_sarh1
+from spatialcox.sarh import _GRAM, TWO_PI_SQ, Sarh1Params, _gram_min, simulate_sarh1
 from spatialcox.whittle import trig_moments
 
 
@@ -34,7 +34,7 @@ def tiny_cfg(**kw):
 
 def innovation_sd(field):
     # the pipeline's mode scale: per mode, the innovation sd read from the lag moments
-    return np.sqrt(TWO_PI_SQ * _gram_min(trig_moments(field)))
+    return np.sqrt(TWO_PI_SQ * _gram_min(trig_moments(field)[:, _GRAM]))
 
 
 def tiny_series(seed=0, dims=(12, 12), months=180):

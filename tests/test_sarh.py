@@ -490,7 +490,7 @@ def test_causal_triples_near_a_face_are_regular():
     assert triples.shape[0] > 10_000 and np.all(is_causal(triples))
     _, _, lo, hi = _face_margins(triples)
     assert np.all((lo > 0) & (hi > 0))
-    c, frame, scale = _causal_frame(triples)
+    c, frame, scale, _ = _causal_frame(triples)
     assert not c.any() and np.array_equal(frame, triples) and np.all(scale == 1.0)
     np.testing.assert_array_equal(c2_innovation_var(triples), 1.0)
     model = SpectralModel("custom", n_modes=triples.shape[0])

@@ -8,7 +8,7 @@ import pytest
 from spatialcox import (ExperimentConfig, PipelineConfig, PipelineResult, Sarh1Params,
                         SpectralModel, cli, design_matrix, estimate, experiment, field,
                         idw_interpolate, make_synthetic_counts, pipeline, product_density_n,
-                        project_samples, run_cross_validation, sarh, spectral)
+                        project_samples, run_cross_validation, sarh, spectral, whittle)
 from spatialcox.pipeline import SyntheticTruth
 from spatialcox.sarh import default_box, family_jacobian, family_triples
 
@@ -37,11 +37,17 @@ def test_single_value_keywords_gone(fn, keyword):
 
 def test_one_form_per_convention():
     # the torus geometry is the face margins of sarh alone, each mode's causal frame is
-    # read from them there, with no orientation table or search in spectral, and the sine
-    # basis has one coordinate convention
+    # read from them there, with no orientation table or search in spectral; sarh's one
+    # inverse-spectrum functional divides by the C2 variance for the Whittle loss and the
+    # Fejer inverse, and the quadratic forms take Gram arrays their callers expanded once;
+    # the sine basis has one coordinate convention
     assert not hasattr(sarh, "_torus_cd") and not hasattr(sarh, "_has_torus_zero")
-    for name in ("CAUSAL_FACES", "_PICK", "_PICK_SIGN", "_PARITY", "is_causal"):
+    for name in ("CAUSAL_FACES", "_PICK", "_PICK_SIGN", "_PARITY", "is_causal",
+                 "c2_innovation_var", "TWO_PI_SQ"):
         assert not hasattr(spectral, name), name
+    assert not hasattr(whittle, "_mode_losses") and not hasattr(whittle, "c2_innovation_var")
+    for f in (sarh._gram_form, sarh._gram_min, whittle._local_model, whittle._fit_example1):
+        assert "_GRAM" not in inspect.getsource(f), f.__name__
     assert [f.name for f in dataclasses.fields(SyntheticTruth)] == [
         "theta_flat", "lambda_true", "coeff", "basis"]
 

@@ -16,7 +16,8 @@ from spatialcox import (BasisSpec, CoeffField, Periodogram, Sarh1Params, Spectra
                         periodogram, save_periodogram_csv, simulate_sarh1)
 from spatialcox.errors import (FileFormatError, LagUnavailableError, ParameterDomainError,
                               ResolutionError, SingularSpectrumError)
-from spatialcox.sarh import _causal_frame, _face_margins, _gram_form
+from spatialcox.pipeline import DEFAULT_TRUE_PMF
+from spatialcox.sarh import _GRAM, _causal_frame, _face_margins, _gram_form
 from spatialcox.spectral import _fft_size, load_periodogram_binary, save_periodogram_binary
 
 
@@ -469,7 +470,7 @@ def test_causal_frame_picks_the_searched_orientation(triple):
         with pytest.raises(ResolutionError, match="no orientation is causal"):
             _causal_frame([triple])
         return
-    got_c, got_frame, scale = _causal_frame([triple])
+    got_c, got_frame, scale, _ = _causal_frame([triple])
     assert (got_c[0], tuple(got_frame[0])) == (c, frame)
     assert scale[0] == c2_innovation_var([triple])[0]
 
@@ -507,6 +508,24 @@ def test_each_call_maps_theta_to_the_triples_once(call, monkeypatch):
     monkeypatch.setattr(spatialcox.sarh, "family_triples", spy)
     call(SpectralModel("example2", 4))
     assert calls == ["example2"]
+
+
+@pytest.mark.parametrize("family, theta", [
+    ("example2", [1.0, 1.6, 1.5, 1.2]), ("realdata_pmf", DEFAULT_TRUE_PMF),
+    ("custom", [0.1, -0.2, 1.7] * 10),
+], ids=["separable", "swept", "reflected"])
+def test_cov_from_spectrum_reads_the_face_margins_twice(family, theta, monkeypatch):
+    # one pass over the triples gives the causal frame, R_0 and rho; the other is the
+    # frame triples' causality check
+    calls, margins = [], spatialcox.sarh._face_margins
+
+    def spy(triples):
+        calls.append(len(triples))
+        return margins(triples)
+
+    monkeypatch.setattr(spatialcox.sarh, "_face_margins", spy)
+    cov_from_spectrum(SpectralModel(family, 10), theta, [(0, 0), (2, 3), (-4, 5)])
+    assert calls == [10, 10]
 
 
 @settings(deadline=None, max_examples=30)
@@ -642,7 +661,7 @@ def test_gram_stencil_inverts_covariances(triple):
     # the Fourier coefficients Q(u) of |D|^2 read off the Gram form at the five
     # unit functionals: Q(0) = b_0 and Q(u) = b_c / 2 at the two lags +-u of
     # cosine c; then sum_u Q(u) R_{z-u} = innovation variance * delta_{z,0}
-    b = _gram_form(np.tile(triple, (5, 1)), np.eye(5))[0]
+    b = _gram_form(np.tile(triple, (5, 1)), np.eye(5)[:, _GRAM])[0]
     stencil = {(0, 0): b[0]}
     for c, u in enumerate([(1, 0), (0, 1), (1, 1), (1, -1)], start=1):
         stencil[u] = stencil[(-u[0], -u[1])] = b[c] / 2

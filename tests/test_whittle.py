@@ -22,9 +22,8 @@ from spatialcox import (BasisSpec, CoeffField, FrequencyGrid, Periodogram,
 from spatialcox.errors import ParameterDomainError, SingularSpectrumError
 from spatialcox.pipeline import DEFAULT_TRUE_PMF
 from spatialcox.sarh import (_GRAM, CAUSAL_FACES, TRIPLE_BOX, _face_margins, _gram_form,
-                             c2_innovation_var, family_jacobian)
-from spatialcox.whittle import (TIE_BREAK, _example1_pieces, _fit_trust_region, _local_model,
-                                _mode_losses)
+                             _inverse_functional, c2_innovation_var, family_jacobian)
+from spatialcox.whittle import TIE_BREAK, _example1_pieces, _fit_trust_region, _local_model
 
 TWO_PI_SQ = (2 * np.pi) ** 2
 EXAMPLE1_M2 = SpectralModel("example1", n_modes=2)
@@ -150,13 +149,13 @@ def test_fast_path_equals_dense():
     params = Sarh1Params("example2", [1.0, 1.6, 1.5, 1.2], 5)
     fld = simulate_sarh1(params, (20, 28), seed=6)
     pg = periodogram(fld)
-    moments = trig_moments(fld)
+    gram = trig_moments(fld)[:, _GRAM]
     for family, theta in (("example2", [0.9, 1.5, 1.4, 1.1]),
                           ("example1", [2.2]),
                           ("triple", [0.3, 0.2, -0.05])):
         model = SpectralModel(family, n_modes=5)
         dense = dense_mode_losses(model, theta, pg)
-        fast = _mode_losses(model.eig_triples(theta), moments)
+        fast = _inverse_functional(model.eig_triples(theta), gram)
         np.testing.assert_allclose(fast, dense, rtol=1e-11)
 
 
@@ -242,10 +241,10 @@ def test_loss_monte_carlo_near_one_and_locally_minimal():
     at_true, wins = [], 0
     for seed in range(20):
         fld = simulate_sarh1(params, (256, 256), seed=42_000 + seed)
-        m = trig_moments(fld)
-        l0 = _mode_losses(model.eig_triples([1.0]), m).max()
-        lm = _mode_losses(model.eig_triples([0.7]), m).max()
-        lp = _mode_losses(model.eig_triples([1.3]), m).max()
+        g = trig_moments(fld)[:, _GRAM]
+        l0 = _inverse_functional(model.eig_triples([1.0]), g).max()
+        lm = _inverse_functional(model.eig_triples([0.7]), g).max()
+        lp = _inverse_functional(model.eig_triples([1.3]), g).max()
         at_true.append(l0)
         wins += (l0 < lm) and (l0 < lp)
     assert abs(np.mean(at_true) - 1.0) < 0.05
@@ -533,13 +532,13 @@ def test_affine_fit_independent_of_its_start(name):
     # the convex program has one optimum: the box centre and another strictly
     # causal start reach it within 1e-8
     model, fld = _affine_case(name)
-    moments = trig_moments(fld)
+    gram = trig_moments(fld)[:, _GRAM]
     rng = np.random.default_rng(81)
     box = model.theta_box
     start = box.mean(axis=1) + 0.1 * (box[:, 1] - box[:, 0]) * rng.uniform(-1, 1, len(box))
     assert np.all(is_causal(model.eig_triples(start)))
-    centre, _, ok_centre = _fit_trust_region(model, moments)
-    other, _, ok_other = _fit_trust_region(model, moments, start=start)
+    centre, _, ok_centre = _fit_trust_region(model, gram)
+    other, _, ok_other = _fit_trust_region(model, gram, start=start)
     assert ok_centre and ok_other
     np.testing.assert_allclose(other, centre, rtol=0, atol=1e-8)
 
@@ -550,9 +549,9 @@ def test_affine_fit_leaves_unread_coordinates_at_the_box_midpoint():
     # the read ones agree within 1e-8
     model = SpectralModel("realdata_pmf", n_modes=4)
     fld = simulate_sarh1(Sarh1Params("realdata_pmf", DEFAULT_TRUE_PMF, 4), (24, 24), seed=5)
-    moments = trig_moments(fld)
-    centre, _, ok_centre = _fit_trust_region(model, moments)
-    other, _, ok_other = _fit_trust_region(model, moments, start=np.full(9, 0.05))
+    gram = trig_moments(fld)[:, _GRAM]
+    centre, _, ok_centre = _fit_trust_region(model, gram)
+    other, _, ok_other = _fit_trust_region(model, gram, start=np.full(9, 0.05))
     assert ok_centre and ok_other
     unread = [2, 5, 8]
     read = np.setdiff1d(np.arange(9), unread)
@@ -798,7 +797,7 @@ def test_mode_loss_jacobian_matches_central_differences(family):
     n_modes = 4
     fld = simulate_sarh1(Sarh1Params("example2", [1.0, 1.6, 1.5, 1.2], n_modes), (20, 24),
                          seed=62)
-    moments = trig_moments(fld)
+    gram = trig_moments(fld)[:, _GRAM]
     model = SpectralModel(family, n_modes=n_modes)
     box = model.theta_box
     read = np.ones(len(box), dtype=bool)
@@ -808,24 +807,23 @@ def test_mode_loss_jacobian_matches_central_differences(family):
         theta = centre + scale * half * rng.uniform(-1, 1, size=centre.size)
         triples = model.eig_triples(theta)
         assert np.all(is_causal(triples))
-        (c, b, p), _ = _local_model(model, moments, theta, read)
-        np.testing.assert_allclose(TWO_PI_SQ * c, _mode_losses(triples, moments), rtol=1e-12)
+        (c, b, p), _ = _local_model(model, gram, theta, read)
+        np.testing.assert_allclose(TWO_PI_SQ * c, _inverse_functional(triples, gram), rtol=1e-12)
         h = 1e-5 * np.maximum(1.0, np.abs(theta))
         steps = [h[j] * e for j, e in enumerate(np.eye(theta.size))]
-        fd = np.stack([(_mode_losses(model.eig_triples(theta + e), moments)
-                        - _mode_losses(model.eig_triples(theta - e), moments)) / (2 * h[j])
+        fd = np.stack([(_inverse_functional(model.eig_triples(theta + e), gram)
+                        - _inverse_functional(model.eig_triples(theta - e), gram)) / (2 * h[j])
                        for j, e in enumerate(steps)], axis=1) / TWO_PI_SQ
         np.testing.assert_allclose(b, fd, rtol=1e-6, atol=1e-9 * np.abs(fd).max())
         jac = np.stack([(model.eig_triples(theta + e) - model.eig_triples(theta - e)) / (2 * h[j])
                         for j, e in enumerate(steps)], axis=2)
-        gram = moments[:, _GRAM][:, 1:, 1:]
-        np.testing.assert_allclose(p, np.einsum("kiq,kij,kjr->kqr", jac, gram, jac),
+        np.testing.assert_allclose(p, np.einsum("kiq,kij,kjr->kqr", jac, gram[:, 1:, 1:], jac),
                                    rtol=1e-7, atol=1e-9 * np.abs(p).max())
         d = 0.1 * half * rng.uniform(-1, 1, size=centre.size)
         linear = triples + family_jacobian(family, theta, n_modes) @ d
         if family != "example2":
             np.testing.assert_allclose(linear, model.eig_triples(theta + d), rtol=0, atol=1e-15)
-        np.testing.assert_allclose(c + (b + p @ d) @ d, _gram_form(linear, moments)[0],
+        np.testing.assert_allclose(c + (b + p @ d) @ d, _gram_form(linear, gram)[0],
                                    rtol=1e-12)
 
 
@@ -841,7 +839,8 @@ def test_local_model_curvature_is_psd_without_clipping(family, dims, seed, u):
     theta = box[:, 0] + np.resize(u, len(box)) * (box[:, 1] - box[:, 0])
     fld = CoeffField(np.random.default_rng(seed).standard_normal(dims + (n_modes,)),
                      BasisSpec(1.0, n_modes))
-    (_, _, p), _ = _local_model(model, trig_moments(fld), theta, np.ones(len(box), dtype=bool))
+    (_, _, p), _ = _local_model(model, trig_moments(fld)[:, _GRAM], theta,
+                                np.ones(len(box), dtype=bool))
     scale = np.abs(p).max(axis=(1, 2))
     np.testing.assert_allclose(p, p.transpose(0, 2, 1), rtol=0, atol=1e-15 * scale.max())
     assert np.all(np.linalg.eigvalsh(p).min(axis=1) >= -1e-12 * scale)
