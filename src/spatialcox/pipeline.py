@@ -351,14 +351,17 @@ def cvfare(true_curves, predicted_curves, t_grid):
 
     CVFARE(t) = mean over curves of |(true - predicted) / true|; the summary
     is the time average (normalized L1 over the grid span).  Curves that are not finite
-    or do not share the shape (n, len(t_grid)), and a ``t_grid`` that is not finite and
-    strictly increasing, raise :class:`ParameterDomainError`.
+    or do not share the shape (n, len(t_grid)) with n >= 1 and len(t_grid) >= 1, and a
+    ``t_grid`` that is not finite and strictly increasing, raise
+    :class:`ParameterDomainError`.
     """
     lam = np.atleast_2d(np.asarray(true_curves, dtype=float))
     hat = np.atleast_2d(np.asarray(predicted_curves, dtype=float))
     t = np.asarray(t_grid, dtype=float)
-    if lam.shape != hat.shape or lam.shape[-1] != t.size or not np.all(np.isfinite([lam, hat])):
-        raise ParameterDomainError("curve arrays must be finite and share shape (n, len(t_grid))")
+    if (lam.shape != hat.shape or lam.shape[-1] != t.size or lam.size == 0
+            or not np.all(np.isfinite([lam, hat]))):
+        raise ParameterDomainError(
+            "curve arrays must be finite, non-empty and share shape (n, len(t_grid))")
     _check_times(t)
     if np.any(lam <= 0):
         raise DivisionGuardError("true intensity must be strictly positive")

@@ -378,13 +378,19 @@ class Sarh1Params:
 
 def _ar1_passes(buf, triples) -> None:
     """The separable field (1 - l1 B1)^-1 (1 - l2 B2)^-1 eps of the innovations in a
-    mode-major (M, r1, r2) buffer, in place: an AR(1) pass along j, then one along i.
-    Each pass first scales its starting line by (1 - l^2)^-1/2, column 0 by l2's and
-    row 0 by l1's, so that it starts from the stationary law of its chain."""
-    for axis, lam in ((2, triples[:, 1:2]), (1, triples[:, :1])):
-        lines = np.moveaxis(buf, axis, 0)
-        lines[0] /= np.sqrt((1.0 - lam) * (1.0 + lam))
-        tmp = np.empty_like(lines[0])
+    C-ordered mode-major (M, r1, r2) buffer, in place: an AR(1) pass along j, then one
+    along i.  Each pass first scales its starting line by (1 - l^2)^-1/2, column 0 by
+    l2's and row 0 by l1's, so that it starts from the stationary law of its chain.  The
+    j-pass steps along the 1-D columns of the (M r1, r2) rows, the i-pass along the rows
+    of the (M, r1, r2) blocks, and each step multiplies by l spread to the line's own
+    shape: a broadcast (M, 1) column costs numpy a buffer on every strided line, and the
+    1-D columns then need none.  The scale is formed from the M triples, then spread."""
+    m, r1, r2 = buf.shape
+    for lines, lam, n in ((buf.reshape(m * r1, r2).T, triples[:, 1], r1),
+                          (np.moveaxis(buf, 1, 0), triples[:, 0], r2)):
+        shape = lines.shape[1:]  # l_k repeated n times is mode k's part of a line
+        lines[0] /= np.repeat(np.sqrt((1.0 - lam) * (1.0 + lam)), n).reshape(shape)
+        lam, tmp = np.repeat(lam, n).reshape(shape), np.empty(shape)
         for prev, cur in zip(lines[:-1], lines[1:]):
             np.multiply(prev, lam, out=tmp)
             cur += tmp

@@ -156,14 +156,15 @@ def _real_roots(polys: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return roots.real[ok]
 
 
-def _fit_example1(model: SpectralModel, gram: np.ndarray):
+def _example1_candidates(model: SpectralModel, gram: np.ndarray):
     # With s = theta^2 and a = (1, -c1 s, -c2 s, c1 c2 s^2), mode k's loss is
     # (2 pi)^2 N_k(s) / v_k(s): a quartic N_k = a' G_k a over the monomial C2
     # variance of the piece.  Times s^D, D the piece's largest power, every
     # loss is a polynomial P_k of degree <= 4 + D, so the minimum of
     # max_k loss_k + eta mean_k loss_k lies at a piece end, a root of
     # d/ds (P_k + eta mean P) / s^D, i.e. of s Q' - D Q, or a crossing
-    # P_i = P_j.  All candidates are evaluated at once; ties take the least theta.
+    # P_i = P_j.  The candidates, sorted, are scored by those same quartics and
+    # monomials, each at the piece that holds its s: (n, M) mode losses.
     (c1, c2), edges, coef, power = _example1_pieces(model)
     m = model.n_modes
     basis = np.zeros((m, 3, 4))
@@ -183,12 +184,34 @@ def _fit_example1(model: SpectralModel, gram: np.ndarray):
     roots = np.concatenate(roots)
     theta = np.sort(np.concatenate([model.theta_box[0], np.sqrt(edges[1:-1]), np.sqrt(roots)]))
     theta = np.clip(theta, *model.theta_box[0])  # sqrt(theta^2) may leave the box by an ulp
-    s = theta[:, None] ** 2
-    l1, l2 = c1 * s, c2 * s
-    triples = np.stack([l1, l2, -l1 * l2], axis=-1).reshape(-1, 3)
-    losses = _inverse_functional(triples, np.tile(gram, (len(theta), 1, 1))).reshape(-1, m)
-    best = int(np.argmin(losses.max(axis=1) + TIE_BREAK * losses.mean(axis=1)))
-    return theta[best:best + 1], len(theta), True
+    s = theta**2
+    piece = np.clip(np.searchsorted(edges, s, side="right") - 1, 0, len(edges) - 2)
+    var = coef[piece] * s[:, None] ** power[piece]
+    return (c1, c2), theta, (s[:, None] ** np.arange(5)) @ quartic.T / (var / TWO_PI_SQ)
+
+
+# the share above the least polynomial score within which example1's candidates are scored
+# again by the loss itself; the two scores differ by about 1e-13 of themselves
+_RESCORE = 1e-9
+
+
+def _fit_example1(model: SpectralModel, gram: np.ndarray):
+    # The least max + eta mean over the candidates.  When several polynomial scores are
+    # within _RESCORE of the least, those candidates are scored again through
+    # _inverse_functional, the loss itself, so that a tie in exact arithmetic falls as
+    # the loss breaks it (at M = 1 the losses at s and pi^4 / s are equal: an AR(1) and
+    # its reflection share a spectrum), and among equals to the least theta.
+    (c1, c2), theta, losses = _example1_candidates(model, gram)
+    score = losses.max(axis=1) + TIE_BREAK * losses.mean(axis=1)
+    near = theta[~(score > score.min() * (1.0 + _RESCORE))]  # and every NaN
+    if len(near) > 1:
+        s = near[:, None] ** 2
+        l1, l2 = c1 * s, c2 * s
+        triples = np.stack([l1, l2, -l1 * l2], axis=-1).reshape(-1, 3)
+        exact = _inverse_functional(triples, np.tile(gram, (len(near), 1, 1)))
+        exact = exact.reshape(len(near), -1)
+        near = near[np.argmin(exact.max(axis=1) + TIE_BREAK * exact.mean(axis=1)):]
+    return near[:1], len(theta), True
 
 
 # the interior-point cap (seeded affine fits take 17-34 iterations), its tolerance at

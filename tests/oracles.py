@@ -4,7 +4,8 @@ Everything here is deliberately slow and direct: double sums for the
 DFT, nested loops for covariances, one BLAS product per lag for the
 whole lag rectangle of them, the whole-grid irfft2 of their padded FFT
 form, a naive site-by-site sweep for the SARH(1) recursion and its per-mode
-scatter draw filtered in the (n1, n2, M) layout, the
+scatter draw filtered in the (n1, n2, M) layout, the AR(1) passes over
+broadcast (M, 1) columns of the eigenvalues, the
 closed-form covariance of the separable (l3 = -l1*l2) autoregression,
 the 2-D grid inversion of a spectrum to covariances and the w1
 quadrature of its closed-form w2 integral, the forward cosine sum of a
@@ -20,7 +21,8 @@ and draws at once), the curve-space pipeline (smooth, interpolate and detrend ev
 dense time grid), the pipeline's lattice stages on one dense (times,
 nodes) array of log curves, the scalar and grid forms of the eigenvalue families,
 the stationarity checks and the C2 normalization, a dense grid
-refined by zooming for the example1 fit, scipy's ``linprog`` check and
+refined by zooming for the example1 fit and its candidates scored through the
+tiled inverse functional, scipy's ``linprog`` check and
 SLSQP solve of the affine families' fit, and its SLSQP solve of example2's.
 Implementations under test must agree with these, never share code with them.
 """
@@ -38,7 +40,7 @@ from spatialcox.errors import (AmbiguousInterpolationError, ParameterDomainError
                                ResolutionError, SingularSpectrumError)
 from spatialcox.pipeline import (DEFAULT_TRUE_PMF, SYNTHETIC_AMP_DECAY, SYNTHETIC_AMPLITUDE,
                                  SYNTHETIC_TREND, SyntheticTruth)
-from spatialcox.sarh import Sarh1Params, family_triples, simulate_sarh1
+from spatialcox.sarh import Sarh1Params, _inverse_functional, family_triples, simulate_sarh1
 
 
 def brute_force_dft(data, z1_list, z2_list):
@@ -251,6 +253,24 @@ def scatter_sarh1(triples, dims, seed):
         for j in range(1, n2):
             x[i, j] = ((x[i, j] + l1 * x[i - 1, j]) + l3 * x[i - 1, j - 1]) + l2 * x[i, j - 1]
     return x
+
+
+def broadcast_ar1_passes(triples, dims, seed):
+    """The separable field built as the package first built it: the mode-major (M, n1, n2)
+    draw, then the AR(1) passes along j and along i, each stepping over the lines of that
+    axis with l as a broadcast (M, 1) column and the starting line divided by
+    sqrt((1 - l)(1 + l)) of that column.  The package's passes must give it bit for bit."""
+    triples = np.asarray(triples, dtype=float)
+    buf = np.empty((len(triples),) + tuple(dims))
+    np.random.default_rng(seed).standard_normal(out=buf)
+    for axis, lam in ((2, triples[:, 1:2]), (1, triples[:, :1])):
+        lines = np.moveaxis(buf, axis, 0)
+        lines[0] /= np.sqrt((1.0 - lam) * (1.0 + lam))
+        tmp = np.empty_like(lines[0])
+        for prev, cur in zip(lines[:-1], lines[1:]):
+            np.multiply(prev, lam, out=tmp)
+            cur += tmp
+    return np.moveaxis(buf, 0, 2)
 
 
 def separable_cov(l1, l2, z1, z2, innovation_var=1.0):
@@ -773,6 +793,20 @@ def stencil_objective_example1(moments, theta, tie_break):
           + 2.0 * (l1 * l3 - l2) * m2 - 2.0 * l3 * m3 + 2.0 * l1 * l2 * m4)
     loss = d2 * (2.0 * np.pi) ** 2 / (np.maximum(1.0, l1**2) * np.maximum(1.0, l2**2))
     return loss.max(axis=1) + tie_break * loss.mean(axis=1)
+
+
+def inverse_functional_example1_scores(model, gram, theta, tie_break):
+    """example1 candidates scored as the package first scored them: the triples of every
+    theta, against the Gram arrays tiled once per theta, through ``_inverse_functional``
+    and so the C2 variance of ``c2_innovation_var``.  Returns the theta of least max +
+    tie_break mean over the modes, the first of equals, and the (n, M) mode losses."""
+    c1, c2, _ = family_triples("example1", [1.0], model.n_modes).T
+    s = np.asarray(theta, dtype=float)[:, None] ** 2
+    l1, l2 = c1 * s, c2 * s
+    triples = np.stack([l1, l2, -l1 * l2], axis=-1).reshape(-1, 3)
+    losses = _inverse_functional(triples, np.tile(gram, (len(theta), 1, 1)))
+    losses = losses.reshape(len(theta), -1)
+    return theta[np.argmin(losses.max(axis=1) + tie_break * losses.mean(axis=1))], losses
 
 
 def dense_refine_example1(moments, box, tie_break, n=4001, zoom=201, tol=1e-13):

@@ -563,6 +563,17 @@ def test_cvfare_rejects_non_finite_curves(true, predicted):
         cvfare(true, predicted, [0.0, 1.0])
 
 
+@pytest.mark.parametrize("true, predicted, t", [([], [], []),
+                                                (np.ones((0, 5)), np.ones((0, 5)), np.arange(5.0)),
+                                                (np.ones((2, 0)), np.ones((2, 0)), [])],
+                         ids=["empty_lists", "zero_curves", "empty_grid"])
+def test_cvfare_refuses_empty_curves(true, predicted, t):
+    # no curve or no time had no mean: empty lists and an empty grid raised a bare
+    # IndexError, zero curves gave NaN after a "Mean of empty slice" warning
+    with pytest.raises(ParameterDomainError, match="non-empty"):
+        cvfare(true, predicted, t)
+
+
 # --- synthetic generator ----------------------------------------------------
 
 

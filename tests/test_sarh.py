@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from oracles import (bidisk_min_gap, crude_sum_margins, eigenvalues_example1,
-                     eigenvalues_example2, exact_axis_cov, exact_face_margins, grid_has_torus_zero,
-                     log_denominator_mean, naive_sarh, pmf_triple_scalar, quadrature_sigma2_c2,
-                     rational_density, scatter_sarh1, separable_cov,
-                     torus_min_abs_denominator)
+from oracles import (bidisk_min_gap, broadcast_ar1_passes, crude_sum_margins,
+                     eigenvalues_example1, eigenvalues_example2, exact_axis_cov,
+                     exact_face_margins, grid_has_torus_zero, log_denominator_mean, naive_sarh,
+                     pmf_triple_scalar, quadrature_sigma2_c2, rational_density, scatter_sarh1,
+                     separable_cov, torus_min_abs_denominator)
 from spatialcox import (Sarh1Params, TestFunction, c2_innovation_var, cov_from_spectrum, cov_map,
                         empirical_cov, family_triples, fejer_smoothed_inverse, is_causal,
                         periodogram, simulate_sarh1, SpectralModel)
@@ -162,6 +162,22 @@ def test_simulate_equals_the_scatter_draw_bit_for_bit(family, theta, dims):
     assert fld.data.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("dims", [(2, 7), (7, 2), (150, 120)], ids=lambda d: f"{d[0]}x{d[1]}")
+@pytest.mark.parametrize("family, theta, n_modes", [
+    ("example1", [1.0], 4), ("example2", [1.0, 1.6, 1.5, 1.2], 4),
+    ("custom", [-0.5, -0.25, -0.125, -0.75, -0.5, -0.375], 2), ("example1", [2.0], 1)],
+    ids=["example1", "example2", "custom_negative", "one_mode"])
+def test_separable_passes_equal_the_broadcast_loop(family, theta, n_modes, dims, monkeypatch):
+    # the passes step with l spread to each line's shape, not a broadcast (M, 1) column:
+    # every cell sees the same operations in the same order, so the field is the same
+    monkeypatch.setattr(sarh, "_sweep", _fail)
+    params = Sarh1Params(family, theta, n_modes)
+    fld = simulate_sarh1(params, dims, seed=13)
+    want = broadcast_ar1_passes(params.model.eig_triples(params.theta), dims, 13)
+    assert fld.data.shape == want.shape
+    assert fld.data.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("family, theta", [("example1", [1.0]), ("triple", [0.5, 0.3, -0.1])],
                          ids=["passes", "sweep"])
 def test_simulate_ignores_burn_in(family, theta):
@@ -249,8 +265,10 @@ def test_import_leaves_out_scipy():
 
 def test_simulate_peak_memory_is_its_output():
     # the field's finiteness check forms no mask (an eighth of the output, 1.126x
-    # with one); what remains above the output is numpy's per-line ufunc buffers of
-    # the AR(1) passes, about 66 kB at 200^2 x 10
+    # with one), and the j-pass steps over 1-D columns that numpy does not buffer; what
+    # remains above the output is the i-pass: its spread l and step arrays, M n2
+    # doubles each, and numpy's buffers for its strided (M, n2) rows, 67 kB (1.021x)
+    # at 200^2 x 10
     params = Sarh1Params("example1", [1.0], 10)
     simulate_sarh1(params, (200, 200), seed=1)
     tracemalloc.start()

@@ -7,14 +7,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import spatialcox.whittle
 from oracles import (affine_objective, dense_mode_losses, dense_refine_example1,
                      field_with_periodogram, grid_has_torus_zero, grid_min_triple_loss,
-                     example2_objective, normalize_c2, padded_trig_moments, periodogram_moments,
-                     rational_density, slsqp_affine_fit, slsqp_example2_fit,
-                     stencil_objective_example1)
+                     example2_objective, inverse_functional_example1_scores, normalize_c2,
+                     padded_trig_moments, periodogram_moments, rational_density,
+                     slsqp_affine_fit, slsqp_example2_fit, stencil_objective_example1)
 from spatialcox import (BasisSpec, CoeffField, FrequencyGrid, Periodogram,
                         Sarh1Params, SpectralModel, ThetaEstimate, cov_from_spectrum, estimate,
                         family_triples, is_causal, periodogram, simulate_sarh1, trig_moments,
@@ -447,6 +447,41 @@ def test_example1_zero_field_fits_lower_box_end(box):
         fit = estimate(SpectralModel("example1", n_modes=4, theta_box=[box]), fld)
     assert fit.theta_hat[0] == box[0]
     assert fit.loss_at_min == 0.0
+
+
+_SCORE_BOXES = {"default": None, "no_break": [[0.8, 1.5]], "break": [[2.5, 3.5]]}
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), theta=st.floats(0.7, 3.0), n_modes=st.integers(1, 10),
+       dims=st.sampled_from([(2, 9), (4, 4), (16, 12), (32, 32)]),
+       box=st.sampled_from(list(_SCORE_BOXES)), zero=st.booleans())
+# at M = 1 the losses at s and pi^4 / s tie in exact arithmetic: the loss's rounding gives
+# these two fits the smaller and the larger theta of such a pair, the polynomials' the other
+@example(seed=1271072063, theta=2.9625167656947564, n_modes=1, dims=(4, 4), box="default",
+         zero=False)
+@example(seed=1971982258, theta=2.908520009030963, n_modes=1, dims=(16, 12), box="break",
+         zero=False)
+@example(seed=0, theta=1.0, n_modes=4, dims=(16, 12), box="default", zero=True)
+@example(seed=0, theta=1.0, n_modes=4, dims=(16, 12), box="no_break", zero=True)
+@example(seed=0, theta=1.0, n_modes=4, dims=(16, 12), box="break", zero=True)
+def test_example1_candidate_scores_equal_the_inverse_functional(seed, theta, n_modes, dims,
+                                                                 box, zero):
+    # the candidates are scored by the fit's own quartics over the piece monomials, not
+    # by _inverse_functional over the Gram arrays tiled per candidate: the same losses to
+    # rounding and the same theta_hat to the bit; the zero field ties at the lower end
+    model = SpectralModel("example1", n_modes, _SCORE_BOXES[box])
+    fld = simulate_sarh1(Sarh1Params("example1", [theta], n_modes), dims, seed=seed)
+    if zero:
+        fld = CoeffField(np.zeros_like(fld.data), fld.basis)
+    gram = spatialcox.whittle._sample_gram(model, fld)
+    _, candidates, losses = spatialcox.whittle._example1_candidates(model, gram)
+    want_theta, want = inverse_functional_example1_scores(model, gram, candidates, TIE_BREAK)
+    np.testing.assert_allclose(losses, want, rtol=1e-12, atol=0)
+    theta_hat = estimate(model, fld).theta_hat
+    assert theta_hat.tobytes() == np.array([want_theta]).tobytes()
+    if zero:
+        assert np.all(losses == 0.0) and theta_hat[0] == model.theta_box[0, 0]
 
 
 def test_example1_repeated_column_field_fits():
