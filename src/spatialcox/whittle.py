@@ -164,7 +164,12 @@ def _example1_candidates(model: SpectralModel, gram: np.ndarray):
     # max_k loss_k + eta mean_k loss_k lies at a piece end, a root of
     # d/ds (P_k + eta mean P) / s^D, i.e. of s Q' - D Q, or a crossing
     # P_i = P_j.  The candidates, sorted, are scored by those same quartics and
-    # monomials, each at the piece that holds its s: (n, M) mode losses.
+    # monomials, each at the piece that holds its s: (n, M) mode losses.  Beside them
+    # stand the losses of m0 ((1 + c1 s)(1 + c2 s))^2, m0 the lag-0 moment on the
+    # diagonal of G_k: as |G_k| <= m0 entrywise (Cauchy-Schwarz), it bounds |a|' |G_k| |a|,
+    # the terms, so the rounding, of both forms.  The piece comes from comparisons and the
+    # product has C-ordered operands: searchsorted and a product with a transposed operand
+    # would add 64 and 72 KiB to the resident memory of a Table 1 process.
     (c1, c2), edges, coef, power = _example1_pieces(model)
     m = model.n_modes
     basis = np.zeros((m, 3, 4))
@@ -185,25 +190,30 @@ def _example1_candidates(model: SpectralModel, gram: np.ndarray):
     theta = np.sort(np.concatenate([model.theta_box[0], np.sqrt(edges[1:-1]), np.sqrt(roots)]))
     theta = np.clip(theta, *model.theta_box[0])  # sqrt(theta^2) may leave the box by an ulp
     s = theta**2
-    piece = np.clip(np.searchsorted(edges, s, side="right") - 1, 0, len(edges) - 2)
-    var = coef[piece] * s[:, None] ** power[piece]
-    return (c1, c2), theta, (s[:, None] ** np.arange(5)) @ quartic.T / (var / TWO_PI_SQ)
+    piece = (s[:, None] >= edges[1:-1]).sum(axis=1)  # the piece holding s; at a break, the upper
+    var = coef[piece] * s[:, None] ** power[piece] / TWO_PI_SQ
+    losses = (s[:, None] ** np.arange(5)) @ np.ascontiguousarray(quartic.T) / var
+    s = s[:, None]
+    return (c1, c2), theta, losses, gram[:, 0, 0] * ((1.0 + c1 * s) * (1.0 + c2 * s)) ** 2 / var
 
 
-# the share above the least polynomial score within which example1's candidates are scored
-# again by the loss itself; the two scores differ by about 1e-13 of themselves
+# the share of the term bound within which two example1 candidates are scored again by the
+# loss itself; either score's rounding is below 1e-14 of that bound
 _RESCORE = 1e-9
 
 
 def _fit_example1(model: SpectralModel, gram: np.ndarray):
-    # The least max + eta mean over the candidates.  When several polynomial scores are
-    # within _RESCORE of the least, those candidates are scored again through
-    # _inverse_functional, the loss itself, so that a tie in exact arithmetic falls as
-    # the loss breaks it (at M = 1 the losses at s and pi^4 / s are equal: an AR(1) and
-    # its reflection share a spectrum), and among equals to the least theta.
-    (c1, c2), theta, losses = _example1_candidates(model, gram)
+    # The least max + eta mean over the candidates.  Candidates whose polynomial score is
+    # above the least by no more than _RESCORE times the two candidates' term bounds may
+    # be the loss's least, so they are scored again through _inverse_functional, the loss
+    # itself: a tie in exact arithmetic falls as the loss breaks it (at M = 1 the losses at
+    # s and pi^4 / s are equal: an AR(1) and its reflection share a spectrum), and among
+    # equals to the least theta.  The window is absolute, as scores near zero, all
+    # rounding, may be negative: a field constant along an axis has a loss zero at a break.
+    (c1, c2), theta, losses, bounds = _example1_candidates(model, gram)
     score = losses.max(axis=1) + TIE_BREAK * losses.mean(axis=1)
-    near = theta[~(score > score.min() * (1.0 + _RESCORE))]  # and every NaN
+    bound, best = bounds.max(axis=1), np.argmin(score)
+    near = theta[~(score - score[best] > _RESCORE * (bound + bound[best]))]  # and every NaN
     if len(near) > 1:
         s = near[:, None] ** 2
         l1, l2 = c1 * s, c2 * s

@@ -475,13 +475,32 @@ def test_example1_candidate_scores_equal_the_inverse_functional(seed, theta, n_m
     if zero:
         fld = CoeffField(np.zeros_like(fld.data), fld.basis)
     gram = spatialcox.whittle._sample_gram(model, fld)
-    _, candidates, losses = spatialcox.whittle._example1_candidates(model, gram)
+    _, candidates, losses, _ = spatialcox.whittle._example1_candidates(model, gram)
     want_theta, want = inverse_functional_example1_scores(model, gram, candidates, TIE_BREAK)
     np.testing.assert_allclose(losses, want, rtol=1e-12, atol=0)
     theta_hat = estimate(model, fld).theta_hat
     assert theta_hat.tobytes() == np.array([want_theta]).tobytes()
     if zero:
         assert np.all(losses == 0.0) and theta_hat[0] == model.theta_box[0, 0]
+
+
+@pytest.mark.parametrize("dims", [(8, 8), (7, 7)])
+@pytest.mark.parametrize("kind", ["ones", "constant_rows", "constant_columns"])
+def test_example1_constant_field_fits_as_the_inverse_functional(kind, dims):
+    # at M = 1 a field constant along an axis has a loss with the factor (1 - s / pi^2)^2
+    # (the ones field its square), zero at the break s = pi^2, so every score near it is
+    # rounding (at these sizes the least polynomial score rounds below 0): the fit still
+    # returns the loss's own least theta
+    n1, n2 = dims
+    data = {"ones": np.ones(dims), "constant_rows": np.tile(np.arange(1.0, n2 + 1), (n1, 1)),
+            "constant_columns": np.tile(np.arange(1.0, n1 + 1)[:, None], (1, n2))}[kind]
+    fld, model = CoeffField(data[:, :, None], BasisSpec(1.0, 1)), SpectralModel("example1", 1)
+    gram = spatialcox.whittle._sample_gram(model, fld)
+    _, candidates, _, _ = spatialcox.whittle._example1_candidates(model, gram)
+    want_theta, _ = inverse_functional_example1_scores(model, gram, candidates, TIE_BREAK)
+    fit = estimate(model, fld)
+    assert fit.theta_hat.tobytes() == np.array([want_theta]).tobytes()
+    assert fit.loss_at_min <= 1e-12
 
 
 def test_example1_repeated_column_field_fits():
